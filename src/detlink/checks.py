@@ -103,11 +103,7 @@ def check_gb_sum(n: int, rng: random.Random, budget: Budget,
                  stretch: bool) -> tuple[str, Optional[str]]:
     """Certificate that G plus every attached monomial set is a Groebner
     basis of the sum of the n links."""
-    ring = fam.standard_ring(n)
-    GM = fam.set_G(n)
-    for i in range(1, n + 1):
-        GM += [ring.from_monomial(m) for m in fam.M_set(n, i)]
-    cert = is_groebner_basis(GM, budget=budget)
+    cert = is_groebner_basis(fam.G_union_M(n), budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "
                       f"{_fmt(cert.remainder)}")
@@ -419,6 +415,8 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
         if unknown:
             raise ValueError(f"unknown checks: {', '.join(unknown)}")
         names = [name for name in ALL_CHECKS if name in names]
+        if not names:
+            raise ValueError("no checks selected")
     reports = []
     for name in names:
         rng = random.Random(f"{seed}/{name}")
@@ -465,10 +463,7 @@ def bench(n_min: int, n_max: int,
                 "basis_size": stats.final_size,
                 "elapsed_ms": round(stats.elapsed_ms, 3),
             })
-        ring = fam.standard_ring(n)
-        GM = fam.set_G(n)
-        for i in range(1, n + 1):
-            GM += [ring.from_monomial(m) for m in fam.M_set(n, i)]
+        GM = fam.G_union_M(n)
         budget = Budget(max_pairs, timeout_secs)
         t0 = time.perf_counter()
         status = "ok"

@@ -62,7 +62,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     if args.command == "show":
-        for line in _family_lines(args.family, args.n):
+        try:
+            lines = _family_lines(args.family, args.n)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        for line in lines:
             print(line)
         return 0
 

@@ -202,6 +202,18 @@ def set_G(n: int) -> list[Polynomial]:
     return out
 
 
+def G_union_M(n: int) -> list[Polynomial]:
+    """set_G(n) followed by every M_set(n, i) monomial, i = 1..n in turn.
+
+    This order fixes the 1-based witness indices of a certificate on the set.
+    """
+    ring = standard_ring(n)
+    out = set_G(n)
+    for i in range(1, n + 1):
+        out += [ring.from_monomial(m) for m in M_set(n, i)]
+    return out
+
+
 def sum_links_ideal(n: int) -> Ideal:
     """Sum of all n link ideals: (g_1..g_n) plus every M_set monomial."""
     ring = standard_ring(n)

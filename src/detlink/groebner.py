@@ -1,10 +1,11 @@
 """Division algorithm, S-polynomials, Buchberger's algorithm and criterion.
 
-All reductions are exact over Q. Division is deterministic: the first
-divisor (by list position) whose leading monomial divides the current
-leading monomial is always used. Internally Buchberger runs on primitive
-integer representatives (every basis element may be rescaled freely), with
-the exact rational division kept for the public remainder contract.
+All reductions are exact over Q and run in one fraction-free kernel on
+primitive integer representatives (a divisor or basis element may be
+rescaled freely). Division is deterministic: the first divisor (by list
+position) whose leading monomial divides the current leading monomial is
+always used. `divide` rebuilds its exact rational quotients and remainder
+from the scalar the kernel accumulates along the way.
 """
 
 from __future__ import annotations
@@ -74,112 +75,11 @@ class GBCertificate(NamedTuple):
         return self.ok
 
 
-# -- exact rational division (public contract) ------------------------------
-
-
-class _Reducer:
-    """Reusable exact division context over a fixed (growing) divisor list."""
-
-    __slots__ = ("order", "divs")
-
-    def __init__(self, divisors: Sequence[Polynomial], order: MonomialOrder):
-        self.order = order
-        self.divs = []
-        for f in divisors:
-            self.append(f)
-
-    def append(self, f: Polynomial) -> None:
-        if not f:
-            raise ValueError("zero divisor")
-        lc, lm = f.terms[0]
-        self.divs.append((lm, lc, f.terms))
-
-    def reduce(self, p: dict, quotients: Optional[list] = None) -> dict:
-        """Full remainder of the dict-form polynomial; mutates its argument."""
-        key = self.order.key
-        divs = self.divs
-        rem: dict[Monomial, Fraction] = {}
-        while p:
-            m = max(p, key=key)
-            c = p.pop(m)
-            for idx, (lm, lc, terms) in enumerate(divs):
-                if lm.divides(m):
-                    u = m.div(lm)
-                    q = c / lc
-                    if quotients is not None:
-                        qd = quotients[idx]
-                        qd[u] = qd.get(u, 0) + q
-                    for tc, tm in terms[1:]:
-                        mm = u.mul(tm)
-                        nc = p.get(mm, 0) - q * tc
-                        if nc:
-                            p[mm] = nc
-                        elif mm in p:
-                            del p[mm]
-                    break
-            else:
-                rem[m] = c
-        return rem
-
-
-def _as_dict(f: Polynomial) -> dict:
-    return {m: c for c, m in f.terms}
-
-
-def divide(h: Polynomial, divisors: Sequence[Polynomial],
-           order: Optional[MonomialOrder] = None) -> DivisionResult:
-    """Multivariate division h = remainder + sum(quotients[i] * divisors[i]).
-
-    The remainder contains no monomial divisible by any divisor's leading
-    monomial, and in(h) >= in(quotients[i] * divisors[i]) whenever the
-    quotient is nonzero.
-    """
-    ring = h.ring
-    order = order or ring.order
-    reducer = _Reducer(divisors, order)
-    quotients = [dict() for _ in divisors]
-    rem = reducer.reduce(_as_dict(h), quotients)
-    return DivisionResult(tuple(ring._from_dict(q) for q in quotients),
-                          ring._from_dict(rem))
-
-
-def _spoly_dict(f: Polynomial, g: Polynomial) -> dict:
-    """S(f, g) = (in(g)/gcd)*f - (in(f)/gcd)*g in dict form."""
-    cf, mf = f.terms[0]
-    cg, mg = g.terms[0]
-    gcd = mf.gcd(mg)
-    uf, ug = mg.div(gcd), mf.div(gcd)
-    d: dict[Monomial, Fraction] = {}
-    for c, m in f.terms:
-        mm = m.mul(uf)
-        nc = d.get(mm, 0) + cg * c
-        if nc:
-            d[mm] = nc
-        elif mm in d:
-            del d[mm]
-    for c, m in g.terms:
-        mm = m.mul(ug)
-        nc = d.get(mm, 0) - cf * c
-        if nc:
-            d[mm] = nc
-        elif mm in d:
-            del d[mm]
-    return d
-
-
-def s_polynomial(f: Polynomial, g: Polynomial,
-                 order: Optional[MonomialOrder] = None) -> Polynomial:
-    """The cancellation combination of f and g (gcd taken with coefficient 1)."""
-    if not f or not g:
-        raise ValueError("S-polynomial of zero")
-    f._check_ring(g)
-    return f.ring._from_dict(_spoly_dict(f, g))
-
-
-# -- primitive integer layer (Buchberger internals) --------------------------
+# -- primitive integer layer ------------------------------------------------
 # A "prim" polynomial is a tuple of (Monomial, int) pairs, descending in the
-# active order, integer content 1 and positive leading coefficient. Basis
-# elements may be rescaled freely, so all S-pair reductions run here.
+# active order, integer content 1 and positive leading coefficient. Every
+# reduction runs here: a divisor or a basis element may be rescaled freely,
+# and `divide` recovers its exact quotients from the tracked scalar.
 
 
 def _prim_from_poly(f: Polynomial):
@@ -210,12 +110,19 @@ def _poly_from_prim(prim, ring: Ring) -> Polynomial:
     return Polynomial(ring, tuple(Term(Fraction(c), m) for m, c in prim))
 
 
-def _spoly_int(a, b) -> dict:
+def _monic_from_prim(prim, ring: Ring) -> Polynomial:
+    lc = prim[0][1]
+    return Polynomial(ring, tuple(Term(Fraction(c, lc), m) for m, c in prim))
+
+
+def _spoly(a, b) -> dict:
+    """S(a, b) = lc(b)*(in(b)/gcd)*a - lc(a)*(in(a)/gcd)*b in dict form, for
+    descending (Monomial, coefficient) sequences."""
     ma, ca = a[0]
     mb, cb = b[0]
     g = ma.gcd(mb)
     ua, ub = mb.div(g), ma.div(g)
-    d: dict[Monomial, int] = {}
+    d: dict = {}
     for m, c in a:
         mm = m.mul(ua)
         nc = d.get(mm, 0) + cb * c
@@ -233,7 +140,8 @@ def _spoly_int(a, b) -> dict:
     return d
 
 
-def _content_reduce(p: dict, rem: dict) -> None:
+def _content_reduce(p: dict, rem: dict) -> int:
+    """Divide p and rem by their common integer content; returns it."""
     g = 0
     for v in p.values():
         g = _igcd(g, v)
@@ -244,25 +152,44 @@ def _content_reduce(p: dict, rem: dict) -> None:
             p[k] //= g
         for k in rem:
             rem[k] //= g
+    return g
 
 
 class _IntReducer:
-    """Fraction-free division: remainders are correct up to a scalar."""
+    """Fraction-free division: remainders are correct up to a scalar.
 
-    __slots__ = ("order", "divs")
+    The divisor used for a term is always the first one (by list position)
+    whose leading monomial divides it. After `track`, the reducer also keeps
+    the scalar with p_int = scale * p_exact and the exact quotient of each
+    divisor; the prim appended for divisor i is ratios[i] times divisor i.
+    """
+
+    __slots__ = ("order", "divs", "quotients", "scale", "ratios", "_first")
 
     def __init__(self, order: MonomialOrder):
         self.order = order
         self.divs = []
+        self.quotients = None
 
     def append(self, prim) -> None:
         lm, lc = prim[0]
         self.divs.append((lm, lc, prim[1:]))
 
+    def track(self, scale: Fraction, ratios: Sequence[Fraction]) -> None:
+        """Record exact quotients from the next reduce, whose argument is
+        scale times the exact dividend."""
+        self.scale = scale
+        self.ratios = ratios
+        self.quotients = [{} for _ in ratios]
+        self._first = {}
+        for idx, (lm, _, _) in enumerate(self.divs):
+            self._first.setdefault(lm, idx)
+
     def reduce(self, p: dict) -> dict:
         """Remainder of some positive rational multiple of p; mutates p."""
         key = self.order.key
         divs = self.divs
+        quotients = self.quotients
         rem: dict[Monomial, int] = {}
         steps = 0
         while p:
@@ -279,6 +206,11 @@ class _IntReducer:
                         for k in rem:
                             rem[k] *= mult
                     u = m.div(lm)
+                    if quotients is not None:
+                        self.scale *= mult
+                        idx = self._first[lm]
+                        qd = quotients[idx]
+                        qd[u] = qd.get(u, 0) + q * self.ratios[idx] / self.scale
                     for tm, tc in tail:
                         mm = u.mul(tm)
                         nc = p.get(mm, 0) - q * tc
@@ -288,11 +220,51 @@ class _IntReducer:
                             del p[mm]
                     steps += 1
                     if not steps & 31:
-                        _content_reduce(p, rem)
+                        g = _content_reduce(p, rem)
+                        if quotients is not None and g > 1:
+                            self.scale /= g
                     break
             else:
                 rem[m] = c
         return rem
+
+
+def divide(h: Polynomial, divisors: Sequence[Polynomial],
+           order: Optional[MonomialOrder] = None) -> DivisionResult:
+    """Multivariate division h = remainder + sum(quotients[i] * divisors[i]).
+
+    The remainder contains no monomial divisible by any divisor's leading
+    monomial, and in(h) >= in(quotients[i] * divisors[i]) whenever the
+    quotient is nonzero.
+    """
+    ring = h.ring
+    reducer = _IntReducer(order or ring.order)
+    ratios = []
+    for f in divisors:
+        if not f:
+            raise ValueError("zero divisor")
+        prim = _prim_from_poly(f)
+        reducer.append(prim)
+        ratios.append(prim[0][1] / f.terms[0].coeff)
+    p, scale = {}, Fraction(1)
+    if h:
+        prim = _prim_from_poly(h)
+        p, scale = dict(prim), prim[0][1] / h.terms[0].coeff
+    reducer.track(scale, ratios)
+    rem = reducer.reduce(p)
+    scale = reducer.scale
+    return DivisionResult(tuple(ring._from_dict(q) for q in reducer.quotients),
+                          ring._from_dict({m: c / scale for m, c in rem.items()}))
+
+
+def s_polynomial(f: Polynomial, g: Polynomial,
+                 order: Optional[MonomialOrder] = None) -> Polynomial:
+    """The cancellation combination of f and g (gcd taken with coefficient 1)."""
+    if not f or not g:
+        raise ValueError("S-polynomial of zero")
+    f._check_ring(g)
+    return f.ring._from_dict(_spoly([(m, c) for c, m in f.terms],
+                                    [(m, c) for c, m in g.terms]))
 
 
 def reduced_groebner_basis(polys: Iterable[Polynomial],
@@ -367,7 +339,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
             if skip:
                 stats.discarded_chain += 1
                 continue
-        rem = reducer.reduce(_spoly_int(G[i], G[j]))
+        rem = reducer.reduce(_spoly(G[i], G[j]))
         if not rem:
             stats.zero_reductions += 1
             continue
@@ -392,29 +364,26 @@ def interreduce(basis: Sequence[Polynomial],
     basis: elements whose leading monomial is divisible by another's are
     dropped, the rest are tail-reduced against each other.
     """
-    polys = [f.monic() for f in basis if f]
+    polys = [f for f in basis if f]
     if not polys:
         return ()
     ring = polys[0].ring
     order = order or ring.order
     key = order.key
-    polys.sort(key=lambda f: key(f.terms[0].mono))
-    kept: list[Polynomial] = []
-    kept_lms: list[Monomial] = []
-    for f in polys:
-        lm = f.terms[0].mono
-        if any(other.divides(lm) for other in kept_lms):
-            continue
-        kept.append(f)
-        kept_lms.append(lm)
+    prims = sorted((_prim_from_poly(f) for f in polys), key=lambda p: key(p[0][0]))
+    kept = []
+    for prim in prims:
+        lm = prim[0][0]
+        if not any(other[0][0].divides(lm) for other in kept):
+            kept.append(prim)
     for idx in range(len(kept)):
-        others = kept[:idx] + kept[idx + 1:]
-        if not others:
-            continue
-        reducer = _Reducer(others, order)
-        kept[idx] = ring._from_dict(reducer.reduce(_as_dict(kept[idx])))
-    kept.sort(key=lambda f: key(f.terms[0].mono), reverse=True)
-    return tuple(kept)
+        reducer = _IntReducer(order)
+        for other in kept[:idx] + kept[idx + 1:]:
+            reducer.append(other)
+        # Terms in the ring's own order, as the Polynomial built below needs.
+        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])), ring.order.key)
+    kept.sort(key=lambda p: key(p[0][0]), reverse=True)
+    return tuple(_monic_from_prim(p, ring) for p in kept)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial],
@@ -448,7 +417,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
             continue
         if lms[i].is_coprime(lms[j]):
             continue
-        if reducer.reduce(_spoly_int(prims[i], prims[j])):
+        if reducer.reduce(_spoly(prims[i], prims[j])):
             exact = divide(s_polynomial(polys[i], polys[j]), polys, order)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
     return GBCertificate(True, None, None)
@@ -493,31 +462,10 @@ class Ideal:
         return f"Ideal({inner})"
 
 
-def buchberger(I: Ideal, budget: Optional[Budget] = None,
-               criteria: bool = True, stats: Optional[GBStats] = None) -> Ideal:
-    """Ideal with the reduced Groebner basis attached (and same generators)."""
-    basis = reduced_groebner_basis(I.gens, I.ring.order, budget=budget,
-                                   criteria=criteria, stats=stats)
-    return Ideal.with_basis(I.ring, I.gens, basis)
-
-
 def normal_form(f: Polynomial, I: Ideal,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of f against the reduced Groebner basis of I."""
-    basis = I.groebner(budget)
-    if not basis:
-        return f
-    reducer = _Reducer(basis, I.ring.order)
-    return I.ring._from_dict(reducer.reduce(_as_dict(f)))
-
-
-def _int_dict(f: Polynomial) -> dict:
-    """Integer-scaled dict form of f (common denominator cleared)."""
-    den = 1
-    for c, _ in f.terms:
-        d = c.denominator
-        den = den * d // _igcd(den, d)
-    return {m: c.numerator * (den // c.denominator) for c, m in f.terms}
+    return divide(f, I.groebner(budget), I.ring.order).remainder
 
 
 def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
@@ -530,7 +478,7 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     reducer = _IntReducer(I.ring.order)
     for g in basis:
         reducer.append(_prim_from_poly(g))
-    return not reducer.reduce(_int_dict(f))
+    return not reducer.reduce(dict(_prim_from_poly(f)))
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:

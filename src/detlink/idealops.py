@@ -106,18 +106,6 @@ def sum_ideals(*ideals: Ideal) -> Ideal:
     return Ideal(ring, gens)
 
 
-def product_ideals(I: Ideal, J: Ideal) -> Ideal:
-    if I.ring != J.ring:
-        raise ValueError("ideals from different rings")
-    gens: list[Polynomial] = []
-    for f in I.gens:
-        for g in J.gens:
-            fg = f * g
-            if fg and fg not in gens:
-                gens.append(fg)
-    return Ideal(I.ring, gens)
-
-
 # -- dimension of monomial ideals and minimal primes ------------------------
 
 

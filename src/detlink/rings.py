@@ -176,14 +176,6 @@ class MonomialOrder:
         return (ka > kb) - (ka < kb)
 
 
-def compare(a: Monomial, b: Monomial, order: MonomialOrder) -> int:
-    """Three-way comparison of monomials: -1, 0 or 1 for a <, =, > b."""
-    nv = order.space.nvars
-    if len(a.exps) != nv or len(b.exps) != nv:
-        raise ValueError("monomials do not belong to the order's VarSpace")
-    return order.compare(a, b)
-
-
 class Ring:
     """A VarSpace together with its active monomial order.
 
@@ -501,28 +493,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"<{self.ring.format(self)}>"
-
-
-# -- named operation wrappers ----------------------------------------------
-
-def add(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f + g
-
-
-def mul(f: Polynomial, g: Polynomial) -> Polynomial:
-    return f * g
-
-
-def scale(c: Scalar, f: Polynomial) -> Polynomial:
-    return f * c
-
-
-def power(f: Polynomial, k: int) -> Polynomial:
-    return f ** k
-
-
-def negate(f: Polynomial) -> Polynomial:
-    return -f
 
 
 def leading_term(f: Polynomial, order: Optional[MonomialOrder] = None) -> Term:

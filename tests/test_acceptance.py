@@ -30,14 +30,6 @@ def _report(number: int, label: str, ok: bool, elapsed: float) -> None:
     assert ok, f"criterion {number} ({label}) failed"
 
 
-def _G_union_M(n: int):
-    ring = fam.standard_ring(n)
-    out = fam.set_G(n)
-    for i in range(1, n + 1):
-        out += [ring.from_monomial(m) for m in fam.M_set(n, i)]
-    return out
-
-
 def test_criterion_01_groebner_certificate_of_family_basis():
     t0 = time.perf_counter()
     ok = True
@@ -56,9 +48,9 @@ def test_criterion_02_groebner_certificate_of_sum_basis():
     t0 = time.perf_counter()
     ok = True
     for n in (4, 5, 6):
-        ok = ok and is_groebner_basis(_G_union_M(n)).ok
+        ok = ok and is_groebner_basis(fam.G_union_M(n)).ok
     t7 = time.perf_counter()
-    ok = ok and is_groebner_basis(_G_union_M(7)).ok
+    ok = ok and is_groebner_basis(fam.G_union_M(7)).ok
     ok = ok and (time.perf_counter() - t7) < 60.0
     _report(2, "sum-of-links basis certificate n=4..7", ok,
             time.perf_counter() - t0)

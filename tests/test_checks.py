@@ -136,6 +136,19 @@ class TestCLI:
     def test_verify_rejects_small_n(self, capsys):
         assert main(["verify", "--n", "3", "--checks", "gb-a"]) == 2
 
+    def test_verify_rejects_empty_selection(self, capsys):
+        for checks in ("", ","):
+            assert main(["verify", "--n", "4", "--checks", checks]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert captured.out == ""
+
+    def test_show_rejects_small_n(self, capsys):
+        assert main(["show", "--family", "G", "--n", "3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["verify", "--n", "4", "--checks", "automorphisms",

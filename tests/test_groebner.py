@@ -3,7 +3,7 @@
 import pytest
 
 from detlink.families import delta, gens_a, m_ij, minors_ideal, set_G, standard_ring
-from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal, buchberger,
+from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               divide, ideal_equal, initial_ideal, interreduce,
                               is_groebner_basis, is_squarefree_monomial_ideal,
                               member, minimal_generators, normal_form,
@@ -70,6 +70,53 @@ class TestDivide:
             for q, f in zip(quotients, divisors):
                 if q:
                     assert key((q * f).terms[0].mono) <= top
+
+
+    def test_long_division_with_rational_divisors(self):
+        # Non-monic rational divisors and a dividend that needs more than 32
+        # reduction steps: the integer kernel divides a common content of 7
+        # out of its working polynomial after step 32, and the quotients must
+        # still be the exact rational ones the textbook algorithm produces.
+        R = Ring(2)
+        divisors = [R.parse("5/7*x2 - 2*y1"),
+                    R.parse("-2/7*x1^2*z2 - 5/7*y2*z1"),
+                    R.parse("-6/5*y1 + 9/2*z2")]
+        h = R.parse("-6/49*x1^3*x2^3*y1*y2^2*z2^2 - 5/7*x2^4*y1^2*y2^2*z2^2"
+                    " - 24/35*x1^3*x2^5*y1 - 5/7*x1^3*y2^2*z1^2*z2^2"
+                    " - 4*x2^6*y1^2 - 4*x1^3*x2^2*z1^2 + 6/7*y2^2*z2^2 + 24/5*x2^2")
+        quotients, rem = divide(h, divisors)
+        assert sum(len(q) for q in quotients) > 32
+        rebuilt = rem
+        for q, f in zip(quotients, divisors):
+            rebuilt = rebuilt + q * f
+        assert rebuilt == h
+        assert (quotients, rem) == _textbook_divide(h, divisors)
+
+
+def _textbook_divide(h, divisors):
+    """Division over Q with the first-match rule, one term at a time."""
+    ring = h.ring
+    key = ring.order.key
+    p = h.as_dict()
+    quotients = [{} for _ in divisors]
+    rem = {}
+    while p:
+        m = max(p, key=key)
+        c = p.pop(m)
+        for qd, f in zip(quotients, divisors):
+            lc, lm = f.terms[0]
+            if lm.divides(m):
+                u = m.div(lm)
+                qd[u] = qd.get(u, 0) + c / lc
+                for fc, fm in f.terms[1:]:
+                    mm = u.mul(fm)
+                    p[mm] = p.get(mm, 0) - c / lc * fc
+                    if not p[mm]:
+                        del p[mm]
+                break
+        else:
+            rem[m] = c
+    return tuple(ring.poly(q) for q in quotients), ring.poly(rem)
 
 
 class TestSPolynomial:
@@ -153,10 +200,10 @@ class TestBuchberger:
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)
         assert not I.has_cached_basis()
-        J = buchberger(I)
-        assert J.has_cached_basis()
-        assert J.gens == I.gens
-        assert J.groebner() == I.groebner()
+        basis = I.groebner()
+        assert I.has_cached_basis()
+        assert I.groebner() is basis
+        assert basis == reduced_groebner_basis(I.gens)
 
     def test_cache_invariant_mutual_membership(self):
         # The cached basis is monic, interreduced, and generates the same
@@ -308,6 +355,26 @@ class TestAgainstSympyOracle:
                                     *syms, order="grevlex")
             got, expected = self._canonical_sets(R, mine, theirs.exprs)
             assert got == expected
+
+    def test_normal_form_matches(self, rng):
+        # The remainder against a Groebner basis is unique, so it must agree
+        # with sympy's division by sympy's own reduced basis.
+        sympy = self.sympy
+        R = Ring(2)
+        syms = sympy.symbols(R.names)
+        ns = dict(zip(R.names, syms))
+        to_sympy = lambda f: sympy.sympify(str(f).replace("^", "**"), ns)
+        for _ in range(8):
+            gens = [random_nonzero_poly(R, rng, terms=3, max_exp=2)
+                    for _ in range(rng.randint(1, 3))]
+            I = Ideal(R, gens)
+            theirs = sympy.groebner([to_sympy(g) for g in gens],
+                                    *syms, order="grevlex")
+            for _ in range(5):
+                f = random_poly(R, rng, terms=6, max_exp=3)
+                _, expected = sympy.reduced(to_sympy(f), theirs.exprs, *syms,
+                                            order="grevlex")
+                assert sympy.expand(to_sympy(normal_form(f, I)) - expected) == 0
 
     def test_family_basis_matches(self):
         sympy = self.sympy
