@@ -33,6 +33,15 @@ def _family_lines(family: str, n: int) -> list[str]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
+    """Budgets apply per check, or per row of `bench`."""
+    parser.add_argument("--budget-pairs", type=int, default=None,
+                        help="cap on S-polynomials reduced, certificate pairs "
+                             "included")
+    parser.add_argument("--timeout-secs", type=float, default=None,
+                        help="wall-clock cap in seconds")
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="detlink",
@@ -44,8 +53,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument("--checks", default="all",
                           help=f"comma list or 'all'; known: {', '.join(ALL_CHECKS)}")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget-pairs", type=int, default=None)
-    p_verify.add_argument("--timeout-secs", type=float, default=None)
+    _add_budget_flags(p_verify)
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--out", default=None, help="also write the report here")
 
@@ -58,6 +66,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_bench.add_argument("--n-min", type=int, default=4)
     p_bench.add_argument("--n-max", type=int, default=6)
     p_bench.add_argument("--csv", default=None, help="write rows to this CSV file")
+    _add_budget_flags(p_bench)
 
     args = parser.parse_args(argv)
 
@@ -72,7 +81,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 0
 
     if args.command == "bench":
-        rows = bench(args.n_min, args.n_max)
+        rows = bench(args.n_min, args.n_max, max_pairs=args.budget_pairs,
+                     timeout_secs=args.timeout_secs)
         fields = ["n", "task", "status", "pairs_processed", "discarded_coprime",
                   "discarded_chain", "zero_reductions", "basis_size", "elapsed_ms"]
         if args.csv:

@@ -1,11 +1,13 @@
-"""Division algorithm, S-polynomials, Buchberger's algorithm and criterion.
+"""Division algorithm, S-polynomials, Buchberger's algorithm with
+Gebauer-Moller pair installation, and Buchberger's criterion.
 
 All reductions are exact over Q and run in one fraction-free kernel on
 primitive integer representatives (a divisor or basis element may be
 rescaled freely). Division is deterministic: the first divisor (by list
 position) whose leading monomial divides the current leading monomial is
 always used. `divide` rebuilds its exact rational quotients and remainder
-from the scalar the kernel accumulates along the way.
+from the scalar the kernel accumulates along the way. Every function works
+in the ring's own order; an `order` argument that differs is rejected.
 """
 
 from __future__ import annotations
@@ -49,6 +51,19 @@ class Budget:
 
 @dataclass
 class GBStats:
+    """Work counters of one `reduced_groebner_basis` call.
+
+    pairs_pushed: pairs installed in the pair heap.
+    pairs_processed: S-polynomials reduced, one budget tick each; always
+        zero_reductions + basis_added.
+    discarded_coprime: new pairs dropped at installation because their
+        leading monomials are coprime (product criterion).
+    discarded_chain: pairs dropped by the other Gebauer-Moller criteria,
+        at installation (M, F) or later by a new element (B_k).
+    zero_reductions: S-polynomials that reduced to zero.
+    basis_added: S-polynomials whose nonzero remainder joined the basis.
+    """
+
     pairs_pushed: int = 0
     pairs_processed: int = 0
     discarded_coprime: int = 0
@@ -73,6 +88,14 @@ class GBCertificate(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
+
+
+def _ring_order(ring: Ring, order: Optional[MonomialOrder]) -> MonomialOrder:
+    """The ring's own order; an explicit `order` must equal it, since every
+    polynomial keeps its terms sorted in the ring's order."""
+    if order is not None and order != ring.order:
+        raise ValueError(f"{order!r} is not the order of {ring!r}")
+    return ring.order
 
 
 # -- primitive integer layer ------------------------------------------------
@@ -238,7 +261,7 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial],
     quotient is nonzero.
     """
     ring = h.ring
-    reducer = _IntReducer(order or ring.order)
+    reducer = _IntReducer(_ring_order(ring, order))
     ratios = []
     for f in divisors:
         if not f:
@@ -263,6 +286,7 @@ def s_polynomial(f: Polynomial, g: Polynomial,
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     f._check_ring(g)
+    _ring_order(f.ring, order)
     return f.ring._from_dict(_spoly([(m, c) for c, m in f.terms],
                                     [(m, c) for c, m in g.terms]))
 
@@ -274,81 +298,94 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
                            stats: Optional[GBStats] = None) -> tuple[Polynomial, ...]:
     """Buchberger's algorithm with normal pair selection.
 
-    Pairs are processed by ascending lcm in the active order; the coprime
-    and chain discard criteria are applied unless criteria=False. Returns
-    THE reduced Groebner basis (monic, interreduced, sorted by descending
-    leading monomial), which is unique for the order.
+    Pairs are processed by ascending lcm in the active order. Unless
+    criteria=False (every pair is then reduced), pairs are installed the
+    Gebauer-Moller way (J. Symb. Comput. 6, 1988; Becker-Weispfenning
+    5.5): when an element h joins the basis, a pending pair (a, b) is
+    dropped if in(h) divides lcm(a, b) and lcm(a, b) differs from both
+    lcm(a, h) and lcm(b, h) (B_k); of the new pairs (i, h), those whose lcm
+    is a proper multiple of another new pair's lcm are dropped (M), one
+    pair is kept per lcm (F), and none if one of them has coprime leading
+    monomials. An element whose leading monomial in(h) divides gets no new
+    pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
+    interreduced, sorted by descending leading monomial), which is unique
+    for the order.
     """
     t0 = time.perf_counter()
     polys = [f for f in polys if f]
     if not polys:
         return ()
     ring = polys[0].ring
-    order = order or ring.order
+    order = _ring_order(ring, order)
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
     key = order.key
 
     G = []
     lms: list[Monomial] = []
+    active: list[int] = []      # elements that still get new pairs
+    heap: list[list] = []       # [key(lcm), i, j, lcm]; lcm is None once dropped
+    reducer = _IntReducer(order)
+
+    def install(prim) -> None:
+        j = len(G)
+        lm = prim[0][0]
+        G.append(prim)
+        lms.append(lm)
+        reducer.append(prim)
+        if not criteria:
+            for i in range(j):
+                lcm = lms[i].lcm(lm)
+                heapq.heappush(heap, [key(lcm), i, j, lcm])
+                stats.pairs_pushed += 1
+            return
+        with_h = [lmi.lcm(lm) for lmi in lms[:j]]
+        for entry in heap:
+            lcm = entry[3]
+            if (lcm is not None and lm.divides(lcm)
+                    and lcm != with_h[entry[1]] and lcm != with_h[entry[2]]):
+                entry[3] = None
+                stats.discarded_chain += 1
+        by_lcm: dict[Monomial, list[int]] = {}
+        for i in active:
+            by_lcm.setdefault(with_h[i], []).append(i)
+        minimal: list[Monomial] = []
+        for lcm in sorted(by_lcm, key=lambda m: m.deg):
+            group = by_lcm[lcm]
+            if any(m.divides(lcm) for m in minimal):
+                stats.discarded_chain += len(group)
+                continue
+            minimal.append(lcm)
+            coprime = sum(1 for i in group if lms[i].is_coprime(lm))
+            if coprime:
+                stats.discarded_coprime += coprime
+                stats.discarded_chain += len(group) - coprime
+                continue
+            stats.discarded_chain += len(group) - 1
+            heapq.heappush(heap, [key(lcm), group[0], j, lcm])
+            stats.pairs_pushed += 1
+        active[:] = [i for i in active if not lm.divides(lms[i])]
+        active.append(j)
+
     seen = set()
     for f in polys:
         prim = _prim_from_poly(f)
-        if prim in seen:
-            continue
-        seen.add(prim)
-        G.append(prim)
-        lms.append(prim[0][0])
-    reducer = _IntReducer(order)
-    for prim in G:
-        reducer.append(prim)
-
-    heap: list[tuple] = []
-    pending: set[tuple[int, int]] = set()
-
-    def push_pairs(j: int) -> None:
-        lmj = lms[j]
-        for i in range(j):
-            heapq.heappush(heap, (key(lms[i].lcm(lmj)), i, j))
-            pending.add((i, j))
-            stats.pairs_pushed += 1
-
-    for j in range(len(G)):
-        push_pairs(j)
+        if prim not in seen:
+            seen.add(prim)
+            install(prim)
 
     while heap:
-        _, i, j = heapq.heappop(heap)
-        pending.discard((i, j))
+        _, i, j, lcm = heapq.heappop(heap)
+        if lcm is None:
+            continue
         budget.tick()
         stats.pairs_processed += 1
-        lmi, lmj = lms[i], lms[j]
-        if criteria:
-            if lmi.is_coprime(lmj):
-                stats.discarded_coprime += 1
-                continue
-            lcm = lmi.lcm(lmj)
-            skip = False
-            for k, lmk in enumerate(lms):
-                if k == i or k == j:
-                    continue
-                if (lmk.divides(lcm)
-                        and (min(i, k), max(i, k)) not in pending
-                        and (min(j, k), max(j, k)) not in pending):
-                    skip = True
-                    break
-            if skip:
-                stats.discarded_chain += 1
-                continue
         rem = reducer.reduce(_spoly(G[i], G[j]))
         if not rem:
             stats.zero_reductions += 1
             continue
-        prim = _prim_from_dict(rem, key)
-        G.append(prim)
-        lms.append(prim[0][0])
-        reducer.append(prim)
+        install(_prim_from_dict(rem, key))
         stats.basis_added += 1
-        push_pairs(len(G) - 1)
 
     basis = interreduce([_poly_from_prim(p, ring) for p in G], order)
     stats.final_size = len(basis)
@@ -368,7 +405,7 @@ def interreduce(basis: Sequence[Polynomial],
     if not polys:
         return ()
     ring = polys[0].ring
-    order = order or ring.order
+    order = _ring_order(ring, order)
     key = order.key
     prims = sorted((_prim_from_poly(f) for f in polys), key=lambda p: key(p[0][0]))
     kept = []
@@ -380,8 +417,7 @@ def interreduce(basis: Sequence[Polynomial],
         reducer = _IntReducer(order)
         for other in kept[:idx] + kept[idx + 1:]:
             reducer.append(other)
-        # Terms in the ring's own order, as the Polynomial built below needs.
-        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])), ring.order.key)
+        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])), key)
     kept.sort(key=lambda p: key(p[0][0]), reverse=True)
     return tuple(_monic_from_prim(p, ring) for p in kept)
 
@@ -399,7 +435,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     if not polys or any(not f for f in polys):
         raise ValueError("is_groebner_basis needs nonzero polynomials")
     ring = polys[0].ring
-    order = order or ring.order
+    order = _ring_order(ring, order)
     budget = budget or Budget()
     key = order.key
     prims = [_prim_from_poly(f) for f in polys]

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .groebner import Budget, Ideal, divide, interreduce, reduced_groebner_basis
+from .groebner import (Budget, Ideal, divide, interreduce, member,
+                       reduced_groebner_basis)
 from .rings import ELIM_BLOCK, Monomial, Polynomial, Ring
 
 
@@ -78,8 +79,17 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
     return Ideal.with_basis(ring, basis, basis)
 
 
+def _contains(I: Ideal, J: Ideal, budget: Optional[Budget]) -> bool:
+    """J is a subset of I."""
+    return all(member(g, I, budget) for g in J.groebner(budget))
+
+
 def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """Colon ideal I : J as the intersection of I : (g) over generators of J."""
+    """Colon ideal I : J as the intersection of I : (g) over generators of J.
+
+    When one side of an intersection contains the other (the other side's
+    cached reduced basis lies in it), the smaller side is the result.
+    """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
@@ -87,7 +97,9 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     parts = [quotient_by_poly(I, g, budget) for g in J.gens]
     out = parts[0]
     for part in parts[1:]:
-        out = intersect(out, part, budget)
+        if _contains(part, out, budget):
+            continue
+        out = part if _contains(out, part, budget) else intersect(out, part, budget)
     return out
 
 

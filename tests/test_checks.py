@@ -163,6 +163,14 @@ class TestCLI:
         assert main(["show", "--family", "G", "--n", "5"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 11
 
+    def test_bench_budget_flags(self, capsys):
+        assert main(["bench", "--n-min", "4", "--n-max", "4",
+                     "--budget-pairs", "3"]) == 0
+        assert "budget-exceeded" in capsys.readouterr().out
+        assert main(["bench", "--n-min", "4", "--n-max", "4",
+                     "--timeout-secs", "60"]) == 0
+        assert "budget-exceeded" not in capsys.readouterr().out
+
     def test_bench_csv(self, tmp_path, capsys):
         target = tmp_path / "bench.csv"
         assert main(["bench", "--n-min", "4", "--n-max", "4",

@@ -1,0 +1,114 @@
+"""Intersections and colons against an independent sympy computation.
+
+Small random ideals of Q[x1, x2, y1, y2, z1, z2] (at most three generators
+of degree <= 2) are drawn by hypothesis, derandomized so every run checks
+the same examples. sympy intersects by eliminating t from t*I + (1-t)*J in
+lex order and computes each principal colon I:(g) as (I ∩ (g))/g; both
+sides are then compared as reduced grevlex bases.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+sympy = pytest.importorskip("sympy")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from detlink.groebner import Ideal
+from detlink.idealops import intersect, quotient
+from detlink.rings import Ring
+
+R = Ring(2)
+SYMS = sympy.symbols(R.names)
+T = sympy.Symbol("t")
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _poly(terms):
+    d = {}
+    for positions, c in terms:
+        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        d[m] = d.get(m, 0) + c
+    return R.poly(d)
+
+
+# A term is a list of one or two variable positions and a small coefficient.
+_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), min_size=1, max_size=2),
+                   st.integers(-3, 3).filter(bool))
+_polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
+_ideals = st.lists(_polys, min_size=1, max_size=3).map(lambda gs: Ideal(R, gs))
+_linear = st.lists(st.tuples(st.lists(st.integers(0, R.space.nvars - 1),
+                                      min_size=1, max_size=1),
+                             st.integers(-3, 3).filter(bool)),
+                   min_size=1, max_size=2).map(_poly).filter(bool)
+
+
+@st.composite
+def _product_colons(draw):
+    """I = (a*b, c*d) and J = (a, c): the principal colons I:(a) and I:(c)
+    are usually incomparable, so the colon must intersect them."""
+    a, b, c, d = (draw(_linear) for _ in range(4))
+    return Ideal(R, [a * b, c * d]), Ideal(R, [a, c])
+
+
+def _to_sympy(f):
+    out = sympy.Integer(0)
+    for c, m in f.terms:
+        mono = sympy.Mul(*(s ** e for s, e in zip(SYMS, m.exps)))
+        out += sympy.Rational(c.numerator, c.denominator) * mono
+    return out
+
+
+def _sympy_intersection(F, G):
+    gb = sympy.groebner([T * f for f in F] + [(1 - T) * g for g in G],
+                        T, *SYMS, order="lex")
+    return [e for e in gb.exprs if not e.has(T)]
+
+
+def _sympy_colon(F, G):
+    out = None
+    for g in G:
+        part = []
+        for w in _sympy_intersection(F, [g]):
+            q, r = sympy.div(w, g, *SYMS)
+            assert r == 0
+            part.append(q)
+        out = part if out is None else _sympy_intersection(out, part)
+    return out
+
+
+def _canonical(exprs):
+    gb = sympy.groebner(exprs, *SYMS, order="grevlex")
+    return {sympy.expand(e / sympy.Poly(e, *SYMS).LC(order="grevlex"))
+            for e in gb.exprs}
+
+
+def _mine(ideal):
+    return {sympy.expand(_to_sympy(g)) for g in ideal.groebner()}
+
+
+@settings(SETTINGS, max_examples=60)
+@given(_ideals, _ideals)
+def test_intersect_matches_sympy(I, J):
+    theirs = _sympy_intersection([_to_sympy(f) for f in I.gens],
+                                 [_to_sympy(g) for g in J.gens])
+    assert _mine(intersect(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(_ideals, _ideals)
+def test_quotient_matches_sympy(I, J):
+    theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
+                          [_to_sympy(g) for g in J.gens])
+    assert _mine(quotient(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(_product_colons())
+def test_quotient_of_products_matches_sympy(case):
+    I, J = case
+    theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
+                          [_to_sympy(g) for g in J.gens])
+    assert _mine(quotient(I, J)) == _canonical(theirs)

@@ -8,9 +8,18 @@ from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               is_groebner_basis, is_squarefree_monomial_ideal,
                               member, minimal_generators, normal_form,
                               reduced_groebner_basis, s_polynomial)
-from detlink.rings import Ring
+from detlink.idealops import _embed
+from detlink.rings import ELIM_BLOCK, MonomialOrder, Ring
 
 from conftest import random_nonzero_poly, random_poly
+
+
+def _intersection_input(fs, gs):
+    """t*f and (1-t)*g in the elimination ring, as `intersect` builds them."""
+    E = Ring(fs[0].ring.n, 1, ELIM_BLOCK)
+    t = E.t(1)
+    return ([t * _embed(f, E) for f in fs]
+            + [(E.one - t) * _embed(g, E) for g in gs])
 
 
 class TestDivide:
@@ -180,11 +189,25 @@ class TestBuchberger:
             without = reduced_groebner_basis(gens, criteria=False)
             assert with_criteria == without
 
+    def test_criteria_do_not_change_elimination_result(self, rng):
+        R = Ring(2)
+        for _ in range(12):
+            fs = [random_nonzero_poly(R, rng, terms=2, max_exp=2)
+                  for _ in range(rng.randint(1, 2))]
+            gs = [random_nonzero_poly(R, rng, terms=2, max_exp=2)
+                  for _ in range(rng.randint(1, 2))]
+            gens = _intersection_input(fs, gs)
+            assert (reduced_groebner_basis(gens, criteria=True)
+                    == reduced_groebner_basis(gens, criteria=False))
+
     def test_criteria_equivalence_on_families(self):
-        for n in (4, 5):
+        for n in (4, 5, 6):
             gens = gens_a(n).gens
             assert (reduced_groebner_basis(gens, criteria=True)
                     == reduced_groebner_basis(gens, criteria=False))
+        gens = _intersection_input(gens_a(4).gens, minors_ideal(4).gens)
+        assert (reduced_groebner_basis(gens, criteria=True)
+                == reduced_groebner_basis(gens, criteria=False))
 
     def test_budget_exceeded(self):
         budget = Budget(max_pairs=2)
@@ -196,6 +219,37 @@ class TestBuchberger:
         reduced_groebner_basis(gens_a(4).gens, stats=stats)
         assert stats.pairs_processed > 0
         assert stats.final_size == 8
+
+    def test_stats_count_reduced_pairs(self):
+        # Every processed pair is an S-polynomial reduced to zero or added;
+        # the criteria must spare work on a family that has redundant pairs.
+        with_criteria, without = GBStats(), GBStats()
+        reduced_groebner_basis(gens_a(5).gens, stats=with_criteria)
+        reduced_groebner_basis(gens_a(5).gens, criteria=False, stats=without)
+        for stats in (with_criteria, without):
+            assert (stats.pairs_processed
+                    == stats.zero_reductions + stats.basis_added)
+        assert with_criteria.pairs_processed < without.pairs_processed
+        assert without.discarded_coprime == without.discarded_chain == 0
+
+    def test_foreign_order_rejected(self):
+        # Polynomials keep their terms in the ring's order, so a different
+        # order would silently pick wrong leading terms.
+        R = Ring(2, 1)
+        E = MonomialOrder(R.space, ELIM_BLOCK)
+        x1, x2, t1 = R.x(1), R.x(2), R.t(1)
+        f, g = x1 ** 2 + t1, t1 * x2 + x1
+        with pytest.raises(ValueError):
+            divide(t1 * x2, [f], E)
+        with pytest.raises(ValueError):
+            s_polynomial(f, g, E)
+        with pytest.raises(ValueError):
+            reduced_groebner_basis([f, g], E)
+        with pytest.raises(ValueError):
+            interreduce([f, g], E)
+        with pytest.raises(ValueError):
+            is_groebner_basis([f, g], E)
+        assert divide(t1 * x2, [f], R.order) == divide(t1 * x2, [f])
 
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)

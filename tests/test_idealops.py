@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, minors_ideal,
                               standard_ring, sum_links_ideal)
 from detlink.groebner import Ideal, ideal_equal, initial_ideal, member
@@ -105,6 +106,29 @@ class TestQuotient:
                 assert all(member(qg * jg, I) for jg in J.gens)
         I4 = minors_ideal(4)
         assert ideal_equal(quotient(I4, Ideal(R4, [R4.one])), I4)   # I : R = I
+
+    def test_nested_principal_colons_skip_intersection(self, monkeypatch):
+        # (x1):(g) = (x1) for each g below, and (x1^2, x1*y1):(x1) = (x1, y1)
+        # contains (x1^2, x1*y1):(y1) = (x1): no colon needs an intersection.
+        R = standard_ring(4)
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        cases = [(Ideal(R, [x1]), Ideal(R, [y1, z1, y1 + z1])),
+                 (Ideal(R, [x1 ** 2, x1 * y1]), Ideal(R, [x1, y1]))]
+        for I, J in cases:
+            parts = {g: quotient_by_poly(I, g) for g in J.gens}
+            explicit = parts[J.gens[0]]
+            for g in J.gens[1:]:
+                explicit = intersect(explicit, parts[g])
+            calls = []
+            monkeypatch.setattr(idealops, "quotient_by_poly",
+                                lambda I, g, budget=None: parts[g])
+            monkeypatch.setattr(idealops, "intersect",
+                                lambda *args: calls.append(args))
+            Q = quotient(I, J)
+            monkeypatch.undo()
+            assert calls == []
+            assert Q.groebner() == explicit.groebner()
+            assert Q.gens == explicit.gens
 
 
 class TestSumProduct:
