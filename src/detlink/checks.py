@@ -440,6 +440,10 @@ def bench(n_min: int, n_max: int,
           max_pairs: Optional[int] = None,
           timeout_secs: Optional[float] = None) -> list[dict]:
     """Timing and pair-count rows for the scalable Groebner workloads."""
+    if n_min < 4:
+        raise ValueError(f"bench needs n_min >= 4, got {n_min}")
+    if n_max < n_min:
+        raise ValueError(f"empty width range {n_min}..{n_max}")
     rows = []
     for n in range(n_min, n_max + 1):
         for task, gens, criteria in (

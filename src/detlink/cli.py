@@ -33,6 +33,20 @@ def _family_lines(family: str, n: int) -> list[str]:
     raise ValueError(f"unknown family {family!r}")
 
 
+def _error(message) -> int:
+    """Report bad input on stderr; the exit status is 2."""
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _write_rows(fh, rows: list[dict]) -> None:
+    writer = csv.DictWriter(fh, fieldnames=[
+        "n", "task", "status", "pairs_processed", "discarded_coprime",
+        "discarded_chain", "zero_reductions", "basis_size", "elapsed_ms"])
+    writer.writeheader()
+    writer.writerows(rows)
+
+
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     """Budgets apply per check, or per row of `bench`."""
     parser.add_argument("--budget-pairs", type=int, default=None,
@@ -74,25 +88,24 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         try:
             lines = _family_lines(args.family, args.n)
         except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+            return _error(exc)
         for line in lines:
             print(line)
         return 0
 
     if args.command == "bench":
-        rows = bench(args.n_min, args.n_max, max_pairs=args.budget_pairs,
-                     timeout_secs=args.timeout_secs)
-        fields = ["n", "task", "status", "pairs_processed", "discarded_coprime",
-                  "discarded_chain", "zero_reductions", "basis_size", "elapsed_ms"]
+        try:
+            rows = bench(args.n_min, args.n_max, max_pairs=args.budget_pairs,
+                         timeout_secs=args.timeout_secs)
+        except ValueError as exc:
+            return _error(exc)
+        _write_rows(sys.stdout, rows)
         if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fields)
-                writer.writeheader()
-                writer.writerows(rows)
-        writer = csv.DictWriter(sys.stdout, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows(rows)
+            try:
+                with open(args.csv, "w", newline="") as fh:
+                    _write_rows(fh, rows)
+            except OSError as exc:
+                return _error(f"cannot write {args.csv}: {exc.strerror or exc}")
         return 0
 
     selection = "all" if args.checks == "all" else [
@@ -104,13 +117,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                              timeout_secs=args.timeout_secs,
                              stretch=stretch)
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
     payload = report_json(reports, args.n, args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload + "\n")
     if args.format == "json":
         print(payload)
     else:
@@ -119,6 +128,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             if r.witness:
                 line += f"  [{r.witness}]"
             print(line)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(payload + "\n")
+        except OSError as exc:
+            return _error(f"cannot write {args.out}: {exc.strerror or exc}")
     bad = [r for r in reports if r.status in (FAIL, BUDGET)]
     return 1 if bad else 0
 

@@ -8,18 +8,29 @@ position) whose leading monomial divides the current leading monomial is
 always used. `divide` rebuilds its exact rational quotients and remainder
 from the scalar the kernel accumulates along the way. Every function works
 in the ring's own order; an `order` argument that differs is rejected.
+
+Inside the kernel and all through Buchberger's algorithm a monomial is one
+packed int: 16-bit fields, each topped by a guard bit, hold the exponent
+vector and, above it, a linear packing of the order key, so a product is
+an add, the order is int comparison and divisibility is one subtract and
+AND. An exponent or block degree must stay below 2^15; past it the kernel
+raises OverflowError instead of wrapping. `Monomial` objects are built only
+where polynomials enter or leave. An `Ideal` packs its reduced basis once,
+on first use, for every later membership test and normal form.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd as _igcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rings import Monomial, MonomialOrder, Polynomial, Ring, Term
+from .rings import ELIM_BLOCK, Monomial, MonomialOrder, Polynomial, Ring, Term
 
 
 class BudgetExceeded(RuntimeError):
@@ -35,6 +46,10 @@ class Budget:
 
     def __init__(self, max_pairs: Optional[int] = None,
                  timeout_secs: Optional[float] = None):
+        if max_pairs is not None and max_pairs < 0:
+            raise ValueError(f"pair budget must be >= 0, got {max_pairs}")
+        if timeout_secs is not None and not timeout_secs >= 0:
+            raise ValueError(f"timeout must be >= 0 seconds, got {timeout_secs}")
         self.max_pairs = self.DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
         self.timeout_secs = timeout_secs
         self.pairs = 0
@@ -42,9 +57,15 @@ class Budget:
                           if timeout_secs is not None else None)
 
     def tick(self) -> None:
+        """Count one pair against the cap, then check the deadline."""
         self.pairs += 1
         if self.pairs > self.max_pairs:
             raise BudgetExceeded(f"pair budget of {self.max_pairs} exhausted")
+        self.check_deadline()
+
+    def check_deadline(self) -> None:
+        """Raise once the deadline has passed; counts nothing. Long loops
+        that reduce no pairs call this."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"timeout of {self.timeout_secs}s exhausted")
 
@@ -98,14 +119,108 @@ def _ring_order(ring: Ring, order: Optional[MonomialOrder]) -> MonomialOrder:
     return ring.order
 
 
+# -- packed monomials -------------------------------------------------------
+# Inside the kernel a monomial is one int (Monagan-Pearce, J. Symb. Comput.
+# 46, 2011). Every field is FIELD bits wide and its top bit is a guard, so
+# a field holds values below LIMIT = 2^15. The low nvars fields hold the
+# exponent vector (position i in field i); the high nvars fields hold the
+# order key as a linear packing: for grevlex the prefix sums
+# (deg, deg - e_N, deg - e_N - e_{N-1}, ..., e_1) from the top field down,
+# for elim-block one such run per block, the elimination block on top.
+# Products are then sums, comparison in the order is int comparison, and
+# a divides b iff (b - a) & guard == 0: a field where a exceeds b borrows
+# into its guard bit. A sum of two packed monomials cannot carry out of a
+# field, so an exponent or block degree past the limit shows as a set
+# guard bit and is rejected, never wrapped.
+
+FIELD = 16
+LIMIT = 1 << (FIELD - 1)
+
+
+def _overflow() -> OverflowError:
+    return OverflowError(
+        f"exponent or block degree reaches 2^{FIELD - 1} = {LIMIT}, "
+        "the limit of packed monomials")
+
+
+class _Packing:
+    """The packed layout of one ring order's monomials."""
+
+    __slots__ = ("guard", "exp_guard", "_exp_mask", "_ones", "_shift",
+                 "_runs", "_head", "_fmt", "_nbytes")
+
+    def __init__(self, order: MonomialOrder):
+        nvars = order.space.nvars
+        head = order.space.elim_count if order.kind == ELIM_BLOCK else 0
+
+        def ones(k):
+            return sum(1 << (FIELD * i) for i in range(k))
+
+        def mask(k):
+            return (1 << (FIELD * k)) - 1
+
+        # (source field, width, destination field) per run; elim-block puts
+        # the elimination run above the main one.
+        runs = ((0, head, nvars - head), (head, nvars - head, 0)) if head else ((0, nvars, 0),)
+        self._runs = tuple((FIELD * src, mask(width), ones(width), FIELD * dest)
+                           for src, width, dest in runs)
+        self._head = head
+        self._shift = FIELD * nvars
+        self._exp_mask = mask(nvars)
+        self._ones = ones(nvars)
+        self.exp_guard = self._ones << (FIELD - 1)
+        self.guard = self.exp_guard | (self.exp_guard << self._shift)
+        self._fmt = f"<{nvars}H"
+        self._nbytes = 2 * nvars
+
+    def _with_key(self, e: int) -> int:
+        key = 0
+        for src, mask, ones, dest in self._runs:
+            key |= (((e >> src) & mask) * ones & mask) << dest
+        return (key << self._shift) | e
+
+    def pack(self, m: Monomial) -> int:
+        exps = m.exps
+        head = sum(exps[:self._head])
+        if head >= LIMIT or m.deg - head >= LIMIT:
+            raise _overflow()
+        return self._with_key(int.from_bytes(struct.pack(self._fmt, *exps), "little"))
+
+    def unpack(self, m: int) -> Monomial:
+        if m & self.guard:
+            raise _overflow()
+        return Monomial(struct.unpack(
+            self._fmt, (m & self._exp_mask).to_bytes(self._nbytes, "little")))
+
+    def lcm(self, a: int, b: int) -> int:
+        ea, eb = a & self._exp_mask, b & self._exp_mask
+        # 0xFFFF in each field where eb >= ea (no borrow: the guard is set).
+        pick = ((((eb | self.exp_guard) - ea) & self.exp_guard) >> (FIELD - 1)) * 0xFFFF
+        out = self._with_key((eb & pick) | (ea & ~pick))
+        if out & self.guard:
+            raise _overflow()
+        return out
+
+    def support(self, m: int) -> int:
+        """Guard bits of the variables m contains: a and b are coprime iff
+        support(a) & support(b) == 0."""
+        return (((m & self._exp_mask) | self.exp_guard) - self._ones) & self.exp_guard
+
+
+@lru_cache(maxsize=32)
+def _packing(order: MonomialOrder) -> _Packing:
+    return _Packing(order)
+
+
 # -- primitive integer layer ------------------------------------------------
-# A "prim" polynomial is a tuple of (Monomial, int) pairs, descending in the
-# active order, integer content 1 and positive leading coefficient. Every
-# reduction runs here: a divisor or a basis element may be rescaled freely,
-# and `divide` recovers its exact quotients from the tracked scalar.
+# A "prim" polynomial is a tuple of (packed monomial, int) pairs, descending
+# in the ring's order, integer content 1 and positive leading coefficient.
+# Every reduction runs here: a divisor or a basis element may be rescaled
+# freely, and `divide` recovers its exact quotients from the tracked scalar.
+# Monomial objects appear only where polynomials enter or leave.
 
 
-def _prim_from_poly(f: Polynomial):
+def _prim_from_poly(f: Polynomial, packing: _Packing):
     den = 1
     for c, _ in f.terms:
         d = c.denominator
@@ -116,45 +231,48 @@ def _prim_from_poly(f: Polynomial):
         g = _igcd(g, v)
     if vals[0] < 0:
         g = -g
-    return tuple((m, v // g) for v, (_, m) in zip(vals, f.terms))
+    pack = packing.pack
+    return tuple((pack(m), v // g) for v, (_, m) in zip(vals, f.terms))
 
 
-def _prim_from_dict(d: dict, key):
+def _prim_from_dict(d: dict):
     g = 0
     for v in d.values():
         g = _igcd(g, v)
-    items = sorted(d.items(), key=lambda mv: key(mv[0]), reverse=True)
+    items = sorted(d.items(), reverse=True)
     if items[0][1] < 0:
         g = -g
     return tuple((m, v // g) for m, v in items)
 
 
-def _poly_from_prim(prim, ring: Ring) -> Polynomial:
-    return Polynomial(ring, tuple(Term(Fraction(c), m) for m, c in prim))
+def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
+    unpack = packing.unpack
+    return Polynomial(ring, tuple(Term(Fraction(c), unpack(m))
+                                  for m, c in sorted(d.items(), reverse=True)))
 
 
-def _monic_from_prim(prim, ring: Ring) -> Polynomial:
+def _monic_from_prim(prim, ring: Ring, packing: _Packing) -> Polynomial:
     lc = prim[0][1]
-    return Polynomial(ring, tuple(Term(Fraction(c, lc), m) for m, c in prim))
+    unpack = packing.unpack
+    return Polynomial(ring, tuple(Term(Fraction(c, lc), unpack(m)) for m, c in prim))
 
 
-def _spoly(a, b) -> dict:
-    """S(a, b) = lc(b)*(in(b)/gcd)*a - lc(a)*(in(a)/gcd)*b in dict form, for
-    descending (Monomial, coefficient) sequences."""
+def _spoly(a, b, lcm: int) -> dict:
+    """S(a, b) = lc(b)*(lcm/in(a))*a - lc(a)*(lcm/in(b))*b in dict form, for
+    descending (packed monomial, coefficient) sequences."""
     ma, ca = a[0]
     mb, cb = b[0]
-    g = ma.gcd(mb)
-    ua, ub = mb.div(g), ma.div(g)
+    ua, ub = lcm - ma, lcm - mb
     d: dict = {}
     for m, c in a:
-        mm = m.mul(ua)
+        mm = m + ua
         nc = d.get(mm, 0) + cb * c
         if nc:
             d[mm] = nc
         elif mm in d:
             del d[mm]
     for m, c in b:
-        mm = m.mul(ub)
+        mm = m + ub
         nc = d.get(mm, 0) - ca * c
         if nc:
             d[mm] = nc
@@ -185,13 +303,16 @@ class _IntReducer:
     whose leading monomial divides it. After `track`, the reducer also keeps
     the scalar with p_int = scale * p_exact and the exact quotient of each
     divisor; the prim appended for divisor i is ratios[i] times divisor i.
+    With a budget, its deadline is checked every 32 steps.
     """
 
-    __slots__ = ("order", "divs", "quotients", "scale", "ratios", "_first")
+    __slots__ = ("packing", "divs", "budget", "quotients", "scale", "ratios", "_first")
 
-    def __init__(self, order: MonomialOrder):
-        self.order = order
-        self.divs = []
+    def __init__(self, packing: _Packing, divs: Optional[list] = None,
+                 budget: Optional[Budget] = None):
+        self.packing = packing
+        self.divs = [] if divs is None else divs
+        self.budget = budget
         self.quotients = None
 
     def append(self, prim) -> None:
@@ -210,16 +331,20 @@ class _IntReducer:
 
     def reduce(self, p: dict) -> dict:
         """Remainder of some positive rational multiple of p; mutates p."""
-        key = self.order.key
+        guard = self.packing.guard
         divs = self.divs
         quotients = self.quotients
-        rem: dict[Monomial, int] = {}
+        budget = self.budget
+        rem: dict[int, int] = {}
         steps = 0
         while p:
-            m = max(p, key=key)
+            m = max(p)
             c = p.pop(m)
+            if m & guard:
+                raise _overflow()
             for lm, lc, tail in divs:
-                if lm.divides(m):
+                u = m - lm
+                if not u & guard:
                     g = _igcd(c, lc)
                     mult = lc // g
                     q = c // g
@@ -228,14 +353,13 @@ class _IntReducer:
                             p[k] *= mult
                         for k in rem:
                             rem[k] *= mult
-                    u = m.div(lm)
                     if quotients is not None:
                         self.scale *= mult
                         idx = self._first[lm]
                         qd = quotients[idx]
                         qd[u] = qd.get(u, 0) + q * self.ratios[idx] / self.scale
                     for tm, tc in tail:
-                        mm = u.mul(tm)
+                        mm = u + tm
                         nc = p.get(mm, 0) - q * tc
                         if nc:
                             p[mm] = nc
@@ -246,6 +370,8 @@ class _IntReducer:
                         g = _content_reduce(p, rem)
                         if quotients is not None and g > 1:
                             self.scale /= g
+                        if budget is not None:
+                            budget.check_deadline()
                     break
             else:
                 rem[m] = c
@@ -261,23 +387,25 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial],
     quotient is nonzero.
     """
     ring = h.ring
-    reducer = _IntReducer(_ring_order(ring, order))
+    packing = _packing(_ring_order(ring, order))
+    reducer = _IntReducer(packing)
     ratios = []
     for f in divisors:
         if not f:
             raise ValueError("zero divisor")
-        prim = _prim_from_poly(f)
+        prim = _prim_from_poly(f, packing)
         reducer.append(prim)
         ratios.append(prim[0][1] / f.terms[0].coeff)
     p, scale = {}, Fraction(1)
     if h:
-        prim = _prim_from_poly(h)
+        prim = _prim_from_poly(h, packing)
         p, scale = dict(prim), prim[0][1] / h.terms[0].coeff
     reducer.track(scale, ratios)
     rem = reducer.reduce(p)
     scale = reducer.scale
-    return DivisionResult(tuple(ring._from_dict(q) for q in reducer.quotients),
-                          ring._from_dict({m: c / scale for m, c in rem.items()}))
+    return DivisionResult(
+        tuple(_poly_from_dict(q, ring, packing) for q in reducer.quotients),
+        _poly_from_dict({m: c / scale for m, c in rem.items()}, ring, packing))
 
 
 def s_polynomial(f: Polynomial, g: Polynomial,
@@ -286,9 +414,12 @@ def s_polynomial(f: Polynomial, g: Polynomial,
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     f._check_ring(g)
-    _ring_order(f.ring, order)
-    return f.ring._from_dict(_spoly([(m, c) for c, m in f.terms],
-                                    [(m, c) for c, m in g.terms]))
+    packing = _packing(_ring_order(f.ring, order))
+    pack = packing.pack
+    a = [(pack(m), c) for c, m in f.terms]
+    b = [(pack(m), c) for c, m in g.terms]
+    return _poly_from_dict(_spoly(a, b, packing.lcm(a[0][0], b[0][0])),
+                           f.ring, packing)
 
 
 def reduced_groebner_basis(polys: Iterable[Polynomial],
@@ -309,67 +440,73 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     monomials. An element whose leading monomial in(h) divides gets no new
     pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
     interreduced, sorted by descending leading monomial), which is unique
-    for the order.
+    for the order. Everything between the input and the interreduced
+    output runs on packed monomials.
     """
     t0 = time.perf_counter()
     polys = [f for f in polys if f]
     if not polys:
         return ()
     ring = polys[0].ring
-    order = _ring_order(ring, order)
+    packing = _packing(_ring_order(ring, order))
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
-    key = order.key
+    guard = packing.guard
+    lcm_of = packing.lcm
 
     G = []
-    lms: list[Monomial] = []
+    lms: list[int] = []
+    supports: list[int] = []
     active: list[int] = []      # elements that still get new pairs
-    heap: list[list] = []       # [key(lcm), i, j, lcm]; lcm is None once dropped
-    reducer = _IntReducer(order)
+    heap: list[list] = []       # [lcm, i, j, lcm]; the last lcm is None once dropped
+    reducer = _IntReducer(packing, budget=budget)
 
     def install(prim) -> None:
         j = len(G)
         lm = prim[0][0]
         G.append(prim)
         lms.append(lm)
+        supports.append(packing.support(lm))
         reducer.append(prim)
         if not criteria:
             for i in range(j):
-                lcm = lms[i].lcm(lm)
-                heapq.heappush(heap, [key(lcm), i, j, lcm])
+                lcm = lcm_of(lms[i], lm)
+                heapq.heappush(heap, [lcm, i, j, lcm])
                 stats.pairs_pushed += 1
             return
-        with_h = [lmi.lcm(lm) for lmi in lms[:j]]
+        with_h = [lcm_of(lmi, lm) for lmi in lms[:j]]
         for entry in heap:
             lcm = entry[3]
-            if (lcm is not None and lm.divides(lcm)
+            if (lcm is not None and not (lcm - lm) & guard
                     and lcm != with_h[entry[1]] and lcm != with_h[entry[2]]):
                 entry[3] = None
                 stats.discarded_chain += 1
-        by_lcm: dict[Monomial, list[int]] = {}
+        by_lcm: dict[int, list[int]] = {}
         for i in active:
             by_lcm.setdefault(with_h[i], []).append(i)
-        minimal: list[Monomial] = []
-        for lcm in sorted(by_lcm, key=lambda m: m.deg):
+        minimal: list[int] = []
+        support = supports[j]
+        # Ascending in the order, so every proper divisor of an lcm comes first.
+        for lcm in sorted(by_lcm):
             group = by_lcm[lcm]
-            if any(m.divides(lcm) for m in minimal):
+            if any(not (lcm - m) & guard for m in minimal):
                 stats.discarded_chain += len(group)
                 continue
             minimal.append(lcm)
-            coprime = sum(1 for i in group if lms[i].is_coprime(lm))
+            coprime = sum(1 for i in group if not supports[i] & support)
             if coprime:
                 stats.discarded_coprime += coprime
                 stats.discarded_chain += len(group) - coprime
                 continue
             stats.discarded_chain += len(group) - 1
-            heapq.heappush(heap, [key(lcm), group[0], j, lcm])
+            heapq.heappush(heap, [lcm, group[0], j, lcm])
             stats.pairs_pushed += 1
-        active[:] = [i for i in active if not lm.divides(lms[i])]
+        active[:] = [i for i in active if (lms[i] - lm) & guard]
         active.append(j)
 
     seen = set()
     for f in polys:
-        prim = _prim_from_poly(f)
+        prim = _prim_from_poly(f, packing)
         if prim not in seen:
             seen.add(prim)
             install(prim)
@@ -380,17 +517,36 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
             continue
         budget.tick()
         stats.pairs_processed += 1
-        rem = reducer.reduce(_spoly(G[i], G[j]))
+        rem = reducer.reduce(_spoly(G[i], G[j], lcm))
         if not rem:
             stats.zero_reductions += 1
             continue
-        install(_prim_from_dict(rem, key))
+        install(_prim_from_dict(rem))
         stats.basis_added += 1
 
-    basis = interreduce([_poly_from_prim(p, ring) for p in G], order)
+    basis = tuple(_monic_from_prim(p, ring, packing)
+                  for p in _interreduce(G, packing, budget))
     stats.final_size = len(basis)
     stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
     return basis
+
+
+def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> list:
+    """Minimal tail-reduced prims of a Groebner basis, descending by leading
+    monomial."""
+    guard = packing.guard
+    kept = []
+    for prim in sorted(prims, key=lambda p: p[0][0]):
+        lm = prim[0][0]
+        if all((lm - other[0][0]) & guard for other in kept):
+            kept.append(prim)
+    for idx in range(len(kept)):
+        reducer = _IntReducer(packing, budget=budget)
+        for other in kept[:idx] + kept[idx + 1:]:
+            reducer.append(other)
+        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])))
+    kept.sort(key=lambda p: p[0][0], reverse=True)
+    return kept
 
 
 def interreduce(basis: Sequence[Polynomial],
@@ -405,21 +561,9 @@ def interreduce(basis: Sequence[Polynomial],
     if not polys:
         return ()
     ring = polys[0].ring
-    order = _ring_order(ring, order)
-    key = order.key
-    prims = sorted((_prim_from_poly(f) for f in polys), key=lambda p: key(p[0][0]))
-    kept = []
-    for prim in prims:
-        lm = prim[0][0]
-        if not any(other[0][0].divides(lm) for other in kept):
-            kept.append(prim)
-    for idx in range(len(kept)):
-        reducer = _IntReducer(order)
-        for other in kept[:idx] + kept[idx + 1:]:
-            reducer.append(other)
-        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])), key)
-    kept.sort(key=lambda p: key(p[0][0]), reverse=True)
-    return tuple(_monic_from_prim(p, ring) for p in kept)
+    packing = _packing(_ring_order(ring, order))
+    kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
+    return tuple(_monic_from_prim(p, ring, packing) for p in kept)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial],
@@ -436,24 +580,25 @@ def is_groebner_basis(polys: Sequence[Polynomial],
         raise ValueError("is_groebner_basis needs nonzero polynomials")
     ring = polys[0].ring
     order = _ring_order(ring, order)
+    packing = _packing(order)
     budget = budget or Budget()
-    key = order.key
-    prims = [_prim_from_poly(f) for f in polys]
+    prims = [_prim_from_poly(f, packing) for f in polys]
     lms = [p[0][0] for p in prims]
+    supports = [packing.support(m) for m in lms]
     pairs = sorted(
-        ((key(lms[i].lcm(lms[j])), i, j)
+        ((packing.lcm(lms[i], lms[j]), i, j)
          for i in range(len(polys)) for j in range(i + 1, len(polys))),
         key=lambda t: t[0])
-    reducer = _IntReducer(order)
+    reducer = _IntReducer(packing, budget=budget)
     for prim in prims:
         reducer.append(prim)
-    for _, i, j in pairs:
+    for lcm, i, j in pairs:
         budget.tick()
         if len(prims[i]) == 1 and len(prims[j]) == 1:
             continue
-        if lms[i].is_coprime(lms[j]):
+        if not supports[i] & supports[j]:
             continue
-        if reducer.reduce(_spoly(prims[i], prims[j])):
+        if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
             exact = divide(s_polynomial(polys[i], polys[j]), polys, order)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
     return GBCertificate(True, None, None)
@@ -462,11 +607,12 @@ def is_groebner_basis(polys: Sequence[Polynomial],
 class Ideal:
     """Generator list with an optional cached reduced Groebner basis.
 
-    The cache is write-once and tagged by the ring's order; generators are
-    stored as given (zeroes dropped).
+    The cache is write-once and tagged by the ring's order, and so is the
+    packed divisor list built from it for membership and normal forms;
+    generators are stored as given (zeroes dropped).
     """
 
-    __slots__ = ("ring", "gens", "_basis")
+    __slots__ = ("ring", "gens", "_basis", "_divs")
 
     def __init__(self, ring: Ring, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g)
@@ -476,6 +622,7 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._basis: Optional[tuple[Polynomial, ...]] = None
+        self._divs: Optional[list] = None
 
     @classmethod
     def with_basis(cls, ring: Ring, gens: Iterable[Polynomial],
@@ -493,6 +640,17 @@ class Ideal:
     def has_cached_basis(self) -> bool:
         return self._basis is not None
 
+    def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
+        """A reducer by the reduced basis. The packed divisor list is built
+        once, on first use, and shared by every later reducer."""
+        packing = _packing(self.ring.order)
+        if self._divs is None:
+            reducer = _IntReducer(packing)
+            for g in self.groebner(budget):
+                reducer.append(_prim_from_poly(g, packing))
+            self._divs = reducer.divs
+        return _IntReducer(packing, self._divs, budget)
+
     def __repr__(self) -> str:
         inner = ", ".join(self.ring.format(g) for g in self.gens)
         return f"Ideal({inner})"
@@ -501,20 +659,27 @@ class Ideal:
 def normal_form(f: Polynomial, I: Ideal,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of f against the reduced Groebner basis of I."""
-    return divide(f, I.groebner(budget), I.ring.order).remainder
+    reducer = I._reducer(budget)
+    if not f:
+        return f
+    packing = reducer.packing
+    prim = _prim_from_poly(f, packing)
+    # The basis is monic, so the prim of divisor i is lc_i times it.
+    reducer.track(prim[0][1] / f.terms[0].coeff,
+                  [Fraction(lc) for _, lc, _ in reducer.divs])
+    rem = reducer.reduce(dict(prim))
+    return _poly_from_dict({m: c / reducer.scale for m, c in rem.items()},
+                           I.ring, packing)
 
 
 def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     """Ideal membership: the normal form of f against I vanishes."""
     if not f:
         return True
-    basis = I.groebner(budget)
-    if not basis:
+    reducer = I._reducer(budget)
+    if not reducer.divs:
         return False
-    reducer = _IntReducer(I.ring.order)
-    for g in basis:
-        reducer.append(_prim_from_poly(g))
-    return not reducer.reduce(dict(_prim_from_poly(f)))
+    return not reducer.reduce(dict(_prim_from_poly(f, reducer.packing)))
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:

@@ -131,11 +131,15 @@ def _support_edges(supports: Iterable[tuple[int, ...]]) -> list[frozenset[int]]:
     return kept
 
 
-def _min_cover_size(edges: list[frozenset[int]]) -> int:
-    """Minimum vertex cover of a hypergraph, by branch and bound."""
+def _min_cover_size(edges: list[frozenset[int]],
+                    budget: Optional[Budget] = None) -> int:
+    """Minimum vertex cover of a hypergraph, by branch and bound; the
+    budget's deadline is checked at every node."""
     best = [sum(len(e) for e in edges)]
 
     def walk(remaining: list[frozenset[int]], size: int) -> None:
+        if budget is not None:
+            budget.check_deadline()
         if size >= best[0]:
             return
         if not remaining:
@@ -150,11 +154,15 @@ def _min_cover_size(edges: list[frozenset[int]]) -> int:
     return best[0]
 
 
-def _minimal_covers(edges: list[frozenset[int]]) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex covers of a hypergraph."""
+def _minimal_covers(edges: list[frozenset[int]],
+                    budget: Optional[Budget] = None) -> list[frozenset[int]]:
+    """All inclusion-minimal vertex covers of a hypergraph; the budget's
+    deadline is checked at every node."""
     found: set[frozenset[int]] = set()
 
     def walk(remaining: list[frozenset[int]], chosen: frozenset[int]) -> None:
+        if budget is not None:
+            budget.check_deadline()
         if not remaining:
             found.add(chosen)
             return
@@ -183,7 +191,7 @@ def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
     if any(f.terms[0].mono.deg == 0 for f in basis):
         raise ValueError("improper ideal")
     edges = _support_edges(f.terms[0].mono.support() for f in basis)
-    return nvars - _min_cover_size(edges)
+    return nvars - _min_cover_size(edges, budget)
 
 
 def height(I: Ideal, budget: Optional[Budget] = None) -> int:
@@ -205,6 +213,6 @@ def minimal_primes_squarefree(I: Ideal,
     if not basis:
         return (frozenset(),)
     edges = _support_edges(f.terms[0].mono.support() for f in basis)
-    covers = _minimal_covers(edges)
+    covers = _minimal_covers(edges, budget)
     named = [frozenset(names[v] for v in c) for c in covers]
     return tuple(sorted(named, key=lambda s: (len(s), sorted(s))))

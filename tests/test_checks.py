@@ -171,6 +171,39 @@ class TestCLI:
                      "--timeout-secs", "60"]) == 0
         assert "budget-exceeded" not in capsys.readouterr().out
 
+    def _assert_usage_error(self, argv, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        return captured
+
+    def test_bench_rejects_small_n(self, capsys):
+        captured = self._assert_usage_error(["bench", "--n-min", "3"], capsys)
+        assert captured.out == ""
+
+    def test_bench_rejects_empty_range(self, capsys):
+        captured = self._assert_usage_error(
+            ["bench", "--n-min", "5", "--n-max", "4"], capsys)
+        assert captured.out == ""
+
+    def test_negative_budgets_rejected(self, capsys):
+        for command in (["verify", "--n", "4", "--checks", "gb-a"],
+                        ["bench", "--n-min", "4", "--n-max", "4"]):
+            for flag in ("--budget-pairs", "--timeout-secs"):
+                captured = self._assert_usage_error([*command, flag, "-1"], capsys)
+                assert captured.out == ""
+
+    def test_unwritable_output_rejected(self, tmp_path, capsys):
+        # The results still reach stdout; only the file is missing.
+        missing = str(tmp_path / "no-such-dir" / "out")
+        captured = self._assert_usage_error(
+            ["bench", "--n-min", "4", "--n-max", "4", "--csv", missing], capsys)
+        assert captured.out.startswith("n,task,status")
+        captured = self._assert_usage_error(
+            ["verify", "--n", "4", "--checks", "automorphisms", "--out", missing],
+            capsys)
+        assert "automorphisms" in captured.out
+
     def test_bench_csv(self, tmp_path, capsys):
         target = tmp_path / "bench.csv"
         assert main(["bench", "--n-min", "4", "--n-max", "4",

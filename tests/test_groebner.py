@@ -214,6 +214,26 @@ class TestBuchberger:
         with pytest.raises(BudgetExceeded):
             reduced_groebner_basis(gens_a(4).gens, budget=budget)
 
+    def test_expired_deadline_stops_one_long_reduction(self):
+        # The basis is cached, so no pair is ever counted: only the kernel's
+        # deadline check, every 32 reduction steps, can stop this call.
+        R = Ring(2)
+        x1, x2 = R.x(1), R.x(2)
+        I = Ideal.with_basis(R, [x1 - x2], (x1 - x2,))
+        f = x1 ** 100 - x2 ** 100
+        budget = Budget(timeout_secs=0)
+        with pytest.raises(BudgetExceeded, match="timeout") as excinfo:
+            member(f, I, budget)
+        assert excinfo.traceback[-2].name == "reduce"
+        assert budget.pairs == 0
+        assert member(f, I, Budget(timeout_secs=60))
+
+    def test_budget_rejects_negative_limits(self):
+        with pytest.raises(ValueError):
+            Budget(max_pairs=-1)
+        with pytest.raises(ValueError):
+            Budget(timeout_secs=-0.5)
+
     def test_stats_populated(self):
         stats = GBStats()
         reduced_groebner_basis(gens_a(4).gens, stats=stats)
@@ -258,6 +278,27 @@ class TestBuchberger:
         assert I.has_cached_basis()
         assert I.groebner() is basis
         assert basis == reduced_groebner_basis(I.gens)
+
+    def test_membership_packs_the_basis_once(self, monkeypatch):
+        # member and normal_form share the ideal's packed divisor list, so
+        # after the first call only the argument is converted.
+        from detlink import groebner
+        calls = []
+        original = groebner._prim_from_poly
+
+        def counted(f, packing):
+            calls.append(f)
+            return original(f, packing)
+
+        I = gens_a(4)
+        basis = I.groebner()
+        monkeypatch.setattr(groebner, "_prim_from_poly", counted)
+        assert all(member(g, I) for g in basis)
+        assert not normal_form(basis[0], I)
+        assert len(calls) == 2 * len(basis) + 1
+        assert I.has_cached_basis()
+        fresh = Ideal(I.ring, I.gens)
+        assert member(basis[0], fresh) and fresh.has_cached_basis()
 
     def test_cache_invariant_mutual_membership(self):
         # The cached basis is monic, interreduced, and generates the same

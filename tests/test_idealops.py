@@ -7,7 +7,8 @@ import pytest
 from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, minors_ideal,
                               standard_ring, sum_links_ideal)
-from detlink.groebner import Ideal, ideal_equal, initial_ideal, member
+from detlink.groebner import (Budget, BudgetExceeded, Ideal, ideal_equal,
+                              initial_ideal, member)
 from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
                               quotient, quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
@@ -189,6 +190,23 @@ class TestDimensionHeight:
             except ValueError:
                 continue  # sum can be improper
             assert hs >= max(height(I), height(J))
+
+
+class TestDeadline:
+    def test_expired_deadline_stops_cover_walks(self):
+        # The basis is cached, so the deadline can only fire in the vertex
+        # cover walks of dimension and minimal_primes_squarefree.
+        R = Ring(2)
+        gens = (R.x(1) * R.y(1), R.x(2) * R.z(2))
+        I = Ideal.with_basis(R, gens, gens)
+        with pytest.raises(BudgetExceeded) as excinfo:
+            height(I, Budget(timeout_secs=0))
+        assert excinfo.traceback[-2].name == "walk"
+        with pytest.raises(BudgetExceeded) as excinfo:
+            minimal_primes_squarefree(I, Budget(timeout_secs=0))
+        assert excinfo.traceback[-2].name == "walk"
+        assert height(I, Budget(timeout_secs=60)) == 2
+        assert len(minimal_primes_squarefree(I, Budget(timeout_secs=60))) == 4
 
 
 class TestMinimalPrimes:

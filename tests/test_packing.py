@@ -1,0 +1,164 @@
+"""Packed-integer monomials of the reduction kernel.
+
+The kernel holds a monomial as one int: the order key in the high fields,
+the exponent vector in the low ones, a guard bit on top of every 16-bit
+field. Random exponent vectors, drawn by hypothesis (derandomized), check
+the packing against `Monomial` arithmetic and `MonomialOrder.key` on a
+grevlex ring and an elimination ring. Past 2^15 the kernel must raise,
+never wrap.
+"""
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from detlink.groebner import (LIMIT, Ideal, _packing, divide, member,
+                              reduced_groebner_basis, s_polynomial)
+from detlink.rings import ELIM_BLOCK, Ring
+
+from conftest import random_nonzero_poly
+
+RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK), Ring(3, 2, ELIM_BLOCK))
+
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=300,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+# Mostly small exponents, so that ties and divisibility are common, and a
+# few large ones; a sum of two vectors stays below the limit in every block.
+_exponent = st.one_of(st.integers(0, 3), st.integers(0, LIMIT // 32))
+
+
+@st.composite
+def _monomials(draw, count):
+    ring = draw(st.sampled_from(RINGS))
+    vectors = [draw(st.lists(_exponent, min_size=ring.space.nvars,
+                             max_size=ring.space.nvars)) for _ in range(count)]
+    return ring, [ring.monomial(v) for v in vectors]
+
+
+@SETTINGS
+@given(_monomials(1))
+def test_pack_round_trips(drawn):
+    ring, (a,) = drawn
+    packing = _packing(ring.order)
+    assert packing.unpack(packing.pack(a)) == a
+
+
+@SETTINGS
+@given(_monomials(2))
+def test_int_order_is_the_ring_order(drawn):
+    ring, (a, b) = drawn
+    pack, key = _packing(ring.order).pack, ring.order.key
+    assert (pack(a) < pack(b)) == (key(a) < key(b))
+    assert (pack(a) == pack(b)) == (a == b)
+
+
+@SETTINGS
+@given(_monomials(2))
+def test_sum_is_product(drawn):
+    ring, (a, b) = drawn
+    packing = _packing(ring.order)
+    assert packing.pack(a) + packing.pack(b) == packing.pack(a.mul(b))
+
+
+@SETTINGS
+@given(_monomials(2))
+def test_guard_test_is_divisibility(drawn):
+    ring, (a, b) = drawn
+    packing = _packing(ring.order)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert (not (pb - pa) & packing.guard) == a.divides(b)
+    assert (not (pa - pb) & packing.guard) == b.divides(a)
+    # A multiple is divisible whatever the draw.
+    assert not (packing.pack(a.mul(b)) - pa) & packing.guard
+
+
+@SETTINGS
+@given(_monomials(2))
+def test_lcm_and_coprimality(drawn):
+    ring, (a, b) = drawn
+    packing = _packing(ring.order)
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert packing.lcm(pa, pb) == packing.pack(a.lcm(b))
+    assert (not packing.support(pa) & packing.support(pb)) == a.is_coprime(b)
+
+
+class TestLimit:
+    def test_input_past_the_limit_rejected(self):
+        R = Ring(2)
+        x1, x2 = R.x(1), R.x(2)
+        big = x1 ** (LIMIT // 2) * x1 ** (LIMIT // 2)       # degree 2^15
+        with pytest.raises(OverflowError, match="2\\^15"):
+            divide(big, [x2 - x1])
+        with pytest.raises(OverflowError, match="2\\^15"):
+            divide(x2, [big - x2])
+        with pytest.raises(OverflowError, match="2\\^15"):
+            reduced_groebner_basis([big - x2])
+
+    def test_division_near_the_limit(self):
+        R = Ring(2)
+        x1, x2 = R.x(1), R.x(2)
+        h, f = x1 ** 20000 * x2, x2 - x1 ** 20000
+        q, r = divide(h, [f])
+        assert q == (-x2,) and r == x2 ** 2
+        assert q[0] * f + r == h
+        top, f = x1 ** (LIMIT - 1), x1 ** 8191 - x2
+        q, r = divide(top, [f])
+        assert q[0] * f + r == top
+        assert r == x1 ** 3 * x2 ** 4
+
+    def test_product_past_the_limit_rejected(self):
+        # Under the elimination order, reducing t1^700 by t1 - x1^50 raises
+        # the x-block degree by 50 per step, past 2^15 after 656 steps.
+        E = Ring(2, 1, ELIM_BLOCK)
+        t1, x1 = E.t(1), E.x(1)
+        q, r = divide(t1 ** 600, [t1 - x1 ** 50])
+        assert r == x1 ** 30000
+        with pytest.raises(OverflowError, match="2\\^15"):
+            divide(t1 ** 700, [t1 - x1 ** 50])
+        # t1^700 lies in (t1 - x1^50, x1^20000), but the first divisor keeps
+        # matching while t1 remains, so the terms pass x1^32768 on the way;
+        # membership must raise, not answer.
+        I = Ideal(E, [t1 - x1 ** 50, x1 ** 20000])
+        with pytest.raises(OverflowError, match="2\\^15"):
+            member(t1 ** 700, I)
+
+    def test_basis_near_the_limit(self):
+        R = Ring(2)
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        # The pair of x1^32766 - z1 and y1 - z1 has lcm x1^32766*y1, of
+        # degree 2^15 - 1; one more x1 would be rejected.
+        top = x1 ** (LIMIT - 2)
+        assert reduced_groebner_basis([top - y1, top - z1]) == (top - z1, y1 - z1)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            reduced_groebner_basis([x1 * top - y1, x1 * top - z1])
+
+    def test_lcm_past_the_limit_rejected(self):
+        R = Ring(2)
+        x1, x2, y1, z1 = R.x(1), R.x(2), R.y(1), R.z(1)
+        packing = _packing(R.order)
+        a, b = (packing.pack(f.terms[0].mono) for f in (x1 ** 20000, x2 ** 20000))
+        with pytest.raises(OverflowError, match="2\\^15"):
+            packing.lcm(a, b)
+        gens = [x1 ** 20000 - y1, x2 ** 20000 - z1]
+        for criteria in (True, False):
+            with pytest.raises(OverflowError, match="2\\^15"):
+                reduced_groebner_basis(gens, criteria=criteria)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            s_polynomial(x1 ** 20000 * x2, x2 ** 20000 * x1)
+
+    def test_small_inputs_match_monomial_arithmetic(self, rng):
+        # The S-polynomial through packed monomials equals the textbook
+        # cancellation combination computed with Monomial arithmetic.
+        R = Ring(2)
+        for _ in range(40):
+            f = random_nonzero_poly(R, rng, terms=3, max_exp=3)
+            g = random_nonzero_poly(R, rng, terms=3, max_exp=3)
+            (cf, mf), (cg, mg) = f.terms[0], g.terms[0]
+            lcm = mf.lcm(mg)
+            expected = (cg * R.from_monomial(lcm.div(mf)) * f
+                        - cf * R.from_monomial(lcm.div(mg)) * g)
+            assert s_polynomial(f, g) == expected
