@@ -148,13 +148,17 @@ def prime_PS(G: SimpleGraph, S: Iterable[int]) -> PrimePS:
     return PrimePS(G, frozenset(S))
 
 
-def minimal_primes_bei(G: SimpleGraph) -> list[PrimePS]:
-    """Inclusion-minimal primes among all P_S(G)."""
+def minimal_primes_bei(G: SimpleGraph,
+                       budget: Optional[Budget] = None) -> list[PrimePS]:
+    """Inclusion-minimal primes among all P_S(G). With a budget, its
+    deadline is checked once per candidate subset S."""
     candidates = [prime_PS(G, S)
                   for r in range(G.n + 1)
                   for S in itertools.combinations(range(1, G.n + 1), r)]
     minimal = []
     for p in candidates:
+        if budget is not None:
+            budget.check_deadline()
         if any(p.contains(q) and not q.contains(p) for q in candidates):
             continue
         if any(q.S == p.S for q in minimal):
@@ -172,26 +176,32 @@ def _graph_without_generator(n: int) -> SimpleGraph:
     return SimpleGraph.from_edges(n, edges)
 
 
-def _candidate_primes(n: int) -> list[tuple[frozenset[int], PrimePS]]:
+def _candidate_primes(n: int, budget: Optional[Budget] = None
+                      ) -> list[tuple[frozenset[int], PrimePS]]:
     """Minimal primes of (g_1..g_{n-1}) as pairs (T, P_S).
 
     Each generator is z_i times a minor, so a minimal prime picks a subset
     T of [1, n-1] whose z's it contains and a minimal prime of the edge
     ideal of the remaining minors. Containment is componentwise: z-parts by
-    subset, minor parts combinatorially.
+    subset, minor parts combinatorially. With a budget, its deadline is
+    checked once per subset T and once per candidate (T, P_S).
     """
     base = _graph_without_generator(n)
     pair_of = {1: (1, 2), **{i: (i - 1, i + 1) for i in range(2, n)}}
     out: list[tuple[frozenset[int], PrimePS]] = []
     for r in range(n):
         for T in itertools.combinations(range(1, n), r):
+            if budget is not None:
+                budget.check_deadline()
             Tset = frozenset(T)
             G_T = SimpleGraph.from_edges(
                 n, [pair_of[i] for i in range(1, n) if i not in Tset])
-            for p in minimal_primes_bei(G_T):
+            for p in minimal_primes_bei(G_T, budget):
                 out.append((Tset, p))
     minimal = []
     for T1, p1 in out:
+        if budget is not None:
+            budget.check_deadline()
         dominated = False
         for T2, p2 in out:
             if (T2, p2.S) == (T1, p1.S):
@@ -204,7 +214,7 @@ def _candidate_primes(n: int) -> list[tuple[frozenset[int], PrimePS]]:
     return minimal
 
 
-def replay_avoidance_argument(n: int) -> bool:
+def replay_avoidance_argument(n: int, budget: Optional[Budget] = None) -> bool:
     """Graph-level reason the last generator avoids every minimal prime but one.
 
     Every minimal prime of (g_1..g_{n-1}) other than the full minor ideal
@@ -214,7 +224,7 @@ def replay_avoidance_argument(n: int) -> bool:
     common component and empty T, S is the full minor ideal itself.
     """
     found_full = False
-    for T, p in _candidate_primes(n):
+    for T, p in _candidate_primes(n, budget):
         in_S = (n in p.S) or (n - 1 in p.S)
         same_comp = any({n, n - 1} <= comp for comp in p.components)
         if in_S:
@@ -247,6 +257,6 @@ def verify_res_int(n: int, budget: Optional[Budget] = None,
     g_n = Ideal(ring, [g_generator(n, n, ring)])
     if height(sum_ideals(J_n, g_n), budget) < n:
         return False
-    if n <= 6 and not replay_avoidance_argument(n):
+    if n <= 6 and not replay_avoidance_argument(n, budget):
         return False
     return True

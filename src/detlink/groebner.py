@@ -17,6 +17,15 @@ AND. An exponent or block degree must stay below 2^15; past it the kernel
 raises OverflowError instead of wrapping. `Monomial` objects are built only
 where polynomials enter or leave. An `Ideal` packs its reduced basis once,
 on first use, for every later membership test and normal form.
+
+Each divisor list comes with a memo from a packed monomial to the index of
+its first divisor (or to how many divisors are known not to divide it).
+Divisor lists only grow at their end, so a memo entry never goes stale:
+the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
+one next to its packed basis for all its `member` and `normal_form` calls.
+The certificate `is_groebner_basis` builds and sorts the lcms of only the
+pairs it reduces; monomial-monomial and coprime pairs are counted against
+the budget without an lcm.
 """
 
 from __future__ import annotations
@@ -24,9 +33,11 @@ from __future__ import annotations
 import heapq
 import struct
 import time
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from math import gcd as _igcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -56,9 +67,9 @@ class Budget:
         self._deadline = (time.monotonic() + timeout_secs
                           if timeout_secs is not None else None)
 
-    def tick(self) -> None:
-        """Count one pair against the cap, then check the deadline."""
-        self.pairs += 1
+    def tick(self, count: int = 1) -> None:
+        """Count `count` pairs against the cap, then check the deadline."""
+        self.pairs += count
         if self.pairs > self.max_pairs:
             raise BudgetExceeded(f"pair budget of {self.max_pairs} exhausted")
         self.check_deadline()
@@ -296,6 +307,30 @@ def _content_reduce(p: dict, rem: dict) -> int:
     return g
 
 
+class _Divisors:
+    """An append-only divisor list with its first-divisor memo.
+
+    Divisor i has leading monomial lms[i] and is stored as
+    divs[i] = (lc, tail). The memo maps a packed monomial to the index
+    of its first divisor, or, for a monomial no divisor divides, to ~k after
+    a scan of the first k divisors. Divisors are only ever appended, so a
+    stored index stays the first match and a stored miss rescans only the
+    divisors appended since.
+    """
+
+    __slots__ = ("lms", "divs", "memo")
+
+    def __init__(self):
+        self.lms: list[int] = []
+        self.divs: list = []
+        self.memo: dict[int, int] = {}
+
+    def append(self, prim) -> None:
+        lm, lc = prim[0]
+        self.lms.append(lm)
+        self.divs.append((lc, prim[1:]))
+
+
 class _IntReducer:
     """Fraction-free division: remainders are correct up to a scalar.
 
@@ -304,20 +339,24 @@ class _IntReducer:
     the scalar with p_int = scale * p_exact and the exact quotient of each
     divisor; the prim appended for divisor i is ratios[i] times divisor i.
     With a budget, its deadline is checked every 32 steps.
+
+    The divisors and their first-divisor memo live in a `_Divisors`, which
+    says why the memo stays exact. The Buchberger loop keeps one reducer,
+    and so one memo, for its whole run; every reducer an `Ideal` hands out
+    shares the `_Divisors` it built from its reduced basis.
     """
 
-    __slots__ = ("packing", "divs", "budget", "quotients", "scale", "ratios", "_first")
+    __slots__ = ("packing", "divisors", "budget", "quotients", "scale", "ratios")
 
-    def __init__(self, packing: _Packing, divs: Optional[list] = None,
+    def __init__(self, packing: _Packing, divisors: Optional[_Divisors] = None,
                  budget: Optional[Budget] = None):
         self.packing = packing
-        self.divs = [] if divs is None else divs
+        self.divisors = _Divisors() if divisors is None else divisors
         self.budget = budget
         self.quotients = None
 
     def append(self, prim) -> None:
-        lm, lc = prim[0]
-        self.divs.append((lm, lc, prim[1:]))
+        self.divisors.append(prim)
 
     def track(self, scale: Fraction, ratios: Sequence[Fraction]) -> None:
         """Record exact quotients from the next reduce, whose argument is
@@ -325,14 +364,11 @@ class _IntReducer:
         self.scale = scale
         self.ratios = ratios
         self.quotients = [{} for _ in ratios]
-        self._first = {}
-        for idx, (lm, _, _) in enumerate(self.divs):
-            self._first.setdefault(lm, idx)
 
     def reduce(self, p: dict) -> dict:
         """Remainder of some positive rational multiple of p; mutates p."""
         guard = self.packing.guard
-        divs = self.divs
+        lms, divs, memo = self.divisors.lms, self.divisors.divs, self.divisors.memo
         quotients = self.quotients
         budget = self.budget
         rem: dict[int, int] = {}
@@ -342,39 +378,48 @@ class _IntReducer:
             c = p.pop(m)
             if m & guard:
                 raise _overflow()
-            for lm, lc, tail in divs:
-                u = m - lm
-                if not u & guard:
-                    g = _igcd(c, lc)
-                    mult = lc // g
-                    q = c // g
-                    if mult != 1:
-                        for k in p:
-                            p[k] *= mult
-                        for k in rem:
-                            rem[k] *= mult
-                    if quotients is not None:
-                        self.scale *= mult
-                        idx = self._first[lm]
-                        qd = quotients[idx]
-                        qd[u] = qd.get(u, 0) + q * self.ratios[idx] / self.scale
-                    for tm, tc in tail:
-                        mm = u + tm
-                        nc = p.get(mm, 0) - q * tc
-                        if nc:
-                            p[mm] = nc
-                        elif mm in p:
-                            del p[mm]
-                    steps += 1
-                    if not steps & 31:
-                        g = _content_reduce(p, rem)
-                        if quotients is not None and g > 1:
-                            self.scale /= g
-                        if budget is not None:
-                            budget.check_deadline()
-                    break
-            else:
-                rem[m] = c
+            idx = memo.get(m, -1)
+            if idx < 0:
+                start = ~idx
+                for lm in islice(lms, start, None) if start else lms:
+                    if not (m - lm) & guard:
+                        # Equal leading monomials divide alike, so the first
+                        # equal one from `start` on is the one just found.
+                        idx = lms.index(lm, start)
+                        break
+                else:
+                    memo[m] = ~len(lms)
+                    rem[m] = c
+                    continue
+                memo[m] = idx
+            lc, tail = divs[idx]
+            u = m - lms[idx]
+            g = _igcd(c, lc)
+            mult = lc // g
+            q = c // g
+            if mult != 1:
+                for k in p:
+                    p[k] *= mult
+                for k in rem:
+                    rem[k] *= mult
+            if quotients is not None:
+                self.scale *= mult
+                qd = quotients[idx]
+                qd[u] = qd.get(u, 0) + q * self.ratios[idx] / self.scale
+            for tm, tc in tail:
+                mm = u + tm
+                nc = p.get(mm, 0) - q * tc
+                if nc:
+                    p[mm] = nc
+                elif mm in p:
+                    del p[mm]
+            steps += 1
+            if not steps & 31:
+                g = _content_reduce(p, rem)
+                if quotients is not None and g > 1:
+                    self.scale /= g
+                if budget is not None:
+                    budget.check_deadline()
         return rem
 
 
@@ -572,8 +617,11 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     """Buchberger's criterion: every S-pair must reduce to 0 against polys.
 
     Pairs of monomials have S-polynomial 0 and pairs with coprime leading
-    monomials always reduce to 0; both are skipped. On failure the result
-    carries the offending (1-based) pair and its exact nonzero remainder.
+    monomials always reduce to 0; both are skipped, and their lcms are
+    never built. Every pair counts against the budget: the skipped ones in
+    one step before any reduction, the others as they are reduced, in
+    ascending (lcm, i, j) order. On failure the result carries the first
+    offending (1-based) pair in that order and its exact nonzero remainder.
     """
     polys = list(polys)
     if not polys or any(not f for f in polys):
@@ -585,19 +633,27 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     prims = [_prim_from_poly(f, packing) for f in polys]
     lms = [p[0][0] for p in prims]
     supports = [packing.support(m) for m in lms]
-    pairs = sorted(
-        ((packing.lcm(lms[i], lms[j]), i, j)
-         for i in range(len(polys)) for j in range(i + 1, len(polys))),
-        key=lambda t: t[0])
+    lcm_of = packing.lcm
+    n = len(prims)
+    # A monomial's S-polynomial with another monomial is 0, so it pairs
+    # only with the non-monomials.
+    non_monomials = [j for j in range(n) if len(prims[j]) > 1]
+    pairs = []
+    for i in range(n):
+        lm, support = lms[i], supports[i]
+        partners = (range(i + 1, n) if len(prims[i]) > 1
+                    else non_monomials[bisect_right(non_monomials, i):])
+        pairs.extend((lcm_of(lm, lms[j]), i, j)
+                     for j in partners if support & supports[j])
+    pairs.sort()
+    skipped = n * (n - 1) // 2 - len(pairs)
+    if skipped:
+        budget.tick(skipped)
     reducer = _IntReducer(packing, budget=budget)
     for prim in prims:
         reducer.append(prim)
     for lcm, i, j in pairs:
         budget.tick()
-        if len(prims[i]) == 1 and len(prims[j]) == 1:
-            continue
-        if not supports[i] & supports[j]:
-            continue
         if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
             exact = divide(s_polynomial(polys[i], polys[j]), polys, order)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
@@ -612,7 +668,7 @@ class Ideal:
     generators are stored as given (zeroes dropped).
     """
 
-    __slots__ = ("ring", "gens", "_basis", "_divs")
+    __slots__ = ("ring", "gens", "_basis", "_divisors")
 
     def __init__(self, ring: Ring, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g)
@@ -622,7 +678,7 @@ class Ideal:
         self.ring = ring
         self.gens = gens
         self._basis: Optional[tuple[Polynomial, ...]] = None
-        self._divs: Optional[list] = None
+        self._divisors: Optional[_Divisors] = None
 
     @classmethod
     def with_basis(cls, ring: Ring, gens: Iterable[Polynomial],
@@ -642,14 +698,15 @@ class Ideal:
 
     def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
         """A reducer by the reduced basis. The packed divisor list is built
-        once, on first use, and shared by every later reducer."""
+        once, on first use, and shared by every later reducer together with
+        its first-divisor memo."""
         packing = _packing(self.ring.order)
-        if self._divs is None:
+        if self._divisors is None:
             reducer = _IntReducer(packing)
             for g in self.groebner(budget):
                 reducer.append(_prim_from_poly(g, packing))
-            self._divs = reducer.divs
-        return _IntReducer(packing, self._divs, budget)
+            self._divisors = reducer.divisors
+        return _IntReducer(packing, self._divisors, budget)
 
     def __repr__(self) -> str:
         inner = ", ".join(self.ring.format(g) for g in self.gens)
@@ -666,7 +723,7 @@ def normal_form(f: Polynomial, I: Ideal,
     prim = _prim_from_poly(f, packing)
     # The basis is monic, so the prim of divisor i is lc_i times it.
     reducer.track(prim[0][1] / f.terms[0].coeff,
-                  [Fraction(lc) for _, lc, _ in reducer.divs])
+                  [Fraction(lc) for lc, _ in reducer.divisors.divs])
     rem = reducer.reduce(dict(prim))
     return _poly_from_dict({m: c / reducer.scale for m, c in rem.items()},
                            I.ring, packing)
@@ -677,7 +734,7 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     if not f:
         return True
     reducer = I._reducer(budget)
-    if not reducer.divs:
+    if not reducer.divisors.lms:
         return False
     return not reducer.reduce(dict(_prim_from_poly(f, reducer.packing)))
 

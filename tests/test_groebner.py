@@ -2,7 +2,8 @@
 
 import pytest
 
-from detlink.families import delta, gens_a, m_ij, minors_ideal, set_G, standard_ring
+from detlink.families import (G_union_M, delta, gens_a, m_ij, minors_ideal, set_G,
+                              standard_ring)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               divide, ideal_equal, initial_ideal, interreduce,
                               is_groebner_basis, is_squarefree_monomial_ideal,
@@ -347,6 +348,17 @@ class TestCertificate:
         assert cert.witness is not None
         assert cert.remainder
 
+    def test_budget_counts_every_pair(self):
+        # Skipped pairs (monomial-monomial or coprime) count as well, all at
+        # once before any reduction.
+        for G in (set_G(4), G_union_M(4)):
+            total = len(G) * (len(G) - 1) // 2
+            budget = Budget()
+            assert is_groebner_basis(G, budget=budget).ok
+            assert budget.pairs == total
+            with pytest.raises(BudgetExceeded):
+                is_groebner_basis(G, budget=Budget(max_pairs=total - 1))
+
 
 class TestMembershipPredicates:
     def test_member_pinned(self):
@@ -395,6 +407,19 @@ class TestMembershipPredicates:
         assert not is_squarefree_monomial_ideal(Ideal(R, [R.x(1) ** 2]))
         # Not monomial at all:
         assert not is_squarefree_monomial_ideal(Ideal(R, [R.x(1) + R.y(1)]))
+
+    def test_repeated_calls_agree_with_a_fresh_ideal(self, rng):
+        # member and normal_form on one Ideal share its first-divisor memo;
+        # a fresh Ideal per call starts with an empty one.
+        R = standard_ring(4)
+        I = gens_a(4)
+        polys = [random_poly(R, rng, terms=3) for _ in range(15)]
+        polys += [f * g for f, g in zip(polys, I.gens)]
+        for _ in range(2):
+            for f in polys:
+                assert normal_form(f, I) == normal_form(f, Ideal(R, I.gens))
+                assert member(f, I) == member(f, Ideal(R, I.gens))
+        assert I._divisors.memo
 
 
 class TestWellDefinedness:

@@ -7,6 +7,8 @@ import pytest
 from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, minors_ideal,
                               standard_ring, sum_links_ideal)
+from detlink.graphs import (SimpleGraph, _candidate_primes, minimal_primes_bei,
+                            replay_avoidance_argument)
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, ideal_equal,
                               initial_ideal, member)
 from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
@@ -207,6 +209,18 @@ class TestDeadline:
         assert excinfo.traceback[-2].name == "walk"
         assert height(I, Budget(timeout_secs=60)) == 2
         assert len(minimal_primes_squarefree(I, Budget(timeout_secs=60))) == 4
+
+    def test_expired_deadline_stops_prime_walks(self):
+        # The combinatorial prime walks behind verify_res_int visit every
+        # vertex subset; they take the check's budget.
+        path = SimpleGraph.path(4)
+        with pytest.raises(BudgetExceeded):
+            minimal_primes_bei(path, Budget(timeout_secs=0))
+        for walk in (_candidate_primes, replay_avoidance_argument):
+            with pytest.raises(BudgetExceeded):
+                walk(5, Budget(timeout_secs=0))
+        assert minimal_primes_bei(path, Budget(timeout_secs=60)) == minimal_primes_bei(path)
+        assert replay_avoidance_argument(5, Budget(timeout_secs=60))
 
 
 class TestMinimalPrimes:
