@@ -1,5 +1,6 @@
-"""Division algorithm, S-polynomials, Buchberger's algorithm with
-Gebauer-Moller pair installation, and Buchberger's criterion.
+"""Division algorithm, S-polynomials, Buchberger's algorithm with sugar
+pair selection and Gebauer-Moller pair installation, and Buchberger's
+criterion.
 
 All reductions are exact over Q and run in one fraction-free kernel on
 primitive integer representatives (a divisor or basis element may be
@@ -26,6 +27,12 @@ one next to its packed basis for all its `member` and `normal_form` calls.
 The certificate `is_groebner_basis` builds and sorts the lcms of only the
 pairs it reduces; monomial-monomial and coprime pairs are counted against
 the budget without an lcm.
+
+Buchberger's loop takes the pair of least sugar first, a degree that the
+elimination t*I + (1-t)*J behind every intersection would otherwise lack:
+that input is not homogeneous, and popping the least lcm there lets
+high-degree remainders into the basis early, where they breed more pairs.
+On homogeneous input sugar is the degree, and the order is the normal one.
 """
 
 from __future__ import annotations
@@ -158,7 +165,7 @@ class _Packing:
     """The packed layout of one ring order's monomials."""
 
     __slots__ = ("guard", "exp_guard", "_exp_mask", "_ones", "_shift",
-                 "_runs", "_head", "_fmt", "_nbytes")
+                 "_top", "_runs", "_head", "_fmt", "_nbytes")
 
     def __init__(self, order: MonomialOrder):
         nvars = order.space.nvars
@@ -177,6 +184,7 @@ class _Packing:
                            for src, width, dest in runs)
         self._head = head
         self._shift = FIELD * nvars
+        self._top = FIELD * (nvars - 1)
         self._exp_mask = mask(nvars)
         self._ones = ones(nvars)
         self.exp_guard = self._ones << (FIELD - 1)
@@ -211,6 +219,15 @@ class _Packing:
         if out & self.guard:
             raise _overflow()
         return out
+
+    def degree(self, m: int) -> int:
+        """Total degree of a valid packed monomial, by one SWAR horizontal
+        sum: times _ones, field k of the product holds e_0 + ... + e_k, and
+        the top exponent field the whole sum. It cannot carry: every partial
+        sum is at most the total degree, and with each of at most two block
+        degrees below 2^15 (`pack` and `lcm` reject more) that is below
+        2^16, the width of a field."""
+        return ((m & self._exp_mask) * self._ones >> self._top) & 0xFFFF
 
     def support(self, m: int) -> int:
         """Guard bits of the variables m contains: a and b are coprime iff
@@ -472,21 +489,31 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
                            budget: Optional[Budget] = None,
                            criteria: bool = True,
                            stats: Optional[GBStats] = None) -> tuple[Polynomial, ...]:
-    """Buchberger's algorithm with normal pair selection.
+    """Buchberger's algorithm with sugar pair selection.
 
-    Pairs are processed by ascending lcm in the active order. Unless
-    criteria=False (every pair is then reduced), pairs are installed the
-    Gebauer-Moller way (J. Symb. Comput. 6, 1988; Becker-Weispfenning
-    5.5): when an element h joins the basis, a pending pair (a, b) is
-    dropped if in(h) divides lcm(a, b) and lcm(a, b) differs from both
-    lcm(a, h) and lcm(b, h) (B_k); of the new pairs (i, h), those whose lcm
-    is a proper multiple of another new pair's lcm are dropped (M), one
-    pair is kept per lcm (F), and none if one of them has coprime leading
-    monomials. An element whose leading monomial in(h) divides gets no new
+    Pairs are processed by ascending (sugar, lcm, i, j), lcm in the active
+    order (Giovini, Mora, Niesi, Robbiano & Traverso, "One sugar cube,
+    please", ISSAC 1991). An input element's sugar is its largest total
+    degree; a pair's is max(s_i + deg(lcm) - deg(in g_i), s_j + deg(lcm) -
+    deg(in g_j)), and a nonzero remainder keeps the sugar of its pair. On
+    homogeneous input sugar is the true degree; the module docstring says
+    why the non-homogeneous eliminations need it.
+
+    Unless criteria=False (every pair is then reduced), pairs are installed
+    the Gebauer-Moller way (J. Symb. Comput. 6, 1988; Becker-Weispfenning
+    5.5), which is valid for any selection strategy: when an element h
+    joins the basis, a pending pair (a, b) is dropped if in(h) divides
+    lcm(a, b) and lcm(a, b) differs from both lcm(a, h) and lcm(b, h)
+    (B_k); of the new pairs (i, h), those whose lcm is a proper multiple of
+    another new pair's lcm are dropped (M), one pair is kept per lcm (F),
+    and none if one of them has coprime leading monomials. A coprime pair's
+    lcm is the product of its leading monomials; one past the packing limit
+    can neither equal nor divide a valid lcm, so it is dropped without
+    raising. An element whose leading monomial in(h) divides gets no new
     pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
     interreduced, sorted by descending leading monomial), which is unique
-    for the order. Everything between the input and the interreduced
-    output runs on packed monomials.
+    for the order, whatever the selection. Everything between the input
+    and the interreduced output runs on packed monomials.
     """
     t0 = time.perf_counter()
     polys = [f for f in polys if f]
@@ -498,39 +525,54 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     stats = stats if stats is not None else GBStats()
     guard = packing.guard
     lcm_of = packing.lcm
+    degree = packing.degree
 
     G = []
     lms: list[int] = []
     supports: list[int] = []
+    excess: list[int] = []      # sugar minus the degree of the leading monomial
     active: list[int] = []      # elements that still get new pairs
-    heap: list[list] = []       # [lcm, i, j, lcm]; the last lcm is None once dropped
+    heap: list[list] = []       # [sugar, lcm, i, j, lcm]; the last lcm is None once dropped
     reducer = _IntReducer(packing, budget=budget)
 
-    def install(prim) -> None:
+    def push(lcm: int, i: int, j: int) -> None:
+        sugar = degree(lcm) + max(excess[i], excess[j])
+        heapq.heappush(heap, [sugar, lcm, i, j, lcm])
+        stats.pairs_pushed += 1
+
+    def install(prim, sugar: int) -> None:
         j = len(G)
         lm = prim[0][0]
         G.append(prim)
         lms.append(lm)
-        supports.append(packing.support(lm))
+        support = packing.support(lm)
+        supports.append(support)
+        excess.append(sugar - degree(lm))
         reducer.append(prim)
         if not criteria:
             for i in range(j):
-                lcm = lcm_of(lms[i], lm)
-                heapq.heappush(heap, [lcm, i, j, lcm])
-                stats.pairs_pushed += 1
+                push(lcm_of(lms[i], lm), i, j)
             return
-        with_h = [lcm_of(lmi, lm) for lmi in lms[:j]]
+        # A coprime lcm is the product, a sum of packed monomials; past the
+        # limit it has a guard bit set instead of raising.
+        with_h = [lmi + lm if not si & support else lcm_of(lmi, lm)
+                  for lmi, si in zip(lms[:j], supports)]
         for entry in heap:
-            lcm = entry[3]
+            lcm = entry[4]
             if (lcm is not None and not (lcm - lm) & guard
-                    and lcm != with_h[entry[1]] and lcm != with_h[entry[2]]):
-                entry[3] = None
+                    and lcm != with_h[entry[2]] and lcm != with_h[entry[3]]):
+                entry[4] = None
                 stats.discarded_chain += 1
         by_lcm: dict[int, list[int]] = {}
         for i in active:
-            by_lcm.setdefault(with_h[i], []).append(i)
+            lcm = with_h[i]
+            if lcm & guard:
+                # A coprime product past the limit: it can neither equal
+                # nor divide a valid lcm, so M and F need not see it.
+                stats.discarded_coprime += 1
+            else:
+                by_lcm.setdefault(lcm, []).append(i)
         minimal: list[int] = []
-        support = supports[j]
         # Ascending in the order, so every proper divisor of an lcm comes first.
         for lcm in sorted(by_lcm):
             group = by_lcm[lcm]
@@ -544,8 +586,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
                 stats.discarded_chain += len(group) - coprime
                 continue
             stats.discarded_chain += len(group) - 1
-            heapq.heappush(heap, [lcm, group[0], j, lcm])
-            stats.pairs_pushed += 1
+            push(lcm, group[0], j)
         active[:] = [i for i in active if (lms[i] - lm) & guard]
         active.append(j)
 
@@ -554,10 +595,10 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
         prim = _prim_from_poly(f, packing)
         if prim not in seen:
             seen.add(prim)
-            install(prim)
+            install(prim, max(degree(m) for m, _ in prim))
 
     while heap:
-        _, i, j, lcm = heapq.heappop(heap)
+        sugar, _, i, j, lcm = heapq.heappop(heap)
         if lcm is None:
             continue
         budget.tick()
@@ -566,7 +607,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
         if not rem:
             stats.zero_reductions += 1
             continue
-        install(_prim_from_dict(rem))
+        install(_prim_from_dict(rem), sugar)
         stats.basis_added += 1
 
     basis = tuple(_monic_from_prim(p, ring, packing)

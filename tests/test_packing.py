@@ -8,12 +8,16 @@ grevlex ring and an elimination ring. Past 2^15 the kernel must raise,
 never wrap.
 """
 
+import heapq
+from types import SimpleNamespace
+
 import pytest
 
 pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from detlink import groebner
 from detlink.groebner import (LIMIT, Ideal, _packing, divide, member,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
@@ -86,6 +90,71 @@ def test_lcm_and_coprimality(drawn):
     assert (not packing.support(pa) & packing.support(pb)) == a.is_coprime(b)
 
 
+@st.composite
+def _near_limit_monomials(draw):
+    """Monomials whose block degrees range up to 2^15 - 1, the most `pack`
+    accepts."""
+    ring = draw(st.sampled_from(RINGS))
+    head = ring.space.elim_count
+    exps = []
+    for width in (head, ring.space.nvars - head):
+        room, block = LIMIT - 1, []
+        for _ in range(width):
+            e = draw(st.one_of(st.integers(0, min(3, room)), st.integers(0, room),
+                               st.just(room)))
+            block.append(e)
+            room -= e
+        exps += draw(st.permutations(block))
+    return ring, ring.monomial(exps)
+
+
+@SETTINGS
+@given(st.one_of(_monomials(1).map(lambda d: (d[0], d[1][0])), _near_limit_monomials()))
+def test_degree_is_total_degree(drawn):
+    ring, a = drawn
+    packing = _packing(ring.order)
+    assert packing.degree(packing.pack(a)) == a.deg
+
+
+def test_pair_sugars_by_hand(monkeypatch):
+    # Sugars of f1 = t1^2 - x1^3, f2 = t1*y1 - z1, f3 = x1^3*y1 - z1^2 are
+    # their largest degrees 3, 2, 4; under the elimination order their
+    # leading monomials t1^2, t1*y1, x1^3*y1 have degrees 2, 2, 4.
+    E = Ring(2, 1, ELIM_BLOCK)
+    t1, x1, y1, z1 = E.t(1), E.x(1), E.y(1), E.z(1)
+    packing = _packing(E.order)
+    pushed = []
+
+    def heappush(heap, entry):
+        sugar, lcm, i, j, _ = entry
+        pushed.append((sugar, packing.unpack(lcm), i, j))
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(groebner, "heapq",
+                        SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
+    gens = [t1 ** 2 - x1 ** 3, t1 * y1 - z1, x1 ** 3 * y1 - z1 ** 2]
+    basis = reduced_groebner_basis(gens)
+
+    def mono(f):
+        return f.terms[0].mono
+
+    assert pushed[:4] == [
+        # (f1, f2): lcm t1^2*y1 of degree 3; max(3 + 3 - 2, 2 + 3 - 2) = 4.
+        (4, mono(t1 ** 2 * y1), 0, 1),
+        # (f2, f3): lcm t1*x1^3*y1 of degree 5; max(2 + 5 - 2, 4 + 5 - 4) = 5.
+        (5, mono(t1 * x1 ** 3 * y1), 1, 2),
+        # (f1, f2) reduces to h = t1*z1 - z1^2, of degree 2 but sugar 4, the
+        # pair's. (f2, h): lcm t1*y1*z1, max(2 + 3 - 2, 4 + 3 - 2) = 5;
+        # (f1, h): lcm t1^2*z1, max(3 + 3 - 2, 4 + 3 - 2) = 5. (f3, h) is
+        # dropped: its lcm is a multiple of t1*y1*z1.
+        (5, mono(t1 * y1 * z1), 1, 3),
+        (5, mono(t1 ** 2 * z1), 0, 3),
+    ]
+    assert t1 * z1 - z1 ** 2 in basis
+    monkeypatch.undo()
+    assert basis == reduced_groebner_basis(gens, criteria=False)
+
+
 class TestLimit:
     def test_input_past_the_limit_rejected(self):
         R = Ring(2)
@@ -130,11 +199,17 @@ class TestLimit:
         R = Ring(2)
         x1, y1, z1 = R.x(1), R.y(1), R.z(1)
         # The pair of x1^32766 - z1 and y1 - z1 has lcm x1^32766*y1, of
-        # degree 2^15 - 1; one more x1 would be rejected.
+        # degree 2^15 - 1, the largest that packs.
         top = x1 ** (LIMIT - 2)
         assert reduced_groebner_basis([top - y1, top - z1]) == (top - z1, y1 - z1)
-        with pytest.raises(OverflowError, match="2\\^15"):
-            reduced_groebner_basis([x1 * top - y1, x1 * top - z1])
+        # With one more x1 that pair is coprime and its product, x1^32767*y1,
+        # is past the limit; the product criterion drops it without an lcm.
+        top = x1 * top
+        assert reduced_groebner_basis([top - y1, top - z1]) == (top - z1, y1 - z1)
+        # A pair that is not coprime still needs its lcm, x1^32767*y1 here.
+        for criteria in (True, False):
+            with pytest.raises(OverflowError, match="2\\^15"):
+                reduced_groebner_basis([top - y1, x1 * y1 - z1], criteria=criteria)
 
     def test_lcm_past_the_limit_rejected(self):
         R = Ring(2)
@@ -143,7 +218,13 @@ class TestLimit:
         a, b = (packing.pack(f.terms[0].mono) for f in (x1 ** 20000, x2 ** 20000))
         with pytest.raises(OverflowError, match="2\\^15"):
             packing.lcm(a, b)
+        # Coprime leading monomials: the product criterion needs no lcm, but
+        # the reference path without criteria builds every pair's.
         gens = [x1 ** 20000 - y1, x2 ** 20000 - z1]
+        assert reduced_groebner_basis(gens) == tuple(gens)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            reduced_groebner_basis(gens, criteria=False)
+        gens = [x1 ** 20000 * x2 - y1, x2 ** 20000 * x1 - z1]
         for criteria in (True, False):
             with pytest.raises(OverflowError, match="2\\^15"):
                 reduced_groebner_basis(gens, criteria=criteria)

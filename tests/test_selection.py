@@ -1,0 +1,103 @@
+"""Sugar pair selection against normal selection.
+
+`reduced_groebner_basis` pops pairs by (sugar, lcm, i, j). With
+`_Packing.degree` patched to return 0 every sugar is 0, and the heap
+orders pairs by lcm alone: the normal strategy. Reduced bases are unique,
+so both selections must return the same basis, as must the reference path
+without criteria. Inputs: the paper's homogeneous families, the
+non-homogeneous elimination input t*aB + (1-t)*(f) of one probe matrix,
+and small random ideals drawn by hypothesis (derandomized) as in
+`tests/test_differential.py`, both as they are and embedded in t*I +
+(1-t)*J.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from detlink.families import G_union_M, gens_a, generic_residual
+from detlink.groebner import GBStats, _Packing, reduced_groebner_basis
+from detlink.idealops import _elim_ring, _embed
+from detlink.rings import Ring
+
+
+def _normal_selection(polys, monkeypatch, **kwargs):
+    with monkeypatch.context() as patch:
+        patch.setattr(_Packing, "degree", lambda self, m: 0)
+        return reduced_groebner_basis(polys, **kwargs)
+
+
+def _elimination_input(F, G):
+    """t*(F) + (1-t)*(G) in the elimination ring, as `intersect` builds it."""
+    ering = _elim_ring(F[0].ring)
+    t = ering.t(1)
+    return ([t * _embed(f, ering) for f in F]
+            + [(ering.one - t) * _embed(g, ering) for g in G])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_family_bases_agree(n, monkeypatch):
+    gens = gens_a(n).gens
+    assert reduced_groebner_basis(gens) == _normal_selection(gens, monkeypatch)
+
+
+def test_sum_family_bases_agree(monkeypatch):
+    gens = G_union_M(4)
+    assert reduced_groebner_basis(gens) == _normal_selection(gens, monkeypatch)
+
+
+def test_probe_elimination_agrees(monkeypatch):
+    # The first draw of `detlink verify --n 4 --seed 0`'s probe stream, and
+    # the intersection of its family with the first minor.
+    rng = random.Random("0/random-specialization")
+    B = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(6)]
+    aB, I = generic_residual(4, B)
+    gens = _elimination_input(aB.gens, I.gens[:1])
+    sugar, normal = GBStats(), GBStats()
+    basis = reduced_groebner_basis(gens, stats=sugar)
+    assert basis == _normal_selection(gens, monkeypatch, stats=normal)
+    # The input is not homogeneous, so the two selections differ in work.
+    assert sugar.pairs_processed != normal.pairs_processed
+
+
+R = Ring(2)
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow,
+                                           HealthCheck.function_scoped_fixture])
+
+
+def _poly(terms):
+    d = {}
+    for positions, c in terms:
+        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        d[m] = d.get(m, 0) + c
+    return R.poly(d)
+
+
+# Terms of degree 0 to 3, so that most draws are not homogeneous.
+_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), max_size=3),
+                   st.integers(-3, 3).filter(bool))
+_polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
+_gens = st.lists(_polys, min_size=1, max_size=3)
+
+
+@SETTINGS
+@given(_gens)
+def test_random_bases_agree(monkeypatch, gens):
+    basis = reduced_groebner_basis(gens)
+    assert basis == _normal_selection(gens, monkeypatch)
+    assert basis == reduced_groebner_basis(gens, criteria=False)
+
+
+@SETTINGS
+@given(_gens, _gens)
+def test_random_eliminations_agree(monkeypatch, F, G):
+    gens = _elimination_input(F, G)
+    basis = reduced_groebner_basis(gens)
+    assert basis == _normal_selection(gens, monkeypatch)
+    assert basis == reduced_groebner_basis(gens, criteria=False)
