@@ -5,8 +5,8 @@ z_1..z_n]: the 2x2 minors of the generic 2xn matrix, the consecutive-minor
 chain and its link, the n binomial generator families with their omitted-
 index subfamilies, the squarefree monomial sets attached to each family,
 the extended generator sets whose Groebner property is certified, the index
-automorphisms that carry each subfamily onto the chain, and rational (or
-symbolic) matrix specializations of the full minor list.
+automorphisms that carry each subfamily onto the chain, and rational matrix
+specializations of the full minor list.
 """
 
 from __future__ import annotations
@@ -15,16 +15,16 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Sequence
 
 from .groebner import Ideal
 from .rings import Monomial, Polynomial, Ring
 
 
 @lru_cache(maxsize=None)
-def standard_ring(n: int, elim_count: int = 0) -> Ring:
-    """Shared grevlex ring for width n (plus optional symbolic block)."""
-    return Ring(n, elim_count)
+def standard_ring(n: int) -> Ring:
+    """Shared grevlex ring for width n."""
+    return Ring(n)
 
 
 def _rng_list(a: int, b: int) -> list[int]:
@@ -46,9 +46,9 @@ def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
     return ring.monomial(exps)
 
 
-def delta(i: int, j: int, n: int, ring: Optional[Ring] = None) -> Polynomial:
+def delta(i: int, j: int, n: int) -> Polynomial:
     """The 2x2 minor x_i*y_j - x_j*y_i; zero on the diagonal."""
-    ring = ring or standard_ring(n)
+    ring = standard_ring(n)
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"minor indices ({i},{j}) out of range for n={n}")
     if i == j:
@@ -56,11 +56,10 @@ def delta(i: int, j: int, n: int, ring: Optional[Ring] = None) -> Polynomial:
     return ring.x(i) * ring.y(j) - ring.x(j) * ring.y(i)
 
 
-def minors_ideal(n: int, ring: Optional[Ring] = None) -> Ideal:
+def minors_ideal(n: int) -> Ideal:
     """All C(n,2) minors delta(i,j) for i < j."""
-    ring = ring or standard_ring(n)
-    return Ideal(ring, [delta(i, j, n, ring)
-                        for i in range(1, n + 1) for j in range(i + 1, n + 1)])
+    return Ideal(standard_ring(n), [delta(i, j, n) for i in range(1, n + 1)
+                                    for j in range(i + 1, n + 1)])
 
 
 def _require_width(n: int) -> None:
@@ -68,23 +67,17 @@ def _require_width(n: int) -> None:
         raise ValueError(f"this family needs n >= 4, got {n}")
 
 
-def g_generator(n: int, i: int, ring: Optional[Ring] = None) -> Polynomial:
+def g_generator(n: int, i: int) -> Polynomial:
     """g_1 = z_1*delta(2,1), g_n = z_n*delta(n,n-1), else g_i = z_i*delta(i+1,i-1)."""
     _require_width(n)
-    ring = ring or standard_ring(n)
-    if i == 1:
-        return ring.z(1) * delta(2, 1, n, ring)
-    if i == n:
-        return ring.z(n) * delta(n, n - 1, n, ring)
-    if not 1 < i < n:
+    if not 1 <= i <= n:
         raise ValueError(f"generator index {i} out of range for n={n}")
-    return ring.z(i) * delta(i + 1, i - 1, n, ring)
+    return standard_ring(n).z(i) * delta(*minor_pair(n, i), n)
 
 
 def gens_a(n: int) -> Ideal:
     """The full n-generator family (g_1, ..., g_n)."""
-    ring = standard_ring(n)
-    return Ideal(ring, [g_generator(n, i, ring) for i in range(1, n + 1)])
+    return Ideal(standard_ring(n), [g_generator(n, i) for i in range(1, n + 1)])
 
 
 def sub_a(n: int, i: int) -> Ideal:
@@ -92,9 +85,8 @@ def sub_a(n: int, i: int) -> Ideal:
     _require_width(n)
     if not 1 <= i <= n:
         raise ValueError(f"omitted index {i} out of range for n={n}")
-    ring = standard_ring(n)
-    return Ideal(ring, [g_generator(n, k, ring)
-                        for k in range(1, n + 1) if k != i])
+    return Ideal(standard_ring(n), [g_generator(n, k)
+                                    for k in range(1, n + 1) if k != i])
 
 
 def m_ij(n: int, i: int, j: int) -> Monomial:
@@ -161,11 +153,6 @@ def M_set(n: int, i: int) -> list[Monomial]:
     return out
 
 
-def M_ideal(n: int, i: int) -> Ideal:
-    ring = standard_ring(n)
-    return Ideal(ring, [ring.from_monomial(m) for m in M_set(n, i)])
-
-
 def link_ideal(n: int, i: int) -> Ideal:
     """The i-th link presented by its proven generators: sub_a(n,i) + M_set(n,i)."""
     ring = standard_ring(n)
@@ -184,19 +171,18 @@ def chain_g(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
     first = {}
     for j in range(1, n):
         coeff = xyz_monomial(ring, xs=_rng_list(1, j - 1), zs=_rng_list(1, j))
-        first[j] = ring.from_monomial(coeff) * delta(j + 1, j, n, ring)
+        first[j] = ring.from_monomial(coeff) * delta(j + 1, j, n)
     second = {}
     for j in range(2, n + 1):
         coeff = xyz_monomial(ring, ys=_rng_list(j + 1, n), zs=_rng_list(j, n))
-        second[j] = ring.from_monomial(coeff) * delta(j, j - 1, n, ring)
+        second[j] = ring.from_monomial(coeff) * delta(j, j - 1, n)
     return first, second
 
 
 def set_G(n: int) -> list[Polynomial]:
     """The 3n-4 element extended generator set: g's plus both chains."""
     first, second = chain_g(n)
-    ring = standard_ring(n)
-    out = [g_generator(n, i, ring) for i in range(1, n + 1)]
+    out = [g_generator(n, i) for i in range(1, n + 1)]
     out += [first[j] for j in range(2, n)]
     out += [second[j] for j in range(2, n)]
     return out
@@ -217,7 +203,7 @@ def G_union_M(n: int) -> list[Polynomial]:
 def sum_links_ideal(n: int) -> Ideal:
     """Sum of all n link ideals: (g_1..g_n) plus every M_set monomial."""
     ring = standard_ring(n)
-    gens = [g_generator(n, i, ring) for i in range(1, n + 1)]
+    gens = [g_generator(n, i) for i in range(1, n + 1)]
     for i in range(1, n + 1):
         gens += [ring.from_monomial(m) for m in M_set(n, i)]
     return Ideal(ring, gens)
@@ -225,8 +211,7 @@ def sum_links_ideal(n: int) -> Ideal:
 
 def chain_ideal(n: int) -> Ideal:
     """Consecutive-minor chain (delta(1,2), delta(2,3), ..., delta(n-1,n))."""
-    ring = standard_ring(n)
-    return Ideal(ring, [delta(t, t + 1, n, ring) for t in range(1, n)])
+    return Ideal(standard_ring(n), [delta(t, t + 1, n) for t in range(1, n)])
 
 
 def chain_link(n: int) -> tuple[Ideal, Ideal]:
@@ -347,7 +332,7 @@ def minor_pair(n: int, i: int) -> tuple[int, int]:
     return (i + 1, i - 1)
 
 
-def minor_list(n: int, ring: Optional[Ring] = None) -> list[Polynomial]:
+def minor_list(n: int) -> list[Polynomial]:
     """All C(n,2) minors in the specialization order.
 
     The first n are the minors of g_1..g_n; the remaining ones are
@@ -355,63 +340,30 @@ def minor_list(n: int, ring: Optional[Ring] = None) -> list[Polynomial]:
     (a, b). Every entry is monic.
     """
     _require_width(n)
-    ring = ring or standard_ring(n)
     pairs = [minor_pair(n, i) for i in range(1, n + 1)]
     used = {frozenset(p) for p in pairs}
     rest = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
             if frozenset((a, b)) not in used]
     pairs += [(b, a) for a, b in sorted(rest)]
-    return [delta(a, b, n, ring) for a, b in pairs]
+    return [delta(a, b, n) for a, b in pairs]
 
 
-MatrixEntry = Union[int, Fraction, Polynomial]
-
-
-def generic_residual(n: int, B: Sequence[Sequence[MatrixEntry]]) -> tuple[Ideal, Ideal]:
+def generic_residual(n: int, B: Sequence[Sequence[int | Fraction]]) -> tuple[Ideal, Ideal]:
     """Specialized generator matrix product: a_j = sum_i B[i][j] * minor_i.
 
-    B must be r x n with r = C(n,2); entries are exact rationals or
-    polynomials (all from one ring containing the width-n x/y blocks, for
-    the fully symbolic version). Returns (the specialized ideal, the full
-    minors ideal in the same ring).
+    B must be r x n with r = C(n,2) and exact rational entries. Returns
+    (the specialized ideal, the full minors ideal).
     """
     _require_width(n)
     r = n * (n - 1) // 2
     if len(B) != r or any(len(row) != n for row in B):
         raise ValueError(f"matrix must be {r}x{n}")
-    ring = None
-    for row in B:
-        for entry in row:
-            if isinstance(entry, Polynomial):
-                if ring is None:
-                    ring = entry.ring
-                elif entry.ring != ring:
-                    raise ValueError("matrix entries from different rings")
-    ring = ring or standard_ring(n)
-    if ring.space.n != n:
-        raise ValueError("matrix entry ring has the wrong width")
-    gs = minor_list(n, ring)
+    ring = standard_ring(n)
+    gs = minor_list(n)
     a = []
     for j in range(n):
         acc = ring.zero
         for i in range(r):
-            entry = B[i][j]
-            acc = acc + (gs[i] * entry if isinstance(entry, Polynomial)
-                         else gs[i] * Fraction(entry))
+            acc = acc + gs[i] * Fraction(B[i][j])
         a.append(acc)
-    return Ideal(ring, a), Ideal(ring, [g for g in gs])
-
-
-def symbolic_matrix(n: int) -> tuple[Ring, list[list[Polynomial]]]:
-    """Fully generic r x n coefficient matrix over an extended ring.
-
-    Entry (i, j) is the elimination-block variable t_{(i-1)n+j}; combined
-    with generic_residual this builds the symbolic specialization, which is
-    expected to exceed desk budgets for n >= 5.
-    """
-    _require_width(n)
-    r = n * (n - 1) // 2
-    ring = standard_ring(n, elim_count=r * n)
-    B = [[ring.t((i - 1) * n + j) for j in range(1, n + 1)]
-         for i in range(1, r + 1)]
-    return ring, B
+    return Ideal(ring, a), Ideal(ring, gs)

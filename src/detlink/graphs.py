@@ -16,7 +16,7 @@ from typing import Iterable, Optional
 from .families import delta, g_generator, link_ideal, minors_ideal, standard_ring, sub_a
 from .groebner import Budget, Ideal
 from .idealops import height, quotient, sum_ideals
-from .rings import Polynomial, Ring
+from .rings import Polynomial
 
 
 @dataclass(frozen=True)
@@ -44,18 +44,6 @@ class SimpleGraph:
     @classmethod
     def complete(cls, n: int) -> "SimpleGraph":
         return cls.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-
-    @classmethod
-    def from_edge_list(cls, n: int, text: str) -> "SimpleGraph":
-        """Parse edge list lines "i j"."""
-        edges = []
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            a, b = line.split()
-            edges.append((int(a), int(b)))
-        return cls.from_edges(n, edges)
 
     def edge_pairs(self) -> list[tuple[int, int]]:
         return sorted(tuple(sorted(e)) for e in self.edges)
@@ -86,10 +74,9 @@ class SimpleGraph:
         return comps
 
 
-def edge_ideal(G: SimpleGraph, ring: Optional[Ring] = None) -> Ideal:
+def edge_ideal(G: SimpleGraph) -> Ideal:
     """Binomial edge ideal: one minor delta(i,j) per edge {i,j}."""
-    ring = ring or standard_ring(G.n)
-    return Ideal(ring, [delta(a, b, G.n, ring) for a, b in G.edge_pairs()])
+    return Ideal(standard_ring(G.n), [delta(a, b, G.n) for a, b in G.edge_pairs()])
 
 
 @dataclass(frozen=True)
@@ -108,15 +95,15 @@ class PrimePS:
         comps = tuple(sorted(self.graph.components(self.S), key=sorted))
         object.__setattr__(self, "components", comps)
 
-    def ideal(self, ring: Optional[Ring] = None) -> Ideal:
+    def ideal(self) -> Ideal:
         n = self.graph.n
-        ring = ring or standard_ring(n)
+        ring = standard_ring(n)
         gens: list[Polynomial] = []
         for i in sorted(self.S):
             gens += [ring.x(i), ring.y(i)]
         for comp in self.components:
             for a, b in itertools.combinations(sorted(comp), 2):
-                gens.append(delta(a, b, n, ring))
+                gens.append(delta(a, b, n))
         return Ideal(ring, gens)
 
     def height_formula(self) -> int:
@@ -236,25 +223,21 @@ def replay_avoidance_argument(n: int, budget: Optional[Budget] = None) -> bool:
     return found_full
 
 
-def verify_res_int(n: int, budget: Optional[Budget] = None,
-                   via_colon: Optional[bool] = None) -> bool:
+def verify_res_int(n: int, budget: Optional[Budget] = None) -> bool:
     """Height bound making the full family a residual intersection.
 
     Checks height(J_n + (g_n)) >= n where J_n is the link missing the last
-    generator; J_n is computed by the colon at n = 4 (or when forced) and
-    from its proven monomial description otherwise. For n <= 6 the
-    combinatorial avoidance argument is replayed as well.
+    generator; J_n is computed by the colon at n = 4 and from its proven
+    monomial description otherwise. For n <= 6 the combinatorial avoidance
+    argument is replayed as well.
     """
     if n < 4:
         raise ValueError(f"residual intersection check needs n >= 4, got {n}")
-    ring = standard_ring(n)
-    if via_colon is None:
-        via_colon = n == 4
-    if via_colon:
-        J_n = quotient(sub_a(n, n), minors_ideal(n, ring), budget)
+    if n == 4:
+        J_n = quotient(sub_a(n, n), minors_ideal(n), budget)
     else:
         J_n = link_ideal(n, n)
-    g_n = Ideal(ring, [g_generator(n, n, ring)])
+    g_n = Ideal(standard_ring(n), [g_generator(n, n)])
     if height(sum_ideals(J_n, g_n), budget) < n:
         return False
     if n <= 6 and not replay_avoidance_argument(n, budget):

@@ -455,6 +455,7 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial],
     for f in divisors:
         if not f:
             raise ValueError("zero divisor")
+        f._check_ring(ring)
         prim = _prim_from_poly(f, packing)
         reducer.append(prim)
         ratios.append(prim[0][1] / f.terms[0].coeff)
@@ -475,7 +476,7 @@ def s_polynomial(f: Polynomial, g: Polynomial,
     """The cancellation combination of f and g (gcd taken with coefficient 1)."""
     if not f or not g:
         raise ValueError("S-polynomial of zero")
-    f._check_ring(g)
+    g._check_ring(f.ring)
     packing = _packing(_ring_order(f.ring, order))
     pack = packing.pack
     a = [(pack(m), c) for c, m in f.terms]
@@ -520,6 +521,8 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     if not polys:
         return ()
     ring = polys[0].ring
+    for f in polys:
+        f._check_ring(ring)
     packing = _packing(_ring_order(ring, order))
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
@@ -626,11 +629,13 @@ def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> l
         lm = prim[0][0]
         if all((lm - other[0][0]) & guard for other in kept):
             kept.append(prim)
-    for idx in range(len(kept)):
-        reducer = _IntReducer(packing, budget=budget)
-        for other in kept[:idx] + kept[idx + 1:]:
-            reducer.append(other)
-        kept[idx] = _prim_from_dict(reducer.reduce(dict(kept[idx])))
+    # Only a smaller leading monomial can divide a term of an element, so
+    # each element, in ascending order, is reduced by the ones before it and
+    # then joins them; the reduced basis is unique, so this is the result.
+    reducer = _IntReducer(packing, budget=budget)
+    for idx, prim in enumerate(kept):
+        kept[idx] = _prim_from_dict(reducer.reduce(dict(prim)))
+        reducer.append(kept[idx])
     kept.sort(key=lambda p: p[0][0], reverse=True)
     return kept
 
@@ -647,6 +652,8 @@ def interreduce(basis: Sequence[Polynomial],
     if not polys:
         return ()
     ring = polys[0].ring
+    for f in polys:
+        f._check_ring(ring)
     packing = _packing(_ring_order(ring, order))
     kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
     return tuple(_monic_from_prim(p, ring, packing) for p in kept)
@@ -668,6 +675,8 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     if not polys or any(not f for f in polys):
         raise ValueError("is_groebner_basis needs nonzero polynomials")
     ring = polys[0].ring
+    for f in polys:
+        f._check_ring(ring)
     order = _ring_order(ring, order)
     packing = _packing(order)
     budget = budget or Budget()
@@ -757,6 +766,7 @@ class Ideal:
 def normal_form(f: Polynomial, I: Ideal,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of f against the reduced Groebner basis of I."""
+    f._check_ring(I.ring)
     reducer = I._reducer(budget)
     if not f:
         return f
@@ -772,6 +782,7 @@ def normal_form(f: Polynomial, I: Ideal,
 
 def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     """Ideal membership: the normal form of f against I vanishes."""
+    f._check_ring(I.ring)
     if not f:
         return True
     reducer = I._reducer(budget)

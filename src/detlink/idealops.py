@@ -48,10 +48,10 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     for f in basis:
         if f.terms[0].mono.exps[0]:
             continue
-        # With extra symbolic head variables the block order may fail to
-        # rank every t-containing monomial above the t-free ones; a kept
-        # element must then be checked t-free throughout to keep the
-        # elimination sound.
+        # On a ring that already has elimination variables the block order
+        # may fail to rank every t-containing monomial above the t-free
+        # ones; a kept element must then be checked t-free throughout to
+        # keep the elimination sound.
         if any(m.exps[0] for _, m in f.terms):
             raise ArithmeticError(
                 "elimination is inconclusive over this extended ring")

@@ -59,10 +59,6 @@ class VarSpace:
         pos -= e
         return f"{'xyz'[pos // n]}{pos % n + 1}"
 
-    def block_of(self, pos: int) -> str:
-        e = self.elim_count
-        return "t" if pos < e else "xyz"[(pos - e) // self.n]
-
 
 class Monomial:
     """Exponent vector with cached total degree; immutable and hashable."""
@@ -84,9 +80,6 @@ class Monomial:
 
     def __repr__(self) -> str:
         return f"Monomial{self.exps}"
-
-    def is_one(self) -> bool:
-        return self.deg == 0
 
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(_add, self.exps, other.exps)),
@@ -347,9 +340,6 @@ class Polynomial:
 
     # -- basic structure -------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def __bool__(self) -> bool:
         return bool(self.terms)
 
@@ -361,9 +351,6 @@ class Polynomial:
             raise ValueError("leading term of zero")
         return self.terms[0]
 
-    def leading_monomial(self) -> Monomial:
-        return self.leading_term().mono
-
     def leading_coeff(self) -> Fraction:
         return self.leading_term().coeff
 
@@ -374,21 +361,12 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         return len({t.mono.deg for t in self.terms}) <= 1
 
-    def is_term(self) -> bool:
-        return len(self.terms) == 1
-
     def monic(self) -> "Polynomial":
         lc = self.leading_coeff()
         if lc == 1:
             return self
         return Polynomial(self.ring,
                           tuple(Term(c / lc, m) for c, m in self.terms))
-
-    def coeff_of(self, m: Monomial) -> Fraction:
-        for c, mm in self.terms:
-            if mm == m:
-                return c
-        return Fraction(0)
 
     def as_dict(self) -> dict[Monomial, Fraction]:
         return {m: c for c, m in self.terms}
@@ -402,15 +380,15 @@ class Polynomial:
             return self.ring.const(other)
         return NotImplemented
 
-    def _check_ring(self, other: "Polynomial") -> None:
-        if self.ring is not other.ring and self.ring != other.ring:
-            raise ValueError("polynomials from different rings")
+    def _check_ring(self, ring: Ring) -> None:
+        if self.ring is not ring and self.ring != ring:
+            raise ValueError(f"polynomial from {self.ring!r}, expected {ring!r}")
 
     def __add__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        self._check_ring(other)
+        self._check_ring(other.ring)
         d = {m: c for c, m in self.terms}
         for c, m in other.terms:
             nc = d.get(m, 0) + c
@@ -446,7 +424,7 @@ class Polynomial:
                               tuple(Term(cc * c, m) for cc, m in self.terms))
         if not isinstance(other, Polynomial):
             return NotImplemented
-        self._check_ring(other)
+        self._check_ring(other.ring)
         d: dict[Monomial, Fraction] = {}
         for c1, m1 in self.terms:
             for c2, m2 in other.terms:
@@ -495,18 +473,6 @@ class Polynomial:
         return f"<{self.ring.format(self)}>"
 
 
-def leading_term(f: Polynomial, order: Optional[MonomialOrder] = None) -> Term:
-    """Largest term of f; under the ring's own order unless one is given."""
-    if not f.terms:
-        raise ValueError("leading term of zero")
-    if order is None or order == f.ring.order:
-        return f.terms[0]
-    if order.space != f.ring.space:
-        raise ValueError("order belongs to a different VarSpace")
-    key = order.key
-    return max(f.terms, key=lambda t: key(t.mono))
-
-
 def multidegree(f: Polynomial):
     """Common (deg_x, deg_y, deg_z) of all terms.
 
@@ -529,22 +495,15 @@ def multidegree(f: Polynomial):
 
 
 def substitute(f: Polynomial,
-               images: Mapping[str, Union[Polynomial, Scalar]],
-               into: Optional[Ring] = None) -> Polynomial:
+               images: Mapping[str, Union[Polynomial, Scalar]]) -> Polynomial:
     """Ring-homomorphism image of f under a variable name -> value map.
 
     Every variable occurring in f must be mapped; values may live in a
-    different ring (the target ring is `into`, else the ring of the first
-    polynomial image, else f's own ring).
+    different ring (the target ring is that of the first polynomial image,
+    else f's own ring).
     """
-    target = into
-    if target is None:
-        for v in images.values():
-            if isinstance(v, Polynomial):
-                target = v.ring
-                break
-        else:
-            target = f.ring
+    target = next((v.ring for v in images.values() if isinstance(v, Polynomial)),
+                  f.ring)
     coerced: dict[str, Polynomial] = {}
     for name, v in images.items():
         p = v if isinstance(v, Polynomial) else target.const(v)

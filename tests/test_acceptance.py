@@ -149,7 +149,7 @@ def test_criterion_09_identity_suite():
                     for K in itertools.combinations(window, r):
                         L = [v for v in window if v not in K]
                         mono = fam.xyz_monomial(ring, xs=K, ys=L)
-                        f = ring.from_monomial(mono) * fam.delta(i, j, n, ring)
+                        f = ring.from_monomial(mono) * fam.delta(i, j, n)
                         ok = ok and member(f, chain)
     # Telescoping identities and chain recurrences, exactly, for n <= 7;
     # the identities check also re-verifies the leading-term bounds.
@@ -200,7 +200,7 @@ def test_criterion_11_oracle_equivalences():
     # Intersection vs membership conjunction, 50 probes per ideal pair.
     pairs = [
         (Ideal(R, [R.x(1) * R.y(1), R.x(2) ** 2]), Ideal(R, [R.x(1) ** 2])),
-        (Ideal(R, [fam.delta(1, 2, 2, R)]), Ideal(R, [R.z(1), R.x(1) * R.y(2)])),
+        (Ideal(R, [fam.delta(1, 2, 2)]), Ideal(R, [R.z(1), R.x(1) * R.y(2)])),
         (Ideal(R, [R.x(1) + R.y(1), R.z(2)]), Ideal(R, [R.x(1) - R.y(2)])),
     ]
     for I, J in pairs:

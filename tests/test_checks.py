@@ -25,6 +25,11 @@ class TestRunChecks:
         with pytest.raises(ValueError, match="unknown"):
             run_checks(4, ["gb-a", "nonsense"])
 
+    def test_string_selection_rejected(self):
+        # A bare name is a string, not a list of names.
+        with pytest.raises(ValueError, match="'gb-a'"):
+            run_checks(4, "gb-a")
+
     def test_canonical_order(self):
         reports = run_checks(4, ["heights", "gb-a"], seed=0)
         assert [r.name for r in reports] == ["gb-a", "heights"]
@@ -35,6 +40,16 @@ class TestRunChecks:
         assert by_name["links"].status == "skipped"
         assert by_name["section2"].status == "skipped"
         assert by_name["random-specialization"].status == "skipped"
+        # Widest n of each gated check, as (default tier, colon tier).
+        widths = {"links": (4, 5), "section2": (5, 5), "sum-equals-colon": (7, 7),
+                  "heights": (6, 6), "reduced": (6, 6),
+                  "random-specialization": (4, 4)}
+        assert checks.WIDTHS == widths
+        for stretch in (False, True):
+            for name, tiers in widths.items():
+                report = run_checks(tiers[stretch] + 1, [name], stretch=stretch)[0]
+                assert report.status == "skipped", (name, stretch)
+                assert f"n <= {tiers[stretch]}" in report.witness
 
     def test_stretch_gates_n5_colon(self):
         plain = run_checks(5, ["links"], stretch=False)[0]

@@ -3,12 +3,12 @@ index automorphisms, matrix specializations."""
 
 import pytest
 
-from detlink.families import (IndexPermutation, M_ideal, M_set, apply_permutation,
+from detlink.families import (IndexPermutation, M_set, apply_permutation,
                               chain_g, delta, g_generator, gens_a,
                               generic_residual, link_ideal, m_ij, m_ij_range,
                               minor_list, minor_pair, minors_ideal, phi_permutation,
                               chain_link, set_G, standard_ring, sub_a,
-                              sum_links_ideal, symbolic_matrix, xyz_monomial)
+                              sum_links_ideal, xyz_monomial)
 from detlink.groebner import Ideal, ideal_equal, member
 from detlink.idealops import height, quotient
 from detlink.rings import multidegree, substitute
@@ -259,21 +259,6 @@ class TestGenericResidual:
         assert gs[4:] == [delta(4, 1, 4), delta(3, 2, 4)]
         assert all(g.terms[0].coeff == 1 for g in gs)
 
-    def test_symbolic_specialization_recovers_g(self):
-        ring, B = symbolic_matrix(4)
-        aS, _ = generic_residual(4, B)
-        R = standard_ring(4)
-        images = {}
-        for name in ring.names:
-            if name.startswith("t"):
-                k = int(name[1:]) - 1
-                i, j = divmod(k, 4)
-                images[name] = R.z(j + 1) if i == j else R.zero
-            else:
-                images[name] = R.var(name)
-        for j in range(4):
-            assert substitute(aS.gens[j], images, into=R) == g_generator(4, j + 1)
-
 
 class TestLinkIdeals:
     def test_link_ideal_gens(self):
@@ -283,6 +268,3 @@ class TestLinkIdeals:
     def test_sum_links_gens(self):
         S = sum_links_ideal(4)
         assert len(S.gens) == 4 + 16
-
-    def test_M_ideal_matches_set(self):
-        assert len(M_ideal(4, 1).gens) == 4

@@ -272,6 +272,23 @@ class TestBuchberger:
             is_groebner_basis([f, g], E)
         assert divide(t1 * x2, [f], R.order) == divide(t1 * x2, [f])
 
+    def test_cross_ring_input_rejected(self):
+        # Ring(2) into Ring(3) used to fail in the packing; Ring(2, 1) into
+        # its elimination twin, same variable count, used to answer.
+        R2, R3 = Ring(2), Ring(3)
+        P, E = Ring(2, 1), Ring(2, 1, ELIM_BLOCK)
+        for f, g in ((R2.x(1), R3.x(1)), (P.t(1), E.t(1))):
+            I = Ideal(g.ring, [g])
+            for call in (lambda: member(f, I), lambda: normal_form(f, I),
+                         lambda: member(f.ring.zero, I),
+                         lambda: divide(f, [g]), lambda: divide(g, [f]),
+                         lambda: reduced_groebner_basis([g, f]),
+                         lambda: is_groebner_basis([g, f]),
+                         lambda: interreduce([g, f])):
+                with pytest.raises(ValueError, match="expected Ring"):
+                    call()
+        assert member(E.t(1), Ideal(E, [E.t(1)]))
+
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)
         assert not I.has_cached_basis()

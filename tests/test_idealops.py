@@ -56,7 +56,7 @@ class TestIntersect:
         R = Ring(2)
         pairs = [
             (Ideal(R, [R.x(1) * R.y(1), R.x(2) ** 2]), Ideal(R, [R.x(1) ** 2])),
-            (Ideal(R, [delta(1, 2, 2, R), R.z(1) * R.x(1)]),
+            (Ideal(R, [delta(1, 2, 2), R.z(1) * R.x(1)]),
              Ideal(R, [R.x(1) * R.y(2), R.z(2)])),
         ]
         for I, J in pairs:

@@ -4,8 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from detlink.rings import (ELIM_BLOCK, Ring, Term, VarSpace, leading_term,
-                           multidegree, substitute)
+from detlink.rings import ELIM_BLOCK, Ring, Term, VarSpace, multidegree, substitute
 from detlink.families import delta, g_generator, standard_ring
 
 from conftest import random_monomial, random_poly
@@ -168,19 +167,14 @@ class TestLeadingTerm:
     def test_pinned(self):
         R = standard_ring(4)
         d31 = delta(3, 1, 4)
-        assert leading_term(d31) == Term(Fraction(1), (R.x(3) * R.y(1)).terms[0].mono)
-        assert leading_term(R.x(1)).mono == R.x(1).terms[0].mono
+        assert d31.leading_term() == Term(Fraction(1), (R.x(3) * R.y(1)).terms[0].mono)
+        assert R.x(1).leading_term().mono == R.x(1).terms[0].mono
         g2 = g_generator(4, 2)
-        assert leading_term(g2).mono == (R.z(2) * R.x(3) * R.y(1)).terms[0].mono
+        assert g2.leading_term().mono == (R.z(2) * R.x(3) * R.y(1)).terms[0].mono
 
     def test_zero_rejected(self):
         with pytest.raises(ValueError, match="zero"):
-            leading_term(standard_ring(4).zero)
-
-    def test_explicit_order(self):
-        R = standard_ring(4)
-        f = delta(1, 2, 4)
-        assert leading_term(f, R.order) == f.terms[0]
+            standard_ring(4).zero.leading_term()
 
 
 class TestMultidegree:
