@@ -5,11 +5,11 @@ reports pass/fail with a witness on failure. Verdicts and witnesses are
 deterministic for a fixed (n, selection, seed, budget); elapsed times are
 measured and therefore not part of the reproducibility contract.
 
-The widest n at which a whole check runs lives in one table, WIDTHS, with
-two tiers: the default tier, and the colon tier that stretch=True selects
-(the CLI sets it when an explicit budget flag is given). Past its width a
-check is reported as skipped. Gates on single steps inside a check, such as
-the full colon equality of sum-equals-colon, stay in the check itself.
+The widest n at which a whole check runs lives in one table, WIDTHS; past
+its width a check is reported as skipped. Budgets bound the cost of a check
+but never decide whether it runs. Gates on single steps inside a check,
+such as the full colon equality of sum-equals-colon, stay in the check
+itself.
 """
 
 from __future__ import annotations
@@ -83,8 +83,8 @@ def _fmt(f: Polynomial) -> str:
     return f.ring.format(f)
 
 
-def check_gb_a(n: int, rng: random.Random, budget: Budget,
-               stretch: bool) -> tuple[str, Optional[str]]:
+def check_gb_a(n: int, rng: random.Random,
+               budget: Budget) -> tuple[str, Optional[str]]:
     """Certificate that the extended generator set is a Groebner basis of
     (g_1..g_n); for n <= 5 the basis is additionally recomputed from the
     bare generators and compared."""
@@ -101,8 +101,8 @@ def check_gb_a(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_gb_sum(n: int, rng: random.Random, budget: Budget,
-                 stretch: bool) -> tuple[str, Optional[str]]:
+def check_gb_sum(n: int, rng: random.Random,
+                 budget: Budget) -> tuple[str, Optional[str]]:
     """Certificate that G plus every attached monomial set is a Groebner
     basis of the sum of the n links."""
     cert = is_groebner_basis(fam.G_union_M(n), budget=budget)
@@ -112,8 +112,8 @@ def check_gb_sum(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_links(n: int, rng: random.Random, budget: Budget,
-                stretch: bool) -> tuple[str, Optional[str]]:
+def check_links(n: int, rng: random.Random,
+                budget: Budget) -> tuple[str, Optional[str]]:
     """Colon computation of each link equals its monomial description."""
     I = fam.minors_ideal(n)
     for i in range(1, n + 1):
@@ -124,8 +124,8 @@ def check_links(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_section2(n: int, rng: random.Random, budget: Budget,
-                   stretch: bool) -> tuple[str, Optional[str]]:
+def check_section2(n: int, rng: random.Random,
+                   budget: Budget) -> tuple[str, Optional[str]]:
     """Link of the consecutive-minor chain: colon equality and the
     minimal-generator degree multiset (n-1 quadrics, n-1 of degree n-2)."""
     chain, link = fam.chain_link(n)
@@ -139,11 +139,10 @@ def check_section2(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_sum_equals_colon(n: int, rng: random.Random, budget: Budget,
-                           stretch: bool) -> tuple[str, Optional[str]]:
+def check_sum_equals_colon(n: int, rng: random.Random,
+                           budget: Budget) -> tuple[str, Optional[str]]:
     """Containment of every monomial-times-minor in (g_1..g_n), plus the
-    full colon equality with the sum of links at n = 4 and at the colon
-    tier at n = 5."""
+    full colon equality with the sum of links for n <= 5."""
     ring = fam.standard_ring(n)
     G = fam.set_G(n)
     cert = is_groebner_basis(G, budget=budget)
@@ -158,7 +157,7 @@ def check_sum_equals_colon(n: int, rng: random.Random, budget: Budget,
                 if not member(mono * d, a_full, budget):
                     return FAIL, (f"containment fails: ({_fmt(mono)}) * "
                                   f"({_fmt(d)}) is not in the full family")
-    if n > 5 or (n == 5 and not stretch):
+    if n > 5:
         return PASS, None
     Q = quotient(a_full, minors, budget)
     if not ideal_equal(Q, fam.sum_links_ideal(n), budget):
@@ -166,8 +165,8 @@ def check_sum_equals_colon(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_heights(n: int, rng: random.Random, budget: Budget,
-                  stretch: bool) -> tuple[str, Optional[str]]:
+def check_heights(n: int, rng: random.Random,
+                  budget: Budget) -> tuple[str, Optional[str]]:
     """Height facts: the chain is a regular sequence of length n-1, the
     full family is a residual intersection, and every link is geometric."""
     h = height(fam.chain_ideal(n), budget)
@@ -184,8 +183,8 @@ def check_heights(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_automorphisms(n: int, rng: random.Random, budget: Budget,
-                        stretch: bool) -> tuple[str, Optional[str]]:
+def check_automorphisms(n: int, rng: random.Random,
+                        budget: Budget) -> tuple[str, Optional[str]]:
     """Each omitted-generator family maps onto the consecutive chain, up to
     sign, under its index automorphism."""
     target = {fam.delta(t, t + 1, n).monic().terms for t in range(1, n)}
@@ -265,8 +264,8 @@ def _random_qualifying_binomials(ring: Ring, rng: random.Random):
             return f, g
 
 
-def check_identities(n: int, rng: random.Random, budget: Budget,
-                     stretch: bool) -> tuple[str, Optional[str]]:
+def check_identities(n: int, rng: random.Random,
+                     budget: Budget) -> tuple[str, Optional[str]]:
     """Exact identity suite: exhaustive monomial-times-minor membership in
     the chain (n <= 6), both telescoping identities with their leading-term
     bounds, the corrected chain recurrences, and the binomial S-pair
@@ -331,8 +330,8 @@ def check_identities(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_reduced(n: int, rng: random.Random, budget: Budget,
-                  stretch: bool) -> tuple[str, Optional[str]]:
+def check_reduced(n: int, rng: random.Random,
+                  budget: Budget) -> tuple[str, Optional[str]]:
     """The initial ideal of the sum of links is squarefree (so the sum of
     links is reduced)."""
     init = initial_ideal(fam.sum_links_ideal(n), budget)
@@ -341,8 +340,8 @@ def check_reduced(n: int, rng: random.Random, budget: Budget,
     return PASS, None
 
 
-def check_random_specialization(n: int, rng: random.Random, budget: Budget,
-                                stretch: bool) -> tuple[str, Optional[str]]:
+def check_random_specialization(n: int, rng: random.Random,
+                                budget: Budget) -> tuple[str, Optional[str]]:
     """Randomized probe: for surviving random integer matrices B, the colon
     of the specialized family equals the sum of the colons of its
     omitted-column subfamilies."""
@@ -385,15 +384,14 @@ CHECKS: dict[str, Callable] = {
 
 ALL_CHECKS = tuple(CHECKS)
 
-# The widest n at which a check runs, as (default tier, colon tier); a
-# check not listed runs at every n.
-WIDTHS: dict[str, tuple[int, int]] = {
-    "links": (4, 5),
-    "section2": (5, 5),
-    "sum-equals-colon": (7, 7),
-    "heights": (6, 6),
-    "reduced": (6, 6),
-    "random-specialization": (4, 4),
+# The widest n at which a check runs; a check not listed runs at every n.
+WIDTHS: dict[str, int] = {
+    "links": 5,
+    "section2": 5,
+    "sum-equals-colon": 7,
+    "heights": 6,
+    "reduced": 6,
+    "random-specialization": 4,
 }
 
 
@@ -404,10 +402,12 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
     """Run the selected checks at width n with per-check fresh budgets.
 
     Selection is "all" or an iterable of check names; reports come back in
-    the canonical registry order. A check wider than its WIDTHS entry for
-    the tier (the colon tier when stretch is set) is reported as skipped.
-    Each check draws randomness from its own seeded stream, so verdicts and
-    witnesses are reproducible.
+    the canonical registry order. A check at an n past its WIDTHS entry is
+    reported as skipped. Each check draws randomness from its own seeded
+    stream, so verdicts and witnesses are reproducible.
+
+    `stretch` is ignored. It is still accepted because callers pass it,
+    among them the colon-n5 workload of perfbench.
     """
     if n < 4:
         raise ValueError(f"checks need n >= 4, got {n}")
@@ -424,21 +424,17 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
         names = [name for name in ALL_CHECKS if name in names]
         if not names:
             raise ValueError("no checks selected")
-    tier = "colon" if stretch else "default"
     reports = []
     for name in names:
         rng = random.Random(f"{seed}/{name}")
         budget = Budget(max_pairs, timeout_secs)
-        default, colon = WIDTHS.get(name, (n, n))
-        width = colon if stretch else default
+        width = WIDTHS.get(name, n)
         t0 = time.perf_counter()
         if n > width:
-            status, witness = SKIPPED, f"{tier} tier runs this check for n <= {width}"
-            if n <= colon:
-                witness += "; a budget flag selects the colon tier, which runs it"
+            status, witness = SKIPPED, f"runs for n <= {width}"
         else:
             try:
-                status, witness = CHECKS[name](n, rng, budget, stretch)
+                status, witness = CHECKS[name](n, rng, budget)
             except BudgetExceeded as exc:
                 status, witness = BUDGET, str(exc)
         elapsed = (time.perf_counter() - t0) * 1000.0
@@ -467,10 +463,11 @@ def bench(n_min: int, n_max: int,
                 ("gb-sum-links", fam.sum_links_ideal(n).gens, True)):
             stats = GBStats()
             budget = Budget(max_pairs, timeout_secs)
-            status = "ok"
+            t0 = time.perf_counter()
+            status, basis = "ok", ()
             try:
-                reduced_groebner_basis(gens, budget=budget, criteria=criteria,
-                                       stats=stats)
+                basis = reduced_groebner_basis(gens, budget=budget,
+                                               criteria=criteria, stats=stats)
             except BudgetExceeded:
                 status = BUDGET
             rows.append({
@@ -479,8 +476,8 @@ def bench(n_min: int, n_max: int,
                 "discarded_coprime": stats.discarded_coprime,
                 "discarded_chain": stats.discarded_chain,
                 "zero_reductions": stats.zero_reductions,
-                "basis_size": stats.final_size,
-                "elapsed_ms": round(stats.elapsed_ms, 3),
+                "basis_size": len(basis),
+                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
             })
         GM = fam.G_union_M(n)
         budget = Budget(max_pairs, timeout_secs)

@@ -8,7 +8,8 @@ import sys
 from typing import Optional, Sequence
 
 from . import families as fam
-from .checks import (ALL_CHECKS, BUDGET, FAIL, bench, report_json, run_checks)
+from .checks import (ALL_CHECKS, BUDGET, FAIL, SKIPPED, bench, report_json,
+                     run_checks)
 
 
 def _family_lines(family: str, n: int) -> list[str]:
@@ -110,12 +111,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     selection = "all" if args.checks == "all" else [
         s.strip() for s in args.checks.split(",") if s.strip()]
-    stretch = args.budget_pairs is not None or args.timeout_secs is not None
     try:
         reports = run_checks(args.n, selection, seed=args.seed,
                              max_pairs=args.budget_pairs,
-                             timeout_secs=args.timeout_secs,
-                             stretch=stretch)
+                             timeout_secs=args.timeout_secs)
     except ValueError as exc:
         return _error(exc)
 
@@ -134,6 +133,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 fh.write(payload + "\n")
         except OSError as exc:
             return _error(f"cannot write {args.out}: {exc.strerror or exc}")
+    if all(r.status == SKIPPED for r in reports):
+        return _error(f"none of the selected checks runs at n = {args.n}")
     bad = [r for r in reports if r.status in (FAIL, BUDGET)]
     return 1 if bad else 0
 

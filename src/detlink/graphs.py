@@ -13,7 +13,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .families import delta, g_generator, link_ideal, minors_ideal, standard_ring, sub_a
+from .families import (delta, g_generator, link_ideal, minor_pair, minors_ideal,
+                       standard_ring, sub_a)
 from .groebner import Budget, Ideal
 from .idealops import height, quotient, sum_ideals
 from .rings import Polynomial
@@ -159,8 +160,7 @@ def minimal_primes_bei(G: SimpleGraph,
 
 def _graph_without_generator(n: int) -> SimpleGraph:
     """Graph of the minors inside g_1..g_{n-1}: a path with endpoints n-1, n."""
-    edges = [(1, 2)] + [(i - 1, i + 1) for i in range(2, n)]
-    return SimpleGraph.from_edges(n, edges)
+    return SimpleGraph.from_edges(n, [minor_pair(n, i) for i in range(1, n)])
 
 
 def _candidate_primes(n: int, budget: Optional[Budget] = None
@@ -173,8 +173,6 @@ def _candidate_primes(n: int, budget: Optional[Budget] = None
     subset, minor parts combinatorially. With a budget, its deadline is
     checked once per subset T and once per candidate (T, P_S).
     """
-    base = _graph_without_generator(n)
-    pair_of = {1: (1, 2), **{i: (i - 1, i + 1) for i in range(2, n)}}
     out: list[tuple[frozenset[int], PrimePS]] = []
     for r in range(n):
         for T in itertools.combinations(range(1, n), r):
@@ -182,7 +180,7 @@ def _candidate_primes(n: int, budget: Optional[Budget] = None
                 budget.check_deadline()
             Tset = frozenset(T)
             G_T = SimpleGraph.from_edges(
-                n, [pair_of[i] for i in range(1, n) if i not in Tset])
+                n, [minor_pair(n, i) for i in range(1, n) if i not in Tset])
             for p in minimal_primes_bei(G_T, budget):
                 out.append((Tset, p))
     minimal = []

@@ -109,8 +109,6 @@ class GBStats:
     discarded_chain: int = 0
     zero_reductions: int = 0
     basis_added: int = 0
-    final_size: int = 0
-    elapsed_ms: float = 0.0
 
 
 class DivisionResult(NamedTuple):
@@ -516,7 +514,6 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     for the order, whatever the selection. Everything between the input
     and the interreduced output runs on packed monomials.
     """
-    t0 = time.perf_counter()
     polys = [f for f in polys if f]
     if not polys:
         return ()
@@ -613,11 +610,8 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
         install(_prim_from_dict(rem), sugar)
         stats.basis_added += 1
 
-    basis = tuple(_monic_from_prim(p, ring, packing)
-                  for p in _interreduce(G, packing, budget))
-    stats.final_size = len(basis)
-    stats.elapsed_ms = (time.perf_counter() - t0) * 1000.0
-    return basis
+    return tuple(_monic_from_prim(p, ring, packing)
+                 for p in _interreduce(G, packing, budget))
 
 
 def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> list:

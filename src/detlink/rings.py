@@ -318,7 +318,10 @@ class Ring:
                 if m is None:
                     raise ValueError(f"bad factor {factor!r} in {text!r}")
                 if m.group("num") is not None:
-                    coeff *= Fraction(m.group("num"))
+                    try:
+                        coeff *= Fraction(m.group("num"))
+                    except ZeroDivisionError:
+                        raise ValueError(f"zero denominator in {text!r}") from None
                 else:
                     pos = self._pos_by_name.get(m.group("var"))
                     if pos is None:

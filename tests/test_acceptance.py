@@ -155,7 +155,7 @@ def test_criterion_09_identity_suite():
     # the identities check also re-verifies the leading-term bounds.
     rng = random.Random("acceptance/identities")
     for n in (4, 5, 6, 7):
-        status, witness = check_identities(n, rng, Budget(), stretch=False)
+        status, witness = check_identities(n, rng, Budget())
         ok = ok and status == "pass"
     # Binomial S-pair reduction on 500 qualifying random pairs.
     ring = fam.standard_ring(4)
@@ -169,7 +169,7 @@ def test_criterion_09_identity_suite():
 def test_criterion_10_randomized_specialization_probe():
     t0 = time.perf_counter()
     rng = random.Random("acceptance/main-probe")
-    status, witness = check_random_specialization(4, rng, Budget(), stretch=False)
+    status, witness = check_random_specialization(4, rng, Budget())
     ok = status == "pass" and witness is None
     _report(10, "randomized specialization probe, 5 matrices at n=4", ok,
             time.perf_counter() - t0)

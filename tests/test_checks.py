@@ -40,20 +40,26 @@ class TestRunChecks:
         assert by_name["links"].status == "skipped"
         assert by_name["section2"].status == "skipped"
         assert by_name["random-specialization"].status == "skipped"
-        # Widest n of each gated check, as (default tier, colon tier).
-        widths = {"links": (4, 5), "section2": (5, 5), "sum-equals-colon": (7, 7),
-                  "heights": (6, 6), "reduced": (6, 6),
-                  "random-specialization": (4, 4)}
+        # Widest n of each gated check.
+        widths = {"links": 5, "section2": 5, "sum-equals-colon": 7,
+                  "heights": 6, "reduced": 6, "random-specialization": 4}
         assert checks.WIDTHS == widths
-        for stretch in (False, True):
-            for name, tiers in widths.items():
-                report = run_checks(tiers[stretch] + 1, [name], stretch=stretch)[0]
-                assert report.status == "skipped", (name, stretch)
-                assert f"n <= {tiers[stretch]}" in report.witness
+        for name, width in widths.items():
+            report = run_checks(width + 1, [name])[0]
+            assert report.status == "skipped", name
+            assert report.witness == f"runs for n <= {width}"
 
     def test_stretch_gates_n5_colon(self):
-        plain = run_checks(5, ["links"], stretch=False)[0]
-        assert plain.status == "skipped"
+        # The colon steps run at n = 5 without a budget, and the ignored
+        # stretch argument changes no verdict.
+        selection = ["links", "sum-equals-colon"]
+        reports = run_checks(5, selection)
+        assert [r.status for r in reports] == ["pass", "pass"]
+        docs = [report_document(run_checks(5, selection, stretch=stretch), 5, 0,
+                                include_timing=False)
+                for stretch in (False, True)]
+        assert docs[0] == docs[1] == report_document(reports, 5, 0,
+                                                     include_timing=False)
 
     def test_reports_reproducible(self):
         selection = ["gb-a", "identities"]
@@ -129,6 +135,13 @@ class TestBench:
     def test_budget_exceeded_rows_marked(self):
         rows = bench(4, 4, max_pairs=3)
         assert any(r["status"] == "budget-exceeded" for r in rows)
+        # A Groebner row whose budget ran out is still timed.
+        gb_rows = [r for r in rows if r["task"] != "certificate-G-M"
+                   and r["status"] == "budget-exceeded"]
+        assert gb_rows
+        for r in gb_rows:
+            assert r["elapsed_ms"] > 0
+            assert r["basis_size"] == 0
 
 
 class TestCLI:
@@ -147,6 +160,28 @@ class TestCLI:
         code = main(["verify", "--n", "4", "--checks", "gb-a",
                      "--budget-pairs", "2"])
         assert code == 1
+
+    def test_verify_all_skipped_exit(self, tmp_path, capsys):
+        # The report is printed and written; the exit status says that
+        # nothing was checked.
+        target = tmp_path / "report.json"
+        assert main(["verify", "--n", "9", "--checks",
+                     "links,random-specialization", "--out", str(target)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: none of the selected checks runs at n = 9\n"
+        assert captured.out.count("skipped") == 2
+        assert [c["status"] for c in json.loads(target.read_text())["checks"]] == [
+            "skipped", "skipped"]
+        assert main(["verify", "--n", "9", "--checks", "gb-a,links"]) == 0
+
+    def test_budget_flags_select_no_checks(self, capsys):
+        statuses = []
+        for extra in ([], ["--timeout-secs", "600"]):
+            assert main(["verify", "--n", "5", "--checks", "links",
+                         "--format", "json", *extra]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            statuses.append([c["status"] for c in doc["checks"]])
+        assert statuses == [["pass"], ["pass"]]
 
     def test_verify_rejects_small_n(self, capsys):
         assert main(["verify", "--n", "3", "--checks", "gb-a"]) == 2

@@ -237,9 +237,9 @@ class TestBuchberger:
 
     def test_stats_populated(self):
         stats = GBStats()
-        reduced_groebner_basis(gens_a(4).gens, stats=stats)
+        basis = reduced_groebner_basis(gens_a(4).gens, stats=stats)
         assert stats.pairs_processed > 0
-        assert stats.final_size == 8
+        assert len(basis) == 8
 
     def test_stats_count_reduced_pairs(self):
         # Every processed pair is an S-polynomial reduced to zero or added;

@@ -256,7 +256,8 @@ class TestTextFormat:
 
     def test_parse_rejects_garbage(self):
         R = standard_ring(4)
-        for bad in ("", "x9", "t1", "x1^", "q2", "1..2", "x1 +"):
+        for bad in ("", "x9", "t1", "x1^", "q2", "1..2", "x1 +", "1/0",
+                    "x1 - 3/0*y2"):
             with pytest.raises(ValueError):
                 R.parse(bad)
 
