@@ -785,6 +785,27 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     return not reducer.reduce(dict(_prim_from_poly(f, reducer.packing)))
 
 
+def _multiples_in(g: Polynomial, hs: Sequence[Polynomial], I: Ideal,
+                  budget: Optional[Budget] = None) -> bool:
+    """Every g*h, for nonzero g and h in hs of I's ring, lies in I. Each
+    product is formed on packed monomials and reduced by I's basis; the
+    deadline is checked once per product."""
+    reducer = I._reducer(budget)
+    packing = reducer.packing
+    gp = _prim_from_poly(g, packing)
+    for h in hs:
+        if budget is not None:
+            budget.check_deadline()
+        p: dict = {}
+        for mh, ch in _prim_from_poly(h, packing):
+            for mg, cg in gp:
+                m = mg + mh
+                p[m] = p.get(m, 0) + cg * ch
+        if reducer.reduce({m: c for m, c in p.items() if c}):
+            return False
+    return True
+
+
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
     """Mutual membership of generators."""
     if I.ring != J.ring:

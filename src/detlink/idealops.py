@@ -5,15 +5,17 @@ monomial ideals.
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
 under the block elimination order. The t-free part of the reduced
 elimination basis is the reduced grevlex basis of the intersection, so
-results carry their Groebner basis for free.
+results carry their Groebner basis for free. A colon I : J intersects the
+principal colons I : (g) over generators g of J, and skips each g with
+g*out ⊆ I for the colon so far, out, since then out ⊆ I : (g).
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .groebner import (Budget, Ideal, divide, interreduce, member,
-                       reduced_groebner_basis)
+from .groebner import (Budget, Ideal, _multiples_in, divide, interreduce,
+                       member, reduced_groebner_basis)
 from .rings import ELIM_BLOCK, Monomial, Polynomial, Ring
 
 
@@ -79,27 +81,29 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
     return Ideal.with_basis(ring, basis, basis)
 
 
-def _contains(I: Ideal, J: Ideal, budget: Optional[Budget]) -> bool:
-    """J is a subset of I."""
-    return all(member(g, I, budget) for g in J.groebner(budget))
-
-
 def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     """Colon ideal I : J as the intersection of I : (g) over generators of J.
 
-    When one side of an intersection contains the other (the other side's
-    cached reduced basis lies in it), the smaller side is the result.
+    Since g*out ⊆ I implies out ⊆ I : (g), a generator g that maps the
+    reduced basis of the colon so far, out, into I can shrink nothing; its
+    principal colon is not computed. Otherwise I : (g) is computed, and
+    when it lies inside out it is the result without an intersection. The
+    test reduces by I's basis, so I's reduced basis is computed once J has
+    two or more generators.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
         raise ValueError("colon by the zero ideal")
-    parts = [quotient_by_poly(I, g, budget) for g in J.gens]
-    out = parts[0]
-    for part in parts[1:]:
-        if _contains(part, out, budget):
+    out = quotient_by_poly(I, J.gens[0], budget)
+    for g in J.gens[1:]:
+        if _multiples_in(g, out.groebner(budget), I, budget):
             continue
-        out = part if _contains(out, part, budget) else intersect(out, part, budget)
+        part = quotient_by_poly(I, g, budget)
+        if all(member(h, out, budget) for h in part.groebner(budget)):
+            out = part
+        else:
+            out = intersect(out, part, budget)
     return out
 
 

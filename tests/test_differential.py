@@ -53,6 +53,14 @@ def _product_colons(draw):
     return Ideal(R, [a * b, c * d]), Ideal(R, [a, c])
 
 
+@st.composite
+def _redundant_colons(draw):
+    """J = (g1, g2, g1*h): the colon so far lies in I:(g1), which lies in
+    I:(g1*h), so the colon by the third generator is always skipped."""
+    g1, g2, h = draw(_polys), draw(_polys), draw(_linear)
+    return draw(_ideals), Ideal(R, [g1, g2, g1 * h])
+
+
 def _to_sympy(f):
     out = sympy.Integer(0)
     for c, m in f.terms:
@@ -108,6 +116,15 @@ def test_quotient_matches_sympy(I, J):
 @settings(SETTINGS, max_examples=40)
 @given(_product_colons())
 def test_quotient_of_products_matches_sympy(case):
+    I, J = case
+    theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
+                          [_to_sympy(g) for g in J.gens])
+    assert _mine(quotient(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(_redundant_colons())
+def test_quotient_with_redundant_generator_matches_sympy(case):
     I, J = case
     theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
                           [_to_sympy(g) for g in J.gens])

@@ -9,8 +9,8 @@ from detlink.families import (chain_ideal, delta, gens_a, minors_ideal,
                               standard_ring, sum_links_ideal)
 from detlink.graphs import (SimpleGraph, _candidate_primes, minimal_primes_bei,
                             replay_avoidance_argument)
-from detlink.groebner import (Budget, BudgetExceeded, Ideal, ideal_equal,
-                              initial_ideal, member)
+from detlink.groebner import (Budget, BudgetExceeded, Ideal, _multiples_in,
+                              ideal_equal, initial_ideal, member)
 from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
                               quotient, quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
@@ -111,27 +111,75 @@ class TestQuotient:
         assert ideal_equal(quotient(I4, Ideal(R4, [R4.one])), I4)   # I : R = I
 
     def test_nested_principal_colons_skip_intersection(self, monkeypatch):
-        # (x1):(g) = (x1) for each g below, and (x1^2, x1*y1):(x1) = (x1, y1)
-        # contains (x1^2, x1*y1):(y1) = (x1): no colon needs an intersection.
+        # (x1):(y1) = (x1) is mapped into (x1) by z1 and y1 + z1, so only the
+        # colon by y1 is computed. (x1^2, x1*y1):(x1) = (x1, y1) is not
+        # mapped into I by y1, and (x1^2, x1*y1):(y1) = (x1) lies inside it:
+        # two colons, no intersection. (x1*y1, x2*y2):(x1) = (y1, x2*y2) and
+        # (x1*y1, x2*y2):(x2) = (y2, x1*y1) are incomparable: one intersection.
         R = standard_ring(4)
-        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
-        cases = [(Ideal(R, [x1]), Ideal(R, [y1, z1, y1 + z1])),
-                 (Ideal(R, [x1 ** 2, x1 * y1]), Ideal(R, [x1, y1]))]
-        for I, J in cases:
+        x1, y1, z1, x2, y2 = R.x(1), R.y(1), R.z(1), R.x(2), R.y(2)
+        cases = [(Ideal(R, [x1]), Ideal(R, [y1, z1, y1 + z1]), [y1], 0),
+                 (Ideal(R, [x1 ** 2, x1 * y1]), Ideal(R, [x1, y1]), [x1, y1], 0),
+                 (Ideal(R, [x1 * y1, x2 * y2]), Ideal(R, [x1, x2]), [x1, x2], 1)]
+        for I, J, colons, intersections in cases:
             parts = {g: quotient_by_poly(I, g) for g in J.gens}
             explicit = parts[J.gens[0]]
             for g in J.gens[1:]:
                 explicit = intersect(explicit, parts[g])
-            calls = []
+            computed, calls = [], []
             monkeypatch.setattr(idealops, "quotient_by_poly",
-                                lambda I, g, budget=None: parts[g])
+                                lambda I, g, budget=None: computed.append(g) or parts[g])
             monkeypatch.setattr(idealops, "intersect",
-                                lambda *args: calls.append(args))
+                                lambda *args: calls.append(args) or intersect(*args))
             Q = quotient(I, J)
             monkeypatch.undo()
-            assert calls == []
+            assert computed == colons
+            assert len(calls) == intersections
             assert Q.groebner() == explicit.groebner()
             assert Q.gens == explicit.gens
+
+
+class TestMultiplesIn:
+    """`_multiples_in(g, hs, I)` against all(member(g*h, I) for h in hs)."""
+
+    def test_matches_member(self, rng):
+        R = Ring(2)
+        cases = []
+        for _ in range(8):
+            I = Ideal(R, [random_nonzero_poly(R, rng, terms=2, max_exp=1)
+                          for _ in range(2)])
+            g = random_nonzero_poly(R, rng, terms=2, max_exp=1)
+            cases.append((I, g))
+        cases += [(chain_ideal(4), g) for g in minors_ideal(4).gens[:2]]
+        cases += [(gens_a(4), g) for g in minors_ideal(4).gens[:2]]
+        seen = set()
+        for I, g in cases:
+            ring = I.ring
+            colon = list(quotient_by_poly(I, g).groebner())
+            for hs in (colon, colon + [random_nonzero_poly(ring, rng, terms=2)],
+                       [random_nonzero_poly(ring, rng, terms=3)]):
+                want = all(member(g * h, I) for h in hs)
+                assert _multiples_in(g, hs, I) == want
+                seen.add(want)
+        assert seen == {True, False}
+
+    def test_edge_ideals(self):
+        R = Ring(2)
+        x1, y1 = R.x(1), R.y(1)
+        zero, unit = Ideal(R, []), Ideal(R, [R.one])
+        assert _multiples_in(x1, [], zero)
+        assert not _multiples_in(x1, [y1], zero)
+        assert not _multiples_in(R.one, [R.one], zero)
+        assert _multiples_in(x1, [y1, x1 - 2 * y1], unit)
+        assert _multiples_in(x1, [], Ideal(R, [y1]))
+
+    def test_expired_deadline(self):
+        R = Ring(2)
+        gens = (R.x(1) * R.y(1),)
+        I = Ideal.with_basis(R, gens, gens)
+        with pytest.raises(BudgetExceeded):
+            _multiples_in(R.x(1), [R.y(1)], I, Budget(timeout_secs=0))
+        assert _multiples_in(R.x(1), [R.y(1)], I, Budget(timeout_secs=60))
 
 
 class TestSumProduct:
