@@ -172,6 +172,8 @@ class TestMultiplesIn:
         assert not _multiples_in(R.one, [R.one], zero)
         assert _multiples_in(x1, [y1, x1 - 2 * y1], unit)
         assert _multiples_in(x1, [], Ideal(R, [y1]))
+        # The x1*y1 terms of (x1 + y1)(x1 - y1) cancel.
+        assert _multiples_in(x1 + y1, [x1 - y1], Ideal(R, [x1 ** 2 - y1 ** 2]))
 
     def test_expired_deadline(self):
         R = Ring(2)
