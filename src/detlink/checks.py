@@ -24,10 +24,11 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import families as fam
 from .graphs import verify_res_int
-from .groebner import (Budget, BudgetExceeded, GBStats, Ideal, divide,
-                       ideal_equal, initial_ideal, interreduce,
-                       is_groebner_basis, is_squarefree_monomial_ideal, member,
-                       minimal_generators, reduced_groebner_basis, s_polynomial)
+from .groebner import (Budget, BudgetExceeded, GBStats, Ideal,
+                       _first_product_outside, divide, ideal_equal,
+                       initial_ideal, interreduce, is_groebner_basis,
+                       is_squarefree_monomial_ideal, minimal_generators,
+                       reduced_groebner_basis, s_polynomial)
 from .idealops import height, quotient, sum_ideals
 from .rings import Monomial, Polynomial, Ring
 
@@ -150,13 +151,13 @@ def check_sum_equals_colon(n: int, rng: random.Random,
         return FAIL, "extended generator set failed its own certificate"
     a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
     minors = fam.minors_ideal(n)
-    for i in range(1, n + 1):
-        for m in fam.M_set(n, i):
-            mono = ring.from_monomial(m)
-            for d in minors.gens:
-                if not member(mono * d, a_full, budget):
-                    return FAIL, (f"containment fails: ({_fmt(mono)}) * "
-                                  f"({_fmt(d)}) is not in the full family")
+    monos = [ring.from_monomial(m)
+             for i in range(1, n + 1) for m in fam.M_set(n, i)]
+    outside = _first_product_outside(monos, minors.gens, a_full, budget)
+    if outside is not None:
+        a, b = outside
+        return FAIL, (f"containment fails: ({_fmt(monos[a])}) * "
+                      f"({_fmt(minors.gens[b])}) is not in the full family")
     if n > 5:
         return PASS, None
     Q = quotient(a_full, minors, budget)
@@ -274,18 +275,18 @@ def check_identities(n: int, rng: random.Random,
     key = ring.order.key
     if n <= 6:
         chain = fam.chain_ideal(n)
-        chain.groebner(budget)
         for i in range(1, n + 1):
             for j in range(i + 1, n + 1):
                 window = list(range(i + 1, j))
-                for r in range(len(window) + 1):
-                    for K in itertools.combinations(window, r):
-                        L = [v for v in window if v not in K]
-                        mono = fam.xyz_monomial(ring, xs=K, ys=L)
-                        f = ring.from_monomial(mono) * fam.delta(i, j, n)
-                        if not member(f, chain, budget):
-                            return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
-                                          f"chain for K={K}")
+                Ks = [K for r in range(len(window) + 1)
+                      for K in itertools.combinations(window, r)]
+                monos = [ring.from_monomial(fam.xyz_monomial(
+                    ring, xs=K, ys=[v for v in window if v not in K])) for K in Ks]
+                outside = _first_product_outside(monos, [fam.delta(i, j, n)],
+                                                 chain, budget)
+                if outside is not None:
+                    return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
+                                  f"chain for K={Ks[outside[0]]}")
     g1, g2 = fam.chain_g(n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):

@@ -25,8 +25,16 @@ Divisor lists only grow at their end, so a memo entry never goes stale:
 the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
 one next to its packed basis for all its `member` and `normal_form` calls.
 The certificate `is_groebner_basis` builds and sorts the lcms of only the
-pairs it reduces; monomial-monomial and coprime pairs are counted against
-the budget without an lcm.
+pairs it walks; monomial-monomial and coprime pairs are counted against
+the budget without an lcm. The walk skips pairs by Buchberger's chain
+criterion in the Gebauer-Moller form, searching the non-monomial elements
+for the middle element k, and still reports the first failing pair in
+(lcm, i, j) order: its docstring says why that pair is never one the
+criterion skips, so no second walk is needed.
+
+Products tested for membership in an ideal (the colon skip in `quotient`,
+the containments of the verifier's checks) go through
+`_first_product_outside`, which forms them on packed monomials.
 
 Buchberger's loop takes the pair of least sugar first, a degree that the
 elimination t*I + (1-t)*J behind every intersection would otherwise lack:
@@ -660,10 +668,34 @@ def is_groebner_basis(polys: Sequence[Polynomial],
 
     Pairs of monomials have S-polynomial 0 and pairs with coprime leading
     monomials always reduce to 0; both are skipped, and their lcms are
-    never built. Every pair counts against the budget: the skipped ones in
-    one step before any reduction, the others as they are reduced, in
-    ascending (lcm, i, j) order. On failure the result carries the first
-    offending (1-based) pair in that order and its exact nonzero remainder.
+    never built. The other pairs are walked in ascending (lcm, i, j) order,
+    and Buchberger's chain criterion (in the Gebauer-Moller form, J. Symb.
+    Comput. 6, 1988) skips a pair (i, j) when some non-monomial element k
+    has in(k) | lcm(i, j) while lcm(i, k) and lcm(j, k) both differ from
+    lcm(i, j). Both lcms then properly divide lcm(i, j), and
+    S(i, j) = c * (lcm(i, j) / lcm(i, k)) * S(i, k)
+            + c' * (lcm(i, j) / lcm(j, k)) * S(j, k)
+    has a representation below lcm(i, j) once S(i, k) and S(j, k) have
+    ones below their lcms; by induction on the lcm, polys is a Groebner
+    basis if every pair that is not skipped reduces to 0. The test
+    lcm(i, k) != lcm(i, j) reads: the cofactors lcm/in(i) and lcm/in(k)
+    share a variable. The cofactors of i and j never do, so the two tests
+    also rule out k = i and k = j. Only the non-monomials are searched for
+    k: they are few in the family bases, and a search over all elements
+    skips a few more pairs but costs more than it saves.
+
+    On failure the result carries the first offending (1-based) pair in
+    (lcm, i, j) order and its exact nonzero remainder, and the criterion
+    never hides that pair. Until the walk meets a nonzero remainder, every
+    pair it passed, reduced or skipped, has a representation below its
+    lcm. The descent in the proof of Buchberger's criterion then reduces
+    any polynomial with a representation below the current lcm to 0, by
+    any choice of divisors; so every pair the walk skipped, and every pair
+    with a smaller lcm, reduces to 0. The first nonzero remainder of the
+    walk is therefore the first in (lcm, i, j) order, and every pair
+    counts against the budget once, exactly as without the criterion: the
+    trivial ones in one step before any reduction, the others, skipped or
+    reduced, as the walk reaches them.
     """
     polys = list(polys)
     if not polys or any(not f for f in polys):
@@ -676,7 +708,8 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     budget = budget or Budget()
     prims = [_prim_from_poly(f, packing) for f in polys]
     lms = [p[0][0] for p in prims]
-    supports = [packing.support(m) for m in lms]
+    support_of = packing.support
+    supports = [support_of(m) for m in lms]
     lcm_of = packing.lcm
     n = len(prims)
     # A monomial's S-polynomial with another monomial is 0, so it pairs
@@ -696,8 +729,15 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     reducer = _IntReducer(packing, budget=budget)
     for prim in prims:
         reducer.append(prim)
+    guard = packing.guard
+    chain_lms = [lms[k] for k in non_monomials]
     for lcm, i, j in pairs:
         budget.tick()
+        # Supports of the cofactors lcm/in(i), lcm/in(j) and lcm/in(k).
+        si, sj = support_of(lcm - lms[i]), support_of(lcm - lms[j])
+        if any(not (lcm - lmk) & guard and support_of(lcm - lmk) & si
+               and support_of(lcm - lmk) & sj for lmk in chain_lms):
+            continue
         if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
             exact = divide(s_polynomial(polys[i], polys[j]), polys, order)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
@@ -785,25 +825,35 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     return not reducer.reduce(dict(_prim_from_poly(f, reducer.packing)))
 
 
-def _multiples_in(g: Polynomial, hs: Sequence[Polynomial], I: Ideal,
-                  budget: Optional[Budget] = None) -> bool:
-    """Every g*h, for nonzero g and h in hs of I's ring, lies in I. Each
-    product is formed on packed monomials and reduced by I's basis; the
-    deadline is checked once per product."""
+def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
+                           I: Ideal, budget: Optional[Budget] = None
+                           ) -> Optional[tuple[int, int]]:
+    """The first (a, b), in row-major order, whose product gs[a]*hs[b] is
+    not in I, or None when every product lies in I. Each g and h is packed
+    once, when first needed, so an early failure packs no more than it
+    tests; a product is formed by adding packed monomials and reduced by
+    I's basis, and the deadline is checked once per product. A zero factor
+    gives the zero product, which lies in I."""
+    for f in (*gs, *hs):
+        f._check_ring(I.ring)
     reducer = I._reducer(budget)
     packing = reducer.packing
-    gp = _prim_from_poly(g, packing)
-    for h in hs:
-        if budget is not None:
-            budget.check_deadline()
-        p: dict = {}
-        for mh, ch in _prim_from_poly(h, packing):
-            for mg, cg in gp:
-                m = mg + mh
-                p[m] = p.get(m, 0) + cg * ch
-        if reducer.reduce({m: c for m, c in p.items() if c}):
-            return False
-    return True
+    hps: list = []
+    for a, g in enumerate(gs):
+        gp = _prim_from_poly(g, packing) if g else ()
+        for b, h in enumerate(hs):
+            if b == len(hps):
+                hps.append(_prim_from_poly(h, packing) if h else ())
+            if budget is not None:
+                budget.check_deadline()
+            p: dict = {}
+            for mh, ch in hps[b]:
+                for mg, cg in gp:
+                    m = mg + mh
+                    p[m] = p.get(m, 0) + cg * ch
+            if reducer.reduce({m: c for m, c in p.items() if c}):
+                return a, b
+    return None
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .groebner import (Budget, Ideal, _multiples_in, divide, interreduce,
-                       member, reduced_groebner_basis)
+from .groebner import (Budget, Ideal, _first_product_outside, divide,
+                       interreduce, member, reduced_groebner_basis)
 from .rings import ELIM_BLOCK, Monomial, Polynomial, Ring
 
 
@@ -97,7 +97,7 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
         raise ValueError("colon by the zero ideal")
     out = quotient_by_poly(I, J.gens[0], budget)
     for g in J.gens[1:]:
-        if _multiples_in(g, out.groebner(budget), I, budget):
+        if _first_product_outside([g], out.groebner(budget), I, budget) is None:
             continue
         part = quotient_by_poly(I, g, budget)
         if all(member(h, out, budget) for h in part.groebner(budget)):

@@ -1,5 +1,6 @@
 """Verifier orchestration: reports, reproducibility, CLI."""
 
+import itertools
 import json
 
 import pytest
@@ -8,6 +9,7 @@ import detlink.checks as checks
 import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
+from detlink.groebner import Ideal, interreduce, member
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -88,6 +90,44 @@ class TestRunChecks:
         report = run_checks(4, ["gb-a"], seed=1)[0]
         assert report.status == "fail"
         assert "S-pair" in report.witness
+
+
+    def test_containment_witness(self, monkeypatch):
+        # x1 joins M_2 and x1 * delta(1, 2) escapes the full family; the
+        # witness names the first escaping product in (i, m, minor) order.
+        original = fam.M_set
+        R = fam.standard_ring(4)
+        monkeypatch.setattr(checks.fam, "M_set", lambda n, i: (
+            original(n, i) + [R.x(1).terms[0].mono] if i == 2 else original(n, i)))
+        a_full = Ideal.with_basis(R, fam.gens_a(4).gens, interreduce(fam.set_G(4)))
+        first = next((mono, d) for i in range(1, 5) for m in fam.M_set(4, i)
+                     for mono in [R.from_monomial(m)]
+                     for d in fam.minors_ideal(4).gens
+                     if not member(mono * d, a_full))
+        report = run_checks(4, ["sum-equals-colon"])[0]
+        assert report.status == "fail"
+        assert report.witness == (f"containment fails: ({R.format(first[0])}) * "
+                                  f"({R.format(first[1])}) is not in the full family")
+        assert report.witness.startswith("containment fails: (x1) * ")
+
+    def test_chain_membership_witness(self, monkeypatch):
+        # A chain without its last generator: the witness names the first
+        # X_K Y_L delta(i, j) outside it, in the order of the exhaustive scan.
+        original = fam.chain_ideal
+        monkeypatch.setattr(checks.fam, "chain_ideal",
+                            lambda n: Ideal(fam.standard_ring(n), original(n).gens[:-1]))
+        R = fam.standard_ring(4)
+        chain = checks.fam.chain_ideal(4)
+        first = next(
+            (i, j, K) for i in range(1, 5) for j in range(i + 1, 5)
+            for r in range(j - i) for K in itertools.combinations(range(i + 1, j), r)
+            if not member(R.from_monomial(fam.xyz_monomial(
+                R, xs=K, ys=[v for v in range(i + 1, j) if v not in K]))
+                * fam.delta(i, j, 4), chain))
+        report = run_checks(4, ["identities"])[0]
+        assert report.status == "fail"
+        i, j, K = first
+        assert report.witness == f"X_K Y_L delta({i},{j}) escapes the chain for K={K}"
 
 
 class TestReportFormat:

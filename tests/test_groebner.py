@@ -2,6 +2,7 @@
 
 import pytest
 
+from detlink import groebner
 from detlink.families import (G_union_M, delta, gens_a, m_ij, minors_ideal, set_G,
                               standard_ring)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
@@ -12,7 +13,7 @@ from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
 from detlink.idealops import _embed
 from detlink.rings import ELIM_BLOCK, MonomialOrder, Ring
 
-from conftest import random_nonzero_poly, random_poly
+from conftest import random_monomial, random_nonzero_poly, random_poly
 
 
 def _intersection_input(fs, gs):
@@ -364,6 +365,54 @@ class TestCertificate:
         assert not cert.ok
         assert cert.witness is not None
         assert cert.remainder
+
+    def test_redundant_bases_pass(self, rng):
+        # Redundant elements give the chain criterion its k: reduced bases
+        # with multiples of their elements added (G u M(n) is in the next
+        # test).
+        R = Ring(2)
+        for _ in range(6):
+            basis = list(reduced_groebner_basis(
+                [random_nonzero_poly(R, rng, terms=3, max_exp=1) for _ in range(3)]))
+            extra = [R.from_monomial(random_monomial(R, rng)) * rng.choice(basis)
+                     for _ in range(3)]
+            assert is_groebner_basis(basis + extra).ok
+
+    def test_chain_criterion_counts(self, monkeypatch):
+        # Reductions on G u M(n), n = 4, 5, 6, out of the pairs the walk
+        # reaches; every pair still counts against the budget.
+        calls = []
+        reduce = groebner._IntReducer.reduce
+        monkeypatch.setattr(groebner._IntReducer, "reduce",
+                            lambda self, p: calls.append(1) or reduce(self, p))
+        for n, reduced in ((4, 71), (5, 158), (6, 325)):
+            G = G_union_M(n)
+            calls.clear()
+            budget = Budget()
+            assert is_groebner_basis(G, budget=budget).ok
+            assert len(calls) == reduced
+            assert budget.pairs == len(G) * (len(G) - 1) // 2
+
+    def test_skipped_pair_before_the_witness(self, monkeypatch):
+        # The walk passes (2, 4), skips (1, 4) by k = 2, then fails at
+        # (2, 3), the first failing pair in (lcm, i, j) order.
+        R = Ring(2)
+        x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
+        f = 3 * y1 - 2 * z2
+        polys = [x1 * z2, f, y1 * y2 * z1 * f + 9 * x1, y1 * z2 * f]
+        calls = []
+        reduce = groebner._IntReducer.reduce
+        monkeypatch.setattr(groebner._IntReducer, "reduce",
+                            lambda self, p: calls.append(1) or reduce(self, p))
+        budget = Budget()
+        cert = is_groebner_basis(polys, budget=budget)
+        assert not cert.ok and cert.witness == (2, 3)
+        # Two walked reductions and the exact one of the witness.
+        assert len(calls) == 3
+        # Two coprime pairs at once, then (2, 4), (1, 4) and (2, 3).
+        assert budget.pairs == 5
+        assert cert.remainder == -27 * x1
+        assert cert.remainder == divide(s_polynomial(polys[1], polys[2]), polys).remainder
 
     def test_budget_counts_every_pair(self):
         # Skipped pairs (monomial-monomial or coprime) count as well, all at

@@ -4,13 +4,14 @@ import itertools
 
 import pytest
 
-from detlink import idealops
-from detlink.families import (chain_ideal, delta, gens_a, minors_ideal,
-                              standard_ring, sum_links_ideal)
+from detlink import groebner, idealops
+from detlink.families import (M_set, chain_ideal, delta, gens_a, minors_ideal,
+                              set_G, standard_ring, sum_links_ideal)
 from detlink.graphs import (SimpleGraph, _candidate_primes, minimal_primes_bei,
                             replay_avoidance_argument)
-from detlink.groebner import (Budget, BudgetExceeded, Ideal, _multiples_in,
-                              ideal_equal, initial_ideal, member)
+from detlink.groebner import (Budget, BudgetExceeded, Ideal,
+                              _first_product_outside, ideal_equal,
+                              initial_ideal, interreduce, member)
 from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
                               quotient, quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
@@ -139,8 +140,14 @@ class TestQuotient:
             assert Q.gens == explicit.gens
 
 
+def _first_outside_by_member(gs, hs, I):
+    """The first (a, b), row-major, with gs[a]*hs[b] not in I, by `member`."""
+    return next(((a, b) for a, g in enumerate(gs) for b, h in enumerate(hs)
+                 if not member(g * h, I)), None)
+
+
 class TestMultiplesIn:
-    """`_multiples_in(g, hs, I)` against all(member(g*h, I) for h in hs)."""
+    """`_first_product_outside(gs, hs, I)` against a scan of member(g*h, I)."""
 
     def test_matches_member(self, rng):
         R = Ring(2)
@@ -156,32 +163,76 @@ class TestMultiplesIn:
         for I, g in cases:
             ring = I.ring
             colon = list(quotient_by_poly(I, g).groebner())
-            for hs in (colon, colon + [random_nonzero_poly(ring, rng, terms=2)],
-                       [random_nonzero_poly(ring, rng, terms=3)]):
-                want = all(member(g * h, I) for h in hs)
-                assert _multiples_in(g, hs, I) == want
-                seen.add(want)
-        assert seen == {True, False}
+            extra = random_nonzero_poly(ring, rng, terms=2)
+            for gs, hs in (([g], colon), ([g], colon + [extra]),
+                           ([g], [random_nonzero_poly(ring, rng, terms=3)]),
+                           ([g, extra, g], colon),
+                           ([extra, ring.zero, g], colon + [ring.zero])):
+                want = _first_outside_by_member(gs, hs, I)
+                assert _first_product_outside(gs, hs, I) == want
+                seen.add(want if want is None or want == (0, 0) else "later")
+        assert seen == {None, (0, 0), "later"}
+
+    def test_monomials_times_minors(self):
+        # The containment of sum-equals-colon, with a multiplier list that
+        # fails only at its end.
+        n = 4
+        ring = standard_ring(n)
+        a_full = Ideal.with_basis(ring, gens_a(n).gens, interreduce(set_G(n)))
+        minors = minors_ideal(n).gens
+        monos = [ring.from_monomial(m) for i in range(1, n + 1) for m in M_set(n, i)]
+        assert _first_product_outside(monos, minors, a_full) is None
+        bad = monos + [ring.x(1), ring.y(2)]
+        want = _first_outside_by_member(bad, minors, a_full)
+        assert want is not None and want[0] == len(monos)
+        assert _first_product_outside(bad, minors, a_full) == want
 
     def test_edge_ideals(self):
         R = Ring(2)
         x1, y1 = R.x(1), R.y(1)
         zero, unit = Ideal(R, []), Ideal(R, [R.one])
-        assert _multiples_in(x1, [], zero)
-        assert not _multiples_in(x1, [y1], zero)
-        assert not _multiples_in(R.one, [R.one], zero)
-        assert _multiples_in(x1, [y1, x1 - 2 * y1], unit)
-        assert _multiples_in(x1, [], Ideal(R, [y1]))
+        assert _first_product_outside([x1], [], zero) is None
+        assert _first_product_outside([], [x1], zero) is None
+        assert _first_product_outside([x1], [y1], zero) == (0, 0)
+        assert _first_product_outside([R.one], [R.one], zero) == (0, 0)
+        assert _first_product_outside([x1], [y1, x1 - 2 * y1], unit) is None
+        assert _first_product_outside([x1], [], Ideal(R, [y1])) is None
+        assert _first_product_outside([y1, x1], [y1, x1], Ideal(R, [x1])) == (0, 0)
+        assert _first_product_outside([x1, y1], [y1, y1], Ideal(R, [x1])) == (1, 0)
+        # Row-major: x1*x2 comes before y1*y1.
+        assert _first_product_outside([x1, y1], [y1, R.x(2)],
+                                      Ideal(R, [x1 * y1])) == (0, 1)
         # The x1*y1 terms of (x1 + y1)(x1 - y1) cancel.
-        assert _multiples_in(x1 + y1, [x1 - y1], Ideal(R, [x1 ** 2 - y1 ** 2]))
+        assert _first_product_outside([x1 + y1], [x1 - y1],
+                                      Ideal(R, [x1 ** 2 - y1 ** 2])) is None
+        # A zero factor gives the zero product, which lies in every ideal.
+        assert _first_product_outside([R.zero], [y1], Ideal(R, [x1])) is None
+        assert _first_product_outside([R.zero], [y1], zero) is None
+        assert _first_product_outside([y1], [R.zero, y1], Ideal(R, [x1])) == (0, 1)
+        with pytest.raises(ValueError):
+            _first_product_outside([Ring(3).x(1)], [y1], Ideal(R, [x1]))
+
+    def test_packs_only_what_it_tests(self, monkeypatch):
+        # The first product fails, so only its two factors are packed.
+        R = Ring(2)
+        I = Ideal(R, [R.x(2)])
+        I._reducer()
+        packed = []
+        prim = groebner._prim_from_poly
+        monkeypatch.setattr(groebner, "_prim_from_poly",
+                            lambda f, packing: packed.append(f) or prim(f, packing))
+        gs, hs = [R.x(1), R.z(1)], [R.y(1), R.y(2), R.z(2)]
+        assert _first_product_outside(gs, hs, I) == (0, 0)
+        assert packed == [R.x(1), R.y(1)]
 
     def test_expired_deadline(self):
         R = Ring(2)
         gens = (R.x(1) * R.y(1),)
         I = Ideal.with_basis(R, gens, gens)
         with pytest.raises(BudgetExceeded):
-            _multiples_in(R.x(1), [R.y(1)], I, Budget(timeout_secs=0))
-        assert _multiples_in(R.x(1), [R.y(1)], I, Budget(timeout_secs=60))
+            _first_product_outside([R.x(1)], [R.y(1)], I, Budget(timeout_secs=0))
+        assert _first_product_outside([R.x(1)], [R.y(1)], I,
+                                      Budget(timeout_secs=60)) is None
 
 
 class TestSumProduct:

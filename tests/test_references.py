@@ -1,5 +1,5 @@
-"""The kernel's first-divisor memo and the certificate's pair filter
-against references that have neither.
+"""The kernel's first-divisor memo and the certificate's pair filter and
+chain criterion against references that have none of them.
 
 Small polynomials in the first four variables of a grevlex and an
 elimination ring are drawn by hypothesis, derandomized so every run checks
@@ -11,10 +11,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from detlink.groebner import (_IntReducer, _packing, _prim_from_poly, divide,
-                              is_groebner_basis, s_polynomial)
+from detlink.groebner import (Budget, BudgetExceeded, _IntReducer, _packing,
+                              _prim_from_poly, divide, is_groebner_basis,
+                              reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
 RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK))
@@ -127,4 +128,37 @@ def _candidates(draw):
 @SETTINGS
 @given(_candidates())
 def test_certificate_matches_brute_force(polys):
+    assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
+
+
+@st.composite
+def _redundant_bases(draw):
+    """A reduced basis of a drawn ideal with monomial multiples of its
+    non-monomials added, so the chain criterion has elements k to use; in
+    half the draws one multiple is changed by a drawn polynomial, which
+    makes most of those candidates fail."""
+    ring = draw(st.sampled_from(RINGS))
+    gens = draw(st.lists(_polys(ring), min_size=2, max_size=3))
+    try:
+        basis = list(reduced_groebner_basis(gens, budget=Budget(max_pairs=200)))
+    except BudgetExceeded:
+        assume(False)
+    non_monomials = [f for f in basis if len(f.terms) > 1]
+    assume(non_monomials)
+    monomial = st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=2).map(
+        lambda positions: _poly(ring, [(positions, 1)]))
+    extra = draw(st.lists(st.tuples(monomial, st.sampled_from(non_monomials)),
+                          min_size=1, max_size=4))
+    polys = basis + [m * f for m, f in extra]
+    if draw(st.booleans()):
+        k = draw(st.integers(len(basis), len(polys) - 1))
+        polys[k] = polys[k] + draw(_polys(ring))
+    polys = [f for f in polys if f]
+    assume(len(polys) >= 2)
+    return draw(st.permutations(polys))
+
+
+@SETTINGS
+@given(_redundant_bases())
+def test_certificate_with_redundant_elements_matches_brute_force(polys):
     assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
