@@ -234,35 +234,28 @@ def _telescoping_second(n: int, i: int, j: int, ring: Ring,
 
 
 def _random_qualifying_binomials(ring: Ring, rng: random.Random):
-    """Binomial pair whose leading-monomial gcd divides both trailing terms."""
-    nv = ring.space.nvars
-    key = ring.order.key
-
-    def mono():
-        vec = [0] * nv
+    """Binomial pair whose leading-monomial gcd divides both trailing terms,
+    by construction: f = c*(u1 - a*u2) and g = c*(v1 - b*v2) with u1 > u2
+    and v1 > v2 of any degrees, v1 and v2 free of u1's variables, so
+    gcd(in f, in g) = c."""
+    def mono(variables):
+        vec = [0] * ring.space.nvars
         for _ in range(rng.randint(1, 3)):
-            vec[rng.randrange(nv)] += 1
+            vec[rng.choice(variables)] += 1
         return ring.monomial(vec)
 
-    while True:
-        c = mono()
-        u1, v1 = mono(), mono()
-        if not u1.is_coprime(v1):
-            continue
-        u2, v2 = mono(), mono()
-        cf = Fraction(rng.choice([1, 2, 3, -1, -2]))
-        cg = Fraction(rng.choice([1, 2, 3, -1, -2]))
-        f = ring.poly({c.mul(u1): Fraction(1), c.mul(u2): -cf})
-        g = ring.poly({c.mul(v1): Fraction(1), c.mul(v2): -cg})
-        if len(f.terms) != 2 or len(g.terms) != 2:
-            continue
-        if f == g:
-            continue
-        if key(f.terms[0].mono) != key(c.mul(u1)) or key(g.terms[0].mono) != key(c.mul(v1)):
-            continue
-        gcd = f.terms[0].mono.gcd(g.terms[0].mono)
-        if gcd.divides(f.terms[1].mono) and gcd.divides(g.terms[1].mono):
-            return f, g
+    def binomial(variables):
+        while True:
+            u2, u1 = sorted((mono(variables), mono(variables)), key=ring.order.key)
+            if u1 != u2:
+                a = Fraction(rng.choice([1, 2, 3, -1, -2]))
+                return ring.poly({c.mul(u1): Fraction(1), c.mul(u2): -a}), u1
+
+    all_vars = range(ring.space.nvars)
+    c = mono(all_vars)
+    f, u1 = binomial(all_vars)
+    g, _ = binomial([v for v in all_vars if not u1.exps[v]])
+    return f, g
 
 
 def check_identities(n: int, rng: random.Random,
@@ -273,59 +266,45 @@ def check_identities(n: int, rng: random.Random,
     reduction property on random qualifying pairs."""
     ring = fam.standard_ring(n)
     key = ring.order.key
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
     if n <= 6:
         chain = fam.chain_ideal(n)
-        for i in range(1, n + 1):
-            for j in range(i + 1, n + 1):
-                window = list(range(i + 1, j))
-                Ks = [K for r in range(len(window) + 1)
-                      for K in itertools.combinations(window, r)]
-                monos = [ring.from_monomial(fam.xyz_monomial(
-                    ring, xs=K, ys=[v for v in window if v not in K])) for K in Ks]
-                outside = _first_product_outside(monos, [fam.delta(i, j, n)],
-                                                 chain, budget)
-                if outside is not None:
-                    return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
-                                  f"chain for K={Ks[outside[0]]}")
+        for i, j in pairs:
+            window = list(range(i + 1, j))
+            Ks = [K for r in range(len(window) + 1)
+                  for K in itertools.combinations(window, r)]
+            monos = [ring.from_monomial(fam.xyz_monomial(
+                ring, xs=K, ys=[v for v in window if v not in K])) for K in Ks]
+            outside = _first_product_outside(monos, [fam.delta(i, j, n)],
+                                             chain, budget)
+            if outside is not None:
+                return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
+                              f"chain for K={Ks[outside[0]]}")
     g1, g2 = fam.chain_g(n)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            lhs, summands, lead = _telescoping_first(n, i, j, ring, g1)
+    for name, telescoping, gs, ijs in (
+            ("first", _telescoping_first, g1, pairs),
+            ("second", _telescoping_second, g2, [(i, j) for j, i in pairs])):
+        for i, j in ijs:
+            lhs, summands, lead = telescoping(n, i, j, ring, gs)
             if sum(summands, ring.zero) != lhs:
-                return FAIL, f"first telescoping identity fails at (i,j)=({i},{j})"
+                return FAIL, f"{name} telescoping identity fails at (i,j)=({i},{j})"
             if lhs.terms[0].mono != lead:
-                return FAIL, f"leading monomial of first identity wrong at ({i},{j})"
-            if any(key(s.terms[0].mono) > key(lead) for s in summands):
-                return FAIL, f"summand exceeds leading monomial at ({i},{j})"
-    for j in range(1, n + 1):
-        for i in range(j + 1, n + 1):
-            lhs, summands, lead = _telescoping_second(n, i, j, ring, g2)
-            if sum(summands, ring.zero) != lhs:
-                return FAIL, f"second telescoping identity fails at (i,j)=({i},{j})"
-            if lhs.terms[0].mono != lead:
-                return FAIL, f"leading monomial of second identity wrong at ({i},{j})"
+                return FAIL, f"leading monomial of {name} identity wrong at ({i},{j})"
             if any(key(s.terms[0].mono) > key(lead) for s in summands):
                 return FAIL, f"summand exceeds leading monomial at ({i},{j})"
     for i in range(1, n - 1):
-        lt = ring.from_monomial(
-            fam.xyz_monomial(ring, xs=list(range(1, i)) + [i + 1], zs=range(1, i + 1)))
-        rec = (lt * fam.g_generator(n, i + 1)
-               - ring.z(i + 1) * ring.x(i + 2) * g1[i])
-        if rec != g1[i + 1]:
+        lt = fam.xyz_monomial(ring, xs=[*range(1, i), i + 1], zs=range(1, i + 1))
+        if (ring.from_monomial(lt) * fam.g_generator(n, i + 1)
+                - ring.z(i + 1) * ring.x(i + 2) * g1[i] != g1[i + 1]):
             return FAIL, f"first chain recurrence fails at i={i}"
     for j in range(3, n + 1):
-        lt = ring.from_monomial(
-            fam.xyz_monomial(ring, ys=[j - 1] + list(range(j + 1, n + 1)),
-                             zs=range(j, n + 1)))
-        rec = (lt * fam.g_generator(n, j - 1)
-               - ring.z(j - 1) * ring.y(j - 2) * g2[j])
-        if rec != g2[j - 1]:
+        lt = fam.xyz_monomial(ring, ys=[j - 1, *range(j + 1, n + 1)], zs=range(j, n + 1))
+        if (ring.from_monomial(lt) * fam.g_generator(n, j - 1)
+                - ring.z(j - 1) * ring.y(j - 2) * g2[j] != g2[j - 1]):
             return FAIL, f"second chain recurrence fails at j={j}"
-    trials = 500 if n == 4 else 50
-    for _ in range(trials):
+    for _ in range(500 if n == 4 else 50):
         f, g = _random_qualifying_binomials(ring, rng)
-        rem = divide(s_polynomial(f, g), [f, g]).remainder
-        if rem:
+        if divide(s_polynomial(f, g), [f, g]).remainder:
             return FAIL, (f"S({_fmt(f)}, {_fmt(g)}) does not reduce to zero "
                           f"against the pair")
     return PASS, None

@@ -8,7 +8,9 @@ rescaled freely). Division is deterministic: the first divisor (by list
 position) whose leading monomial divides the current leading monomial is
 always used. `divide` rebuilds its exact rational quotients and remainder
 from the scalar the kernel accumulates along the way. Every function works
-in the ring's own order; an `order` argument that differs is rejected.
+in the ring's own order, in which each polynomial keeps its terms sorted;
+`is_groebner_basis` still takes an `order` argument and rejects one that
+differs.
 
 Inside the kernel and all through Buchberger's algorithm a monomial is one
 packed int: 16-bit fields, each topped by a guard bit, hold the exponent
@@ -133,14 +135,6 @@ class GBCertificate(NamedTuple):
 
     def __bool__(self) -> bool:
         return self.ok
-
-
-def _ring_order(ring: Ring, order: Optional[MonomialOrder]) -> MonomialOrder:
-    """The ring's own order; an explicit `order` must equal it, since every
-    polynomial keeps its terms sorted in the ring's order."""
-    if order is not None and order != ring.order:
-        raise ValueError(f"{order!r} is not the order of {ring!r}")
-    return ring.order
 
 
 # -- packed monomials -------------------------------------------------------
@@ -446,8 +440,7 @@ class _IntReducer:
         return rem
 
 
-def divide(h: Polynomial, divisors: Sequence[Polynomial],
-           order: Optional[MonomialOrder] = None) -> DivisionResult:
+def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Multivariate division h = remainder + sum(quotients[i] * divisors[i]).
 
     The remainder contains no monomial divisible by any divisor's leading
@@ -455,7 +448,7 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial],
     quotient is nonzero.
     """
     ring = h.ring
-    packing = _packing(_ring_order(ring, order))
+    packing = _packing(ring.order)
     reducer = _IntReducer(packing)
     ratios = []
     for f in divisors:
@@ -477,13 +470,12 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial],
         _poly_from_dict({m: c / scale for m, c in rem.items()}, ring, packing))
 
 
-def s_polynomial(f: Polynomial, g: Polynomial,
-                 order: Optional[MonomialOrder] = None) -> Polynomial:
+def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     """The cancellation combination of f and g (gcd taken with coefficient 1)."""
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     g._check_ring(f.ring)
-    packing = _packing(_ring_order(f.ring, order))
+    packing = _packing(f.ring.order)
     pack = packing.pack
     a = [(pack(m), c) for c, m in f.terms]
     b = [(pack(m), c) for c, m in g.terms]
@@ -492,7 +484,6 @@ def s_polynomial(f: Polynomial, g: Polynomial,
 
 
 def reduced_groebner_basis(polys: Iterable[Polynomial],
-                           order: Optional[MonomialOrder] = None,
                            budget: Optional[Budget] = None,
                            criteria: bool = True,
                            stats: Optional[GBStats] = None) -> tuple[Polynomial, ...]:
@@ -528,7 +519,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(_ring_order(ring, order))
+    packing = _packing(ring.order)
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
     guard = packing.guard
@@ -642,8 +633,7 @@ def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> l
     return kept
 
 
-def interreduce(basis: Sequence[Polynomial],
-                order: Optional[MonomialOrder] = None) -> tuple[Polynomial, ...]:
+def interreduce(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     """Monic minimal tail-reduced form of a Groebner basis.
 
     Applied to any Groebner basis of an ideal this yields THE reduced
@@ -656,7 +646,7 @@ def interreduce(basis: Sequence[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(_ring_order(ring, order))
+    packing = _packing(ring.order)
     kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
     return tuple(_monic_from_prim(p, ring, packing) for p in kept)
 
@@ -696,6 +686,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     counts against the budget once, exactly as without the criterion: the
     trivial ones in one step before any reduction, the others, skipped or
     reduced, as the walk reaches them.
+
+    `order` is kept for callers that pass the budget positionally; any
+    order but the ring's own raises ValueError.
     """
     polys = list(polys)
     if not polys or any(not f for f in polys):
@@ -703,8 +696,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    order = _ring_order(ring, order)
-    packing = _packing(order)
+    if order is not None and order != ring.order:
+        raise ValueError(f"{order!r} is not the order of {ring!r}")
+    packing = _packing(ring.order)
     budget = budget or Budget()
     prims = [_prim_from_poly(f, packing) for f in polys]
     lms = [p[0][0] for p in prims]
@@ -739,7 +733,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
                and support_of(lcm - lmk) & sj for lmk in chain_lms):
             continue
         if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
-            exact = divide(s_polynomial(polys[i], polys[j]), polys, order)
+            exact = divide(s_polynomial(polys[i], polys[j]), polys)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
     return GBCertificate(True, None, None)
 
@@ -773,8 +767,7 @@ class Ideal:
 
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = reduced_groebner_basis(self.gens, self.ring.order,
-                                                 budget=budget)
+            self._basis = reduced_groebner_basis(self.gens, budget=budget)
         return self._basis
 
     def has_cached_basis(self) -> bool:

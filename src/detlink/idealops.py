@@ -45,7 +45,7 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     one_minus_t = ering.one - t
     gens = [t * _embed(f, ering) for f in I.gens]
     gens += [one_minus_t * _embed(g, ering) for g in J.gens]
-    basis = reduced_groebner_basis(gens, ering.order, budget=budget)
+    basis = reduced_groebner_basis(gens, budget=budget)
     kept = []
     for f in basis:
         if f.terms[0].mono.exps[0]:
@@ -77,7 +77,7 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
     ring = I.ring
     W = intersect(I, Ideal(ring, (f,)), budget)
     quots = [_exact_div(g, f) for g in W.groebner(budget)]
-    basis = interreduce(quots, ring.order)
+    basis = interreduce(quots)
     return Ideal.with_basis(ring, basis, basis)
 
 

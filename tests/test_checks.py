@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import random
 
 import pytest
 
@@ -9,7 +10,7 @@ import detlink.checks as checks
 import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
-from detlink.groebner import Ideal, interreduce, member
+from detlink.groebner import Ideal, divide, interreduce, member, s_polynomial
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -128,6 +129,24 @@ class TestRunChecks:
         assert report.status == "fail"
         i, j, K = first
         assert report.witness == f"X_K Y_L delta({i},{j}) escapes the chain for K={K}"
+
+
+class TestQualifyingBinomials:
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_every_draw_qualifies(self, n):
+        # Each pair meets the hypothesis under which S(f, g) reduces to zero
+        # against (f, g), with no draw rejected; equal-degree pairs occur.
+        ring = fam.standard_ring(n)
+        rng = random.Random(f"qualifying-binomials/{n}")
+        homogeneous = 0
+        for _ in range(200):
+            f, g = checks._random_qualifying_binomials(ring, rng)
+            assert len(f) == len(g) == 2 and f != g
+            gcd = f.terms[0].mono.gcd(g.terms[0].mono)
+            assert gcd.divides(f.terms[1].mono) and gcd.divides(g.terms[1].mono)
+            assert not divide(s_polynomial(f, g), [f, g]).remainder
+            homogeneous += f.is_homogeneous() and g.is_homogeneous()
+        assert homogeneous > 0
 
 
 class TestReportFormat:

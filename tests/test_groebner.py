@@ -262,16 +262,8 @@ class TestBuchberger:
         x1, x2, t1 = R.x(1), R.x(2), R.t(1)
         f, g = x1 ** 2 + t1, t1 * x2 + x1
         with pytest.raises(ValueError):
-            divide(t1 * x2, [f], E)
-        with pytest.raises(ValueError):
-            s_polynomial(f, g, E)
-        with pytest.raises(ValueError):
-            reduced_groebner_basis([f, g], E)
-        with pytest.raises(ValueError):
-            interreduce([f, g], E)
-        with pytest.raises(ValueError):
             is_groebner_basis([f, g], E)
-        assert divide(t1 * x2, [f], R.order) == divide(t1 * x2, [f])
+        assert is_groebner_basis([f, g], R.order) == is_groebner_basis([f, g])
 
     def test_cross_ring_input_rejected(self):
         # Ring(2) into Ring(3) used to fail in the packing; Ring(2, 1) into
