@@ -18,8 +18,9 @@ vector and, above it, a linear packing of the order key, so a product is
 an add, the order is int comparison and divisibility is one subtract and
 AND. An exponent or block degree must stay below 2^15; past it the kernel
 raises OverflowError instead of wrapping. `Monomial` objects are built only
-where polynomials enter or leave. An `Ideal` packs its reduced basis once,
-on first use, for every later membership test and normal form.
+where polynomials enter or leave. An `Ideal` packs its generators and its
+reduced basis once, on first use; one made from packed results (`idealops`)
+builds its `Polynomial`s only when asked.
 
 Each divisor list comes with a memo from a packed monomial to the index of
 its first divisor (or to how many divisors are known not to divide it).
@@ -34,9 +35,9 @@ for the middle element k, and still reports the first failing pair in
 (lcm, i, j) order: its docstring says why that pair is never one the
 criterion skips, so no second walk is needed.
 
-Products tested for membership in an ideal (the colon skip in `quotient`,
-the containments of the verifier's checks) go through
-`_first_product_outside`, which forms them on packed monomials.
+Products tested for membership in an ideal (the two containment tests in
+`quotient`, and the containments of the verifier's checks) go through
+`_first_prim_product_outside`, which forms them on packed monomials.
 
 Buchberger's loop takes the pair of least sugar first, a degree that the
 elimination t*I + (1-t)*J behind every intersection would otherwise lack:
@@ -164,7 +165,7 @@ def _overflow() -> OverflowError:
 class _Packing:
     """The packed layout of one ring order's monomials."""
 
-    __slots__ = ("guard", "exp_guard", "_exp_mask", "_ones", "_shift",
+    __slots__ = ("guard", "exp_guard", "exp_mask", "_ones", "_shift",
                  "_top", "_runs", "_head", "_fmt", "_nbytes")
 
     def __init__(self, order: MonomialOrder):
@@ -185,14 +186,15 @@ class _Packing:
         self._head = head
         self._shift = FIELD * nvars
         self._top = FIELD * (nvars - 1)
-        self._exp_mask = mask(nvars)
+        self.exp_mask = mask(nvars)
         self._ones = ones(nvars)
         self.exp_guard = self._ones << (FIELD - 1)
         self.guard = self.exp_guard | (self.exp_guard << self._shift)
         self._fmt = f"<{nvars}H"
         self._nbytes = 2 * nvars
 
-    def _with_key(self, e: int) -> int:
+    def with_key(self, e: int) -> int:
+        """The packed monomial with exponent fields e, its order key above."""
         key = 0
         for src, mask, ones, dest in self._runs:
             key |= (((e >> src) & mask) * ones & mask) << dest
@@ -203,19 +205,19 @@ class _Packing:
         head = sum(exps[:self._head])
         if head >= LIMIT or m.deg - head >= LIMIT:
             raise _overflow()
-        return self._with_key(int.from_bytes(struct.pack(self._fmt, *exps), "little"))
+        return self.with_key(int.from_bytes(struct.pack(self._fmt, *exps), "little"))
 
     def unpack(self, m: int) -> Monomial:
         if m & self.guard:
             raise _overflow()
         return Monomial(struct.unpack(
-            self._fmt, (m & self._exp_mask).to_bytes(self._nbytes, "little")))
+            self._fmt, (m & self.exp_mask).to_bytes(self._nbytes, "little")))
 
     def lcm(self, a: int, b: int) -> int:
-        ea, eb = a & self._exp_mask, b & self._exp_mask
+        ea, eb = a & self.exp_mask, b & self.exp_mask
         # 0xFFFF in each field where eb >= ea (no borrow: the guard is set).
         pick = ((((eb | self.exp_guard) - ea) & self.exp_guard) >> (FIELD - 1)) * 0xFFFF
-        out = self._with_key((eb & pick) | (ea & ~pick))
+        out = self.with_key((eb & pick) | (ea & ~pick))
         if out & self.guard:
             raise _overflow()
         return out
@@ -227,12 +229,12 @@ class _Packing:
         sum is at most the total degree, and with each of at most two block
         degrees below 2^15 (`pack` and `lcm` reject more) that is below
         2^16, the width of a field."""
-        return ((m & self._exp_mask) * self._ones >> self._top) & 0xFFFF
+        return ((m & self.exp_mask) * self._ones >> self._top) & 0xFFFF
 
     def support(self, m: int) -> int:
         """Guard bits of the variables m contains: a and b are coprime iff
         support(a) & support(b) == 0."""
-        return (((m & self._exp_mask) | self.exp_guard) - self._ones) & self.exp_guard
+        return (((m & self.exp_mask) | self.exp_guard) - self._ones) & self.exp_guard
 
 
 @lru_cache(maxsize=32)
@@ -279,33 +281,30 @@ def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
                                   for m, c in sorted(d.items(), reverse=True)))
 
 
-def _monic_from_prim(prim, ring: Ring, packing: _Packing) -> Polynomial:
-    lc = prim[0][1]
-    unpack = packing.unpack
-    return Polynomial(ring, tuple(Term(Fraction(c, lc), unpack(m)) for m, c in prim))
+def _monic_from_prims(prims, ring: Ring) -> tuple[Polynomial, ...]:
+    unpack = _packing(ring.order).unpack
+    return tuple(Polynomial(ring, tuple(Term(Fraction(c, p[0][1]), unpack(m))
+                                        for m, c in p)) for p in prims)
+
+
+def _add_scaled(d: dict, terms, u: int, k: int) -> None:
+    """d += k * x^u * terms for packed terms, dropping the zeroes."""
+    for m, c in terms:
+        mm = m + u
+        nc = d.get(mm, 0) + k * c
+        if nc:
+            d[mm] = nc
+        elif mm in d:
+            del d[mm]
 
 
 def _spoly(a, b, lcm: int) -> dict:
     """S(a, b) = lc(b)*(lcm/in(a))*a - lc(a)*(lcm/in(b))*b in dict form, for
     descending (packed monomial, coefficient) sequences."""
-    ma, ca = a[0]
-    mb, cb = b[0]
-    ua, ub = lcm - ma, lcm - mb
+    (ma, ca), (mb, cb) = a[0], b[0]
     d: dict = {}
-    for m, c in a:
-        mm = m + ua
-        nc = d.get(mm, 0) + cb * c
-        if nc:
-            d[mm] = nc
-        elif mm in d:
-            del d[mm]
-    for m, c in b:
-        mm = m + ub
-        nc = d.get(mm, 0) - ca * c
-        if nc:
-            d[mm] = nc
-        elif mm in d:
-            del d[mm]
+    _add_scaled(d, a, lcm - ma, cb)
+    _add_scaled(d, b, lcm - mb, -ca)
     return d
 
 
@@ -337,9 +336,9 @@ class _Divisors:
 
     __slots__ = ("lms", "divs", "memo")
 
-    def __init__(self):
-        self.lms: list[int] = []
-        self.divs: list = []
+    def __init__(self, prims=()):
+        self.lms: list[int] = [p[0][0] for p in prims]
+        self.divs: list = [(p[0][1], p[1:]) for p in prims]
         self.memo: dict[int, int] = {}
 
     def append(self, prim) -> None:
@@ -511,7 +510,8 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
     interreduced, sorted by descending leading monomial), which is unique
     for the order, whatever the selection. Everything between the input
-    and the interreduced output runs on packed monomials.
+    and the interreduced output runs on packed monomials, in
+    `_groebner_prims`.
     """
     polys = [f for f in polys if f]
     if not polys:
@@ -520,6 +520,14 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     for f in polys:
         f._check_ring(ring)
     packing = _packing(ring.order)
+    prims = [_prim_from_poly(f, packing) for f in polys]
+    return _monic_from_prims(_groebner_prims(prims, packing, budget, criteria, stats), ring)
+
+
+def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
+                    criteria: bool = True, stats: Optional[GBStats] = None) -> list:
+    """The reduced Groebner basis of nonzero prims as interreduced prims,
+    descending by leading monomial; `reduced_groebner_basis` says how."""
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
     guard = packing.guard
@@ -590,8 +598,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
         active.append(j)
 
     seen = set()
-    for f in polys:
-        prim = _prim_from_poly(f, packing)
+    for prim in prims:
         if prim not in seen:
             seen.add(prim)
             install(prim, max(degree(m) for m, _ in prim))
@@ -609,8 +616,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
         install(_prim_from_dict(rem), sugar)
         stats.basis_added += 1
 
-    return tuple(_monic_from_prim(p, ring, packing)
-                 for p in _interreduce(G, packing, budget))
+    return _interreduce(G, packing, budget)
 
 
 def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> list:
@@ -648,7 +654,7 @@ def interreduce(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
         f._check_ring(ring)
     packing = _packing(ring.order)
     kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
-    return tuple(_monic_from_prim(p, ring, packing) for p in kept)
+    return _monic_from_prims(kept, ring)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial],
@@ -720,9 +726,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     skipped = n * (n - 1) // 2 - len(pairs)
     if skipped:
         budget.tick(skipped)
-    reducer = _IntReducer(packing, budget=budget)
-    for prim in prims:
-        reducer.append(prim)
+    reducer = _IntReducer(packing, _Divisors(prims), budget)
     guard = packing.guard
     chain_lms = [lms[k] for k in non_monomials]
     for lcm, i, j in pairs:
@@ -741,12 +745,14 @@ def is_groebner_basis(polys: Sequence[Polynomial],
 class Ideal:
     """Generator list with an optional cached reduced Groebner basis.
 
-    The cache is write-once and tagged by the ring's order, and so is the
-    packed divisor list built from it for membership and normal forms;
-    generators are stored as given (zeroes dropped).
+    The cache is write-once and tagged by the ring's order, and so are its
+    packed generators, packed basis and divisor list for membership and
+    normal forms. Generators are stored as given (zeroes dropped), or, for
+    an ideal made by `_from_prims`, built from its packed basis when asked.
     """
 
-    __slots__ = ("ring", "gens", "_basis", "_divisors")
+    __slots__ = ("ring", "_gens", "_basis", "_gen_prims", "_basis_prims",
+                 "_divisors")
 
     def __init__(self, ring: Ring, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g)
@@ -754,24 +760,53 @@ class Ideal:
             if g.ring != ring:
                 raise ValueError("generator from a different ring")
         self.ring = ring
-        self.gens = gens
+        self._gens: Optional[tuple[Polynomial, ...]] = gens
         self._basis: Optional[tuple[Polynomial, ...]] = None
+        self._gen_prims = self._basis_prims = None
         self._divisors: Optional[_Divisors] = None
 
     @classmethod
     def with_basis(cls, ring: Ring, gens: Iterable[Polynomial],
                    basis: tuple[Polynomial, ...]) -> "Ideal":
+        for g in basis:
+            g._check_ring(ring)
         ideal = cls(ring, gens)
         ideal._basis = basis
         return ideal
 
+    @classmethod
+    def _from_prims(cls, ring: Ring, prims) -> "Ideal":
+        """The ideal with reduced basis `prims`, descending by leading monomial."""
+        ideal = cls(ring)
+        ideal._gens = None
+        ideal._gen_prims = ideal._basis_prims = tuple(prims)
+        return ideal
+
+    @property
+    def gens(self) -> tuple[Polynomial, ...]:
+        return self.groebner() if self._gens is None else self._gens
+
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
         if self._basis is None:
-            self._basis = reduced_groebner_basis(self.gens, budget=budget)
+            self._basis = (reduced_groebner_basis(self.gens, budget=budget)
+                           if self._basis_prims is None
+                           else _monic_from_prims(self._basis_prims, self.ring))
         return self._basis
 
     def has_cached_basis(self) -> bool:
-        return self._basis is not None
+        return self._basis is not None or self._basis_prims is not None
+
+    def _packed_gens(self) -> tuple:
+        if self._gen_prims is None:
+            packing = _packing(self.ring.order)
+            self._gen_prims = tuple(_prim_from_poly(g, packing) for g in self.gens)
+        return self._gen_prims
+
+    def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:
+        if self._basis_prims is None:
+            packing = _packing(self.ring.order)
+            self._basis_prims = tuple(_prim_from_poly(g, packing) for g in self.groebner(budget))
+        return self._basis_prims
 
     def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
         """A reducer by the reduced basis. The packed divisor list is built
@@ -779,10 +814,7 @@ class Ideal:
         its first-divisor memo."""
         packing = _packing(self.ring.order)
         if self._divisors is None:
-            reducer = _IntReducer(packing)
-            for g in self.groebner(budget):
-                reducer.append(_prim_from_poly(g, packing))
-            self._divisors = reducer.divisors
+            self._divisors = _Divisors(self._packed_basis(budget))
         return _IntReducer(packing, self._divisors, budget)
 
     def __repr__(self) -> str:
@@ -821,30 +853,37 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
 def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
                            I: Ideal, budget: Optional[Budget] = None
                            ) -> Optional[tuple[int, int]]:
-    """The first (a, b), in row-major order, whose product gs[a]*hs[b] is
-    not in I, or None when every product lies in I. Each g and h is packed
-    once, when first needed, so an early failure packs no more than it
-    tests; a product is formed by adding packed monomials and reduced by
-    I's basis, and the deadline is checked once per product. A zero factor
-    gives the zero product, which lies in I."""
+    """`_first_prim_product_outside` for `Polynomial` factors of I's ring."""
     for f in (*gs, *hs):
         f._check_ring(I.ring)
+    packing = _packing(I.ring.order)
+    return _first_prim_product_outside(
+        gs, hs, I, budget, lambda f: _prim_from_poly(f, packing) if f else ())
+
+
+def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
+                                budget: Optional[Budget] = None, pack=None
+                                ) -> Optional[tuple[int, int]]:
+    """The first (a, b), in row-major order, whose product gs[a]*hs[b] is
+    not in I, or None when every product lies in I. The factors are prims
+    of I's ring, or become prims through `pack`, which is applied to each
+    once, when first needed, so an early failure packs no more than it
+    tests. A product is formed by adding packed monomials and reduced by
+    I's basis, and the deadline is checked once per product. A zero factor,
+    the empty prim, gives the zero product, which lies in I."""
     reducer = I._reducer(budget)
-    packing = reducer.packing
     hps: list = []
     for a, g in enumerate(gs):
-        gp = _prim_from_poly(g, packing) if g else ()
+        gp = g if pack is None else pack(g)
         for b, h in enumerate(hs):
             if b == len(hps):
-                hps.append(_prim_from_poly(h, packing) if h else ())
+                hps.append(h if pack is None else pack(h))
             if budget is not None:
                 budget.check_deadline()
             p: dict = {}
-            for mh, ch in hps[b]:
-                for mg, cg in gp:
-                    m = mg + mh
-                    p[m] = p.get(m, 0) + cg * ch
-            if reducer.reduce({m: c for m, c in p.items() if c}):
+            for mg, cg in gp:
+                _add_scaled(p, hps[b], mg, cg)
+            if reducer.reduce(p):
                 return a, b
     return None
 

@@ -7,30 +7,23 @@ under the block elimination order. The t-free part of the reduced
 elimination basis is the reduced grevlex basis of the intersection, so
 results carry their Groebner basis for free. A colon I : J intersects the
 principal colons I : (g) over generators g of J, and skips each g with
-g*out ⊆ I for the colon so far, out, since then out ⊆ I : (g).
+g*out ⊆ I for the colon so far, out, since then out ⊆ I : (g). Both run
+on packed prims (see `groebner`) throughout, so embedding, multiplying by
+t and stripping t are shifts and adds; results build `Polynomial`s on use.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .groebner import (Budget, Ideal, _first_product_outside, divide,
-                       interreduce, member, reduced_groebner_basis)
-from .rings import ELIM_BLOCK, Monomial, Polynomial, Ring
-
+from .groebner import (FIELD, Budget, Ideal, _add_scaled,
+                       _first_prim_product_outside, _groebner_prims,
+                       _interreduce, _packing, _prim_from_dict)
+from .rings import ELIM_BLOCK, Polynomial, Ring
 
 def _elim_ring(ring: Ring) -> Ring:
     """Fresh ring with one extra elimination variable above everything."""
     return Ring(ring.space.n, ring.space.elim_count + 1, ELIM_BLOCK)
-
-
-def _embed(f: Polynomial, ering: Ring) -> Polynomial:
-    terms = tuple((m.exps, c) for c, m in f.terms)
-    return ering._from_dict({Monomial((0,) + exps): c for exps, c in terms})
-
-
-def _strip_t(f: Polynomial, ring: Ring) -> Polynomial:
-    return ring._from_dict({Monomial(m.exps[1:]): c for c, m in f.terms})
 
 
 def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
@@ -38,35 +31,50 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not I.gens or not J.gens:
+    if not I._packed_gens() or not J._packed_gens():
         return Ideal(ring, ())
-    ering = _elim_ring(ring)
-    t = ering.t(1)
-    one_minus_t = ering.one - t
-    gens = [t * _embed(f, ering) for f in I.gens]
-    gens += [one_minus_t * _embed(g, ering) for g in J.gens]
-    basis = reduced_groebner_basis(gens, budget=budget)
+    packing, epacking = _packing(ring.order), _packing(_elim_ring(ring).order)
+    t, mask = epacking.with_key(1), packing.exp_mask
+
+    def embed(K: Ideal) -> list:
+        # t is variable 0, the lowest field: every exponent moves up one field.
+        return [[(epacking.with_key((m & mask) << FIELD), c) for m, c in f]
+                for f in K._packed_gens()]
+
+    gens = [tuple((m + t, c) for m, c in f) for f in embed(I)]
+    gens += [_prim_from_dict(dict(g + [(m + t, -c) for m, c in g])) for g in embed(J)]
     kept = []
-    for f in basis:
-        if f.terms[0].mono.exps[0]:
+    for f in _groebner_prims(gens, epacking, budget):
+        if f[0][0] & 0xFFFF:
             continue
         # On a ring that already has elimination variables the block order
         # may fail to rank every t-containing monomial above the t-free
         # ones; a kept element must then be checked t-free throughout to
         # keep the elimination sound.
-        if any(m.exps[0] for _, m in f.terms):
+        if any(m & 0xFFFF for m, _ in f):
             raise ArithmeticError(
                 "elimination is inconclusive over this extended ring")
-        kept.append(_strip_t(f, ring))
-    kept = tuple(kept)
-    return Ideal.with_basis(ring, kept, kept)
+        kept.append(tuple((packing.with_key((m & epacking.exp_mask) >> FIELD), c)
+                          for m, c in f))
+    return Ideal._from_prims(ring, kept)
 
 
-def _exact_div(g: Polynomial, f: Polynomial) -> Polynomial:
-    q, r = divide(g, [f])
-    if r:
-        raise ArithmeticError("non-exact division in colon computation")
-    return q[0]
+def _exact_quotient(g, f, guard: int) -> tuple:
+    """The prim g / f of prims g and f. By Gauss's lemma the quotient of
+    two primitive polynomials is primitive, so every step divides exactly;
+    a coefficient that lc(f) does not divide, or a monomial that in(f) does
+    not divide, raises ArithmeticError."""
+    (lm, lc), tail = f[0], f[1:]
+    p, q = dict(g), []
+    while p:
+        m = max(p)
+        u = m - lm
+        c, r = divmod(p.pop(m), lc)
+        if r or u & guard:
+            raise ArithmeticError("non-exact division in colon computation")
+        q.append((u, c))
+        _add_scaled(p, tail, u, -c)
+    return tuple(q)
 
 
 def quotient_by_poly(I: Ideal, f: Polynomial,
@@ -74,11 +82,11 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
     """Colon ideal I : (f), computed as intersect(I, (f)) divided by f."""
     if not f:
         raise ValueError("colon by the zero polynomial")
-    ring = I.ring
-    W = intersect(I, Ideal(ring, (f,)), budget)
-    quots = [_exact_div(g, f) for g in W.groebner(budget)]
-    basis = interreduce(quots)
-    return Ideal.with_basis(ring, basis, basis)
+    F, packing = Ideal(I.ring, (f,)), _packing(I.ring.order)
+    W = intersect(I, F, budget)
+    quots = [_exact_quotient(g, F._packed_gens()[0], packing.guard)
+             for g in W._packed_basis(budget)]
+    return Ideal._from_prims(I.ring, _interreduce(quots, packing, budget))
 
 
 def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
@@ -87,20 +95,21 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     Since g*out ⊆ I implies out ⊆ I : (g), a generator g that maps the
     reduced basis of the colon so far, out, into I can shrink nothing; its
     principal colon is not computed. Otherwise I : (g) is computed, and
-    when it lies inside out it is the result without an intersection. The
-    test reduces by I's basis, so I's reduced basis is computed once J has
-    two or more generators.
+    when it lies inside out it is the result without an intersection. Both
+    tests form products of packed bases; the first reduces by I's basis, so
+    I's reduced basis is computed once J has two or more generators.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
         raise ValueError("colon by the zero ideal")
+    one = ((0, 1),)     # the packed constant 1: no exponents, no key
     out = quotient_by_poly(I, J.gens[0], budget)
-    for g in J.gens[1:]:
-        if _first_product_outside([g], out.groebner(budget), I, budget) is None:
+    for g, gp in zip(J.gens[1:], J._packed_gens()[1:]):
+        if _first_prim_product_outside([gp], out._packed_basis(budget), I, budget) is None:
             continue
         part = quotient_by_poly(I, g, budget)
-        if all(member(h, out, budget) for h in part.groebner(budget)):
+        if _first_prim_product_outside([one], part._packed_basis(budget), out, budget) is None:
             out = part
         else:
             out = intersect(out, part, budget)

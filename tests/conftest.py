@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from detlink.idealops import _elim_ring
 from detlink.rings import Monomial, Ring
 
 
@@ -34,3 +35,15 @@ def random_nonzero_poly(ring: Ring, rng: random.Random, terms: int = 4,
         f = random_poly(ring, rng, terms, max_exp)
         if f:
             return f
+
+
+def elimination_input(fs, gs):
+    """t*f for f in fs and (1-t)*g for g in gs in the elimination ring: the
+    input `intersect` eliminates t from, with t as variable 0."""
+    E = _elim_ring(fs[0].ring)
+    t = E.t(1)
+
+    def embed(f):
+        return E.poly({E.monomial((0,) + m.exps): c for c, m in f.terms})
+
+    return [t * embed(f) for f in fs] + [(E.one - t) * embed(g) for g in gs]

@@ -10,18 +10,10 @@ from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               is_groebner_basis, is_squarefree_monomial_ideal,
                               member, minimal_generators, normal_form,
                               reduced_groebner_basis, s_polynomial)
-from detlink.idealops import _embed
 from detlink.rings import ELIM_BLOCK, MonomialOrder, Ring
 
-from conftest import random_monomial, random_nonzero_poly, random_poly
-
-
-def _intersection_input(fs, gs):
-    """t*f and (1-t)*g in the elimination ring, as `intersect` builds them."""
-    E = Ring(fs[0].ring.n, 1, ELIM_BLOCK)
-    t = E.t(1)
-    return ([t * _embed(f, E) for f in fs]
-            + [(E.one - t) * _embed(g, E) for g in gs])
+from conftest import (elimination_input, random_monomial, random_nonzero_poly,
+                      random_poly)
 
 
 class TestDivide:
@@ -198,7 +190,7 @@ class TestBuchberger:
                   for _ in range(rng.randint(1, 2))]
             gs = [random_nonzero_poly(R, rng, terms=2, max_exp=2)
                   for _ in range(rng.randint(1, 2))]
-            gens = _intersection_input(fs, gs)
+            gens = elimination_input(fs, gs)
             assert (reduced_groebner_basis(gens, criteria=True)
                     == reduced_groebner_basis(gens, criteria=False))
 
@@ -207,7 +199,7 @@ class TestBuchberger:
             gens = gens_a(n).gens
             assert (reduced_groebner_basis(gens, criteria=True)
                     == reduced_groebner_basis(gens, criteria=False))
-        gens = _intersection_input(gens_a(4).gens, minors_ideal(4).gens)
+        gens = elimination_input(gens_a(4).gens, minors_ideal(4).gens)
         assert (reduced_groebner_basis(gens, criteria=True)
                 == reduced_groebner_basis(gens, criteria=False))
 
@@ -310,6 +302,48 @@ class TestBuchberger:
         assert I.has_cached_basis()
         fresh = Ideal(I.ring, I.gens)
         assert member(basis[0], fresh) and fresh.has_cached_basis()
+
+    def test_with_basis_from_another_ring_rejected(self):
+        # A basis of Ring(3) used to fail in the packing at the first member
+        # call; a grevlex basis handed to the elimination twin used to give
+        # wrong answers.
+        R2, R3 = Ring(2), Ring(3)
+        with pytest.raises(ValueError, match="expected Ring"):
+            Ideal.with_basis(R2, [R2.x(1)], (R3.x(1),))
+        P, E = Ring(2, 1), Ring(2, 1, ELIM_BLOCK)
+
+        def gens(R):
+            return [R.t(1) * R.x(1) - R.y(1) ** 3, R.y(1) ** 3 - R.z(1) ** 4]
+
+        with pytest.raises(ValueError, match="expected Ring"):
+            Ideal.with_basis(E, gens(E), reduced_groebner_basis(gens(P)))
+        t1, x1, z1 = E.t(1), E.x(1), E.z(1)
+        assert member(t1 * x1 - z1 ** 4, Ideal(E, gens(E)))
+        E_basis = reduced_groebner_basis(gens(E))
+        assert member(t1 * x1 - z1 ** 4, Ideal.with_basis(E, gens(E), E_basis))
+
+    def test_ideal_from_prims_matches_with_basis(self, rng):
+        # An ideal built from its packed reduced basis answers as the same
+        # ideal built from Polynomials, and builds them only when asked.
+        R = standard_ring(4)
+        packing = groebner._packing(R.order)
+        for gens in (gens_a(4).gens, minors_ideal(4).gens, (R.one,),
+                     (R.x(1) ** 2 - R.y(1), R.x(1) * R.y(2))):
+            basis = reduced_groebner_basis(gens)
+            packed = Ideal._from_prims(
+                R, [groebner._prim_from_poly(f, packing) for f in basis])
+            plain = Ideal.with_basis(R, basis, basis)
+            assert packed.has_cached_basis() and plain.has_cached_basis()
+            assert packed._gens is None and packed._basis is None
+            assert repr(packed) == repr(plain)
+            assert packed.gens == plain.gens == basis
+            assert packed.groebner() == plain.groebner() == basis
+            for _ in range(10):
+                f = random_poly(R, rng, terms=3)
+                if rng.random() < 0.5:
+                    f = f * basis[rng.randrange(len(basis))]
+                assert member(f, packed) == member(f, plain)
+                assert normal_form(f, packed) == normal_form(f, plain)
 
     def test_cache_invariant_mutual_membership(self):
         # The cached basis is monic, interreduced, and generates the same

@@ -14,7 +14,7 @@ from detlink.groebner import (Budget, BudgetExceeded, Ideal,
                               initial_ideal, interreduce, member)
 from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
                               quotient, quotient_by_poly, sum_ideals)
-from detlink.rings import Ring
+from detlink.rings import ELIM_BLOCK, Ring
 
 from conftest import random_nonzero_poly, random_poly
 
@@ -51,6 +51,27 @@ class TestIntersect:
             J = Ideal(R, [random_nonzero_poly(R, rng, terms=2, max_exp=1)])
             W = intersect(I, J)
             assert all(member(g, I) and member(g, J) for g in W.gens)
+
+    def test_elimination_ring(self):
+        # On a ring that already has an elimination variable the block order
+        # need not rank every t-containing monomial above the t-free ones:
+        # intersect returns a t-free basis or refuses.
+        R = Ring(2, 1, ELIM_BLOCK)
+        t1, x1, y1, z1 = R.t(1), R.x(1), R.y(1), R.z(1)
+        cases = [
+            ([t1 * x1 - y1 ** 3, y1 ** 3 - z1 ** 4], [x1],
+             (x1 ** 2 * t1 - x1 * y1 ** 3, x1 * z1 ** 4 - x1 * y1 ** 3)),
+            ([t1 - x1], [t1 - y1], (t1 ** 2 - x1 * t1 - y1 * t1 + x1 * y1,)),
+            ([t1 ** 2, x1], [t1 * y1], (y1 * t1 ** 2, x1 * y1 * t1)),
+        ]
+        for a, b, want in cases:
+            W = intersect(Ideal(R, a), Ideal(R, b))
+            assert W.gens == want
+            assert W.has_cached_basis() and W.groebner() == want
+        for a, b in (([2 * t1 + 2 * x1], [t1 ** 2 + z1]),
+                     ([t1 ** 2 + y1 * z1], [t1 + 2 * x1])):
+            with pytest.raises(ArithmeticError, match="inconclusive"):
+                intersect(Ideal(R, a), Ideal(R, b))
 
     def test_membership_cross_check(self, rng):
         # member(p, intersect(I,J)) iff member(p,I) and member(p,J).
@@ -138,6 +159,44 @@ class TestQuotient:
             assert len(calls) == intersections
             assert Q.groebner() == explicit.groebner()
             assert Q.gens == explicit.gens
+
+
+class TestExactQuotient:
+    """`_exact_quotient(g, f, guard)` on prims, against `divide`."""
+
+    def test_matches_divide_on_multiples(self, rng):
+        R = Ring(2)
+        packing = groebner._packing(R.order)
+        for _ in range(20):
+            f = random_nonzero_poly(R, rng, terms=3)
+            q = random_nonzero_poly(R, rng, terms=3)
+            g = q * f
+            got = idealops._exact_quotient(groebner._prim_from_poly(g, packing),
+                                           groebner._prim_from_poly(f, packing),
+                                           packing.guard)
+            exact = groebner.divide(g, [f])
+            assert not exact.remainder
+            # The prim of the exact quotient: content 1, positive leading term.
+            assert got == groebner._prim_from_poly(exact.quotients[0], packing)
+
+    def test_inexact_division_raises(self):
+        R = Ring(2)
+        packing = groebner._packing(R.order)
+        x1, y1 = R.x(1), R.y(1)
+
+        def quotient(g, f):
+            return idealops._exact_quotient(groebner._prim_from_poly(g, packing),
+                                            groebner._prim_from_poly(f, packing),
+                                            packing.guard)
+
+        assert quotient(x1 * y1 + 2 * y1 ** 2, x1 + 2 * y1) == (
+            groebner._prim_from_poly(y1, packing))
+        # in(f) = x1 divides x1*y1, but lc(f) = 2 does not divide 1.
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            quotient(x1 * y1, 2 * x1 + y1)
+        # in(f) = x1 does not divide y1.
+        with pytest.raises(ArithmeticError, match="non-exact"):
+            quotient(y1, x1)
 
 
 def _first_outside_by_member(gs, hs, I):

@@ -21,22 +21,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink.families import G_union_M, gens_a, generic_residual
 from detlink.groebner import GBStats, _Packing, reduced_groebner_basis
-from detlink.idealops import _elim_ring, _embed
 from detlink.rings import Ring
+
+from conftest import elimination_input
 
 
 def _normal_selection(polys, monkeypatch, **kwargs):
     with monkeypatch.context() as patch:
         patch.setattr(_Packing, "degree", lambda self, m: 0)
         return reduced_groebner_basis(polys, **kwargs)
-
-
-def _elimination_input(F, G):
-    """t*(F) + (1-t)*(G) in the elimination ring, as `intersect` builds it."""
-    ering = _elim_ring(F[0].ring)
-    t = ering.t(1)
-    return ([t * _embed(f, ering) for f in F]
-            + [(ering.one - t) * _embed(g, ering) for g in G])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -56,7 +49,7 @@ def test_probe_elimination_agrees(monkeypatch):
     rng = random.Random("0/random-specialization")
     B = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(6)]
     aB, I = generic_residual(4, B)
-    gens = _elimination_input(aB.gens, I.gens[:1])
+    gens = elimination_input(aB.gens, I.gens[:1])
     sugar, normal = GBStats(), GBStats()
     basis = reduced_groebner_basis(gens, stats=sugar)
     assert basis == _normal_selection(gens, monkeypatch, stats=normal)
@@ -97,7 +90,7 @@ def test_random_bases_agree(monkeypatch, gens):
 @SETTINGS
 @given(_gens, _gens)
 def test_random_eliminations_agree(monkeypatch, F, G):
-    gens = _elimination_input(F, G)
+    gens = elimination_input(F, G)
     basis = reduced_groebner_basis(gens)
     assert basis == _normal_selection(gens, monkeypatch)
     assert basis == reduced_groebner_basis(gens, criteria=False)
