@@ -21,6 +21,7 @@ from .groebner import (FIELD, Budget, Ideal, _add_scaled,
                        _interreduce, _packing, _prim_from_dict)
 from .rings import ELIM_BLOCK, Polynomial, Ring
 
+
 def _elim_ring(ring: Ring) -> Ring:
     """Fresh ring with one extra elimination variable above everything."""
     return Ring(ring.space.n, ring.space.elim_count + 1, ELIM_BLOCK)
