@@ -151,8 +151,7 @@ def check_sum_equals_colon(n: int, rng: random.Random,
         return FAIL, "extended generator set failed its own certificate"
     a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
     minors = fam.minors_ideal(n)
-    monos = [ring.from_monomial(m)
-             for i in range(1, n + 1) for m in fam.M_set(n, i)]
+    monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
     outside = _first_product_outside(monos, minors.gens, a_full, budget)
     if outside is not None:
         a, b = outside
@@ -270,16 +269,13 @@ def check_identities(n: int, rng: random.Random,
     if n <= 6:
         chain = fam.chain_ideal(n)
         for i, j in pairs:
-            window = list(range(i + 1, j))
-            Ks = [K for r in range(len(window) + 1)
-                  for K in itertools.combinations(window, r)]
-            monos = [ring.from_monomial(fam.xyz_monomial(
-                ring, xs=K, ys=[v for v in window if v not in K])) for K in Ks]
-            outside = _first_product_outside(monos, [fam.delta(i, j, n)],
-                                             chain, budget)
+            products = fam.window_products(ring, range(i + 1, j))
+            outside = _first_product_outside(
+                [ring.from_monomial(m) for _, m in products],
+                [fam.delta(i, j, n)], chain, budget)
             if outside is not None:
                 return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
-                              f"chain for K={Ks[outside[0]]}")
+                              f"chain for K={products[outside[0]][0]}")
     g1, g2 = fam.chain_g(n)
     for name, telescoping, gs, ijs in (
             ("first", _telescoping_first, g1, pairs),

@@ -5,33 +5,24 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import families as fam
 from .checks import (ALL_CHECKS, BUDGET, FAIL, SKIPPED, bench, report_json,
                      run_checks)
 
 
-def _family_lines(family: str, n: int) -> list[str]:
-    ring = fam.standard_ring(n)
-    if family == "minors":
-        return [ring.format(g) for g in fam.minors_ideal(n).gens]
-    if family == "a":
-        return [ring.format(g) for g in fam.gens_a(n).gens]
-    if family == "G":
-        return [ring.format(g) for g in fam.set_G(n)]
-    if family == "M":
-        out = []
-        for i in range(1, n + 1):
-            for m in fam.M_set(n, i):
-                out.append(f"M_{i}: {ring.format(ring.from_monomial(m))}")
-        return out
-    if family == "chain":
-        return [ring.format(g) for g in fam.chain_ideal(n).gens]
-    if family == "link":
-        _, link = fam.chain_link(n)
-        return [ring.format(g) for g in link.gens]
-    raise ValueError(f"unknown family {family!r}")
+# The families `show --family` prints, one line per entry; the keys are its
+# choices.
+FAMILIES: dict[str, Callable[[int], Sequence[object]]] = {
+    "minors": lambda n: fam.minors_ideal(n).gens,
+    "a": lambda n: fam.gens_a(n).gens,
+    "G": lambda n: fam.set_G(n),
+    "M": lambda n: [f"M_{i}: {p}" for i in range(1, n + 1)
+                    for p in fam.M_polys(n, i)],
+    "link": lambda n: fam.chain_link(n)[1].gens,
+    "chain": lambda n: fam.chain_ideal(n).gens,
+}
 
 
 def _error(message) -> int:
@@ -73,8 +64,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument("--out", default=None, help="also write the report here")
 
     p_show = sub.add_parser("show", help="print an ideal family")
-    p_show.add_argument("--family", required=True,
-                        choices=["minors", "a", "G", "M", "link", "chain"])
+    p_show.add_argument("--family", required=True, choices=list(FAMILIES))
     p_show.add_argument("--n", type=int, required=True)
 
     p_bench = sub.add_parser("bench", help="benchmark the Groebner engine")
@@ -87,7 +77,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.command == "show":
         try:
-            lines = _family_lines(args.family, args.n)
+            lines = FAMILIES[args.family](args.n)
         except ValueError as exc:
             return _error(exc)
         for line in lines:

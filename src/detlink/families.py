@@ -7,6 +7,13 @@ index subfamilies, the squarefree monomial sets attached to each family,
 the extended generator sets whose Groebner property is certified, the index
 automorphisms that carry each subfamily onto the chain, and rational matrix
 specializations of the full minor list.
+
+Each family is built once per width, by a private cached builder, as a
+tuple of Polynomials, which are never modified in place. The public
+constructors are views: each call returns a fresh list, dict or Ideal over
+those tuples, so a caller may mutate what it gets. No Ideal is cached: an
+Ideal caches its reduced basis, and a shared one would let one check's
+basis decide what the next check computes.
 """
 
 from __future__ import annotations
@@ -27,11 +34,6 @@ def standard_ring(n: int) -> Ring:
     return Ring(n)
 
 
-def _rng_list(a: int, b: int) -> list[int]:
-    """Integer interval [a, b]; empty when a > b."""
-    return list(range(a, b + 1))
-
-
 def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
                  zs: Iterable[int] = ()) -> Monomial:
     """Squarefree product of the named x-, y- and z-variables."""
@@ -46,20 +48,18 @@ def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
     return ring.monomial(exps)
 
 
-def delta(i: int, j: int, n: int) -> Polynomial:
-    """The 2x2 minor x_i*y_j - x_j*y_i; zero on the diagonal."""
-    ring = standard_ring(n)
-    if not (1 <= i <= n and 1 <= j <= n):
-        raise ValueError(f"minor indices ({i},{j}) out of range for n={n}")
-    if i == j:
-        return ring.zero
-    return ring.x(i) * ring.y(j) - ring.x(j) * ring.y(i)
+def window_products(ring: Ring, window: Sequence[int], zs: Iterable[int] = ()
+                    ) -> list[tuple[tuple[int, ...], Monomial]]:
+    """Every X_K * Y_L * Z with (K, L) a two-set partition of the window.
 
-
-def minors_ideal(n: int) -> Ideal:
-    """All C(n,2) minors delta(i,j) for i < j."""
-    return Ideal(standard_ring(n), [delta(i, j, n) for i in range(1, n + 1)
-                                    for j in range(i + 1, n + 1)])
+    Returns (K, monomial) pairs, K by size and then lexicographically; Z is
+    the squarefree product of the z-variables named in zs.
+    """
+    zs = tuple(zs)
+    return [(K, xyz_monomial(ring, xs=K, ys=[v for v in window if v not in K],
+                             zs=zs))
+            for r in range(len(window) + 1)
+            for K in itertools.combinations(window, r)]
 
 
 def _require_width(n: int) -> None:
@@ -67,97 +67,156 @@ def _require_width(n: int) -> None:
         raise ValueError(f"this family needs n >= 4, got {n}")
 
 
-def g_generator(n: int, i: int) -> Polynomial:
-    """g_1 = z_1*delta(2,1), g_n = z_n*delta(n,n-1), else g_i = z_i*delta(i+1,i-1)."""
+def _index(n: int, i: int) -> int:
+    """Position i - 1 of the i-th generator or link, 1 <= i <= n, n >= 4."""
     _require_width(n)
     if not 1 <= i <= n:
-        raise ValueError(f"generator index {i} out of range for n={n}")
-    return standard_ring(n).z(i) * delta(*minor_pair(n, i), n)
+        raise ValueError(f"index {i} out of range for n={n}")
+    return i - 1
+
+
+def _link(n: int, i: int) -> tuple[tuple[int, int], tuple[int, ...],
+                                   tuple[int, ...], range]:
+    """Index data of the i-th link: the minor pair of g_i (larger index
+    first), the x/y index window (every index outside that pair), the z-set
+    (every index but i) and the second indices j of m_{i,j}."""
+    _index(n, i)
+    if i == 1:
+        pair, js = (2, 1), range(3, n + 2)
+    elif i == n:
+        pair, js = (n, n - 1), range(1, n)
+    else:
+        pair, js = (i + 1, i - 1), range(1, n + 2)
+    span = range(1, n + 1)
+    return (pair, tuple(v for v in span if v not in pair),
+            tuple(v for v in span if v != i), js)
+
+
+# -- builders: each family once per width, as tuples -------------------------
+
+
+@lru_cache(maxsize=None)
+def _minors(n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """delta(i, j) in row i - 1, column j - 1, for 1 <= i, j <= n."""
+    ring = standard_ring(n)
+    x, y = ring.x, ring.y
+    return tuple(tuple(x(i) * y(j) - x(j) * y(i) if i != j else ring.zero
+                       for j in range(1, n + 1)) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[Polynomial, ...]:
+    """g_1, ..., g_n: z_i times the minor of link i's pair."""
+    z, rows = standard_ring(n).z, _minors(n)
+    pairs = [_link(n, i)[0] for i in range(1, n + 1)]
+    return tuple(z(i) * rows[a - 1][b - 1] for i, (a, b) in enumerate(pairs, 1))
+
+
+@lru_cache(maxsize=None)
+def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """(g_{1,1}, ..., g_{1,n-1}) and (g_{2,n}, ..., g_{n,n})."""
+    _require_width(n)
+    ring, rows = standard_ring(n), _minors(n)
+
+    def times(xs=(), ys=(), zs=()):
+        return ring.from_monomial(xyz_monomial(ring, xs, ys, zs))
+
+    first = tuple(times(xs=range(1, j), zs=range(1, j + 1)) * rows[j][j - 1]
+                  for j in range(1, n))
+    second = tuple(times(ys=range(j + 1, n + 1), zs=range(j, n + 1))
+                   * rows[j - 1][j - 2] for j in range(2, n + 1))
+    return first, second
+
+
+@lru_cache(maxsize=None)
+def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """M_1, ..., M_n as monomial Polynomials, each in descending order."""
+    ring = standard_ring(n)
+    out = []
+    for i in range(1, n + 1):
+        _, window, zs, _ = _link(n, i)
+        monos = sorted((m for _, m in window_products(ring, window, zs)),
+                       key=ring.order.key, reverse=True)
+        out.append(tuple(ring.from_monomial(m) for m in monos))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _chain_link_monomials(n: int) -> tuple[Polynomial, ...]:
+    """X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n]."""
+    ring = standard_ring(n)
+    return tuple(ring.from_monomial(xyz_monomial(ring, xs=range(2, j),
+                                                 ys=range(j, n)))
+                 for j in range(2, n + 1))
+
+
+# -- the public constructors: fresh views over the builders ------------------
+
+
+def delta(i: int, j: int, n: int) -> Polynomial:
+    """The 2x2 minor x_i*y_j - x_j*y_i; zero on the diagonal."""
+    if not (1 <= i <= n and 1 <= j <= n):
+        raise ValueError(f"minor indices ({i},{j}) out of range for n={n}")
+    return _minors(n)[i - 1][j - 1]
+
+
+def minors_ideal(n: int) -> Ideal:
+    """All C(n,2) minors delta(i,j) for i < j."""
+    rows = _minors(n)
+    return Ideal(standard_ring(n), [rows[i][j] for i in range(n)
+                                    for j in range(i + 1, n)])
+
+
+def g_generator(n: int, i: int) -> Polynomial:
+    """g_1 = z_1*delta(2,1), g_n = z_n*delta(n,n-1), else g_i = z_i*delta(i+1,i-1)."""
+    return _generators(n)[_index(n, i)]
 
 
 def gens_a(n: int) -> Ideal:
     """The full n-generator family (g_1, ..., g_n)."""
-    return Ideal(standard_ring(n), [g_generator(n, i) for i in range(1, n + 1)])
+    return Ideal(standard_ring(n), _generators(n))
 
 
 def sub_a(n: int, i: int) -> Ideal:
     """The family with g_i omitted."""
-    _require_width(n)
-    if not 1 <= i <= n:
-        raise ValueError(f"omitted index {i} out of range for n={n}")
-    return Ideal(standard_ring(n), [g_generator(n, k)
-                                    for k in range(1, n + 1) if k != i])
+    k, gs = _index(n, i), _generators(n)
+    return Ideal(standard_ring(n), gs[:k] + gs[k + 1:])
 
 
 def m_ij(n: int, i: int, j: int) -> Monomial:
-    """The distinguished squarefree monomial m_{i,j} of the i-th link."""
-    _require_width(n)
-    ring = standard_ring(n)
-    if i == 1:
-        if not 3 <= j <= n + 1:
-            raise ValueError(f"m_(1,j) needs 3 <= j <= {n + 1}")
-        return xyz_monomial(ring, xs=_rng_list(3, j - 1), ys=_rng_list(j, n),
-                            zs=_rng_list(2, n))
-    if i == n:
-        if not 1 <= j <= n - 1:
-            raise ValueError(f"m_({n},j) needs 1 <= j <= {n - 1}")
-        return xyz_monomial(ring, xs=_rng_list(1, j - 1), ys=_rng_list(j, n - 2),
-                            zs=_rng_list(1, n - 1))
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"row index {i} out of range for n={n}")
-    if not 1 <= j <= n + 1:
-        raise ValueError(f"m_({i},j) needs 1 <= j <= {n + 1}")
-    cut = {i - 1, i + 1}
-    return xyz_monomial(ring,
-                        xs=[v for v in _rng_list(1, j - 1) if v not in cut],
-                        ys=[v for v in _rng_list(j, n) if v not in cut],
-                        zs=[v for v in _rng_list(1, n) if v != i])
+    """The distinguished squarefree monomial m_{i,j} of the i-th link:
+    X over the window below j, Y over the window from j on, and Z."""
+    _, window, zs, js = _link(n, i)
+    if j not in js:
+        raise ValueError(f"m_({i},j) needs {js[0]} <= j <= {js[-1]}")
+    return xyz_monomial(standard_ring(n), xs=[v for v in window if v < j],
+                        ys=[v for v in window if v >= j], zs=zs)
 
 
 def m_ij_range(n: int, i: int) -> list[int]:
     """Valid second indices of m_{i,j}."""
-    _require_width(n)
-    if i == 1:
-        return _rng_list(3, n + 1)
-    if i == n:
-        return _rng_list(1, n - 1)
-    if not 2 <= i <= n - 1:
-        raise ValueError(f"row index {i} out of range for n={n}")
-    return _rng_list(1, n + 1)
+    return list(_link(n, i)[3])
 
 
 def M_set(n: int, i: int) -> list[Monomial]:
-    """All 2^(n-2) monomials X_K * Y_L * Z attached to the i-th link.
+    """All 2^(n-2) monomials X_K * Y_L * Z attached to the i-th link,
+    in descending order.
 
     K and L run over the two-set partitions of the index window; the
     z-part is the full squarefree z-product with z_i omitted.
     """
-    _require_width(n)
-    ring = standard_ring(n)
-    if i == 1:
-        base, zs = _rng_list(3, n), _rng_list(2, n)
-    elif i == n:
-        base, zs = _rng_list(1, n - 2), _rng_list(1, n - 1)
-    elif 2 <= i <= n - 1:
-        base = [v for v in _rng_list(1, n) if v not in (i - 1, i + 1)]
-        zs = [v for v in _rng_list(1, n) if v != i]
-    else:
-        raise ValueError(f"row index {i} out of range for n={n}")
-    out = []
-    for r in range(len(base) + 1):
-        for K in itertools.combinations(base, r):
-            L = [v for v in base if v not in K]
-            out.append(xyz_monomial(ring, xs=K, ys=L, zs=zs))
-    key = ring.order.key
-    out.sort(key=key, reverse=True)
-    return out
+    return [p.terms[0].mono for p in _monomial_sets(n)[_index(n, i)]]
+
+
+def M_polys(n: int, i: int) -> list[Polynomial]:
+    """M_set(n, i) as monomial Polynomials, in the same order."""
+    return list(_monomial_sets(n)[_index(n, i)])
 
 
 def link_ideal(n: int, i: int) -> Ideal:
     """The i-th link presented by its proven generators: sub_a(n,i) + M_set(n,i)."""
-    ring = standard_ring(n)
-    return Ideal(ring, list(sub_a(n, i).gens)
-                 + [ring.from_monomial(m) for m in M_set(n, i)])
+    k, gs = _index(n, i), _generators(n)
+    return Ideal(standard_ring(n), gs[:k] + gs[k + 1:] + _monomial_sets(n)[k])
 
 
 def chain_g(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
@@ -166,26 +225,14 @@ def chain_g(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
     Returns ({j: g_{1,j}} for 1 <= j <= n-1, {j: g_{j,n}} for 2 <= j <= n);
     g_{1,1} coincides with g_1 and g_{n,n} with g_n.
     """
-    _require_width(n)
-    ring = standard_ring(n)
-    first = {}
-    for j in range(1, n):
-        coeff = xyz_monomial(ring, xs=_rng_list(1, j - 1), zs=_rng_list(1, j))
-        first[j] = ring.from_monomial(coeff) * delta(j + 1, j, n)
-    second = {}
-    for j in range(2, n + 1):
-        coeff = xyz_monomial(ring, ys=_rng_list(j + 1, n), zs=_rng_list(j, n))
-        second[j] = ring.from_monomial(coeff) * delta(j, j - 1, n)
-    return first, second
+    first, second = _chains(n)
+    return dict(enumerate(first, 1)), dict(enumerate(second, 2))
 
 
 def set_G(n: int) -> list[Polynomial]:
     """The 3n-4 element extended generator set: g's plus both chains."""
-    first, second = chain_g(n)
-    out = [g_generator(n, i) for i in range(1, n + 1)]
-    out += [first[j] for j in range(2, n)]
-    out += [second[j] for j in range(2, n)]
-    return out
+    first, second = _chains(n)
+    return [*_generators(n), *first[1:], *second[:-1]]
 
 
 def G_union_M(n: int) -> list[Polynomial]:
@@ -193,25 +240,19 @@ def G_union_M(n: int) -> list[Polynomial]:
 
     This order fixes the 1-based witness indices of a certificate on the set.
     """
-    ring = standard_ring(n)
-    out = set_G(n)
-    for i in range(1, n + 1):
-        out += [ring.from_monomial(m) for m in M_set(n, i)]
-    return out
+    return set_G(n) + [p for M in _monomial_sets(n) for p in M]
 
 
 def sum_links_ideal(n: int) -> Ideal:
     """Sum of all n link ideals: (g_1..g_n) plus every M_set monomial."""
-    ring = standard_ring(n)
-    gens = [g_generator(n, i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        gens += [ring.from_monomial(m) for m in M_set(n, i)]
-    return Ideal(ring, gens)
+    return Ideal(standard_ring(n), [*_generators(n), *itertools.chain.from_iterable(
+        _monomial_sets(n))])
 
 
 def chain_ideal(n: int) -> Ideal:
     """Consecutive-minor chain (delta(1,2), delta(2,3), ..., delta(n-1,n))."""
-    return Ideal(standard_ring(n), [delta(t, t + 1, n) for t in range(1, n)])
+    rows = _minors(n)
+    return Ideal(standard_ring(n), [rows[t - 1][t] for t in range(1, n)])
 
 
 def chain_link(n: int) -> tuple[Ideal, Ideal]:
@@ -221,12 +262,8 @@ def chain_link(n: int) -> tuple[Ideal, Ideal]:
     prefix/suffix products X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n].
     """
     _require_width(n)
-    ring = standard_ring(n)
     chain = chain_ideal(n)
-    mons = [xyz_monomial(ring, xs=_rng_list(2, j - 1), ys=_rng_list(j, n - 1))
-            for j in range(2, n + 1)]
-    link = Ideal(ring, list(chain.gens) + [ring.from_monomial(m) for m in mons])
-    return chain, link
+    return chain, Ideal(chain.ring, chain.gens + _chain_link_monomials(n))
 
 
 @dataclass(frozen=True)
@@ -276,9 +313,7 @@ def phi_permutation(n: int, case_i: int) -> IndexPermutation:
     minors delta(t, t+1), 1 <= t <= n-1. The formula branches on case_i in
     {1, 2, n-1, n} and, in between, on the parity of case_i.
     """
-    _require_width(n)
-    if not 1 <= case_i <= n:
-        raise ValueError(f"case index {case_i} out of range for n={n}")
+    _index(n, case_i)
     img = [0] * (n + 1)
     if case_i == n:
         if n % 2:
@@ -325,11 +360,7 @@ def phi_permutation(n: int, case_i: int) -> IndexPermutation:
 
 def minor_pair(n: int, i: int) -> tuple[int, int]:
     """Index pair of the minor inside g_i (larger index first)."""
-    if i == 1:
-        return (2, 1)
-    if i == n:
-        return (n, n - 1)
-    return (i + 1, i - 1)
+    return _link(n, i)[0]
 
 
 def minor_list(n: int) -> list[Polynomial]:

@@ -158,9 +158,11 @@ def minimal_primes_bei(G: SimpleGraph,
 # -- the residual-intersection height fact -----------------------------------
 
 
-def _graph_without_generator(n: int) -> SimpleGraph:
-    """Graph of the minors inside g_1..g_{n-1}: a path with endpoints n-1, n."""
-    return SimpleGraph.from_edges(n, [minor_pair(n, i) for i in range(1, n)])
+def _graph_without_generator(n: int, T: frozenset[int]) -> SimpleGraph:
+    """Graph of the minors inside g_i for i in [1, n-1] outside T; for
+    empty T, a path with endpoints n-1, n."""
+    return SimpleGraph.from_edges(
+        n, [minor_pair(n, i) for i in range(1, n) if i not in T])
 
 
 def _candidate_primes(n: int, budget: Optional[Budget] = None
@@ -179,9 +181,7 @@ def _candidate_primes(n: int, budget: Optional[Budget] = None
             if budget is not None:
                 budget.check_deadline()
             Tset = frozenset(T)
-            G_T = SimpleGraph.from_edges(
-                n, [minor_pair(n, i) for i in range(1, n) if i not in Tset])
-            for p in minimal_primes_bei(G_T, budget):
+            for p in minimal_primes_bei(_graph_without_generator(n, Tset), budget):
                 out.append((Tset, p))
     minimal = []
     for T1, p1 in out:

@@ -85,9 +85,9 @@ class Budget:
         self._deadline = (time.monotonic() + timeout_secs
                           if timeout_secs is not None else None)
 
-    def tick(self, count: int = 1) -> None:
-        """Count `count` pairs against the cap, then check the deadline."""
-        self.pairs += count
+    def tick(self) -> None:
+        """Count one pair against the cap, then check the deadline."""
+        self.pairs += 1
         if self.pairs > self.max_pairs:
             raise BudgetExceeded(f"pair budget of {self.max_pairs} exhausted")
         self.check_deadline()
@@ -688,10 +688,12 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     any polynomial with a representation below the current lcm to 0, by
     any choice of divisors; so every pair the walk skipped, and every pair
     with a smaller lcm, reduces to 0. The first nonzero remainder of the
-    walk is therefore the first in (lcm, i, j) order, and every pair
-    counts against the budget once, exactly as without the criterion: the
-    trivial ones in one step before any reduction, the others, skipped or
-    reduced, as the walk reaches them.
+    walk is therefore the first in (lcm, i, j) order.
+
+    Each pair the walk reaches, reduced or skipped by the criterion, counts
+    once against the budget, so the count is the same as without the
+    criterion. Monomial pairs and coprime pairs are free, as discarded
+    pairs are in Buchberger's algorithm.
 
     `order` is kept for callers that pass the budget positionally; any
     order but the ring's own raises ValueError.
@@ -723,9 +725,6 @@ def is_groebner_basis(polys: Sequence[Polynomial],
         pairs.extend((lcm_of(lm, lms[j]), i, j)
                      for j in partners if support & supports[j])
     pairs.sort()
-    skipped = n * (n - 1) // 2 - len(pairs)
-    if skipped:
-        budget.tick(skipped)
     reducer = _IntReducer(packing, _Divisors(prims), budget)
     guard = packing.guard
     chain_lms = [lms[k] for k in non_monomials]

@@ -96,13 +96,12 @@ class TestRunChecks:
     def test_containment_witness(self, monkeypatch):
         # x1 joins M_2 and x1 * delta(1, 2) escapes the full family; the
         # witness names the first escaping product in (i, m, minor) order.
-        original = fam.M_set
+        original = fam.M_polys
         R = fam.standard_ring(4)
-        monkeypatch.setattr(checks.fam, "M_set", lambda n, i: (
-            original(n, i) + [R.x(1).terms[0].mono] if i == 2 else original(n, i)))
+        monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
+            original(n, i) + [R.x(1)] if i == 2 else original(n, i)))
         a_full = Ideal.with_basis(R, fam.gens_a(4).gens, interreduce(fam.set_G(4)))
-        first = next((mono, d) for i in range(1, 5) for m in fam.M_set(4, i)
-                     for mono in [R.from_monomial(m)]
+        first = next((mono, d) for i in range(1, 5) for mono in fam.M_polys(4, i)
                      for d in fam.minors_ideal(4).gens
                      if not member(mono * d, a_full))
         report = run_checks(4, ["sum-equals-colon"])[0]

@@ -3,12 +3,13 @@ index automorphisms, matrix specializations."""
 
 import pytest
 
-from detlink.families import (IndexPermutation, M_set, apply_permutation,
-                              chain_g, delta, g_generator, gens_a,
-                              generic_residual, link_ideal, m_ij, m_ij_range,
-                              minor_list, minor_pair, minors_ideal, phi_permutation,
-                              chain_link, set_G, standard_ring, sub_a,
-                              sum_links_ideal, xyz_monomial)
+import detlink.families as fam
+from detlink.families import (G_union_M, IndexPermutation, M_polys, M_set,
+                              apply_permutation, chain_g, chain_ideal, delta,
+                              g_generator, gens_a, generic_residual, link_ideal,
+                              m_ij, m_ij_range, minor_list, minor_pair,
+                              minors_ideal, phi_permutation, chain_link, set_G,
+                              standard_ring, sub_a, sum_links_ideal, xyz_monomial)
 from detlink.groebner import Ideal, ideal_equal, member
 from detlink.idealops import height, quotient
 from detlink.rings import multidegree, substitute
@@ -66,6 +67,14 @@ class TestGeneratorFamily:
     def test_width_floor(self):
         with pytest.raises(ValueError):
             gens_a(3)
+
+    @pytest.mark.parametrize("i", [0, 6, 9, -1])
+    def test_index_range(self, i):
+        # minor_pair(5, 0) was (1, -1) and minor_pair(5, 9) was (10, 8).
+        for make in (minor_pair, g_generator, sub_a, link_ideal, M_set,
+                     M_polys, m_ij_range, phi_permutation):
+            with pytest.raises(ValueError):
+                make(5, i)
 
 
 class TestMonomialFamilies:
@@ -268,3 +277,59 @@ class TestLinkIdeals:
     def test_sum_links_gens(self):
         S = sum_links_ideal(4)
         assert len(S.gens) == 4 + 16
+
+
+class TestBuiltOncePerWidth:
+    """Families are built once per width; every call returns fresh values."""
+
+    def test_mutating_a_result_changes_no_later_call(self):
+        n = 5
+        views = {
+            "set_G": lambda: set_G(n),
+            "G_union_M": lambda: G_union_M(n),
+            "M_set": lambda: M_set(n, 2),
+            "M_polys": lambda: M_polys(n, 2),
+            "chain_g": lambda: chain_g(n),
+        }
+        before = {name: view() for name, view in views.items()}
+        for name in ("set_G", "G_union_M", "M_set", "M_polys"):
+            got = views[name]()
+            got.reverse()
+            got.pop()
+            got.append(got[0])
+        first, second = chain_g(n)
+        first[1], second[n] = second[n], first[1]
+        del first[2]
+        assert {name: view() for name, view in views.items()} == before
+        gens = link_ideal(n, 2).gens
+        with pytest.raises(AttributeError):
+            gens.append(gens[0])
+        assert link_ideal(n, 2).gens == gens
+
+    def test_every_ideal_is_fresh(self):
+        makers = [minors_ideal, gens_a, sum_links_ideal, chain_ideal,
+                  lambda n: sub_a(n, 2), lambda n: link_ideal(n, 2),
+                  lambda n: chain_link(n)[0], lambda n: chain_link(n)[1]]
+        for make in makers:
+            first = make(4)
+            first.groebner()
+            second = make(4)
+            assert second is not first
+            assert second._basis is None and second._basis_prims is None
+
+    def test_builders_call_no_public_constructor(self, monkeypatch):
+        # A patched public constructor cannot leak into a cached family.
+        def refuse(*args):
+            raise AssertionError("a builder called a public constructor")
+
+        for name in ("delta", "minors_ideal", "g_generator", "gens_a", "sub_a",
+                     "m_ij", "m_ij_range", "M_set", "M_polys", "link_ideal",
+                     "chain_g", "set_G", "G_union_M", "sum_links_ideal",
+                     "chain_ideal", "chain_link", "minor_pair", "minor_list"):
+            monkeypatch.setattr(fam, name, refuse)
+        builders = (fam._minors, fam._generators, fam._chains,
+                    fam._monomial_sets, fam._chain_link_monomials)
+        for build in builders:
+            build.cache_clear()
+        for build in builders:
+            assert build(6) is build(6)

@@ -92,7 +92,7 @@ class TestPrimePS:
 
 class TestResidualIntersection:
     def test_without_last_generator_graph(self):
-        G = _graph_without_generator(5)
+        G = _graph_without_generator(5, frozenset())
         assert G.edge_pairs() == [(1, 2), (1, 3), (2, 4), (3, 5)]
         comps = G.components()
         assert comps == [frozenset({1, 2, 3, 4, 5})]

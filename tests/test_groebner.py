@@ -406,18 +406,21 @@ class TestCertificate:
 
     def test_chain_criterion_counts(self, monkeypatch):
         # Reductions on G u M(n), n = 4, 5, 6, out of the pairs the walk
-        # reaches; every pair still counts against the budget.
+        # reaches; every walked pair, reduced or skipped, counts against
+        # the budget, and a cap one below that count raises.
         calls = []
         reduce = groebner._IntReducer.reduce
         monkeypatch.setattr(groebner._IntReducer, "reduce",
                             lambda self, p: calls.append(1) or reduce(self, p))
-        for n, reduced in ((4, 71), (5, 158), (6, 325)):
+        for n, reduced, walked in ((4, 71, 134), (5, 158, 440), (6, 325, 1311)):
             G = G_union_M(n)
             calls.clear()
             budget = Budget()
             assert is_groebner_basis(G, budget=budget).ok
             assert len(calls) == reduced
-            assert budget.pairs == len(G) * (len(G) - 1) // 2
+            assert budget.pairs == walked
+            with pytest.raises(BudgetExceeded):
+                is_groebner_basis(G, budget=Budget(max_pairs=walked - 1))
 
     def test_skipped_pair_before_the_witness(self, monkeypatch):
         # The walk passes (2, 4), skips (1, 4) by k = 2, then fails at
@@ -435,21 +438,30 @@ class TestCertificate:
         assert not cert.ok and cert.witness == (2, 3)
         # Two walked reductions and the exact one of the witness.
         assert len(calls) == 3
-        # Two coprime pairs at once, then (2, 4), (1, 4) and (2, 3).
-        assert budget.pairs == 5
+        # The two coprime pairs are free; (2, 4), (1, 4) and (2, 3) count.
+        assert budget.pairs == 3
+        with pytest.raises(BudgetExceeded):
+            is_groebner_basis(polys, budget=Budget(max_pairs=2))
         assert cert.remainder == -27 * x1
         assert cert.remainder == divide(s_polynomial(polys[1], polys[2]), polys).remainder
 
     def test_budget_counts_every_pair(self):
-        # Skipped pairs (monomial-monomial or coprime) count as well, all at
-        # once before any reduction.
-        for G in (set_G(4), G_union_M(4)):
-            total = len(G) * (len(G) - 1) // 2
+        # Every walked pair counts; monomial-monomial and coprime pairs are
+        # never walked and cost nothing.
+        for G, walked in ((set_G(4), 22), (G_union_M(4), 134)):
             budget = Budget()
             assert is_groebner_basis(G, budget=budget).ok
-            assert budget.pairs == total
+            assert budget.pairs == walked < len(G) * (len(G) - 1) // 2
             with pytest.raises(BudgetExceeded):
-                is_groebner_basis(G, budget=Budget(max_pairs=total - 1))
+                is_groebner_basis(G, budget=Budget(max_pairs=walked - 1))
+
+    def test_cap_of_the_walked_pairs_passes_n10(self):
+        # G u M(10) has 2,586 elements and 3,342,405 pairs, past the default
+        # cap; its walk reaches 64,205 of them.
+        G = G_union_M(10)
+        budget = Budget(max_pairs=64_205)
+        assert is_groebner_basis(G, budget=budget).ok
+        assert budget.pairs == 64_205
 
 
 class TestMembershipPredicates:
