@@ -240,13 +240,13 @@ def G_union_M(n: int) -> list[Polynomial]:
 
     This order fixes the 1-based witness indices of a certificate on the set.
     """
-    return set_G(n) + [p for M in _monomial_sets(n) for p in M]
+    return set_G(n) + list(itertools.chain.from_iterable(_monomial_sets(n)))
 
 
 def sum_links_ideal(n: int) -> Ideal:
     """Sum of all n link ideals: (g_1..g_n) plus every M_set monomial."""
-    return Ideal(standard_ring(n), [*_generators(n), *itertools.chain.from_iterable(
-        _monomial_sets(n))])
+    monomials = itertools.chain.from_iterable(_monomial_sets(n))
+    return Ideal(standard_ring(n), [*_generators(n), *monomials])
 
 
 def chain_ideal(n: int) -> Ideal:
