@@ -70,7 +70,7 @@ class TestGeneratorFamily:
 
     @pytest.mark.parametrize("i", [0, 6, 9, -1])
     def test_index_range(self, i):
-        # minor_pair(5, 0) was (1, -1) and minor_pair(5, 9) was (10, 8).
+        # No index outside [1, n] names a pair or wraps to another member.
         for make in (minor_pair, g_generator, sub_a, link_ideal, M_set,
                      M_polys, m_ij_range, phi_permutation):
             with pytest.raises(ValueError):
