@@ -138,15 +138,15 @@ def prime_PS(G: SimpleGraph, S: Iterable[int]) -> PrimePS:
 
 def minimal_primes_bei(G: SimpleGraph,
                        budget: Optional[Budget] = None) -> list[PrimePS]:
-    """Inclusion-minimal primes among all P_S(G). With a budget, its
-    deadline is checked once per candidate subset S."""
+    """Inclusion-minimal primes among all P_S(G). With a budget, each
+    candidate subset S ticks it once."""
     candidates = [prime_PS(G, S)
                   for r in range(G.n + 1)
                   for S in itertools.combinations(range(1, G.n + 1), r)]
     minimal = []
     for p in candidates:
         if budget is not None:
-            budget.check_deadline()
+            budget.tick()
         if any(p.contains(q) and not q.contains(p) for q in candidates):
             continue
         if any(q.S == p.S for q in minimal):
@@ -172,21 +172,21 @@ def _candidate_primes(n: int, budget: Optional[Budget] = None
     Each generator is z_i times a minor, so a minimal prime picks a subset
     T of [1, n-1] whose z's it contains and a minimal prime of the edge
     ideal of the remaining minors. Containment is componentwise: z-parts by
-    subset, minor parts combinatorially. With a budget, its deadline is
-    checked once per subset T and once per candidate (T, P_S).
+    subset, minor parts combinatorially. With a budget, each subset T and
+    each candidate (T, P_S) ticks it once.
     """
     out: list[tuple[frozenset[int], PrimePS]] = []
     for r in range(n):
         for T in itertools.combinations(range(1, n), r):
             if budget is not None:
-                budget.check_deadline()
+                budget.tick()
             Tset = frozenset(T)
             for p in minimal_primes_bei(_graph_without_generator(n, Tset), budget):
                 out.append((Tset, p))
     minimal = []
     for T1, p1 in out:
         if budget is not None:
-            budget.check_deadline()
+            budget.tick()
         dominated = False
         for T2, p2 in out:
             if (T2, p2.S) == (T1, p1.S):
@@ -226,8 +226,8 @@ def verify_res_int(n: int, budget: Optional[Budget] = None) -> bool:
 
     Checks height(J_n + (g_n)) >= n where J_n is the link missing the last
     generator; J_n is computed by the colon at n = 4 and from its proven
-    monomial description otherwise. For n <= 6 the combinatorial avoidance
-    argument is replayed as well.
+    monomial description otherwise. The combinatorial avoidance argument
+    is replayed as well; its walks tick the budget, which bounds it.
     """
     if n < 4:
         raise ValueError(f"residual intersection check needs n >= 4, got {n}")
@@ -236,8 +236,5 @@ def verify_res_int(n: int, budget: Optional[Budget] = None) -> bool:
     else:
         J_n = link_ideal(n, n)
     g_n = Ideal(standard_ring(n), [g_generator(n, n)])
-    if height(sum_ideals(J_n, g_n), budget) < n:
-        return False
-    if n <= 6 and not replay_avoidance_argument(n, budget):
-        return False
-    return True
+    return (height(sum_ideals(J_n, g_n), budget) >= n
+            and replay_avoidance_argument(n, budget))

@@ -67,7 +67,10 @@ class BudgetExceeded(RuntimeError):
 
 
 class Budget:
-    """Shared resource budget: S-pair count cap plus optional deadline."""
+    """Shared resource budget: a cap on units of work plus an optional
+    deadline. A unit is an S-polynomial reduced, a certificate pair walked,
+    or a node or candidate subset of a combinatorial walk; `pairs` counts
+    them and `max_pairs` caps them."""
 
     DEFAULT_MAX_PAIRS = 1_000_000
 
@@ -76,7 +79,7 @@ class Budget:
     def __init__(self, max_pairs: Optional[int] = None,
                  timeout_secs: Optional[float] = None):
         if max_pairs is not None and max_pairs < 0:
-            raise ValueError(f"pair budget must be >= 0, got {max_pairs}")
+            raise ValueError(f"work budget must be >= 0, got {max_pairs}")
         if timeout_secs is not None and not timeout_secs >= 0:
             raise ValueError(f"timeout must be >= 0 seconds, got {timeout_secs}")
         self.max_pairs = self.DEFAULT_MAX_PAIRS if max_pairs is None else max_pairs
@@ -86,15 +89,16 @@ class Budget:
                           if timeout_secs is not None else None)
 
     def tick(self) -> None:
-        """Count one pair against the cap, then check the deadline."""
+        """Count one unit of work against the cap, then check the deadline."""
         self.pairs += 1
         if self.pairs > self.max_pairs:
-            raise BudgetExceeded(f"pair budget of {self.max_pairs} exhausted")
+            raise BudgetExceeded(f"work budget of {self.max_pairs} units exhausted")
         self.check_deadline()
 
     def check_deadline(self) -> None:
-        """Raise once the deadline has passed; counts nothing. Long loops
-        that reduce no pairs call this."""
+        """Raise once the deadline has passed; counts nothing. Loops whose
+        steps are not units of work, reduction steps and product tests,
+        call this."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"timeout of {self.timeout_secs}s exhausted")
 
@@ -825,9 +829,9 @@ def normal_form(f: Polynomial, I: Ideal,
                 budget: Optional[Budget] = None) -> Polynomial:
     """Remainder of f against the reduced Groebner basis of I."""
     f._check_ring(I.ring)
-    reducer = I._reducer(budget)
     if not f:
         return f
+    reducer = I._reducer(budget)
     packing = reducer.packing
     prim = _prim_from_poly(f, packing)
     # The basis is monic, so the prim of divisor i is lc_i times it.

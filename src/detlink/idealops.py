@@ -147,13 +147,13 @@ def _support_edges(supports: Iterable[tuple[int, ...]]) -> list[frozenset[int]]:
 
 def _min_cover_size(edges: list[frozenset[int]],
                     budget: Optional[Budget] = None) -> int:
-    """Minimum vertex cover of a hypergraph, by branch and bound; the
-    budget's deadline is checked at every node."""
+    """Minimum vertex cover of a hypergraph, by branch and bound; each node
+    ticks the budget once."""
     best = [sum(len(e) for e in edges)]
 
     def walk(remaining: list[frozenset[int]], size: int) -> None:
         if budget is not None:
-            budget.check_deadline()
+            budget.tick()
         if size >= best[0]:
             return
         if not remaining:
@@ -170,13 +170,13 @@ def _min_cover_size(edges: list[frozenset[int]],
 
 def _minimal_covers(edges: list[frozenset[int]],
                     budget: Optional[Budget] = None) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex covers of a hypergraph; the budget's
-    deadline is checked at every node."""
+    """All inclusion-minimal vertex covers of a hypergraph; each node ticks
+    the budget once."""
     found: set[frozenset[int]] = set()
 
     def walk(remaining: list[frozenset[int]], chosen: frozenset[int]) -> None:
         if budget is not None:
-            budget.check_deadline()
+            budget.tick()
         if not remaining:
             found.add(chosen)
             return

@@ -2,7 +2,11 @@
 
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -10,7 +14,8 @@ import detlink.checks as checks
 import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
-from detlink.groebner import Ideal, divide, interreduce, member, s_polynomial
+from detlink.groebner import (Budget, BudgetExceeded, Ideal, divide, interreduce,
+                              member, s_polynomial)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -38,19 +43,18 @@ class TestRunChecks:
         assert [r.name for r in reports] == ["gb-a", "heights"]
 
     def test_skip_tiers(self):
-        by_name = {r.name: r for r in run_checks(6, ["links", "section2",
-                                                     "random-specialization"])}
-        assert by_name["links"].status == "skipped"
-        assert by_name["section2"].status == "skipped"
-        assert by_name["random-specialization"].status == "skipped"
-        # Widest n of each gated check.
-        widths = {"links": 5, "section2": 5, "sum-equals-colon": 7,
-                  "heights": 6, "reduced": 6, "random-specialization": 4}
-        assert checks.WIDTHS == widths
-        for name, width in widths.items():
-            report = run_checks(width + 1, [name])[0]
-            assert report.status == "skipped", name
-            assert report.witness == f"runs for n <= {width}"
+        # Only the probe has a width; past it the probe is skipped.
+        assert checks.WIDTHS == {"random-specialization": 4}
+        report = run_checks(5, ["random-specialization"])[0]
+        assert report.status == "skipped"
+        assert report.witness == "runs for n <= 4"
+
+    @pytest.mark.parametrize("name, n", [
+        ("links", 6), ("section2", 6), ("heights", 7), ("reduced", 7),
+        ("sum-equals-colon", 8)])
+    def test_formerly_gated_checks_run(self, name, n):
+        # One width past the limit each check had before budgets bounded it.
+        assert run_checks(n, [name])[0].status == "pass"
 
     def test_stretch_gates_n5_colon(self):
         # The colon steps run at n = 5 without a budget, and the ignored
@@ -128,6 +132,32 @@ class TestRunChecks:
         assert report.status == "fail"
         i, j, K = first
         assert report.witness == f"X_K Y_L delta({i},{j}) escapes the chain for K={K}"
+
+
+class TestWorkCounts:
+    # Units of `heights` at n = 7: the S-polynomials of its height bases
+    # plus every node and candidate subset of the cover and prime walks.
+    HEIGHTS_7 = 13_666
+    SCRIPT = ("import random; from detlink.checks import check_heights; "
+              "from detlink.groebner import Budget; budget = Budget(); "
+              "check_heights(7, random.Random('0/heights'), budget); "
+              "print(budget.pairs)")
+
+    def test_heights_units_pinned(self):
+        budget = Budget()
+        assert checks.check_heights(7, random.Random("0/heights"), budget) == (
+            "pass", None)
+        assert budget.pairs == self.HEIGHTS_7
+        with pytest.raises(BudgetExceeded):
+            checks.check_heights(7, random.Random("0/heights"),
+                                 Budget(max_pairs=self.HEIGHTS_7 - 1))
+
+    def test_heights_units_independent_of_hash_seed(self):
+        src = str(pathlib.Path(checks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONHASHSEED="1", PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", self.SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        assert int(out) == self.HEIGHTS_7
 
 
 class TestQualifyingBinomials:
@@ -223,14 +253,15 @@ class TestCLI:
         # The report is printed and written; the exit status says that
         # nothing was checked.
         target = tmp_path / "report.json"
-        assert main(["verify", "--n", "9", "--checks",
-                     "links,random-specialization", "--out", str(target)]) == 2
+        assert main(["verify", "--n", "5", "--checks",
+                     "random-specialization", "--out", str(target)]) == 2
         captured = capsys.readouterr()
-        assert captured.err == "error: none of the selected checks runs at n = 9\n"
-        assert captured.out.count("skipped") == 2
+        assert captured.err == "error: none of the selected checks runs at n = 5\n"
+        assert captured.out.count("skipped") == 1
         assert [c["status"] for c in json.loads(target.read_text())["checks"]] == [
-            "skipped", "skipped"]
-        assert main(["verify", "--n", "9", "--checks", "gb-a,links"]) == 0
+            "skipped"]
+        assert main(["verify", "--n", "5", "--checks",
+                     "gb-a,random-specialization"]) == 0
 
     def test_budget_flags_select_no_checks(self, capsys):
         statuses = []

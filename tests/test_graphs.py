@@ -98,12 +98,13 @@ class TestResidualIntersection:
         assert comps == [frozenset({1, 2, 3, 4, 5})]
 
     def test_replay(self):
-        for n in (4, 5, 6):
+        for n in (4, 5, 6, 7):
             assert replay_avoidance_argument(n)
 
     def test_verify_res_int(self):
         assert verify_res_int(4)          # height via the actual colon
         assert verify_res_int(5)          # height via the proven description
+        assert verify_res_int(7)          # replayed past the old n <= 6 gate
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):

@@ -276,6 +276,8 @@ class TestBuchberger:
 
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)
+        # The zero polynomial reduces to zero without a basis.
+        assert not normal_form(I.ring.zero, I) and member(I.ring.zero, I)
         assert not I.has_cached_basis()
         basis = I.groebner()
         assert I.has_cached_basis()

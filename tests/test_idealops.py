@@ -355,18 +355,22 @@ class TestDimensionHeight:
 
 
 class TestDeadline:
+    # An expired deadline, and a cap of no units of work.
+    LIMITS = ({"timeout_secs": 0}, {"max_pairs": 0})
+
     def test_expired_deadline_stops_cover_walks(self):
-        # The basis is cached, so the deadline can only fire in the vertex
-        # cover walks of dimension and minimal_primes_squarefree.
+        # The basis is cached, so the budget can only run out in the vertex
+        # cover walks of dimension and minimal_primes_squarefree, whose
+        # nodes tick it.
         R = Ring(2)
         gens = (R.x(1) * R.y(1), R.x(2) * R.z(2))
         I = Ideal.with_basis(R, gens, gens)
-        with pytest.raises(BudgetExceeded) as excinfo:
-            height(I, Budget(timeout_secs=0))
-        assert excinfo.traceback[-2].name == "walk"
-        with pytest.raises(BudgetExceeded) as excinfo:
-            minimal_primes_squarefree(I, Budget(timeout_secs=0))
-        assert excinfo.traceback[-2].name == "walk"
+        for limit in self.LIMITS:
+            for call in (height, minimal_primes_squarefree):
+                with pytest.raises(BudgetExceeded) as excinfo:
+                    call(I, Budget(**limit))
+                names = [f.name for f in excinfo.traceback]
+                assert names[names.index("tick") - 1] == "walk"
         assert height(I, Budget(timeout_secs=60)) == 2
         assert len(minimal_primes_squarefree(I, Budget(timeout_secs=60))) == 4
 
@@ -374,11 +378,12 @@ class TestDeadline:
         # The combinatorial prime walks behind verify_res_int visit every
         # vertex subset; they take the check's budget.
         path = SimpleGraph.path(4)
-        with pytest.raises(BudgetExceeded):
-            minimal_primes_bei(path, Budget(timeout_secs=0))
-        for walk in (_candidate_primes, replay_avoidance_argument):
+        for limit in self.LIMITS:
             with pytest.raises(BudgetExceeded):
-                walk(5, Budget(timeout_secs=0))
+                minimal_primes_bei(path, Budget(**limit))
+            for walk in (_candidate_primes, replay_avoidance_argument):
+                with pytest.raises(BudgetExceeded):
+                    walk(5, Budget(**limit))
         assert minimal_primes_bei(path, Budget(timeout_secs=60)) == minimal_primes_bei(path)
         assert replay_avoidance_argument(5, Budget(timeout_secs=60))
 
