@@ -43,8 +43,7 @@ def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     """Budgets apply per check, or per row of `bench`."""
     parser.add_argument("--budget-pairs", type=int, default=None,
                         help="cap on units of work: S-polynomials reduced, "
-                             "certificate pairs walked, and nodes or "
-                             "candidate subsets of the combinatorial walks")
+                             "certificate pairs walked, walk nodes and subsets")
     parser.add_argument("--timeout-secs", type=float, default=None,
                         help="wall-clock cap in seconds")
 

@@ -104,7 +104,7 @@ class TestResidualIntersection:
     def test_verify_res_int(self):
         assert verify_res_int(4)          # height via the actual colon
         assert verify_res_int(5)          # height via the proven description
-        assert verify_res_int(7)          # replayed past the old n <= 6 gate
+        assert verify_res_int(7)          # the replay runs at every n
 
     def test_small_n_rejected(self):
         with pytest.raises(ValueError):
