@@ -4,7 +4,7 @@ import pytest
 
 from detlink import groebner
 from detlink.families import (G_union_M, delta, gens_a, m_ij, minors_ideal, set_G,
-                              standard_ring)
+                              standard_ring, sub_a)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               divide, ideal_equal, initial_ideal, interreduce,
                               is_groebner_basis, is_squarefree_monomial_ideal,
@@ -233,6 +233,17 @@ class TestBuchberger:
         basis = reduced_groebner_basis(gens_a(4).gens, stats=stats)
         assert stats.pairs_processed > 0
         assert len(basis) == 8
+
+    def test_elimination_counts_pinned(self):
+        # The first elimination of the n = 5 link colon:
+        # t*sub_a(5, 1) + (1 - t)*(delta(1, 2)), behind intersect.
+        stats = GBStats()
+        basis = reduced_groebner_basis(
+            elimination_input(sub_a(5, 1).gens, [delta(1, 2, 5)]), stats=stats)
+        assert stats == GBStats(pairs_pushed=72, pairs_processed=69,
+                                discarded_coprime=0, discarded_chain=121,
+                                zero_reductions=54, basis_added=15)
+        assert len(basis) == 20
 
     def test_stats_count_reduced_pairs(self):
         # Every processed pair is an S-polynomial reduced to zero or added;
