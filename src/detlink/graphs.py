@@ -91,10 +91,15 @@ class PrimePS:
     graph: SimpleGraph
     S: frozenset[int]
     components: tuple[frozenset[int], ...] = field(init=False)
+    # Each vertex outside S to the index of its component; derived from
+    # the fields above, so left out of comparison.
+    _component_of: dict[int, int] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         comps = tuple(sorted(self.graph.components(self.S), key=sorted))
         object.__setattr__(self, "components", comps)
+        object.__setattr__(self, "_component_of",
+                           {v: idx for idx, comp in enumerate(comps) for v in comp})
 
     def ideal(self) -> Ideal:
         n = self.graph.n
@@ -115,20 +120,20 @@ class PrimePS:
         """Ideal containment other <= self, decided combinatorially.
 
         x_i, y_i lie in self iff i is in self.S; a minor delta(a,b) lies in
-        self iff a or b is in self.S or a, b share a component.
+        self iff a or b is in self.S or a, b share a component. So every
+        component of other, less self.S, must lie in one component of self.
         """
         if not other.S <= self.S:
             return False
-        comp_of = {}
-        for idx, comp in enumerate(self.components):
-            for v in comp:
-                comp_of[v] = idx
+        comp_of = self._component_of
         for comp in other.components:
-            for a, b in itertools.combinations(sorted(comp), 2):
-                if a in self.S or b in self.S:
-                    continue
-                if comp_of.get(a) != comp_of.get(b):
-                    return False
+            home = None     # the component of self that comp has met so far
+            for v in comp:
+                idx = comp_of.get(v)
+                if idx is not None and idx != home:
+                    if home is not None:
+                        return False
+                    home = idx
         return True
 
 

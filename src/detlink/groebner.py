@@ -27,13 +27,18 @@ its first divisor (or to how many divisors are known not to divide it).
 Divisor lists only grow at their end, so a memo entry never goes stale:
 the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
 one next to its packed basis for all its `member` and `normal_form` calls.
-The certificate `is_groebner_basis` builds and sorts the lcms of only the
-pairs it walks; monomial-monomial and coprime pairs are counted against
-the budget without an lcm. The walk skips pairs by Buchberger's chain
-criterion in the Gebauer-Moller form, searching the non-monomial elements
-for the middle element k, and still reports the first failing pair in
-(lcm, i, j) order: its docstring says why that pair is never one the
-criterion skips, so no second walk is needed.
+The Gebauer-Moller criteria of Buchberger's loop and the chain test of
+the certificate compare pair lcms only by divisibility and equality,
+which the exponent fields decide alone. Both therefore form an lcm on the
+exponent fields (a SWAR pick inlined from `_Packing.lcm`) and build its
+order key only where an order is needed: for a pair pushed on the heap,
+or for a pair the certificate sorts for its walk. The certificate builds
+and sorts the lcms of only the pairs it walks; monomial-monomial and
+coprime pairs are free and get no lcm. The walk skips pairs by
+Buchberger's chain criterion in the Gebauer-Moller form, searching the
+non-monomial elements for the middle element k, and still reports the
+first failing pair in (lcm, i, j) order: its docstring says why that pair
+is never one the criterion skips, so no second walk is needed.
 
 Products tested for membership in an ideal (the two containment tests in
 `quotient`, and the containments of the verifier's checks) go through
@@ -169,7 +174,7 @@ def _overflow() -> OverflowError:
 class _Packing:
     """The packed layout of one ring order's monomials."""
 
-    __slots__ = ("guard", "exp_guard", "exp_mask", "_ones", "_shift",
+    __slots__ = ("guard", "exp_guard", "exp_mask", "ones", "_shift",
                  "_top", "_runs", "_head", "_fmt", "_nbytes")
 
     def __init__(self, order: MonomialOrder):
@@ -191,8 +196,8 @@ class _Packing:
         self._shift = FIELD * nvars
         self._top = FIELD * (nvars - 1)
         self.exp_mask = mask(nvars)
-        self._ones = ones(nvars)
-        self.exp_guard = self._ones << (FIELD - 1)
+        self.ones = ones(nvars)
+        self.exp_guard = self.ones << (FIELD - 1)
         self.guard = self.exp_guard | (self.exp_guard << self._shift)
         self._fmt = f"<{nvars}H"
         self._nbytes = 2 * nvars
@@ -218,27 +223,32 @@ class _Packing:
             self._fmt, (m & self.exp_mask).to_bytes(self._nbytes, "little")))
 
     def lcm(self, a: int, b: int) -> int:
-        ea, eb = a & self.exp_mask, b & self.exp_mask
-        # 0xFFFF in each field where eb >= ea (no borrow: the guard is set).
-        pick = ((((eb | self.exp_guard) - ea) & self.exp_guard) >> (FIELD - 1)) * 0xFFFF
-        out = self.with_key((eb & pick) | (ea & ~pick))
+        """lcm of valid packed monomials by a SWAR pick on the exponent
+        fields: field k of (eb | guards) - ea is 2^15 + eb_k - ea_k, with
+        no borrow between fields; its guard bit is set where eb_k >= ea_k,
+        and there its low 15 bits, eb_k - ea_k, are added to ea. The
+        Buchberger loop and the certificate inline this pick."""
+        ea = a & self.exp_mask
+        d = ((b & self.exp_mask) | self.exp_guard) - ea
+        g = d & self.exp_guard
+        out = self.with_key(ea + (d & (g - (g >> (FIELD - 1)))))
         if out & self.guard:
             raise _overflow()
         return out
 
     def degree(self, m: int) -> int:
         """Total degree of a valid packed monomial, by one SWAR horizontal
-        sum: times _ones, field k of the product holds e_0 + ... + e_k, and
+        sum: times ones, field k of the product holds e_0 + ... + e_k, and
         the top exponent field the whole sum. It cannot carry: every partial
         sum is at most the total degree, and with each of at most two block
         degrees below 2^15 (`pack` and `lcm` reject more) that is below
         2^16, the width of a field."""
-        return ((m & self.exp_mask) * self._ones >> self._top) & 0xFFFF
+        return ((m & self.exp_mask) * self.ones >> self._top) & 0xFFFF
 
     def support(self, m: int) -> int:
         """Guard bits of the variables m contains: a and b are coprime iff
         support(a) & support(b) == 0."""
-        return (((m & self.exp_mask) | self.exp_guard) - self._ones) & self.exp_guard
+        return (((m & self.exp_mask) | self.exp_guard) - self.ones) & self.exp_guard
 
 
 @lru_cache(maxsize=32)
@@ -507,10 +517,12 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     lcm(a, b) and lcm(a, b) differs from both lcm(a, h) and lcm(b, h)
     (B_k); of the new pairs (i, h), those whose lcm is a proper multiple of
     another new pair's lcm are dropped (M), one pair is kept per lcm (F),
-    and none if one of them has coprime leading monomials. A coprime pair's
-    lcm is the product of its leading monomials; one past the packing limit
-    can neither equal nor divide a valid lcm, so it is dropped without
-    raising. An element whose leading monomial in(h) divides gets no new
+    and none if one of them has coprime leading monomials. The criteria
+    compare lcms on their exponent fields; a pair's lcm gets its order key,
+    and with it the check against the packing limit, only when the pair is
+    pushed, so a pair the criteria drop never raises OverflowError. A
+    coprime pair whose product is past the limit is dropped by the product
+    criterion. An element whose leading monomial in(h) divides gets no new
     pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
     interreduced, sorted by descending leading monomial), which is unique
     for the order, whatever the selection. Everything between the input
@@ -534,71 +546,88 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     descending by leading monomial; `reduced_groebner_basis` says how."""
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
-    guard = packing.guard
-    lcm_of = packing.lcm
+    guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
+    with_key = packing.with_key
     degree = packing.degree
 
     G = []
     lms: list[int] = []
+    exps: list[int] = []        # the exponent fields of lms
     supports: list[int] = []
     excess: list[int] = []      # sugar minus the degree of the leading monomial
     active: list[int] = []      # elements that still get new pairs
-    heap: list[list] = []       # [sugar, lcm, i, j, lcm]; the last lcm is None once dropped
+    # [sugar, lcm, i, j, the exponent fields of lcm or None once dropped]
+    heap: list[list] = []
     reducer = _IntReducer(packing, budget=budget)
 
     def push(lcm: int, i: int, j: int) -> None:
+        if lcm & guard:
+            raise _overflow()
         sugar = degree(lcm) + max(excess[i], excess[j])
-        heapq.heappush(heap, [sugar, lcm, i, j, lcm])
+        heapq.heappush(heap, [sugar, lcm, i, j, lcm & exp_mask])
         stats.pairs_pushed += 1
 
     def install(prim, sugar: int) -> None:
         j = len(G)
         lm = prim[0][0]
+        e = lm & exp_mask
+        support = packing.support(lm)
         G.append(prim)
         lms.append(lm)
-        support = packing.support(lm)
+        exps.append(e)
         supports.append(support)
         excess.append(sugar - degree(lm))
         reducer.append(prim)
         if not criteria:
             for i in range(j):
-                push(lcm_of(lms[i], lm), i, j)
+                push(packing.lcm(lms[i], lm), i, j)
             return
-        # A coprime lcm is the product, a sum of packed monomials; past the
-        # limit it has a guard bit set instead of raising.
-        with_h = [lmi + lm if not si & support else lcm_of(lmi, lm)
-                  for lmi, si in zip(lms[:j], supports)]
+        # lcm(in(g_i), in(h)) on the exponent fields alone, by the SWAR
+        # pick of `_Packing.lcm`; a field stays below 2^15, so none overflows.
+        eg = e | exp_guard
+        with_h = []
+        for ei in exps[:j]:
+            d = eg - ei
+            g = d & exp_guard
+            with_h.append(ei + (d & (g - (g >> (FIELD - 1)))))
         for entry in heap:
             lcm = entry[4]
-            if (lcm is not None and not (lcm - lm) & guard
+            if (lcm is not None and not (lcm - e) & exp_guard
                     and lcm != with_h[entry[2]] and lcm != with_h[entry[3]]):
                 entry[4] = None
                 stats.discarded_chain += 1
         by_lcm: dict[int, list[int]] = {}
         for i in active:
-            lcm = with_h[i]
-            if lcm & guard:
-                # A coprime product past the limit: it can neither equal
-                # nor divide a valid lcm, so M and F need not see it.
+            if not supports[i] & support and (lms[i] + lm) & guard:
+                # A coprime product past the limit, in the order key: it
+                # can neither equal nor divide a valid lcm, so M and F need
+                # not see it.
                 stats.discarded_coprime += 1
             else:
-                by_lcm.setdefault(lcm, []).append(i)
+                by_lcm.setdefault(with_h[i], []).append(i)
         minimal: list[int] = []
-        # Ascending in the order, so every proper divisor of an lcm comes first.
+        survivors = []
+        # A proper divisor has no larger exponent field, so it is the
+        # smaller int: ascending, every proper divisor of an lcm comes first.
         for lcm in sorted(by_lcm):
             group = by_lcm[lcm]
-            if any(not (lcm - m) & guard for m in minimal):
-                stats.discarded_chain += len(group)
-                continue
-            minimal.append(lcm)
-            coprime = sum(1 for i in group if not supports[i] & support)
-            if coprime:
-                stats.discarded_coprime += coprime
-                stats.discarded_chain += len(group) - coprime
-                continue
-            stats.discarded_chain += len(group) - 1
-            push(lcm, group[0], j)
-        active[:] = [i for i in active if (lms[i] - lm) & guard]
+            for m in minimal:
+                if not (lcm - m) & exp_guard:
+                    stats.discarded_chain += len(group)
+                    break
+            else:
+                minimal.append(lcm)
+                coprime = sum(1 for i in group if not supports[i] & support)
+                if coprime:
+                    stats.discarded_coprime += coprime
+                    stats.discarded_chain += len(group) - coprime
+                else:
+                    stats.discarded_chain += len(group) - 1
+                    survivors.append((with_key(lcm), group[0]))
+        # Pushed in the order, as the lcms come off the heap.
+        for lcm, i in sorted(survivors):
+            push(lcm, i, j)
+        active[:] = [i for i in active if (exps[i] - e) & exp_guard]
         active.append(j)
 
     seen = set()
@@ -608,8 +637,8 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
             install(prim, max(degree(m) for m, _ in prim))
 
     while heap:
-        sugar, _, i, j, lcm = heapq.heappop(heap)
-        if lcm is None:
+        sugar, lcm, i, j, live = heapq.heappop(heap)
+        if live is None:
             continue
         budget.tick()
         stats.pairs_processed += 1
@@ -713,35 +742,51 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     packing = _packing(ring.order)
     budget = budget or Budget()
     prims = [_prim_from_poly(f, packing) for f in polys]
-    lms = [p[0][0] for p in prims]
-    support_of = packing.support
-    supports = [support_of(m) for m in lms]
-    lcm_of = packing.lcm
+    guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
+    ones, with_key = packing.ones, packing.with_key
+    exps = [p[0][0] & exp_mask for p in prims]
+    supports = [packing.support(m) for m in exps]
     n = len(prims)
     # A monomial's S-polynomial with another monomial is 0, so it pairs
     # only with the non-monomials.
     non_monomials = [j for j in range(n) if len(prims[j]) > 1]
     pairs = []
     for i in range(n):
-        lm, support = lms[i], supports[i]
+        ei, support = exps[i], supports[i]
+        eg = ei | exp_guard
         partners = (range(i + 1, n) if len(prims[i]) > 1
                     else non_monomials[bisect_right(non_monomials, i):])
-        pairs.extend((lcm_of(lm, lms[j]), i, j)
-                     for j in partners if support & supports[j])
+        for j in partners:
+            if support & supports[j]:
+                # The SWAR pick of `_Packing.lcm`; the key is for the sort.
+                ej = exps[j]
+                d = eg - ej
+                g = d & exp_guard
+                lcm = with_key(ej + (d & (g - (g >> (FIELD - 1)))))
+                if lcm & guard:
+                    raise _overflow()
+                pairs.append((lcm, i, j))
     pairs.sort()
     reducer = _IntReducer(packing, _Divisors(prims), budget)
-    guard = packing.guard
-    chain_lms = [lms[k] for k in non_monomials]
+    chain = [exps[k] for k in non_monomials]
     for lcm, i, j in pairs:
         budget.tick()
-        # Supports of the cofactors lcm/in(i), lcm/in(j) and lcm/in(k).
-        si, sj = support_of(lcm - lms[i]), support_of(lcm - lms[j])
-        if any(not (lcm - lmk) & guard and support_of(lcm - lmk) & si
-               and support_of(lcm - lmk) & sj for lmk in chain_lms):
-            continue
-        if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
-            exact = divide(s_polynomial(polys[i], polys[j]), polys)
-            return GBCertificate(False, (i + 1, j + 1), exact.remainder)
+        # Supports of the cofactors lcm/in(i), lcm/in(j) and lcm/in(k), on
+        # exponent fields: a field is nonzero iff adding 2^15 - 1 sets its
+        # guard bit.
+        e = lcm & exp_mask
+        si = (((e - exps[i]) | exp_guard) - ones) & exp_guard
+        sj = (((e - exps[j]) | exp_guard) - ones) & exp_guard
+        for ek in chain:
+            d = e - ek
+            if not d & exp_guard:
+                sk = ((d | exp_guard) - ones) & exp_guard
+                if sk & si and sk & sj:
+                    break
+        else:
+            if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
+                exact = divide(s_polynomial(polys[i], polys[j]), polys)
+                return GBCertificate(False, (i + 1, j + 1), exact.remainder)
     return GBCertificate(True, None, None)
 
 

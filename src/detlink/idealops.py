@@ -196,15 +196,18 @@ def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
     Groebner deformation preserves dimension; for a monomial ideal the
     dimension is the size of the largest variable subset containing no
     generator's support, i.e. nvars minus the minimum vertex cover of the
-    support hypergraph.
+    support hypergraph. The supports are read off the packed leading
+    monomials of I's reduced basis.
     """
     nvars = I.ring.space.nvars
-    basis = I.groebner(budget)
-    if not basis:
+    mask = _packing(I.ring.order).exp_mask
+    leads = [f[0][0] & mask for f in I._packed_basis(budget)]
+    if not leads:
         return nvars
-    if any(f.terms[0].mono.deg == 0 for f in basis):
+    if not all(leads):
         raise ValueError("improper ideal")
-    edges = _support_edges(f.terms[0].mono.support() for f in basis)
+    edges = _support_edges(tuple(v for v in range(nvars) if m >> (FIELD * v) & 0xFFFF)
+                           for m in leads)
     return nvars - _min_cover_size(edges, budget)
 
 

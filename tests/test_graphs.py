@@ -89,6 +89,32 @@ class TestPrimePS:
                 groebner = all(member(g, P2.ideal()) for g in P1.ideal().gens)
                 assert combinatorial == groebner
 
+    def test_containment_matches_minor_pairs(self):
+        # The componentwise test against the definition: every x_i, y_i and
+        # every minor of other lies in self. Over every pair of subsets of
+        # three graphs on five vertices.
+        def by_minors(P1, P2):
+            return P2.S <= P1.S and all(
+                a in P1.S or b in P1.S
+                or any({a, b} <= comp for comp in P1.components)
+                for comp in P2.components
+                for a, b in itertools.combinations(sorted(comp), 2))
+
+        for G in (SimpleGraph.path(5), SimpleGraph.complete(5),
+                  SimpleGraph.from_edges(5, [(1, 2), (2, 3), (4, 5)])):
+            primes = [prime_PS(G, S) for r in range(6)
+                      for S in itertools.combinations(range(1, 6), r)]
+            for P1 in primes:
+                for P2 in primes:
+                    assert P1.contains(P2) == by_minors(P1, P2)
+
+    def test_component_map_left_out_of_comparison(self):
+        G = SimpleGraph.path(4)
+        P = prime_PS(G, {2})
+        assert P._component_of == {1: 0, 3: 1, 4: 1}
+        assert P == prime_PS(G, [2]) and hash(P) == hash(prime_PS(G, [2]))
+        assert "_component_of" not in repr(P)
+
 
 class TestResidualIntersection:
     def test_without_last_generator_graph(self):

@@ -6,7 +6,7 @@ import pytest
 
 from detlink import groebner, idealops
 from detlink.families import (M_set, chain_ideal, delta, gens_a, minors_ideal,
-                              set_G, standard_ring, sum_links_ideal)
+                              set_G, standard_ring, sub_a, sum_links_ideal)
 from detlink.graphs import (SimpleGraph, _candidate_primes, minimal_primes_bei,
                             replay_avoidance_argument)
 from detlink.groebner import (Budget, BudgetExceeded, Ideal,
@@ -324,6 +324,15 @@ class TestDimensionHeight:
             dimension(Ideal(R, [R.one]))
         with pytest.raises(ValueError, match="improper"):
             dimension(Ideal(R, [R.x(1), R.x(1) - R.one]))
+
+    def test_dimension_of_a_packed_result_builds_no_polynomials(self):
+        # A colon carries its reduced basis packed; dimension reads the
+        # leading monomials there and leaves its Polynomials unbuilt.
+        Q = quotient(sub_a(4, 1), minors_ideal(4))
+        assert Q._basis is None
+        assert height(Q) == 3
+        assert Q._basis is None
+        assert height(Ideal.with_basis(Q.ring, Q.gens, Q.groebner())) == 3
 
     def test_monomial_dimension_matches_exhaustive_oracle(self, rng):
         R = Ring(2)  # six variables

@@ -18,7 +18,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink import groebner
-from detlink.groebner import (LIMIT, Ideal, _packing, divide, member,
+from detlink.groebner import (LIMIT, GBStats, Ideal, _packing, divide, member,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
@@ -210,6 +210,21 @@ class TestLimit:
         for criteria in (True, False):
             with pytest.raises(OverflowError, match="2\\^15"):
                 reduced_groebner_basis([top - y1, x1 * y1 - z1], criteria=criteria)
+
+    def test_dropped_pair_past_the_limit(self):
+        # When x1*y1^20000 joins x1*y1 and x1^20000*y1, its lcm with the
+        # second, x1^20000*y1^20000, is past the limit, but the criterion M
+        # drops that pair (x1*y1^20000, its lcm with the first, divides it)
+        # before its order key is built. The reference path without
+        # criteria builds every pair's key and raises.
+        R = Ring(2)
+        x1, y1 = R.x(1), R.y(1)
+        gens = [x1 * y1, x1 ** 20000 * y1, x1 * y1 ** 20000]
+        stats = GBStats()
+        assert reduced_groebner_basis(gens, stats=stats) == (x1 * y1,)
+        assert (stats.pairs_pushed, stats.discarded_chain) == (2, 1)
+        with pytest.raises(OverflowError, match="2\\^15"):
+            reduced_groebner_basis(gens, criteria=False)
 
     def test_lcm_past_the_limit_rejected(self):
         R = Ring(2)
