@@ -624,7 +624,8 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                 else:
                     stats.discarded_chain += len(group) - 1
                     survivors.append((with_key(lcm), group[0]))
-        # Pushed in the order, as the lcms come off the heap.
+        # In term order, so the heap's layout does not depend on the int
+        # order of the exponent fields the groups were visited in.
         for lcm, i in sorted(survivors):
             push(lcm, i, j)
         active[:] = [i for i in active if (exps[i] - e) & exp_guard]
