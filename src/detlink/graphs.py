@@ -1,207 +1,122 @@
-"""Simple graphs, binomial edge ideals, and their combinatorial primes.
+"""The residual-intersection height fact and its graph-level replay.
 
-A prime of a binomial edge ideal is cut out by a vertex subset S: the
-variables x_i, y_i for i in S plus the complete-graph minors on each
-connected component of the restriction to the remaining vertices. Heights
-and inclusions of these primes are combinatorial, which gives an
-independent route to the height facts used by the verifier.
+Each of g_1..g_{n-1} is z_i times the minor delta_i of an edge of a graph
+on [n], so every minimal prime of (g_1..g_{n-1}) is (z_T) + P_S(G_T): the
+z's of a subset T of [1, n-1] plus a prime of the binomial edge ideal of
+the graph G_T of the other edges. P_S(G_T) holds x_i, y_i for i in S and
+every minor on each connected component of G_T away from S.
+
+The replay requires G_∅ to be a path on [n], and checks this once per
+n. Every G_T is then a subgraph of a path, so a forest, and in a forest
+the minimal primes of a binomial edge ideal have a local description
+(Herzog, Hibi, Hreinsdóttir, Kahle & Rauh, Adv. Appl. Math. 45, 2010,
+Cor. 3.9): P_S is minimal iff every s in S has at least two neighbours
+outside S. So the replay lists the minimal primes directly; it builds and
+compares no other prime.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from typing import Iterator, Optional
 
-from .families import (delta, g_generator, link_ideal, minor_pair, minors_ideal,
+from .families import (g_generator, link_ideal, minor_pair, minors_ideal,
                        standard_ring, sub_a)
 from .groebner import Budget, Ideal
 from .idealops import height, quotient, sum_ideals
-from .rings import Polynomial
 
 
-@dataclass(frozen=True)
-class SimpleGraph:
-    """Undirected graph on vertices [1, n]; no loops, no multiple edges."""
+def _path(n: int) -> tuple[list[int], dict[int, int]]:
+    """G_∅ in path order from n - 1, and the gap of each of its edges.
 
-    n: int
-    edges: frozenset[frozenset[int]]
-
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "SimpleGraph":
-        out = set()
-        for a, b in edges:
-            if a == b:
-                raise ValueError(f"loop at vertex {a}")
-            if not (1 <= a <= n and 1 <= b <= n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={n}")
-            out.add(frozenset((a, b)))
-        return cls(n, frozenset(out))
-
-    @classmethod
-    def path(cls, n: int) -> "SimpleGraph":
-        return cls.from_edges(n, [(i, i + 1) for i in range(1, n)])
-
-    @classmethod
-    def complete(cls, n: int) -> "SimpleGraph":
-        return cls.from_edges(n, itertools.combinations(range(1, n + 1), 2))
-
-    def edge_pairs(self) -> list[tuple[int, int]]:
-        return sorted(tuple(sorted(e)) for e in self.edges)
-
-    def components(self, removed: frozenset[int] = frozenset()) -> list[frozenset[int]]:
-        """Connected components of the restriction away from `removed`."""
-        alive = [v for v in range(1, self.n + 1) if v not in removed]
-        adj = {v: set() for v in alive}
-        for e in self.edges:
-            a, b = tuple(e)
-            if a in adj and b in adj:
-                adj[a].add(b)
-                adj[b].add(a)
-        seen: set[int] = set()
-        comps = []
-        for start in alive:
-            if start in seen:
-                continue
-            stack, comp = [start], set()
-            while stack:
-                v = stack.pop()
-                if v in comp:
-                    continue
-                comp.add(v)
-                stack.extend(adj[v] - comp)
-            seen |= comp
-            comps.append(frozenset(comp))
-        return comps
-
-
-def edge_ideal(G: SimpleGraph) -> Ideal:
-    """Binomial edge ideal: one minor delta(i,j) per edge {i,j}."""
-    return Ideal(standard_ring(G.n), [delta(a, b, G.n) for a, b in G.edge_pairs()])
-
-
-@dataclass(frozen=True)
-class PrimePS:
-    """Combinatorial prime of a binomial edge ideal.
-
-    Cut out by S: the variables x_i, y_i for i in S, plus all minors on
-    each connected component of the graph restricted away from S.
+    Edge i, the minor of g_i for i in [1, n-1], joins order[gap[i]] and
+    order[gap[i] + 1]. Raises ValueError unless G_∅ is a path on [n]
+    with an end at n - 1.
     """
-
-    graph: SimpleGraph
-    S: frozenset[int]
-    components: tuple[frozenset[int], ...] = field(init=False)
-    # Each vertex outside S to the index of its component; derived from
-    # the fields above, so left out of comparison.
-    _component_of: dict[int, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        comps = tuple(sorted(self.graph.components(self.S), key=sorted))
-        object.__setattr__(self, "components", comps)
-        object.__setattr__(self, "_component_of",
-                           {v: idx for idx, comp in enumerate(comps) for v in comp})
-
-    def ideal(self) -> Ideal:
-        n = self.graph.n
-        ring = standard_ring(n)
-        gens: list[Polynomial] = []
-        for i in sorted(self.S):
-            gens += [ring.x(i), ring.y(i)]
-        for comp in self.components:
-            for a, b in itertools.combinations(sorted(comp), 2):
-                gens.append(delta(a, b, n))
-        return Ideal(ring, gens)
-
-    def height_formula(self) -> int:
-        """2|S| plus (size - 1) summed over components."""
-        return 2 * len(self.S) + sum(len(c) - 1 for c in self.components)
-
-    def contains(self, other: "PrimePS") -> bool:
-        """Ideal containment other <= self, decided combinatorially.
-
-        x_i, y_i lie in self iff i is in self.S; a minor delta(a,b) lies in
-        self iff a or b is in self.S or a, b share a component. So every
-        component of other, less self.S, must lie in one component of self.
-        """
-        if not other.S <= self.S:
-            return False
-        comp_of = self._component_of
-        for comp in other.components:
-            home = None     # the component of self that comp has met so far
-            for v in comp:
-                idx = comp_of.get(v)
-                if idx is not None and idx != home:
-                    if home is not None:
-                        return False
-                    home = idx
-        return True
+    ends = {i: minor_pair(n, i) for i in range(1, n)}
+    order, gap = [n - 1], {}
+    while len(order) < n:
+        here = order[-1]
+        steps = [(i, b if a == here else a) for i, (a, b) in ends.items()
+                 if i not in gap and here in (a, b)]
+        if len(steps) != 1 or steps[0][1] in order:
+            raise ValueError(
+                f"the minors of g_1..g_{n - 1} are not a path on [1, {n}]")
+        i, v = steps[0]
+        gap[i] = len(order) - 1
+        order.append(v)
+    return order, gap
 
 
-def prime_PS(G: SimpleGraph, S: Iterable[int]) -> PrimePS:
-    return PrimePS(G, frozenset(S))
+def _minimal_sets(order: list[int], cut: frozenset[int],
+                  budget: Optional[Budget] = None) -> Iterator[frozenset[int]]:
+    """Every S with P_S minimal for the path `order` less its edges at the
+    gaps in `cut` (the edge at gap k joins order[k] and order[k + 1]).
 
-
-def minimal_primes_bei(G: SimpleGraph,
-                       budget: Optional[Budget] = None) -> list[PrimePS]:
-    """Inclusion-minimal primes among all P_S(G). With a budget, each
-    candidate subset S ticks it once."""
-    candidates = [prime_PS(G, S)
-                  for r in range(G.n + 1)
-                  for S in itertools.combinations(range(1, G.n + 1), r)]
-    minimal = []
-    for p in candidates:
+    The rule of Cor. 3.9 in a forest: each s in S has two neighbours
+    outside S. On a subgraph of a path that means S is a set of pairwise
+    non-adjacent vertices of degree 2. Backtracking lists them: each node
+    is one such set, extended only by vertices past its last one and not
+    adjacent to it, and ticks the budget once.
+    """
+    inner = [k for k in range(1, len(order) - 1)
+             if k - 1 not in cut and k not in cut]
+    stack: list[tuple[int, ...]] = [()]
+    while stack:
+        S = stack.pop()
         if budget is not None:
             budget.tick()
-        if any(p.contains(q) and not q.contains(p) for q in candidates):
-            continue
-        if any(q.S == p.S for q in minimal):
-            continue
-        minimal.append(p)
-    return minimal
+        yield frozenset(order[k] for k in S)
+        after = S[-1] + 2 if S else 0
+        stack.extend(S + (k,) for k in inner if k >= after)
 
 
-# -- the residual-intersection height fact -----------------------------------
+def _components(order: list[int], cut: frozenset[int],
+                S: frozenset[int]) -> dict[int, int]:
+    """Each vertex outside S to the index of its component away from S of
+    the path `order` less its edges at the gaps in `cut`."""
+    comp, idx = {}, 0
+    for k, v in enumerate(order):
+        if k - 1 in cut or v in S:
+            idx += 1
+        if v not in S:
+            comp[v] = idx
+    return comp
 
 
-def _graph_without_generator(n: int, T: frozenset[int]) -> SimpleGraph:
-    """Graph of the minors inside g_i for i in [1, n-1] outside T; for
-    empty T, a path with endpoints n-1, n."""
-    return SimpleGraph.from_edges(
-        n, [minor_pair(n, i) for i in range(1, n) if i not in T])
+def _in_prime(a: int, b: int, S: frozenset[int], comp: dict[int, int]) -> bool:
+    """Whether delta(a, b) lies in P_S: a or b is in S, or they share a
+    component away from S."""
+    return a in S or b in S or comp[a] == comp[b]
 
 
-def _candidate_primes(n: int, budget: Optional[Budget] = None
-                      ) -> list[tuple[frozenset[int], PrimePS]]:
-    """Minimal primes of (g_1..g_{n-1}) as pairs (T, P_S).
+def _minimal_primes(n: int, budget: Optional[Budget] = None
+                    ) -> Iterator[tuple[frozenset[int], frozenset[int], dict[int, int]]]:
+    """The minimal primes (z_T) + P_S(G_T) of (g_1..g_{n-1}), as triples
+    (T, S, components of G_T away from S as in `_components`).
 
-    Each generator is z_i times a minor, so a minimal prime picks a subset
-    T of [1, n-1] whose z's it contains and a minimal prime of the edge
-    ideal of the remaining minors. Containment is componentwise: z-parts by
-    subset, minor parts combinatorially. With a budget, each subset T and
-    each candidate (T, P_S) ticks it once.
+    S follows the rule of `_minimal_sets` for G_T. T follows its own
+    rule: the pair (T, S) is minimal iff no minor delta_i with i in T lies
+    in P_S(G_T). If delta_i lies in P_S(G_T) for some i in T, then adding
+    edge i back to G_T leaves the components away from S unchanged, so
+    (T ∖ {i}, S) gives a smaller prime that still holds every g_j.
+    Conversely, a smaller prime from (T', S') needs T' ⊆ T. Every
+    i in T ∖ T' is an edge of G_T', so delta_i lies in P_S'(G_T'), which
+    lies in P_S(G_T). Hence T' = T, and minimality of P_S for G_T settles
+    the rest. Each T ticks the budget once, as does each node of the
+    backtracking over S.
     """
-    out: list[tuple[frozenset[int], PrimePS]] = []
+    order, gap = _path(n)
     for r in range(n):
         for T in itertools.combinations(range(1, n), r):
             if budget is not None:
                 budget.tick()
-            Tset = frozenset(T)
-            for p in minimal_primes_bei(_graph_without_generator(n, Tset), budget):
-                out.append((Tset, p))
-    minimal = []
-    for T1, p1 in out:
-        if budget is not None:
-            budget.tick()
-        dominated = False
-        for T2, p2 in out:
-            if (T2, p2.S) == (T1, p1.S):
-                continue
-            if T2 <= T1 and p1.contains(p2) and not (T1 <= T2 and p2.contains(p1)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append((T1, p1))
-    return minimal
+            cut = frozenset(gap[i] for i in T)
+            for S in _minimal_sets(order, cut, budget):
+                comp = _components(order, cut, S)
+                if not any(_in_prime(order[gap[i]], order[gap[i] + 1], S, comp)
+                           for i in T):
+                    yield frozenset(T), S, comp
 
 
 def replay_avoidance_argument(n: int, budget: Optional[Budget] = None) -> bool:
@@ -214,13 +129,9 @@ def replay_avoidance_argument(n: int, budget: Optional[Budget] = None) -> bool:
     common component and empty T, S is the full minor ideal itself.
     """
     found_full = False
-    for T, p in _candidate_primes(n, budget):
-        in_S = (n in p.S) or (n - 1 in p.S)
-        same_comp = any({n, n - 1} <= comp for comp in p.components)
-        if in_S:
-            return False
-        if same_comp:
-            if T or p.S:
+    for T, S, comp in _minimal_primes(n, budget):
+        if _in_prime(n, n - 1, S, comp):
+            if T or S:
                 return False
             found_full = True
     return found_full

@@ -135,9 +135,10 @@ class TestRunChecks:
 
 
 class TestWorkCounts:
-    # Units of `heights` at n = 7: the S-polynomials of its height bases
-    # plus every node and candidate subset of the cover and prime walks.
-    HEIGHTS_7 = 13_666
+    # Units of `heights` at n = 7: the S-polynomials of its height bases,
+    # every node of the cover walks, and every subset T and backtracking
+    # node of the prime walk.
+    HEIGHTS_7 = 5_474
     SCRIPT = ("import random; from detlink.checks import check_heights; "
               "from detlink.groebner import Budget; budget = Budget(); "
               "check_heights(7, random.Random('0/heights'), budget); "

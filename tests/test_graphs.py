@@ -1,4 +1,7 @@
-"""Binomial edge ideals, combinatorial primes, residual-intersection heights."""
+"""Binomial edge ideals, combinatorial primes, residual-intersection heights.
+
+The brute-force primes of `graphs_reference` are the oracle for the local
+rules by which `detlink.graphs` lists the minimal primes directly."""
 
 import itertools
 import random
@@ -6,11 +9,14 @@ import random
 import pytest
 
 from detlink.families import delta, minors_ideal
-from detlink.graphs import (SimpleGraph, edge_ideal, minimal_primes_bei,
-                            prime_PS, replay_avoidance_argument, verify_res_int,
-                            _graph_without_generator)
+from detlink import graphs
+from detlink.graphs import (replay_avoidance_argument, verify_res_int,
+                            _minimal_primes, _minimal_sets, _path)
 from detlink.groebner import ideal_equal, member
 from detlink.idealops import height
+
+from graphs_reference import (SimpleGraph, edge_ideal, minimal_primes_bei,
+                              prime_PS, _candidate_primes, _graph_without_generator)
 
 
 class TestSimpleGraph:
@@ -123,8 +129,50 @@ class TestResidualIntersection:
         comps = G.components()
         assert comps == [frozenset({1, 2, 3, 4, 5})]
 
+    def test_path_order(self):
+        assert _path(5) == ([4, 2, 1, 3, 5], {3: 0, 1: 1, 2: 2, 4: 3})
+        for n in range(4, 10):
+            order, gap = _path(n)
+            assert sorted(order) == list(range(1, n + 1))
+            assert (order[0], order[-1]) == (n - 1, n)
+            assert {i: frozenset(order[k:k + 2]) for i, k in gap.items()} == {
+                i: frozenset(graphs.minor_pair(n, i)) for i in range(1, n)}
+
+    def test_path_precondition_checked(self, monkeypatch):
+        # A star is a forest but no path; a cycle is no forest. The walk
+        # refuses both before it lists any prime.
+        star = {1: (1, 2), 2: (1, 3), 3: (1, 4), 4: (1, 5)}
+        cycle = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 1)}
+        for pairs in (star, cycle):
+            monkeypatch.setattr(graphs, "minor_pair", lambda n, i: pairs[i])
+            with pytest.raises(ValueError):
+                next(_minimal_primes(5))
+
+    def test_minimal_sets_match_oracle(self):
+        # The S rule against the generate-then-filter primes on every
+        # subgraph of the path 1 - 2 - ... - n; the edge at gap k joins
+        # k + 1 and k + 2.
+        for n in range(1, 8):
+            order = list(range(1, n + 1))
+            for r in range(n):
+                for cut in itertools.combinations(range(n - 1), r):
+                    G = SimpleGraph.from_edges(
+                        n, [(k + 1, k + 2) for k in range(n - 1) if k not in cut])
+                    got = list(_minimal_sets(order, frozenset(cut)))
+                    assert len(got) == len(set(got))
+                    assert set(got) == {p.S for p in minimal_primes_bei(G)}
+
+    def test_minimal_primes_match_oracle(self):
+        counts = []
+        for n in range(4, 9):
+            got = [(T, S) for T, S, _ in _minimal_primes(n)]
+            assert len(got) == len(set(got))
+            assert set(got) == {(T, p.S) for T, p in _candidate_primes(n)}
+            counts.append(len(got))
+        assert counts == [12, 29, 70, 169, 408]
+
     def test_replay(self):
-        for n in (4, 5, 6, 7):
+        for n in range(4, 12):
             assert replay_avoidance_argument(n)
 
     def test_verify_res_int(self):

@@ -7,8 +7,7 @@ import pytest
 from detlink import groebner, idealops
 from detlink.families import (M_set, chain_ideal, delta, gens_a, minors_ideal,
                               set_G, standard_ring, sub_a, sum_links_ideal)
-from detlink.graphs import (SimpleGraph, _candidate_primes, minimal_primes_bei,
-                            replay_avoidance_argument)
+from detlink.graphs import _minimal_primes, _minimal_sets, replay_avoidance_argument
 from detlink.groebner import (Budget, BudgetExceeded, Ideal,
                               _first_product_outside, ideal_equal,
                               initial_ideal, interreduce, member)
@@ -384,16 +383,21 @@ class TestDeadline:
         assert len(minimal_primes_squarefree(I, Budget(timeout_secs=60))) == 4
 
     def test_expired_deadline_stops_prime_walks(self):
-        # The combinatorial prime walks behind verify_res_int visit every
-        # vertex subset; they take the check's budget.
-        path = SimpleGraph.path(4)
+        # The prime walk behind verify_res_int takes the check's budget: each
+        # subset T ticks it in _minimal_primes, each node of the backtracking
+        # over S in _minimal_sets.
+        walks = ((lambda b: list(_minimal_sets([1, 2, 3, 4, 5], frozenset(), b)),
+                  "_minimal_sets"),
+                 (lambda b: list(_minimal_primes(5, b)), "_minimal_primes"),
+                 (lambda b: replay_avoidance_argument(5, b), "_minimal_primes"))
         for limit in self.LIMITS:
-            with pytest.raises(BudgetExceeded):
-                minimal_primes_bei(path, Budget(**limit))
-            for walk in (_candidate_primes, replay_avoidance_argument):
-                with pytest.raises(BudgetExceeded):
-                    walk(5, Budget(**limit))
-        assert minimal_primes_bei(path, Budget(timeout_secs=60)) == minimal_primes_bei(path)
+            for walk, ticker in walks:
+                with pytest.raises(BudgetExceeded) as excinfo:
+                    walk(Budget(**limit))
+                names = [f.name for f in excinfo.traceback]
+                assert names[names.index("tick") - 1] == ticker
+        assert len(list(_minimal_sets([1, 2, 3, 4, 5], frozenset(),
+                                      Budget(timeout_secs=60)))) == 5
         assert replay_avoidance_argument(5, Budget(timeout_secs=60))
 
 
