@@ -191,6 +191,7 @@ def check_automorphisms(n: int, rng: random.Random,
     sign, under its index automorphism."""
     target = {fam.delta(t, t + 1, n).monic().terms for t in range(1, n)}
     for case_i in range(1, n + 1):
+        budget.check_deadline()
         perm = fam.phi_permutation(n, case_i)
         images = set()
         for k in range(1, n + 1):
@@ -283,6 +284,7 @@ def check_identities(n: int, rng: random.Random,
             ("first", _telescoping_first, g1, pairs),
             ("second", _telescoping_second, g2, [(i, j) for j, i in pairs])):
         for i, j in ijs:
+            budget.check_deadline()
             lhs, summands, lead = telescoping(n, i, j, ring, gs)
             if sum(summands, ring.zero) != lhs:
                 return FAIL, f"{name} telescoping identity fails at (i,j)=({i},{j})"
@@ -301,6 +303,7 @@ def check_identities(n: int, rng: random.Random,
                 - ring.z(j - 1) * ring.y(j - 2) * g2[j] != g2[j - 1]):
             return FAIL, f"second chain recurrence fails at j={j}"
     for _ in range(500 if n == 4 else 50):
+        budget.check_deadline()
         f, g = _random_qualifying_binomials(ring, rng)
         if divide(s_polynomial(f, g), [f, g]).remainder:
             return FAIL, (f"S({_fmt(f)}, {_fmt(g)}) does not reduce to zero "

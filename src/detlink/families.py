@@ -76,20 +76,20 @@ def _index(n: int, i: int) -> int:
 
 
 def _link(n: int, i: int) -> tuple[tuple[int, int], tuple[int, ...],
-                                   tuple[int, ...], range]:
+                                   tuple[int, ...]]:
     """Index data of the i-th link: the minor pair of g_i (larger index
-    first), the x/y index window (every index outside that pair), the z-set
-    (every index but i) and the second indices j of m_{i,j}."""
+    first), the x/y index window (every index outside that pair) and the
+    z-set (every index but i)."""
     _index(n, i)
     if i == 1:
-        pair, js = (2, 1), range(3, n + 2)
+        pair = (2, 1)
     elif i == n:
-        pair, js = (n, n - 1), range(1, n)
+        pair = (n, n - 1)
     else:
-        pair, js = (i + 1, i - 1), range(1, n + 2)
+        pair = (i + 1, i - 1)
     span = range(1, n + 1)
     return (pair, tuple(v for v in span if v not in pair),
-            tuple(v for v in span if v != i), js)
+            tuple(v for v in span if v != i))
 
 
 # -- builders: each family once per width, as tuples -------------------------
@@ -134,7 +134,7 @@ def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
     ring = standard_ring(n)
     out = []
     for i in range(1, n + 1):
-        _, window, zs, _ = _link(n, i)
+        _, window, zs = _link(n, i)
         monos = sorted((m for _, m in window_products(ring, window, zs)),
                        key=ring.order.key, reverse=True)
         out.append(tuple(ring.from_monomial(m) for m in monos))
@@ -183,38 +183,18 @@ def sub_a(n: int, i: int) -> Ideal:
     return Ideal(standard_ring(n), gs[:k] + gs[k + 1:])
 
 
-def m_ij(n: int, i: int, j: int) -> Monomial:
-    """The distinguished squarefree monomial m_{i,j} of the i-th link:
-    X over the window below j, Y over the window from j on, and Z."""
-    _, window, zs, js = _link(n, i)
-    if j not in js:
-        raise ValueError(f"m_({i},j) needs {js[0]} <= j <= {js[-1]}")
-    return xyz_monomial(standard_ring(n), xs=[v for v in window if v < j],
-                        ys=[v for v in window if v >= j], zs=zs)
-
-
-def m_ij_range(n: int, i: int) -> list[int]:
-    """Valid second indices of m_{i,j}."""
-    return list(_link(n, i)[3])
-
-
-def M_set(n: int, i: int) -> list[Monomial]:
-    """All 2^(n-2) monomials X_K * Y_L * Z attached to the i-th link,
-    in descending order.
+def M_polys(n: int, i: int) -> list[Polynomial]:
+    """All 2^(n-2) monomials X_K * Y_L * Z attached to the i-th link, as
+    monomial Polynomials in descending order.
 
     K and L run over the two-set partitions of the index window; the
     z-part is the full squarefree z-product with z_i omitted.
     """
-    return [p.terms[0].mono for p in _monomial_sets(n)[_index(n, i)]]
-
-
-def M_polys(n: int, i: int) -> list[Polynomial]:
-    """M_set(n, i) as monomial Polynomials, in the same order."""
     return list(_monomial_sets(n)[_index(n, i)])
 
 
 def link_ideal(n: int, i: int) -> Ideal:
-    """The i-th link presented by its proven generators: sub_a(n,i) + M_set(n,i)."""
+    """The i-th link presented by its proven generators: sub_a(n,i) + M_polys(n,i)."""
     k, gs = _index(n, i), _generators(n)
     return Ideal(standard_ring(n), gs[:k] + gs[k + 1:] + _monomial_sets(n)[k])
 
@@ -236,7 +216,7 @@ def set_G(n: int) -> list[Polynomial]:
 
 
 def G_union_M(n: int) -> list[Polynomial]:
-    """set_G(n) followed by every M_set(n, i) monomial, i = 1..n in turn.
+    """set_G(n) followed by every M_polys(n, i) monomial, i = 1..n in turn.
 
     This order fixes the 1-based witness indices of a certificate on the set.
     """
@@ -244,7 +224,7 @@ def G_union_M(n: int) -> list[Polynomial]:
 
 
 def sum_links_ideal(n: int) -> Ideal:
-    """Sum of all n link ideals: (g_1..g_n) plus every M_set monomial."""
+    """Sum of all n link ideals: (g_1..g_n) plus every M_polys monomial."""
     monomials = itertools.chain.from_iterable(_monomial_sets(n))
     return Ideal(standard_ring(n), [*_generators(n), *monomials])
 
@@ -279,10 +259,6 @@ class IndexPermutation:
 
     def __call__(self, i: int) -> int:
         return self.image[i - 1]
-
-    @classmethod
-    def identity(cls, n: int) -> "IndexPermutation":
-        return cls(n, tuple(range(1, n + 1)))
 
 
 def apply_permutation(perm: IndexPermutation, f: Polynomial) -> Polynomial:

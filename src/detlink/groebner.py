@@ -102,8 +102,9 @@ class Budget:
 
     def check_deadline(self) -> None:
         """Raise once the deadline has passed; counts nothing. Loops whose
-        steps are not units of work, reduction steps and product tests,
-        call this."""
+        steps are not units of work call this: reduction steps, product
+        tests, the rows of the certificate's pair build, and the steps of
+        the `identities` and `automorphisms` checks."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"timeout of {self.timeout_secs}s exhausted")
 
@@ -727,7 +728,8 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     Each pair the walk reaches, reduced or skipped by the criterion, counts
     once against the budget, so the count is the same as without the
     criterion. Monomial pairs and coprime pairs are free, as discarded
-    pairs are in Buchberger's algorithm.
+    pairs are in Buchberger's algorithm. Building the pairs checks the
+    deadline once per element.
 
     `order` is kept for callers that pass the budget positionally; any
     order but the ring's own raises ValueError.
@@ -753,6 +755,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     non_monomials = [j for j in range(n) if len(prims[j]) > 1]
     pairs = []
     for i in range(n):
+        budget.check_deadline()
         ei, support = exps[i], supports[i]
         eg = ei | exp_guard
         partners = (range(i + 1, n) if len(prims[i]) > 1

@@ -1,6 +1,5 @@
 """Ideal-level operations: intersection and colon via elimination,
-dimension and height through initial ideals, minimal primes of squarefree
-monomial ideals.
+dimension and height through initial ideals.
 
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
 under the block elimination order. The t-free part of the reduced
@@ -10,6 +9,10 @@ principal colons I : (g) over generators g of J, and skips each g with
 g*out ⊆ I for the colon so far, out, since then out ⊆ I : (g). Both run
 on packed prims (see `groebner`) throughout, so embedding, multiplying by
 t and stripping t are shifts and adds; results build `Polynomial`s on use.
+
+Dimension is nvars minus the minimum vertex cover of the supports of the
+initial ideal's generators, found by branch and bound; a greedy set of
+pairwise-disjoint edges bounds each node's cover from below.
 """
 
 from __future__ import annotations
@@ -132,7 +135,7 @@ def sum_ideals(*ideals: Ideal) -> Ideal:
     return Ideal(ring, gens)
 
 
-# -- dimension of monomial ideals and minimal primes ------------------------
+# -- dimension of monomial ideals ------------------------------------------
 
 
 def _support_edges(supports: Iterable[tuple[int, ...]]) -> list[frozenset[int]]:
@@ -148,13 +151,20 @@ def _support_edges(supports: Iterable[tuple[int, ...]]) -> list[frozenset[int]]:
 def _min_cover_size(edges: list[frozenset[int]],
                     budget: Optional[Budget] = None) -> int:
     """Minimum vertex cover of a hypergraph, by branch and bound; each node
-    ticks the budget once."""
+    ticks the budget once. A node is pruned when its cover so far plus a
+    greedy set of pairwise-disjoint remaining edges reaches the best cover
+    found: each of those edges needs a cover vertex of its own."""
     best = [sum(len(e) for e in edges)]
 
     def walk(remaining: list[frozenset[int]], size: int) -> None:
         if budget is not None:
             budget.tick()
-        if size >= best[0]:
+        bound, hit = size, set()
+        for e in remaining:
+            if hit.isdisjoint(e):
+                hit |= e
+                bound += 1
+        if bound >= best[0]:
             return
         if not remaining:
             best[0] = size
@@ -166,28 +176,6 @@ def _min_cover_size(edges: list[frozenset[int]],
 
     walk(edges, 0)
     return best[0]
-
-
-def _minimal_covers(edges: list[frozenset[int]],
-                    budget: Optional[Budget] = None) -> list[frozenset[int]]:
-    """All inclusion-minimal vertex covers of a hypergraph; each node ticks
-    the budget once."""
-    found: set[frozenset[int]] = set()
-
-    def walk(remaining: list[frozenset[int]], chosen: frozenset[int]) -> None:
-        if budget is not None:
-            budget.tick()
-        if not remaining:
-            found.add(chosen)
-            return
-        edge = min(remaining, key=len)
-        for v in sorted(edge):
-            rest = [e for e in remaining if v not in e]
-            walk(rest, chosen | {v})
-
-    walk(edges, frozenset())
-    return [c for c in found
-            if not any(other < c for other in found)]
 
 
 def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
@@ -215,21 +203,3 @@ def height(I: Ideal, budget: Optional[Budget] = None) -> int:
     """Codimension: total variable count minus dimension."""
     return I.ring.space.nvars - dimension(I, budget)
 
-
-def minimal_primes_squarefree(I: Ideal,
-                              budget: Optional[Budget] = None) -> tuple[frozenset[str], ...]:
-    """Minimal primes of a squarefree monomial ideal, as variable-name sets.
-
-    These are exactly the minimal vertex covers of the generator-support
-    hypergraph.
-    """
-    basis = I.groebner(budget)
-    if not all(len(f.terms) == 1 and f.terms[0].mono.is_squarefree() for f in basis):
-        raise ValueError("not a squarefree monomial ideal")
-    names = I.ring.names
-    if not basis:
-        return (frozenset(),)
-    edges = _support_edges(f.terms[0].mono.support() for f in basis)
-    covers = _minimal_covers(edges, budget)
-    named = [frozenset(names[v] for v in c) for c in covers]
-    return tuple(sorted(named, key=lambda s: (len(s), sorted(s))))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add as _add, le as _le, sub as _sub
+from operator import add as _add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
 GREVLEX = "grevlex"
@@ -85,32 +85,8 @@ class Monomial:
         return Monomial(tuple(map(_add, self.exps, other.exps)),
                         self.deg + other.deg)
 
-    def divides(self, other: "Monomial") -> bool:
-        if self.deg > other.deg:
-            return False
-        return all(map(_le, self.exps, other.exps))
-
-    def div(self, other: "Monomial") -> "Monomial":
-        """Exact quotient self / other; raises if not divisible."""
-        out = tuple(map(_sub, self.exps, other.exps))
-        if any(e < 0 for e in out):
-            raise ValueError(f"{other!r} does not divide {self!r}")
-        return Monomial(out, self.deg - other.deg)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(max, self.exps, other.exps)))
-
-    def gcd(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(map(min, self.exps, other.exps)))
-
-    def is_coprime(self, other: "Monomial") -> bool:
-        return not any(map(min, self.exps, other.exps))
-
     def is_squarefree(self) -> bool:
         return all(e <= 1 for e in self.exps)
-
-    def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exps) if e)
 
 
 class Term(NamedTuple):
@@ -163,10 +139,6 @@ class MonomialOrder:
                  sum(tail), tuple(-e for e in reversed(tail)))
         m._key = (self, k)
         return k
-
-    def compare(self, a: Monomial, b: Monomial) -> int:
-        ka, kb = self.key(a), self.key(b)
-        return (ka > kb) - (ka < kb)
 
 
 class Ring:
@@ -371,9 +343,6 @@ class Polynomial:
         return Polynomial(self.ring,
                           tuple(Term(c / lc, m) for c, m in self.terms))
 
-    def as_dict(self) -> dict[Monomial, Fraction]:
-        return {m: c for c, m in self.terms}
-
     # -- arithmetic -------------------------------------------------------
 
     def _coerce(self, other):
@@ -475,55 +444,3 @@ class Polynomial:
     def __repr__(self) -> str:
         return f"<{self.ring.format(self)}>"
 
-
-def multidegree(f: Polynomial):
-    """Common (deg_x, deg_y, deg_z) of all terms.
-
-    Returns the triple when f is multihomogeneous, the string "zero" for
-    the zero polynomial, and None when the terms disagree.
-    """
-    if not f.terms:
-        return "zero"
-    space = f.ring.space
-    e, n = space.elim_count, space.n
-    seen = None
-    for _, m in f.terms:
-        exps = m.exps
-        d = (sum(exps[e:e + n]), sum(exps[e + n:e + 2 * n]), sum(exps[e + 2 * n:]))
-        if seen is None:
-            seen = d
-        elif seen != d:
-            return None
-    return seen
-
-
-def substitute(f: Polynomial,
-               images: Mapping[str, Union[Polynomial, Scalar]]) -> Polynomial:
-    """Ring-homomorphism image of f under a variable name -> value map.
-
-    Every variable occurring in f must be mapped; values may live in a
-    different ring (the target ring is that of the first polynomial image,
-    else f's own ring).
-    """
-    target = next((v.ring for v in images.values() if isinstance(v, Polynomial)),
-                  f.ring)
-    coerced: dict[str, Polynomial] = {}
-    for name, v in images.items():
-        p = v if isinstance(v, Polynomial) else target.const(v)
-        if p.ring != target:
-            raise ValueError("substitution images live in different rings")
-        coerced[name] = p
-
-    names = f.ring.names
-    out = target.zero
-    for c, m in f.terms:
-        part = target.const(c)
-        for pos, exp in enumerate(m.exps):
-            if not exp:
-                continue
-            img = coerced.get(names[pos])
-            if img is None:
-                raise ValueError(f"variable {names[pos]!r} occurs in f but is not mapped")
-            part = part * img ** exp
-        out = out + part
-    return out

@@ -1,0 +1,132 @@
+"""Independent references the tests compare detlink against.
+
+The verifier runs none of these. The tests check the kernel's packed
+monomials against the monomial arithmetic on exponent tuples here, and
+build their textbook division and certificate references with it.
+`substitute` and `multidegree` check the families under specializations
+and pin their degrees; `m_ij` and `m_ij_range` are the paper's
+distinguished monomials of each link, which the tests find among the
+link's monomial set.
+"""
+
+from __future__ import annotations
+
+from operator import le as _le, sub as _sub
+from typing import Mapping, Union
+
+from detlink.families import _link, standard_ring, xyz_monomial
+from detlink.rings import Monomial, Polynomial, Scalar
+
+
+# -- monomial arithmetic ----------------------------------------------------
+
+
+def divides(a: Monomial, b: Monomial) -> bool:
+    """Whether a divides b."""
+    if a.deg > b.deg:
+        return False
+    return all(map(_le, a.exps, b.exps))
+
+
+def div(a: Monomial, b: Monomial) -> Monomial:
+    """Exact quotient a / b; raises if not divisible."""
+    out = tuple(map(_sub, a.exps, b.exps))
+    if any(e < 0 for e in out):
+        raise ValueError(f"{b!r} does not divide {a!r}")
+    return Monomial(out, a.deg - b.deg)
+
+
+def lcm(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(tuple(map(max, a.exps, b.exps)))
+
+
+def gcd(a: Monomial, b: Monomial) -> Monomial:
+    return Monomial(tuple(map(min, a.exps, b.exps)))
+
+
+def is_coprime(a: Monomial, b: Monomial) -> bool:
+    return not any(map(min, a.exps, b.exps))
+
+
+def support(m: Monomial) -> tuple[int, ...]:
+    return tuple(i for i, e in enumerate(m.exps) if e)
+
+
+# -- polynomials ------------------------------------------------------------
+
+
+def multidegree(f: Polynomial):
+    """Common (deg_x, deg_y, deg_z) of all terms.
+
+    Returns the triple when f is multihomogeneous, the string "zero" for
+    the zero polynomial, and None when the terms disagree.
+    """
+    if not f.terms:
+        return "zero"
+    space = f.ring.space
+    e, n = space.elim_count, space.n
+    seen = None
+    for _, m in f.terms:
+        exps = m.exps
+        d = (sum(exps[e:e + n]), sum(exps[e + n:e + 2 * n]), sum(exps[e + 2 * n:]))
+        if seen is None:
+            seen = d
+        elif seen != d:
+            return None
+    return seen
+
+
+def substitute(f: Polynomial,
+               images: Mapping[str, Union[Polynomial, Scalar]]) -> Polynomial:
+    """Ring-homomorphism image of f under a variable name -> value map.
+
+    Every variable occurring in f must be mapped; values may live in a
+    different ring (the target ring is that of the first polynomial image,
+    else f's own ring).
+    """
+    target = next((v.ring for v in images.values() if isinstance(v, Polynomial)),
+                  f.ring)
+    coerced: dict[str, Polynomial] = {}
+    for name, v in images.items():
+        p = v if isinstance(v, Polynomial) else target.const(v)
+        if p.ring != target:
+            raise ValueError("substitution images live in different rings")
+        coerced[name] = p
+
+    names = f.ring.names
+    out = target.zero
+    for c, m in f.terms:
+        part = target.const(c)
+        for pos, exp in enumerate(m.exps):
+            if not exp:
+                continue
+            img = coerced.get(names[pos])
+            if img is None:
+                raise ValueError(f"variable {names[pos]!r} occurs in f but is not mapped")
+            part = part * img ** exp
+        out = out + part
+    return out
+
+
+# -- the distinguished monomials of each link --------------------------------
+
+
+def m_ij_range(n: int, i: int) -> list[int]:
+    """Valid second indices of m_{i,j}."""
+    _link(n, i)     # rejects i outside [1, n]
+    if i == 1:
+        return list(range(3, n + 2))
+    if i == n:
+        return list(range(1, n))
+    return list(range(1, n + 2))
+
+
+def m_ij(n: int, i: int, j: int) -> Monomial:
+    """The distinguished squarefree monomial m_{i,j} of the i-th link:
+    X over the window below j, Y over the window from j on, and Z."""
+    _, window, zs = _link(n, i)
+    js = m_ij_range(n, i)
+    if j not in js:
+        raise ValueError(f"m_({i},j) needs {js[0]} <= j <= {js[-1]}")
+    return xyz_monomial(standard_ring(n), xs=[v for v in window if v < j],
+                        ys=[v for v in window if v >= j], zs=zs)

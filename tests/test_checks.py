@@ -17,6 +17,8 @@ from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, divide, interreduce,
                               member, s_polynomial)
 
+from reference import divides, gcd
+
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
 
@@ -81,6 +83,14 @@ class TestRunChecks:
         assert reports[0].status == "budget-exceeded"
         assert "budget" in reports[0].witness
 
+    @pytest.mark.parametrize("name, n", [("identities", 7), ("automorphisms", 5)])
+    def test_expired_deadline_stops_unit_free_checks(self, name, n):
+        # These checks count no units of work; their loops check the
+        # deadline instead.
+        report, = run_checks(n, [name], timeout_secs=0)
+        assert report.status == "budget-exceeded"
+        assert "timeout" in report.witness
+
     def test_mutated_family_detected(self, monkeypatch):
         original = fam.set_G
 
@@ -138,7 +148,7 @@ class TestWorkCounts:
     # Units of `heights` at n = 7: the S-polynomials of its height bases,
     # every node of the cover walks, and every subset T and backtracking
     # node of the prime walk.
-    HEIGHTS_7 = 5_474
+    HEIGHTS_7 = 1_165
     SCRIPT = ("import random; from detlink.checks import check_heights; "
               "from detlink.groebner import Budget; budget = Budget(); "
               "check_heights(7, random.Random('0/heights'), budget); "
@@ -172,8 +182,8 @@ class TestQualifyingBinomials:
         for _ in range(200):
             f, g = checks._random_qualifying_binomials(ring, rng)
             assert len(f) == len(g) == 2 and f != g
-            gcd = f.terms[0].mono.gcd(g.terms[0].mono)
-            assert gcd.divides(f.terms[1].mono) and gcd.divides(g.terms[1].mono)
+            c = gcd(f.terms[0].mono, g.terms[0].mono)
+            assert divides(c, f.terms[1].mono) and divides(c, g.terms[1].mono)
             assert not divide(s_polynomial(f, g), [f, g]).remainder
             homogeneous += f.is_homogeneous() and g.is_homogeneous()
         assert homogeneous > 0

@@ -3,7 +3,7 @@
 import pytest
 
 from detlink import groebner
-from detlink.families import (G_union_M, delta, gens_a, m_ij, minors_ideal, set_G,
+from detlink.families import (G_union_M, delta, gens_a, minors_ideal, set_G,
                               standard_ring, sub_a)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               divide, ideal_equal, initial_ideal, interreduce,
@@ -14,6 +14,7 @@ from detlink.rings import ELIM_BLOCK, MonomialOrder, Ring
 
 from conftest import (elimination_input, random_monomial, random_nonzero_poly,
                       random_poly)
+from reference import div, divides, m_ij
 
 
 class TestDivide:
@@ -68,7 +69,7 @@ class TestDivide:
             assert rebuilt == h
             lead_mons = [f.terms[0].mono for f in divisors]
             for _, m in rem.terms:
-                assert not any(lm.divides(m) for lm in lead_mons)
+                assert not any(divides(lm, m) for lm in lead_mons)
             top = key(h.terms[0].mono)
             for q, f in zip(quotients, divisors):
                 if q:
@@ -100,7 +101,7 @@ def _textbook_divide(h, divisors):
     """Division over Q with the first-match rule, one term at a time."""
     ring = h.ring
     key = ring.order.key
-    p = h.as_dict()
+    p = {m: c for c, m in h.terms}
     quotients = [{} for _ in divisors]
     rem = {}
     while p:
@@ -108,8 +109,8 @@ def _textbook_divide(h, divisors):
         c = p.pop(m)
         for qd, f in zip(quotients, divisors):
             lc, lm = f.terms[0]
-            if lm.divides(m):
-                u = m.div(lm)
+            if divides(lm, m):
+                u = div(m, lm)
                 qd[u] = qd.get(u, 0) + c / lc
                 for fc, fm in f.terms[1:]:
                     mm = u.mul(fm)
@@ -368,7 +369,7 @@ class TestBuchberger:
             for idx, b in enumerate(basis):
                 assert b.terms[0].coeff == 1
                 others = lead[:idx] + lead[idx + 1:]
-                assert all(not lm.divides(m) for lm in others
+                assert all(not divides(lm, m) for lm in others
                            for _, m in b.terms)
             fresh = Ideal(R, I.gens)
             assert all(member(b, fresh) for b in basis)
@@ -457,6 +458,14 @@ class TestCertificate:
             is_groebner_basis(polys, budget=Budget(max_pairs=2))
         assert cert.remainder == -27 * x1
         assert cert.remainder == divide(s_polynomial(polys[1], polys[2]), polys).remainder
+
+    def test_expired_deadline_stops_the_pair_build(self):
+        # The deadline is checked once per element while the pairs are
+        # built, before the first pair is walked.
+        budget = Budget(timeout_secs=0)
+        with pytest.raises(BudgetExceeded, match="timeout"):
+            is_groebner_basis(G_union_M(8), budget=budget)
+        assert budget.pairs == 0
 
     def test_budget_counts_every_pair(self):
         # Every walked pair counts; monomial-monomial and coprime pairs are

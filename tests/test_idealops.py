@@ -1,21 +1,22 @@
-"""Intersection, colon, dimension/height, minimal primes of monomial ideals."""
+"""Intersection, colon, dimension and height."""
 
 import itertools
 
 import pytest
 
 from detlink import groebner, idealops
-from detlink.families import (M_set, chain_ideal, delta, gens_a, minors_ideal,
-                              set_G, standard_ring, sub_a, sum_links_ideal)
+from detlink.families import (M_polys, chain_ideal, delta, gens_a, minors_ideal,
+                              set_G, standard_ring, sub_a)
 from detlink.graphs import _minimal_primes, _minimal_sets, replay_avoidance_argument
 from detlink.groebner import (Budget, BudgetExceeded, Ideal,
                               _first_product_outside, ideal_equal,
-                              initial_ideal, interreduce, member)
-from detlink.idealops import (dimension, height, intersect, minimal_primes_squarefree,
-                              quotient, quotient_by_poly, sum_ideals)
+                              interreduce, member)
+from detlink.idealops import (dimension, height, intersect, quotient,
+                              quotient_by_poly, sum_ideals)
 from detlink.rings import ELIM_BLOCK, Ring
 
 from conftest import random_nonzero_poly, random_poly
+from reference import support
 
 
 def exhaustive_monomial_dimension(supports, nvars):
@@ -238,7 +239,7 @@ class TestMultiplesIn:
         ring = standard_ring(n)
         a_full = Ideal.with_basis(ring, gens_a(n).gens, interreduce(set_G(n)))
         minors = minors_ideal(n).gens
-        monos = [ring.from_monomial(m) for i in range(1, n + 1) for m in M_set(n, i)]
+        monos = [p for i in range(1, n + 1) for p in M_polys(n, i)]
         assert _first_product_outside(monos, minors, a_full) is None
         bad = monos + [ring.x(1), ring.y(2)]
         want = _first_outside_by_member(bad, minors, a_full)
@@ -346,7 +347,7 @@ class TestDimensionHeight:
             if not gens:
                 continue
             I = Ideal(R, gens)
-            supports = [g.terms[0].mono.support() for g in I.groebner()]
+            supports = [support(g.terms[0].mono) for g in I.groebner()]
             assert dimension(I) == exhaustive_monomial_dimension(supports, 6)
 
     def test_height_monotone_under_sum(self, rng):
@@ -368,19 +369,16 @@ class TestDeadline:
 
     def test_expired_deadline_stops_cover_walks(self):
         # The basis is cached, so the budget can only run out in the vertex
-        # cover walks of dimension and minimal_primes_squarefree, whose
-        # nodes tick it.
+        # cover walk of dimension, whose nodes tick it.
         R = Ring(2)
         gens = (R.x(1) * R.y(1), R.x(2) * R.z(2))
         I = Ideal.with_basis(R, gens, gens)
         for limit in self.LIMITS:
-            for call in (height, minimal_primes_squarefree):
-                with pytest.raises(BudgetExceeded) as excinfo:
-                    call(I, Budget(**limit))
-                names = [f.name for f in excinfo.traceback]
-                assert names[names.index("tick") - 1] == "walk"
+            with pytest.raises(BudgetExceeded) as excinfo:
+                height(I, Budget(**limit))
+            names = [f.name for f in excinfo.traceback]
+            assert names[names.index("tick") - 1] == "walk"
         assert height(I, Budget(timeout_secs=60)) == 2
-        assert len(minimal_primes_squarefree(I, Budget(timeout_secs=60))) == 4
 
     def test_expired_deadline_stops_prime_walks(self):
         # The prime walk behind verify_res_int takes the check's budget: each
@@ -399,46 +397,3 @@ class TestDeadline:
         assert len(list(_minimal_sets([1, 2, 3, 4, 5], frozenset(),
                                       Budget(timeout_secs=60)))) == 5
         assert replay_avoidance_argument(5, Budget(timeout_secs=60))
-
-
-class TestMinimalPrimes:
-    def test_pinned(self):
-        R = standard_ring(4)
-        got = minimal_primes_squarefree(Ideal(R, [R.x(1) * R.y(1)]))
-        assert set(got) == {frozenset({"x1"}), frozenset({"y1"})}
-        got2 = minimal_primes_squarefree(
-            Ideal(R, [R.x(1) * R.x(2), R.x(2) * R.x(3)]))
-        assert set(got2) == {frozenset({"x2"}), frozenset({"x1", "x3"})}
-
-    def test_defining_property_of_outputs(self, rng):
-        R = Ring(2)
-        for _ in range(25):
-            gens = []
-            for _ in range(rng.randint(1, 4)):
-                vec = [0] * 6
-                for _ in range(rng.randint(1, 3)):
-                    vec[rng.randrange(6)] = 1
-                if any(vec):
-                    gens.append(R.from_monomial(R.monomial(vec)))
-            if not gens:
-                continue
-            I = Ideal(R, gens)
-            supports = [set(g.terms[0].mono.support()) for g in I.groebner()]
-            if not supports:
-                continue
-            for prime in minimal_primes_squarefree(I):
-                positions = {R._pos_by_name[name] for name in prime}
-                assert all(sup & positions for sup in supports)
-                for v in positions:
-                    smaller = positions - {v}
-                    assert not all(sup & smaller for sup in supports)
-
-    def test_non_squarefree_rejected(self):
-        R = standard_ring(4)
-        with pytest.raises(ValueError):
-            minimal_primes_squarefree(Ideal(R, [R.x(1) ** 2]))
-
-    def test_initial_of_sum_links_is_squarefree(self):
-        init = initial_ideal(sum_links_ideal(4))
-        primes = minimal_primes_squarefree(init)
-        assert primes  # computable, and every cover hits every support

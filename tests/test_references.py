@@ -18,6 +18,8 @@ from detlink.groebner import (Budget, BudgetExceeded, _IntReducer, _packing,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
+from reference import lcm
+
 RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK))
 NVARS = 4
 
@@ -110,7 +112,7 @@ def _reference_certificate(polys):
     """Every pair, sorted by (lcm, i, j) in the ring's order, divided with
     exact rational arithmetic; the first nonzero remainder fails."""
     key = polys[0].ring.order.key
-    pairs = sorted((key(polys[i].terms[0].mono.lcm(polys[j].terms[0].mono)), i, j)
+    pairs = sorted((key(lcm(polys[i].terms[0].mono, polys[j].terms[0].mono)), i, j)
                    for i in range(len(polys)) for j in range(i + 1, len(polys)))
     for _, i, j in pairs:
         rem = divide(s_polynomial(polys[i], polys[j]), polys).remainder

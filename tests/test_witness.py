@@ -21,6 +21,8 @@ from detlink.families import G_union_M, standard_ring
 from detlink.groebner import divide, is_groebner_basis, s_polynomial
 from detlink.rings import Ring
 
+from reference import is_coprime, lcm
+
 R = Ring(2)
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -31,10 +33,10 @@ def _reference(polys):
     key = polys[0].ring.order.key
     lms = [f.terms[0].mono for f in polys]
     pairs = sorted(
-        (key(lms[i].lcm(lms[j])), i, j)
+        (key(lcm(lms[i], lms[j])), i, j)
         for i in range(len(polys)) for j in range(i + 1, len(polys))
         if (len(polys[i]) > 1 or len(polys[j]) > 1)
-        and not lms[i].is_coprime(lms[j]))
+        and not is_coprime(lms[i], lms[j]))
     for _, i, j in pairs:
         rem = divide(s_polynomial(polys[i], polys[j]), polys).remainder
         if rem:
