@@ -49,6 +49,12 @@ elimination t*I + (1-t)*J behind every intersection would otherwise lack:
 that input is not homogeneous, and popping the least lcm there lets
 high-degree remainders into the basis early, where they breed more pairs.
 On homogeneous input sugar is the degree, and the order is the normal one.
+
+The loop may start from inputs known to form Groebner bases: the
+eliminations of `idealops` pass each side's reduced basis, times t or
+1 - t, as a block, and no pair inside a block is pushed, since each has a
+standard representation already (`_groebner_prims` says why the criteria
+stay sound).
 """
 
 from __future__ import annotations
@@ -119,7 +125,8 @@ class GBStats:
     discarded_coprime: new pairs dropped at installation because their
         leading monomials are coprime (product criterion).
     discarded_chain: pairs dropped by the other Gebauer-Moller criteria,
-        at installation (M, F) or later by a new element (B_k).
+        at installation (M, F) or later by a new element (B_k), and new
+        pairs inside an input block known to be a Groebner basis.
     zero_reductions: S-polynomials that reduced to zero.
     basis_added: S-polynomials whose nonzero remainder joined the basis.
     """
@@ -542,9 +549,28 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
 
 
 def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
-                    criteria: bool = True, stats: Optional[GBStats] = None) -> list:
+                    criteria: bool = True, stats: Optional[GBStats] = None,
+                    blocks: Optional[Sequence] = None) -> list:
     """The reduced Groebner basis of nonzero prims as interreduced prims,
-    descending by leading monomial; `reduced_groebner_basis` says how."""
+    descending by leading monomial; `reduced_groebner_basis` says how.
+
+    `blocks`, if given, labels each input prim with a block, or with None.
+    The inputs that share a label must form a Groebner basis of the ideal
+    they generate, in this packing's order (the eliminations of `idealops`
+    pass a reduced basis times t or times 1 - t). Every S-pair inside such
+    a block then reduces to zero by the block, so it has a standard
+    representation and needs no reduction (Gebauer & Moller, J. Symb.
+    Comput. 6, 1988; Becker-Weispfenning 5.5). With the criteria on, when
+    an input of a block is installed no pair with an earlier member of its
+    block is pushed: a group of new pairs with one lcm that holds such a
+    member is dropped whole, as F keeps one pair per lcm and that one is
+    already represented, and its pairs count as discarded_chain. B_k, M
+    and F still run over all active elements, so a member of the same
+    block may still witness M or F; that is sound because its pair with
+    the new element has a standard representation, as a reduced pair has.
+    Remainders belong to no block. criteria=False ignores `blocks` and
+    stays the reference path.
+    """
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
@@ -557,6 +583,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     supports: list[int] = []
     excess: list[int] = []      # sugar minus the degree of the leading monomial
     active: list[int] = []      # elements that still get new pairs
+    origin: list = []           # the input block of each element, or None
     # [sugar, lcm, i, j, the exponent fields of lcm or None once dropped]
     heap: list[list] = []
     reducer = _IntReducer(packing, budget=budget)
@@ -568,12 +595,13 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         heapq.heappush(heap, [sugar, lcm, i, j, lcm & exp_mask])
         stats.pairs_pushed += 1
 
-    def install(prim, sugar: int) -> None:
+    def install(prim, sugar: int, block=None) -> None:
         j = len(G)
         lm = prim[0][0]
         e = lm & exp_mask
         support = packing.support(lm)
         G.append(prim)
+        origin.append(block)
         lms.append(lm)
         exps.append(e)
         supports.append(support)
@@ -622,6 +650,8 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                 if coprime:
                     stats.discarded_coprime += coprime
                     stats.discarded_chain += len(group) - coprime
+                elif block is not None and any(origin[i] == block for i in group):
+                    stats.discarded_chain += len(group)
                 else:
                     stats.discarded_chain += len(group) - 1
                     survivors.append((with_key(lcm), group[0]))
@@ -633,10 +663,10 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         active.append(j)
 
     seen = set()
-    for prim in prims:
+    for prim, block in zip(prims, blocks or [None] * len(prims)):
         if prim not in seen:
             seen.add(prim)
-            install(prim, max(degree(m) for m, _ in prim))
+            install(prim, max(degree(m) for m, _ in prim), block)
 
     while heap:
         sugar, lcm, i, j, live = heapq.heappop(heap)
@@ -728,8 +758,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     Each pair the walk reaches, reduced or skipped by the criterion, counts
     once against the budget, so the count is the same as without the
     criterion. Monomial pairs and coprime pairs are free, as discarded
-    pairs are in Buchberger's algorithm. Building the pairs checks the
-    deadline once per element.
+    pairs are in Buchberger's algorithm. The deadline is checked once per
+    element while the input is packed and while the pairs are built, and
+    once more after the pairs are sorted.
 
     `order` is kept for callers that pass the budget positionally; any
     order but the ring's own raises ValueError.
@@ -744,7 +775,10 @@ def is_groebner_basis(polys: Sequence[Polynomial],
         raise ValueError(f"{order!r} is not the order of {ring!r}")
     packing = _packing(ring.order)
     budget = budget or Budget()
-    prims = [_prim_from_poly(f, packing) for f in polys]
+    prims = []
+    for f in polys:
+        budget.check_deadline()
+        prims.append(_prim_from_poly(f, packing))
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
     ones, with_key = packing.ones, packing.with_key
     exps = [p[0][0] & exp_mask for p in prims]
@@ -771,6 +805,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
                     raise _overflow()
                 pairs.append((lcm, i, j))
     pairs.sort()
+    budget.check_deadline()
     reducer = _IntReducer(packing, _Divisors(prims), budget)
     chain = [exps[k] for k in non_monomials]
     for lcm, i, j in pairs:

@@ -4,11 +4,15 @@ dimension and height through initial ideals.
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
 under the block elimination order. The t-free part of the reduced
 elimination basis is the reduced grevlex basis of the intersection, so
-results carry their Groebner basis for free. A colon I : J intersects the
-principal colons I : (g) over generators g of J, and skips each g with
-g*out ⊆ I for the colon so far, out, since then out ⊆ I : (g). Both run
-on packed prims (see `groebner`) throughout, so embedding, multiplying by
-t and stripping t are shifts and adds; results build `Polynomial`s on use.
+results carry their Groebner basis for free. A side that has a cached
+reduced basis enters as that basis, and the elimination reduces no pair
+inside it. A colon I : J intersects the principal colons I : (g) over
+generators g of J, and skips each g with g*out ⊆ I for the colon so far,
+out, since then out ⊆ I : (g); when J has two or more generators it
+computes I's reduced basis first, so every principal colon starts from
+it. Both run on packed prims (see `groebner`) throughout, so embedding,
+multiplying by t and stripping t are shifts and adds; results build
+`Polynomial`s on use.
 
 Dimension is nvars minus the minimum vertex cover of the supports of the
 initial ideal's generators, found by branch and bound; a greedy set of
@@ -31,24 +35,49 @@ def _elim_ring(ring: Ring) -> Ring:
 
 
 def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """Generators of the intersection of I and J, via elimination of t."""
+    """Generators of the intersection of I and J, via elimination of t.
+
+    Each side enters as its cached reduced basis G when it has one, else
+    as its generators. In the extended ring t*G and (1-t)*G are Groebner
+    bases of what they generate: in(t*g) = t*in(g), and in((1-t)*g) =
+    t*in(g) in any monomial order, since t*in(g) is a multiple of in(g)
+    and so exceeds every other term, provided the extended order ranks the
+    t-free monomials as the ring's order does. It does unless the ring is
+    grevlex with elimination variables: on a grevlex ring without them t
+    is the whole elimination block, and on an elim-block ring t joins the
+    block, whose grevlex comparison of (0, e_1..e_k) is that of
+    (e_1..e_k). There each cached basis enters `_groebner_prims` as a
+    block, whose inner pairs are not reduced; a single generator is a
+    block of its own. A grevlex ring with elimination variables is
+    extended to a block order that ranks t_1..t_k above the rest: its
+    prims are re-sorted, no block is passed, and the t-free part of the
+    result is turned into the ring's reduced basis by one more Groebner
+    basis.
+    """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     ring = I.ring
-    if not I._packed_gens() or not J._packed_gens():
+    based = [K.has_cached_basis() for K in (I, J)]
+    sides = [K._packed_basis(budget) if cached else K._packed_gens()
+             for K, cached in zip((I, J), based)]
+    if not sides[0] or not sides[1]:
         return Ideal(ring, ())
     packing, epacking = _packing(ring.order), _packing(_elim_ring(ring).order)
     t, mask = epacking.with_key(1), packing.exp_mask
+    agree = ring.order.kind == ELIM_BLOCK or not ring.space.elim_count
 
-    def embed(K: Ideal) -> list:
+    def embed(f) -> list:
         # t is variable 0, the lowest field: every exponent moves up one field.
-        return [[(epacking.with_key((m & mask) << FIELD), c) for m, c in f]
-                for f in K._packed_gens()]
+        return [(epacking.with_key((m & mask) << FIELD), c) for m, c in f]
 
-    gens = [tuple((m + t, c) for m, c in f) for f in embed(I)]
-    gens += [_prim_from_dict(dict(g + [(m + t, -c) for m, c in g])) for g in embed(J)]
+    gens = [tuple((m + t, c) for m, c in embed(f)) for f in sides[0]]
+    if not agree:
+        gens = [_prim_from_dict(dict(f)) for f in gens]
+    gens += [_prim_from_dict(dict(g + [(m + t, -c) for m, c in g]))
+             for g in map(embed, sides[1])]
+    blocks = [k if agree and based[k] else None for k in (0, 1) for _ in sides[k]]
     kept = []
-    for f in _groebner_prims(gens, epacking, budget):
+    for f in _groebner_prims(gens, epacking, budget, blocks=blocks):
         if f[0][0] & 0xFFFF:
             continue
         # On a ring that already has elimination variables the block order
@@ -60,6 +89,9 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
                 "elimination is inconclusive over this extended ring")
         kept.append(tuple((packing.with_key((m & epacking.exp_mask) >> FIELD), c)
                           for m, c in f))
+    if not agree:
+        kept = _groebner_prims([_prim_from_dict(dict(f)) for f in kept],
+                               packing, budget)
     return Ideal._from_prims(ring, kept)
 
 
@@ -100,14 +132,20 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     reduced basis of the colon so far, out, into I can shrink nothing; its
     principal colon is not computed. Otherwise I : (g) is computed, and
     when it lies inside out it is the result without an intersection. Both
-    tests form products of packed bases; the first reduces by I's basis, so
-    I's reduced basis is computed once J has two or more generators.
+    tests form products of packed bases; the first reduces by I's basis.
+    So when J has two or more generators, I's reduced basis is computed
+    before the first principal colon, not only for the first test: every
+    principal colon then embeds that basis as a block of known Groebner
+    basis (see `intersect`) instead of I's generators, and computes it
+    no more.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
         raise ValueError("colon by the zero ideal")
     one = ((0, 1),)     # the packed constant 1: no exponents, no key
+    if len(J.gens) > 1:
+        I._packed_basis(budget)
     out = quotient_by_poly(I, J.gens[0], budget)
     for g, gp in zip(J.gens[1:], J._packed_gens()[1:]):
         if _first_prim_product_outside([gp], out._packed_basis(budget), I, budget) is None:

@@ -1,0 +1,123 @@
+"""Eliminations that start from known Groebner bases.
+
+`_groebner_prims` takes a private `blocks` argument: inputs that share a
+label form a Groebner basis, and no pair inside such a block is pushed.
+The reduced basis is unique, so with blocks the result must equal the
+result without them and that of the reference path without criteria.
+Inputs: the eliminations t*G + (1-t)*G' that `intersect` runs on the
+paper's families, with G and G' reduced bases, and small random ideals
+drawn by hypothesis (derandomized), of degree at most 2 so that the
+reference path stays fast.
+"""
+
+import random
+
+import pytest
+
+pytest.importorskip("hypothesis")
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from detlink.families import (delta, gens_a, generic_residual, minors_ideal,
+                              sub_a)
+from detlink.groebner import (GBStats, _groebner_prims, _packing,
+                              _prim_from_poly, reduced_groebner_basis)
+from detlink.idealops import quotient_by_poly
+from detlink.rings import Ring
+
+from conftest import elimination_input
+
+
+def _all_agree(basis_f, basis_g):
+    """Run t*basis_f + (1-t)*basis_g with both bases as blocks, without
+    blocks and without criteria; returns the stats with and without blocks."""
+    gens = elimination_input(basis_f, basis_g)
+    packing = _packing(gens[0].ring.order)
+    prims = [_prim_from_poly(f, packing) for f in gens]
+    blocks = [0] * len(basis_f) + [1] * len(basis_g)
+    plain, blocked = GBStats(), GBStats()
+    want = _groebner_prims(prims, packing, stats=plain)
+    assert _groebner_prims(prims, packing, stats=blocked, blocks=blocks) == want
+    assert _groebner_prims(prims, packing, criteria=False, blocks=blocks) == want
+    return plain, blocked
+
+
+def _colon_parts():
+    # Two principal colons of the minors: the bases `quotient` intersects.
+    minors = minors_ideal(4)
+    return tuple(quotient_by_poly(minors, g).groebner() for g in gens_a(4).gens[:2])
+
+
+def _probe_family():
+    # The first draw of `detlink verify --n 4 --seed 0`'s probe stream.
+    rng = random.Random("0/random-specialization")
+    aB, I = generic_residual(4, [[rng.randint(-50, 50) for _ in range(4)]
+                                 for _ in range(6)])
+    return aB.groebner(), I.groebner()[:1]
+
+
+FAMILY_CASES = {
+    "sub_a(5, 1) and delta(1, 2)": lambda: (sub_a(5, 1).groebner(), [delta(1, 2, 5)]),
+    "a(4) and the minors": lambda: (gens_a(4).groebner(), minors_ideal(4).groebner()),
+    "two colon parts": _colon_parts,
+    "probe family and one minor": _probe_family,
+}
+
+
+@pytest.mark.parametrize("case", FAMILY_CASES)
+def test_family_eliminations_agree(case):
+    plain, blocked = _all_agree(*FAMILY_CASES[case]())
+    for stats in (plain, blocked):
+        assert stats.pairs_processed == stats.zero_reductions + stats.basis_added
+    assert blocked.pairs_processed <= plain.pairs_processed
+
+
+def test_criteria_off_ignores_blocks():
+    gens = elimination_input(gens_a(4).groebner(), minors_ideal(4).groebner())
+    packing = _packing(gens[0].ring.order)
+    prims = [_prim_from_poly(f, packing) for f in gens]
+    plain, blocked = GBStats(), GBStats()
+    _groebner_prims(prims, packing, criteria=False, stats=plain)
+    _groebner_prims(prims, packing, criteria=False, stats=blocked,
+                    blocks=[0] * len(prims))
+    assert plain == blocked
+
+
+R = Ring(2)
+SETTINGS = settings(derandomize=True, deadline=None, database=None,
+                    max_examples=60,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def _poly(terms):
+    d = {}
+    for positions, c in terms:
+        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        d[m] = d.get(m, 0) + c
+    return R.poly(d)
+
+
+# Terms of degree 0 to 2, so that most draws are not homogeneous.
+_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), max_size=2),
+                   st.integers(-3, 3).filter(bool))
+_polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
+_gens = st.lists(_polys, min_size=1, max_size=3)
+
+
+@SETTINGS
+@given(_gens, _gens)
+def test_random_eliminations_agree(F, G):
+    _all_agree(reduced_groebner_basis(F), reduced_groebner_basis(G))
+
+
+@SETTINGS
+@given(_gens)
+def test_random_single_block_agrees(F):
+    # A non-basis side enters as plain generators next to a block.
+    basis = reduced_groebner_basis(F)
+    gens = elimination_input(basis, F)
+    packing = _packing(gens[0].ring.order)
+    prims = [_prim_from_poly(f, packing) for f in gens]
+    blocks = [0] * len(basis) + [None] * len(F)
+    assert (_groebner_prims(prims, packing, blocks=blocks)
+            == _groebner_prims(prims, packing))

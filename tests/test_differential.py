@@ -4,7 +4,9 @@ Small random ideals of Q[x1, x2, y1, y2, z1, z2] (at most three generators
 of degree <= 2) are drawn by hypothesis, derandomized so every run checks
 the same examples. sympy intersects by eliminating t from t*I + (1-t)*J in
 lex order and computes each principal colon I:(g) as (I ∩ (g))/g; both
-sides are then compared as reduced grevlex bases.
+sides are then compared as reduced grevlex bases. Each comparison also
+runs with the reduced bases of I and J computed first, so that the
+eliminations start from them as blocks of known Groebner bases.
 """
 
 import pytest
@@ -39,6 +41,14 @@ _terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), min_size=1, max_s
                    st.integers(-3, 3).filter(bool))
 _polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
 _ideals = st.lists(_polys, min_size=1, max_size=3).map(lambda gs: Ideal(R, gs))
+
+
+def _with_basis(I):
+    I.groebner()
+    return I
+
+
+_cached_ideals = _ideals.map(_with_basis)
 _linear = st.lists(st.tuples(st.lists(st.integers(0, R.space.nvars - 1),
                                       min_size=1, max_size=1),
                              st.integers(-3, 3).filter(bool)),
@@ -126,6 +136,33 @@ def test_quotient_of_products_matches_sympy(case):
 @given(_redundant_colons())
 def test_quotient_with_redundant_generator_matches_sympy(case):
     I, J = case
+    theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
+                          [_to_sympy(g) for g in J.gens])
+    assert _mine(quotient(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=40)
+@given(_cached_ideals, _cached_ideals)
+def test_intersect_of_cached_bases_matches_sympy(I, J):
+    assert I.has_cached_basis() and J.has_cached_basis()
+    theirs = _sympy_intersection([_to_sympy(f) for f in I.gens],
+                                 [_to_sympy(g) for g in J.gens])
+    assert _mine(intersect(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(_cached_ideals, _cached_ideals)
+def test_quotient_of_cached_bases_matches_sympy(I, J):
+    theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
+                          [_to_sympy(g) for g in J.gens])
+    assert _mine(quotient(I, J)) == _canonical(theirs)
+
+
+@settings(SETTINGS, max_examples=30)
+@given(_product_colons())
+def test_quotient_of_products_from_cached_bases_matches_sympy(case):
+    I, J = case
+    I.groebner(), J.groebner()
     theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
                           [_to_sympy(g) for g in J.gens])
     assert _mine(quotient(I, J)) == _canonical(theirs)

@@ -246,6 +246,25 @@ class TestBuchberger:
                                 zero_reductions=54, basis_added=15)
         assert len(basis) == 20
 
+    def test_elimination_counts_pinned_from_a_basis(self):
+        # The same elimination from sub's reduced basis, as `quotient` now
+        # starts it: t*G with G the 7 elements of sub's basis, first as plain
+        # generators, then as a block whose inner pairs are not pushed.
+        gens = elimination_input(sub_a(5, 1).groebner(), [delta(1, 2, 5)])
+        packing = groebner._packing(gens[0].ring.order)
+        prims = [groebner._prim_from_poly(f, packing) for f in gens]
+        plain, blocked = GBStats(), GBStats()
+        basis = groebner._groebner_prims(prims, packing, stats=plain)
+        assert groebner._groebner_prims(prims, packing, stats=blocked,
+                                        blocks=[0] * 7 + [1]) == basis
+        assert plain == GBStats(pairs_pushed=79, pairs_processed=70,
+                                discarded_coprime=0, discarded_chain=127,
+                                zero_reductions=57, basis_added=13)
+        assert blocked == GBStats(pairs_pushed=61, pairs_processed=58,
+                                  discarded_coprime=0, discarded_chain=139,
+                                  zero_reductions=45, basis_added=13)
+        assert len(basis) == 20
+
     def test_stats_count_reduced_pairs(self):
         # Every processed pair is an S-polynomial reduced to zero or added;
         # the criteria must spare work on a family that has redundant pairs.

@@ -73,6 +73,44 @@ class TestIntersect:
             with pytest.raises(ArithmeticError, match="inconclusive"):
                 intersect(Ideal(R, a), Ideal(R, b))
 
+    def test_embedding_keeps_the_order(self, rng):
+        # intersect passes each cached basis G as a block, which needs
+        # in(t*g) = t*in(g): the extended order must rank t-free monomials
+        # as the ring does, also on an elim-block ring with elimination
+        # variables. Embedded prims must stay descending, as intersect
+        # embeds them.
+        for ring in (Ring(2), Ring(2, 1, ELIM_BLOCK), Ring(2, 2, ELIM_BLOCK)):
+            packing = groebner._packing(ring.order)
+            epacking = groebner._packing(idealops._elim_ring(ring).order)
+            for _ in range(100):
+                f = random_nonzero_poly(ring, rng, terms=6)
+                prim = groebner._prim_from_poly(f, packing)
+                lifted = [epacking.with_key((m & packing.exp_mask) << groebner.FIELD)
+                          for m, _ in prim]
+                assert lifted == sorted(lifted, reverse=True)
+
+    def test_grevlex_ring_with_elimination_variables(self):
+        # A grevlex ring with t1 is extended to a block order that ranks t1
+        # before degree, so x1^2 > t1 turns into t1 > x1^2 there: no block
+        # is passed, and the result is brought back to the ring's order.
+        R = Ring(2, 1)
+        t1, x1, x2, y1 = R.t(1), R.x(1), R.x(2), R.y(1)
+        for cached in (False, True):
+            I = Ideal(R, [t1 + x1 ** 2, x2 * y1 - t1 ** 3])
+            J = Ideal(R, [x2 + t1 * x1, y1 ** 2])
+            if cached:
+                I.groebner(), J.groebner()
+            W = intersect(I, J)
+            assert W.groebner() == groebner.reduced_groebner_basis(W.gens)
+            assert all(member(g, I) and member(g, J) for g in W.gens)
+            # I*J lies in the intersection.
+            assert all(member(f * g, W) for f in I.gens for g in J.gens)
+            assert W.groebner() == (
+                x1 * t1 ** 4 + x2 * t1 ** 3 - x1 * x2 * y1 * t1 - x2 ** 2 * y1,
+                y1 ** 2 * t1 ** 3 - x2 * y1 ** 3,
+                x1 ** 3 * t1 + x1 * t1 ** 2 + x1 ** 2 * x2 + x2 * t1,
+                x1 ** 2 * y1 ** 2 + y1 ** 2 * t1)
+
     def test_membership_cross_check(self, rng):
         # member(p, intersect(I,J)) iff member(p,I) and member(p,J).
         R = Ring(2)
