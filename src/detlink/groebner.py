@@ -40,8 +40,8 @@ non-monomial elements for the middle element k, and still reports the
 first failing pair in (lcm, i, j) order: its docstring says why that pair
 is never one the criterion skips, so no second walk is needed.
 
-Products tested for membership in an ideal (the two containment tests in
-`quotient`, and the containments of the verifier's checks) go through
+Products tested for membership in an ideal (the skip test of `quotient`,
+and the containments of the verifier's checks) go through
 `_first_prim_product_outside`, which forms them on packed monomials.
 
 Buchberger's loop takes the pair of least sugar first, a degree that the
@@ -51,10 +51,11 @@ high-degree remainders into the basis early, where they breed more pairs.
 On homogeneous input sugar is the degree, and the order is the normal one.
 
 The loop may start from inputs known to form Groebner bases: the
-eliminations of `idealops` pass each side's reduced basis, times t or
+eliminations of `idealops` pass each side's Groebner basis, times t or
 1 - t, as a block, and no pair inside a block is pushed, since each has a
 standard representation already (`_groebner_prims` says why the criteria
-stay sound).
+stay sound). An elimination interreduces only the elements whose leading
+monomial is free of t.
 """
 
 from __future__ import annotations
@@ -320,6 +321,14 @@ def _add_scaled(d: dict, terms, u: int, k: int) -> None:
             del d[mm]
 
 
+def _product(a, b) -> dict:
+    """a*b in dict form, for packed (monomial, coefficient) sequences."""
+    d: dict = {}
+    for m, c in a:
+        _add_scaled(d, b, m, c)
+    return d
+
+
 def _spoly(a, b, lcm: int) -> dict:
     """S(a, b) = lc(b)*(lcm/in(a))*a - lc(a)*(lcm/in(b))*b in dict form, for
     descending (packed monomial, coefficient) sequences."""
@@ -550,14 +559,22 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
 
 def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                     criteria: bool = True, stats: Optional[GBStats] = None,
-                    blocks: Optional[Sequence] = None) -> list:
+                    blocks: Optional[Sequence] = None, eliminate: int = 0) -> list:
     """The reduced Groebner basis of nonzero prims as interreduced prims,
     descending by leading monomial; `reduced_groebner_basis` says how.
+
+    `eliminate`, if nonzero, masks the exponent fields of variables that
+    the order eliminates. Only the basis elements whose leading monomial
+    is free of them are then interreduced and returned: under such an
+    order they are free of those variables throughout and form a Groebner
+    basis of the elimination ideal, and a leading monomial that meets the
+    mask divides none of their terms, so interreducing them alone gives
+    the reduced basis of the elimination ideal.
 
     `blocks`, if given, labels each input prim with a block, or with None.
     The inputs that share a label must form a Groebner basis of the ideal
     they generate, in this packing's order (the eliminations of `idealops`
-    pass a reduced basis times t or times 1 - t). Every S-pair inside such
+    pass a Groebner basis times t or times 1 - t). Every S-pair inside such
     a block then reduces to zero by the block, so it has a standard
     representation and needs no reduction (Gebauer & Moller, J. Symb.
     Comput. 6, 1988; Becker-Weispfenning 5.5). With the criteria on, when
@@ -681,6 +698,8 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         install(_prim_from_dict(rem), sugar)
         stats.basis_added += 1
 
+    if eliminate:
+        G = [f for f in G if not f[0][0] & eliminate]
     return _interreduce(G, packing, budget)
 
 
@@ -967,10 +986,7 @@ def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
                 hps.append(h if pack is None else pack(h))
             if budget is not None:
                 budget.check_deadline()
-            p: dict = {}
-            for mg, cg in gp:
-                _add_scaled(p, hps[b], mg, cg)
-            if reducer.reduce(p):
+            if reducer.reduce(_product(gp, hps[b])):
                 return a, b
     return None
 

@@ -2,17 +2,15 @@
 dimension and height through initial ideals.
 
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
-under the block elimination order. The t-free part of the reduced
-elimination basis is the reduced grevlex basis of the intersection, so
-results carry their Groebner basis for free. A side that has a cached
-reduced basis enters as that basis, and the elimination reduces no pair
-inside it. A colon I : J intersects the principal colons I : (g) over
-generators g of J, and skips each g with g*out ⊆ I for the colon so far,
-out, since then out ⊆ I : (g); when J has two or more generators it
-computes I's reduced basis first, so every principal colon starts from
-it. Both run on packed prims (see `groebner`) throughout, so embedding,
-multiplying by t and stripping t are shifts and adds; results build
-`Polynomial`s on use.
+under the block elimination order. The t-free part of the elimination
+basis, interreduced, is the reduced grevlex basis of the intersection, so
+results carry their Groebner basis for free. A side that is a known
+Groebner basis (a cached reduced basis) enters as a block, and the
+elimination reduces no pair inside it. A colon I : J is a fold over the
+generators g of J with one elimination per step: the colon so far, out,
+becomes (I ∩ g*out) / g, and a g with g*out ⊆ I is skipped. Both run on
+packed prims (see `groebner`) throughout, so embedding, multiplying by t
+and stripping t are shifts and adds; results build `Polynomial`s on use.
 
 Dimension is nvars minus the minimum vertex cover of the supports of the
 initial ideal's generators, found by branch and bound; a greedy set of
@@ -25,7 +23,7 @@ from typing import Iterable, Optional
 
 from .groebner import (FIELD, Budget, Ideal, _add_scaled,
                        _first_prim_product_outside, _groebner_prims,
-                       _interreduce, _packing, _prim_from_dict)
+                       _interreduce, _packing, _prim_from_dict, _product)
 from .rings import ELIM_BLOCK, Polynomial, Ring
 
 
@@ -52,16 +50,29 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     extended to a block order that ranks t_1..t_k above the rest: its
     prims are re-sorted, no block is passed, and the t-free part of the
     result is turned into the ring's reduced basis by one more Groebner
-    basis.
+    basis. The elimination itself runs in `_intersect_prims`.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
-    ring = I.ring
     based = [K.has_cached_basis() for K in (I, J)]
     sides = [K._packed_basis(budget) if cached else K._packed_gens()
              for K, cached in zip((I, J), based)]
+    return Ideal._from_prims(I.ring, _intersect_prims(I.ring, sides, based, budget))
+
+
+def _intersect_prims(ring: Ring, sides, based, budget: Optional[Budget] = None) -> list:
+    """The reduced basis, as prims, of the intersection of the ideals that
+    the prim lists sides[0] and sides[1] of `ring` generate; based[k] says
+    that sides[k] is a Groebner basis, which then enters as a block.
+
+    Only the t-free part of the elimination basis is interreduced when t
+    is the whole elimination block of the extended order, i.e. on a ring
+    without elimination variables. On an elim-block ring with them the
+    order may rank a t-containing monomial below a t-free one, so the
+    whole basis is interreduced and each kept element is checked t-free.
+    """
     if not sides[0] or not sides[1]:
-        return Ideal(ring, ())
+        return []
     packing, epacking = _packing(ring.order), _packing(_elim_ring(ring).order)
     t, mask = epacking.with_key(1), packing.exp_mask
     agree = ring.order.kind == ELIM_BLOCK or not ring.space.elim_count
@@ -77,7 +88,8 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
              for g in map(embed, sides[1])]
     blocks = [k if agree and based[k] else None for k in (0, 1) for _ in sides[k]]
     kept = []
-    for f in _groebner_prims(gens, epacking, budget, blocks=blocks):
+    for f in _groebner_prims(gens, epacking, budget, blocks=blocks,
+                             eliminate=0 if ring.space.elim_count else 0xFFFF):
         if f[0][0] & 0xFFFF:
             continue
         # On a ring that already has elimination variables the block order
@@ -92,7 +104,7 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     if not agree:
         kept = _groebner_prims([_prim_from_dict(dict(f)) for f in kept],
                                packing, budget)
-    return Ideal._from_prims(ring, kept)
+    return kept
 
 
 def _exact_quotient(g, f, guard: int) -> tuple:
@@ -113,49 +125,52 @@ def _exact_quotient(g, f, guard: int) -> tuple:
     return tuple(q)
 
 
+def _colon(I: Ideal, gens, budget: Optional[Budget] = None) -> Ideal:
+    """I : (gens) for nonzero prims gens of I's ring; `quotient` says how."""
+    ring = I.ring
+    packing = _packing(ring.order)
+    out = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
+    for g in gens:
+        if _first_prim_product_outside([g], out, I, budget) is None:
+            continue
+        g_out = [_prim_from_dict(_product(g, h)) for h in out]
+        meet = _intersect_prims(ring, (I._packed_basis(budget), g_out),
+                                (True, True), budget)
+        out = _interreduce([_exact_quotient(w, g, packing.guard) for w in meet],
+                           packing, budget)
+    return Ideal._from_prims(ring, out)
+
+
 def quotient_by_poly(I: Ideal, f: Polynomial,
                      budget: Optional[Budget] = None) -> Ideal:
-    """Colon ideal I : (f), computed as intersect(I, (f)) divided by f."""
+    """Colon ideal I : (f) = (I ∩ (f)) / f, by the fold of `quotient` over
+    the one generator f."""
     if not f:
         raise ValueError("colon by the zero polynomial")
-    F, packing = Ideal(I.ring, (f,)), _packing(I.ring.order)
-    W = intersect(I, F, budget)
-    quots = [_exact_quotient(g, F._packed_gens()[0], packing.guard)
-             for g in W._packed_basis(budget)]
-    return Ideal._from_prims(I.ring, _interreduce(quots, packing, budget))
+    return _colon(I, Ideal(I.ring, (f,))._packed_gens(), budget)
 
 
 def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """Colon ideal I : J as the intersection of I : (g) over generators of J.
+    """Colon ideal I : J by a fold over the generators g of J, one
+    elimination per generator at most.
 
-    Since g*out ⊆ I implies out ⊆ I : (g), a generator g that maps the
-    reduced basis of the colon so far, out, into I can shrink nothing; its
-    principal colon is not computed. Otherwise I : (g) is computed, and
-    when it lies inside out it is the result without an intersection. Both
-    tests form products of packed bases; the first reduces by I's basis.
-    So when J has two or more generators, I's reduced basis is computed
-    before the first principal colon, not only for the first test: every
-    principal colon then embeds that basis as a block of known Groebner
-    basis (see `intersect`) instead of I's generators, and computes it
-    no more.
+    The colon so far, out, starts as the unit ideal. Since
+    I : (J' + (g)) = (I : J') ∩ (I : g) and I ∩ g*out = g*(out ∩ (I : g)),
+    each step sets out to (I ∩ g*out) / g: the reduced basis of I ∩ g*out,
+    each element divided by g exactly and the quotients interreduced; as
+    in(g*h) = in(g)*in(h), the quotients are a Groebner basis of
+    out ∩ (I : g). The elimination starts from two blocks of known
+    Groebner basis (see `intersect`): I's reduced basis, and g times out's
+    reduced basis, whose S-pairs are g times those of out's basis. A
+    generator g with g*out ⊆ I changes nothing, since out ⊆ I : (g), and
+    is skipped; the test multiplies g into out's packed basis and reduces
+    each product by I's basis, which it computes on first use.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
         raise ValueError("colon by the zero ideal")
-    one = ((0, 1),)     # the packed constant 1: no exponents, no key
-    if len(J.gens) > 1:
-        I._packed_basis(budget)
-    out = quotient_by_poly(I, J.gens[0], budget)
-    for g, gp in zip(J.gens[1:], J._packed_gens()[1:]):
-        if _first_prim_product_outside([gp], out._packed_basis(budget), I, budget) is None:
-            continue
-        part = quotient_by_poly(I, g, budget)
-        if _first_prim_product_outside([one], part._packed_basis(budget), out, budget) is None:
-            out = part
-        else:
-            out = intersect(out, part, budget)
-    return out
+    return _colon(I, J._packed_gens(), budget)
 
 
 def sum_ideals(*ideals: Ideal) -> Ideal:

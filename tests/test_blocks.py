@@ -3,11 +3,15 @@
 `_groebner_prims` takes a private `blocks` argument: inputs that share a
 label form a Groebner basis, and no pair inside such a block is pushed.
 The reduced basis is unique, so with blocks the result must equal the
-result without them and that of the reference path without criteria.
+result without them and that of the reference path without criteria, and
+its t-free part must equal what `_groebner_prims` returns when it
+interreduces only the elements whose leading monomial is free of t.
 Inputs: the eliminations t*G + (1-t)*G' that `intersect` runs on the
-paper's families, with G and G' reduced bases, and small random ideals
-drawn by hypothesis (derandomized), of degree at most 2 so that the
-reference path stays fast.
+paper's families, with G and G' reduced bases; those that the colon fold
+runs for the link colons, with G the reduced basis of I and G' = g times
+the reduced basis of the colon so far; and small random ideals drawn by
+hypothesis (derandomized), of degree at most 2 so that the reference path
+stays fast.
 """
 
 import random
@@ -18,19 +22,25 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from detlink.families import (delta, gens_a, generic_residual, minors_ideal,
-                              sub_a)
-from detlink.groebner import (GBStats, _groebner_prims, _packing,
-                              _prim_from_poly, reduced_groebner_basis)
-from detlink.idealops import quotient_by_poly
+from detlink import idealops
+from detlink.families import (chain_ideal, delta, gens_a, generic_residual,
+                              minors_ideal, sub_a)
+from detlink.groebner import (GBStats, _groebner_prims, _monic_from_prims,
+                              _packing, _prim_from_poly, is_groebner_basis,
+                              reduced_groebner_basis)
+from detlink.idealops import quotient, quotient_by_poly
 from detlink.rings import Ring
 
 from conftest import elimination_input
 
 
+T = 0xFFFF     # the exponent field of t, variable 0 of the elimination ring
+
+
 def _all_agree(basis_f, basis_g):
     """Run t*basis_f + (1-t)*basis_g with both bases as blocks, without
-    blocks and without criteria; returns the stats with and without blocks."""
+    blocks and without criteria, and keep only the t-free part with blocks;
+    returns the stats with and without blocks."""
     gens = elimination_input(basis_f, basis_g)
     packing = _packing(gens[0].ring.order)
     prims = [_prim_from_poly(f, packing) for f in gens]
@@ -39,11 +49,13 @@ def _all_agree(basis_f, basis_g):
     want = _groebner_prims(prims, packing, stats=plain)
     assert _groebner_prims(prims, packing, stats=blocked, blocks=blocks) == want
     assert _groebner_prims(prims, packing, criteria=False, blocks=blocks) == want
+    assert (_groebner_prims(prims, packing, blocks=blocks, eliminate=T)
+            == [f for f in want if not f[0][0] & T])
     return plain, blocked
 
 
 def _colon_parts():
-    # Two principal colons of the minors: the bases `quotient` intersects.
+    # Two principal colons of the minors.
     minors = minors_ideal(4)
     return tuple(quotient_by_poly(minors, g).groebner() for g in gens_a(4).gens[:2])
 
@@ -70,6 +82,69 @@ def test_family_eliminations_agree(case):
     for stats in (plain, blocked):
         assert stats.pairs_processed == stats.zero_reductions + stats.basis_added
     assert blocked.pairs_processed <= plain.pairs_processed
+
+
+_FOLDS = {}
+
+
+def _fold_eliminations(n):
+    """The two sides of every elimination the colon fold runs for the link
+    colons sub_a(n, i) : I_2, i = 1..n, as polynomials: I_2's reduced
+    basis and g times the reduced basis of the colon so far."""
+    if n not in _FOLDS:
+        recorded = []
+        real = idealops._intersect_prims
+
+        def spy(ring, sides, based, budget=None):
+            recorded.append(tuple(_monic_from_prims(side, ring) for side in sides))
+            return real(ring, sides, based, budget)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(idealops, "_intersect_prims", spy)
+            for i in range(1, n + 1):
+                quotient(sub_a(n, i), minors_ideal(n))
+        _FOLDS[n] = recorded
+    return _FOLDS[n]
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fold_products_are_groebner_bases(n):
+    # in(g*h) = in(g)*in(h), so g times a Groebner basis is one: the fold
+    # may pass it as a block.
+    eliminations = _fold_eliminations(n)
+    assert any(len(g_out) > 1 for _, g_out in eliminations)
+    for _, g_out in eliminations:
+        assert is_groebner_basis(g_out)
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_fold_eliminations_agree(n):
+    for basis, g_out in _fold_eliminations(n):
+        plain, blocked = _all_agree(basis, g_out)
+        assert blocked.pairs_processed <= plain.pairs_processed
+
+
+def test_fold_counts_pinned(monkeypatch):
+    # chain(5) : I_2 runs three eliminations, each from I_2's reduced basis
+    # and g times the colon so far as two blocks. Summed over the three;
+    # with g*out as plain generators 95 pairs would be pushed.
+    calls, total = [], GBStats()
+    real = idealops._groebner_prims
+
+    def counting(*args, **kwargs):
+        stats = GBStats()
+        out = real(*args, stats=stats, **kwargs)
+        calls.append(stats)
+        for name in vars(stats):
+            setattr(total, name, getattr(total, name) + getattr(stats, name))
+        return out
+
+    monkeypatch.setattr(idealops, "_groebner_prims", counting)
+    assert len(quotient(chain_ideal(5), minors_ideal(5)).groebner()) == 8
+    assert len(calls) == 3
+    assert total == GBStats(pairs_pushed=90, pairs_processed=88,
+                            discarded_coprime=0, discarded_chain=241,
+                            zero_reductions=66, basis_added=22)
 
 
 def test_criteria_off_ignores_blocks():

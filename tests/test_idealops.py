@@ -1,6 +1,7 @@
 """Intersection, colon, dimension and height."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
@@ -56,13 +57,20 @@ class TestIntersect:
         # On a ring that already has an elimination variable the block order
         # need not rank every t-containing monomial above the t-free ones:
         # intersect returns a t-free basis or refuses.
+        # In the last case an element with a t-free leading monomial keeps
+        # a term with t until the whole elimination basis is interreduced.
         R = Ring(2, 1, ELIM_BLOCK)
-        t1, x1, y1, z1 = R.t(1), R.x(1), R.y(1), R.z(1)
+        t1, x1, y1, z1, x2, z2 = R.t(1), R.x(1), R.y(1), R.z(1), R.x(2), R.z(2)
         cases = [
             ([t1 * x1 - y1 ** 3, y1 ** 3 - z1 ** 4], [x1],
              (x1 ** 2 * t1 - x1 * y1 ** 3, x1 * z1 ** 4 - x1 * y1 ** 3)),
             ([t1 - x1], [t1 - y1], (t1 ** 2 - x1 * t1 - y1 * t1 + x1 * y1,)),
             ([t1 ** 2, x1], [t1 * y1], (y1 * t1 ** 2, x1 * y1 * t1)),
+            ([4 * x2 * t1 ** 3 + R.const(Fraction(5, 2)), 4 * x1 * t1 ** 3],
+             [-5 * x1 - 4 * z2],
+             (x1 * x2 * t1 ** 3 + Fraction(4, 5) * x2 * z2 * t1 ** 3
+              + Fraction(5, 8) * x1 + Fraction(1, 2) * z2,
+              x1 ** 2 + Fraction(4, 5) * x1 * z2)),
         ]
         for a, b, want in cases:
             W = intersect(Ideal(R, a), Ideal(R, b))
@@ -170,33 +178,52 @@ class TestQuotient:
         I4 = minors_ideal(4)
         assert ideal_equal(quotient(I4, Ideal(R4, [R4.one])), I4)   # I : R = I
 
-    def test_nested_principal_colons_skip_intersection(self, monkeypatch):
-        # (x1):(y1) = (x1) is mapped into (x1) by z1 and y1 + z1, so only the
-        # colon by y1 is computed. (x1^2, x1*y1):(x1) = (x1, y1) is not
-        # mapped into I by y1, and (x1^2, x1*y1):(y1) = (x1) lies inside it:
-        # two colons, no intersection. (x1*y1, x2*y2):(x1) = (y1, x2*y2) and
-        # (x1*y1, x2*y2):(x2) = (y2, x1*y1) are incomparable: one intersection.
+    def test_fold_eliminates_where_g_out_leaves_I(self, monkeypatch):
+        # The colon so far, out, starts as (1), and each generator g with
+        # g*out not in I runs one elimination: out <- (I ∩ g*out) / g.
+        # (x1):(y1) = (x1) is mapped into (x1) by z1 and y1 + z1, so only y1
+        # eliminates. (x1^2, x1*y1):(x1) = (x1, y1) is not mapped into I by
+        # y1, nor (x1*y1, x2*y2):(x1) = (y1, x2*y2) by x2: two eliminations
+        # each. (0):J is (0) after its first generator, and no product with
+        # (0) leaves I. x1 lies in (x1, y1^2): skipped. J = (1) gives I, and
+        # a J inside I leaves the unit ideal.
         R = standard_ring(4)
         x1, y1, z1, x2, y2 = R.x(1), R.y(1), R.z(1), R.x(2), R.y(2)
-        cases = [(Ideal(R, [x1]), Ideal(R, [y1, z1, y1 + z1]), [y1], 0),
-                 (Ideal(R, [x1 ** 2, x1 * y1]), Ideal(R, [x1, y1]), [x1, y1], 0),
-                 (Ideal(R, [x1 * y1, x2 * y2]), Ideal(R, [x1, x2]), [x1, x2], 1)]
-        for I, J, colons, intersections in cases:
-            parts = {g: quotient_by_poly(I, g) for g in J.gens}
-            explicit = parts[J.gens[0]]
-            for g in J.gens[1:]:
-                explicit = intersect(explicit, parts[g])
-            computed, calls = [], []
-            monkeypatch.setattr(idealops, "quotient_by_poly",
-                                lambda I, g, budget=None: computed.append(g) or parts[g])
-            monkeypatch.setattr(idealops, "intersect",
-                                lambda *args: calls.append(args) or intersect(*args))
-            Q = quotient(I, J)
+        cases = [(Ideal(R, [x1]), [y1, z1, y1 + z1], [y1]),
+                 (Ideal(R, [x1 ** 2, x1 * y1]), [x1, y1], [x1, y1]),
+                 (Ideal(R, [x1 * y1, x2 * y2]), [x1, x2], [x1, x2]),
+                 (Ideal(R, []), [x1, y1], [x1]),
+                 (Ideal(R, [x1, y1 ** 2]), [x1, y1], [y1]),
+                 (Ideal(R, [x1 ** 2, x1 * y1]), [R.one], [R.one]),
+                 (Ideal(R, [x1, y1]), [x1, y1 - x1], [])]
+        packing = groebner._packing(R.order)
+        for I, gens, eliminating in cases:
+            tested, eliminated = [], []
+            first_outside = idealops._first_prim_product_outside
+            intersect_prims = idealops._intersect_prims
+            monkeypatch.setattr(idealops, "_first_prim_product_outside",
+                                lambda gs, *args: tested.append(gs[0])
+                                or first_outside(gs, *args))
+            monkeypatch.setattr(idealops, "_intersect_prims",
+                                lambda *args: eliminated.append(tested[-1])
+                                or intersect_prims(*args))
+            Q = quotient(I, Ideal(R, gens))
             monkeypatch.undo()
-            assert computed == colons
-            assert len(calls) == intersections
+            assert eliminated == [groebner._prim_from_poly(g, packing)
+                                  for g in eliminating]
+            assert len(tested) == len(gens)
+            # The intersection of the principal colons I:(g), each found
+            # as (I ∩ (g)) / g with the public intersect and divide.
+            explicit = None
+            for g in gens:
+                W = intersect(I, Ideal(R, [g]))
+                part = Ideal(R, [groebner.divide(w, [g]).quotients[0]
+                                 for w in W.gens])
+                explicit = part if explicit is None else intersect(explicit, part)
             assert Q.groebner() == explicit.groebner()
-            assert Q.gens == explicit.gens
+            assert Q.gens == explicit.groebner()
+            assert quotient_by_poly(I, gens[0]).groebner() == (
+                quotient(I, Ideal(R, gens[:1])).groebner())
 
 
 class TestExactQuotient:
