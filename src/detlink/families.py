@@ -9,7 +9,8 @@ automorphisms that carry each subfamily onto the chain, and rational matrix
 specializations of the full minor list.
 
 Each family is built once per width, by a private cached builder, as a
-tuple of Polynomials, which are never modified in place. The public
+tuple of Polynomials, which are never modified in place; the monomial
+sets are first built as the kernel's packed monomials. The public
 constructors are views: each call returns a fresh list, dict or Ideal over
 those tuples, so a caller may mutate what it gets. No Ideal is cached: an
 Ideal caches its reduced basis, and a shared one would let one check's
@@ -24,8 +25,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .groebner import Ideal
-from .rings import Monomial, Polynomial, Ring
+from .groebner import Ideal, _packing
+from .rings import Monomial, Polynomial, Ring, Term
 
 
 @lru_cache(maxsize=None)
@@ -129,16 +130,38 @@ def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
 
 
 @lru_cache(maxsize=None)
-def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """M_1, ..., M_n as monomial Polynomials, each in descending order."""
+def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
+    """M_1, ..., M_n as packed monomials of the ring's order, each in
+    descending order.
+
+    Each monomial is a sum of packed variables: the z-part of its link,
+    then x_k or y_k for each k of the window. The products are squarefree,
+    so no field reaches the packing limit, and packed ints compare as the
+    order does.
+    """
     ring = standard_ring(n)
+    space, pack = ring.space, _packing(ring.order).pack
+    pos = space.pos
+    units = [pack(Monomial(tuple(int(p == q) for p in range(space.nvars))))
+             for q in range(space.nvars)]
     out = []
     for i in range(1, n + 1):
         _, window, zs = _link(n, i)
-        monos = sorted((m for _, m in window_products(ring, window, zs)),
-                       key=ring.order.key, reverse=True)
-        out.append(tuple(ring.from_monomial(m) for m in monos))
+        monos = [sum(units[pos("z", k)] for k in zs)]
+        for k in window:
+            x, y = units[pos("x", k)], units[pos("y", k)]
+            monos = [m + v for m in monos for v in (x, y)]
+        out.append(tuple(sorted(monos, reverse=True)))
     return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
+    """M_1, ..., M_n as monomial Polynomials, each in descending order."""
+    ring = standard_ring(n)
+    unpack, one = _packing(ring.order).unpack, Fraction(1)
+    return tuple(tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in ms)
+                 for ms in _packed_monomial_sets(n))
 
 
 @lru_cache(maxsize=None)

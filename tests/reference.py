@@ -6,7 +6,9 @@ build their textbook division and certificate references with it.
 `substitute` and `multidegree` check the families under specializations
 and pin their degrees; `m_ij` and `m_ij_range` are the paper's
 distinguished monomials of each link, which the tests find among the
-link's monomial set.
+link's monomial set. `monomial_sets` builds every link's monomial set
+from `window_products` and `MonomialOrder.key`, with no packed monomials,
+for the families' packed builder to match.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from operator import le as _le, sub as _sub
 from typing import Mapping, Union
 
-from detlink.families import _link, standard_ring, xyz_monomial
+from detlink.families import _link, standard_ring, window_products, xyz_monomial
 from detlink.rings import Monomial, Polynomial, Scalar
 
 
@@ -130,3 +132,16 @@ def m_ij(n: int, i: int, j: int) -> Monomial:
         raise ValueError(f"m_({i},j) needs {js[0]} <= j <= {js[-1]}")
     return xyz_monomial(standard_ring(n), xs=[v for v in window if v < j],
                         ys=[v for v in window if v >= j], zs=zs)
+
+
+def monomial_sets(n: int) -> list[list[Polynomial]]:
+    """M_1, ..., M_n: every X_K * Y_L * Z of the i-th link's window, as
+    monomial Polynomials sorted descending by `MonomialOrder.key`."""
+    ring = standard_ring(n)
+    out = []
+    for i in range(1, n + 1):
+        _, window, zs = _link(n, i)
+        monos = sorted((m for _, m in window_products(ring, window, zs)),
+                       key=ring.order.key, reverse=True)
+        out.append([ring.from_monomial(m) for m in monos])
+    return out

@@ -13,7 +13,7 @@ from detlink.families import (G_union_M, IndexPermutation, M_polys,
 from detlink.groebner import Ideal, ideal_equal, member
 from detlink.idealops import height, quotient
 
-from reference import m_ij, m_ij_range, multidegree, substitute
+from reference import m_ij, m_ij_range, monomial_sets, multidegree, substitute
 
 
 def leading_monomials(polys):
@@ -282,6 +282,28 @@ class TestLinkIdeals:
     def test_sum_links_gens(self):
         S = sum_links_ideal(4)
         assert len(S.gens) == 4 + 16
+
+
+class TestPackedMonomialSets:
+    """The monomial sets are built as sums of packed variables; the
+    `window_products` construction of `reference.monomial_sets` is the
+    oracle. Their order fixes the 1-based witness indices of a certificate
+    on G u M(n), so it is compared too, term for term."""
+
+    def test_matches_the_oracle(self):
+        for n in range(4, 10):
+            expected = monomial_sets(n)
+            for i in range(1, n + 1):
+                assert ([f.terms for f in M_polys(n, i)]
+                        == [f.terms for f in expected[i - 1]])
+            flat = [f for ms in expected for f in ms]
+            assert ([f.terms for f in G_union_M(n)]
+                    == [f.terms for f in set_G(n) + flat])
+            assert sum_links_ideal(n).gens == gens_a(n).gens + tuple(flat)
+            gs = gens_a(n).gens
+            for i in range(1, n + 1):
+                assert (link_ideal(n, i).gens
+                        == gs[:i - 1] + gs[i:] + tuple(expected[i - 1]))
 
 
 class TestBuiltOncePerWidth:

@@ -18,8 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink import groebner
-from detlink.groebner import (LIMIT, GBStats, Ideal, _packing, divide, member,
-                              reduced_groebner_basis, s_polynomial)
+from detlink.groebner import (LIMIT, Budget, GBStats, Ideal, _packing, divide,
+                              is_groebner_basis, member, reduced_groebner_basis,
+                              s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
 from conftest import random_nonzero_poly
@@ -226,6 +227,33 @@ class TestLimit:
         assert (stats.pairs_pushed, stats.discarded_chain) == (2, 1)
         with pytest.raises(OverflowError, match="2\\^15"):
             reduced_groebner_basis(gens, criteria=False)
+
+    def test_skipped_certificate_pair_past_the_limit(self):
+        # k = x1*y1 - z1^2 and its multiples by x1^20000 and by y1^20000
+        # form a Groebner basis. The multiples' pair has lcm
+        # x1^20001*y1^20001, past the limit, but the chain criterion skips
+        # it by k while the pairs are built, so it gets no order key. It
+        # still counts as walked.
+        R = Ring(2)
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        k = x1 * y1 - z1 ** 2
+        polys = [k, x1 ** 20000 * k, y1 ** 20000 * k]
+        budget = Budget()
+        assert is_groebner_basis(polys, budget=budget).ok
+        assert budget.pairs == 3
+        # A cap inside the walk needs the skipped pair's place in (lcm, i, j)
+        # order; its key is then built, and past the limit it raises.
+        with pytest.raises(OverflowError, match="2\\^15"):
+            is_groebner_basis(polys, budget=Budget(max_pairs=2))
+
+    def test_walked_certificate_pair_past_the_limit(self):
+        # Without k nothing skips the multiples' pair: it is walked, and its
+        # order key is past the limit.
+        R = Ring(2)
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        k = x1 * y1 - z1 ** 2
+        with pytest.raises(OverflowError, match="2\\^15"):
+            is_groebner_basis([x1 ** 20000 * k, y1 ** 20000 * k])
 
     def test_lcm_past_the_limit_rejected(self):
         R = Ring(2)

@@ -1,5 +1,7 @@
 """The kernel's first-divisor memo and the certificate's pair filter and
-chain criterion against references that have none of them.
+chain criterion against references that have none of them, and the
+certificate's budget charges under every cap against a walk that keys and
+sorts every pair.
 
 Small polynomials in the first four variables of a grevlex and an
 elimination ring are drawn by hypothesis, derandomized so every run checks
@@ -13,12 +15,13 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from detlink.families import G_union_M
 from detlink.groebner import (Budget, BudgetExceeded, _IntReducer, _packing,
                               _prim_from_poly, divide, is_groebner_basis,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
-from reference import lcm
+from reference import divides, is_coprime, lcm
 
 RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK))
 NVARS = 4
@@ -164,3 +167,68 @@ def _redundant_bases(draw):
 @given(_redundant_bases())
 def test_certificate_with_redundant_elements_matches_brute_force(polys):
     assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
+
+
+def _reference_walk(polys, budget):
+    """The certificate walk that keys and sorts every pair it sees: each
+    pair that is not a pair of monomials and whose leading monomials share
+    a variable, in (lcm, i, j) order with the lcm compared by
+    `MonomialOrder.key`. Every pair ticks the budget; one that the chain
+    criterion skips is passed over, the others are divided exactly."""
+    key = polys[0].ring.order.key
+    lms = [f.terms[0].mono for f in polys]
+    chain = [lms[k] for k, f in enumerate(polys) if len(f) > 1]
+    pairs = sorted((key(lcm(lms[i], lms[j])), i, j)
+                   for i in range(len(polys)) for j in range(i + 1, len(polys))
+                   if (len(polys[i]) > 1 or len(polys[j]) > 1)
+                   and not is_coprime(lms[i], lms[j]))
+    for _, i, j in pairs:
+        budget.tick()
+        m = lcm(lms[i], lms[j])
+        if any(divides(k, m) and lcm(lms[i], k) != m and lcm(lms[j], k) != m
+               for k in chain):
+            continue
+        rem = divide(s_polynomial(polys[i], polys[j]), polys).remainder
+        if rem:
+            return False, (i + 1, j + 1), rem
+    return True, None, None
+
+
+def _capped(walk, polys, cap):
+    """(result or "budget-exceeded", units charged) of a walk under a cap."""
+    budget = Budget(max_pairs=cap)
+    try:
+        result = tuple(walk(polys, budget))
+    except BudgetExceeded:
+        result = "budget-exceeded"
+    return result, budget.pairs
+
+
+def _assert_same_under_every_cap(polys):
+    budget = Budget()
+    _reference_walk(polys, budget)
+    for cap in range(budget.pairs + 2):
+        assert (_capped(lambda p, b: is_groebner_basis(p, budget=b), polys, cap)
+                == _capped(_reference_walk, polys, cap))
+
+
+@settings(SETTINGS, max_examples=80)
+@given(_redundant_bases())
+def test_budget_contract_under_every_cap(polys):
+    # The certificate keys and sorts only the pairs the chain criterion
+    # keeps; verdict, witness, remainder and the units charged, or the
+    # cap's BudgetExceeded, must be those of the walk over every pair.
+    # About half the draws pass and half fail, and the criterion skips
+    # pairs in about half, some of them before the witness.
+    _assert_same_under_every_cap(polys)
+
+
+def test_budget_contract_under_every_cap_pinned():
+    # A skipped pair before the witness (the walk passes (2, 4), skips
+    # (1, 4) by k = 2 and fails at (2, 3)), and a passing set with most
+    # pairs skipped, G u M(4): 134 pairs walked, 71 of them reduced.
+    R = Ring(2)
+    x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
+    f = 3 * y1 - 2 * z2
+    _assert_same_under_every_cap([x1 * z2, f, y1 * y2 * z1 * f + 9 * x1, y1 * z2 * f])
+    _assert_same_under_every_cap(G_union_M(4))
