@@ -1004,34 +1004,30 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
 def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
                            I: Ideal, budget: Optional[Budget] = None
                            ) -> Optional[tuple[int, int]]:
-    """`_first_prim_product_outside` for `Polynomial` factors of I's ring."""
+    """`_first_prim_product_outside` for `Polynomial` factors of I's ring,
+    each packed once, up front."""
     for f in (*gs, *hs):
         f._check_ring(I.ring)
     packing = _packing(I.ring.order)
-    return _first_prim_product_outside(
-        gs, hs, I, budget, lambda f: _prim_from_poly(f, packing) if f else ())
+    gps, hps = ([_prim_from_poly(f, packing) if f else () for f in fs]
+                for fs in (gs, hs))
+    return _first_prim_product_outside(gps, hps, I, budget)
 
 
 def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
-                                budget: Optional[Budget] = None, pack=None
+                                budget: Optional[Budget] = None
                                 ) -> Optional[tuple[int, int]]:
     """The first (a, b), in row-major order, whose product gs[a]*hs[b] is
     not in I, or None when every product lies in I. The factors are prims
-    of I's ring, or become prims through `pack`, which is applied to each
-    once, when first needed, so an early failure packs no more than it
-    tests. A product is formed by adding packed monomials and reduced by
-    I's basis, and the deadline is checked once per product. A zero factor,
-    the empty prim, gives the zero product, which lies in I."""
+    of I's ring. A product is formed by adding packed monomials and reduced
+    by I's basis, and the deadline is checked once per product. A zero
+    factor, the empty prim, gives the zero product, which lies in I."""
     reducer = I._reducer(budget)
-    hps: list = []
     for a, g in enumerate(gs):
-        gp = g if pack is None else pack(g)
         for b, h in enumerate(hs):
-            if b == len(hps):
-                hps.append(h if pack is None else pack(h))
             if budget is not None:
                 budget.check_deadline()
-            if reducer.reduce(_product(gp, hps[b])):
+            if reducer.reduce(_product(g, h)):
                 return a, b
     return None
 

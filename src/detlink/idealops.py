@@ -2,7 +2,8 @@
 dimension and height through initial ideals.
 
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
-under the block elimination order. The t-free part of the elimination
+in the ring extended by one variable t, under the block order that ranks
+t above the ring's grevlex order. The t-free part of the elimination
 basis, interreduced, is the reduced grevlex basis of the intersection, so
 results carry their Groebner basis for free. A side that is a known
 Groebner basis (a cached reduced basis) enters as a block, and the
@@ -11,6 +12,9 @@ generators g of J with one elimination per step: the colon so far, out,
 becomes (I ∩ g*out) / g, and a g with g*out ⊆ I is skipped. Both run on
 packed prims (see `groebner`) throughout, so embedding, multiplying by t
 and stripping t are shifts and adds; results build `Polynomial`s on use.
+Both take only rings without elimination variables, where t is the whole
+elimination block; `intersect`, `quotient` and `quotient_by_poly` reject
+any other ring with ValueError before doing any work.
 
 Dimension is nvars minus the minimum vertex cover of the supports of the
 initial ideal's generators, found by branch and bound; a greedy set of
@@ -28,8 +32,17 @@ from .rings import ELIM_BLOCK, Polynomial, Ring
 
 
 def _elim_ring(ring: Ring) -> Ring:
-    """Fresh ring with one extra elimination variable above everything."""
-    return Ring(ring.space.n, ring.space.elim_count + 1, ELIM_BLOCK)
+    """Fresh ring with one elimination variable t above everything."""
+    return Ring(ring.space.n, 1, ELIM_BLOCK)
+
+
+def _require_plain(ring: Ring) -> None:
+    """Refuse a ring with elimination variables, before any work: the
+    eliminations extend the ring by one t, which is the whole elimination
+    block only when the ring has none."""
+    if ring.space.elim_count:
+        raise ValueError("intersections and colons need a ring without "
+                         "elimination variables")
 
 
 def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
@@ -40,18 +53,14 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     bases of what they generate: in(t*g) = t*in(g), and in((1-t)*g) =
     t*in(g) in any monomial order, since t*in(g) is a multiple of in(g)
     and so exceeds every other term, provided the extended order ranks the
-    t-free monomials as the ring's order does. It does unless the ring is
-    grevlex with elimination variables: on a grevlex ring without them t
-    is the whole elimination block, and on an elim-block ring t joins the
-    block, whose grevlex comparison of (0, e_1..e_k) is that of
-    (e_1..e_k). There each cached basis enters `_groebner_prims` as a
+    t-free monomials as the ring's order does. It does: t is the whole
+    elimination block, and below it the ring's grevlex order runs
+    unchanged. Each cached basis therefore enters `_groebner_prims` as a
     block, whose inner pairs are not reduced; a single generator is a
-    block of its own. A grevlex ring with elimination variables is
-    extended to a block order that ranks t_1..t_k above the rest: its
-    prims are re-sorted, no block is passed, and the t-free part of the
-    result is turned into the ring's reduced basis by one more Groebner
-    basis. The elimination itself runs in `_intersect_prims`.
+    block of its own. Rings with elimination variables are rejected with
+    ValueError. The elimination itself runs in `_intersect_prims`.
     """
+    _require_plain(I.ring)
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     based = [K.has_cached_basis() for K in (I, J)]
@@ -63,48 +72,26 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
 def _intersect_prims(ring: Ring, sides, based, budget: Optional[Budget] = None) -> list:
     """The reduced basis, as prims, of the intersection of the ideals that
     the prim lists sides[0] and sides[1] of `ring` generate; based[k] says
-    that sides[k] is a Groebner basis, which then enters as a block.
-
-    Only the t-free part of the elimination basis is interreduced when t
-    is the whole elimination block of the extended order, i.e. on a ring
-    without elimination variables. On an elim-block ring with them the
-    order may rank a t-containing monomial below a t-free one, so the
-    whole basis is interreduced and each kept element is checked t-free.
-    """
+    that sides[k] is a Groebner basis, which then enters as a block. As t
+    is the whole elimination block, `_groebner_prims` keeps and
+    interreduces only the t-free part of the elimination basis, which is
+    the reduced basis of the intersection."""
     if not sides[0] or not sides[1]:
         return []
     packing, epacking = _packing(ring.order), _packing(_elim_ring(ring).order)
-    t, mask = epacking.with_key(1), packing.exp_mask
-    agree = ring.order.kind == ELIM_BLOCK or not ring.space.elim_count
+    t, mask, emask = epacking.with_key(1), packing.exp_mask, epacking.exp_mask
 
     def embed(f) -> list:
         # t is variable 0, the lowest field: every exponent moves up one field.
         return [(epacking.with_key((m & mask) << FIELD), c) for m, c in f]
 
     gens = [tuple((m + t, c) for m, c in embed(f)) for f in sides[0]]
-    if not agree:
-        gens = [_prim_from_dict(dict(f)) for f in gens]
     gens += [_prim_from_dict(dict(g + [(m + t, -c) for m, c in g]))
              for g in map(embed, sides[1])]
-    blocks = [k if agree and based[k] else None for k in (0, 1) for _ in sides[k]]
-    kept = []
-    for f in _groebner_prims(gens, epacking, budget, blocks=blocks,
-                             eliminate=0 if ring.space.elim_count else 0xFFFF):
-        if f[0][0] & 0xFFFF:
-            continue
-        # On a ring that already has elimination variables the block order
-        # may fail to rank every t-containing monomial above the t-free
-        # ones; a kept element must then be checked t-free throughout to
-        # keep the elimination sound.
-        if any(m & 0xFFFF for m, _ in f):
-            raise ArithmeticError(
-                "elimination is inconclusive over this extended ring")
-        kept.append(tuple((packing.with_key((m & epacking.exp_mask) >> FIELD), c)
-                          for m, c in f))
-    if not agree:
-        kept = _groebner_prims([_prim_from_dict(dict(f)) for f in kept],
-                               packing, budget)
-    return kept
+    blocks = [k if based[k] else None for k in (0, 1) for _ in sides[k]]
+    return [tuple((packing.with_key((m & emask) >> FIELD), c) for m, c in f)
+            for f in _groebner_prims(gens, epacking, budget, blocks=blocks,
+                                     eliminate=0xFFFF)]
 
 
 def _exact_quotient(g, f, guard: int) -> tuple:
@@ -145,6 +132,7 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
                      budget: Optional[Budget] = None) -> Ideal:
     """Colon ideal I : (f) = (I ∩ (f)) / f, by the fold of `quotient` over
     the one generator f."""
+    _require_plain(I.ring)
     if not f:
         raise ValueError("colon by the zero polynomial")
     return _colon(I, Ideal(I.ring, (f,))._packed_gens(), budget)
@@ -164,8 +152,10 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     reduced basis, whose S-pairs are g times those of out's basis. A
     generator g with g*out ⊆ I changes nothing, since out ⊆ I : (g), and
     is skipped; the test multiplies g into out's packed basis and reduces
-    each product by I's basis, which it computes on first use.
+    each product by I's basis, which it computes on first use. Rings with
+    elimination variables are rejected, as by `intersect`.
     """
+    _require_plain(I.ring)
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
@@ -178,14 +168,10 @@ def sum_ideals(*ideals: Ideal) -> Ideal:
     if not ideals:
         raise ValueError("sum of no ideals")
     ring = ideals[0].ring
-    gens: list[Polynomial] = []
     for I in ideals:
         if I.ring != ring:
             raise ValueError("ideals from different rings")
-        for g in I.gens:
-            if g and g not in gens:
-                gens.append(g)
-    return Ideal(ring, gens)
+    return Ideal(ring, dict.fromkeys(g for I in ideals for g in I.gens))
 
 
 # -- dimension of monomial ideals ------------------------------------------

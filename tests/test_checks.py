@@ -143,6 +143,26 @@ class TestRunChecks:
         i, j, K = first
         assert report.witness == f"X_K Y_L delta({i},{j}) escapes the chain for K={K}"
 
+    @pytest.mark.parametrize("chain, k, witness", [
+        (0, 3, "first chain recurrence fails at i=2"),
+        (1, 2, "second chain recurrence fails at j=3"),
+        (0, 1, "a chain does not start at g_1 or g_n"),
+        (1, 4, "a chain does not start at g_1 or g_n")])
+    def test_chain_recurrence_witness(self, monkeypatch, chain, k, witness):
+        # One chain element doubled: it leaves (g_1..g_n) as far as the
+        # recurrences can tell, so every check that relies on the chain
+        # lying in (g_1..g_n) fails with the recurrence witness.
+        original = fam.chain_g
+
+        def doubled(n):
+            chains = original(n)
+            chains[chain][k] = 2 * chains[chain][k]
+            return chains
+
+        monkeypatch.setattr(checks.fam, "chain_g", doubled)
+        reports = run_checks(4, ["gb-a", "sum-equals-colon", "identities"])
+        assert [(r.status, r.witness) for r in reports] == [("fail", witness)] * 3
+
 
 class TestWorkCounts:
     # Units of `heights` at n = 7: the S-polynomials of its height bases,

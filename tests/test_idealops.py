@@ -1,7 +1,6 @@
 """Intersection, colon, dimension and height."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -53,41 +52,34 @@ class TestIntersect:
             W = intersect(I, J)
             assert all(member(g, I) and member(g, J) for g in W.gens)
 
-    def test_elimination_ring(self):
-        # On a ring that already has an elimination variable the block order
-        # need not rank every t-containing monomial above the t-free ones:
-        # intersect returns a t-free basis or refuses.
-        # In the last case an element with a t-free leading monomial keeps
-        # a term with t until the whole elimination basis is interreduced.
-        R = Ring(2, 1, ELIM_BLOCK)
-        t1, x1, y1, z1, x2, z2 = R.t(1), R.x(1), R.y(1), R.z(1), R.x(2), R.z(2)
-        cases = [
-            ([t1 * x1 - y1 ** 3, y1 ** 3 - z1 ** 4], [x1],
-             (x1 ** 2 * t1 - x1 * y1 ** 3, x1 * z1 ** 4 - x1 * y1 ** 3)),
-            ([t1 - x1], [t1 - y1], (t1 ** 2 - x1 * t1 - y1 * t1 + x1 * y1,)),
-            ([t1 ** 2, x1], [t1 * y1], (y1 * t1 ** 2, x1 * y1 * t1)),
-            ([4 * x2 * t1 ** 3 + R.const(Fraction(5, 2)), 4 * x1 * t1 ** 3],
-             [-5 * x1 - 4 * z2],
-             (x1 * x2 * t1 ** 3 + Fraction(4, 5) * x2 * z2 * t1 ** 3
-              + Fraction(5, 8) * x1 + Fraction(1, 2) * z2,
-              x1 ** 2 + Fraction(4, 5) * x1 * z2)),
-        ]
-        for a, b, want in cases:
-            W = intersect(Ideal(R, a), Ideal(R, b))
-            assert W.gens == want
-            assert W.has_cached_basis() and W.groebner() == want
-        for a, b in (([2 * t1 + 2 * x1], [t1 ** 2 + z1]),
-                     ([t1 ** 2 + y1 * z1], [t1 + 2 * x1])):
-            with pytest.raises(ArithmeticError, match="inconclusive"):
-                intersect(Ideal(R, a), Ideal(R, b))
+    def test_rings_with_elimination_variables_are_rejected(self, monkeypatch):
+        # Eliminations extend a ring by one t, which must be the whole
+        # elimination block: a ring that has elimination variables is
+        # refused before any Groebner work, whether its bases are cached.
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started on a refused ring")
+
+        monkeypatch.setattr(idealops, "_groebner_prims", no_work)
+        monkeypatch.setattr(idealops, "_first_prim_product_outside", no_work)
+        for R in (Ring(2, 1), Ring(2, 1, ELIM_BLOCK)):
+            t1, x1, y1 = R.t(1), R.x(1), R.y(1)
+            for cached in (False, True):
+                I = Ideal(R, [t1 + x1 ** 2, x1 * y1])
+                J = Ideal(R, [y1 ** 2])
+                if cached:
+                    I.groebner(), J.groebner()
+                for call in (lambda: intersect(I, J), lambda: quotient(I, J),
+                             lambda: quotient_by_poly(I, y1)):
+                    with pytest.raises(ValueError, match="elimination variables"):
+                        call()
+                assert I.has_cached_basis() == J.has_cached_basis() == cached
 
     def test_embedding_keeps_the_order(self, rng):
         # intersect passes each cached basis G as a block, which needs
         # in(t*g) = t*in(g): the extended order must rank t-free monomials
-        # as the ring does, also on an elim-block ring with elimination
-        # variables. Embedded prims must stay descending, as intersect
-        # embeds them.
-        for ring in (Ring(2), Ring(2, 1, ELIM_BLOCK), Ring(2, 2, ELIM_BLOCK)):
+        # as the ring does. Embedded prims must stay descending, as
+        # intersect embeds them.
+        for ring in (Ring(2), Ring(3)):
             packing = groebner._packing(ring.order)
             epacking = groebner._packing(idealops._elim_ring(ring).order)
             for _ in range(100):
@@ -96,28 +88,6 @@ class TestIntersect:
                 lifted = [epacking.with_key((m & packing.exp_mask) << groebner.FIELD)
                           for m, _ in prim]
                 assert lifted == sorted(lifted, reverse=True)
-
-    def test_grevlex_ring_with_elimination_variables(self):
-        # A grevlex ring with t1 is extended to a block order that ranks t1
-        # before degree, so x1^2 > t1 turns into t1 > x1^2 there: no block
-        # is passed, and the result is brought back to the ring's order.
-        R = Ring(2, 1)
-        t1, x1, x2, y1 = R.t(1), R.x(1), R.x(2), R.y(1)
-        for cached in (False, True):
-            I = Ideal(R, [t1 + x1 ** 2, x2 * y1 - t1 ** 3])
-            J = Ideal(R, [x2 + t1 * x1, y1 ** 2])
-            if cached:
-                I.groebner(), J.groebner()
-            W = intersect(I, J)
-            assert W.groebner() == groebner.reduced_groebner_basis(W.gens)
-            assert all(member(g, I) and member(g, J) for g in W.gens)
-            # I*J lies in the intersection.
-            assert all(member(f * g, W) for f in I.gens for g in J.gens)
-            assert W.groebner() == (
-                x1 * t1 ** 4 + x2 * t1 ** 3 - x1 * x2 * y1 * t1 - x2 ** 2 * y1,
-                y1 ** 2 * t1 ** 3 - x2 * y1 ** 3,
-                x1 ** 3 * t1 + x1 * t1 ** 2 + x1 ** 2 * x2 + x2 * t1,
-                x1 ** 2 * y1 ** 2 + y1 ** 2 * t1)
 
     def test_membership_cross_check(self, rng):
         # member(p, intersect(I,J)) iff member(p,I) and member(p,J).
@@ -336,8 +306,8 @@ class TestMultiplesIn:
         with pytest.raises(ValueError):
             _first_product_outside([Ring(3).x(1)], [y1], Ideal(R, [x1]))
 
-    def test_packs_only_what_it_tests(self, monkeypatch):
-        # The first product fails, so only its two factors are packed.
+    def test_packs_each_factor_once(self, monkeypatch):
+        # Every factor is packed once, up front, whatever the verdict.
         R = Ring(2)
         I = Ideal(R, [R.x(2)])
         I._reducer()
@@ -347,7 +317,7 @@ class TestMultiplesIn:
                             lambda f, packing: packed.append(f) or prim(f, packing))
         gs, hs = [R.x(1), R.z(1)], [R.y(1), R.y(2), R.z(2)]
         assert _first_product_outside(gs, hs, I) == (0, 0)
-        assert packed == [R.x(1), R.y(1)]
+        assert packed == gs + hs
 
     def test_expired_deadline(self):
         R = Ring(2)
@@ -369,6 +339,13 @@ class TestSumProduct:
         R = standard_ring(4)
         I = Ideal(R, [R.x(1), R.y(2)])
         assert len(sum_ideals(I, I).gens) == 2
+
+    def test_sum_keeps_first_occurrences_in_order(self):
+        R = standard_ring(4)
+        x1, y2, z3, x4 = R.x(1), R.y(2), R.z(3), R.x(4)
+        I, J, K = (Ideal(R, [x1, y2]), Ideal(R, [z3, x1, x4]),
+                   Ideal(R, [x4, y2, z3, x1 * y2]))
+        assert sum_ideals(I, J, K).gens == (x1, y2, z3, x4, x1 * y2)
 
 
 class TestDimensionHeight:
