@@ -52,7 +52,8 @@ class TestIntersect:
             W = intersect(I, J)
             assert all(member(g, I) and member(g, J) for g in W.gens)
 
-    def test_rings_with_elimination_variables_are_rejected(self, monkeypatch):
+    @staticmethod
+    def _assert_rejected(R, monkeypatch):
         # Eliminations extend a ring by one t, which must be the whole
         # elimination block: a ring that has elimination variables is
         # refused before any Groebner work, whether its bases are cached.
@@ -61,18 +62,23 @@ class TestIntersect:
 
         monkeypatch.setattr(idealops, "_groebner_prims", no_work)
         monkeypatch.setattr(idealops, "_first_prim_product_outside", no_work)
-        for R in (Ring(2, 1), Ring(2, 1, ELIM_BLOCK)):
-            t1, x1, y1 = R.t(1), R.x(1), R.y(1)
-            for cached in (False, True):
-                I = Ideal(R, [t1 + x1 ** 2, x1 * y1])
-                J = Ideal(R, [y1 ** 2])
-                if cached:
-                    I.groebner(), J.groebner()
-                for call in (lambda: intersect(I, J), lambda: quotient(I, J),
-                             lambda: quotient_by_poly(I, y1)):
-                    with pytest.raises(ValueError, match="elimination variables"):
-                        call()
-                assert I.has_cached_basis() == J.has_cached_basis() == cached
+        t1, x1, y1 = R.t(1), R.x(1), R.y(1)
+        for cached in (False, True):
+            I = Ideal(R, [t1 + x1 ** 2, x1 * y1])
+            J = Ideal(R, [y1 ** 2])
+            if cached:
+                I.groebner(), J.groebner()
+            for call in (lambda: intersect(I, J), lambda: quotient(I, J),
+                         lambda: quotient_by_poly(I, y1)):
+                with pytest.raises(ValueError, match="elimination variables"):
+                    call()
+            assert I.has_cached_basis() == J.has_cached_basis() == cached
+
+    def test_elimination_ring(self, monkeypatch):
+        self._assert_rejected(Ring(2, 1, ELIM_BLOCK), monkeypatch)
+
+    def test_grevlex_ring_with_elimination_variables(self, monkeypatch):
+        self._assert_rejected(Ring(2, 1), monkeypatch)
 
     def test_embedding_keeps_the_order(self, rng):
         # intersect passes each cached basis G as a block, which needs
