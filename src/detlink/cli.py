@@ -42,8 +42,9 @@ def _write_rows(fh, rows: list[dict]) -> None:
 def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
     """Budgets apply per check, or per row of `bench`."""
     parser.add_argument("--budget-pairs", type=int, default=None,
-                        help="cap on units of work: S-polynomials reduced, "
-                             "certificate pairs walked, walk nodes and subsets")
+                        help="cap on units of work: S-polynomials reduced "
+                             "(by Buchberger's algorithm or a certificate) "
+                             "and nodes of combinatorial walks")
     parser.add_argument("--timeout-secs", type=float, default=None,
                         help="wall-clock cap in seconds")
 

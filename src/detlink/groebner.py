@@ -36,11 +36,11 @@ or for a pair the certificate reduces. Monomial-monomial and coprime
 pairs are free and get no lcm. The certificate applies Buchberger's chain
 criterion in the Gebauer-Moller form, searching the non-monomial elements
 for the middle element k, while it builds the pairs, since the test does
-not depend on the walk's order; only the pairs it keeps are keyed and
-sorted. It still reports the first failing pair in (lcm, i, j) order and
-charges the budget as a walk over every pair would: its docstring says
-why that pair is never one the criterion skips, and when the skipped
-pairs are placed in that order too.
+not depend on the walk's order; only the pairs it keeps are keyed, sorted
+and reduced. It still reports the first failing pair in (lcm, i, j) order;
+its docstring says why that pair is never one the criterion skips. One
+unit of work is one S-polynomial reduced, by Buchberger's algorithm or by
+the certificate; a pair either of them drops unreduced is free.
 
 Products tested for membership in an ideal (the skip test of `quotient`,
 and the containments of the verifier's checks) go through
@@ -65,7 +65,7 @@ from __future__ import annotations
 import heapq
 import struct
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -82,8 +82,8 @@ class BudgetExceeded(RuntimeError):
 
 class Budget:
     """Shared resource budget: a cap on units of work plus an optional
-    deadline. A unit is an S-polynomial reduced, a certificate pair walked,
-    or a node or candidate subset of a combinatorial walk; `pairs` counts
+    deadline. A unit is an S-polynomial reduced (by Buchberger's algorithm
+    or a certificate), or a node of a combinatorial walk; `pairs` counts
     them and `max_pairs` caps them."""
 
     DEFAULT_MAX_PAIRS = 1_000_000
@@ -770,9 +770,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     fixed list of non-monomials, not on the order pairs are walked in, so
     it runs while the pairs are built. Only the pairs it keeps get an
     order key, with its check against the packing limit, and are sorted
-    and reduced in ascending (lcm, i, j) order; a skipped pair is only
-    counted. The walk is the one that keys and sorts every pair and skips
-    by the criterion as it goes: on failure the result carries the first
+    and reduced in ascending (lcm, i, j) order; a skipped pair is dropped.
+    The walk is the one that keys and sorts every pair and skips by the
+    criterion as it goes: on failure the result carries the first
     offending (1-based) pair in (lcm, i, j) order and its exact nonzero
     remainder, and the criterion never hides that pair. Until the walk
     meets a nonzero remainder, every pair it passed, reduced or skipped,
@@ -783,18 +783,13 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     reduces to 0. The first nonzero remainder of the walk is therefore the
     first in (lcm, i, j) order.
 
-    Every pair of that walk, reduced or skipped, counts once against the
-    budget, in (lcm, i, j) order. A passing certificate charges them all;
-    a failing one charges the pairs up to and including its witness; a cap
-    that falls before the witness raises BudgetExceeded once the walk
-    reaches it. Skipped pairs are keyed, in a second pass over the pairs,
-    only to place them in that order: when the certificate fails, or when
-    the cap falls inside the walk. So a skipped pair whose lcm is past the
-    packing limit raises OverflowError only then; a kept pair past it
-    always raises. Monomial pairs and coprime pairs are free, as discarded
-    pairs are in Buchberger's algorithm. The deadline is checked once per
-    element while the input is packed and in each pass over the pairs,
-    once after the kept pairs are sorted, and once per pair reduced.
+    Each pair reduced counts one unit against the budget, as in
+    Buchberger's algorithm; skipped, monomial and coprime pairs are free,
+    as discarded pairs are there. A kept pair whose lcm is past the packing
+    limit raises OverflowError; a skipped one never gets an order key. The
+    deadline is checked once per element while the input is packed and
+    while the pairs are built, once after the kept pairs are sorted, and
+    once per pair reduced.
 
     `order` is kept for callers that pass the budget positionally; any
     order but the ring's own raises ValueError.
@@ -822,74 +817,45 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     # only with the non-monomials.
     non_monomials = [j for j in range(n) if len(prims[j]) > 1]
     chain = [exps[k] for k in non_monomials]
-
-    def sweep(want_skipped: bool) -> tuple[list, int]:
-        """The keyed (lcm, i, j) of the pairs the chain criterion keeps,
-        or with want_skipped of those it skips, sorted, and the number of
-        pairs it sees."""
-        out, seen = [], 0
-        for i in range(n):
-            budget.check_deadline()
-            ei, support = exps[i], supports[i]
-            eg = ei | exp_guard
-            partners = (range(i + 1, n) if len(prims[i]) > 1
-                        else non_monomials[bisect_right(non_monomials, i):])
-            for j in partners:
-                if not support & supports[j]:
-                    continue
-                seen += 1
-                # The SWAR pick of `_Packing.lcm` on the exponent fields,
-                # then the supports of the cofactors lcm/in(i), lcm/in(j)
-                # and lcm/in(k): a field is nonzero iff adding 2^15 - 1
-                # sets its guard bit.
-                ej = exps[j]
-                d = eg - ej
-                g = d & exp_guard
-                e = ej + (d & (g - (g >> (FIELD - 1))))
-                si = (((e - ei) | exp_guard) - ones) & exp_guard
-                sj = (((e - ej) | exp_guard) - ones) & exp_guard
-                skip = False
-                for ek in chain:
-                    d = e - ek
-                    if not d & exp_guard:
-                        sk = ((d | exp_guard) - ones) & exp_guard
-                        if sk & si and sk & sj:
-                            skip = True
-                            break
-                if skip is want_skipped:
-                    lcm = with_key(e)
-                    if lcm & guard:
-                        raise _overflow()
-                    out.append((lcm, i, j))
-        out.sort()
-        return out, seen
-
-    kept, total = sweep(False)
+    kept = []
+    for i in range(n):
+        budget.check_deadline()
+        ei, support = exps[i], supports[i]
+        eg = ei | exp_guard
+        partners = (range(i + 1, n) if len(prims[i]) > 1
+                    else non_monomials[bisect_right(non_monomials, i):])
+        for j in partners:
+            if not support & supports[j]:
+                continue
+            # The SWAR pick of `_Packing.lcm` on the exponent fields, then
+            # the supports of the cofactors lcm/in(i), lcm/in(j) and
+            # lcm/in(k): a field is nonzero iff adding 2^15 - 1 sets its
+            # guard bit.
+            ej = exps[j]
+            d = eg - ej
+            g = d & exp_guard
+            e = ej + (d & (g - (g >> (FIELD - 1))))
+            si = (((e - ei) | exp_guard) - ones) & exp_guard
+            sj = (((e - ej) | exp_guard) - ones) & exp_guard
+            for ek in chain:
+                d = e - ek
+                if not d & exp_guard:
+                    sk = ((d | exp_guard) - ones) & exp_guard
+                    if sk & si and sk & sj:
+                        break
+            else:
+                lcm = with_key(e)
+                if lcm & guard:
+                    raise _overflow()
+                kept.append((lcm, i, j))
+    kept.sort()
     budget.check_deadline()
-    # The walk over every pair would stop at its pair number room + 1,
-    # before reducing it, if there are that many; then only the kept pairs
-    # before that one are reduced.
-    room = max(budget.max_pairs - budget.pairs, 0)
-    walk, skipped = kept, None
-    if total > room:
-        skipped = sweep(True)[0]
-        cap = next(islice(heapq.merge(kept, skipped), room, None))
-        walk = kept[:bisect_left(kept, cap)]
     reducer = _IntReducer(packing, _Divisors(prims), budget)
-    for lcm, i, j in walk:
+    for lcm, i, j in kept:
         budget.tick()
         if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
-            # The skipped pairs before the witness were walked too.
-            if skipped is None:
-                skipped = sweep(True)[0]
-            budget.pairs += bisect_left(skipped, (lcm, i, j))
             exact = divide(s_polynomial(polys[i], polys[j]), polys)
             return GBCertificate(False, (i + 1, j + 1), exact.remainder)
-    if total > room:
-        # Charge every pair before the cap's; the cap's own pair raises.
-        budget.pairs += room - len(walk)
-        budget.tick()
-    budget.pairs += total - len(walk)
     return GBCertificate(True, None, None)
 
 

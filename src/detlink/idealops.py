@@ -23,6 +23,7 @@ pairwise-disjoint edges bounds each node's cover from below.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Iterable, Optional
 
 from .groebner import (FIELD, Budget, Ideal, _add_scaled,
@@ -31,8 +32,10 @@ from .groebner import (FIELD, Budget, Ideal, _add_scaled,
 from .rings import ELIM_BLOCK, Polynomial, Ring
 
 
+@lru_cache(maxsize=None)
 def _elim_ring(ring: Ring) -> Ring:
-    """Fresh ring with one elimination variable t above everything."""
+    """The ring with one elimination variable t above everything, built
+    once per ring."""
     return Ring(ring.space.n, 1, ELIM_BLOCK)
 
 

@@ -58,7 +58,7 @@ class TestRunChecks:
         # One width past the limit each check had before budgets bounded it.
         assert run_checks(n, [name])[0].status == "pass"
 
-    def test_stretch_gates_n5_colon(self):
+    def test_ignored_stretch_changes_no_verdict(self):
         # The colon steps run at n = 5 without a budget, and the ignored
         # stretch argument changes no verdict.
         selection = ["links", "sum-equals-colon"]
@@ -249,6 +249,7 @@ class TestBench:
     def test_rows_pinned(self):
         # Every count of bench(4, 6) but the timing: a change to pair
         # installation or to the certificate walk must leave them alone.
+        # A certificate row's pairs_processed counts the pairs it reduces.
         rows = [{k: v for k, v in r.items() if k != "elapsed_ms"}
                 for r in bench(4, 6)]
         columns = ("pairs_processed", "discarded_coprime", "discarded_chain",
@@ -257,15 +258,15 @@ class TestBench:
             (4, "gb-a"): (13, 6, 9, 9, 8),
             (4, "gb-a-nocriteria"): (28, 0, 0, 24, 8),
             (4, "gb-sum-links"): (56, 5, 170, 54, 18),
-            (4, "certificate-G-M"): (134, 0, 0, 0, 24),
+            (4, "certificate-G-M"): (71, 0, 0, 0, 24),
             (5, "gb-a"): (22, 15, 18, 16, 11),
             (5, "gb-a-nocriteria"): (55, 0, 0, 49, 11),
             (5, "gb-sum-links"): (130, 14, 1027, 126, 29),
-            (5, "certificate-G-M"): (440, 0, 0, 0, 51),
+            (5, "certificate-G-M"): (158, 0, 0, 0, 51),
             (6, "gb-a"): (33, 28, 30, 25, 14),
             (6, "gb-a-nocriteria"): (91, 0, 0, 83, 14),
             (6, "gb-sum-links"): (264, 26, 5447, 258, 42),
-            (6, "certificate-G-M"): (1311, 0, 0, 0, 110),
+            (6, "certificate-G-M"): (325, 0, 0, 0, 110),
         }
         assert rows == [{"n": n, "task": task, "status": "ok",
                          **dict(zip(columns, counts))}

@@ -396,6 +396,24 @@ class TestBuchberger:
             assert all(member(g, from_basis) for g in I.gens)
 
 
+def _count_reductions(monkeypatch) -> list:
+    """A list that grows by one per `_IntReducer.reduce` call."""
+    calls = []
+    reduce = groebner._IntReducer.reduce
+    monkeypatch.setattr(groebner._IntReducer, "reduce",
+                        lambda self, p: calls.append(1) or reduce(self, p))
+    return calls
+
+
+def _skipped_before_the_witness() -> list:
+    """A set whose certificate skips (1, 4) by k = 2 between the passing
+    (2, 4) and the failing (2, 3)."""
+    R = Ring(2)
+    x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
+    f = 3 * y1 - 2 * z2
+    return [x1 * z2, f, y1 * y2 * z1 * f + 9 * x1, y1 * z2 * f]
+
+
 class TestCertificate:
     def test_pinned_failure_witness(self):
         R = standard_ring(4)
@@ -438,43 +456,35 @@ class TestCertificate:
             assert is_groebner_basis(basis + extra).ok
 
     def test_chain_criterion_counts(self, monkeypatch):
-        # Reductions on G u M(n), n = 4, 5, 6, out of the pairs the walk
-        # reaches; every walked pair, reduced or skipped, counts against
-        # the budget, and a cap one below that count raises.
-        calls = []
-        reduce = groebner._IntReducer.reduce
-        monkeypatch.setattr(groebner._IntReducer, "reduce",
-                            lambda self, p: calls.append(1) or reduce(self, p))
-        for n, reduced, walked in ((4, 71, 134), (5, 158, 440), (6, 325, 1311)):
+        # Reductions on G u M(n), n = 4, 5, 6, out of 134 / 440 / 1,311
+        # pairs the walk reaches; only the reduced pairs count against the
+        # budget, and a cap one below that count raises.
+        calls = _count_reductions(monkeypatch)
+        for n, reduced in ((4, 71), (5, 158), (6, 325)):
             G = G_union_M(n)
             calls.clear()
             budget = Budget()
             assert is_groebner_basis(G, budget=budget).ok
-            assert len(calls) == reduced
-            assert budget.pairs == walked
+            assert budget.pairs == len(calls) == reduced
             with pytest.raises(BudgetExceeded):
-                is_groebner_basis(G, budget=Budget(max_pairs=walked - 1))
+                is_groebner_basis(G, budget=Budget(max_pairs=reduced - 1))
 
     def test_skipped_pair_before_the_witness(self, monkeypatch):
         # The walk passes (2, 4), skips (1, 4) by k = 2, then fails at
         # (2, 3), the first failing pair in (lcm, i, j) order.
-        R = Ring(2)
-        x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
-        f = 3 * y1 - 2 * z2
-        polys = [x1 * z2, f, y1 * y2 * z1 * f + 9 * x1, y1 * z2 * f]
-        calls = []
-        reduce = groebner._IntReducer.reduce
-        monkeypatch.setattr(groebner._IntReducer, "reduce",
-                            lambda self, p: calls.append(1) or reduce(self, p))
+        polys = _skipped_before_the_witness()
+        x1 = polys[0].ring.x(1)
+        calls = _count_reductions(monkeypatch)
         budget = Budget()
         cert = is_groebner_basis(polys, budget=budget)
         assert not cert.ok and cert.witness == (2, 3)
         # Two walked reductions and the exact one of the witness.
         assert len(calls) == 3
-        # The two coprime pairs are free; (2, 4), (1, 4) and (2, 3) count.
-        assert budget.pairs == 3
+        # The two coprime pairs and the skipped (1, 4) are free; the
+        # reduced (2, 4) and (2, 3) count.
+        assert budget.pairs == 2
         with pytest.raises(BudgetExceeded):
-            is_groebner_basis(polys, budget=Budget(max_pairs=2))
+            is_groebner_basis(polys, budget=Budget(max_pairs=1))
         assert cert.remainder == -27 * x1
         assert cert.remainder == divide(s_polynomial(polys[1], polys[2]), polys).remainder
 
@@ -486,23 +496,34 @@ class TestCertificate:
             is_groebner_basis(G_union_M(8), budget=budget)
         assert budget.pairs == 0
 
-    def test_budget_counts_every_pair(self):
-        # Every walked pair counts; monomial-monomial and coprime pairs are
-        # never walked and cost nothing.
-        for G, walked in ((set_G(4), 22), (G_union_M(4), 134)):
+    def test_budget_counts_reduced_pairs(self):
+        # Every reduced pair counts; monomial-monomial, coprime and skipped
+        # pairs are never reduced and cost nothing.
+        for G, reduced in ((set_G(4), 13), (G_union_M(4), 71)):
             budget = Budget()
             assert is_groebner_basis(G, budget=budget).ok
-            assert budget.pairs == walked < len(G) * (len(G) - 1) // 2
+            assert budget.pairs == reduced < len(G) * (len(G) - 1) // 2
             with pytest.raises(BudgetExceeded):
-                is_groebner_basis(G, budget=Budget(max_pairs=walked - 1))
+                is_groebner_basis(G, budget=Budget(max_pairs=reduced - 1))
+
+    def test_one_unit_per_reduction(self, monkeypatch):
+        # A certificate charges one unit per S-polynomial it reduces; a
+        # failing one also divides its witness exactly, uncharged.
+        calls = _count_reductions(monkeypatch)
+        for polys in (G_union_M(4), G_union_M(5), G_union_M(6),
+                      _skipped_before_the_witness()):
+            calls.clear()
+            budget = Budget()
+            cert = is_groebner_basis(polys, budget=budget)
+            assert budget.pairs == len(calls) - (not cert.ok)
 
     def test_cap_of_the_walked_pairs_passes_n10(self):
         # G u M(10) has 2,586 elements and 3,342,405 pairs, past the default
-        # cap; its walk reaches 64,205 of them.
+        # cap; its walk reduces 6,373 of them.
         G = G_union_M(10)
-        budget = Budget(max_pairs=64_205)
+        budget = Budget(max_pairs=6_373)
         assert is_groebner_basis(G, budget=budget).ok
-        assert budget.pairs == 64_205
+        assert budget.pairs == 6_373
 
 
 class TestMembershipPredicates:

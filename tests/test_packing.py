@@ -18,9 +18,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink import groebner
-from detlink.groebner import (LIMIT, Budget, GBStats, Ideal, _packing, divide,
-                              is_groebner_basis, member, reduced_groebner_basis,
-                              s_polynomial)
+from detlink.groebner import (LIMIT, Budget, BudgetExceeded, GBStats, Ideal,
+                              _packing, divide, is_groebner_basis, member,
+                              reduced_groebner_basis, s_polynomial)
 from detlink.rings import ELIM_BLOCK, Ring
 
 from conftest import random_nonzero_poly
@@ -232,19 +232,24 @@ class TestLimit:
         # k = x1*y1 - z1^2 and its multiples by x1^20000 and by y1^20000
         # form a Groebner basis. The multiples' pair has lcm
         # x1^20001*y1^20001, past the limit, but the chain criterion skips
-        # it by k while the pairs are built, so it gets no order key. It
-        # still counts as walked.
+        # it by k while the pairs are built, so it gets no order key and
+        # costs nothing: only the two pairs of k with a multiple count.
         R = Ring(2)
         x1, y1, z1 = R.x(1), R.y(1), R.z(1)
         k = x1 * y1 - z1 ** 2
         polys = [k, x1 ** 20000 * k, y1 ** 20000 * k]
         budget = Budget()
         assert is_groebner_basis(polys, budget=budget).ok
-        assert budget.pairs == 3
-        # A cap inside the walk needs the skipped pair's place in (lcm, i, j)
-        # order; its key is then built, and past the limit it raises.
-        with pytest.raises(OverflowError, match="2\\^15"):
-            is_groebner_basis(polys, budget=Budget(max_pairs=2))
+        assert budget.pairs == 2
+        # No cap builds the skipped pair's key: below 2 the cap raises
+        # BudgetExceeded, never OverflowError.
+        for cap in range(4):
+            budget = Budget(max_pairs=cap)
+            if cap < 2:
+                with pytest.raises(BudgetExceeded):
+                    is_groebner_basis(polys, budget=budget)
+            else:
+                assert is_groebner_basis(polys, budget=budget).ok
 
     def test_walked_certificate_pair_past_the_limit(self):
         # Without k nothing skips the multiples' pair: it is walked, and its

@@ -1,7 +1,7 @@
 """The kernel's first-divisor memo and the certificate's pair filter and
 chain criterion against references that have none of them, and the
 certificate's budget charges under every cap against a walk that keys and
-sorts every pair.
+sorts every pair and charges one unit per pair it divides.
 
 Small polynomials in the first four variables of a grevlex and an
 elimination ring are drawn by hypothesis, derandomized so every run checks
@@ -173,8 +173,8 @@ def _reference_walk(polys, budget):
     """The certificate walk that keys and sorts every pair it sees: each
     pair that is not a pair of monomials and whose leading monomials share
     a variable, in (lcm, i, j) order with the lcm compared by
-    `MonomialOrder.key`. Every pair ticks the budget; one that the chain
-    criterion skips is passed over, the others are divided exactly."""
+    `MonomialOrder.key`. One that the chain criterion skips is passed over
+    free; the others tick the budget and are divided exactly."""
     key = polys[0].ring.order.key
     lms = [f.terms[0].mono for f in polys]
     chain = [lms[k] for k, f in enumerate(polys) if len(f) > 1]
@@ -183,11 +183,11 @@ def _reference_walk(polys, budget):
                    if (len(polys[i]) > 1 or len(polys[j]) > 1)
                    and not is_coprime(lms[i], lms[j]))
     for _, i, j in pairs:
-        budget.tick()
         m = lcm(lms[i], lms[j])
         if any(divides(k, m) and lcm(lms[i], k) != m and lcm(lms[j], k) != m
                for k in chain):
             continue
+        budget.tick()
         rem = divide(s_polynomial(polys[i], polys[j]), polys).remainder
         if rem:
             return False, (i + 1, j + 1), rem
@@ -217,7 +217,8 @@ def _assert_same_under_every_cap(polys):
 def test_budget_contract_under_every_cap(polys):
     # The certificate keys and sorts only the pairs the chain criterion
     # keeps; verdict, witness, remainder and the units charged, or the
-    # cap's BudgetExceeded, must be those of the walk over every pair.
+    # cap's BudgetExceeded, must be those of the walk over every pair,
+    # which charges one unit per pair it divides.
     # About half the draws pass and half fail, and the criterion skips
     # pairs in about half, some of them before the witness.
     _assert_same_under_every_cap(polys)
@@ -225,8 +226,9 @@ def test_budget_contract_under_every_cap(polys):
 
 def test_budget_contract_under_every_cap_pinned():
     # A skipped pair before the witness (the walk passes (2, 4), skips
-    # (1, 4) by k = 2 and fails at (2, 3)), and a passing set with most
-    # pairs skipped, G u M(4): 134 pairs walked, 71 of them reduced.
+    # (1, 4) by k = 2 and fails at (2, 3): 2 units), and a passing set with
+    # most pairs skipped, G u M(4): 71 of the 134 pairs walked are reduced,
+    # and only they are charged.
     R = Ring(2)
     x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
     f = 3 * y1 - 2 * z2
