@@ -8,15 +8,24 @@ and pin their degrees; `m_ij` and `m_ij_range` are the paper's
 distinguished monomials of each link, which the tests find among the
 link's monomial set. `monomial_sets` builds every link's monomial set
 from `window_products` and `MonomialOrder.key`, with no packed monomials,
-for the families' packed builder to match.
+for the families' packed builder to match. `check_gb_sum_full` and
+`check_sum_equals_colon_full` are the two checks as they were before they
+certified from the core of the monomial sets: the first walks all of
+G ∪ M, the second tests every monomial times every minor. The checks must
+agree with them on status and witness.
 """
 
 from __future__ import annotations
 
 from operator import le as _le, sub as _sub
-from typing import Mapping, Union
+from typing import Mapping, Optional, Union
 
+import detlink.families as fam
+from detlink.checks import FAIL, PASS, _chain_witness, _fmt
 from detlink.families import _link, standard_ring, window_products, xyz_monomial
+from detlink.groebner import (Budget, Ideal, _first_product_outside,
+                              ideal_equal, interreduce, is_groebner_basis)
+from detlink.idealops import quotient
 from detlink.rings import Monomial, Polynomial, Scalar
 
 
@@ -145,3 +154,42 @@ def monomial_sets(n: int) -> list[list[Polynomial]]:
                        key=ring.order.key, reverse=True)
         out.append([ring.from_monomial(m) for m in monos])
     return out
+
+
+# -- the full walks of two checks --------------------------------------------
+# They look the families up on the module, as the checks do, so a test that
+# corrupts a family corrupts it for both.
+
+
+def check_gb_sum_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
+    """`gb-sum` by the certificate on all of G ∪ M."""
+    cert = is_groebner_basis(fam.G_union_M(n), budget=budget)
+    if not cert.ok:
+        return FAIL, (f"S-pair {cert.witness} leaves remainder "
+                      f"{_fmt(cert.remainder)}")
+    return PASS, None
+
+
+def check_sum_equals_colon_full(n: int,
+                                budget: Budget) -> tuple[str, Optional[str]]:
+    """`sum-equals-colon` with every monomial times every minor tested."""
+    if (witness := _chain_witness(n)) is not None:
+        return FAIL, witness
+    ring = fam.standard_ring(n)
+    G = fam.set_G(n)
+    if not is_groebner_basis(G, budget=budget).ok:
+        return FAIL, "extended generator set failed its own certificate"
+    a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
+    minors = fam.minors_ideal(n)
+    monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
+    outside = _first_product_outside(monos, minors.gens, a_full, budget)
+    if outside is not None:
+        a, b = outside
+        return FAIL, (f"containment fails: ({_fmt(monos[a])}) * "
+                      f"({_fmt(minors.gens[b])}) is not in the full family")
+    if n > 5:
+        return PASS, None
+    Q = quotient(a_full, minors, budget)
+    if not ideal_equal(Q, fam.sum_links_ideal(n), budget):
+        return FAIL, "colon of the full family differs from the sum of links"
+    return PASS, None

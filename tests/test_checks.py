@@ -17,7 +17,8 @@ from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, divide, interreduce,
                               member, s_polynomial)
 
-from reference import divides, gcd
+from reference import (check_gb_sum_full, check_sum_equals_colon_full, divides,
+                       gcd)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -191,6 +192,118 @@ class TestWorkCounts:
         assert int(out) == self.HEIGHTS_7
 
 
+def _split(n):
+    """set_G(n) and the monomials of G_union_M(n) after it."""
+    polys = fam.G_union_M(n)
+    return polys[:3 * n - 4], polys[3 * n - 4:]
+
+
+def _extend_M(monkeypatch, m):
+    """m joins M_2 in both lists the checks read, G_union_M and M_polys."""
+    G_union_M, M_polys = fam.G_union_M, fam.M_polys
+    monkeypatch.setattr(checks.fam, "G_union_M", lambda n: G_union_M(n) + [m])
+    monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
+        M_polys(n, i) + [m] if i == 2 else M_polys(n, i)))
+
+
+def _agree_with_the_full_walks(n):
+    """gb-sum and sum-equals-colon give the full walks' status and witness,
+    and return them."""
+    got = [checks.check_gb_sum(n, random.Random(0), Budget()),
+           checks.check_sum_equals_colon(n, random.Random(0), Budget())]
+    assert got == [check_gb_sum_full(n, Budget()),
+                   check_sum_equals_colon_full(n, Budget())]
+    return got
+
+
+class TestCoreCertificate:
+    # |G + core| and the units of a passing gb-sum, n = 4..9: the core's
+    # certificate; reducing the rest by G + core charges nothing.
+    SIZES = (20, 31, 44, 59, 76, 95)
+    UNITS = (63, 126, 225, 370, 571, 838)
+
+    def test_core_sizes_and_units_pinned(self):
+        for n, size, units in zip(range(4, 10), self.SIZES, self.UNITS):
+            G, monos = _split(n)
+            core = checks._core(G, monos, Budget())
+            assert len(G) + len(core) == size
+            budget = Budget()
+            assert checks.check_gb_sum(n, random.Random(0), budget) == ("pass", None)
+            assert budget.pairs == units
+        # A cap one below the fast path's units stops the check.
+        report, = run_checks(6, ["gb-sum"], max_pairs=self.UNITS[2] - 1)
+        assert report.status == "budget-exceeded"
+
+    def test_core_is_what_no_leading_monomial_of_G_divides(self):
+        G, monos = _split(5)
+        core = checks._core(G, monos, Budget())
+        lms = [g.terms[0].mono for g in G]
+        assert core == [m for m in monos
+                        if not any(divides(lm, m.terms[0].mono) for lm in lms)]
+
+    @pytest.mark.parametrize("n", range(4, 8))
+    def test_agrees_with_the_full_walks(self, n):
+        assert _agree_with_the_full_walks(n) == [("pass", None)] * 2
+
+    def test_escaping_monomial(self, monkeypatch):
+        # x1 joins M_2 in both lists the checks read. It is core, so
+        # sum-equals-colon tests every product and names the first escaping
+        # one; G ∪ M plus x1 is still a Groebner basis, of a larger ideal.
+        R = fam.standard_ring(4)
+        _extend_M(monkeypatch, R.x(1))
+        assert checks._core(*_split(4), Budget())[-1] == R.x(1)
+        gb_sum, colon = _agree_with_the_full_walks(4)
+        assert gb_sum == ("pass", None) and colon[0] == "fail"
+        assert colon[1].startswith("containment fails: (x1) * ")
+
+    def test_escaping_rest_monomial(self, monkeypatch):
+        # x1 * in(g_1) joins M_2: in(g_1) divides it, and its remainder by
+        # G + core is not 0, so both checks test every element.
+        R = fam.standard_ring(4)
+        m = R.x(1) * R.from_monomial(fam.g_generator(4, 1).terms[0].mono)
+        _extend_M(monkeypatch, m)
+        assert checks._core(*_split(4), Budget()) is None
+        gb_sum, colon = _agree_with_the_full_walks(4)
+        assert colon[0] == "fail"
+        assert colon[1].startswith(f"containment fails: ({R.format(m)}) * ")
+
+    def test_corrupted_generator(self, monkeypatch):
+        # The tail of G[1] times z1: a monomial it divides no longer reduces
+        # to 0 by G + core, so gb-sum walks G ∪ M; sum-equals-colon fails
+        # on the certificate of G.
+        original = fam.set_G
+
+        def corrupted(n):
+            G = original(n)
+            R = fam.standard_ring(n)
+            lead = G[1].terms[0].coeff * R.from_monomial(G[1].terms[0].mono)
+            G[1] = lead + (G[1] - lead) * R.z(1)
+            return G
+
+        monkeypatch.setattr(checks.fam, "set_G", corrupted)
+        assert checks._core(*_split(4), Budget()) is None
+        assert [s for s, _ in _agree_with_the_full_walks(4)] == ["fail"] * 2
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_dropped_core_monomial(self, monkeypatch, n):
+        # Each core monomial dropped in turn from both lists. Some drops
+        # leave a Groebner basis; others fail, by G + core's certificate or
+        # by a rest monomial that no longer reduces to 0, and then the
+        # checks fall back to the full walks.
+        G, monos = _split(n)
+        G_union_M, M_polys = fam.G_union_M, fam.M_polys
+        verdicts = set()
+        for m in checks._core(G, monos, Budget()):
+            monkeypatch.setattr(checks.fam, "G_union_M",
+                                lambda n: [f for f in G_union_M(n) if f != m])
+            monkeypatch.setattr(checks.fam, "M_polys",
+                                lambda n, i: [f for f in M_polys(n, i) if f != m])
+            gb_sum, colon = _agree_with_the_full_walks(n)
+            assert colon == ("pass", None)
+            verdicts.add(gb_sum[0])
+        assert verdicts == {"pass", "fail"}
+
+
 class TestQualifyingBinomials:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_draw_qualifies(self, n):
@@ -207,6 +320,19 @@ class TestQualifyingBinomials:
             assert not divide(s_polynomial(f, g), [f, g]).remainder
             homogeneous += f.is_homogeneous() and g.is_homogeneous()
         assert homogeneous > 0
+
+    def test_nonzero_remainder_fails_identities(self, monkeypatch):
+        # A pair that does not qualify: S(f, g) = -y1^2 is its own remainder,
+        # so identities fails on the first draw and names the pair.
+        R = fam.standard_ring(4)
+        f, g = R.x(1) ** 2 - R.y(1), R.x(1) * R.y(1)
+        assert divide(s_polynomial(f, g), [f, g]).remainder == -R.y(1) ** 2
+        monkeypatch.setattr(checks, "_random_qualifying_binomials",
+                            lambda ring, rng: (f, g))
+        report, = run_checks(4, ["identities"])
+        assert (report.status, report.witness) == (
+            "fail", f"S({R.format(f)}, {R.format(g)}) does not reduce to zero "
+                    f"against the pair")
 
 
 class TestReportFormat:
