@@ -143,7 +143,7 @@ def _core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
     split, and once per reduction of the rest."""
     if not all(G):
         return None
-    packing = _packing(G[0].ring.order)
+    packing = _packing(G[0].ring.space.nvars)
     guard = packing.guard
     divisors = _Divisors([_prim_from_poly(g, packing) for g in G])
     lms = divisors.lms[:]
@@ -262,7 +262,8 @@ def check_sum_equals_colon(n: int, rng: random.Random,
 def check_heights(n: int, rng: random.Random,
                   budget: Budget) -> tuple[str, Optional[str]]:
     """Height facts: the chain is a regular sequence of length n-1, the
-    full family is a residual intersection, and every link is geometric."""
+    full family is a residual intersection, and for n <= 5 every link is
+    geometric (height(I_2 + J_i) >= n for each i)."""
     h = height(fam.chain_ideal(n), budget)
     if h != n - 1:
         return FAIL, f"height of the chain is {h}, expected {n - 1}"
@@ -388,7 +389,7 @@ def check_identities(n: int, rng: random.Random,
                 return FAIL, f"summand exceeds leading monomial at ({i},{j})"
     # Whether a remainder is zero does not depend on scaling, so the pairs
     # are reduced as packed primitive polynomials.
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     for _ in range(500 if n == 4 else 50):
         budget.check_deadline()
         f, g = _random_qualifying_binomials(ring, rng)

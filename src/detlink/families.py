@@ -140,7 +140,7 @@ def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
     order does.
     """
     ring = standard_ring(n)
-    space, pack = ring.space, _packing(ring.order).pack
+    space, pack = ring.space, _packing(ring.space.nvars).pack
     pos = space.pos
     units = [pack(Monomial(tuple(int(p == q) for p in range(space.nvars))))
              for q in range(space.nvars)]
@@ -159,7 +159,7 @@ def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
 def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
     """M_1, ..., M_n as monomial Polynomials, each in descending order."""
     ring = standard_ring(n)
-    unpack, one = _packing(ring.order).unpack, Fraction(1)
+    unpack, one = _packing(ring.space.nvars).unpack, Fraction(1)
     return tuple(tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in ms)
                  for ms in _packed_monomial_sets(n))
 
@@ -289,12 +289,12 @@ def apply_permutation(perm: IndexPermutation, f: Polynomial) -> Polynomial:
     space = f.ring.space
     if perm.n != space.n:
         raise ValueError("permutation width does not match the ring")
-    e, n = space.elim_count, space.n
+    n = space.n
     moved = {}
     for i in range(1, n + 1):
         j = perm(i)
-        moved[e + i - 1] = e + j - 1
-        moved[e + n + i - 1] = e + n + j - 1
+        moved[i - 1] = j - 1
+        moved[n + i - 1] = n + j - 1
     d = {}
     for c, m in f.terms:
         vec = [0] * space.nvars

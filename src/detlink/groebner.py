@@ -73,7 +73,7 @@ from itertools import islice
 from math import gcd as _igcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rings import ELIM_BLOCK, Monomial, MonomialOrder, Polynomial, Ring, Term
+from .rings import Monomial, MonomialOrder, Polynomial, Ring, Term
 
 
 class BudgetExceeded(RuntimeError):
@@ -164,8 +164,9 @@ class GBCertificate(NamedTuple):
 # a field holds values below LIMIT = 2^15. The low nvars fields hold the
 # exponent vector (position i in field i); the high nvars fields hold the
 # order key as a linear packing: for grevlex the prefix sums
-# (deg, deg - e_N, deg - e_N - e_{N-1}, ..., e_1) from the top field down,
-# for elim-block one such run per block, the elimination block on top.
+# (deg, deg - e_N, deg - e_N - e_{N-1}, ..., e_1) from the top field down.
+# The elimination block of `_intersect_prims` (its variable t in field 0)
+# gets a run of its own on top, and the ring's grevlex run sits below it.
 # Products are then sums, comparison in the order is int comparison, and
 # a divides b iff (b - a) & guard == 0: a field where a exceeds b borrows
 # into its guard bit. A sum of two packed monomials cannot carry out of a
@@ -183,23 +184,22 @@ def _overflow() -> OverflowError:
 
 
 class _Packing:
-    """The packed layout of one ring order's monomials."""
+    """The packed layout of monomials in nvars variables: grevlex when head
+    is 0, else the block order that compares the first head variables (the
+    elimination block) by grevlex first and the rest by grevlex after."""
 
     __slots__ = ("guard", "exp_guard", "exp_mask", "ones", "_shift",
                  "_top", "_runs", "_head", "_fmt", "_nbytes")
 
-    def __init__(self, order: MonomialOrder):
-        nvars = order.space.nvars
-        head = order.space.elim_count if order.kind == ELIM_BLOCK else 0
-
+    def __init__(self, nvars: int, head: int = 0):
         def ones(k):
             return sum(1 << (FIELD * i) for i in range(k))
 
         def mask(k):
             return (1 << (FIELD * k)) - 1
 
-        # (source field, width, destination field) per run; elim-block puts
-        # the elimination run above the main one.
+        # (source field, width, destination field) per run; the elimination
+        # run goes above the main one.
         runs = ((0, head, nvars - head), (head, nvars - head, 0)) if head else ((0, nvars, 0),)
         self._runs = tuple((FIELD * src, mask(width), ones(width), FIELD * dest)
                            for src, width, dest in runs)
@@ -263,8 +263,8 @@ class _Packing:
 
 
 @lru_cache(maxsize=32)
-def _packing(order: MonomialOrder) -> _Packing:
-    return _Packing(order)
+def _packing(nvars: int, head: int = 0) -> _Packing:
+    return _Packing(nvars, head)
 
 
 # -- primitive integer layer ------------------------------------------------
@@ -307,7 +307,7 @@ def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
 
 
 def _monic_from_prims(prims, ring: Ring) -> tuple[Polynomial, ...]:
-    unpack = _packing(ring.order).unpack
+    unpack = _packing(ring.space.nvars).unpack
     return tuple(Polynomial(ring, tuple(Term(Fraction(c, p[0][1]), unpack(m))
                                         for m, c in p)) for p in prims)
 
@@ -480,7 +480,7 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     quotient is nonzero.
     """
     ring = h.ring
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     reducer = _IntReducer(packing)
     ratios = []
     for f in divisors:
@@ -507,7 +507,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     g._check_ring(f.ring)
-    packing = _packing(f.ring.order)
+    packing = _packing(f.ring.space.nvars)
     pack = packing.pack
     a = [(pack(m), c) for c, m in f.terms]
     b = [(pack(m), c) for c, m in g.terms]
@@ -554,7 +554,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     prims = [_prim_from_poly(f, packing) for f in polys]
     return _monic_from_prims(_groebner_prims(prims, packing, budget, criteria, stats), ring)
 
@@ -738,7 +738,7 @@ def interreduce(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
     return _monic_from_prims(kept, ring)
 
@@ -802,7 +802,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
         f._check_ring(ring)
     if order is not None and order != ring.order:
         raise ValueError(f"{order!r} is not the order of {ring!r}")
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     budget = budget or Budget()
     prims = []
     for f in polys:
@@ -915,13 +915,13 @@ class Ideal:
 
     def _packed_gens(self) -> tuple:
         if self._gen_prims is None:
-            packing = _packing(self.ring.order)
+            packing = _packing(self.ring.space.nvars)
             self._gen_prims = tuple(_prim_from_poly(g, packing) for g in self.gens)
         return self._gen_prims
 
     def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:
         if self._basis_prims is None:
-            packing = _packing(self.ring.order)
+            packing = _packing(self.ring.space.nvars)
             self._basis_prims = tuple(_prim_from_poly(g, packing) for g in self.groebner(budget))
         return self._basis_prims
 
@@ -929,7 +929,7 @@ class Ideal:
         """A reducer by the reduced basis. The packed divisor list is built
         once, on first use, and shared by every later reducer together with
         its first-divisor memo."""
-        packing = _packing(self.ring.order)
+        packing = _packing(self.ring.space.nvars)
         if self._divisors is None:
             self._divisors = _Divisors(self._packed_basis(budget))
         return _IntReducer(packing, self._divisors, budget)
@@ -974,7 +974,7 @@ def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
     each packed once, up front."""
     for f in (*gs, *hs):
         f._check_ring(I.ring)
-    packing = _packing(I.ring.order)
+    packing = _packing(I.ring.space.nvars)
     gps, hps = ([_prim_from_poly(f, packing) if f else () for f in fs]
                 for fs in (gs, hs))
     return _first_prim_product_outside(gps, hps, I, budget)

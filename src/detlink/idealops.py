@@ -2,19 +2,17 @@
 dimension and height through initial ideals.
 
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
-in the ring extended by one variable t, under the block order that ranks
-t above the ring's grevlex order. The t-free part of the elimination
-basis, interreduced, is the reduced grevlex basis of the intersection, so
-results carry their Groebner basis for free. A side that is a known
-Groebner basis (a cached reduced basis) enters as a block, and the
-elimination reduces no pair inside it. A colon I : J is a fold over the
-generators g of J with one elimination per step: the colon so far, out,
-becomes (I ∩ g*out) / g, and a g with g*out ⊆ I is skipped. Both run on
-packed prims (see `groebner`) throughout, so embedding, multiplying by t
-and stripping t are shifts and adds; results build `Polynomial`s on use.
-Both take only rings without elimination variables, where t is the whole
-elimination block; `intersect`, `quotient` and `quotient_by_poly` reject
-any other ring with ValueError before doing any work.
+with t added above the ring's variables, under the block order that ranks
+t above the ring's grevlex order. The variable t exists only in the
+packing of `_intersect_prims`, never as a ring. The t-free part of the
+elimination basis, interreduced, is the reduced grevlex basis of the
+intersection, so results carry their Groebner basis for free. A side that
+is a known Groebner basis (a cached reduced basis) enters as a block, and
+the elimination reduces no pair inside it. A colon I : J is a fold over
+the generators g of J with one elimination per step: the colon so far,
+out, becomes (I ∩ g*out) / g, and a g with g*out ⊆ I is skipped. Both run
+on packed prims (see `groebner`) throughout, so embedding, multiplying by
+t and stripping t are shifts and adds; results build `Polynomial`s on use.
 
 Dimension is nvars minus the minimum vertex cover of the supports of the
 initial ideal's generators, found by branch and bound; a greedy set of
@@ -23,29 +21,12 @@ pairwise-disjoint edges bounds each node's cover from below.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Iterable, Optional
 
 from .groebner import (FIELD, Budget, Ideal, _add_scaled,
                        _first_prim_product_outside, _groebner_prims,
                        _interreduce, _packing, _prim_from_dict, _product)
-from .rings import ELIM_BLOCK, Polynomial, Ring
-
-
-@lru_cache(maxsize=None)
-def _elim_ring(ring: Ring) -> Ring:
-    """The ring with one elimination variable t above everything, built
-    once per ring."""
-    return Ring(ring.space.n, 1, ELIM_BLOCK)
-
-
-def _require_plain(ring: Ring) -> None:
-    """Refuse a ring with elimination variables, before any work: the
-    eliminations extend the ring by one t, which is the whole elimination
-    block only when the ring has none."""
-    if ring.space.elim_count:
-        raise ValueError("intersections and colons need a ring without "
-                         "elimination variables")
+from .rings import Polynomial, Ring
 
 
 def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
@@ -60,10 +41,8 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     elimination block, and below it the ring's grevlex order runs
     unchanged. Each cached basis therefore enters `_groebner_prims` as a
     block, whose inner pairs are not reduced; a single generator is a
-    block of its own. Rings with elimination variables are rejected with
-    ValueError. The elimination itself runs in `_intersect_prims`.
+    block of its own. The elimination itself runs in `_intersect_prims`.
     """
-    _require_plain(I.ring)
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     based = [K.has_cached_basis() for K in (I, J)]
@@ -75,13 +54,15 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
 def _intersect_prims(ring: Ring, sides, based, budget: Optional[Budget] = None) -> list:
     """The reduced basis, as prims, of the intersection of the ideals that
     the prim lists sides[0] and sides[1] of `ring` generate; based[k] says
-    that sides[k] is a Groebner basis, which then enters as a block. As t
-    is the whole elimination block, `_groebner_prims` keeps and
+    that sides[k] is a Groebner basis, which then enters as a block. The
+    elimination runs in the packing of the ring's variables plus t, with t
+    the whole elimination block on top. So `_groebner_prims` keeps and
     interreduces only the t-free part of the elimination basis, which is
     the reduced basis of the intersection."""
     if not sides[0] or not sides[1]:
         return []
-    packing, epacking = _packing(ring.order), _packing(_elim_ring(ring).order)
+    nvars = ring.space.nvars
+    packing, epacking = _packing(nvars), _packing(nvars + 1, 1)
     t, mask, emask = epacking.with_key(1), packing.exp_mask, epacking.exp_mask
 
     def embed(f) -> list:
@@ -118,7 +99,7 @@ def _exact_quotient(g, f, guard: int) -> tuple:
 def _colon(I: Ideal, gens, budget: Optional[Budget] = None) -> Ideal:
     """I : (gens) for nonzero prims gens of I's ring; `quotient` says how."""
     ring = I.ring
-    packing = _packing(ring.order)
+    packing = _packing(ring.space.nvars)
     out = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
     for g in gens:
         if _first_prim_product_outside([g], out, I, budget) is None:
@@ -135,7 +116,6 @@ def quotient_by_poly(I: Ideal, f: Polynomial,
                      budget: Optional[Budget] = None) -> Ideal:
     """Colon ideal I : (f) = (I ∩ (f)) / f, by the fold of `quotient` over
     the one generator f."""
-    _require_plain(I.ring)
     if not f:
         raise ValueError("colon by the zero polynomial")
     return _colon(I, Ideal(I.ring, (f,))._packed_gens(), budget)
@@ -155,10 +135,8 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     reduced basis, whose S-pairs are g times those of out's basis. A
     generator g with g*out ⊆ I changes nothing, since out ⊆ I : (g), and
     is skipped; the test multiplies g into out's packed basis and reduces
-    each product by I's basis, which it computes on first use. Rings with
-    elimination variables are rejected, as by `intersect`.
+    each product by I's basis, which it computes on first use.
     """
-    _require_plain(I.ring)
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     if not J.gens:
@@ -230,7 +208,7 @@ def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
     monomials of I's reduced basis.
     """
     nvars = I.ring.space.nvars
-    mask = _packing(I.ring.order).exp_mask
+    mask = _packing(nvars).exp_mask
     leads = [f[0][0] & mask for f in I._packed_basis(budget)]
     if not leads:
         return nvars

@@ -1,9 +1,11 @@
-"""Exact polynomial arithmetic over Q in blocked variable spaces.
+"""Exact polynomial arithmetic over Q in the ring of the paper.
 
-The base ring is Q[x_1..x_n, y_1..y_n, z_1..z_n]; an extended ring adds
-elimination variables t_1..t_e that rank above every x, y, z. Within each
-block the smaller index is the larger variable. Coefficients are exact
-rationals throughout; nothing is ever rounded.
+The ring is Q[x_1..x_n, y_1..y_n, z_1..z_n] under grevlex, with
+x_1 > ... > x_n > y_1 > ... > z_n: the x block first, and within each
+block the smaller index is the larger variable. The eliminations of
+`idealops` add their variable t only inside the packed kernel
+(`groebner._Packing`). Coefficients are exact rationals throughout;
+nothing is ever rounded.
 """
 
 from __future__ import annotations
@@ -14,49 +16,36 @@ from fractions import Fraction
 from operator import add as _add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
 
-GREVLEX = "grevlex"
-ELIM_BLOCK = "elim-block"
-
 Scalar = Union[int, Fraction]
 
 
 @dataclass(frozen=True)
 class VarSpace:
-    """Variable layout t_1..t_e > x_1..x_n > y_1..y_n > z_1..z_n."""
+    """Variable layout x_1..x_n > y_1..y_n > z_1..z_n."""
 
     n: int
-    elim_count: int = 0
 
     def __post_init__(self) -> None:
         if self.n < 2:
             raise ValueError("matrix width n must be >= 2")
-        if self.elim_count < 0:
-            raise ValueError("elim_count must be >= 0")
 
     @property
     def nvars(self) -> int:
-        return 3 * self.n + self.elim_count
+        return 3 * self.n
 
     def pos(self, block: str, i: int) -> int:
         """Position of block variable i (1-based) in the exponent vector."""
-        n, e = self.n, self.elim_count
-        if block == "t":
-            if not 1 <= i <= e:
-                raise ValueError(f"no variable t{i} (elim_count={e})")
-            return i - 1
+        n = self.n
         if block not in ("x", "y", "z"):
             raise ValueError(f"unknown block {block!r}")
         if not 1 <= i <= n:
             raise ValueError(f"no variable {block}{i} for n={n}")
-        return e + "xyz".index(block) * n + (i - 1)
+        return "xyz".index(block) * n + (i - 1)
 
     def var_name(self, pos: int) -> str:
-        n, e = self.n, self.elim_count
+        n = self.n
         if not 0 <= pos < self.nvars:
             raise ValueError(f"position {pos} out of range")
-        if pos < e:
-            return f"t{pos + 1}"
-        pos -= e
         return f"{'xyz'[pos // n]}{pos % n + 1}"
 
 
@@ -95,79 +84,61 @@ class Term(NamedTuple):
 
 
 class MonomialOrder:
-    """Total, multiplicative, well-founded monomial order.
-
-    grevlex: higher total degree first; ties broken so that the monomial
-    whose exponent difference has its last nonzero entry negative wins.
-    elim-block: the elimination sub-vector is compared first (by grevlex),
-    then the main block; any monomial containing an elimination variable
-    exceeds every monomial free of them.
+    """Grevlex, a total, multiplicative, well-founded monomial order:
+    higher total degree first; ties broken so that the monomial whose
+    exponent difference has its last nonzero entry negative wins.
     """
 
-    __slots__ = ("space", "kind", "_e")
+    __slots__ = ("space",)
 
-    def __init__(self, space: VarSpace, kind: str = GREVLEX):
-        if kind not in (GREVLEX, ELIM_BLOCK):
-            raise ValueError(f"unknown order kind {kind!r}")
-        if kind == ELIM_BLOCK and space.elim_count == 0:
-            raise ValueError("elim-block order needs elim_count >= 1")
+    def __init__(self, space: VarSpace):
         self.space = space
-        self.kind = kind
-        self._e = space.elim_count
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, MonomialOrder)
-                and self.space == other.space and self.kind == other.kind)
+        return isinstance(other, MonomialOrder) and self.space == other.space
 
     def __hash__(self) -> int:
-        return hash((self.space, self.kind))
+        return hash(self.space)
 
     def __repr__(self) -> str:
-        return f"MonomialOrder({self.space}, {self.kind!r})"
+        return f"MonomialOrder({self.space})"
 
     def key(self, m: Monomial) -> tuple:
         """Sort key: key(a) > key(b) iff a > b in this order."""
         cached = m._key
         if cached is not None and cached[0] is self:
             return cached[1]
-        exps = m.exps
-        if self.kind == GREVLEX:
-            k = (m.deg, tuple(-e for e in reversed(exps)))
-        else:
-            head, tail = exps[:self._e], exps[self._e:]
-            k = (sum(head), tuple(-e for e in reversed(head)),
-                 sum(tail), tuple(-e for e in reversed(tail)))
+        k = (m.deg, tuple(-e for e in reversed(m.exps)))
         m._key = (self, k)
         return k
 
 
 class Ring:
-    """A VarSpace together with its active monomial order.
+    """A VarSpace together with its grevlex order.
 
     Builds, normalizes, parses and prints polynomials. Two rings compare
-    equal iff they share the space and order kind, so values may cross
-    independently constructed but identical rings.
+    equal iff they share the width, so values may cross independently
+    constructed but identical rings.
     """
 
     __slots__ = ("space", "order", "names", "_pos_by_name", "zero", "one")
 
-    def __init__(self, n: int, elim_count: int = 0, kind: str = GREVLEX):
-        self.space = VarSpace(n, elim_count)
-        self.order = MonomialOrder(self.space, kind)
+    def __init__(self, n: int):
+        self.space = VarSpace(n)
+        self.order = MonomialOrder(self.space)
         self.names = tuple(self.space.var_name(p) for p in range(self.space.nvars))
         self._pos_by_name = {name: p for p, name in enumerate(self.names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, (Term(Fraction(1), self.monomial({})),))
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, Ring) and self.space == other.space
-                and self.order.kind == other.order.kind)
+        return isinstance(other, Ring) and self.space == other.space
 
     def __hash__(self) -> int:
-        return hash((self.space, self.order.kind))
+        return hash(self.space)
 
     def __repr__(self) -> str:
-        return f"Ring(n={self.space.n}, elim_count={self.space.elim_count}, kind={self.order.kind!r})"
+        return f"Ring(n={self.space.n})"
 
     @property
     def n(self) -> int:
@@ -225,30 +196,23 @@ class Ring:
     def z(self, i: int) -> Polynomial:
         return self.var(f"z{i}")
 
-    def t(self, i: int = 1) -> Polynomial:
-        return self.var(f"t{i}")
-
     def from_monomial(self, m: Monomial, coeff: Scalar = 1) -> Polynomial:
         return self.poly({m: coeff})
 
     # -- text format ----------------------------------------------------
     # Signed `coeff*var^e*...` terms joined by +/-; coefficient omitted
     # when +-1 (unless constant), exponent omitted when 1. Variables print
-    # in x, y, z, t order with ascending index.
+    # in x, y, z order with ascending index.
 
     def format(self, f: Polynomial) -> str:
         if not f.terms:
             return "0"
-        e, n = self.space.elim_count, self.space.n
-        display = list(range(e, 3 * n + e)) + list(range(e))
         parts = []
         for coeff, mono in f.terms:
             factors = []
-            for pos in display:
-                exp = mono.exps[pos]
+            for name, exp in zip(self.names, mono.exps):
                 if exp:
-                    factors.append(self.names[pos] if exp == 1
-                                   else f"{self.names[pos]}^{exp}")
+                    factors.append(name if exp == 1 else f"{name}^{exp}")
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
@@ -263,7 +227,7 @@ class Ring:
             out += f" {sign} {body}"
         return out
 
-    _TOKEN = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[txyz]\d+)(?:\^(?P<exp>\d+))?)$")
+    _TOKEN = re.compile(r"^(?:(?P<num>\d+(?:/\d+)?)|(?P<var>[xyz]\d+)(?:\^(?P<exp>\d+))?)$")
 
     def parse(self, text: str) -> Polynomial:
         """Inverse of format(); also accepts unnormalized term lists."""

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from detlink.idealops import _elim_ring
+from detlink.groebner import _packing, _prim_from_dict, _prim_from_poly
 from detlink.rings import Monomial, Ring
 
 
@@ -38,12 +38,19 @@ def random_nonzero_poly(ring: Ring, rng: random.Random, terms: int = 4,
 
 
 def elimination_input(fs, gs):
-    """t*f for f in fs and (1-t)*g for g in gs in the elimination ring: the
-    input `intersect` eliminates t from, with t as variable 0."""
-    E = _elim_ring(fs[0].ring)
-    t = E.t(1)
+    """The input `intersect` eliminates t from, as prims and their packing:
+    t*f for f in fs and (1-t)*g for g in gs, in the layout of
+    `_intersect_prims`, t as variable 0 above the ring's variables. Each
+    term is lifted through its `Monomial`, not by the kernel's shifts."""
+    nvars = fs[0].ring.space.nvars
+    packing, epacking = _packing(nvars), _packing(nvars + 1, 1)
 
-    def embed(f):
-        return E.poly({E.monomial((0,) + m.exps): c for c, m in f.terms})
+    def lift(f, k):
+        """t^k * f as packed terms."""
+        return [(epacking.pack(Monomial((k,) + packing.unpack(m).exps)), c)
+                for m, c in _prim_from_poly(f, packing)]
 
-    return [t * embed(f) for f in fs] + [(E.one - t) * embed(g) for g in gs]
+    prims = [_prim_from_dict(dict(lift(f, 1))) for f in fs]
+    prims += [_prim_from_dict(dict(lift(g, 0) + [(m, -c) for m, c in lift(g, 1)]))
+              for g in gs]
+    return prims, epacking

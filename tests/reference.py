@@ -1,8 +1,9 @@
 """Independent references the tests compare detlink against.
 
 The verifier runs none of these. The tests check the kernel's packed
-monomials against the monomial arithmetic on exponent tuples here, and
-build their textbook division and certificate references with it.
+monomials against the monomial arithmetic and the naive grevlex and
+elimination comparators on exponent tuples here, and build their
+textbook division and certificate references with them.
 `substitute` and `multidegree` check the families under specializations
 and pin their degrees; `m_ij` and `m_ij_range` are the paper's
 distinguished monomials of each link, which the tests find among the
@@ -30,6 +31,24 @@ from detlink.rings import Monomial, Polynomial, Scalar
 
 
 # -- monomial arithmetic ----------------------------------------------------
+
+
+def naive_grevlex(a, b) -> int:
+    """1, 0 or -1 as exponent tuple a is above, equal to or below b in
+    grevlex: degree first, then the last nonzero difference."""
+    if sum(a) != sum(b):
+        return -1 if sum(a) < sum(b) else 1
+    for x, y in zip(reversed(a), reversed(b)):
+        if x != y:
+            return 1 if x < y else -1
+    return 0
+
+
+def naive_elim_block(a, b, head: int) -> int:
+    """`naive_grevlex` on the first head entries (the elimination block),
+    then on the rest."""
+    return naive_grevlex(a[:head], b[:head]) or naive_grevlex(a[head:], b[head:])
+
 
 
 def divides(a: Monomial, b: Monomial) -> bool:
@@ -74,12 +93,11 @@ def multidegree(f: Polynomial):
     """
     if not f.terms:
         return "zero"
-    space = f.ring.space
-    e, n = space.elim_count, space.n
+    n = f.ring.space.n
     seen = None
     for _, m in f.terms:
         exps = m.exps
-        d = (sum(exps[e:e + n]), sum(exps[e + n:e + 2 * n]), sum(exps[e + 2 * n:]))
+        d = (sum(exps[:n]), sum(exps[n:2 * n]), sum(exps[2 * n:]))
         if seen is None:
             seen = d
         elif seen != d:

@@ -26,24 +26,21 @@ from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, generic_residual,
                               minors_ideal, sub_a)
 from detlink.groebner import (GBStats, _groebner_prims, _monic_from_prims,
-                              _packing, _prim_from_poly, is_groebner_basis,
-                              reduced_groebner_basis)
+                              is_groebner_basis, reduced_groebner_basis)
 from detlink.idealops import quotient, quotient_by_poly
 from detlink.rings import Ring
 
 from conftest import elimination_input
 
 
-T = 0xFFFF     # the exponent field of t, variable 0 of the elimination ring
+T = 0xFFFF     # the exponent field of t, variable 0 of the elimination layout
 
 
 def _all_agree(basis_f, basis_g):
     """Run t*basis_f + (1-t)*basis_g with both bases as blocks, without
     blocks and without criteria, and keep only the t-free part with blocks;
     returns the stats with and without blocks."""
-    gens = elimination_input(basis_f, basis_g)
-    packing = _packing(gens[0].ring.order)
-    prims = [_prim_from_poly(f, packing) for f in gens]
+    prims, packing = elimination_input(basis_f, basis_g)
     blocks = [0] * len(basis_f) + [1] * len(basis_g)
     plain, blocked = GBStats(), GBStats()
     want = _groebner_prims(prims, packing, stats=plain)
@@ -148,9 +145,7 @@ def test_fold_counts_pinned(monkeypatch):
 
 
 def test_criteria_off_ignores_blocks():
-    gens = elimination_input(gens_a(4).groebner(), minors_ideal(4).groebner())
-    packing = _packing(gens[0].ring.order)
-    prims = [_prim_from_poly(f, packing) for f in gens]
+    prims, packing = elimination_input(gens_a(4).groebner(), minors_ideal(4).groebner())
     plain, blocked = GBStats(), GBStats()
     _groebner_prims(prims, packing, criteria=False, stats=plain)
     _groebner_prims(prims, packing, criteria=False, stats=blocked,
@@ -190,9 +185,7 @@ def test_random_eliminations_agree(F, G):
 def test_random_single_block_agrees(F):
     # A non-basis side enters as plain generators next to a block.
     basis = reduced_groebner_basis(F)
-    gens = elimination_input(basis, F)
-    packing = _packing(gens[0].ring.order)
-    prims = [_prim_from_poly(f, packing) for f in gens]
+    prims, packing = elimination_input(basis, F)
     blocks = [0] * len(basis) + [None] * len(F)
     assert (_groebner_prims(prims, packing, blocks=blocks)
             == _groebner_prims(prims, packing))

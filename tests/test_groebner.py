@@ -10,7 +10,7 @@ from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               is_groebner_basis, is_squarefree_monomial_ideal,
                               member, minimal_generators, normal_form,
                               reduced_groebner_basis, s_polynomial)
-from detlink.rings import ELIM_BLOCK, MonomialOrder, Ring
+from detlink.rings import Ring
 
 from conftest import (elimination_input, random_monomial, random_nonzero_poly,
                       random_poly)
@@ -192,8 +192,8 @@ class TestBuchberger:
             gs = [random_nonzero_poly(R, rng, terms=2, max_exp=2)
                   for _ in range(rng.randint(1, 2))]
             gens = elimination_input(fs, gs)
-            assert (reduced_groebner_basis(gens, criteria=True)
-                    == reduced_groebner_basis(gens, criteria=False))
+            assert (groebner._groebner_prims(*gens, criteria=True)
+                    == groebner._groebner_prims(*gens, criteria=False))
 
     def test_criteria_equivalence_on_families(self):
         for n in (4, 5, 6):
@@ -201,8 +201,8 @@ class TestBuchberger:
             assert (reduced_groebner_basis(gens, criteria=True)
                     == reduced_groebner_basis(gens, criteria=False))
         gens = elimination_input(gens_a(4).gens, minors_ideal(4).gens)
-        assert (reduced_groebner_basis(gens, criteria=True)
-                == reduced_groebner_basis(gens, criteria=False))
+        assert (groebner._groebner_prims(*gens, criteria=True)
+                == groebner._groebner_prims(*gens, criteria=False))
 
     def test_budget_exceeded(self):
         budget = Budget(max_pairs=2)
@@ -239,8 +239,8 @@ class TestBuchberger:
         # The first elimination of the n = 5 link colon:
         # t*sub_a(5, 1) + (1 - t)*(delta(1, 2)), behind intersect.
         stats = GBStats()
-        basis = reduced_groebner_basis(
-            elimination_input(sub_a(5, 1).gens, [delta(1, 2, 5)]), stats=stats)
+        basis = groebner._groebner_prims(
+            *elimination_input(sub_a(5, 1).gens, [delta(1, 2, 5)]), stats=stats)
         assert stats == GBStats(pairs_pushed=72, pairs_processed=69,
                                 discarded_coprime=0, discarded_chain=121,
                                 zero_reductions=54, basis_added=15)
@@ -250,9 +250,7 @@ class TestBuchberger:
         # The same elimination from sub's reduced basis, as `quotient` now
         # starts it: t*G with G the 7 elements of sub's basis, first as plain
         # generators, then as a block whose inner pairs are not pushed.
-        gens = elimination_input(sub_a(5, 1).groebner(), [delta(1, 2, 5)])
-        packing = groebner._packing(gens[0].ring.order)
-        prims = [groebner._prim_from_poly(f, packing) for f in gens]
+        prims, packing = elimination_input(sub_a(5, 1).groebner(), [delta(1, 2, 5)])
         plain, blocked = GBStats(), GBStats()
         basis = groebner._groebner_prims(prims, packing, stats=plain)
         assert groebner._groebner_prims(prims, packing, stats=blocked,
@@ -280,30 +278,26 @@ class TestBuchberger:
     def test_foreign_order_rejected(self):
         # Polynomials keep their terms in the ring's order, so a different
         # order would silently pick wrong leading terms.
-        R = Ring(2, 1)
-        E = MonomialOrder(R.space, ELIM_BLOCK)
-        x1, x2, t1 = R.x(1), R.x(2), R.t(1)
-        f, g = x1 ** 2 + t1, t1 * x2 + x1
+        R = Ring(2)
+        x1, x2 = R.x(1), R.x(2)
+        f, g = x1 ** 2 + x2, x1 * x2 + x1
         with pytest.raises(ValueError):
-            is_groebner_basis([f, g], E)
+            is_groebner_basis([f, g], Ring(3).order)
         assert is_groebner_basis([f, g], R.order) == is_groebner_basis([f, g])
 
     def test_cross_ring_input_rejected(self):
-        # Ring(2) into Ring(3) used to fail in the packing; Ring(2, 1) into
-        # its elimination twin, same variable count, used to answer.
+        # Ring(2) into Ring(3) used to fail in the packing.
         R2, R3 = Ring(2), Ring(3)
-        P, E = Ring(2, 1), Ring(2, 1, ELIM_BLOCK)
-        for f, g in ((R2.x(1), R3.x(1)), (P.t(1), E.t(1))):
-            I = Ideal(g.ring, [g])
-            for call in (lambda: member(f, I), lambda: normal_form(f, I),
-                         lambda: member(f.ring.zero, I),
-                         lambda: divide(f, [g]), lambda: divide(g, [f]),
-                         lambda: reduced_groebner_basis([g, f]),
-                         lambda: is_groebner_basis([g, f]),
-                         lambda: interreduce([g, f])):
-                with pytest.raises(ValueError, match="expected Ring"):
-                    call()
-        assert member(E.t(1), Ideal(E, [E.t(1)]))
+        f, g = R2.x(1), R3.x(1)
+        I = Ideal(R3, [g])
+        for call in (lambda: member(f, I), lambda: normal_form(f, I),
+                     lambda: member(R2.zero, I),
+                     lambda: divide(f, [g]), lambda: divide(g, [f]),
+                     lambda: reduced_groebner_basis([g, f]),
+                     lambda: is_groebner_basis([g, f]),
+                     lambda: interreduce([g, f])):
+            with pytest.raises(ValueError, match="expected Ring"):
+                call()
 
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)
@@ -338,28 +332,16 @@ class TestBuchberger:
 
     def test_with_basis_from_another_ring_rejected(self):
         # A basis of Ring(3) used to fail in the packing at the first member
-        # call; a grevlex basis handed to the elimination twin used to give
-        # wrong answers.
+        # call.
         R2, R3 = Ring(2), Ring(3)
         with pytest.raises(ValueError, match="expected Ring"):
             Ideal.with_basis(R2, [R2.x(1)], (R3.x(1),))
-        P, E = Ring(2, 1), Ring(2, 1, ELIM_BLOCK)
-
-        def gens(R):
-            return [R.t(1) * R.x(1) - R.y(1) ** 3, R.y(1) ** 3 - R.z(1) ** 4]
-
-        with pytest.raises(ValueError, match="expected Ring"):
-            Ideal.with_basis(E, gens(E), reduced_groebner_basis(gens(P)))
-        t1, x1, z1 = E.t(1), E.x(1), E.z(1)
-        assert member(t1 * x1 - z1 ** 4, Ideal(E, gens(E)))
-        E_basis = reduced_groebner_basis(gens(E))
-        assert member(t1 * x1 - z1 ** 4, Ideal.with_basis(E, gens(E), E_basis))
 
     def test_ideal_from_prims_matches_with_basis(self, rng):
         # An ideal built from its packed reduced basis answers as the same
         # ideal built from Polynomials, and builds them only when asked.
         R = standard_ring(4)
-        packing = groebner._packing(R.order)
+        packing = groebner._packing(R.space.nvars)
         for gens in (gens_a(4).gens, minors_ideal(4).gens, (R.one,),
                      (R.x(1) ** 2 - R.y(1), R.x(1) * R.y(2))):
             basis = reduced_groebner_basis(gens)

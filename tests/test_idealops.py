@@ -13,7 +13,7 @@ from detlink.groebner import (Budget, BudgetExceeded, Ideal,
                               interreduce, member)
 from detlink.idealops import (dimension, height, intersect, quotient,
                               quotient_by_poly, sum_ideals)
-from detlink.rings import ELIM_BLOCK, Ring
+from detlink.rings import Ring
 
 from conftest import random_nonzero_poly, random_poly
 from reference import support
@@ -52,42 +52,14 @@ class TestIntersect:
             W = intersect(I, J)
             assert all(member(g, I) and member(g, J) for g in W.gens)
 
-    @staticmethod
-    def _assert_rejected(R, monkeypatch):
-        # Eliminations extend a ring by one t, which must be the whole
-        # elimination block: a ring that has elimination variables is
-        # refused before any Groebner work, whether its bases are cached.
-        def no_work(*args, **kwargs):
-            raise AssertionError("work started on a refused ring")
-
-        monkeypatch.setattr(idealops, "_groebner_prims", no_work)
-        monkeypatch.setattr(idealops, "_first_prim_product_outside", no_work)
-        t1, x1, y1 = R.t(1), R.x(1), R.y(1)
-        for cached in (False, True):
-            I = Ideal(R, [t1 + x1 ** 2, x1 * y1])
-            J = Ideal(R, [y1 ** 2])
-            if cached:
-                I.groebner(), J.groebner()
-            for call in (lambda: intersect(I, J), lambda: quotient(I, J),
-                         lambda: quotient_by_poly(I, y1)):
-                with pytest.raises(ValueError, match="elimination variables"):
-                    call()
-            assert I.has_cached_basis() == J.has_cached_basis() == cached
-
-    def test_elimination_ring(self, monkeypatch):
-        self._assert_rejected(Ring(2, 1, ELIM_BLOCK), monkeypatch)
-
-    def test_grevlex_ring_with_elimination_variables(self, monkeypatch):
-        self._assert_rejected(Ring(2, 1), monkeypatch)
-
     def test_embedding_keeps_the_order(self, rng):
         # intersect passes each cached basis G as a block, which needs
         # in(t*g) = t*in(g): the extended order must rank t-free monomials
         # as the ring does. Embedded prims must stay descending, as
         # intersect embeds them.
         for ring in (Ring(2), Ring(3)):
-            packing = groebner._packing(ring.order)
-            epacking = groebner._packing(idealops._elim_ring(ring).order)
+            nvars = ring.space.nvars
+            packing, epacking = groebner._packing(nvars), groebner._packing(nvars + 1, 1)
             for _ in range(100):
                 f = random_nonzero_poly(ring, rng, terms=6)
                 prim = groebner._prim_from_poly(f, packing)
@@ -172,7 +144,7 @@ class TestQuotient:
                  (Ideal(R, [x1, y1 ** 2]), [x1, y1], [y1]),
                  (Ideal(R, [x1 ** 2, x1 * y1]), [R.one], [R.one]),
                  (Ideal(R, [x1, y1]), [x1, y1 - x1], [])]
-        packing = groebner._packing(R.order)
+        packing = groebner._packing(R.space.nvars)
         for I, gens, eliminating in cases:
             tested, eliminated = [], []
             first_outside = idealops._first_prim_product_outside
@@ -207,7 +179,7 @@ class TestExactQuotient:
 
     def test_matches_divide_on_multiples(self, rng):
         R = Ring(2)
-        packing = groebner._packing(R.order)
+        packing = groebner._packing(R.space.nvars)
         for _ in range(20):
             f = random_nonzero_poly(R, rng, terms=3)
             q = random_nonzero_poly(R, rng, terms=3)
@@ -222,7 +194,7 @@ class TestExactQuotient:
 
     def test_inexact_division_raises(self):
         R = Ring(2)
-        packing = groebner._packing(R.order)
+        packing = groebner._packing(R.space.nvars)
         x1, y1 = R.x(1), R.y(1)
 
         def quotient(g, f):

@@ -3,9 +3,13 @@
 The kernel holds a monomial as one int: the order key in the high fields,
 the exponent vector in the low ones, a guard bit on top of every 16-bit
 field. Random exponent vectors, drawn by hypothesis (derandomized), check
-the packing against `Monomial` arithmetic and `MonomialOrder.key` on a
-grevlex ring and an elimination ring. Past 2^15 the kernel must raise,
-never wrap.
+the packing against `Monomial` arithmetic and against the naive grevlex
+and elimination comparators of `tests/reference.py`, on the grevlex layout
+of Ring(2) and on elimination layouts, where a block of variables on top
+is compared first. No ring has an elimination order: `_intersect_prims`
+builds its layout (one variable t above the ring's 3n) from the variable
+count alone, and these are the tests of that layout. Past 2^15 the kernel
+must raise, never wrap, in each block separately.
 """
 
 import heapq
@@ -18,15 +22,19 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink import groebner
-from detlink.groebner import (LIMIT, Budget, BudgetExceeded, GBStats, Ideal,
-                              _packing, divide, is_groebner_basis, member,
+from detlink.groebner import (LIMIT, Budget, BudgetExceeded, GBStats,
+                              _groebner_prims, _IntReducer, _packing,
+                              _prim_from_dict, divide, is_groebner_basis,
                               reduced_groebner_basis, s_polynomial)
-from detlink.rings import ELIM_BLOCK, Ring
+from detlink.rings import Monomial, Ring
 
 from conftest import random_nonzero_poly
-from reference import div, divides, is_coprime, lcm
+from reference import div, divides, is_coprime, lcm, naive_elim_block
 
-RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK), Ring(3, 2, ELIM_BLOCK))
+# (variable count, elimination block size): the grevlex layout of Ring(2),
+# the elimination layouts of `_intersect_prims` over Ring(2) and Ring(3),
+# and one with a block of two.
+LAYOUTS = ((6, 0), (7, 1), (10, 1), (11, 2))
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     max_examples=300,
@@ -39,42 +47,44 @@ _exponent = st.one_of(st.integers(0, 3), st.integers(0, LIMIT // 32))
 
 @st.composite
 def _monomials(draw, count):
-    ring = draw(st.sampled_from(RINGS))
-    vectors = [draw(st.lists(_exponent, min_size=ring.space.nvars,
-                             max_size=ring.space.nvars)) for _ in range(count)]
-    return ring, [ring.monomial(v) for v in vectors]
+    nvars, head = draw(st.sampled_from(LAYOUTS))
+    vectors = [draw(st.lists(_exponent, min_size=nvars, max_size=nvars))
+               for _ in range(count)]
+    return _packing(nvars, head), head, [Monomial(tuple(v)) for v in vectors]
 
 
 @SETTINGS
 @given(_monomials(1))
 def test_pack_round_trips(drawn):
-    ring, (a,) = drawn
-    packing = _packing(ring.order)
+    packing, _, (a,) = drawn
     assert packing.unpack(packing.pack(a)) == a
 
 
 @SETTINGS
 @given(_monomials(2))
 def test_int_order_is_the_ring_order(drawn):
-    ring, (a, b) = drawn
-    pack, key = _packing(ring.order).pack, ring.order.key
-    assert (pack(a) < pack(b)) == (key(a) < key(b))
-    assert (pack(a) == pack(b)) == (a == b)
+    # The int order is the naive comparator's; on the grevlex layout that
+    # is also Ring(2)'s order.
+    packing, head, (a, b) = drawn
+    pa, pb = packing.pack(a), packing.pack(b)
+    assert (pa > pb) - (pa < pb) == naive_elim_block(a.exps, b.exps, head)
+    assert (pa == pb) == (a == b)
+    if packing is _packing(Ring(2).space.nvars):
+        key = Ring(2).order.key
+        assert (pa < pb) == (key(a) < key(b))
 
 
 @SETTINGS
 @given(_monomials(2))
 def test_sum_is_product(drawn):
-    ring, (a, b) = drawn
-    packing = _packing(ring.order)
+    packing, _, (a, b) = drawn
     assert packing.pack(a) + packing.pack(b) == packing.pack(a.mul(b))
 
 
 @SETTINGS
 @given(_monomials(2))
 def test_guard_test_is_divisibility(drawn):
-    ring, (a, b) = drawn
-    packing = _packing(ring.order)
+    packing, _, (a, b) = drawn
     pa, pb = packing.pack(a), packing.pack(b)
     assert (not (pb - pa) & packing.guard) == divides(a, b)
     assert (not (pa - pb) & packing.guard) == divides(b, a)
@@ -85,8 +95,7 @@ def test_guard_test_is_divisibility(drawn):
 @SETTINGS
 @given(_monomials(2))
 def test_lcm_and_coprimality(drawn):
-    ring, (a, b) = drawn
-    packing = _packing(ring.order)
+    packing, _, (a, b) = drawn
     pa, pb = packing.pack(a), packing.pack(b)
     assert packing.lcm(pa, pb) == packing.pack(lcm(a, b))
     assert (not packing.support(pa) & packing.support(pb)) == is_coprime(a, b)
@@ -96,10 +105,9 @@ def test_lcm_and_coprimality(drawn):
 def _near_limit_monomials(draw):
     """Monomials whose block degrees range up to 2^15 - 1, the most `pack`
     accepts."""
-    ring = draw(st.sampled_from(RINGS))
-    head = ring.space.elim_count
+    nvars, head = draw(st.sampled_from(LAYOUTS))
     exps = []
-    for width in (head, ring.space.nvars - head):
+    for width in (head, nvars - head):
         room, block = LIMIT - 1, []
         for _ in range(width):
             e = draw(st.one_of(st.integers(0, min(3, room)), st.integers(0, room),
@@ -107,54 +115,83 @@ def _near_limit_monomials(draw):
             block.append(e)
             room -= e
         exps += draw(st.permutations(block))
-    return ring, ring.monomial(exps)
+    return _packing(nvars, head), Monomial(tuple(exps))
 
 
 @SETTINGS
-@given(st.one_of(_monomials(1).map(lambda d: (d[0], d[1][0])), _near_limit_monomials()))
+@given(st.one_of(_monomials(1).map(lambda d: (d[0], d[2][0])), _near_limit_monomials()))
 def test_degree_is_total_degree(drawn):
-    ring, a = drawn
-    packing = _packing(ring.order)
+    packing, a = drawn
     assert packing.degree(packing.pack(a)) == a.deg
 
 
+@pytest.mark.parametrize("nvars, head", [layout for layout in LAYOUTS if layout[1]])
+def test_each_block_degree_is_guarded(nvars, head):
+    # Each block has its own limit: both blocks at 2^15 - 1 pack, and
+    # degree, lcm and unpack stay exact; 2^15 in either block, by pack or by
+    # lcm, raises.
+    packing, top = _packing(nvars, head), LIMIT - 1
+
+    def mono(fields):
+        exps = [0] * nvars
+        for pos, e in fields.items():
+            exps[pos] = e
+        return Monomial(tuple(exps))
+
+    both = mono({0: top, head: top})
+    packed = packing.pack(both)
+    assert packing.unpack(packed) == both and packing.degree(packed) == 2 * top
+    assert packing.lcm(packed, packing.pack(mono({0: 1, head: 1}))) == packed
+    for pos in (0, head):
+        with pytest.raises(OverflowError, match="2\\^15"):
+            packing.pack(mono({pos: LIMIT}))
+    # The first variable of each block against the last one of that block.
+    for first, last in ((0, head - 1), (head, nvars - 1)):
+        if first == last:
+            continue
+        a, b = packing.pack(mono({first: top})), packing.pack(mono({last: 1}))
+        with pytest.raises(OverflowError, match="2\\^15"):
+            packing.lcm(a, b)
+
+
 def test_pair_sugars_by_hand(monkeypatch):
-    # Sugars of f1 = t1^2 - x1^3, f2 = t1*y1 - z1, f3 = x1^3*y1 - z1^2 are
-    # their largest degrees 3, 2, 4; under the elimination order their
-    # leading monomials t1^2, t1*y1, x1^3*y1 have degrees 2, 2, 4.
-    E = Ring(2, 1, ELIM_BLOCK)
-    t1, x1, y1, z1 = E.t(1), E.x(1), E.y(1), E.z(1)
-    packing = _packing(E.order)
+    # Sugars of f1 = t^2 - x1^3, f2 = t*y1 - z1, f3 = x1^3*y1 - z1^2 are
+    # their largest degrees 3, 2, 4; under the elimination order over
+    # Ring(2) their leading monomials t^2, t*y1, x1^3*y1 have degrees 2, 2, 4.
+    packing = _packing(7, 1)
+
+    def m(t=0, x1=0, y1=0, z1=0):
+        """The packed monomial; t is variable 0, then Ring(2)'s x1..z2."""
+        return packing.pack(Monomial((t, x1, 0, y1, 0, z1, 0)))
+
     pushed = []
 
     def heappush(heap, entry):
         sugar, lcm, i, j, _ = entry
-        pushed.append((sugar, packing.unpack(lcm), i, j))
+        pushed.append((sugar, lcm, i, j))
         heapq.heappush(heap, entry)
 
     monkeypatch.setattr(groebner, "heapq",
                         SimpleNamespace(heappush=heappush, heappop=heapq.heappop))
-    gens = [t1 ** 2 - x1 ** 3, t1 * y1 - z1, x1 ** 3 * y1 - z1 ** 2]
-    basis = reduced_groebner_basis(gens)
-
-    def mono(f):
-        return f.terms[0].mono
-
+    gens = [_prim_from_dict({m(t=2): 1, m(x1=3): -1}),
+            _prim_from_dict({m(t=1, y1=1): 1, m(z1=1): -1}),
+            _prim_from_dict({m(x1=3, y1=1): 1, m(z1=2): -1})]
+    basis = _groebner_prims(gens, packing)
     assert pushed[:4] == [
-        # (f1, f2): lcm t1^2*y1 of degree 3; max(3 + 3 - 2, 2 + 3 - 2) = 4.
-        (4, mono(t1 ** 2 * y1), 0, 1),
-        # (f2, f3): lcm t1*x1^3*y1 of degree 5; max(2 + 5 - 2, 4 + 5 - 4) = 5.
-        (5, mono(t1 * x1 ** 3 * y1), 1, 2),
-        # (f1, f2) reduces to h = t1*z1 - z1^2, of degree 2 but sugar 4, the
-        # pair's. (f2, h): lcm t1*y1*z1, max(2 + 3 - 2, 4 + 3 - 2) = 5;
-        # (f1, h): lcm t1^2*z1, max(3 + 3 - 2, 4 + 3 - 2) = 5. (f3, h) is
-        # dropped: its lcm is a multiple of t1*y1*z1.
-        (5, mono(t1 * y1 * z1), 1, 3),
-        (5, mono(t1 ** 2 * z1), 0, 3),
+        # (f1, f2): lcm t^2*y1 of degree 3; max(3 + 3 - 2, 2 + 3 - 2) = 4.
+        (4, m(t=2, y1=1), 0, 1),
+        # (f2, f3): lcm t*x1^3*y1 of degree 5; max(2 + 5 - 2, 4 + 5 - 4) = 5.
+        (5, m(t=1, x1=3, y1=1), 1, 2),
+        # (f1, f2) reduces to h = t*z1 - z1^2, of degree 2 but sugar 4, the
+        # pair's. (f2, h): lcm t*y1*z1, max(2 + 3 - 2, 4 + 3 - 2) = 5;
+        # (f1, h): lcm t^2*z1, max(3 + 3 - 2, 4 + 3 - 2) = 5. (f3, h) is
+        # dropped: its lcm is a multiple of t*y1*z1.
+        (5, m(t=1, y1=1, z1=1), 1, 3),
+        (5, m(t=2, z1=1), 0, 3),
     ]
-    assert t1 * z1 - z1 ** 2 in basis
+    assert _prim_from_dict({m(t=1, z1=1): 1, m(z1=2): -1}) in basis
     monkeypatch.undo()
-    assert basis == reduced_groebner_basis(gens, criteria=False)
+    assert basis == _groebner_prims(gens, packing, criteria=False)
 
 
 class TestLimit:
@@ -182,20 +219,25 @@ class TestLimit:
         assert r == x1 ** 3 * x2 ** 4
 
     def test_product_past_the_limit_rejected(self):
-        # Under the elimination order, reducing t1^700 by t1 - x1^50 raises
-        # the x-block degree by 50 per step, past 2^15 after 656 steps.
-        E = Ring(2, 1, ELIM_BLOCK)
-        t1, x1 = E.t(1), E.x(1)
-        q, r = divide(t1 ** 600, [t1 - x1 ** 50])
-        assert r == x1 ** 30000
+        # Under the elimination order over Ring(2), reducing t^700 by
+        # t - x1^50 raises the x-block degree by 50 per step, past 2^15 after
+        # 656 steps.
+        packing = _packing(7, 1)
+
+        def m(t=0, x1=0):
+            return packing.pack(Monomial((t, x1) + (0,) * 5))
+
+        reducer = _IntReducer(packing)
+        reducer.append(_prim_from_dict({m(t=1): 1, m(x1=50): -1}))
+        assert reducer.reduce({m(t=600): 1}) == {m(x1=30000): 1}
         with pytest.raises(OverflowError, match="2\\^15"):
-            divide(t1 ** 700, [t1 - x1 ** 50])
-        # t1^700 lies in (t1 - x1^50, x1^20000), but the first divisor keeps
-        # matching while t1 remains, so the terms pass x1^32768 on the way;
-        # membership must raise, not answer.
-        I = Ideal(E, [t1 - x1 ** 50, x1 ** 20000])
+            reducer.reduce({m(t=700): 1})
+        # t^700 lies in (t - x1^50, x1^20000), but the first divisor keeps
+        # matching while t remains, so the terms pass x1^32768 on the way;
+        # the reduction must raise, not answer.
+        reducer.append(_prim_from_dict({m(x1=20000): 1}))
         with pytest.raises(OverflowError, match="2\\^15"):
-            member(t1 ** 700, I)
+            reducer.reduce({m(t=700): 1})
 
     def test_basis_near_the_limit(self):
         R = Ring(2)
@@ -263,7 +305,7 @@ class TestLimit:
     def test_lcm_past_the_limit_rejected(self):
         R = Ring(2)
         x1, x2, y1, z1 = R.x(1), R.x(2), R.y(1), R.z(1)
-        packing = _packing(R.order)
+        packing = _packing(R.space.nvars)
         a, b = (packing.pack(f.terms[0].mono) for f in (x1 ** 20000, x2 ** 20000))
         with pytest.raises(OverflowError, match="2\\^15"):
             packing.lcm(a, b)

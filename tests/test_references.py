@@ -3,10 +3,12 @@ chain criterion against references that have none of them, and the
 certificate's budget charges under every cap against a walk that keys and
 sorts every pair and charges one unit per pair it divides.
 
-Small polynomials in the first four variables of a grevlex and an
-elimination ring are drawn by hypothesis, derandomized so every run checks
-the same examples; so few variables make repeated monomials, shared
-divisors and non-Groebner inputs common.
+Small polynomials in the first four variables are drawn by hypothesis,
+derandomized so every run checks the same examples; so few variables make
+repeated monomials, shared divisors and non-Groebner inputs common. The
+certificate runs on the grevlex ring Q[x1, x2, y1, y2, z1, z2]; the memo
+also runs on prims of the elimination layout of `_intersect_prims`, which
+the eliminations' reducers use.
 """
 
 import pytest
@@ -17,13 +19,17 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from detlink.families import G_union_M
 from detlink.groebner import (Budget, BudgetExceeded, _IntReducer, _packing,
-                              _prim_from_poly, divide, is_groebner_basis,
-                              reduced_groebner_basis, s_polynomial)
-from detlink.rings import ELIM_BLOCK, Ring
+                              _prim_from_dict, _prim_from_poly, divide,
+                              is_groebner_basis, reduced_groebner_basis,
+                              s_polynomial)
+from detlink.rings import Monomial, Ring
 
 from reference import divides, is_coprime, lcm
 
-RINGS = (Ring(2), Ring(2, 1, ELIM_BLOCK))
+R = Ring(2)
+# (variable count, elimination block size): R's grevlex layout and the
+# elimination layout over it.
+LAYOUTS = ((6, 0), (7, 1))
 NVARS = 4
 
 SETTINGS = settings(derandomize=True, deadline=None, database=None,
@@ -31,20 +37,29 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
 
 
-def _poly(ring, terms):
+def _poly(terms):
     d = {}
     for positions, c in terms:
-        m = ring.monomial([positions.count(p) for p in range(ring.space.nvars)])
+        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
         d[m] = d.get(m, 0) + c
-    return ring.poly(d)
+    return R.poly(d)
 
 
-def _polys(ring):
-    """Nonzero polynomials of degree <= 3 with at most three terms."""
-    term = st.tuples(st.lists(st.integers(0, NVARS - 1), max_size=3),
-                     st.integers(-3, 3).filter(bool))
-    return st.lists(term, min_size=1, max_size=3).map(
-        lambda terms: _poly(ring, terms)).filter(bool)
+_terms = st.lists(st.tuples(st.lists(st.integers(0, NVARS - 1), max_size=3),
+                            st.integers(-3, 3).filter(bool)),
+                  min_size=1, max_size=3)
+# Nonzero polynomials of degree <= 3 with at most three terms.
+_polys = _terms.map(_poly).filter(bool)
+
+
+def _prim(packing, nvars, terms):
+    """The prim of the polynomial with these terms, or None for 0."""
+    d = {}
+    for positions, c in terms:
+        m = packing.pack(Monomial(tuple(positions.count(p) for p in range(nvars))))
+        d[m] = d.get(m, 0) + c
+    d = {m: c for m, c in d.items() if c}
+    return _prim_from_dict(d) if d else None
 
 
 def _first_divisor(m, lms, guard):
@@ -54,24 +69,24 @@ def _first_divisor(m, lms, guard):
 
 @st.composite
 def _interleavings(draw):
-    """A ring and a list of ("append" | "reduce", polynomial) steps."""
-    ring = draw(st.sampled_from(RINGS))
-    steps = draw(st.lists(st.tuples(st.sampled_from(("append", "reduce")), _polys(ring)),
+    """A packing and a list of ("append" | "reduce", prim) steps."""
+    nvars, head = draw(st.sampled_from(LAYOUTS))
+    packing = _packing(nvars, head)
+    prims = _terms.map(lambda terms: _prim(packing, nvars, terms)).filter(bool)
+    steps = draw(st.lists(st.tuples(st.sampled_from(("append", "reduce")), prims),
                           min_size=1, max_size=12))
-    return ring, steps
+    return packing, steps
 
 
 @SETTINGS
 @given(_interleavings())
 def test_memo_matches_a_memo_free_scan(drawn):
-    ring, steps = drawn
-    packing = _packing(ring.order)
+    packing, steps = drawn
     guard = packing.guard
     reducer = _IntReducer(packing)
     divisors = reducer.divisors
     appended = []
-    for op, f in steps:
-        prim = _prim_from_poly(f, packing)
+    for op, prim in steps:
         if op == "append":
             reducer.append(prim)
             appended.append(prim)
@@ -92,9 +107,8 @@ def test_memo_matches_a_memo_free_scan(drawn):
 
 
 def test_memo_pinned():
-    R = Ring(2)
     x, y, z = R.x(1), R.y(1), R.z(1)
-    packing = _packing(R.order)
+    packing = _packing(R.space.nvars)
     reducer = _IntReducer(packing)
     reducer.append(_prim_from_poly(x ** 2, packing))
     xy = dict(_prim_from_poly(x * y, packing))
@@ -124,14 +138,8 @@ def _reference_certificate(polys):
     return True, None, None
 
 
-@st.composite
-def _candidates(draw):
-    ring = draw(st.sampled_from(RINGS))
-    return draw(st.lists(_polys(ring), min_size=2, max_size=5))
-
-
 @SETTINGS
-@given(_candidates())
+@given(st.lists(_polys, min_size=2, max_size=5))
 def test_certificate_matches_brute_force(polys):
     assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
 
@@ -142,8 +150,7 @@ def _redundant_bases(draw):
     non-monomials added, so the chain criterion has elements k to use; in
     half the draws one multiple is changed by a drawn polynomial, which
     makes most of those candidates fail."""
-    ring = draw(st.sampled_from(RINGS))
-    gens = draw(st.lists(_polys(ring), min_size=2, max_size=3))
+    gens = draw(st.lists(_polys, min_size=2, max_size=3))
     try:
         basis = list(reduced_groebner_basis(gens, budget=Budget(max_pairs=200)))
     except BudgetExceeded:
@@ -151,13 +158,13 @@ def _redundant_bases(draw):
     non_monomials = [f for f in basis if len(f.terms) > 1]
     assume(non_monomials)
     monomial = st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=2).map(
-        lambda positions: _poly(ring, [(positions, 1)]))
+        lambda positions: _poly([(positions, 1)]))
     extra = draw(st.lists(st.tuples(monomial, st.sampled_from(non_monomials)),
                           min_size=1, max_size=4))
     polys = basis + [m * f for m, f in extra]
     if draw(st.booleans()):
         k = draw(st.integers(len(basis), len(polys) - 1))
-        polys[k] = polys[k] + draw(_polys(ring))
+        polys[k] = polys[k] + draw(_polys)
     polys = [f for f in polys if f]
     assume(len(polys) >= 2)
     return draw(st.permutations(polys))
@@ -229,7 +236,6 @@ def test_budget_contract_under_every_cap_pinned():
     # (1, 4) by k = 2 and fails at (2, 3): 2 units), and a passing set with
     # most pairs skipped, G u M(4): 71 of the 134 pairs walked are reduced,
     # and only they are charged.
-    R = Ring(2)
     x1, y1, y2, z1, z2 = R.x(1), R.y(1), R.y(2), R.z(1), R.z(2)
     f = 3 * y1 - 2 * z2
     _assert_same_under_every_cap([x1 * z2, f, y1 * y2 * z1 * f + 9 * x1, y1 * z2 * f])

@@ -4,26 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from detlink.rings import ELIM_BLOCK, Ring, Term, VarSpace
+from detlink.groebner import _packing
+from detlink.rings import Monomial, Ring, Term, VarSpace
 from detlink.families import delta, g_generator, standard_ring
 
 from conftest import random_monomial, random_poly
-from reference import m_ij, multidegree, substitute
-
-
-def naive_grevlex(a, b):
-    """Independent comparator: degree first, then last nonzero difference."""
-    if sum(a) != sum(b):
-        return -1 if sum(a) < sum(b) else 1
-    for x, y in zip(reversed(a), reversed(b)):
-        if x != y:
-            return 1 if x < y else -1
-    return 0
-
-
-def naive_elim_block(a, b, e):
-    head = naive_grevlex(a[:e], b[:e])
-    return head if head else naive_grevlex(a[e:], b[e:])
+from reference import m_ij, multidegree, naive_elim_block, naive_grevlex, substitute
 
 
 def compare(order, a, b):
@@ -34,14 +20,13 @@ def compare(order, a, b):
 
 class TestVarSpace:
     def test_layout(self):
-        sp = VarSpace(4, 2)
-        assert sp.nvars == 14
-        assert sp.pos("t", 1) == 0
-        assert sp.pos("x", 1) == 2
-        assert sp.pos("y", 4) == 9
-        assert sp.pos("z", 4) == 13
-        assert sp.var_name(2) == "x1"
-        assert sp.var_name(13) == "z4"
+        sp = VarSpace(4)
+        assert sp.nvars == 12
+        assert sp.pos("x", 1) == 0
+        assert sp.pos("y", 4) == 7
+        assert sp.pos("z", 4) == 11
+        assert sp.var_name(0) == "x1"
+        assert sp.var_name(11) == "z4"
 
     def test_width_floor(self):
         with pytest.raises(ValueError):
@@ -72,39 +57,42 @@ class TestOrder:
             assert compare(R.order, a, b) == naive_grevlex(a.exps, b.exps)
 
     def test_elim_block_matches_naive_oracle(self, rng):
-        R = Ring(2, elim_count=2, kind=ELIM_BLOCK)
-        for _ in range(2000):
-            a = random_monomial(R, rng)
-            b = random_monomial(R, rng)
-            assert compare(R.order, a, b) == naive_elim_block(a.exps, b.exps, 2)
+        # The elimination order exists only as the packed layout that
+        # `_intersect_prims` uses: t above the 3n ring variables.
+        for n in (2, 3):
+            R = Ring(n)
+            packing = _packing(R.space.nvars + 1, 1)
+            for _ in range(1000):
+                a, b = (Monomial((rng.randint(0, 2),) + random_monomial(R, rng).exps)
+                        for _ in range(2))
+                pa, pb = packing.pack(a), packing.pack(b)
+                assert (pa > pb) - (pa < pb) == naive_elim_block(a.exps, b.exps, 1)
 
     def test_axioms_on_random_triples(self, rng):
         # Totality, antisymmetry, transitivity, multiplicativity, 1-minimality.
         R = Ring(2)
-        one = R.monomial({})
-        for order in (R.order, Ring(2, 1, ELIM_BLOCK).order):
-            ringe = Ring(2, 1, ELIM_BLOCK) if order.kind == ELIM_BLOCK else R
-            for _ in range(10_000):
-                a = random_monomial(ringe, rng)
-                b = random_monomial(ringe, rng)
-                c = random_monomial(ringe, rng)
-                ab, ba = compare(order, a, b), compare(order, b, a)
-                assert ab == -ba
-                assert (ab == 0) == (a == b)
-                if ab >= 0 and compare(order, b, c) >= 0:
-                    assert compare(order, a, c) >= 0
-                if ab:
-                    assert compare(order, a.mul(c), b.mul(c)) == ab
-                if a.deg:
-                    assert compare(order, a, ringe.monomial({})) == 1
+        order = R.order
+        for _ in range(10_000):
+            a = random_monomial(R, rng)
+            b = random_monomial(R, rng)
+            c = random_monomial(R, rng)
+            ab, ba = compare(order, a, b), compare(order, b, a)
+            assert ab == -ba
+            assert (ab == 0) == (a == b)
+            if ab >= 0 and compare(order, b, c) >= 0:
+                assert compare(order, a, c) >= 0
+            if ab:
+                assert compare(order, a.mul(c), b.mul(c)) == ab
+            if a.deg:
+                assert compare(order, a, R.monomial({})) == 1
 
     def test_elim_block_dominates_main(self, rng):
-        R = Ring(2, elim_count=1, kind=ELIM_BLOCK)
-        t = R.monomial({0: 1})
+        R = Ring(2)
+        packing = _packing(R.space.nvars + 1, 1)
+        t = packing.pack(Monomial((1,) + (0,) * R.space.nvars))
         for _ in range(200):
-            m = random_monomial(R, rng)
-            if m.exps[0] == 0:
-                assert compare(R.order, t, m) == 1
+            m = packing.pack(Monomial((0,) + random_monomial(R, rng).exps))
+            assert t > m
 
 
 class TestArithmetic:
@@ -249,7 +237,7 @@ class TestTextFormat:
         assert str(R.x(1) ** 2 * R.z(3) * 2) == "2*x1^2*z3"
 
     def test_round_trip_random(self, rng):
-        for ring in (standard_ring(4), Ring(2, elim_count=1, kind=ELIM_BLOCK)):
+        for ring in (standard_ring(4), Ring(2)):
             for _ in range(200):
                 f = random_poly(ring, rng)
                 assert ring.parse(str(f)) == f
@@ -266,9 +254,3 @@ class TestTextFormat:
                     "x1 - 3/0*y2"):
             with pytest.raises(ValueError):
                 R.parse(bad)
-
-    def test_elim_variable_prints(self):
-        R = Ring(2, elim_count=1, kind=ELIM_BLOCK)
-        f = R.t(1) * R.x(1) - R.one
-        assert str(f) == "x1*t1 - 1"
-        assert R.parse(str(f)) == f

@@ -20,27 +20,31 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink.families import G_union_M, gens_a, generic_residual
-from detlink.groebner import GBStats, _Packing, reduced_groebner_basis
+from detlink.groebner import (GBStats, _groebner_prims, _Packing,
+                              reduced_groebner_basis)
 from detlink.rings import Ring
 
 from conftest import elimination_input
 
 
-def _normal_selection(polys, monkeypatch, **kwargs):
+def _normal_selection(monkeypatch, gb, *args, **kwargs):
+    """gb(*args, **kwargs) with every sugar 0."""
     with monkeypatch.context() as patch:
         patch.setattr(_Packing, "degree", lambda self, m: 0)
-        return reduced_groebner_basis(polys, **kwargs)
+        return gb(*args, **kwargs)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_family_bases_agree(n, monkeypatch):
     gens = gens_a(n).gens
-    assert reduced_groebner_basis(gens) == _normal_selection(gens, monkeypatch)
+    assert reduced_groebner_basis(gens) == _normal_selection(
+        monkeypatch, reduced_groebner_basis, gens)
 
 
 def test_sum_family_bases_agree(monkeypatch):
     gens = G_union_M(4)
-    assert reduced_groebner_basis(gens) == _normal_selection(gens, monkeypatch)
+    assert reduced_groebner_basis(gens) == _normal_selection(
+        monkeypatch, reduced_groebner_basis, gens)
 
 
 def test_probe_elimination_agrees(monkeypatch):
@@ -51,8 +55,8 @@ def test_probe_elimination_agrees(monkeypatch):
     aB, I = generic_residual(4, B)
     gens = elimination_input(aB.gens, I.gens[:1])
     sugar, normal = GBStats(), GBStats()
-    basis = reduced_groebner_basis(gens, stats=sugar)
-    assert basis == _normal_selection(gens, monkeypatch, stats=normal)
+    basis = _groebner_prims(*gens, stats=sugar)
+    assert basis == _normal_selection(monkeypatch, _groebner_prims, *gens, stats=normal)
     # The input is not homogeneous, so the two selections differ in work.
     assert sugar.pairs_processed != normal.pairs_processed
 
@@ -83,7 +87,7 @@ _gens = st.lists(_polys, min_size=1, max_size=3)
 @given(_gens)
 def test_random_bases_agree(monkeypatch, gens):
     basis = reduced_groebner_basis(gens)
-    assert basis == _normal_selection(gens, monkeypatch)
+    assert basis == _normal_selection(monkeypatch, reduced_groebner_basis, gens)
     assert basis == reduced_groebner_basis(gens, criteria=False)
 
 
@@ -91,6 +95,6 @@ def test_random_bases_agree(monkeypatch, gens):
 @given(_gens, _gens)
 def test_random_eliminations_agree(monkeypatch, F, G):
     gens = elimination_input(F, G)
-    basis = reduced_groebner_basis(gens)
-    assert basis == _normal_selection(gens, monkeypatch)
-    assert basis == reduced_groebner_basis(gens, criteria=False)
+    basis = _groebner_prims(*gens)
+    assert basis == _normal_selection(monkeypatch, _groebner_prims, *gens)
+    assert basis == _groebner_prims(*gens, criteria=False)
