@@ -38,11 +38,10 @@ def standard_ring(n: int) -> Ring:
 def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
                  zs: Iterable[int] = ()) -> Monomial:
     """Squarefree product of the named x-, y- and z-variables."""
-    space = ring.space
     exps = {}
     for block, idxs in (("x", xs), ("y", ys), ("z", zs)):
         for i in idxs:
-            pos = space.pos(block, i)
+            pos = ring.pos(block, i)
             if pos in exps:
                 raise ValueError(f"repeated index {i} in block {block}")
             exps[pos] = 1
@@ -140,10 +139,9 @@ def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
     order does.
     """
     ring = standard_ring(n)
-    space, pack = ring.space, _packing(ring.space.nvars).pack
-    pos = space.pos
-    units = [pack(Monomial(tuple(int(p == q) for p in range(space.nvars))))
-             for q in range(space.nvars)]
+    pack, pos = _packing(ring.nvars).pack, ring.pos
+    units = [pack(Monomial(tuple(int(p == q) for p in range(ring.nvars))))
+             for q in range(ring.nvars)]
     out = []
     for i in range(1, n + 1):
         _, window, zs = _link(n, i)
@@ -159,7 +157,7 @@ def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
 def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
     """M_1, ..., M_n as monomial Polynomials, each in descending order."""
     ring = standard_ring(n)
-    unpack, one = _packing(ring.space.nvars).unpack, Fraction(1)
+    unpack, one = _packing(ring.nvars).unpack, Fraction(1)
     return tuple(tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in ms)
                  for ms in _packed_monomial_sets(n))
 
@@ -286,10 +284,9 @@ class IndexPermutation:
 
 def apply_permutation(perm: IndexPermutation, f: Polynomial) -> Polynomial:
     """Relabel x- and y-indices of f by the permutation; z's stay fixed."""
-    space = f.ring.space
-    if perm.n != space.n:
+    n = f.ring.n
+    if perm.n != n:
         raise ValueError("permutation width does not match the ring")
-    n = space.n
     moved = {}
     for i in range(1, n + 1):
         j = perm(i)
@@ -297,7 +294,7 @@ def apply_permutation(perm: IndexPermutation, f: Polynomial) -> Polynomial:
         moved[n + i - 1] = n + j - 1
     d = {}
     for c, m in f.terms:
-        vec = [0] * space.nvars
+        vec = [0] * f.ring.nvars
         for pos, exp in enumerate(m.exps):
             if exp:
                 vec[moved.get(pos, pos)] = exp

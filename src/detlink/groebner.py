@@ -8,9 +8,9 @@ rescaled freely). Division is deterministic: the first divisor (by list
 position) whose leading monomial divides the current leading monomial is
 always used. `divide` rebuilds its exact rational quotients and remainder
 from the scalar the kernel accumulates along the way. Every function works
-in the ring's own order, in which each polynomial keeps its terms sorted;
-`is_groebner_basis` still takes an `order` argument and rejects one that
-differs.
+in grevlex, the one order of every ring, in which each polynomial keeps
+its terms sorted; `is_groebner_basis` still takes an `order` argument and
+rejects anything but None.
 
 Inside the kernel and all through Buchberger's algorithm a monomial is one
 packed int: 16-bit fields, each topped by a guard bit, hold the exponent
@@ -73,7 +73,7 @@ from itertools import islice
 from math import gcd as _igcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
-from .rings import Monomial, MonomialOrder, Polynomial, Ring, Term
+from .rings import Monomial, Polynomial, Ring, Term
 
 
 class BudgetExceeded(RuntimeError):
@@ -307,7 +307,7 @@ def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
 
 
 def _monic_from_prims(prims, ring: Ring) -> tuple[Polynomial, ...]:
-    unpack = _packing(ring.space.nvars).unpack
+    unpack = _packing(ring.nvars).unpack
     return tuple(Polynomial(ring, tuple(Term(Fraction(c, p[0][1]), unpack(m))
                                         for m, c in p)) for p in prims)
 
@@ -480,7 +480,7 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     quotient is nonzero.
     """
     ring = h.ring
-    packing = _packing(ring.space.nvars)
+    packing = _packing(ring.nvars)
     reducer = _IntReducer(packing)
     ratios = []
     for f in divisors:
@@ -507,7 +507,7 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     if not f or not g:
         raise ValueError("S-polynomial of zero")
     g._check_ring(f.ring)
-    packing = _packing(f.ring.space.nvars)
+    packing = _packing(f.ring.nvars)
     pack = packing.pack
     a = [(pack(m), c) for c, m in f.terms]
     b = [(pack(m), c) for c, m in g.terms]
@@ -554,7 +554,7 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(ring.space.nvars)
+    packing = _packing(ring.nvars)
     prims = [_prim_from_poly(f, packing) for f in polys]
     return _monic_from_prims(_groebner_prims(prims, packing, budget, criteria, stats), ring)
 
@@ -738,13 +738,13 @@ def interreduce(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    packing = _packing(ring.space.nvars)
+    packing = _packing(ring.nvars)
     kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
     return _monic_from_prims(kept, ring)
 
 
 def is_groebner_basis(polys: Sequence[Polynomial],
-                      order: Optional[MonomialOrder] = None,
+                      order: None = None,
                       budget: Optional[Budget] = None) -> GBCertificate:
     """Buchberger's criterion: every S-pair must reduce to 0 against polys.
 
@@ -792,7 +792,7 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     once per pair reduced.
 
     `order` is kept for callers that pass the budget positionally; any
-    order but the ring's own raises ValueError.
+    value but None raises ValueError, since every ring has the one order.
     """
     polys = list(polys)
     if not polys or any(not f for f in polys):
@@ -800,9 +800,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     ring = polys[0].ring
     for f in polys:
         f._check_ring(ring)
-    if order is not None and order != ring.order:
+    if order is not None:
         raise ValueError(f"{order!r} is not the order of {ring!r}")
-    packing = _packing(ring.space.nvars)
+    packing = _packing(ring.nvars)
     budget = budget or Budget()
     prims = []
     for f in polys:
@@ -915,13 +915,13 @@ class Ideal:
 
     def _packed_gens(self) -> tuple:
         if self._gen_prims is None:
-            packing = _packing(self.ring.space.nvars)
+            packing = _packing(self.ring.nvars)
             self._gen_prims = tuple(_prim_from_poly(g, packing) for g in self.gens)
         return self._gen_prims
 
     def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:
         if self._basis_prims is None:
-            packing = _packing(self.ring.space.nvars)
+            packing = _packing(self.ring.nvars)
             self._basis_prims = tuple(_prim_from_poly(g, packing) for g in self.groebner(budget))
         return self._basis_prims
 
@@ -929,7 +929,7 @@ class Ideal:
         """A reducer by the reduced basis. The packed divisor list is built
         once, on first use, and shared by every later reducer together with
         its first-divisor memo."""
-        packing = _packing(self.ring.space.nvars)
+        packing = _packing(self.ring.nvars)
         if self._divisors is None:
             self._divisors = _Divisors(self._packed_basis(budget))
         return _IntReducer(packing, self._divisors, budget)
@@ -974,7 +974,7 @@ def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
     each packed once, up front."""
     for f in (*gs, *hs):
         f._check_ring(I.ring)
-    packing = _packing(I.ring.space.nvars)
+    packing = _packing(I.ring.nvars)
     gps, hps = ([_prim_from_poly(f, packing) if f else () for f in fs]
                 for fs in (gs, hs))
     return _first_prim_product_outside(gps, hps, I, budget)
@@ -1029,9 +1029,8 @@ def minimal_generators(I: Ideal, budget: Optional[Budget] = None) -> tuple[Polyn
         if not g.is_homogeneous():
             raise ValueError("minimal_generators needs homogeneous generators")
     ring = I.ring
-    key = ring.order.key
     gens = sorted((g.monic() for g in I.gens),
-                  key=lambda g: (g.total_degree(), key(g.terms[0].mono)))
+                  key=lambda g: (g.total_degree(), g.terms[0].mono.key))
     deduped: list[Polynomial] = []
     for g in gens:
         if g not in deduped:

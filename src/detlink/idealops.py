@@ -61,7 +61,7 @@ def _intersect_prims(ring: Ring, sides, based, budget: Optional[Budget] = None) 
     the reduced basis of the intersection."""
     if not sides[0] or not sides[1]:
         return []
-    nvars = ring.space.nvars
+    nvars = ring.nvars
     packing, epacking = _packing(nvars), _packing(nvars + 1, 1)
     t, mask, emask = epacking.with_key(1), packing.exp_mask, epacking.exp_mask
 
@@ -99,7 +99,7 @@ def _exact_quotient(g, f, guard: int) -> tuple:
 def _colon(I: Ideal, gens, budget: Optional[Budget] = None) -> Ideal:
     """I : (gens) for nonzero prims gens of I's ring; `quotient` says how."""
     ring = I.ring
-    packing = _packing(ring.space.nvars)
+    packing = _packing(ring.nvars)
     out = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
     for g in gens:
         if _first_prim_product_outside([g], out, I, budget) is None:
@@ -207,7 +207,7 @@ def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
     support hypergraph. The supports are read off the packed leading
     monomials of I's reduced basis.
     """
-    nvars = I.ring.space.nvars
+    nvars = I.ring.nvars
     mask = _packing(nvars).exp_mask
     leads = [f[0][0] & mask for f in I._packed_basis(budget)]
     if not leads:
@@ -221,5 +221,5 @@ def dimension(I: Ideal, budget: Optional[Budget] = None) -> int:
 
 def height(I: Ideal, budget: Optional[Budget] = None) -> int:
     """Codimension: total variable count minus dimension."""
-    return I.ring.space.nvars - dimension(I, budget)
+    return I.ring.nvars - dimension(I, budget)
 

@@ -11,7 +11,6 @@ nothing is ever rounded.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add as _add
 from typing import Iterable, Mapping, NamedTuple, Optional, Union
@@ -19,38 +18,9 @@ from typing import Iterable, Mapping, NamedTuple, Optional, Union
 Scalar = Union[int, Fraction]
 
 
-@dataclass(frozen=True)
-class VarSpace:
-    """Variable layout x_1..x_n > y_1..y_n > z_1..z_n."""
-
-    n: int
-
-    def __post_init__(self) -> None:
-        if self.n < 2:
-            raise ValueError("matrix width n must be >= 2")
-
-    @property
-    def nvars(self) -> int:
-        return 3 * self.n
-
-    def pos(self, block: str, i: int) -> int:
-        """Position of block variable i (1-based) in the exponent vector."""
-        n = self.n
-        if block not in ("x", "y", "z"):
-            raise ValueError(f"unknown block {block!r}")
-        if not 1 <= i <= n:
-            raise ValueError(f"no variable {block}{i} for n={n}")
-        return "xyz".index(block) * n + (i - 1)
-
-    def var_name(self, pos: int) -> str:
-        n = self.n
-        if not 0 <= pos < self.nvars:
-            raise ValueError(f"position {pos} out of range")
-        return f"{'xyz'[pos // n]}{pos % n + 1}"
-
-
 class Monomial:
-    """Exponent vector with cached total degree; immutable and hashable."""
+    """Exponent vector with cached total degree and grevlex key; immutable
+    and hashable."""
 
     __slots__ = ("exps", "deg", "_hash", "_key")
 
@@ -70,6 +40,16 @@ class Monomial:
     def __repr__(self) -> str:
         return f"Monomial{self.exps}"
 
+    @property
+    def key(self) -> tuple:
+        """Grevlex sort key, cached: a.key > b.key iff a > b. Higher total
+        degree wins; ties go to the monomial whose exponent difference has
+        its last nonzero entry negative."""
+        k = self._key
+        if k is None:
+            k = self._key = (self.deg, tuple(-e for e in reversed(self.exps)))
+        return k
+
     def mul(self, other: "Monomial") -> "Monomial":
         return Monomial(tuple(map(_add, self.exps, other.exps)),
                         self.deg + other.deg)
@@ -83,78 +63,55 @@ class Term(NamedTuple):
     mono: Monomial
 
 
-class MonomialOrder:
-    """Grevlex, a total, multiplicative, well-founded monomial order:
-    higher total degree first; ties broken so that the monomial whose
-    exponent difference has its last nonzero entry negative wins.
-    """
-
-    __slots__ = ("space",)
-
-    def __init__(self, space: VarSpace):
-        self.space = space
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MonomialOrder) and self.space == other.space
-
-    def __hash__(self) -> int:
-        return hash(self.space)
-
-    def __repr__(self) -> str:
-        return f"MonomialOrder({self.space})"
-
-    def key(self, m: Monomial) -> tuple:
-        """Sort key: key(a) > key(b) iff a > b in this order."""
-        cached = m._key
-        if cached is not None and cached[0] is self:
-            return cached[1]
-        k = (m.deg, tuple(-e for e in reversed(m.exps)))
-        m._key = (self, k)
-        return k
-
-
 class Ring:
-    """A VarSpace together with its grevlex order.
+    """The ring of width n >= 2: variables x_1..x_n, y_1..y_n, z_1..z_n at
+    exponent positions 0..3n - 1, under grevlex (`Monomial.key`).
 
     Builds, normalizes, parses and prints polynomials. Two rings compare
     equal iff they share the width, so values may cross independently
     constructed but identical rings.
     """
 
-    __slots__ = ("space", "order", "names", "_pos_by_name", "zero", "one")
+    __slots__ = ("n", "nvars", "names", "_pos_by_name", "zero", "one")
 
     def __init__(self, n: int):
-        self.space = VarSpace(n)
-        self.order = MonomialOrder(self.space)
-        self.names = tuple(self.space.var_name(p) for p in range(self.space.nvars))
+        if n < 2:
+            raise ValueError("matrix width n must be >= 2")
+        self.n = n
+        self.nvars = 3 * n
+        self.names = tuple(f"{block}{i}" for block in "xyz" for i in range(1, n + 1))
         self._pos_by_name = {name: p for p, name in enumerate(self.names)}
         self.zero = Polynomial(self, ())
         self.one = Polynomial(self, (Term(Fraction(1), self.monomial({})),))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Ring) and self.space == other.space
+        return isinstance(other, Ring) and self.n == other.n
 
     def __hash__(self) -> int:
-        return hash(self.space)
+        return hash(self.n)
 
     def __repr__(self) -> str:
-        return f"Ring(n={self.space.n})"
+        return f"Ring(n={self.n})"
 
-    @property
-    def n(self) -> int:
-        return self.space.n
+    def pos(self, block: str, i: int) -> int:
+        """Position of block variable i (1-based) in the exponent vector."""
+        if block not in ("x", "y", "z"):
+            raise ValueError(f"unknown block {block!r}")
+        if not 1 <= i <= self.n:
+            raise ValueError(f"no variable {block}{i} for n={self.n}")
+        return "xyz".index(block) * self.n + (i - 1)
 
     def monomial(self, exps: Mapping[int, int] | Iterable[int]) -> Monomial:
         """Monomial from a position->exponent mapping or a full exponent vector."""
         if isinstance(exps, Mapping):
-            vec = [0] * self.space.nvars
+            vec = [0] * self.nvars
             for pos, e in exps.items():
                 if e < 0:
                     raise ValueError("negative exponent")
                 vec[pos] += e
             return Monomial(tuple(vec))
         vec = tuple(exps)
-        if len(vec) != self.space.nvars or any(e < 0 for e in vec):
+        if len(vec) != self.nvars or any(e < 0 for e in vec):
             raise ValueError("bad exponent vector")
         return Monomial(vec)
 
@@ -162,7 +119,7 @@ class Ring:
         """Canonical polynomial from a monomial->coefficient mapping."""
         d = {}
         for m, c in coeffs.items():
-            if len(m.exps) != self.space.nvars:
+            if len(m.exps) != self.nvars:
                 raise ValueError("monomial does not fit this ring")
             c = Fraction(c)
             if c:
@@ -170,9 +127,8 @@ class Ring:
         return self._from_dict(d)
 
     def _from_dict(self, d: dict) -> Polynomial:
-        key = self.order.key
         items = sorted(((m, c) for m, c in d.items() if c),
-                       key=lambda mc: key(mc[0]), reverse=True)
+                       key=lambda mc: mc[0].key, reverse=True)
         return Polynomial(self, tuple(Term(c, m) for m, c in items))
 
     def const(self, c: Scalar) -> Polynomial:
@@ -248,7 +204,7 @@ class Ring:
             if not chunk:
                 raise ValueError(f"dangling sign in {text!r}")
             coeff = sign
-            vec = [0] * self.space.nvars
+            vec = [0] * self.nvars
             for factor in chunk.split("*"):
                 m = self._TOKEN.match(factor)
                 if m is None:
@@ -373,11 +329,6 @@ class Polynomial:
         return self.ring._from_dict(d)
 
     __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * (Fraction(1) / Fraction(other))
-        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:

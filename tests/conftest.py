@@ -13,7 +13,7 @@ def rng():
 
 
 def random_monomial(ring: Ring, rng: random.Random, max_exp: int = 3) -> Monomial:
-    nv = ring.space.nvars
+    nv = ring.nvars
     vec = [0] * nv
     for _ in range(rng.randint(0, 4)):
         vec[rng.randrange(nv)] += rng.randint(0, max_exp)
@@ -42,7 +42,7 @@ def elimination_input(fs, gs):
     t*f for f in fs and (1-t)*g for g in gs, in the layout of
     `_intersect_prims`, t as variable 0 above the ring's variables. Each
     term is lifted through its `Monomial`, not by the kernel's shifts."""
-    nvars = fs[0].ring.space.nvars
+    nvars = fs[0].ring.nvars
     packing, epacking = _packing(nvars), _packing(nvars + 1, 1)
 
     def lift(f, k):

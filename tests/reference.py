@@ -8,7 +8,7 @@ textbook division and certificate references with them.
 and pin their degrees; `m_ij` and `m_ij_range` are the paper's
 distinguished monomials of each link, which the tests find among the
 link's monomial set. `monomial_sets` builds every link's monomial set
-from `window_products` and `MonomialOrder.key`, with no packed monomials,
+from `window_products` and `Monomial.key`, with no packed monomials,
 for the families' packed builder to match. `check_gb_sum_full` and
 `check_sum_equals_colon_full` are the two checks as they were before they
 certified from the core of the monomial sets: the first walks all of
@@ -22,7 +22,7 @@ from operator import le as _le, sub as _sub
 from typing import Mapping, Optional, Union
 
 import detlink.families as fam
-from detlink.checks import FAIL, PASS, _chain_witness, _fmt
+from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
 from detlink.families import _link, standard_ring, window_products, xyz_monomial
 from detlink.groebner import (Budget, Ideal, _first_product_outside,
                               ideal_equal, interreduce, is_groebner_basis)
@@ -93,7 +93,7 @@ def multidegree(f: Polynomial):
     """
     if not f.terms:
         return "zero"
-    n = f.ring.space.n
+    n = f.ring.n
     seen = None
     for _, m in f.terms:
         exps = m.exps
@@ -163,13 +163,13 @@ def m_ij(n: int, i: int, j: int) -> Monomial:
 
 def monomial_sets(n: int) -> list[list[Polynomial]]:
     """M_1, ..., M_n: every X_K * Y_L * Z of the i-th link's window, as
-    monomial Polynomials sorted descending by `MonomialOrder.key`."""
+    monomial Polynomials sorted descending by `Monomial.key`."""
     ring = standard_ring(n)
     out = []
     for i in range(1, n + 1):
         _, window, zs = _link(n, i)
         monos = sorted((m for _, m in window_products(ring, window, zs)),
-                       key=ring.order.key, reverse=True)
+                       key=lambda m: m.key, reverse=True)
         out.append([ring.from_monomial(m) for m in monos])
     return out
 
@@ -191,12 +191,15 @@ def check_gb_sum_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
 def check_sum_equals_colon_full(n: int,
                                 budget: Budget) -> tuple[str, Optional[str]]:
     """`sum-equals-colon` with every monomial times every minor tested."""
-    if (witness := _chain_witness(n)) is not None:
+    witness, proven = _chain_proof(n)
+    if witness is not None:
         return FAIL, witness
     ring = fam.standard_ring(n)
     G = fam.set_G(n)
     if not is_groebner_basis(G, budget=budget).ok:
         return FAIL, "extended generator set failed its own certificate"
+    if G != proven:
+        return FAIL, _UNPROVEN_G
     a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
     minors = fam.minors_ideal(n)
     monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]

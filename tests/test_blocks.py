@@ -162,13 +162,13 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None,
 def _poly(terms):
     d = {}
     for positions, c in terms:
-        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        m = R.monomial([positions.count(p) for p in range(R.nvars)])
         d[m] = d.get(m, 0) + c
     return R.poly(d)
 
 
 # Terms of degree 0 to 2, so that most draws are not homogeneous.
-_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), max_size=2),
+_terms = st.tuples(st.lists(st.integers(0, R.nvars - 1), max_size=2),
                    st.integers(-3, 3).filter(bool))
 _polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
 _gens = st.lists(_polys, min_size=1, max_size=3)

@@ -15,7 +15,7 @@ import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, divide, interreduce,
-                              member, s_polynomial)
+                              is_groebner_basis, member, s_polynomial)
 
 from reference import (check_gb_sum_full, check_sum_equals_colon_full, divides,
                        gcd)
@@ -163,6 +163,20 @@ class TestRunChecks:
         monkeypatch.setattr(checks.fam, "chain_g", doubled)
         reports = run_checks(4, ["gb-a", "sum-equals-colon", "identities"])
         assert [(r.status, r.witness) for r in reports] == [("fail", witness)] * 3
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_element_outside_the_chains_witness(self, monkeypatch, n):
+        # x1 joins G: G still passes its certificate, as a basis of an ideal
+        # larger than (g_1..g_n), and the chains still pass their recurrences,
+        # so only tying G to g_1..g_n and the proven chain elements fails it.
+        original = fam.set_G
+        monkeypatch.setattr(checks.fam, "set_G",
+                            lambda n: original(n) + [fam.standard_ring(n).x(1)])
+        assert is_groebner_basis(checks.fam.set_G(n)).ok
+        reports = run_checks(n, ["gb-a", "sum-equals-colon"])
+        assert [(r.status, r.witness) for r in reports] == [
+            ("fail", "extended generator set is not g_1..g_n followed by the "
+                     "proven chain elements")] * 2
 
 
 class TestWorkCounts:

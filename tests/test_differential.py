@@ -31,13 +31,13 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None,
 def _poly(terms):
     d = {}
     for positions, c in terms:
-        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        m = R.monomial([positions.count(p) for p in range(R.nvars)])
         d[m] = d.get(m, 0) + c
     return R.poly(d)
 
 
 # A term is a list of one or two variable positions and a small coefficient.
-_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), min_size=1, max_size=2),
+_terms = st.tuples(st.lists(st.integers(0, R.nvars - 1), min_size=1, max_size=2),
                    st.integers(-3, 3).filter(bool))
 _polys = st.lists(_terms, min_size=1, max_size=3).map(_poly).filter(bool)
 _ideals = st.lists(_polys, min_size=1, max_size=3).map(lambda gs: Ideal(R, gs))
@@ -49,7 +49,7 @@ def _with_basis(I):
 
 
 _cached_ideals = _ideals.map(_with_basis)
-_linear = st.lists(st.tuples(st.lists(st.integers(0, R.space.nvars - 1),
+_linear = st.lists(st.tuples(st.lists(st.integers(0, R.nvars - 1),
                                       min_size=1, max_size=1),
                              st.integers(-3, 3).filter(bool)),
                    min_size=1, max_size=2).map(_poly).filter(bool)

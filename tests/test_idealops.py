@@ -58,7 +58,7 @@ class TestIntersect:
         # as the ring does. Embedded prims must stay descending, as
         # intersect embeds them.
         for ring in (Ring(2), Ring(3)):
-            nvars = ring.space.nvars
+            nvars = ring.nvars
             packing, epacking = groebner._packing(nvars), groebner._packing(nvars + 1, 1)
             for _ in range(100):
                 f = random_nonzero_poly(ring, rng, terms=6)
@@ -144,7 +144,7 @@ class TestQuotient:
                  (Ideal(R, [x1, y1 ** 2]), [x1, y1], [y1]),
                  (Ideal(R, [x1 ** 2, x1 * y1]), [R.one], [R.one]),
                  (Ideal(R, [x1, y1]), [x1, y1 - x1], [])]
-        packing = groebner._packing(R.space.nvars)
+        packing = groebner._packing(R.nvars)
         for I, gens, eliminating in cases:
             tested, eliminated = [], []
             first_outside = idealops._first_prim_product_outside
@@ -179,7 +179,7 @@ class TestExactQuotient:
 
     def test_matches_divide_on_multiples(self, rng):
         R = Ring(2)
-        packing = groebner._packing(R.space.nvars)
+        packing = groebner._packing(R.nvars)
         for _ in range(20):
             f = random_nonzero_poly(R, rng, terms=3)
             q = random_nonzero_poly(R, rng, terms=3)
@@ -194,7 +194,7 @@ class TestExactQuotient:
 
     def test_inexact_division_raises(self):
         R = Ring(2)
-        packing = groebner._packing(R.space.nvars)
+        packing = groebner._packing(R.nvars)
         x1, y1 = R.x(1), R.y(1)
 
         def quotient(g, f):

@@ -69,9 +69,8 @@ def test_int_order_is_the_ring_order(drawn):
     pa, pb = packing.pack(a), packing.pack(b)
     assert (pa > pb) - (pa < pb) == naive_elim_block(a.exps, b.exps, head)
     assert (pa == pb) == (a == b)
-    if packing is _packing(Ring(2).space.nvars):
-        key = Ring(2).order.key
-        assert (pa < pb) == (key(a) < key(b))
+    if packing is _packing(Ring(2).nvars):
+        assert (pa < pb) == (a.key < b.key)
 
 
 @SETTINGS
@@ -305,7 +304,7 @@ class TestLimit:
     def test_lcm_past_the_limit_rejected(self):
         R = Ring(2)
         x1, x2, y1, z1 = R.x(1), R.x(2), R.y(1), R.z(1)
-        packing = _packing(R.space.nvars)
+        packing = _packing(R.nvars)
         a, b = (packing.pack(f.terms[0].mono) for f in (x1 ** 20000, x2 ** 20000))
         with pytest.raises(OverflowError, match="2\\^15"):
             packing.lcm(a, b)

@@ -40,7 +40,7 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None,
 def _poly(terms):
     d = {}
     for positions, c in terms:
-        m = R.monomial([positions.count(p) for p in range(R.space.nvars)])
+        m = R.monomial([positions.count(p) for p in range(R.nvars)])
         d[m] = d.get(m, 0) + c
     return R.poly(d)
 
@@ -108,7 +108,7 @@ def test_memo_matches_a_memo_free_scan(drawn):
 
 def test_memo_pinned():
     x, y, z = R.x(1), R.y(1), R.z(1)
-    packing = _packing(R.space.nvars)
+    packing = _packing(R.nvars)
     reducer = _IntReducer(packing)
     reducer.append(_prim_from_poly(x ** 2, packing))
     xy = dict(_prim_from_poly(x * y, packing))
@@ -128,8 +128,7 @@ def test_memo_pinned():
 def _reference_certificate(polys):
     """Every pair, sorted by (lcm, i, j) in the ring's order, divided with
     exact rational arithmetic; the first nonzero remainder fails."""
-    key = polys[0].ring.order.key
-    pairs = sorted((key(lcm(polys[i].terms[0].mono, polys[j].terms[0].mono)), i, j)
+    pairs = sorted((lcm(polys[i].terms[0].mono, polys[j].terms[0].mono).key, i, j)
                    for i in range(len(polys)) for j in range(i + 1, len(polys)))
     for _, i, j in pairs:
         rem = divide(s_polynomial(polys[i], polys[j]), polys).remainder
@@ -180,12 +179,11 @@ def _reference_walk(polys, budget):
     """The certificate walk that keys and sorts every pair it sees: each
     pair that is not a pair of monomials and whose leading monomials share
     a variable, in (lcm, i, j) order with the lcm compared by
-    `MonomialOrder.key`. One that the chain criterion skips is passed over
+    `Monomial.key`. One that the chain criterion skips is passed over
     free; the others tick the budget and are divided exactly."""
-    key = polys[0].ring.order.key
     lms = [f.terms[0].mono for f in polys]
     chain = [lms[k] for k, f in enumerate(polys) if len(f) > 1]
-    pairs = sorted((key(lcm(lms[i], lms[j])), i, j)
+    pairs = sorted((lcm(lms[i], lms[j]).key, i, j)
                    for i in range(len(polys)) for j in range(i + 1, len(polys))
                    if (len(polys[i]) > 1 or len(polys[j]) > 1)
                    and not is_coprime(lms[i], lms[j]))

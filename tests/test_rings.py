@@ -5,38 +5,37 @@ from fractions import Fraction
 import pytest
 
 from detlink.groebner import _packing
-from detlink.rings import Monomial, Ring, Term, VarSpace
+from detlink.rings import Monomial, Ring, Term
 from detlink.families import delta, g_generator, standard_ring
 
 from conftest import random_monomial, random_poly
 from reference import m_ij, multidegree, naive_elim_block, naive_grevlex, substitute
 
 
-def compare(order, a, b):
-    """1, 0 or -1 as a is above, equal to or below b, by `order.key`."""
-    ka, kb = order.key(a), order.key(b)
-    return (ka > kb) - (ka < kb)
+def compare(a, b):
+    """1, 0 or -1 as a is above, equal to or below b, by `Monomial.key`."""
+    return (a.key > b.key) - (a.key < b.key)
 
 
-class TestVarSpace:
+class TestLayout:
     def test_layout(self):
-        sp = VarSpace(4)
-        assert sp.nvars == 12
-        assert sp.pos("x", 1) == 0
-        assert sp.pos("y", 4) == 7
-        assert sp.pos("z", 4) == 11
-        assert sp.var_name(0) == "x1"
-        assert sp.var_name(11) == "z4"
+        R = Ring(4)
+        assert R.nvars == 12
+        assert R.pos("x", 1) == 0
+        assert R.pos("y", 4) == 7
+        assert R.pos("z", 4) == 11
+        assert R.names[0] == "x1"
+        assert R.names[11] == "z4"
 
     def test_width_floor(self):
         with pytest.raises(ValueError):
-            VarSpace(1)
+            Ring(1)
 
     def test_unknown_variable(self):
         with pytest.raises(ValueError):
-            VarSpace(4).pos("t", 1)
+            Ring(4).pos("t", 1)
         with pytest.raises(ValueError):
-            VarSpace(4).pos("x", 5)
+            Ring(4).pos("x", 5)
 
 
 class TestOrder:
@@ -45,23 +44,23 @@ class TestOrder:
         m = lambda f: f.terms[0].mono
         x2y1 = m(R.x(2) * R.y(1))
         x1y2 = m(R.x(1) * R.y(2))
-        assert compare(R.order, x2y1, x1y2) == 1
-        assert compare(R.order, x1y2, x1y2) == 0
-        assert compare(R.order, m(R.x(1) ** 2), m(R.x(1) * R.y(1))) == 1
+        assert compare(x2y1, x1y2) == 1
+        assert compare(x1y2, x1y2) == 0
+        assert compare(m(R.x(1) ** 2), m(R.x(1) * R.y(1))) == 1
 
     def test_matches_naive_oracle(self, rng):
         R = Ring(3)
         for _ in range(2000):
             a = random_monomial(R, rng)
             b = random_monomial(R, rng)
-            assert compare(R.order, a, b) == naive_grevlex(a.exps, b.exps)
+            assert compare(a, b) == naive_grevlex(a.exps, b.exps)
 
     def test_elim_block_matches_naive_oracle(self, rng):
         # The elimination order exists only as the packed layout that
         # `_intersect_prims` uses: t above the 3n ring variables.
         for n in (2, 3):
             R = Ring(n)
-            packing = _packing(R.space.nvars + 1, 1)
+            packing = _packing(R.nvars + 1, 1)
             for _ in range(1000):
                 a, b = (Monomial((rng.randint(0, 2),) + random_monomial(R, rng).exps)
                         for _ in range(2))
@@ -71,25 +70,24 @@ class TestOrder:
     def test_axioms_on_random_triples(self, rng):
         # Totality, antisymmetry, transitivity, multiplicativity, 1-minimality.
         R = Ring(2)
-        order = R.order
         for _ in range(10_000):
             a = random_monomial(R, rng)
             b = random_monomial(R, rng)
             c = random_monomial(R, rng)
-            ab, ba = compare(order, a, b), compare(order, b, a)
+            ab, ba = compare(a, b), compare(b, a)
             assert ab == -ba
             assert (ab == 0) == (a == b)
-            if ab >= 0 and compare(order, b, c) >= 0:
-                assert compare(order, a, c) >= 0
+            if ab >= 0 and compare(b, c) >= 0:
+                assert compare(a, c) >= 0
             if ab:
-                assert compare(order, a.mul(c), b.mul(c)) == ab
+                assert compare(a.mul(c), b.mul(c)) == ab
             if a.deg:
-                assert compare(order, a, R.monomial({})) == 1
+                assert compare(a, R.monomial({})) == 1
 
     def test_elim_block_dominates_main(self, rng):
         R = Ring(2)
-        packing = _packing(R.space.nvars + 1, 1)
-        t = packing.pack(Monomial((1,) + (0,) * R.space.nvars))
+        packing = _packing(R.nvars + 1, 1)
+        t = packing.pack(Monomial((1,) + (0,) * R.nvars))
         for _ in range(200):
             m = packing.pack(Monomial((0,) + random_monomial(R, rng).exps))
             assert t > m
@@ -123,10 +121,9 @@ class TestArithmetic:
 
     def test_terms_strictly_descending_and_nonzero(self, rng):
         R = Ring(2)
-        key = R.order.key
         for _ in range(60):
             f = random_poly(R, rng)
-            keys = [key(m) for _, m in f.terms]
+            keys = [m.key for _, m in f.terms]
             assert keys == sorted(keys, reverse=True)
             assert len(set(keys)) == len(keys)
             assert all(c != 0 for c, _ in f.terms)

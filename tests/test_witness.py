@@ -4,7 +4,7 @@
 the chain criterion and reports the first pair whose S-polynomial leaves
 a nonzero remainder. The reference here reduces every pair that is not a
 pair of monomials and whose leading monomials share a variable, in the
-same order with the lcm compared by `MonomialOrder.key`, with no
+same order with the lcm compared by `Monomial.key`, with no
 criterion, and returns the first nonzero remainder. Both must name the
 same pair with the same remainder. Inputs are drawn by hypothesis,
 derandomized: small sets over `Ring(2)`, and G u M(4) with one element
@@ -30,10 +30,9 @@ SETTINGS = settings(derandomize=True, deadline=None, database=None,
 
 def _reference(polys):
     """(1-based witness, remainder) of the first failing pair, or None."""
-    key = polys[0].ring.order.key
     lms = [f.terms[0].mono for f in polys]
     pairs = sorted(
-        (key(lcm(lms[i], lms[j])), i, j)
+        (lcm(lms[i], lms[j]).key, i, j)
         for i in range(len(polys)) for j in range(i + 1, len(polys))
         if (len(polys[i]) > 1 or len(polys[j]) > 1)
         and not is_coprime(lms[i], lms[j]))
@@ -57,13 +56,13 @@ def _assert_same_witness(polys):
 def _poly(ring, terms):
     d = {}
     for positions, c in terms:
-        m = ring.monomial([positions.count(p) for p in range(ring.space.nvars)])
+        m = ring.monomial([positions.count(p) for p in range(ring.nvars)])
         d[m] = d.get(m, 0) + c
     return ring.poly(d)
 
 
 # A term is up to three variable positions and a small coefficient.
-_terms = st.tuples(st.lists(st.integers(0, R.space.nvars - 1), max_size=3),
+_terms = st.tuples(st.lists(st.integers(0, R.nvars - 1), max_size=3),
                    st.integers(-3, 3).filter(bool))
 _polys = st.lists(_terms, min_size=1, max_size=3).map(
     lambda terms: _poly(R, terms)).filter(bool)
@@ -77,7 +76,7 @@ def test_small_sets_match_reference(polys):
 
 GM4 = G_union_M(4)
 R4 = standard_ring(4)
-_terms4 = st.tuples(st.lists(st.integers(0, R4.space.nvars - 1), max_size=3),
+_terms4 = st.tuples(st.lists(st.integers(0, R4.nvars - 1), max_size=3),
                     st.integers(-2, 2).filter(bool))
 
 
