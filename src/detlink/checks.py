@@ -12,6 +12,13 @@ probe, whose cost is coefficient growth rather than units of work; past it
 the probe is reported as skipped. Gates on single steps inside a check,
 such as the full colon equality of sum-equals-colon, stay in the check
 itself.
+
+Within one `run_checks` call, facts that several checks rely on are
+derived once (`_shared`): the chain proof of each width, the certificate
+of G = set_G(n) and the core of the monomial sets. A check that finds one
+already derived is charged the units it took, so its verdict and its
+units do not depend on which other checks ran; its elapsed time does,
+since the shared work lands on the first check that needs it.
 """
 
 from __future__ import annotations
@@ -22,18 +29,20 @@ import random
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence
+from math import gcd
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import families as fam
 from .graphs import verify_res_int
-from .groebner import (Budget, BudgetExceeded, GBStats, Ideal, _Divisors,
-                       _IntReducer, _first_product_outside, _packing,
-                       _prim_from_poly, _spoly, ideal_equal, initial_ideal,
+from .groebner import (Budget, BudgetExceeded, GBCertificate, GBStats, Ideal,
+                       _Divisors, _IntReducer, _Packing, _add_scaled,
+                       _first_product_outside, _packing, _prim_from_poly,
+                       _spoly, ideal_equal, initial_ideal,
                        interreduce, is_groebner_basis,
                        is_squarefree_monomial_ideal, minimal_generators,
                        reduced_groebner_basis)
 from .idealops import height, quotient, sum_ideals
-from .rings import Monomial, Polynomial, Ring
+from .rings import Monomial, Polynomial, Ring, Term
 
 SCHEMA_VERSION = 1
 
@@ -87,6 +96,53 @@ def _fmt(f: Polynomial) -> str:
     return f.ring.format(f)
 
 
+T = TypeVar("T")
+
+# The memo of the running `run_checks` call: key -> (result, units). None
+# outside it, where nothing is memoized.
+_memo: Optional[dict] = None
+
+
+def _shared(key, budget: Budget, compute: Callable[[], T]) -> T:
+    """compute(), derived once per `run_checks` call for each key. A later
+    call with the key gets the same result and is charged the units that
+    computing it took (`Budget.charge`), so a check's verdict and units do
+    not depend on which checks ran before it. A key holds every value the
+    computation reads that a check may have corrupted. A computation that
+    raises stores nothing; results are shared, and no check modifies
+    them."""
+    memo = _memo
+    if memo is None:
+        return compute()
+    if key in memo:
+        result, units = memo[key]
+        budget.charge(units)
+        return result
+    before = budget.pairs
+    result = compute()
+    memo[key] = result, budget.pairs - before
+    return result
+
+
+def _proven_chain(n: int, budget: Budget) -> tuple[Optional[str], list[Polynomial]]:
+    """`_chain_proof(n)`. It reads only n and the chain accessors of
+    `families`, the same for every check in one call, so n is its key."""
+    return _shared(("chain", n), budget, lambda: _chain_proof(n))
+
+
+def _certificate(G: list[Polynomial], budget: Budget) -> GBCertificate:
+    """`is_groebner_basis(G)`."""
+    return _shared(("certificate", tuple(G)), budget,
+                   lambda: is_groebner_basis(G, budget=budget))
+
+
+def _shared_core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
+                 budget: Budget) -> Optional[list[Polynomial]]:
+    """`_core(G, monos)`."""
+    return _shared(("core", tuple(G), tuple(monos)), budget,
+                   lambda: _core(G, monos, budget))
+
+
 # The witness of a set_G(n) that is not the set `_chain_proof` proves.
 _UNPROVEN_G = ("extended generator set is not g_1..g_n followed by the "
                "proven chain elements")
@@ -127,11 +183,11 @@ def check_gb_a(n: int, rng: random.Random,
     """Certificate that the extended generator set G is a Groebner basis of
     (g_1..g_n): G passes Buchberger's criterion, and it is g_1..g_n plus
     chain elements that lie in (g_1..g_n) by the chain recurrences."""
-    witness, proven = _chain_proof(n)
+    witness, proven = _proven_chain(n, budget)
     if witness is not None:
         return FAIL, witness
     G = fam.set_G(n)
-    cert = is_groebner_basis(G, budget=budget)
+    cert = _certificate(G, budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} of the candidate set leaves "
                       f"remainder {_fmt(cert.remainder)}")
@@ -190,7 +246,7 @@ def check_gb_sum(n: int, rng: random.Random,
     polys = fam.G_union_M(n)
     # set_G(n), 3n - 4 elements, leads G_union_M(n).
     G, monos = polys[:3 * n - 4], polys[3 * n - 4:]
-    core = _core(G, monos, budget)
+    core = _shared_core(G, monos, budget)
     if core is not None and is_groebner_basis(G + core, budget=budget).ok:
         return PASS, None
     cert = is_groebner_basis(polys, budget=budget)
@@ -240,12 +296,12 @@ def check_sum_equals_colon(n: int, rng: random.Random,
     monomial times every minor lies in (g_1..g_n). Otherwise every product
     is tested, and the witness is the first escaping one in row-major
     order."""
-    witness, proven = _chain_proof(n)
+    witness, proven = _proven_chain(n, budget)
     if witness is not None:
         return FAIL, witness
     ring = fam.standard_ring(n)
     G = fam.set_G(n)
-    cert = is_groebner_basis(G, budget=budget)
+    cert = _certificate(G, budget)
     if not cert.ok:
         return FAIL, "extended generator set failed its own certificate"
     if G != proven:
@@ -253,7 +309,7 @@ def check_sum_equals_colon(n: int, rng: random.Random,
     a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
     minors = fam.minors_ideal(n)
     monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
-    core = _core(G, monos, budget)
+    core = _shared_core(G, monos, budget)
     outside = None
     if core is None or _first_product_outside(core, minors.gens, a_full,
                                               budget) is not None:
@@ -308,54 +364,107 @@ def check_automorphisms(n: int, rng: random.Random,
     return PASS, None
 
 
-def _telescoping_first(n: int, i: int, j: int, ring: Ring,
-                       g1: dict) -> tuple[Polynomial, list[Polynomial], Monomial]:
-    lhs_coeff = fam.xyz_monomial(ring,
-                                 xs=[v for v in range(1, j) if v != i],
-                                 zs=range(1, j))
-    lhs = ring.from_monomial(lhs_coeff) * fam.delta(j, i, n)
-    summands = []
-    for k in range(i, j):
-        c = fam.xyz_monomial(ring, xs=range(k + 2, j + 1), zs=range(k + 1, j))
-        summands.append(ring.from_monomial(c) * g1[k])
-    lead = fam.xyz_monomial(ring, xs=[v for v in range(1, j + 1) if v != i],
-                            ys=[i], zs=range(1, j))
-    return lhs, summands, lead
+def _packed_terms(polys: Sequence[Polynomial], packing: _Packing) -> list[tuple]:
+    """The terms of each of polys, in order, as (packed monomial, int)
+    pairs: every coefficient times the lcm of the denominators of all of
+    polys, so they are the polys times one common integer."""
+    den = 1
+    for f in polys:
+        for c, _ in f.terms:
+            den = den * c.denominator // gcd(den, c.denominator)
+    pack = packing.pack
+    return [tuple((pack(m), c.numerator * (den // c.denominator))
+                  for c, m in f.terms) for f in polys]
 
 
-def _telescoping_second(n: int, i: int, j: int, ring: Ring,
-                        g2: dict) -> tuple[Polynomial, list[Polynomial], Monomial]:
-    lhs_coeff = fam.xyz_monomial(ring,
-                                 ys=[v for v in range(j + 1, n + 1) if v != i],
-                                 zs=range(j + 1, n + 1))
-    lhs = ring.from_monomial(lhs_coeff) * fam.delta(i, j, n)
-    summands = []
-    for k in range(j + 1, i + 1):
-        c = fam.xyz_monomial(ring, ys=range(j, k - 1), zs=range(j + 1, k))
-        summands.append(ring.from_monomial(c) * g2[k])
-    lead = fam.xyz_monomial(ring, xs=[i],
-                            ys=[v for v in range(j, n + 1) if v != i],
-                            zs=range(j + 1, n + 1))
-    return lhs, summands, lead
+def _telescoping_identities(n: int, ring: Ring, g1: dict, g2: dict) -> Iterator[tuple]:
+    """Both telescoping identities at every pair, first identity first:
+    (name, i, j, lhs, summands, lead), where lhs and each summand are a
+    product (packed cofactor, packed terms) and lead is the packed monomial
+    that must lead lhs and bound every summand. The first identity is
+    X_{[1,j-1]-i} Z_{[1,j-1]} delta(j,i)
+        = sum_{k=i}^{j-1} X_{[k+2,j]} Z_{[k+1,j-1]} g_{1,k}, i < j,
+    led by X_{[1,j]-i} y_i Z_{[1,j-1]}; the second is
+    Y_{[j+1,n]-i} Z_{[j+1,n]} delta(i,j)
+        = sum_{k=j+1}^{i} Y_{[j,k-2]} Z_{[j+1,k-1]} g_{k,n}, i > j,
+    led by x_i Y_{[j,n]-i} Z_{[j+1,n]}. The chains and the minors are
+    scaled by one integer (`_packed_terms`), which keeps every identity
+    and every bound."""
+    packing = _packing(ring.nvars)
+    unit = {(b, v): packing.pack(ring.monomial({ring.pos(b, v): 1}))
+            for b in "xyz" for v in range(1, n + 1)}
+
+    def mono(xs=(), ys=(), zs=()) -> int:
+        return (sum(unit["x", v] for v in xs) + sum(unit["y", v] for v in ys)
+                + sum(unit["z", v] for v in zs))
+
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    packed = _packed_terms([*g1.values(), *g2.values(),
+                            *(fam.delta(j, i, n) for i, j in pairs)], packing)
+    t1 = dict(zip(g1, packed))
+    t2 = dict(zip(g2, packed[len(g1):]))
+    # delta(a, b) with a > b, the minor both identities take.
+    minor = dict(zip(((j, i) for i, j in pairs), packed[len(g1) + len(g2):]))
+    for i, j in pairs:
+        lhs = (mono(xs=[v for v in range(1, j) if v != i], zs=range(1, j)),
+               minor[j, i])
+        summands = [(mono(xs=range(k + 2, j + 1), zs=range(k + 1, j)), t1[k])
+                    for k in range(i, j)]
+        lead = mono(xs=[v for v in range(1, j + 1) if v != i], ys=[i],
+                    zs=range(1, j))
+        yield "first", i, j, lhs, summands, lead
+    for j, i in pairs:
+        lhs = (mono(ys=[v for v in range(j + 1, n + 1) if v != i],
+                    zs=range(j + 1, n + 1)), minor[i, j])
+        summands = [(mono(ys=range(j, k - 1), zs=range(j + 1, k)), t2[k])
+                    for k in range(j + 1, i + 1)]
+        lead = mono(xs=[i], ys=[v for v in range(j, n + 1) if v != i],
+                    zs=range(j + 1, n + 1))
+        yield "second", i, j, lhs, summands, lead
+
+
+def _telescoping_witness(identities: Iterable[tuple],
+                         budget: Budget) -> Optional[str]:
+    """The witness of the first of `_telescoping_identities` that fails,
+    or None. An identity holds when its summands minus its lhs, added into
+    one dict of exact integers, cancel; its leading-term bounds are packed
+    comparisons, which are comparisons in the order. The deadline is
+    checked once per identity."""
+    for name, i, j, (u, lhs), summands, lead in identities:
+        budget.check_deadline()
+        d: dict = {}
+        for v, terms in summands:
+            _add_scaled(d, terms, v, 1)
+        _add_scaled(d, lhs, u, -1)
+        if d:
+            return f"{name} telescoping identity fails at (i,j)=({i},{j})"
+        if u + lhs[0][0] != lead:
+            return f"leading monomial of {name} identity wrong at ({i},{j})"
+        if any(v + terms[0][0] > lead for v, terms in summands):
+            return f"summand exceeds leading monomial at ({i},{j})"
+    return None
 
 
 def _random_qualifying_binomials(ring: Ring, rng: random.Random):
     """Binomial pair whose leading-monomial gcd divides both trailing terms,
     by construction: f = c*(u1 - a*u2) and g = c*(v1 - b*v2) with u1 > u2
     and v1 > v2 of any degrees, v1 and v2 free of u1's variables, so
-    gcd(in f, in g) = c."""
+    gcd(in f, in g) = c. Since c*u1 > c*u2, the terms are built in order."""
+    one = Fraction(1)
+
     def mono(variables):
         vec = [0] * ring.nvars
         for _ in range(rng.randint(1, 3)):
             vec[rng.choice(variables)] += 1
-        return ring.monomial(vec)
+        return Monomial(vec)
 
     def binomial(variables):
         while True:
             u2, u1 = sorted((mono(variables), mono(variables)), key=lambda m: m.key)
             if u1 != u2:
                 a = Fraction(rng.choice([1, 2, 3, -1, -2]))
-                return ring.poly({c.mul(u1): Fraction(1), c.mul(u2): -a}), u1
+                return Polynomial(ring, (Term(one, c.mul(u1)),
+                                         Term(-a, c.mul(u2)))), u1
 
     all_vars = range(ring.nvars)
     c = mono(all_vars)
@@ -368,16 +477,16 @@ def check_identities(n: int, rng: random.Random,
                      budget: Budget) -> tuple[str, Optional[str]]:
     """Exact identity suite: the corrected chain recurrences, exhaustive
     monomial-times-minor membership in the chain (n <= 6), both telescoping
-    identities with their leading-term bounds, and the binomial S-pair
-    reduction property on random qualifying pairs."""
-    witness, _ = _chain_proof(n)
+    identities with their leading-term bounds, on packed monomials
+    (`_telescoping_witness`), and the binomial S-pair reduction property
+    on random qualifying pairs."""
+    witness, _ = _proven_chain(n, budget)
     if witness is not None:
         return FAIL, witness
     ring = fam.standard_ring(n)
-    pairs = list(itertools.combinations(range(1, n + 1), 2))
     if n <= 6:
         chain = fam.chain_ideal(n)
-        for i, j in pairs:
+        for i, j in itertools.combinations(range(1, n + 1), 2):
             products = fam.window_products(ring, range(i + 1, j))
             outside = _first_product_outside(
                 [ring.from_monomial(m) for _, m in products],
@@ -385,19 +494,10 @@ def check_identities(n: int, rng: random.Random,
             if outside is not None:
                 return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
                               f"chain for K={products[outside[0]][0]}")
-    g1, g2 = fam.chain_g(n)
-    for name, telescoping, gs, ijs in (
-            ("first", _telescoping_first, g1, pairs),
-            ("second", _telescoping_second, g2, [(i, j) for j, i in pairs])):
-        for i, j in ijs:
-            budget.check_deadline()
-            lhs, summands, lead = telescoping(n, i, j, ring, gs)
-            if sum(summands, ring.zero) != lhs:
-                return FAIL, f"{name} telescoping identity fails at (i,j)=({i},{j})"
-            if lhs.terms[0].mono != lead:
-                return FAIL, f"leading monomial of {name} identity wrong at ({i},{j})"
-            if any(s.terms[0].mono.key > lead.key for s in summands):
-                return FAIL, f"summand exceeds leading monomial at ({i},{j})"
+    witness = _telescoping_witness(
+        _telescoping_identities(n, ring, *fam.chain_g(n)), budget)
+    if witness is not None:
+        return FAIL, witness
     # Whether a remainder is zero does not depend on scaling, so the pairs
     # are reduced as packed primitive polynomials.
     packing = _packing(ring.nvars)
@@ -479,7 +579,8 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
     Selection is "all" or an iterable of check names; reports come back in
     the canonical registry order. A check at an n past its WIDTHS entry is
     reported as skipped. Each check draws randomness from its own seeded
-    stream, so verdicts and witnesses are reproducible.
+    stream, so verdicts and witnesses are reproducible. The facts the
+    checks share are derived once per call (`_shared`).
 
     `stretch` is ignored. It is still accepted because callers pass it,
     among them the colon-n5 workload of perfbench.
@@ -499,23 +600,29 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
         names = [name for name in ALL_CHECKS if name in names]
         if not names:
             raise ValueError("no checks selected")
+    global _memo
     reports = []
-    for name in names:
-        rng = random.Random(f"{seed}/{name}")
-        budget = Budget(max_pairs, timeout_secs)
-        width = WIDTHS.get(name, n)
-        t0 = time.perf_counter()
-        if n > width:
-            status, witness = SKIPPED, f"runs for n <= {width}"
-        else:
-            try:
-                status, witness = CHECKS[name](n, rng, budget)
-            except BudgetExceeded as exc:
-                status, witness = BUDGET, str(exc)
-        elapsed = (time.perf_counter() - t0) * 1000.0
-        reports.append(CheckReport(
-            name=name, n=n, status=status, elapsed_ms=elapsed, witness=witness,
-            seed=seed, max_pairs=budget.max_pairs, timeout_secs=timeout_secs))
+    outer, _memo = _memo, {}
+    try:
+        for name in names:
+            rng = random.Random(f"{seed}/{name}")
+            budget = Budget(max_pairs, timeout_secs)
+            width = WIDTHS.get(name, n)
+            t0 = time.perf_counter()
+            if n > width:
+                status, witness = SKIPPED, f"runs for n <= {width}"
+            else:
+                try:
+                    status, witness = CHECKS[name](n, rng, budget)
+                except BudgetExceeded as exc:
+                    status, witness = BUDGET, str(exc)
+            elapsed = (time.perf_counter() - t0) * 1000.0
+            reports.append(CheckReport(
+                name=name, n=n, status=status, elapsed_ms=elapsed,
+                witness=witness, seed=seed, max_pairs=budget.max_pairs,
+                timeout_secs=timeout_secs))
+    finally:
+        _memo = outer
     return reports
 
 

@@ -109,6 +109,16 @@ class Budget:
             raise BudgetExceeded(f"work budget of {self.max_pairs} units exhausted")
         self.check_deadline()
 
+    def charge(self, units: int) -> None:
+        """Count units of work at once, as that many ticks would: raise
+        where the tick past the cap would, with the count it would leave;
+        then check the deadline, also for 0 units."""
+        if self.pairs + units > self.max_pairs:
+            self.pairs = self.max_pairs + 1
+            raise BudgetExceeded(f"work budget of {self.max_pairs} units exhausted")
+        self.pairs += units
+        self.check_deadline()
+
     def check_deadline(self) -> None:
         """Raise once the deadline has passed; counts nothing. Loops whose
         steps are not units of work call this: reduction steps, product
@@ -276,6 +286,9 @@ def _packing(nvars: int, head: int = 0) -> _Packing:
 
 
 def _prim_from_poly(f: Polynomial, packing: _Packing):
+    if len(f.terms) == 1:
+        # The prim of c*m is m with coefficient 1, for any nonzero c.
+        return ((packing.pack(f.terms[0].mono), 1),)
     den = 1
     for c, _ in f.terms:
         d = c.denominator

@@ -13,11 +13,15 @@ for the families' packed builder to match. `check_gb_sum_full` and
 `check_sum_equals_colon_full` are the two checks as they were before they
 certified from the core of the monomial sets: the first walks all of
 G ∪ M, the second tests every monomial times every minor. The checks must
-agree with them on status and witness.
+agree with them on status and witness. `telescoping_identities` and
+`telescoping_witness` are the telescoping part of `identities` as it was
+before it ran on packed monomials: `Polynomial` products, their sum
+compared with the left-hand side, and `Monomial.key` comparisons.
 """
 
 from __future__ import annotations
 
+import itertools
 from operator import le as _le, sub as _sub
 from typing import Mapping, Optional, Union
 
@@ -27,7 +31,7 @@ from detlink.families import _link, standard_ring, window_products, xyz_monomial
 from detlink.groebner import (Budget, Ideal, _first_product_outside,
                               ideal_equal, interreduce, is_groebner_basis)
 from detlink.idealops import quotient
-from detlink.rings import Monomial, Polynomial, Scalar
+from detlink.rings import Monomial, Polynomial, Ring, Scalar
 
 
 # -- monomial arithmetic ----------------------------------------------------
@@ -214,3 +218,59 @@ def check_sum_equals_colon_full(n: int,
     if not ideal_equal(Q, fam.sum_links_ideal(n), budget):
         return FAIL, "colon of the full family differs from the sum of links"
     return PASS, None
+
+
+# -- the telescoping identities on Polynomials -------------------------------
+
+
+def telescoping_first(n: int, i: int, j: int, ring: Ring,
+                      g1: dict) -> tuple[Polynomial, list[Polynomial], Monomial]:
+    lhs_coeff = xyz_monomial(ring, xs=[v for v in range(1, j) if v != i],
+                             zs=range(1, j))
+    lhs = ring.from_monomial(lhs_coeff) * fam.delta(j, i, n)
+    summands = []
+    for k in range(i, j):
+        c = xyz_monomial(ring, xs=range(k + 2, j + 1), zs=range(k + 1, j))
+        summands.append(ring.from_monomial(c) * g1[k])
+    lead = xyz_monomial(ring, xs=[v for v in range(1, j + 1) if v != i],
+                        ys=[i], zs=range(1, j))
+    return lhs, summands, lead
+
+
+def telescoping_second(n: int, i: int, j: int, ring: Ring,
+                       g2: dict) -> tuple[Polynomial, list[Polynomial], Monomial]:
+    lhs_coeff = xyz_monomial(ring,
+                             ys=[v for v in range(j + 1, n + 1) if v != i],
+                             zs=range(j + 1, n + 1))
+    lhs = ring.from_monomial(lhs_coeff) * fam.delta(i, j, n)
+    summands = []
+    for k in range(j + 1, i + 1):
+        c = xyz_monomial(ring, ys=range(j, k - 1), zs=range(j + 1, k))
+        summands.append(ring.from_monomial(c) * g2[k])
+    lead = xyz_monomial(ring, xs=[i],
+                        ys=[v for v in range(j, n + 1) if v != i],
+                        zs=range(j + 1, n + 1))
+    return lhs, summands, lead
+
+
+def telescoping_identities(n: int, g1: dict, g2: dict) -> list[tuple]:
+    """Both identities at every pair, in the order `identities` checks
+    them: (name, i, j, lhs, summands, lead)."""
+    ring = standard_ring(n)
+    pairs = list(itertools.combinations(range(1, n + 1), 2))
+    return ([("first", i, j, *telescoping_first(n, i, j, ring, g1))
+             for i, j in pairs]
+            + [("second", i, j, *telescoping_second(n, i, j, ring, g2))
+               for j, i in pairs])
+
+
+def telescoping_witness(identities) -> Optional[str]:
+    """The witness of the first failing identity, or None."""
+    for name, i, j, lhs, summands, lead in identities:
+        if sum(summands, lhs.ring.zero) != lhs:
+            return f"{name} telescoping identity fails at (i,j)=({i},{j})"
+        if lhs.terms[0].mono != lead:
+            return f"leading monomial of {name} identity wrong at ({i},{j})"
+        if any(s.terms[0].mono.key > lead.key for s in summands):
+            return f"summand exceeds leading monomial at ({i},{j})"
+    return None

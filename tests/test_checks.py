@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -14,11 +15,12 @@ import detlink.checks as checks
 import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
-from detlink.groebner import (Budget, BudgetExceeded, Ideal, divide, interreduce,
-                              is_groebner_basis, member, s_polynomial)
+from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
+                              _packing, divide, interreduce, is_groebner_basis,
+                              member, s_polynomial)
 
 from reference import (check_gb_sum_full, check_sum_equals_colon_full, divides,
-                       gcd)
+                       gcd, telescoping_identities, telescoping_witness)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -316,6 +318,201 @@ class TestCoreCertificate:
             assert colon == ("pass", None)
             verdicts.add(gb_sum[0])
         assert verdicts == {"pass", "fail"}
+
+
+# The checks that share the chain proof, the certificate of G or the core.
+SHARED = ("gb-a", "gb-sum", "sum-equals-colon", "identities")
+
+
+def _recorded_run(monkeypatch, n, selection, max_pairs=None):
+    """{check: (status, witness, units)} for the SHARED checks of one
+    run_checks call; units are read off each check's own budget."""
+    budgets = {}
+    with monkeypatch.context() as patch:
+        for name in SHARED:
+            def recording(n, rng, budget, check=checks.CHECKS[name], name=name):
+                budgets[name] = budget
+                return check(n, rng, budget)
+            patch.setitem(checks.CHECKS, name, recording)
+        reports = run_checks(n, selection, max_pairs=max_pairs)
+    return {r.name: (r.status, r.witness, budgets[r.name].pairs)
+            for r in reports if r.name in SHARED}
+
+
+class TestSharedFacts:
+    @pytest.mark.parametrize("n", [4, 6, 7])
+    def test_alone_as_under_all(self, monkeypatch, n):
+        # A check charges the units of a shared fact whether it derives
+        # the fact or finds it derived, so it reports the same verdict,
+        # witness and units alone as among all checks, and a cap one unit
+        # short stops it either way. A check with no units, such as
+        # identities here, has no cap to test.
+        together = _recorded_run(monkeypatch, n, "all")
+        for name in SHARED:
+            status, witness, units = together[name]
+            assert (status, witness) == ("pass", None)
+            assert _recorded_run(monkeypatch, n, [name]) == {name: together[name]}
+            if units:
+                for selection in ([name], "all"):
+                    capped = _recorded_run(monkeypatch, n, selection, units - 1)
+                    assert capped[name][0] == "budget-exceeded"
+
+    def test_memo_lives_for_one_call(self, monkeypatch):
+        selection = ["gb-a", "sum-equals-colon", "identities"]
+        assert [r.status for r in run_checks(6, selection)] == ["pass"] * 3
+        assert checks._memo is None
+        # The chain proof is keyed by n alone, so a corrupted chain that
+        # still passed would show a proof outliving its call.
+        original_G, original_chains = fam.set_G, fam.chain_g
+        monkeypatch.setattr(checks.fam, "set_G",
+                            lambda n: original_G(n) + [fam.standard_ring(n).x(1)])
+        assert [(r.status, r.witness) for r in run_checks(6, selection[:2])] == [
+            ("fail", checks._UNPROVEN_G)] * 2
+
+        def doubled(n):
+            chains = original_chains(n)
+            chains[0][3] = 2 * chains[0][3]
+            return chains
+
+        monkeypatch.setattr(checks.fam, "chain_g", doubled)
+        assert [(r.status, r.witness) for r in run_checks(6, selection)] == [
+            ("fail", "first chain recurrence fails at i=2")] * 3
+
+    def test_keys_hold_what_each_check_read(self, monkeypatch):
+        # x1 joins M_2 in M_polys only: gb-sum reads G_union_M and derives
+        # the core first, and sum-equals-colon, reading M_polys, must not
+        # find that core under its own monomials.
+        original = fam.M_polys
+        R = fam.standard_ring(4)
+        monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
+            original(n, i) + [R.x(1)] if i == 2 else original(n, i)))
+        alone = run_checks(4, ["sum-equals-colon"])
+        together = run_checks(4, ["gb-sum", "sum-equals-colon"])
+        assert together[0].status == "pass"
+        assert (together[1].status, together[1].witness) == (
+            alone[0].status, alone[0].witness)
+        assert alone[0].witness.startswith("containment fails: (x1) * ")
+
+    def test_shared_charges_the_recorded_units(self, monkeypatch):
+        def compute(budget):
+            budget.tick()
+            budget.tick()
+            return "fact"
+
+        monkeypatch.setattr(checks, "_memo", {})
+        # A computation that raises stores nothing.
+        capped = Budget(max_pairs=1)
+        with pytest.raises(BudgetExceeded):
+            checks._shared("k", capped, lambda: compute(capped))
+        assert checks._memo == {}
+        budget = Budget()
+        assert checks._shared("k", budget, lambda: compute(budget)) == "fact"
+        assert checks._memo == {"k": ("fact", 2)}
+        hit = Budget()
+        assert checks._shared("k", hit, lambda: pytest.fail("recomputed")) == "fact"
+        assert hit.pairs == 2
+        with pytest.raises(BudgetExceeded, match="work budget of 1 units"):
+            checks._shared("k", Budget(max_pairs=1), lambda: pytest.fail("recomputed"))
+
+    def test_charge_raises_where_ticks_would(self):
+        for units in range(5):
+            ticked, charged = Budget(max_pairs=3), Budget(max_pairs=3)
+            ticked.pairs = charged.pairs = 1
+            outcomes = []
+            for budget, step in ((ticked, lambda b: [b.tick() for _ in range(units)]),
+                                 (charged, lambda b: b.charge(units))):
+                try:
+                    step(budget)
+                    outcomes.append(("ok", budget.pairs))
+                except BudgetExceeded as exc:
+                    outcomes.append((str(exc), budget.pairs))
+            assert outcomes[0] == outcomes[1]
+        # The deadline is checked even for no units.
+        with pytest.raises(BudgetExceeded, match="timeout"):
+            Budget(timeout_secs=0).charge(0)
+
+
+def _pack_identities(identities):
+    """Polynomial identities in the packed form of
+    `checks._telescoping_identities`: each product with cofactor 1, every
+    identity scaled by its own lcm of denominators."""
+    packing = _packing(identities[0][3].ring.nvars)
+    out = []
+    for name, i, j, lhs, summands, lead in identities:
+        lhs_terms, *terms = checks._packed_terms([lhs, *summands], packing)
+        out.append((name, i, j, (0, lhs_terms), [(0, t) for t in terms],
+                    packing.pack(lead)))
+    return out
+
+
+def _expand(product) -> dict:
+    d = {}
+    u, terms = product
+    _add_scaled(d, terms, u, 1)
+    return d
+
+
+def _drop_summand(lhs, summands, lead):
+    return lhs, summands[:-1]
+
+
+def _times_x1(lhs, summands, lead):
+    x1 = lhs.ring.x(1)
+    return lhs * x1, [s * x1 for s in summands]
+
+
+def _cancelling_pair(lhs, summands, lead):
+    h = lhs.ring.from_monomial(lead) * lhs.ring.x(1)
+    return lhs, [*summands, h, -h]
+
+
+class TestTelescoping:
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_packed_identities_match_the_oracle(self, n):
+        chains = fam.chain_g(n)
+        packed = list(checks._telescoping_identities(n, fam.standard_ring(n), *chains))
+        oracle = telescoping_identities(n, *chains)
+        assert len(packed) == len(oracle) == n * (n - 1)
+        for got, want in zip(packed, _pack_identities(oracle)):
+            assert got[:3] == want[:3] and got[5] == want[5]
+            assert _expand(got[3]) == _expand(want[3])
+            assert [_expand(s) for s in got[4]] == [_expand(s) for s in want[4]]
+        assert checks._telescoping_witness(packed, Budget()) is None
+        assert telescoping_witness(oracle) is None
+
+    @pytest.mark.parametrize("k, corrupt, witness", [
+        (3, _drop_summand, "first telescoping identity fails at (i,j)=(1,5)"),
+        (12, _times_x1, "leading monomial of second identity wrong at (4,1)"),
+        (15, _cancelling_pair, "summand exceeds leading monomial at (4,2)")])
+    def test_corrupted_identity(self, k, corrupt, witness):
+        # Identity k corrupted three ways, one per witness: a summand
+        # dropped; lhs and summands times x1, which keeps the identity but
+        # not its leading monomial; and h - h added, with h above the lead.
+        identities = telescoping_identities(5, *fam.chain_g(5))
+        name, i, j, lhs, summands, lead = identities[k]
+        identities[k] = (name, i, j, *corrupt(lhs, summands, lead), lead)
+        assert telescoping_witness(identities) == witness
+        assert checks._telescoping_witness(_pack_identities(identities),
+                                           Budget()) == witness
+
+    def test_fractional_chain_element(self):
+        # g_{1,3} / 2: every input is scaled by 2, and the identities
+        # through g_{1,3} fail as on Polynomials.
+        g1, g2 = fam.chain_g(5)
+        g1[3] = g1[3] * Fraction(1, 2)
+        ring = fam.standard_ring(5)
+        got = checks._telescoping_witness(
+            checks._telescoping_identities(5, ring, g1, g2), Budget())
+        assert got == telescoping_witness(telescoping_identities(5, g1, g2))
+        assert got == "first telescoping identity fails at (i,j)=(1,4)"
+
+    def test_packed_terms_share_one_scale(self):
+        R = fam.standard_ring(4)
+        f, g = R.x(1) - R.y(2), R.z(1)
+        packing = _packing(R.nvars)
+        assert checks._packed_terms([f * Fraction(1, 2), g * Fraction(2, 3)],
+                                    packing) == checks._packed_terms(
+            [f * 3, g * 4], packing)
 
 
 class TestQualifyingBinomials:

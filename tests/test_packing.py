@@ -13,6 +13,7 @@ must raise, never wrap, in each block separately.
 """
 
 import heapq
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -24,8 +25,9 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from detlink import groebner
 from detlink.groebner import (LIMIT, Budget, BudgetExceeded, GBStats,
                               _groebner_prims, _IntReducer, _packing,
-                              _prim_from_dict, divide, is_groebner_basis,
-                              reduced_groebner_basis, s_polynomial)
+                              _prim_from_dict, _prim_from_poly, divide,
+                              is_groebner_basis, reduced_groebner_basis,
+                              s_polynomial)
 from detlink.rings import Monomial, Ring
 
 from conftest import random_nonzero_poly
@@ -122,6 +124,23 @@ def _near_limit_monomials(draw):
 def test_degree_is_total_degree(drawn):
     packing, a = drawn
     assert packing.degree(packing.pack(a)) == a.deg
+
+
+@pytest.mark.parametrize("coeff", [1, -3, Fraction(5, 7)])
+def test_one_term_prim_is_the_general_prim(coeff):
+    # The prim of c*m is m with coefficient 1: the general path's integer
+    # scaling and content division, done here by `_prim_from_dict`, give
+    # the same. A monomial past the limit still raises.
+    R = Ring(2)
+    packing = _packing(R.nvars)
+    m = R.monomial((2, 0, 1, 0, 0, 3))
+    c = Fraction(coeff)
+    prim = _prim_from_poly(R.from_monomial(m, c), packing)
+    assert prim == _prim_from_dict({packing.pack(m): c.numerator})
+    assert prim == ((packing.pack(m), 1),)
+    past = R.from_monomial(R.monomial((LIMIT, 0, 0, 0, 0, 0)), c)
+    with pytest.raises(OverflowError, match="2\\^15"):
+        _prim_from_poly(past, packing)
 
 
 @pytest.mark.parametrize("nvars, head", [layout for layout in LAYOUTS if layout[1]])
