@@ -69,7 +69,6 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import islice
 from math import gcd as _igcd
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -442,12 +441,9 @@ class _IntReducer:
                 raise _overflow()
             idx = memo.get(m, -1)
             if idx < 0:
-                start = ~idx
-                for lm in islice(lms, start, None) if start else lms:
-                    if not (m - lm) & guard:
-                        # Equal leading monomials divide alike, so the first
-                        # equal one from `start` on is the one just found.
-                        idx = lms.index(lm, start)
+                # Scan from where the last miss stopped; the first hit is kept.
+                for idx in range(~idx, len(lms)):
+                    if not (m - lms[idx]) & guard:
                         break
                 else:
                     memo[m] = ~len(lms)
@@ -608,6 +604,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
     with_key = packing.with_key
     degree = packing.degree
+    top = FIELD - 1
 
     G = []
     lms: list[int] = []
@@ -628,6 +625,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         stats.pairs_pushed += 1
 
     def install(prim, sugar: int, block=None) -> None:
+        nonlocal active
         j = len(G)
         lm = prim[0][0]
         e = lm & exp_mask
@@ -645,54 +643,83 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
             return
         # lcm(in(g_i), in(h)) on the exponent fields alone, by the SWAR
         # pick of `_Packing.lcm`; a field stays below 2^15, so none overflows.
+        # It is formed only where a criterion needs it: for a pending pair
+        # whose lcm in(h) divides, and for each active element.
         eg = e | exp_guard
-        with_h = []
-        for ei in exps[:j]:
-            d = eg - ei
-            g = d & exp_guard
-            with_h.append(ei + (d & (g - (g >> (FIELD - 1)))))
+        chain = coprime_dropped = 0
         for entry in heap:
             lcm = entry[4]
-            if (lcm is not None and not (lcm - e) & exp_guard
-                    and lcm != with_h[entry[2]] and lcm != with_h[entry[3]]):
-                entry[4] = None
-                stats.discarded_chain += 1
-        by_lcm: dict[int, list[int]] = {}
+            if lcm is None or (lcm - e) & exp_guard:
+                continue
+            ei = exps[entry[2]]
+            d = eg - ei
+            g = d & exp_guard
+            if lcm == ei + (d & (g - (g >> top))):
+                continue
+            ei = exps[entry[3]]
+            d = eg - ei
+            g = d & exp_guard
+            if lcm == ei + (d & (g - (g >> top))):
+                continue
+            entry[4] = None
+            chain += 1
+        # One pass over the active elements groups them by lcm, as
+        # lcm -> [first i, size, coprime count, same-block flag], and keeps
+        # those whose leading monomial in(h) does not divide, i.e. whose lcm
+        # with in(h) is not their own leading monomial.
+        groups: dict[int, list] = {}
+        kept = []
+        blocked = block is not None
         for i in active:
-            if not supports[i] & support and (lms[i] + lm) & guard:
+            ei = exps[i]
+            d = eg - ei
+            g = d & exp_guard
+            lcm = ei + (d & (g - (g >> top)))
+            if lcm != ei:
+                kept.append(i)
+            coprime = not supports[i] & support
+            if coprime and (lms[i] + lm) & guard:
                 # A coprime product past the limit, in the order key: it
                 # can neither equal nor divide a valid lcm, so M and F need
                 # not see it.
-                stats.discarded_coprime += 1
+                coprime_dropped += 1
+                continue
+            same = blocked and origin[i] == block
+            group = groups.get(lcm)
+            if group is None:
+                groups[lcm] = [i, 1, coprime, same]
             else:
-                by_lcm.setdefault(with_h[i], []).append(i)
+                group[1] += 1
+                group[2] += coprime
+                group[3] = group[3] or same
         minimal: list[int] = []
         survivors = []
         # A proper divisor has no larger exponent field, so it is the
         # smaller int: ascending, every proper divisor of an lcm comes first.
-        for lcm in sorted(by_lcm):
-            group = by_lcm[lcm]
+        for lcm in sorted(groups):
+            i, size, coprime, same = groups[lcm]
             for m in minimal:
                 if not (lcm - m) & exp_guard:
-                    stats.discarded_chain += len(group)
+                    chain += size
                     break
             else:
                 minimal.append(lcm)
-                coprime = sum(1 for i in group if not supports[i] & support)
                 if coprime:
-                    stats.discarded_coprime += coprime
-                    stats.discarded_chain += len(group) - coprime
-                elif block is not None and any(origin[i] == block for i in group):
-                    stats.discarded_chain += len(group)
+                    coprime_dropped += coprime
+                    chain += size - coprime
+                elif same:
+                    chain += size
                 else:
-                    stats.discarded_chain += len(group) - 1
-                    survivors.append((with_key(lcm), group[0]))
+                    chain += size - 1
+                    survivors.append((with_key(lcm), i))
+        stats.discarded_chain += chain
+        stats.discarded_coprime += coprime_dropped
         # In term order, so the heap's layout does not depend on the int
         # order of the exponent fields the groups were visited in.
         for lcm, i in sorted(survivors):
             push(lcm, i, j)
-        active[:] = [i for i in active if (exps[i] - e) & exp_guard]
-        active.append(j)
+        kept.append(j)
+        active = kept
 
     seen = set()
     for prim, block in zip(prims, blocks or [None] * len(prims)):

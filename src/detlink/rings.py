@@ -225,9 +225,12 @@ class Ring:
 
 
 class Polynomial:
-    """Terms strictly descending under the ring's order; () represents 0."""
+    """Terms strictly descending under the ring's order; () represents 0.
 
-    __slots__ = ("ring", "terms")
+    A polynomial is immutable: nothing writes `terms` after `__init__`, so
+    its hash is computed on first use and kept in `_hash`."""
+
+    __slots__ = ("ring", "terms", "_hash")
 
     def __init__(self, ring: Ring, terms: tuple[Term, ...]):
         self.ring = ring
@@ -351,7 +354,11 @@ class Polynomial:
                 and self.terms == other.terms)
 
     def __hash__(self) -> int:
-        return hash((self.ring, self.terms))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.ring, self.terms))
+            return self._hash
 
     def __str__(self) -> str:
         return self.ring.format(self)

@@ -1,10 +1,15 @@
+import functools
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
-from detlink.groebner import _packing, _prim_from_dict, _prim_from_poly
+from detlink import groebner, idealops
+from detlink.groebner import (GBStats, Ideal, _packing, _prim_from_dict,
+                              _prim_from_poly)
 from detlink.rings import Monomial, Ring
+from reference import quotient_in_order
 
 
 @pytest.fixture
@@ -54,3 +59,44 @@ def elimination_input(fs, gs):
     prims += [_prim_from_dict(dict(lift(g, 0) + [(m, -c) for m, c in lift(g, 1)]))
               for g in gs]
     return prims, epacking
+
+
+def fold_orders(gens):
+    """gens in the order given, reversed, and in three seeded shuffles."""
+    gens = list(gens)
+    return [gens, gens[::-1]] + [random.Random(seed).sample(gens, len(gens))
+                                 for seed in range(3)]
+
+
+def assert_fold_order_free(I, gens) -> None:
+    """I : (gens) by `quotient` equals the given-order fold of `reference`
+    under each of `fold_orders`, and `quotient` under each order too."""
+    ring = I.ring
+    want = idealops.quotient(I, Ideal(ring, gens)).gens
+    for order in fold_orders(gens):
+        assert quotient_in_order(I, order).gens == want
+        assert idealops.quotient(I, Ideal(ring, order)).gens == want
+
+
+def count_gb_stats(monkeypatch) -> GBStats:
+    """GBStats summed over every `_groebner_prims` call from now on, both
+    the reduced bases of `groebner` and the eliminations of `idealops`."""
+    real = groebner._groebner_prims
+    signature = inspect.signature(real)
+    total = GBStats()
+
+    @functools.wraps(real)
+    def counting(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        stats = bound.arguments.get("stats")
+        if stats is None:
+            bound.arguments["stats"] = stats = GBStats()
+        before = dict(vars(stats))
+        out = real(*bound.args, **bound.kwargs)
+        for name, count in before.items():
+            setattr(total, name, getattr(total, name) + getattr(stats, name) - count)
+        return out
+
+    monkeypatch.setattr(groebner, "_groebner_prims", counting)
+    monkeypatch.setattr(idealops, "_groebner_prims", counting)
+    return total

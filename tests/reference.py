@@ -17,6 +17,9 @@ agree with them on status and witness. `telescoping_identities` and
 `telescoping_witness` are the telescoping part of `identities` as it was
 before it ran on packed monomials: `Polynomial` products, their sum
 compared with the left-hand side, and `Monomial.key` comparisons.
+`quotient_in_order` is the colon fold visiting J's generators in the
+order given, as it ran before `quotient` sorted them by leading monomial;
+`quotient` must match it under any order.
 """
 
 from __future__ import annotations
@@ -28,9 +31,11 @@ from typing import Mapping, Optional, Union
 import detlink.families as fam
 from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
 from detlink.families import _link, standard_ring, window_products, xyz_monomial
-from detlink.groebner import (Budget, Ideal, _first_product_outside,
-                              ideal_equal, interreduce, is_groebner_basis)
-from detlink.idealops import quotient
+from detlink.groebner import (Budget, Ideal, _first_prim_product_outside,
+                              _first_product_outside, _interreduce, _packing,
+                              _prim_from_dict, _product, ideal_equal,
+                              interreduce, is_groebner_basis)
+from detlink.idealops import _exact_quotient, _intersect_prims, quotient
 from detlink.rings import Monomial, Polynomial, Ring, Scalar
 
 
@@ -218,6 +223,26 @@ def check_sum_equals_colon_full(n: int,
     if not ideal_equal(Q, fam.sum_links_ideal(n), budget):
         return FAIL, "colon of the full family differs from the sum of links"
     return PASS, None
+
+
+# -- the colon fold in a given order ----------------------------------------
+
+
+def quotient_in_order(I: Ideal, gens) -> Ideal:
+    """I : (gens) by the colon fold over the nonzero polynomials gens in
+    the order given: out starts as the unit ideal, and each g with
+    g*out not in I sets out to (I ∩ g*out) / g."""
+    ring = I.ring
+    packing = _packing(ring.nvars)
+    out = [((0, 1),)]
+    for g in Ideal(ring, gens)._packed_gens():
+        if _first_prim_product_outside([g], out, I) is None:
+            continue
+        g_out = [_prim_from_dict(_product(g, h)) for h in out]
+        meet = _intersect_prims(ring, (I._packed_basis(), g_out), (True, True))
+        out = _interreduce([_exact_quotient(w, g, packing.guard) for w in meet],
+                           packing)
+    return Ideal._from_prims(ring, out)
 
 
 # -- the telescoping identities on Polynomials -------------------------------

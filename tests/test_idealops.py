@@ -1,21 +1,25 @@
 """Intersection, colon, dimension and height."""
 
 import itertools
+import random
 
 import pytest
 
 from detlink import groebner, idealops
-from detlink.families import (M_polys, chain_ideal, delta, gens_a, minors_ideal,
-                              set_G, standard_ring, sub_a)
+from detlink.checks import run_checks
+from detlink.families import (M_polys, chain_ideal, delta, gens_a,
+                              generic_residual, minors_ideal, set_G,
+                              standard_ring, sub_a)
 from detlink.graphs import _minimal_primes, _minimal_sets, replay_avoidance_argument
-from detlink.groebner import (Budget, BudgetExceeded, Ideal,
+from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
                               _first_product_outside, ideal_equal,
                               interreduce, member)
 from detlink.idealops import (dimension, height, intersect, quotient,
                               quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
 
-from conftest import random_nonzero_poly, random_poly
+from conftest import (assert_fold_order_free, count_gb_stats,
+                      random_nonzero_poly, random_poly)
 from reference import support
 
 
@@ -128,19 +132,22 @@ class TestQuotient:
 
     def test_fold_eliminates_where_g_out_leaves_I(self, monkeypatch):
         # The colon so far, out, starts as (1), and each generator g with
-        # g*out not in I runs one elimination: out <- (I ∩ g*out) / g.
-        # (x1):(y1) = (x1) is mapped into (x1) by z1 and y1 + z1, so only y1
-        # eliminates. (x1^2, x1*y1):(x1) = (x1, y1) is not mapped into I by
-        # y1, nor (x1*y1, x2*y2):(x1) = (y1, x2*y2) by x2: two eliminations
-        # each. (0):J is (0) after its first generator, and no product with
-        # (0) leaves I. x1 lies in (x1, y1^2): skipped. J = (1) gives I, and
-        # a J inside I leaves the unit ideal.
+        # g*out not in I runs one elimination: out <- (I ∩ g*out) / g. The
+        # generators are visited by ascending leading monomial, ties in the
+        # order given, so z1 < y1 < x2 < x1. (x1):(z1) = (x1) is mapped into
+        # (x1) by y1 and y1 + z1, so only z1 eliminates. (x1^2, x1*y1):(y1)
+        # = (x1) is mapped into I by x1: one elimination. (x1*y1, x2*y2):(x2)
+        # = (y2, x1*y1) is not mapped into I by x1: two eliminations. (0):J
+        # is (0) after its first generator, and no product with (0) leaves
+        # I. (x1, y1^2):(y1) = (x1, y1) is mapped into I by x1: one
+        # elimination. J = (1) gives I, and a J inside I leaves the unit
+        # ideal.
         R = standard_ring(4)
         x1, y1, z1, x2, y2 = R.x(1), R.y(1), R.z(1), R.x(2), R.y(2)
-        cases = [(Ideal(R, [x1]), [y1, z1, y1 + z1], [y1]),
-                 (Ideal(R, [x1 ** 2, x1 * y1]), [x1, y1], [x1, y1]),
-                 (Ideal(R, [x1 * y1, x2 * y2]), [x1, x2], [x1, x2]),
-                 (Ideal(R, []), [x1, y1], [x1]),
+        cases = [(Ideal(R, [x1]), [y1, z1, y1 + z1], [z1]),
+                 (Ideal(R, [x1 ** 2, x1 * y1]), [x1, y1], [y1]),
+                 (Ideal(R, [x1 * y1, x2 * y2]), [x1, x2], [x2, x1]),
+                 (Ideal(R, []), [x1, y1], [y1]),
                  (Ideal(R, [x1, y1 ** 2]), [x1, y1], [y1]),
                  (Ideal(R, [x1 ** 2, x1 * y1]), [R.one], [R.one]),
                  (Ideal(R, [x1, y1]), [x1, y1 - x1], [])]
@@ -160,6 +167,7 @@ class TestQuotient:
             assert eliminated == [groebner._prim_from_poly(g, packing)
                                   for g in eliminating]
             assert len(tested) == len(gens)
+            assert tested == sorted(tested, key=lambda g: g[0][0])
             # The intersection of the principal colons I:(g), each found
             # as (I ∩ (g)) / g with the public intersect and divide.
             explicit = None
@@ -172,6 +180,62 @@ class TestQuotient:
             assert Q.gens == explicit.groebner()
             assert quotient_by_poly(I, gens[0]).groebner() == (
                 quotient(I, Ideal(R, gens[:1])).groebner())
+
+
+def _full_family(n):
+    ring = standard_ring(n)
+    return Ideal.with_basis(ring, gens_a(n).gens, interreduce(set_G(n)))
+
+
+def _probe_draws(count):
+    # The first draws of `detlink verify --n 4 --seed 0`'s probe stream.
+    rng = random.Random("0/random-specialization")
+    return [generic_residual(4, [[rng.randint(-50, 50) for _ in range(4)]
+                                 for _ in range(6)])
+            for _ in range(count)]
+
+
+FOLD_CASES = {
+    "links n=4": lambda: [(sub_a(4, i), minors_ideal(4)) for i in range(1, 5)],
+    "links n=5": lambda: [(sub_a(5, i), minors_ideal(5)) for i in range(1, 6)],
+    "chain(5) : I_2": lambda: [(chain_ideal(5), minors_ideal(5))],
+    "full family n=5": lambda: [(_full_family(5), minors_ideal(5))],
+    "probe draws 1, 2 of seed 0": lambda: _probe_draws(2),
+}
+
+
+class TestFoldOrder:
+    """The fold's order changes its cost, not its result: `quotient`
+    matches the fold in the order given, under five orders of J."""
+
+    @pytest.mark.parametrize("case", FOLD_CASES)
+    def test_matches_given_order_fold(self, case):
+        for I, J in FOLD_CASES[case]():
+            assert_fold_order_free(I, J.gens)
+
+    # The pass totals below sum every Buchberger run, reduced bases and
+    # eliminations alike.
+
+    def test_colon_pass_totals_pinned(self, monkeypatch):
+        total = count_gb_stats(monkeypatch)
+        reports = run_checks(5, ["links", "section2", "sum-equals-colon"], seed=0)
+        assert [r.status for r in reports] == ["pass"] * 3
+        assert total == GBStats(pairs_pushed=1879, pairs_processed=1788,
+                                discarded_coprime=125, discarded_chain=8557,
+                                zero_reductions=1461, basis_added=327)
+
+    def test_probe_pass_totals_pinned(self, monkeypatch):
+        # The first seed-0 matrix passes the height filter at its first draw.
+        total = count_gb_stats(monkeypatch)
+        (aB, I), = _probe_draws(1)
+        Q = quotient(aB, I)
+        assert height(Q) == 4
+        parts = [quotient(Ideal(aB.ring, aB.gens[:i] + aB.gens[i + 1:]), I)
+                 for i in range(4)]
+        assert ideal_equal(Q, sum_ideals(*parts))
+        assert total == GBStats(pairs_pushed=423, pairs_processed=388,
+                                discarded_coprime=1, discarded_chain=1207,
+                                zero_reductions=282, basis_added=106)
 
 
 class TestExactQuotient:

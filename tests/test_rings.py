@@ -154,6 +154,21 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             Ring(3).x(1) + Ring(4).x(1)
 
+    def test_equal_polynomials_hash_alike(self, rng):
+        # The hash is kept after its first use; built apart, equal
+        # polynomials still hash alike, and as the pair (ring, terms).
+        R = Ring(2)
+        for _ in range(60):
+            f, g = random_poly(R, rng), random_poly(R, rng)
+            for p in (f * g, g * f, (f + g) * (f - g), f * f - g * g):
+                assert hash(p) == hash(p) == hash((R, p.terms))
+            assert f * g == g * f and hash(f * g) == hash(g * f)
+            assert (f + g) * (f - g) == f * f - g * g
+            assert hash((f + g) * (f - g)) == hash(f * f - g * g)
+        # Equal rings built apart give equal polynomials and equal hashes.
+        assert hash(Ring(3).x(1) * Ring(3).y(2)) == hash(Ring(3).y(2) * Ring(3).x(1))
+        assert len({delta(1, 2, 4), delta(1, 2, 4) * 1, -(-delta(1, 2, 4))}) == 1
+
 
 class TestLeadingTerm:
     def test_pinned(self):
