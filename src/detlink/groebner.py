@@ -55,9 +55,11 @@ On homogeneous input sugar is the degree, and the order is the normal one.
 The loop may start from inputs known to form Groebner bases: the
 eliminations of `idealops` pass each side's Groebner basis, times t or
 1 - t, as a block, and no pair inside a block is pushed, since each has a
-standard representation already (`_groebner_prims` says why the criteria
-stay sound). An elimination interreduces only the elements whose leading
-monomial is free of t.
+standard representation already. Nor is a pair of a new t-free element
+with a block element: the t-free element lies in both sides' ideals, so
+that pair too has a standard representation by the block (`_groebner_prims`
+says why the criteria stay sound). An elimination interreduces only the
+elements whose leading monomial is free of t.
 """
 
 from __future__ import annotations
@@ -137,8 +139,10 @@ class GBStats:
     discarded_coprime: new pairs dropped at installation because their
         leading monomials are coprime (product criterion).
     discarded_chain: pairs dropped by the other Gebauer-Moller criteria,
-        at installation (M, F) or later by a new element (B_k), and new
-        pairs inside an input block known to be a Groebner basis.
+        at installation (M, F) or later by a new element (B_k); new pairs
+        inside an input block known to be a Groebner basis; and, in an
+        elimination, new pairs of a t-free element with a block element
+        (`_groebner_prims` says why both have standard representations).
     zero_reductions: S-polynomials that reduced to zero.
     basis_added: S-polynomials whose nonzero remainder joined the basis.
     """
@@ -319,9 +323,15 @@ def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
 
 
 def _monic_from_prims(prims, ring: Ring) -> tuple[Polynomial, ...]:
+    """The monic polynomials of prims of ring's packing, each keeping its
+    prim in `_prim` for `Ideal._packed_basis`."""
     unpack = _packing(ring.nvars).unpack
-    return tuple(Polynomial(ring, tuple(Term(Fraction(c, p[0][1]), unpack(m))
-                                        for m, c in p)) for p in prims)
+    out = []
+    for p in prims:
+        f = Polynomial(ring, tuple(Term(Fraction(c, p[0][1]), unpack(m)) for m, c in p))
+        f._prim = p
+        out.append(f)
+    return tuple(out)
 
 
 def _add_scaled(d: dict, terms, u: int, k: int) -> None:
@@ -596,8 +606,25 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     and F still run over all active elements, so a member of the same
     block may still witness M or F; that is sound because its pair with
     the new element has a standard representation, as a reduced pair has.
-    Remainders belong to no block. criteria=False ignores `blocks` and
-    stays the reference path.
+    Remainders belong to no block.
+
+    With `eliminate` as well, the blocks whose leading monomials meet the
+    mask must be those `_intersect_prims` builds: t*G_A and (t-1)*G_B, with
+    G_A and G_B Groebner bases of ideals A and B, the elimination ideal
+    being tA + (1-t)B. Every t-free element w of it lies in A ∩ B. Let p
+    be in G_A or G_B and l = lcm(in p, in w); the pair's lcm is t*l.
+    - For p in G_A: S(t*p, w) = t*S(p, w), and S(p, w) lies in A, so it
+      has a standard representation by G_A; times t, one by t*G_A below
+      t*l.
+    - For p in G_B: with a standard representation S(p, w) = sum q_k p_k
+      by G_B, S((t-1)*p, w) = sum q_k (t-1)*p_k - c*(l / in w)*w for the
+      scalar c = lc(p), and every term is below t*l.
+    So with the criteria on, when a t-free element is installed, a group
+    of new pairs with one lcm that holds a block element whose leading
+    monomial meets the mask is dropped whole, as for a same-block member,
+    and its pairs count as discarded_chain. No unblocked element (block
+    None) and no t-free element sets this off. criteria=False ignores
+    `blocks` and stays the reference path.
     """
     budget = budget or Budget()
     stats = stats if stats is not None else GBStats()
@@ -664,12 +691,15 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
             entry[4] = None
             chain += 1
         # One pass over the active elements groups them by lcm, as
-        # lcm -> [first i, size, coprime count, same-block flag], and keeps
+        # lcm -> [first i, size, coprime count, represented flag], and keeps
         # those whose leading monomial in(h) does not divide, i.e. whose lcm
-        # with in(h) is not their own leading monomial.
+        # with in(h) is not their own leading monomial. A pair is
+        # represented when i is in h's block, or when h is t-free and i is
+        # a block element with t in its leading monomial.
         groups: dict[int, list] = {}
         kept = []
         blocked = block is not None
+        t_free = eliminate and not lm & eliminate
         for i in active:
             ei = exps[i]
             d = eg - ei
@@ -684,20 +714,21 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                 # not see it.
                 coprime_dropped += 1
                 continue
-            same = blocked and origin[i] == block
+            represented = ((blocked and origin[i] == block)
+                           or (t_free and origin[i] is not None and lms[i] & eliminate))
             group = groups.get(lcm)
             if group is None:
-                groups[lcm] = [i, 1, coprime, same]
+                groups[lcm] = [i, 1, coprime, represented]
             else:
                 group[1] += 1
                 group[2] += coprime
-                group[3] = group[3] or same
+                group[3] = group[3] or represented
         minimal: list[int] = []
         survivors = []
         # A proper divisor has no larger exponent field, so it is the
         # smaller int: ascending, every proper divisor of an lcm comes first.
         for lcm in sorted(groups):
-            i, size, coprime, same = groups[lcm]
+            i, size, coprime, represented = groups[lcm]
             for m in minimal:
                 if not (lcm - m) & exp_guard:
                     chain += size
@@ -707,7 +738,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                 if coprime:
                     coprime_dropped += coprime
                     chain += size - coprime
-                elif same:
+                elif represented:
                     chain += size
                 else:
                     chain += size - 1
@@ -962,7 +993,8 @@ class Ideal:
     def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:
         if self._basis_prims is None:
             packing = _packing(self.ring.nvars)
-            self._basis_prims = tuple(_prim_from_poly(g, packing) for g in self.groebner(budget))
+            self._basis_prims = tuple(getattr(g, "_prim", None) or _prim_from_poly(g, packing)
+                                      for g in self.groebner(budget))
         return self._basis_prims
 
     def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
@@ -1039,11 +1071,12 @@ def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
 
 
 def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
-    """Mutual membership of generators."""
+    """Equality of the packed reduced bases, which are unique and whose
+    prims are canonical. J's basis is computed first, then I's."""
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
-    return (all(member(g, J, budget) for g in I.gens)
-            and all(member(g, I, budget) for g in J.gens))
+    J._packed_basis(budget)
+    return I._packed_basis(budget) == J._packed_basis(budget)
 
 
 def initial_ideal(I: Ideal, budget: Optional[Budget] = None) -> Ideal:

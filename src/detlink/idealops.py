@@ -11,9 +11,11 @@ is a known Groebner basis (a cached reduced basis) enters as a block, and
 the elimination reduces no pair inside it. A colon I : J is a fold over
 the generators g of J, by ascending leading monomial, with one elimination
 per step: the colon so far, out, becomes (I ∩ g*out) / g, and a g with
-g*out ⊆ I is skipped. Both run on packed prims (see `groebner`)
-throughout, so embedding, multiplying by t and stripping t are shifts and
-adds; results build `Polynomial`s on use.
+g*out ⊆ I is skipped. The skip test multiplies g only into the kept part
+of out, the elements outside I plus the kept ones before them. Both run
+on packed prims (see `groebner`) throughout, so embedding, multiplying by
+t and stripping t are shifts and adds; results build `Polynomial`s on
+use.
 
 Dimension is nvars minus the minimum vertex cover of the supports of the
 initial ideal's generators, found by branch and bound; a greedy set of
@@ -24,9 +26,10 @@ from __future__ import annotations
 
 from typing import Iterable, Optional
 
-from .groebner import (FIELD, Budget, Ideal, _add_scaled,
+from .groebner import (FIELD, Budget, Ideal, _add_scaled, _Divisors,
                        _first_prim_product_outside, _groebner_prims,
-                       _interreduce, _packing, _prim_from_dict, _product)
+                       _interreduce, _IntReducer, _packing, _prim_from_dict,
+                       _product)
 from .rings import Polynomial, Ring
 
 
@@ -97,21 +100,44 @@ def _exact_quotient(g, f, guard: int) -> tuple:
     return tuple(q)
 
 
+def _kept_part(I: Ideal, out, budget: Optional[Budget] = None) -> list:
+    """The elements of the prims out, by ascending leading monomial, that
+    do not lie in I + (the elements kept before them). Each is reduced by
+    I's reduced basis followed by the remainders kept so far: a zero
+    remainder proves membership for any divisor list, and a nonzero one
+    joins the divisors."""
+    packing = _packing(I.ring.nvars)
+    reducer = _IntReducer(packing, _Divisors(I._packed_basis(budget)), budget)
+    kept = []
+    for h in reversed(out):
+        rem = reducer.reduce(dict(h))
+        if rem:
+            reducer.append(_prim_from_dict(rem))
+            kept.append(h)
+    return kept
+
+
 def _colon(I: Ideal, gens, budget: Optional[Budget] = None) -> Ideal:
     """I : (gens) for nonzero prims gens of I's ring; `quotient` says how.
     The prims are visited by ascending leading monomial, which packed ints
-    compare as grevlex; ties keep the order given."""
+    compare as grevlex; ties keep the order given. The skip test runs on
+    the kept part of out (`_kept_part`), formed after an elimination and
+    only once a later generator is tested; the starting out = (1) is
+    tested whole."""
     ring = I.ring
     packing = _packing(ring.nvars)
-    out = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
+    out = kept = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
     for g in sorted(gens, key=lambda g: g[0][0]):
-        if _first_prim_product_outside([g], out, I, budget) is None:
+        if kept is None:
+            kept = _kept_part(I, out, budget)
+        if _first_prim_product_outside([g], kept, I, budget) is None:
             continue
         g_out = [_prim_from_dict(_product(g, h)) for h in out]
         meet = _intersect_prims(ring, (I._packed_basis(budget), g_out),
                                 (True, True), budget)
         out = _interreduce([_exact_quotient(w, g, packing.guard) for w in meet],
                            packing, budget)
+        kept = None
     return Ideal._from_prims(ring, out)
 
 
@@ -137,8 +163,16 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     Groebner basis (see `intersect`): I's reduced basis, and g times out's
     reduced basis, whose S-pairs are g times those of out's basis. A
     generator g with g*out ⊆ I changes nothing, since out ⊆ I : (g), and
-    is skipped; the test multiplies g into out's packed basis and reduces
-    each product by I's basis, which it computes on first use.
+    is skipped. The test needs no product g*h for an h of out's basis that
+    lies in I + (k_1, ..., k_s) for other elements k_j of it: then
+    g*h ∈ g*I + (g*k_1, ..., g*k_s) ⊆ I once every g*k_j is. So out's
+    basis is visited by ascending leading monomial, each element is reduced
+    by I's reduced basis followed by the remainders kept so far, and only
+    the elements with a nonzero remainder are kept; a zero remainder proves
+    membership whatever the divisors. The test multiplies g into the kept
+    elements and reduces each product by I's basis, which it computes on
+    first use. It decides as the test on all of out would, so the result
+    does not change.
 
     The generators are visited by ascending leading monomial. Any order is
     correct: each step keeps out ⊇ I : J, and after the last generator

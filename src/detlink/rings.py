@@ -228,9 +228,10 @@ class Polynomial:
     """Terms strictly descending under the ring's order; () represents 0.
 
     A polynomial is immutable: nothing writes `terms` after `__init__`, so
-    its hash is computed on first use and kept in `_hash`."""
+    its hash is computed on first use and kept in `_hash`. One built from a
+    packed prim by `groebner` keeps that prim in `_prim`."""
 
-    __slots__ = ("ring", "terms", "_hash")
+    __slots__ = ("ring", "terms", "_hash", "_prim")
 
     def __init__(self, ring: Ring, terms: tuple[Term, ...]):
         self.ring = ring

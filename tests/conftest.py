@@ -9,7 +9,7 @@ from detlink import groebner, idealops
 from detlink.groebner import (GBStats, Ideal, _packing, _prim_from_dict,
                               _prim_from_poly)
 from detlink.rings import Monomial, Ring
-from reference import quotient_in_order
+from reference import quotient_all_products, quotient_in_order
 
 
 @pytest.fixture
@@ -76,6 +76,25 @@ def assert_fold_order_free(I, gens) -> None:
     for order in fold_orders(gens):
         assert quotient_in_order(I, order).gens == want
         assert idealops.quotient(I, Ideal(ring, order)).gens == want
+
+
+def assert_matches_all_products(I, J) -> None:
+    """`quotient(I, J)` runs the eliminations of `reference`'s all-products
+    fold, as many, and gives its result: the skip test on the kept part of
+    out makes the same decisions as the test on all of out."""
+    want, eliminations = quotient_all_products(I, J)
+    calls = []
+    real = idealops._intersect_prims
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(idealops, "_intersect_prims", counting)
+        got = idealops.quotient(I, J)
+    assert got.gens == want.gens
+    assert len(calls) == eliminations
 
 
 def count_gb_stats(monkeypatch) -> GBStats:

@@ -19,7 +19,10 @@ before it ran on packed monomials: `Polynomial` products, their sum
 compared with the left-hand side, and `Monomial.key` comparisons.
 `quotient_in_order` is the colon fold visiting J's generators in the
 order given, as it ran before `quotient` sorted them by leading monomial;
-`quotient` must match it under any order.
+`quotient` must match it under any order. `quotient_all_products` is the
+fold in `quotient`'s order with the skip test as it ran before it used
+only the kept part of out: g times every element of out's basis.
+`quotient` must match its result and its number of eliminations.
 """
 
 from __future__ import annotations
@@ -228,21 +231,36 @@ def check_sum_equals_colon_full(n: int,
 # -- the colon fold in a given order ----------------------------------------
 
 
-def quotient_in_order(I: Ideal, gens) -> Ideal:
-    """I : (gens) by the colon fold over the nonzero polynomials gens in
-    the order given: out starts as the unit ideal, and each g with
-    g*out not in I sets out to (I ∩ g*out) / g."""
+def _all_products_fold(I: Ideal, prims) -> tuple[Ideal, int]:
+    """I : (prims) by the colon fold over the prims in the order given,
+    testing g times every element of out's basis; with the number of
+    eliminations it ran."""
     ring = I.ring
     packing = _packing(ring.nvars)
-    out = [((0, 1),)]
-    for g in Ideal(ring, gens)._packed_gens():
+    out, eliminations = [((0, 1),)], 0
+    for g in prims:
         if _first_prim_product_outside([g], out, I) is None:
             continue
         g_out = [_prim_from_dict(_product(g, h)) for h in out]
         meet = _intersect_prims(ring, (I._packed_basis(), g_out), (True, True))
+        eliminations += 1
         out = _interreduce([_exact_quotient(w, g, packing.guard) for w in meet],
                            packing)
-    return Ideal._from_prims(ring, out)
+    return Ideal._from_prims(ring, out), eliminations
+
+
+def quotient_in_order(I: Ideal, gens) -> Ideal:
+    """I : (gens) by the colon fold over the nonzero polynomials gens in
+    the order given: out starts as the unit ideal, and each g with
+    g*out not in I sets out to (I ∩ g*out) / g."""
+    return _all_products_fold(I, Ideal(I.ring, gens)._packed_gens())[0]
+
+
+def quotient_all_products(I: Ideal, J: Ideal) -> tuple[Ideal, int]:
+    """I : J by the colon fold as `quotient` runs it, J's generators by
+    ascending leading monomial, but with the skip test g*out ⊆ I formed on
+    every element of out's basis; with the number of eliminations run."""
+    return _all_products_fold(I, sorted(J._packed_gens(), key=lambda g: g[0][0]))
 
 
 # -- the telescoping identities on Polynomials -------------------------------

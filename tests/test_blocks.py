@@ -32,18 +32,20 @@ from detlink.groebner import (GBStats, Ideal, _groebner_prims,
 from detlink.idealops import quotient, quotient_by_poly
 from detlink.rings import Ring
 
-from conftest import assert_fold_order_free, elimination_input
+from conftest import (assert_fold_order_free, assert_matches_all_products,
+                      elimination_input)
 
 
 T = 0xFFFF     # the exponent field of t, variable 0 of the elimination layout
 
 
-def _all_agree(basis_f, basis_g):
-    """Run t*basis_f + (1-t)*basis_g with both bases as blocks, without
-    blocks and without criteria, and keep only the t-free part with blocks;
-    returns the stats with and without blocks."""
+def _all_agree(basis_f, basis_g, labels=(0, 1)):
+    """Run t*basis_f + (1-t)*basis_g with the sides as blocks labels[0] and
+    labels[1] (None: plain generators), without blocks and without
+    criteria, and keep only the t-free part with blocks; returns the stats
+    with and without blocks."""
     prims, packing = elimination_input(basis_f, basis_g)
-    blocks = [0] * len(basis_f) + [1] * len(basis_g)
+    blocks = [labels[0]] * len(basis_f) + [labels[1]] * len(basis_g)
     plain, blocked = GBStats(), GBStats()
     want = _groebner_prims(prims, packing, stats=plain)
     assert _groebner_prims(prims, packing, stats=blocked, blocks=blocks) == want
@@ -127,7 +129,7 @@ def test_fold_counts_pinned(monkeypatch):
     # chain(5) : I_2 runs three eliminations, each from I_2's reduced basis
     # and g times the colon so far as two blocks, with the minors g visited
     # by ascending leading monomial. Summed over the three; with g*out as
-    # plain generators 96 pairs would be pushed.
+    # plain generators 77 pairs would be pushed.
     calls, total = [], GBStats()
     real = idealops._groebner_prims
 
@@ -142,9 +144,9 @@ def test_fold_counts_pinned(monkeypatch):
     monkeypatch.setattr(idealops, "_groebner_prims", counting)
     assert len(quotient(chain_ideal(5), minors_ideal(5)).groebner()) == 8
     assert len(calls) == 3
-    assert total == GBStats(pairs_pushed=95, pairs_processed=92,
-                            discarded_coprime=0, discarded_chain=248,
-                            zero_reductions=70, basis_added=22)
+    assert total == GBStats(pairs_pushed=76, pairs_processed=73,
+                            discarded_coprime=0, discarded_chain=267,
+                            zero_reductions=51, basis_added=22)
 
 
 def test_criteria_off_ignores_blocks():
@@ -185,8 +187,24 @@ def test_random_eliminations_agree(F, G):
 
 @SETTINGS
 @given(_gens, _gens)
+def test_random_eliminations_with_one_plain_side_agree(F, G):
+    # One side cached, the other plain generators, as `intersect` passes an
+    # ideal without a cached basis: a new t-free element drops its pairs
+    # with the cached side's block only.
+    _all_agree(reduced_groebner_basis(F), G, (0, None))
+    _all_agree(F, reduced_groebner_basis(G), (None, 1))
+
+
+@SETTINGS
+@given(_gens, _gens)
 def test_random_colons_are_order_free(F, G):
     assert_fold_order_free(Ideal(R, F), G)
+
+
+@SETTINGS
+@given(_gens, _gens)
+def test_random_colons_match_all_products_fold(F, G):
+    assert_matches_all_products(Ideal(R, F), Ideal(R, G))
 
 
 @SETTINGS

@@ -689,6 +689,16 @@ class TestCLI:
         doc = json.loads(target.read_text())
         assert doc["checks"][0]["status"] == "pass"
 
+    def test_module_entry_point(self):
+        # `python -m detlink` runs the same command line as `detlink`.
+        src = str(pathlib.Path(checks.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-m", "detlink", "show",
+                              "--family", "chain", "--n", "4"],
+                             env=env, capture_output=True, text=True)
+        assert run.returncode == 0
+        assert len(run.stdout.strip().splitlines()) == 3
+
     def test_show_families(self, capsys):
         assert main(["show", "--family", "chain", "--n", "4"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()

@@ -18,8 +18,8 @@ from detlink.idealops import (dimension, height, intersect, quotient,
                               quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
 
-from conftest import (assert_fold_order_free, count_gb_stats,
-                      random_nonzero_poly, random_poly)
+from conftest import (assert_fold_order_free, assert_matches_all_products,
+                      count_gb_stats, random_nonzero_poly, random_poly)
 from reference import support
 
 
@@ -220,9 +220,9 @@ class TestFoldOrder:
         total = count_gb_stats(monkeypatch)
         reports = run_checks(5, ["links", "section2", "sum-equals-colon"], seed=0)
         assert [r.status for r in reports] == ["pass"] * 3
-        assert total == GBStats(pairs_pushed=1879, pairs_processed=1788,
-                                discarded_coprime=125, discarded_chain=8557,
-                                zero_reductions=1461, basis_added=327)
+        assert total == GBStats(pairs_pushed=1641, pairs_processed=1550,
+                                discarded_coprime=125, discarded_chain=8795,
+                                zero_reductions=1223, basis_added=327)
 
     def test_probe_pass_totals_pinned(self, monkeypatch):
         # The first seed-0 matrix passes the height filter at its first draw.
@@ -233,9 +233,68 @@ class TestFoldOrder:
         parts = [quotient(Ideal(aB.ring, aB.gens[:i] + aB.gens[i + 1:]), I)
                  for i in range(4)]
         assert ideal_equal(Q, sum_ideals(*parts))
-        assert total == GBStats(pairs_pushed=423, pairs_processed=388,
-                                discarded_coprime=1, discarded_chain=1207,
-                                zero_reductions=282, basis_added=106)
+        assert total == GBStats(pairs_pushed=371, pairs_processed=336,
+                                discarded_coprime=1, discarded_chain=1259,
+                                zero_reductions=230, basis_added=106)
+
+
+def _probe_colons(count):
+    # Each probe matrix's colon Q = aB : I and its four parts, as the probe
+    # computes them.
+    cases = []
+    for aB, I in _probe_draws(count):
+        cases.append((aB, I))
+        cases += [(Ideal(aB.ring, aB.gens[:k] + aB.gens[k + 1:]), I)
+                  for k in range(len(aB.gens))]
+    return cases
+
+
+KEPT_CASES = {
+    "links n=4": FOLD_CASES["links n=4"],
+    "links n=5": FOLD_CASES["links n=5"],
+    "chain(5) : I_2": FOLD_CASES["chain(5) : I_2"],
+    "probe matrices 1, 2 of seed 0": lambda: _probe_colons(2),
+}
+
+
+class TestKeptSkipTest:
+    """The skip test multiplies g only into the kept part of out: the
+    elements outside I + (the kept elements before them). It decides as
+    the test on every element of out does."""
+
+    @pytest.mark.parametrize("case", KEPT_CASES)
+    def test_matches_all_products_fold(self, case):
+        for I, J in KEPT_CASES[case]():
+            assert_matches_all_products(I, J)
+
+    def test_probe_kept_counts_pinned(self, monkeypatch):
+        # The first seed-0 matrix: each colon runs one elimination, then
+        # skip-tests its other generators on the kept part of the result.
+        seen = []
+        real = idealops._kept_part
+
+        def recording(I, out, budget=None):
+            kept = real(I, out, budget)
+            seen.append((len(kept), len(out)))
+            return kept
+
+        monkeypatch.setattr(idealops, "_kept_part", recording)
+        (aB, I), *parts = _probe_colons(1)
+        quotient(aB, I)
+        assert seen == [(12, 16)]
+        seen.clear()
+        for sub, _ in parts:
+            quotient(sub, I)
+        assert seen == [(3, 9)] * 4
+
+    def test_principal_colon_forms_no_kept_part(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("kept part formed")
+
+        monkeypatch.setattr(idealops, "_kept_part", refuse)
+        I = minors_ideal(4)
+        for g in gens_a(4).gens:
+            quotient_by_poly(I, g)
 
 
 class TestExactQuotient:
