@@ -15,13 +15,10 @@ from .groebner import (
     Ideal,
     divide,
     ideal_equal,
-    initial_ideal,
     interreduce,
     is_groebner_basis,
-    is_squarefree_monomial_ideal,
     member,
     minimal_generators,
-    normal_form,
     reduced_groebner_basis,
     s_polynomial,
 )
@@ -47,13 +44,10 @@ __all__ = [
     "Ideal",
     "divide",
     "ideal_equal",
-    "initial_ideal",
     "interreduce",
     "is_groebner_basis",
-    "is_squarefree_monomial_ideal",
     "member",
     "minimal_generators",
-    "normal_form",
     "reduced_groebner_basis",
     "s_polynomial",
     "dimension",

@@ -36,11 +36,9 @@ from . import families as fam
 from .graphs import verify_res_int
 from .groebner import (Budget, BudgetExceeded, GBCertificate, GBStats, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
-                       _first_product_outside, _packing, _prim_from_poly,
-                       _spoly, ideal_equal, initial_ideal,
-                       interreduce, is_groebner_basis,
-                       is_squarefree_monomial_ideal, minimal_generators,
-                       reduced_groebner_basis)
+                       _first_product_outside, _interreduce, _packing,
+                       _prim_from_poly, _spoly, ideal_equal, is_groebner_basis,
+                       minimal_generators, reduced_groebner_basis)
 from .idealops import height, quotient, sum_ideals
 from .rings import Monomial, Polynomial, Ring, Term
 
@@ -306,7 +304,9 @@ def check_sum_equals_colon(n: int, rng: random.Random,
         return FAIL, "extended generator set failed its own certificate"
     if G != proven:
         return FAIL, _UNPROVEN_G
-    a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
+    packing = _packing(ring.nvars)
+    a_full = Ideal._from_prims(ring, _interreduce(
+        [_prim_from_poly(g, packing) for g in G], packing, budget))
     minors = fam.minors_ideal(n)
     monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
     core = _shared_core(G, monos, budget)
@@ -515,9 +515,9 @@ def check_identities(n: int, rng: random.Random,
 def check_reduced(n: int, rng: random.Random,
                   budget: Budget) -> tuple[str, Optional[str]]:
     """The initial ideal of the sum of links is squarefree (so the sum of
-    links is reduced)."""
-    init = initial_ideal(fam.sum_links_ideal(n), budget)
-    if not is_squarefree_monomial_ideal(init, budget):
+    links is reduced): every leading monomial of its reduced basis is."""
+    basis = fam.sum_links_ideal(n).groebner(budget)
+    if not all(f.terms[0].mono.is_squarefree() for f in basis):
         return FAIL, "initial ideal of the sum of links is not squarefree"
     return PASS, None
 

@@ -20,10 +20,9 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from .families import (g_generator, link_ideal, minor_pair, minors_ideal,
-                       standard_ring, sub_a)
+from .families import g_generator, link_ideal, minor_pair, standard_ring
 from .groebner import Budget, Ideal
-from .idealops import height, quotient, sum_ideals
+from .idealops import height, sum_ideals
 
 
 def _path(n: int) -> tuple[list[int], dict[int, int]]:
@@ -141,16 +140,14 @@ def verify_res_int(n: int, budget: Optional[Budget] = None) -> bool:
     """Height bound making the full family a residual intersection.
 
     Checks height(J_n + (g_n)) >= n where J_n is the link missing the last
-    generator; J_n is computed by the colon at n = 4 and from its proven
-    monomial description otherwise. The combinatorial avoidance argument
-    is replayed as well; its walks tick the budget, which bounds it.
+    generator, taken at every n from its monomial description
+    (`link_ideal(n, n)`), which the links check proves equal to the colon.
+    The combinatorial avoidance argument is replayed as well; its walks
+    tick the budget, which bounds it.
     """
     if n < 4:
         raise ValueError(f"residual intersection check needs n >= 4, got {n}")
-    if n == 4:
-        J_n = quotient(sub_a(n, n), minors_ideal(n), budget)
-    else:
-        J_n = link_ideal(n, n)
+    J_n = link_ideal(n, n)
     g_n = Ideal(standard_ring(n), [g_generator(n, n)])
     return (height(sum_ideals(J_n, g_n), budget) >= n
             and replay_avoidance_argument(n, budget))

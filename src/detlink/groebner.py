@@ -26,7 +26,7 @@ Each divisor list comes with a memo from a packed monomial to the index of
 its first divisor (or to how many divisors are known not to divide it).
 Divisor lists only grow at their end, so a memo entry never goes stale:
 the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
-one next to its packed basis for all its `member` and `normal_form` calls.
+one next to its packed basis for all its `member` calls.
 The Gebauer-Moller criteria of Buchberger's loop and the chain test of
 the certificate compare pair lcms only by divisibility and equality,
 which the exponent fields decide alone. Both therefore form an lcm on the
@@ -933,10 +933,13 @@ def is_groebner_basis(polys: Sequence[Polynomial],
 class Ideal:
     """Generator list with an optional cached reduced Groebner basis.
 
-    The cache is write-once and tagged by the ring's order, and so are its
-    packed generators, packed basis and divisor list for membership and
-    normal forms. Generators are stored as given (zeroes dropped), or, for
-    an ideal made by `_from_prims`, built from its packed basis when asked.
+    The cache is write-once and holds only THE reduced basis, monic and in
+    descending order of leading monomials, next to its packed form and the
+    divisor list for membership; `ideal_equal` compares cached packed bases
+    as tuples and relies on that. It is filled in two ways: `groebner()`
+    computes it, and `_from_prims` receives a basis the kernel has already
+    reduced. Generators are stored as given (zeroes dropped), or, for an
+    ideal made by `_from_prims`, built from its packed basis when asked.
     """
 
     __slots__ = ("ring", "_gens", "_basis", "_gen_prims", "_basis_prims",
@@ -952,15 +955,6 @@ class Ideal:
         self._basis: Optional[tuple[Polynomial, ...]] = None
         self._gen_prims = self._basis_prims = None
         self._divisors: Optional[_Divisors] = None
-
-    @classmethod
-    def with_basis(cls, ring: Ring, gens: Iterable[Polynomial],
-                   basis: tuple[Polynomial, ...]) -> "Ideal":
-        for g in basis:
-            g._check_ring(ring)
-        ideal = cls(ring, gens)
-        ideal._basis = basis
-        return ideal
 
     @classmethod
     def _from_prims(cls, ring: Ring, prims) -> "Ideal":
@@ -992,9 +986,8 @@ class Ideal:
 
     def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:
         if self._basis_prims is None:
-            packing = _packing(self.ring.nvars)
-            self._basis_prims = tuple(getattr(g, "_prim", None) or _prim_from_poly(g, packing)
-                                      for g in self.groebner(budget))
+            # Every cached basis comes out of `_monic_from_prims`.
+            self._basis_prims = tuple(g._prim for g in self.groebner(budget))
         return self._basis_prims
 
     def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
@@ -1009,23 +1002,6 @@ class Ideal:
     def __repr__(self) -> str:
         inner = ", ".join(self.ring.format(g) for g in self.gens)
         return f"Ideal({inner})"
-
-
-def normal_form(f: Polynomial, I: Ideal,
-                budget: Optional[Budget] = None) -> Polynomial:
-    """Remainder of f against the reduced Groebner basis of I."""
-    f._check_ring(I.ring)
-    if not f:
-        return f
-    reducer = I._reducer(budget)
-    packing = reducer.packing
-    prim = _prim_from_poly(f, packing)
-    # The basis is monic, so the prim of divisor i is lc_i times it.
-    reducer.track(prim[0][1] / f.terms[0].coeff,
-                  [Fraction(lc) for lc, _ in reducer.divisors.divs])
-    rem = reducer.reduce(dict(prim))
-    return _poly_from_dict({m: c / reducer.scale for m, c in rem.items()},
-                           I.ring, packing)
 
 
 def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
@@ -1077,19 +1053,6 @@ def ideal_equal(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> bool:
         raise ValueError("ideals from different rings")
     J._packed_basis(budget)
     return I._packed_basis(budget) == J._packed_basis(budget)
-
-
-def initial_ideal(I: Ideal, budget: Optional[Budget] = None) -> Ideal:
-    """Ideal of leading monomials of the reduced Groebner basis."""
-    ring = I.ring
-    gens = tuple(ring.from_monomial(f.terms[0].mono) for f in I.groebner(budget))
-    return Ideal.with_basis(ring, gens, gens)
-
-
-def is_squarefree_monomial_ideal(I: Ideal, budget: Optional[Budget] = None) -> bool:
-    basis = I.groebner(budget)
-    return all(len(f.terms) == 1 and f.terms[0].mono.is_squarefree()
-               for f in basis)
 
 
 def minimal_generators(I: Ideal, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:

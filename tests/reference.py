@@ -23,6 +23,9 @@ order given, as it ran before `quotient` sorted them by leading monomial;
 fold in `quotient`'s order with the skip test as it ran before it used
 only the kept part of out: g times every element of out's basis.
 `quotient` must match its result and its number of eliminations.
+`groebner_basis_ideal` is the ideal of a Groebner basis holding the
+reduced basis interreduced from it, the way `sum-equals-colon` builds
+(g_1..g_n) from set_G(n).
 """
 
 from __future__ import annotations
@@ -36,8 +39,8 @@ from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
 from detlink.families import _link, standard_ring, window_products, xyz_monomial
 from detlink.groebner import (Budget, Ideal, _first_prim_product_outside,
                               _first_product_outside, _interreduce, _packing,
-                              _prim_from_dict, _product, ideal_equal,
-                              interreduce, is_groebner_basis)
+                              _prim_from_dict, _prim_from_poly, _product,
+                              ideal_equal, is_groebner_basis)
 from detlink.idealops import _exact_quotient, _intersect_prims, quotient
 from detlink.rings import Monomial, Polynomial, Ring, Scalar
 
@@ -191,6 +194,15 @@ def monomial_sets(n: int) -> list[list[Polynomial]]:
 # corrupts a family corrupts it for both.
 
 
+def groebner_basis_ideal(ring: Ring, G) -> Ideal:
+    """The ideal of the Groebner basis G, holding the reduced basis
+    interreduced from G, as `sum-equals-colon` builds (g_1..g_n) from
+    set_G(n)."""
+    packing = _packing(ring.nvars)
+    return Ideal._from_prims(ring, _interreduce(
+        [_prim_from_poly(g, packing) for g in G], packing))
+
+
 def check_gb_sum_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
     """`gb-sum` by the certificate on all of G ∪ M."""
     cert = is_groebner_basis(fam.G_union_M(n), budget=budget)
@@ -212,7 +224,7 @@ def check_sum_equals_colon_full(n: int,
         return FAIL, "extended generator set failed its own certificate"
     if G != proven:
         return FAIL, _UNPROVEN_G
-    a_full = Ideal.with_basis(ring, fam.gens_a(n).gens, interreduce(G))
+    a_full = groebner_basis_ideal(ring, G)
     minors = fam.minors_ideal(n)
     monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
     outside = _first_product_outside(monos, minors.gens, a_full, budget)

@@ -16,11 +16,12 @@ import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
-                              _packing, divide, interreduce, is_groebner_basis,
-                              member, s_polynomial)
+                              _packing, divide, is_groebner_basis, member,
+                              s_polynomial)
 
 from reference import (check_gb_sum_full, check_sum_equals_colon_full, divides,
-                       gcd, telescoping_identities, telescoping_witness)
+                       gcd, groebner_basis_ideal, telescoping_identities,
+                       telescoping_witness)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -117,7 +118,7 @@ class TestRunChecks:
         R = fam.standard_ring(4)
         monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
             original(n, i) + [R.x(1)] if i == 2 else original(n, i)))
-        a_full = Ideal.with_basis(R, fam.gens_a(4).gens, interreduce(fam.set_G(4)))
+        a_full = groebner_basis_ideal(R, fam.set_G(4))
         first = next((mono, d) for i in range(1, 5) for mono in fam.M_polys(4, i)
                      for d in fam.minors_ideal(4).gens
                      if not member(mono * d, a_full))
@@ -126,6 +127,21 @@ class TestRunChecks:
         assert report.witness == (f"containment fails: ({R.format(first[0])}) * "
                                   f"({R.format(first[1])}) is not in the full family")
         assert report.witness.startswith("containment fails: (x1) * ")
+
+    def test_reduced_detects_a_square(self, monkeypatch):
+        # Only the leading monomials of the reduced basis decide: x1^2 and
+        # x1^2 + y1 fail, x1*y2 and x1 + y1 (led by x1) pass.
+        R = fam.standard_ring(4)
+        x1, y1, y2 = R.x(1), R.y(1), R.y(2)
+        for gens, status in (([x1 * y2], "pass"), ([x1 ** 2], "fail"),
+                             ([x1 ** 2 + y1], "fail"), ([x1 + y1], "pass")):
+            monkeypatch.setattr(checks.fam, "sum_links_ideal",
+                                lambda n, gens=gens: Ideal(R, gens))
+            report = run_checks(4, ["reduced"])[0]
+            assert report.status == status
+            if status == "fail":
+                assert report.witness == ("initial ideal of the sum of links "
+                                          "is not squarefree")
 
     def test_chain_membership_witness(self, monkeypatch):
         # A chain without its last generator: the witness names the first

@@ -6,9 +6,8 @@ from detlink import groebner
 from detlink.families import (G_union_M, delta, gens_a, minors_ideal, set_G,
                               standard_ring, sub_a)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
-                              divide, ideal_equal, initial_ideal, interreduce,
-                              is_groebner_basis, is_squarefree_monomial_ideal,
-                              member, minimal_generators, normal_form,
+                              divide, ideal_equal, interreduce,
+                              is_groebner_basis, member, minimal_generators,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import Ring
 
@@ -212,7 +211,8 @@ class TestBuchberger:
         # deadline check, every 32 reduction steps, can stop this call.
         R = Ring(2)
         x1, x2 = R.x(1), R.x(2)
-        I = Ideal.with_basis(R, [x1 - x2], (x1 - x2,))
+        I = Ideal(R, [x1 - x2])
+        I.groebner()
         f = x1 ** 100 - x2 ** 100
         budget = Budget(timeout_secs=0)
         with pytest.raises(BudgetExceeded, match="timeout") as excinfo:
@@ -289,8 +289,7 @@ class TestBuchberger:
         R2, R3 = Ring(2), Ring(3)
         f, g = R2.x(1), R3.x(1)
         I = Ideal(R3, [g])
-        for call in (lambda: member(f, I), lambda: normal_form(f, I),
-                     lambda: member(R2.zero, I),
+        for call in (lambda: member(f, I), lambda: member(R2.zero, I),
                      lambda: divide(f, [g]), lambda: divide(g, [f]),
                      lambda: reduced_groebner_basis([g, f]),
                      lambda: is_groebner_basis([g, f]),
@@ -300,8 +299,8 @@ class TestBuchberger:
 
     def test_ideal_wrapper_caches(self):
         I = gens_a(4)
-        # The zero polynomial reduces to zero without a basis.
-        assert not normal_form(I.ring.zero, I) and member(I.ring.zero, I)
+        # The zero polynomial is a member without a basis.
+        assert member(I.ring.zero, I)
         assert not I.has_cached_basis()
         basis = I.groebner()
         assert I.has_cached_basis()
@@ -309,8 +308,8 @@ class TestBuchberger:
         assert basis == reduced_groebner_basis(I.gens)
 
     def test_membership_packs_the_basis_once(self, monkeypatch):
-        # member and normal_form share the ideal's packed divisor list, and
-        # a basis built from prims keeps them, so only the arguments are
+        # Every member call shares the ideal's packed divisor list, and a
+        # basis built from prims keeps them, so only the arguments are
         # converted.
         from detlink import groebner
         calls = []
@@ -324,22 +323,21 @@ class TestBuchberger:
         basis = I.groebner()
         monkeypatch.setattr(groebner, "_prim_from_poly", counted)
         assert all(member(g, I) for g in basis)
-        assert not normal_form(basis[0], I)
+        assert not member(I.ring.x(1), I)
         assert len(calls) == len(basis) + 1
         assert I.has_cached_basis()
         fresh = Ideal(I.ring, I.gens)
         assert member(basis[0], fresh) and fresh.has_cached_basis()
 
-    def test_with_basis_from_another_ring_rejected(self):
-        # A basis of Ring(3) used to fail in the packing at the first member
-        # call.
+    def test_generator_from_another_ring_rejected(self):
         R2, R3 = Ring(2), Ring(3)
-        with pytest.raises(ValueError, match="expected Ring"):
-            Ideal.with_basis(R2, [R2.x(1)], (R3.x(1),))
+        with pytest.raises(ValueError, match="different ring"):
+            Ideal(R2, [R2.x(1), R3.x(1)])
 
-    def test_ideal_from_prims_matches_with_basis(self, rng):
-        # An ideal built from its packed reduced basis answers as the same
-        # ideal built from Polynomials, and builds them only when asked.
+    def test_ideal_from_prims_matches_a_computed_basis(self, rng):
+        # An ideal built from its packed reduced basis answers as the ideal
+        # of the same basis that computes it, and builds its Polynomials
+        # only when asked.
         R = standard_ring(4)
         packing = groebner._packing(R.nvars)
         for gens in (gens_a(4).gens, minors_ideal(4).gens, (R.one,),
@@ -347,7 +345,8 @@ class TestBuchberger:
             basis = reduced_groebner_basis(gens)
             packed = Ideal._from_prims(
                 R, [groebner._prim_from_poly(f, packing) for f in basis])
-            plain = Ideal.with_basis(R, basis, basis)
+            plain = Ideal(R, basis)
+            plain.groebner()
             assert packed.has_cached_basis() and plain.has_cached_basis()
             assert packed._gens is None and packed._basis is None
             assert repr(packed) == repr(plain)
@@ -358,7 +357,6 @@ class TestBuchberger:
                 if rng.random() < 0.5:
                     f = f * basis[rng.randrange(len(basis))]
                 assert member(f, packed) == member(f, plain)
-                assert normal_form(f, packed) == normal_form(f, plain)
 
     def test_cache_invariant_mutual_membership(self):
         # The cached basis is monic, interreduced, and generates the same
@@ -518,12 +516,13 @@ class TestMembershipPredicates:
         assert member(R.zero, a4)
 
     def test_normal_form_iff_member(self, rng):
+        # The normal form is the remainder on division by the reduced basis.
         R = Ring(2)
         gens = [random_nonzero_poly(R, rng, terms=2) for _ in range(2)]
         I = Ideal(R, gens)
         for _ in range(40):
             f = random_poly(R, rng)
-            assert (normal_form(f, I) == R.zero) == member(f, I)
+            assert (divide(f, I.groebner()).remainder == R.zero) == member(f, I)
 
     def test_combination_is_member(self, rng):
         R = standard_ring(4)
@@ -532,40 +531,43 @@ class TestMembershipPredicates:
             f = sum((random_poly(R, rng, terms=2) * g for g in I.gens), R.zero)
             assert member(f, I)
 
-    def test_ideal_equal(self):
+    def test_ideal_equal(self, rng):
         R = standard_ring(4)
         I = minors_ideal(4)
         assert ideal_equal(I, I)
         J = Ideal(R, list(I.gens) + [R.x(2) * delta(1, 3, 4)])
         assert ideal_equal(I, J)
         assert not ideal_equal(I, gens_a(4))
+        # ideal_equal compares cached bases as tuples, which holds because
+        # every cached basis is THE reduced basis in descending order: a
+        # shuffled reduced basis and G, a Groebner basis that is not
+        # reduced, each generate (g_1..g_4).
+        shuffled = list(gens_a(4).groebner())
+        rng.shuffle(shuffled)
+        assert shuffled != list(gens_a(4).groebner())
+        for gens in (shuffled, set_G(4)):
+            assert ideal_equal(Ideal(R, gens), gens_a(4))
+            assert ideal_equal(gens_a(4), Ideal(R, gens))
 
     def test_initial_ideal_of_minors(self):
-        # The minors form a Groebner basis; initial ideal is the staircase.
+        # The minors form a Groebner basis; the leading monomials of the
+        # reduced basis are the squarefree staircase.
         R = standard_ring(4)
-        init = initial_ideal(minors_ideal(4))
-        expected = {(R.x(j) * R.y(i)).terms for i in range(1, 5)
+        init = {f.terms[0].mono for f in minors_ideal(4).groebner()}
+        expected = {(R.x(j) * R.y(i)).terms[0].mono for i in range(1, 5)
                     for j in range(i + 1, 5)}
-        assert {g.terms for g in init.gens} == expected
-        assert is_squarefree_monomial_ideal(init)
-
-    def test_squarefree_detection(self):
-        R = standard_ring(4)
-        assert is_squarefree_monomial_ideal(Ideal(R, [R.x(1) * R.y(2)]))
-        assert not is_squarefree_monomial_ideal(Ideal(R, [R.x(1) ** 2]))
-        # Not monomial at all:
-        assert not is_squarefree_monomial_ideal(Ideal(R, [R.x(1) + R.y(1)]))
+        assert init == expected
+        assert all(m.is_squarefree() for m in init)
 
     def test_repeated_calls_agree_with_a_fresh_ideal(self, rng):
-        # member and normal_form on one Ideal share its first-divisor memo;
-        # a fresh Ideal per call starts with an empty one.
+        # member calls on one Ideal share its first-divisor memo; a fresh
+        # Ideal per call starts with an empty one.
         R = standard_ring(4)
         I = gens_a(4)
         polys = [random_poly(R, rng, terms=3) for _ in range(15)]
         polys += [f * g for f, g in zip(polys, I.gens)]
         for _ in range(2):
             for f in polys:
-                assert normal_form(f, I) == normal_form(f, Ideal(R, I.gens))
                 assert member(f, I) == member(f, Ideal(R, I.gens))
         assert I._divisors.memo
 
@@ -574,20 +576,20 @@ class TestWellDefinedness:
     def test_initial_ideal_independent_of_generators(self):
         # Same ideal through different generating sets: identical staircase.
         R = standard_ring(4)
-        a = initial_ideal(gens_a(4))
-        b = initial_ideal(Ideal(R, set_G(4)))
-        assert {g.terms for g in a.gens} == {g.terms for g in b.gens}
+        a = gens_a(4).groebner()
+        b = Ideal(R, set_G(4)).groebner()
+        assert {f.terms[0].mono for f in a} == {f.terms[0].mono for f in b}
 
     def test_normal_form_independent_of_basis_order(self, rng):
+        # The remainder on division by a Groebner basis does not depend on
+        # the order of its divisors.
         R = standard_ring(4)
         basis = list(gens_a(4).groebner())
-        I = Ideal.with_basis(R, basis, tuple(basis))
         shuffled = basis[:]
         rng.shuffle(shuffled)
-        J = Ideal.with_basis(R, shuffled, tuple(shuffled))
         for _ in range(20):
             f = random_poly(R, rng)
-            assert normal_form(f, I) == normal_form(f, J)
+            assert divide(f, basis).remainder == divide(f, shuffled).remainder
 
 
 class TestAgainstSympyOracle:
@@ -642,7 +644,8 @@ class TestAgainstSympyOracle:
                 f = random_poly(R, rng, terms=6, max_exp=3)
                 _, expected = sympy.reduced(to_sympy(f), theirs.exprs, *syms,
                                             order="grevlex")
-                assert sympy.expand(to_sympy(normal_form(f, I)) - expected) == 0
+                got = divide(f, I.groebner()).remainder
+                assert sympy.expand(to_sympy(got) - expected) == 0
 
     def test_family_basis_matches(self):
         sympy = self.sympy

@@ -12,15 +12,14 @@ from detlink.families import (M_polys, chain_ideal, delta, gens_a,
                               standard_ring, sub_a)
 from detlink.graphs import _minimal_primes, _minimal_sets, replay_avoidance_argument
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
-                              _first_product_outside, ideal_equal,
-                              interreduce, member)
+                              _first_product_outside, ideal_equal, member)
 from detlink.idealops import (dimension, height, intersect, quotient,
                               quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
 
 from conftest import (assert_fold_order_free, assert_matches_all_products,
                       count_gb_stats, random_nonzero_poly, random_poly)
-from reference import support
+from reference import groebner_basis_ideal, support
 
 
 def exhaustive_monomial_dimension(supports, nvars):
@@ -183,8 +182,7 @@ class TestQuotient:
 
 
 def _full_family(n):
-    ring = standard_ring(n)
-    return Ideal.with_basis(ring, gens_a(n).gens, interreduce(set_G(n)))
+    return groebner_basis_ideal(standard_ring(n), set_G(n))
 
 
 def _probe_draws(count):
@@ -373,7 +371,7 @@ class TestMultiplesIn:
         # fails only at its end.
         n = 4
         ring = standard_ring(n)
-        a_full = Ideal.with_basis(ring, gens_a(n).gens, interreduce(set_G(n)))
+        a_full = _full_family(n)
         minors = minors_ideal(n).gens
         monos = [p for i in range(1, n + 1) for p in M_polys(n, i)]
         assert _first_product_outside(monos, minors, a_full) is None
@@ -422,8 +420,8 @@ class TestMultiplesIn:
 
     def test_expired_deadline(self):
         R = Ring(2)
-        gens = (R.x(1) * R.y(1),)
-        I = Ideal.with_basis(R, gens, gens)
+        I = Ideal(R, [R.x(1) * R.y(1)])
+        I.groebner()
         with pytest.raises(BudgetExceeded):
             _first_product_outside([R.x(1)], [R.y(1)], I, Budget(timeout_secs=0))
         assert _first_product_outside([R.x(1)], [R.y(1)], I,
@@ -475,7 +473,9 @@ class TestDimensionHeight:
         assert Q._basis is None
         assert height(Q) == 3
         assert Q._basis is None
-        assert height(Ideal.with_basis(Q.ring, Q.gens, Q.groebner())) == 3
+        J = Ideal(Q.ring, Q.gens)
+        J.groebner()
+        assert J._basis_prims is None and height(J) == 3
 
     def test_monomial_dimension_matches_exhaustive_oracle(self, rng):
         R = Ring(2)  # six variables
@@ -514,8 +514,8 @@ class TestDeadline:
         # The basis is cached, so the budget can only run out in the vertex
         # cover walk of dimension, whose nodes tick it.
         R = Ring(2)
-        gens = (R.x(1) * R.y(1), R.x(2) * R.z(2))
-        I = Ideal.with_basis(R, gens, gens)
+        I = Ideal(R, [R.x(1) * R.y(1), R.x(2) * R.z(2)])
+        I.groebner()
         for limit in self.LIMITS:
             with pytest.raises(BudgetExceeded) as excinfo:
                 height(I, Budget(**limit))
