@@ -97,11 +97,20 @@ def _link(n: int, i: int) -> tuple[tuple[int, int], tuple[int, ...],
 
 @lru_cache(maxsize=None)
 def _minors(n: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """delta(i, j) in row i - 1, column j - 1, for 1 <= i, j <= n."""
+    """delta(i, j) in row i - 1, column j - 1, for 1 <= i, j <= n, built
+    from its two terms x_i*y_j and -x_j*y_i in the ring's order."""
     ring = standard_ring(n)
-    x, y = ring.x, ring.y
-    return tuple(tuple(x(i) * y(j) - x(j) * y(i) if i != j else ring.zero
-                       for j in range(1, n + 1)) for i in range(1, n + 1))
+    one = Fraction(1)
+    xy = [[ring.monomial({ring.pos("x", i): 1, ring.pos("y", j): 1})
+           for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+    def minor(i: int, j: int) -> Polynomial:
+        if i == j:
+            return ring.zero
+        u, v = Term(one, xy[i][j]), Term(-one, xy[j][i])
+        return Polynomial(ring, (u, v) if u.mono.key > v.mono.key else (v, u))
+
+    return tuple(tuple(minor(i, j) for j in range(n)) for i in range(n))
 
 
 @lru_cache(maxsize=None)

@@ -12,8 +12,12 @@ from `window_products` and `Monomial.key`, with no packed monomials,
 for the families' packed builder to match. `check_gb_sum_full` and
 `check_sum_equals_colon_full` are the two checks as they were before they
 certified from the core of the monomial sets: the first walks all of
-G ∪ M, the second tests every monomial times every minor. The checks must
-agree with them on status and witness. `telescoping_identities` and
+G ∪ M, the second tests every monomial times every minor.
+`check_reduced_full` is `reduced` as it was before it took its basis from
+G + core: Buchberger's algorithm on the sum of links' generators. The
+checks must agree with them on status and witness. `minors` builds every
+minor by polynomial arithmetic, x_i*y_j - x_j*y_i, for the families'
+term-built minors to match. `telescoping_identities` and
 `telescoping_witness` are the telescoping part of `identities` as it was
 before it ran on packed monomials: `Polynomial` products, their sum
 compared with the left-hand side, and `Monomial.key` comparisons.
@@ -176,6 +180,15 @@ def m_ij(n: int, i: int, j: int) -> Monomial:
                         ys=[v for v in window if v >= j], zs=zs)
 
 
+def minors(n: int) -> list[list[Polynomial]]:
+    """delta(i, j) = x_i*y_j - x_j*y_i in row i - 1, column j - 1, by
+    ring arithmetic; zero on the diagonal."""
+    ring = standard_ring(n)
+    x, y = ring.x, ring.y
+    return [[x(i) * y(j) - x(j) * y(i) for j in range(1, n + 1)]
+            for i in range(1, n + 1)]
+
+
 def monomial_sets(n: int) -> list[list[Polynomial]]:
     """M_1, ..., M_n: every X_K * Y_L * Z of the i-th link's window, as
     monomial Polynomials sorted descending by `Monomial.key`."""
@@ -209,6 +222,14 @@ def check_gb_sum_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "
                       f"{_fmt(cert.remainder)}")
+    return PASS, None
+
+
+def check_reduced_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
+    """`reduced` by Buchberger's algorithm on the sum of links."""
+    basis = fam.sum_links_ideal(n).groebner(budget)
+    if not all(f.terms[0].mono.is_squarefree() for f in basis):
+        return FAIL, "initial ideal of the sum of links is not squarefree"
     return PASS, None
 
 

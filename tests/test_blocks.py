@@ -27,10 +27,10 @@ from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, generic_residual,
                               minors_ideal, sub_a)
 from detlink.groebner import (GBStats, Ideal, _groebner_prims,
-                              _monic_from_prims, is_groebner_basis,
-                              reduced_groebner_basis)
+                              _monic_from_prims, _packing, _prim_from_dict,
+                              is_groebner_basis, reduced_groebner_basis)
 from detlink.idealops import quotient, quotient_by_poly
-from detlink.rings import Ring
+from detlink.rings import Monomial, Ring
 
 from conftest import (assert_fold_order_free, assert_matches_all_products,
                       elimination_input)
@@ -156,6 +156,27 @@ def test_criteria_off_ignores_blocks():
     _groebner_prims(prims, packing, criteria=False, stats=blocked,
                     blocks=[0] * len(prims))
     assert plain == blocked
+
+
+def test_t_free_rule_spares_unblocked_elements():
+    # f = t*x1 - y1 enters unblocked and w = x1 after it; w is t-free and
+    # in(f) holds t, but no block represents their S-pair, -y1, which is
+    # the only way to y1. The elimination ideal of (f, w) is (x1, y1).
+    ring = Ring(2)
+    packing = _packing(ring.nvars + 1, 1)
+
+    def lift(f, k):
+        """t^k * f, of integer coefficients, as packed terms of the
+        elimination layout."""
+        return [(packing.pack(Monomial((k,) + m.exps)), int(c)) for c, m in f.terms]
+
+    x1, y1 = ring.x(1), ring.y(1)
+    prims = [_prim_from_dict(dict(lift(x1, 1) + lift(-y1, 0))),
+             _prim_from_dict(dict(lift(x1, 0)))]
+    want = _groebner_prims(prims, packing, criteria=False, eliminate=T)
+    assert want == [_prim_from_dict(dict(lift(f, 0))) for f in (x1, y1)]
+    for blocks in (None, [None, None]):
+        assert _groebner_prims(prims, packing, blocks=blocks, eliminate=T) == want
 
 
 R = Ring(2)

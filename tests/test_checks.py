@@ -19,8 +19,9 @@ from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
                               _packing, divide, is_groebner_basis, member,
                               s_polynomial)
 
-from reference import (check_gb_sum_full, check_sum_equals_colon_full, divides,
-                       gcd, groebner_basis_ideal, telescoping_identities,
+from reference import (check_gb_sum_full, check_reduced_full,
+                       check_sum_equals_colon_full, divides, gcd,
+                       groebner_basis_ideal, telescoping_identities,
                        telescoping_witness)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
@@ -130,13 +131,15 @@ class TestRunChecks:
 
     def test_reduced_detects_a_square(self, monkeypatch):
         # Only the leading monomials of the reduced basis decide: x1^2 and
-        # x1^2 + y1 fail, x1*y2 and x1 + y1 (led by x1) pass.
+        # x1^2 + y1 fail, x1*y2 and x1 + y1 (led by x1) pass. No replaced
+        # sum of links is generated by G + core, so each takes the fallback.
         R = fam.standard_ring(4)
         x1, y1, y2 = R.x(1), R.y(1), R.y(2)
         for gens, status in (([x1 * y2], "pass"), ([x1 ** 2], "fail"),
                              ([x1 ** 2 + y1], "fail"), ([x1 + y1], "pass")):
             monkeypatch.setattr(checks.fam, "sum_links_ideal",
                                 lambda n, gens=gens: Ideal(R, gens))
+            assert _reduced_falls_back(4)[0] == status
             report = run_checks(4, ["reduced"])[0]
             assert report.status == status
             if status == "fail":
@@ -238,6 +241,15 @@ def _extend_M(monkeypatch, m):
         M_polys(n, i) + [m] if i == 2 else M_polys(n, i)))
 
 
+def _drop_M(monkeypatch, m):
+    """m leaves both lists the checks read, G_union_M and M_polys."""
+    G_union_M, M_polys = fam.G_union_M, fam.M_polys
+    monkeypatch.setattr(checks.fam, "G_union_M",
+                        lambda n: [f for f in G_union_M(n) if f != m])
+    monkeypatch.setattr(checks.fam, "M_polys",
+                        lambda n, i: [f for f in M_polys(n, i) if f != m])
+
+
 def _agree_with_the_full_walks(n):
     """gb-sum and sum-equals-colon give the full walks' status and witness,
     and return them."""
@@ -323,21 +335,81 @@ class TestCoreCertificate:
         # by a rest monomial that no longer reduces to 0, and then the
         # checks fall back to the full walks.
         G, monos = _split(n)
-        G_union_M, M_polys = fam.G_union_M, fam.M_polys
         verdicts = set()
         for m in checks._core(G, monos, Budget()):
-            monkeypatch.setattr(checks.fam, "G_union_M",
-                                lambda n: [f for f in G_union_M(n) if f != m])
-            monkeypatch.setattr(checks.fam, "M_polys",
-                                lambda n, i: [f for f in M_polys(n, i) if f != m])
-            gb_sum, colon = _agree_with_the_full_walks(n)
+            with monkeypatch.context() as patch:
+                _drop_M(patch, m)
+                gb_sum, colon = _agree_with_the_full_walks(n)
             assert colon == ("pass", None)
             verdicts.add(gb_sum[0])
         assert verdicts == {"pass", "fail"}
 
 
-# The checks that share the chain proof, the certificate of G or the core.
-SHARED = ("gb-a", "gb-sum", "sum-equals-colon", "identities")
+def _reduced_falls_back(n):
+    """reduced takes no basis from G + core at width n, and its status and
+    witness are those of Buchberger's algorithm on the sum of links."""
+    assert checks._certified_sum_basis(n, Budget()) is None
+    got = checks.check_reduced(n, random.Random(0), Budget())
+    assert got == check_reduced_full(n, Budget())
+    return got
+
+
+class TestReducedFromTheCore:
+    """`reduced` reads its leading monomials off the reduced basis of
+    G + core when the chain proof, the core and the generators of the sum
+    of links prove that G + core generates the sum of links; otherwise
+    it runs Buchberger's algorithm on the sum of links, as
+    `reference.check_reduced_full` does."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_basis_and_verdict_agree_with_buchberger(self, n):
+        assert (checks._certified_sum_basis(n, Budget())
+                == fam.sum_links_ideal(n).groebner())
+        assert (checks.check_reduced(n, random.Random(0), Budget())
+                == check_reduced_full(n, Budget()) == ("pass", None))
+
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_an_element_outside_the_chains_falls_back(self, monkeypatch, n):
+        # x1 joins G, and G + core would generate more than the sum of links.
+        original = fam.set_G
+        monkeypatch.setattr(checks.fam, "set_G",
+                            lambda n: original(n) + [fam.standard_ring(n).x(1)])
+        assert _reduced_falls_back(n) == ("pass", None)
+
+    def test_an_unproven_chain_element_falls_back(self, monkeypatch):
+        # x1^2 replaces g_{1,2}; g_1..g_n and the monomials still match the
+        # sum of links, so only the tie of G to the proven set refuses it.
+        original = fam.set_G
+
+        def replaced(n):
+            G = original(n)
+            G[n] = fam.standard_ring(n).x(1) ** 2
+            return G
+
+        monkeypatch.setattr(checks.fam, "set_G", replaced)
+        assert _reduced_falls_back(4) == ("pass", None)
+
+    def test_no_core_falls_back(self, monkeypatch):
+        monkeypatch.setattr(checks, "_core", lambda G, monos, budget: None)
+        assert _reduced_falls_back(4) == ("pass", None)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_a_dropped_monomial_falls_back(self, monkeypatch, n):
+        # Once a core monomial and once a rest one: the monomials no longer
+        # match the generators of the sum of links, so the fast path
+        # refuses both, whatever ideal G + core then generates.
+        G, monos = _split(n)
+        core = checks._core(G, monos, Budget())
+        rest = next(m for m in monos if m not in core)
+        for m in (core[0], rest):
+            with monkeypatch.context() as patch:
+                _drop_M(patch, m)
+                assert _reduced_falls_back(n) == ("pass", None)
+
+
+# The checks that share the chain proof, the certificate of G or the core;
+# under "all", gb-sum derives the core before sum-equals-colon and reduced.
+SHARED = ("gb-a", "gb-sum", "sum-equals-colon", "identities", "reduced")
 
 
 def _recorded_run(monkeypatch, n, selection, max_pairs=None):

@@ -13,7 +13,8 @@ from detlink.families import (G_union_M, IndexPermutation, M_polys,
 from detlink.groebner import Ideal, ideal_equal, member
 from detlink.idealops import height, quotient
 
-from reference import m_ij, m_ij_range, monomial_sets, multidegree, substitute
+from reference import (m_ij, m_ij_range, minors, monomial_sets, multidegree,
+                       substitute)
 
 
 def leading_monomials(polys):
@@ -46,6 +47,14 @@ class TestMinors:
     def test_minors_minimally_generate(self):
         from detlink.groebner import minimal_generators
         assert len(minimal_generators(minors_ideal(5))) == 10
+
+    @pytest.mark.parametrize("n", range(2, 10))
+    def test_term_built_minors_match_the_arithmetic(self, n):
+        # Each minor is built from its two terms; `reference.minors` forms
+        # x_i*y_j - x_j*y_i by ring arithmetic. Terms compare in order.
+        expected = minors(n)
+        assert ([[f.terms for f in row] for row in fam._minors(n)]
+                == [[f.terms for f in row] for row in expected])
 
 
 class TestGeneratorFamily:
