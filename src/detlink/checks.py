@@ -23,12 +23,12 @@ since the shared work lands on the first check that needs it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
@@ -36,11 +36,12 @@ from . import families as fam
 from .graphs import verify_res_int
 from .groebner import (Budget, BudgetExceeded, GBCertificate, GBStats, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
-                       _first_product_outside, _interreduce, _packing,
-                       _prim_from_poly, _spoly, ideal_equal, is_groebner_basis,
+                       _first_prim_product_outside, _first_product_outside,
+                       _interreduce, _packing, _poly_from_dict, _prim_from_poly,
+                       _spoly, ideal_equal, is_groebner_basis,
                        minimal_generators, reduced_groebner_basis)
 from .idealops import height, quotient, sum_ideals
-from .rings import Monomial, Polynomial, Ring, Term
+from .rings import Polynomial, Ring
 
 SCHEMA_VERSION = 1
 
@@ -134,10 +135,19 @@ def _certificate(G: list[Polynomial], budget: Budget) -> GBCertificate:
                    lambda: is_groebner_basis(G, budget=budget))
 
 
-def _shared_core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
-                 budget: Budget) -> Optional[list[Polynomial]]:
+def _packed_monomials(n: int, budget: Budget) -> tuple[int, ...]:
+    """The monomials of M_1, ..., M_n, in turn, as the packed monomials of
+    `families._packed_monomial_sets`, the one form of the monomial sets
+    the checks read. The deadline is checked first, so an expired budget
+    stops a check before the sets are built."""
+    budget.check_deadline()
+    return tuple(itertools.chain.from_iterable(fam._packed_monomial_sets(n)))
+
+
+def _shared_core(G: Sequence[Polynomial], monos: tuple[int, ...],
+                 budget: Budget) -> Optional[list[int]]:
     """`_core(G, monos)`."""
-    return _shared(("core", tuple(G), tuple(monos)), budget,
+    return _shared(("core", tuple(G), monos), budget,
                    lambda: _core(G, monos, budget))
 
 
@@ -154,24 +164,37 @@ def _chain_proof(n: int) -> tuple[Optional[str], list[Polynomial]]:
     starts at g_1 and the second at g_n, and the chain recurrences give
     each next element from the one before and a g:
     g_{1,i+1} = X Z g_{i+1} - z_{i+1} x_{i+2} g_{1,i} and
-    g_{j-1,n} = Y Z g_{j-1} - z_{j-1} y_{j-2} g_{j,n}."""
-    ring = fam.standard_ring(n)
+    g_{j-1,n} = Y Z g_{j-1} - z_{j-1} y_{j-2} g_{j,n}.
+    The recurrences are checked on the packed terms of the g's and both
+    chains, all scaled by one integer (`_packed_terms`). Each recurrence is
+    linear in them, so it holds there exactly when it holds on the
+    Polynomials: a chain element off by a scalar fails it."""
     g1, g2 = fam.chain_g(n)
-    first, last = fam.g_generator(n, 1), fam.g_generator(n, n)
-    if (g1[1], g2[n]) != (first, last):
+    gs = [fam.g_generator(n, i) for i in range(1, n + 1)]
+    if (g1[1], g2[n]) != (gs[0], gs[-1]):
         return "a chain does not start at g_1 or g_n", []
-    gs = [first]
+    packed = _packed_terms([*gs, *g1.values(), *g2.values()],
+                           _packing(3 * n))
+    tg = dict(zip(range(1, n + 1), packed))
+    t1 = dict(zip(g1, packed[n:]))
+    t2 = dict(zip(g2, packed[n + len(g1):]))
+    mono = functools.partial(fam._packed_xyz, n)
+
+    def fails(lt: int, g: tuple, m: int, before: tuple, after: tuple) -> bool:
+        """Whether lt * g - m * before differs from after."""
+        d: dict = {}
+        _add_scaled(d, g, lt, 1)
+        _add_scaled(d, before, m, -1)
+        _add_scaled(d, after, 0, -1)
+        return bool(d)
+
     for i in range(1, n - 1):
-        gs.append(fam.g_generator(n, i + 1))
-        lt = fam.xyz_monomial(ring, xs=[*range(1, i), i + 1], zs=range(1, i + 1))
-        if (ring.from_monomial(lt) * gs[i]
-                - ring.z(i + 1) * ring.x(i + 2) * g1[i] != g1[i + 1]):
+        if fails(mono(xs=[*range(1, i), i + 1], zs=range(1, i + 1)), tg[i + 1],
+                 mono(xs=[i + 2], zs=[i + 1]), t1[i], t1[i + 1]):
             return f"first chain recurrence fails at i={i}", []
-    gs.append(last)
     for j in range(3, n + 1):
-        lt = fam.xyz_monomial(ring, ys=[j - 1, *range(j + 1, n + 1)], zs=range(j, n + 1))
-        if (ring.from_monomial(lt) * fam.g_generator(n, j - 1)
-                - ring.z(j - 1) * ring.y(j - 2) * g2[j] != g2[j - 1]):
+        if fails(mono(ys=[j - 1, *range(j + 1, n + 1)], zs=range(j, n + 1)),
+                 tg[j - 1], mono(ys=[j - 2], zs=[j - 1]), t2[j], t2[j - 1]):
             return f"second chain recurrence fails at j={j}", []
     return None, [*gs, *(g1[i] for i in range(2, n)), *(g2[j] for j in range(2, n))]
 
@@ -194,12 +217,12 @@ def check_gb_a(n: int, rng: random.Random,
     return PASS, None
 
 
-def _core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
-          budget: Budget) -> Optional[list[Polynomial]]:
-    """The core of monos, the ones whose leading monomial no leading
+def _core(G: Sequence[Polynomial], monos: Sequence[int],
+          budget: Budget) -> Optional[list[int]]:
+    """The core of monos, packed monomials of G's ring: the ones no leading
     monomial of G divides, in their order in monos, when every other one
-    has remainder 0 on division by G + core; None otherwise, and when G or
-    monos holds a zero. A remainder of 0 proves membership in (G + core)
+    has remainder 0 on division by G + core; None otherwise, and when G
+    holds a zero. A remainder of 0 proves membership in (G + core)
     whatever the divisor order, so all of monos then lies in (G + core).
     The deadline is checked once per element of monos while they are
     split, and once per reduction of the rest."""
@@ -210,21 +233,17 @@ def _core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
     divisors = _Divisors([_prim_from_poly(g, packing) for g in G])
     lms = divisors.lms[:]
     core, rest = [], []
-    for f in monos:
+    for m in monos:
         budget.check_deadline()
-        if not f:
-            return None
-        prim = _prim_from_poly(f, packing)
-        m = prim[0][0]
         if any(not (m - lm) & guard for lm in lms):
-            rest.append(prim)
+            rest.append(m)
         else:
-            core.append(f)
-            divisors.append(prim)
+            core.append(m)
+            divisors.append(((m, 1),))
     reducer = _IntReducer(packing, divisors, budget)
-    for prim in rest:
+    for m in rest:
         budget.check_deadline()
-        if reducer.reduce(dict(prim)):
+        if reducer.reduce({m: 1}):
             return None
     return core
 
@@ -240,14 +259,18 @@ def check_gb_sum(n: int, rng: random.Random,
     Groebner basis too (Becker & Weispfenning, Thm 5.35 and 5.48).
     Otherwise the certificate walks G ∪ M itself, and its verdict and
     witness, with indices into G ∪ M, are the check's. A pass charges the
-    core's certificate; a failure charges that plus the full walk."""
-    polys = fam.G_union_M(n)
-    # set_G(n), 3n - 4 elements, leads G_union_M(n).
-    G, monos = polys[:3 * n - 4], polys[3 * n - 4:]
+    core's certificate; a failure charges that plus the full walk. G ∪ M
+    is G = set_G(n) followed by the monomials of `_packed_monomials`, and
+    only the core, or on the full walk all of M, becomes Polynomials."""
+    ring = fam.standard_ring(n)
+    G = fam.set_G(n)
+    monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
-    if core is not None and is_groebner_basis(G + core, budget=budget).ok:
+    if (core is not None
+            and is_groebner_basis([*G, *fam._monomials(ring, core)],
+                                  budget=budget).ok):
         return PASS, None
-    cert = is_groebner_basis(polys, budget=budget)
+    cert = is_groebner_basis([*G, *fam._monomials(ring, monos)], budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "
                       f"{_fmt(cert.remainder)}")
@@ -293,7 +316,8 @@ def check_sum_equals_colon(n: int, rng: random.Random,
     (g_1..g_n). Then M ⊆ (G) + (core), and G ⊆ (g_1..g_n), so every
     monomial times every minor lies in (g_1..g_n). Otherwise every product
     is tested, and the witness is the first escaping one in row-major
-    order."""
+    order. The monomials are those of `_packed_monomials`, and the
+    products are formed on packed terms."""
     witness, proven = _proven_chain(n, budget)
     if witness is not None:
         return FAIL, witness
@@ -308,15 +332,18 @@ def check_sum_equals_colon(n: int, rng: random.Random,
     a_full = Ideal._from_prims(ring, _interreduce(
         [_prim_from_poly(g, packing) for g in G], packing, budget))
     minors = fam.minors_ideal(n)
-    monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
+    monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
     outside = None
-    if core is None or _first_product_outside(core, minors.gens, a_full,
-                                              budget) is not None:
-        outside = _first_product_outside(monos, minors.gens, a_full, budget)
+    if core is None or _first_prim_product_outside(
+            [((m, 1),) for m in core], minors._packed_gens(), a_full,
+            budget) is not None:
+        outside = _first_prim_product_outside(
+            [((m, 1),) for m in monos], minors._packed_gens(), a_full, budget)
     if outside is not None:
         a, b = outside
-        return FAIL, (f"containment fails: ({_fmt(monos[a])}) * "
+        mono, = fam._monomials(ring, [monos[a]])
+        return FAIL, (f"containment fails: ({_fmt(mono)}) * "
                       f"({_fmt(minors.gens[b])}) is not in the full family")
     if n > 5:
         return PASS, None
@@ -391,13 +418,7 @@ def _telescoping_identities(n: int, ring: Ring, g1: dict, g2: dict) -> Iterator[
     scaled by one integer (`_packed_terms`), which keeps every identity
     and every bound."""
     packing = _packing(ring.nvars)
-    unit = {(b, v): packing.pack(ring.monomial({ring.pos(b, v): 1}))
-            for b in "xyz" for v in range(1, n + 1)}
-
-    def mono(xs=(), ys=(), zs=()) -> int:
-        return (sum(unit["x", v] for v in xs) + sum(unit["y", v] for v in ys)
-                + sum(unit["z", v] for v in zs))
-
+    mono = functools.partial(fam._packed_xyz, n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
     packed = _packed_terms([*g1.values(), *g2.values(),
                             *(fam.delta(j, i, n) for i, j in pairs)], packing)
@@ -445,31 +466,32 @@ def _telescoping_witness(identities: Iterable[tuple],
     return None
 
 
-def _random_qualifying_binomials(ring: Ring, rng: random.Random):
+def _random_qualifying_binomials(ring: Ring, rng: random.Random) -> tuple:
     """Binomial pair whose leading-monomial gcd divides both trailing terms,
-    by construction: f = c*(u1 - a*u2) and g = c*(v1 - b*v2) with u1 > u2
-    and v1 > v2 of any degrees, v1 and v2 free of u1's variables, so
-    gcd(in f, in g) = c. Since c*u1 > c*u2, the terms are built in order."""
-    one = Fraction(1)
+    by construction, as prims of ring's packing: f = c*(u1 - a*u2) and
+    g = c*(v1 - b*v2) with u1 > u2 and v1 > v2 of any degrees, v1 and v2
+    free of u1's variables, so gcd(in f, in g) = c. Packed monomials
+    multiply by adding and compare as the order does, so c*u1 > c*u2 and
+    the terms are built in order; the lead coefficient 1 makes the
+    content 1."""
+    units = fam._packed_variables(ring.n)
 
     def mono(variables):
-        vec = [0] * ring.nvars
-        for _ in range(rng.randint(1, 3)):
-            vec[rng.choice(variables)] += 1
-        return Monomial(vec)
+        drawn = [rng.choice(variables) for _ in range(rng.randint(1, 3))]
+        return sum(units[v] for v in drawn), drawn
 
     def binomial(variables):
         while True:
-            u2, u1 = sorted((mono(variables), mono(variables)), key=lambda m: m.key)
+            (u2, _), (u1, drawn) = sorted((mono(variables), mono(variables)),
+                                          key=lambda m: m[0])
             if u1 != u2:
-                a = Fraction(rng.choice([1, 2, 3, -1, -2]))
-                return Polynomial(ring, (Term(one, c.mul(u1)),
-                                         Term(-a, c.mul(u2)))), u1
+                a = rng.choice([1, 2, 3, -1, -2])
+                return ((c + u1, 1), (c + u2, -a)), drawn
 
     all_vars = range(ring.nvars)
-    c = mono(all_vars)
-    f, u1 = binomial(all_vars)
-    g, _ = binomial([v for v in all_vars if not u1.exps[v]])
+    c, _ = mono(all_vars)
+    f, used = binomial(all_vars)
+    g, _ = binomial([v for v in all_vars if v not in used])
     return f, g
 
 
@@ -498,15 +520,15 @@ def check_identities(n: int, rng: random.Random,
         _telescoping_identities(n, ring, *fam.chain_g(n)), budget)
     if witness is not None:
         return FAIL, witness
-    # Whether a remainder is zero does not depend on scaling, so the pairs
-    # are reduced as packed primitive polynomials.
+    # The pairs are drawn and reduced as packed primitive polynomials;
+    # only a failing pair becomes Polynomials, for its witness.
     packing = _packing(ring.nvars)
     for _ in range(500 if n == 4 else 50):
         budget.check_deadline()
-        f, g = _random_qualifying_binomials(ring, rng)
-        pf, pg = _prim_from_poly(f, packing), _prim_from_poly(g, packing)
+        pf, pg = _random_qualifying_binomials(ring, rng)
         lcm = packing.lcm(pf[0][0], pg[0][0])
         if _IntReducer(packing, _Divisors((pf, pg))).reduce(_spoly(pf, pg, lcm)):
+            f, g = (_poly_from_dict(dict(p), ring, packing) for p in (pf, pg))
             return FAIL, (f"S({_fmt(f)}, {_fmt(g)}) does not reduce to zero "
                           f"against the pair")
     return PASS, None
@@ -514,24 +536,32 @@ def check_identities(n: int, rng: random.Random,
 
 def _certified_sum_basis(n: int, budget: Budget) -> Optional[tuple[Polynomial, ...]]:
     """The reduced basis of the sum of links, computed from G + core
-    (`_core`), with G and the monomials split off G_union_M(n) as in
-    gb-sum; None when the facts of this call do not prove that G + core
-    generates the sum of links. They do when the chain proof holds and G
-    is the set it proves, so (G) = (g_1..g_n); when the core exists, so
-    every monomial lies in (G + core) and (G + core) = (G) + (monomials);
-    and when the sum of links has exactly g_1..g_n and the monomials as
-    its generators."""
+    (`_core`), with G = set_G(n) and the monomials of `_packed_monomials`
+    as in gb-sum; None when the facts of this call do not prove that
+    G + core generates the sum of links. They do when the chain proof
+    holds and G is the set it proves, so (G) = (g_1..g_n); when the core
+    exists, so every monomial lies in (G + core) and (G + core) =
+    (G) + (monomials); and when the sum of links has exactly g_1..g_n and
+    the monomials as its generators, each up to a nonzero scalar, which
+    generates the same ideal: their packed prims are the same set."""
     witness, proven = _proven_chain(n, budget)
     if witness is not None:
         return None
-    polys = fam.G_union_M(n)
-    G, monos = polys[:3 * n - 4], polys[3 * n - 4:]
-    if G != proven or set(fam.sum_links_ideal(n).gens) != {*G[:n], *monos}:
+    ring = fam.standard_ring(n)
+    G = fam.set_G(n)
+    if G != proven:
+        return None
+    monos = _packed_monomials(n, budget)
+    packing = _packing(ring.nvars)
+    expected = {*(_prim_from_poly(g, packing) for g in G[:n]),
+                *(((m, 1),) for m in monos)}
+    if set(fam.sum_links_ideal(n)._packed_gens()) != expected:
         return None
     core = _shared_core(G, monos, budget)
     if core is None:
         return None
-    return reduced_groebner_basis(G + core, budget=budget)
+    return reduced_groebner_basis([*G, *fam._monomials(ring, core)],
+                                  budget=budget)
 
 
 def check_reduced(n: int, rng: random.Random,

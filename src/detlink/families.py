@@ -9,12 +9,16 @@ automorphisms that carry each subfamily onto the chain, and rational matrix
 specializations of the full minor list.
 
 Each family is built once per width, by a private cached builder, as a
-tuple of Polynomials, which are never modified in place; the monomial
-sets are first built as the kernel's packed monomials. The public
-constructors are views: each call returns a fresh list, dict or Ideal over
-those tuples, so a caller may mutate what it gets. No Ideal is cached: an
-Ideal caches its reduced basis, and a shared one would let one check's
-basis decide what the next check computes.
+tuple of Polynomials, which are never modified in place. The monomial
+sets are the exception: `_packed_monomial_sets` builds them as the
+kernel's packed monomials, the only form of them the checks read.
+`Polynomial` monomials are built from it
+(`_monomial_sets`) only for the public views over the sets: M_polys,
+G_union_M, link_ideal and sum_links_ideal. The public constructors are
+views: each call returns a fresh list, dict or Ideal over the builders'
+tuples, so a caller may mutate what it gets. No Ideal is cached: an Ideal
+caches its reduced basis, and a shared one would let one check's basis
+decide what the next check computes.
 """
 
 from __future__ import annotations
@@ -138,37 +142,57 @@ def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
 
 
 @lru_cache(maxsize=None)
+def _packed_variables(n: int) -> tuple[int, ...]:
+    """The variables of the width-n ring as packed monomials of its order,
+    by exponent position: x_1..x_n, y_1..y_n, z_1..z_n."""
+    nvars = 3 * n
+    pack = _packing(nvars).pack
+    return tuple(pack(Monomial(tuple(int(p == q) for p in range(nvars))))
+                 for q in range(nvars))
+
+
+def _packed_xyz(n: int, xs: Iterable[int] = (), ys: Iterable[int] = (),
+                zs: Iterable[int] = ()) -> int:
+    """`xyz_monomial` as a packed monomial, without its checks: indices are
+    distinct and in [1, n]. Packed monomials multiply by adding, so the
+    product of squarefree variables is their sum."""
+    v = _packed_variables(n)
+    return (sum(v[i - 1] for i in xs) + sum(v[n + i - 1] for i in ys)
+            + sum(v[2 * n + i - 1] for i in zs))
+
+
+@lru_cache(maxsize=None)
 def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """M_1, ..., M_n as packed monomials of the ring's order, each in
     descending order.
 
-    Each monomial is a sum of packed variables: the z-part of its link,
-    then x_k or y_k for each k of the window. The products are squarefree,
-    so no field reaches the packing limit, and packed ints compare as the
-    order does.
+    Each monomial is the z-part of its link plus x_k or y_k for each k of
+    the window. The products are squarefree, so no field reaches the
+    packing limit, and packed ints compare as the order does.
     """
-    ring = standard_ring(n)
-    pack, pos = _packing(ring.nvars).pack, ring.pos
-    units = [pack(Monomial(tuple(int(p == q) for p in range(ring.nvars))))
-             for q in range(ring.nvars)]
+    v = _packed_variables(n)
     out = []
     for i in range(1, n + 1):
         _, window, zs = _link(n, i)
-        monos = [sum(units[pos("z", k)] for k in zs)]
+        monos = [_packed_xyz(n, zs=zs)]
         for k in window:
-            x, y = units[pos("x", k)], units[pos("y", k)]
-            monos = [m + v for m in monos for v in (x, y)]
+            x, y = v[k - 1], v[n + k - 1]
+            monos = [m + u for m in monos for u in (x, y)]
         out.append(tuple(sorted(monos, reverse=True)))
     return tuple(out)
+
+
+def _monomials(ring: Ring, packed: Iterable[int]) -> tuple[Polynomial, ...]:
+    """Packed monomials of ring's order as monomial Polynomials, in order."""
+    unpack, one = _packing(ring.nvars).unpack, Fraction(1)
+    return tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in packed)
 
 
 @lru_cache(maxsize=None)
 def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
     """M_1, ..., M_n as monomial Polynomials, each in descending order."""
     ring = standard_ring(n)
-    unpack, one = _packing(ring.nvars).unpack, Fraction(1)
-    return tuple(tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in ms)
-                 for ms in _packed_monomial_sets(n))
+    return tuple(_monomials(ring, ms) for ms in _packed_monomial_sets(n))
 
 
 @lru_cache(maxsize=None)

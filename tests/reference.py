@@ -15,7 +15,14 @@ certified from the core of the monomial sets: the first walks all of
 G ∪ M, the second tests every monomial times every minor.
 `check_reduced_full` is `reduced` as it was before it took its basis from
 G + core: Buchberger's algorithm on the sum of links' generators. The
-checks must agree with them on status and witness. `minors` builds every
+checks must agree with them on status and witness. The full walks read
+the monomial sets where the checks do, from the packed builder
+`families._packed_monomial_sets`, and build `Polynomial`s from them
+(`packed_monomials`). `core` and
+`random_qualifying_binomials` are the core of the monomial sets and the
+random binomial pairs of `identities` as they were computed on
+`Polynomial`s, before the checks drew and split them as packed
+monomials. `minors` builds every
 minor by polynomial arithmetic, x_i*y_j - x_j*y_i, for the families'
 term-built minors to match. `telescoping_identities` and
 `telescoping_witness` are the telescoping part of `identities` as it was
@@ -35,18 +42,21 @@ reduced basis interreduced from it, the way `sum-equals-colon` builds
 from __future__ import annotations
 
 import itertools
+import random
+from fractions import Fraction
 from operator import le as _le, sub as _sub
-from typing import Mapping, Optional, Union
+from typing import Mapping, Optional, Sequence, Union
 
 import detlink.families as fam
 from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
 from detlink.families import _link, standard_ring, window_products, xyz_monomial
-from detlink.groebner import (Budget, Ideal, _first_prim_product_outside,
+from detlink.groebner import (Budget, Ideal, _Divisors, _IntReducer,
+                              _first_prim_product_outside,
                               _first_product_outside, _interreduce, _packing,
                               _prim_from_dict, _prim_from_poly, _product,
                               ideal_equal, is_groebner_basis)
 from detlink.idealops import _exact_quotient, _intersect_prims, quotient
-from detlink.rings import Monomial, Polynomial, Ring, Scalar
+from detlink.rings import Monomial, Polynomial, Ring, Scalar, Term
 
 
 # -- monomial arithmetic ----------------------------------------------------
@@ -216,9 +226,18 @@ def groebner_basis_ideal(ring: Ring, G) -> Ideal:
         [_prim_from_poly(g, packing) for g in G], packing))
 
 
+def packed_monomials(n: int) -> list[Polynomial]:
+    """The monomials of `families._packed_monomial_sets(n)`, M_1 to M_n in
+    turn, as monomial Polynomials."""
+    ring = standard_ring(n)
+    unpack = _packing(ring.nvars).unpack
+    return [ring.from_monomial(unpack(m))
+            for ms in fam._packed_monomial_sets(n) for m in ms]
+
+
 def check_gb_sum_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
     """`gb-sum` by the certificate on all of G ∪ M."""
-    cert = is_groebner_basis(fam.G_union_M(n), budget=budget)
+    cert = is_groebner_basis(fam.set_G(n) + packed_monomials(n), budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "
                       f"{_fmt(cert.remainder)}")
@@ -247,7 +266,7 @@ def check_sum_equals_colon_full(n: int,
         return FAIL, _UNPROVEN_G
     a_full = groebner_basis_ideal(ring, G)
     minors = fam.minors_ideal(n)
-    monos = [p for i in range(1, n + 1) for p in fam.M_polys(n, i)]
+    monos = packed_monomials(n)
     outside = _first_product_outside(monos, minors.gens, a_full, budget)
     if outside is not None:
         a, b = outside
@@ -259,6 +278,70 @@ def check_sum_equals_colon_full(n: int,
     if not ideal_equal(Q, fam.sum_links_ideal(n), budget):
         return FAIL, "colon of the full family differs from the sum of links"
     return PASS, None
+
+
+# -- the core of the monomial sets and the random binomials on Polynomials --
+
+
+def core(G: Sequence[Polynomial], monos: Sequence[Polynomial],
+         budget: Budget) -> Optional[list[Polynomial]]:
+    """The core of monos by G, as `checks._core` defines it, on
+    Polynomials: the monos whose leading monomial no leading monomial of
+    G divides, in order, when every other one has remainder 0 on division
+    by G + core; None otherwise, and when G or monos holds a zero."""
+    if not all(G):
+        return None
+    packing = _packing(G[0].ring.nvars)
+    guard = packing.guard
+    divisors = _Divisors([_prim_from_poly(g, packing) for g in G])
+    lms = divisors.lms[:]
+    found, rest = [], []
+    for f in monos:
+        budget.check_deadline()
+        if not f:
+            return None
+        prim = _prim_from_poly(f, packing)
+        m = prim[0][0]
+        if any(not (m - lm) & guard for lm in lms):
+            rest.append(prim)
+        else:
+            found.append(f)
+            divisors.append(prim)
+    reducer = _IntReducer(packing, divisors, budget)
+    for prim in rest:
+        budget.check_deadline()
+        if reducer.reduce(dict(prim)):
+            return None
+    return found
+
+
+def random_qualifying_binomials(ring: Ring, rng: random.Random
+                                ) -> tuple[Polynomial, Polynomial]:
+    """The binomial pair of `checks._random_qualifying_binomials`, with the
+    same draws from rng, as Polynomials built on Monomials and ordered by
+    `Monomial.key`: f = c*(u1 - a*u2), g = c*(v1 - b*v2), v1 and v2 free
+    of u1's variables."""
+    one = Fraction(1)
+
+    def mono(variables):
+        vec = [0] * ring.nvars
+        for _ in range(rng.randint(1, 3)):
+            vec[rng.choice(variables)] += 1
+        return Monomial(vec)
+
+    def binomial(variables):
+        while True:
+            u2, u1 = sorted((mono(variables), mono(variables)), key=lambda m: m.key)
+            if u1 != u2:
+                a = Fraction(rng.choice([1, 2, 3, -1, -2]))
+                return Polynomial(ring, (Term(one, c.mul(u1)),
+                                         Term(-a, c.mul(u2)))), u1
+
+    all_vars = range(ring.nvars)
+    c = mono(all_vars)
+    f, u1 = binomial(all_vars)
+    g, _ = binomial([v for v in all_vars if not u1.exps[v]])
+    return f, g
 
 
 # -- the colon fold in a given order ----------------------------------------

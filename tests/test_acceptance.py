@@ -12,8 +12,9 @@ import detlink.families as fam
 from detlink.checks import (_random_qualifying_binomials, check_identities,
                             check_random_specialization, run_checks)
 from detlink.graphs import verify_res_int
-from detlink.groebner import (Budget, Ideal, divide, ideal_equal, interreduce,
-                              is_groebner_basis, member, minimal_generators,
+from detlink.groebner import (Budget, Ideal, _packing, _poly_from_dict, divide,
+                              ideal_equal, interreduce, is_groebner_basis,
+                              member, minimal_generators,
                               reduced_groebner_basis, s_polynomial)
 from detlink.idealops import dimension, height, intersect, quotient, sum_ideals
 from detlink.rings import Ring
@@ -154,11 +155,14 @@ def test_criterion_09_identity_suite():
     for n in (4, 5, 6, 7):
         status, witness = check_identities(n, rng, Budget())
         ok = ok and status == "pass"
-    # Binomial S-pair reduction on 500 qualifying random pairs.
+    # Binomial S-pair reduction on 500 qualifying random pairs, drawn as
+    # packed prims and divided as Polynomials.
     ring = fam.standard_ring(4)
+    packing = _packing(ring.nvars)
     rng = random.Random("acceptance/binomial-pairs")
     for _ in range(500):
-        f, g = _random_qualifying_binomials(ring, rng)
+        f, g = (_poly_from_dict(dict(p), ring, packing)
+                for p in _random_qualifying_binomials(ring, rng))
         ok = ok and not divide(s_polynomial(f, g), [f, g]).remainder
     _report(9, "identity suite", ok, time.perf_counter() - t0)
 

@@ -16,13 +16,14 @@ import detlink.families as fam
 from detlink.checks import bench, report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
-                              _packing, divide, is_groebner_basis, member,
-                              s_polynomial)
+                              _packing, _poly_from_dict, _prim_from_poly,
+                              divide, is_groebner_basis, member, s_polynomial)
 
+import reference
 from reference import (check_gb_sum_full, check_reduced_full,
                        check_sum_equals_colon_full, divides, gcd,
-                       groebner_basis_ideal, telescoping_identities,
-                       telescoping_witness)
+                       groebner_basis_ideal, packed_monomials,
+                       telescoping_identities, telescoping_witness)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
 
@@ -115,12 +116,10 @@ class TestRunChecks:
     def test_containment_witness(self, monkeypatch):
         # x1 joins M_2 and x1 * delta(1, 2) escapes the full family; the
         # witness names the first escaping product in (i, m, minor) order.
-        original = fam.M_polys
         R = fam.standard_ring(4)
-        monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
-            original(n, i) + [R.x(1)] if i == 2 else original(n, i)))
+        _extend_M(monkeypatch, _packed(R.x(1)))
         a_full = groebner_basis_ideal(R, fam.set_G(4))
-        first = next((mono, d) for i in range(1, 5) for mono in fam.M_polys(4, i)
+        first = next((mono, d) for mono in packed_monomials(4)
                      for d in fam.minors_ideal(4).gens
                      if not member(mono * d, a_full))
         report = run_checks(4, ["sum-equals-colon"])[0]
@@ -227,27 +226,30 @@ class TestWorkCounts:
         assert int(out) == self.HEIGHTS_7
 
 
+def _packed(f):
+    """The packed leading monomial of f."""
+    return _packing(f.ring.nvars).pack(f.terms[0].mono)
+
+
 def _split(n):
-    """set_G(n) and the monomials of G_union_M(n) after it."""
-    polys = fam.G_union_M(n)
-    return polys[:3 * n - 4], polys[3 * n - 4:]
+    """set_G(n) and the packed monomials of M_1, ..., M_n, as the checks
+    read them."""
+    return fam.set_G(n), checks._packed_monomials(n, Budget())
 
 
 def _extend_M(monkeypatch, m):
-    """m joins M_2 in both lists the checks read, G_union_M and M_polys."""
-    G_union_M, M_polys = fam.G_union_M, fam.M_polys
-    monkeypatch.setattr(checks.fam, "G_union_M", lambda n: G_union_M(n) + [m])
-    monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
-        M_polys(n, i) + [m] if i == 2 else M_polys(n, i)))
+    """The packed monomial m joins M_2 in the packed sets, the one form of
+    the monomial sets the checks read."""
+    original = fam._packed_monomial_sets
+    monkeypatch.setattr(checks.fam, "_packed_monomial_sets", lambda n: tuple(
+        ms + (m,) if i == 1 else ms for i, ms in enumerate(original(n))))
 
 
 def _drop_M(monkeypatch, m):
-    """m leaves both lists the checks read, G_union_M and M_polys."""
-    G_union_M, M_polys = fam.G_union_M, fam.M_polys
-    monkeypatch.setattr(checks.fam, "G_union_M",
-                        lambda n: [f for f in G_union_M(n) if f != m])
-    monkeypatch.setattr(checks.fam, "M_polys",
-                        lambda n, i: [f for f in M_polys(n, i) if f != m])
+    """The packed monomial m leaves the packed sets."""
+    original = fam._packed_monomial_sets
+    monkeypatch.setattr(checks.fam, "_packed_monomial_sets", lambda n: tuple(
+        tuple(u for u in ms if u != m) for ms in original(n)))
 
 
 def _agree_with_the_full_walks(n):
@@ -282,20 +284,58 @@ class TestCoreCertificate:
         G, monos = _split(5)
         core = checks._core(G, monos, Budget())
         lms = [g.terms[0].mono for g in G]
+        unpack = _packing(G[0].ring.nvars).unpack
         assert core == [m for m in monos
-                        if not any(divides(lm, m.terms[0].mono) for lm in lms)]
+                        if not any(divides(lm, unpack(m)) for lm in lms)]
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_core_agrees_with_the_polynomial_core(self, n):
+        # The packed core is the Polynomial one's leading monomials, in
+        # order, and neither charges a unit.
+        G, monos = _split(n)
+        packed, polys = Budget(), Budget()
+        core = checks._core(G, monos, packed)
+        want = reference.core(G, packed_monomials(n), polys)
+        assert core == [_packed(f) for f in want]
+        assert packed.pairs == polys.pairs
+
+    @pytest.mark.parametrize("corrupt", ["drop", "x1", "zero"])
+    def test_corrupted_cores_agree(self, corrupt):
+        # A core monomial and a rest monomial dropped, in turn; x1 added to
+        # the monomials, where it is core; a zero element of G, where
+        # there is no core.
+        G, monos = _split(5)
+        R = G[0].ring
+        unpack = _packing(R.nvars).unpack
+        core = checks._core(G, monos, Budget())
+        if corrupt == "drop":
+            rest = next(m for m in monos if m not in core)
+            cases = [(G, [u for u in monos if u != m]) for m in (core[0], rest)]
+        elif corrupt == "x1":
+            cases = [(G, [*monos, _packed(R.x(1))])]
+        else:
+            cases = [([*G[:2], R.zero, *G[2:]], monos)]
+        for G, monos in cases:
+            got = checks._core(G, monos, Budget())
+            want = reference.core(
+                G, [R.from_monomial(unpack(m)) for m in monos], Budget())
+            assert got == (None if want is None else [_packed(f) for f in want])
+        if corrupt == "x1":
+            assert got[-1] == _packed(R.x(1))
+        elif corrupt == "zero":
+            assert got is None
 
     @pytest.mark.parametrize("n", range(4, 8))
     def test_agrees_with_the_full_walks(self, n):
         assert _agree_with_the_full_walks(n) == [("pass", None)] * 2
 
     def test_escaping_monomial(self, monkeypatch):
-        # x1 joins M_2 in both lists the checks read. It is core, so
-        # sum-equals-colon tests every product and names the first escaping
-        # one; G ∪ M plus x1 is still a Groebner basis, of a larger ideal.
+        # x1 joins M_2 in the packed sets. It is core, so sum-equals-colon
+        # tests every product and names the first escaping one; G ∪ M plus
+        # x1 is still a Groebner basis, of a larger ideal.
         R = fam.standard_ring(4)
-        _extend_M(monkeypatch, R.x(1))
-        assert checks._core(*_split(4), Budget())[-1] == R.x(1)
+        _extend_M(monkeypatch, _packed(R.x(1)))
+        assert _packed(R.x(1)) in checks._core(*_split(4), Budget())
         gb_sum, colon = _agree_with_the_full_walks(4)
         assert gb_sum == ("pass", None) and colon[0] == "fail"
         assert colon[1].startswith("containment fails: (x1) * ")
@@ -305,7 +345,7 @@ class TestCoreCertificate:
         # G + core is not 0, so both checks test every element.
         R = fam.standard_ring(4)
         m = R.x(1) * R.from_monomial(fam.g_generator(4, 1).terms[0].mono)
-        _extend_M(monkeypatch, m)
+        _extend_M(monkeypatch, _packed(m))
         assert checks._core(*_split(4), Budget()) is None
         gb_sum, colon = _agree_with_the_full_walks(4)
         assert colon[0] == "fail"
@@ -407,6 +447,41 @@ class TestReducedFromTheCore:
                 assert _reduced_falls_back(n) == ("pass", None)
 
 
+def _refuse(monkeypatch, *names):
+    """Make each named builder of `families` raise when called."""
+    for name in names:
+        def refuse(n, name=name):
+            raise AssertionError(f"families.{name}({n}) was called")
+        monkeypatch.setattr(checks.fam, name, refuse)
+
+
+class TestPackedMonomialSets:
+    """The checks read the monomial sets as packed monomials and build
+    `Polynomial` monomials only for a witness or a fallback."""
+
+    # The default-tier selections at n = 7 and 8, as the certify-n6-8
+    # benchmark workload runs them.
+    DEFAULT_TIER = {
+        7: ("gb-a", "gb-sum", "sum-equals-colon", "automorphisms", "identities"),
+        8: ("gb-a", "gb-sum", "automorphisms", "identities")}
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_default_tier_builds_no_polynomial_sets(self, monkeypatch, n):
+        _refuse(monkeypatch, "_monomial_sets")
+        reports = run_checks(n, self.DEFAULT_TIER[n])
+        assert [r.status for r in reports] == ["pass"] * len(reports)
+
+    def test_deadline_comes_before_the_sets(self, monkeypatch):
+        # An expired budget stops every check that reads the sets before
+        # they are built, in either form; at n = 16 the packed sets alone
+        # hold 262,144 monomials.
+        _refuse(monkeypatch, "_monomial_sets", "_packed_monomial_sets")
+        selection = ["gb-sum", "sum-equals-colon", "reduced"]
+        reports = run_checks(16, selection, timeout_secs=0)
+        assert [r.status for r in reports] == ["budget-exceeded"] * 3
+        assert all("timeout" in r.witness for r in reports)
+
+
 # The checks that share the chain proof, the certificate of G or the core;
 # under "all", gb-sum derives the core before sum-equals-colon and reduced.
 SHARED = ("gb-a", "gb-sum", "sum-equals-colon", "identities", "reduced")
@@ -467,13 +542,18 @@ class TestSharedFacts:
             ("fail", "first chain recurrence fails at i=2")] * 3
 
     def test_keys_hold_what_each_check_read(self, monkeypatch):
-        # x1 joins M_2 in M_polys only: gb-sum reads G_union_M and derives
-        # the core first, and sum-equals-colon, reading M_polys, must not
-        # find that core under its own monomials.
-        original = fam.M_polys
+        # x1 joins M_2 in the packed sets only while sum-equals-colon runs:
+        # gb-sum derives the core of the true sets first, and
+        # sum-equals-colon must not find that core under its own monomials.
         R = fam.standard_ring(4)
-        monkeypatch.setattr(checks.fam, "M_polys", lambda n, i: (
-            original(n, i) + [R.x(1)] if i == 2 else original(n, i)))
+        check = checks.CHECKS["sum-equals-colon"]
+
+        def reading_x1(n, rng, budget):
+            with monkeypatch.context() as patch:
+                _extend_M(patch, _packed(R.x(1)))
+                return check(n, rng, budget)
+
+        monkeypatch.setitem(checks.CHECKS, "sum-equals-colon", reading_x1)
         alone = run_checks(4, ["sum-equals-colon"])
         together = run_checks(4, ["gb-sum", "sum-equals-colon"])
         assert together[0].status == "pass"
@@ -603,6 +683,13 @@ class TestTelescoping:
             [f * 3, g * 4], packing)
 
 
+def _binomials(ring, rng):
+    """`checks._random_qualifying_binomials` as Polynomials."""
+    packing = _packing(ring.nvars)
+    return tuple(_poly_from_dict(dict(p), ring, packing)
+                 for p in checks._random_qualifying_binomials(ring, rng))
+
+
 class TestQualifyingBinomials:
     @pytest.mark.parametrize("n", range(4, 9))
     def test_every_draw_qualifies(self, n):
@@ -612,7 +699,7 @@ class TestQualifyingBinomials:
         rng = random.Random(f"qualifying-binomials/{n}")
         homogeneous = 0
         for _ in range(200):
-            f, g = checks._random_qualifying_binomials(ring, rng)
+            f, g = _binomials(ring, rng)
             assert len(f) == len(g) == 2 and f != g
             c = gcd(f.terms[0].mono, g.terms[0].mono)
             assert divides(c, f.terms[1].mono) and divides(c, g.terms[1].mono)
@@ -620,14 +707,27 @@ class TestQualifyingBinomials:
             homogeneous += f.is_homogeneous() and g.is_homogeneous()
         assert homogeneous > 0
 
+    @pytest.mark.parametrize("n, draws", [(4, 500), (8, 50)])
+    def test_same_pairs_as_on_polynomials(self, n, draws):
+        # The packed draws make the rng calls of the Polynomial ones, in
+        # order, so the same pairs come out and the streams stay in step.
+        ring = fam.standard_ring(n)
+        for seed in range(3):
+            packed, polys = random.Random(seed), random.Random(seed)
+            for _ in range(draws):
+                assert _binomials(ring, packed) == \
+                    reference.random_qualifying_binomials(ring, polys)
+            assert packed.random() == polys.random()
+
     def test_nonzero_remainder_fails_identities(self, monkeypatch):
         # A pair that does not qualify: S(f, g) = -y1^2 is its own remainder,
         # so identities fails on the first draw and names the pair.
         R = fam.standard_ring(4)
         f, g = R.x(1) ** 2 - R.y(1), R.x(1) * R.y(1)
         assert divide(s_polynomial(f, g), [f, g]).remainder == -R.y(1) ** 2
-        monkeypatch.setattr(checks, "_random_qualifying_binomials",
-                            lambda ring, rng: (f, g))
+        packing = _packing(R.nvars)
+        monkeypatch.setattr(checks, "_random_qualifying_binomials", lambda ring, rng: (
+            _prim_from_poly(f, packing), _prim_from_poly(g, packing)))
         report, = run_checks(4, ["identities"])
         assert (report.status, report.witness) == (
             "fail", f"S({R.format(f)}, {R.format(g)}) does not reduce to zero "
