@@ -15,7 +15,6 @@ from .groebner import (
     Ideal,
     divide,
     ideal_equal,
-    interreduce,
     is_groebner_basis,
     member,
     minimal_generators,
@@ -44,7 +43,6 @@ __all__ = [
     "Ideal",
     "divide",
     "ideal_equal",
-    "interreduce",
     "is_groebner_basis",
     "member",
     "minimal_generators",

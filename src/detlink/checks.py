@@ -34,7 +34,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import families as fam
 from .graphs import verify_res_int
-from .groebner import (Budget, BudgetExceeded, GBCertificate, GBStats, Ideal,
+from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _first_prim_product_outside, _first_product_outside,
                        _interreduce, _packing, _poly_from_dict, _prim_from_poly,
@@ -642,7 +642,7 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
     checks share are derived once per call (`_shared`).
 
     `stretch` is ignored. It is still accepted because callers pass it,
-    among them the colon-n5 workload of perfbench.
+    among them the colon-n5 timing workload.
     """
     if n < 4:
         raise ValueError(f"checks need n >= 4, got {n}")
@@ -683,58 +683,3 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
     finally:
         _memo = outer
     return reports
-
-
-# -- benchmark rows ----------------------------------------------------------
-
-
-def bench(n_min: int, n_max: int,
-          max_pairs: Optional[int] = None,
-          timeout_secs: Optional[float] = None) -> list[dict]:
-    """Timing and pair-count rows for the scalable Groebner workloads."""
-    if n_min < 4:
-        raise ValueError(f"bench needs n_min >= 4, got {n_min}")
-    if n_max < n_min:
-        raise ValueError(f"empty width range {n_min}..{n_max}")
-    rows = []
-    for n in range(n_min, n_max + 1):
-        for task, gens, criteria in (
-                ("gb-a", fam.gens_a(n).gens, True),
-                ("gb-a-nocriteria", fam.gens_a(n).gens, False),
-                ("gb-sum-links", fam.sum_links_ideal(n).gens, True)):
-            stats = GBStats()
-            budget = Budget(max_pairs, timeout_secs)
-            t0 = time.perf_counter()
-            status, basis = "ok", ()
-            try:
-                basis = reduced_groebner_basis(gens, budget=budget,
-                                               criteria=criteria, stats=stats)
-            except BudgetExceeded:
-                status = BUDGET
-            rows.append({
-                "n": n, "task": task, "status": status,
-                "pairs_processed": stats.pairs_processed,
-                "discarded_coprime": stats.discarded_coprime,
-                "discarded_chain": stats.discarded_chain,
-                "zero_reductions": stats.zero_reductions,
-                "basis_size": len(basis),
-                "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-            })
-        GM = fam.G_union_M(n)
-        budget = Budget(max_pairs, timeout_secs)
-        t0 = time.perf_counter()
-        status = "ok"
-        try:
-            ok = is_groebner_basis(GM, budget=budget).ok
-            if not ok:
-                status = "fail"
-        except BudgetExceeded:
-            status = BUDGET
-        rows.append({
-            "n": n, "task": "certificate-G-M", "status": status,
-            "pairs_processed": budget.pairs,
-            "discarded_coprime": 0, "discarded_chain": 0,
-            "zero_reductions": 0, "basis_size": len(GM),
-            "elapsed_ms": round((time.perf_counter() - t0) * 1000.0, 3),
-        })
-    return rows

@@ -1,15 +1,13 @@
-"""Command-line verifier: run checks, print families, benchmark the engine."""
+"""Command-line verifier: run checks and print families."""
 
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from typing import Callable, Optional, Sequence
 
 from . import families as fam
-from .checks import (ALL_CHECKS, BUDGET, FAIL, SKIPPED, bench, report_json,
-                     run_checks)
+from .checks import ALL_CHECKS, BUDGET, FAIL, SKIPPED, report_json, run_checks
 
 
 # The families `show --family` prints, one line per entry; the keys are its
@@ -31,24 +29,6 @@ def _error(message) -> int:
     return 2
 
 
-def _write_rows(fh, rows: list[dict]) -> None:
-    writer = csv.DictWriter(fh, fieldnames=[
-        "n", "task", "status", "pairs_processed", "discarded_coprime",
-        "discarded_chain", "zero_reductions", "basis_size", "elapsed_ms"])
-    writer.writeheader()
-    writer.writerows(rows)
-
-
-def _add_budget_flags(parser: argparse.ArgumentParser) -> None:
-    """Budgets apply per check, or per row of `bench`."""
-    parser.add_argument("--budget-pairs", type=int, default=None,
-                        help="cap on units of work: S-polynomials reduced "
-                             "(by Buchberger's algorithm or a certificate) "
-                             "and nodes of combinatorial walks")
-    parser.add_argument("--timeout-secs", type=float, default=None,
-                        help="wall-clock cap in seconds")
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="detlink",
@@ -60,19 +40,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_verify.add_argument("--checks", default="all",
                           help=f"comma list or 'all'; known: {', '.join(ALL_CHECKS)}")
     p_verify.add_argument("--seed", type=int, default=0)
-    _add_budget_flags(p_verify)
+    p_verify.add_argument("--budget-pairs", type=int, default=None,
+                          help="cap per check on units of work: S-polynomials "
+                               "reduced (by Buchberger's algorithm or a "
+                               "certificate) and nodes of combinatorial walks")
+    p_verify.add_argument("--timeout-secs", type=float, default=None,
+                          help="wall-clock cap per check in seconds")
     p_verify.add_argument("--format", choices=["json", "text"], default="text")
     p_verify.add_argument("--out", default=None, help="also write the report here")
 
     p_show = sub.add_parser("show", help="print an ideal family")
     p_show.add_argument("--family", required=True, choices=list(FAMILIES))
     p_show.add_argument("--n", type=int, required=True)
-
-    p_bench = sub.add_parser("bench", help="benchmark the Groebner engine")
-    p_bench.add_argument("--n-min", type=int, default=4)
-    p_bench.add_argument("--n-max", type=int, default=6)
-    p_bench.add_argument("--csv", default=None, help="write rows to this CSV file")
-    _add_budget_flags(p_bench)
 
     args = parser.parse_args(argv)
 
@@ -83,21 +62,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return _error(exc)
         for line in lines:
             print(line)
-        return 0
-
-    if args.command == "bench":
-        try:
-            rows = bench(args.n_min, args.n_max, max_pairs=args.budget_pairs,
-                         timeout_secs=args.timeout_secs)
-        except ValueError as exc:
-            return _error(exc)
-        _write_rows(sys.stdout, rows)
-        if args.csv:
-            try:
-                with open(args.csv, "w", newline="") as fh:
-                    _write_rows(fh, rows)
-            except OSError as exc:
-                return _error(f"cannot write {args.csv}: {exc.strerror or exc}")
         return 0
 
     selection = "all" if args.checks == "all" else [

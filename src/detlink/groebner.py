@@ -796,24 +796,6 @@ def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> l
     return kept
 
 
-def interreduce(basis: Sequence[Polynomial]) -> tuple[Polynomial, ...]:
-    """Monic minimal tail-reduced form of a Groebner basis.
-
-    Applied to any Groebner basis of an ideal this yields THE reduced
-    basis: elements whose leading monomial is divisible by another's are
-    dropped, the rest are tail-reduced against each other.
-    """
-    polys = [f for f in basis if f]
-    if not polys:
-        return ()
-    ring = polys[0].ring
-    for f in polys:
-        f._check_ring(ring)
-    packing = _packing(ring.nvars)
-    kept = _interreduce([_prim_from_poly(f, packing) for f in polys], packing)
-    return _monic_from_prims(kept, ring)
-
-
 def is_groebner_basis(polys: Sequence[Polynomial],
                       order: None = None,
                       budget: Optional[Budget] = None) -> GBCertificate:

@@ -13,7 +13,7 @@ import pytest
 
 import detlink.checks as checks
 import detlink.families as fam
-from detlink.checks import bench, report_document, report_json, run_checks
+from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
                               _packing, _poly_from_dict, _prim_from_poly,
@@ -762,58 +762,6 @@ class TestReportFormat:
             assert report.witness
 
 
-class TestBench:
-    def test_rows_grow_monotonically(self):
-        rows = bench(4, 6)
-        gb_a = [r for r in rows if r["task"] == "gb-a"]
-        assert len(gb_a) == 3
-        pairs = [r["pairs_processed"] for r in gb_a]
-        assert pairs == sorted(pairs) and pairs[0] < pairs[-1]
-        assert all(r["status"] == "ok" for r in rows)
-
-    def test_rows_pinned(self):
-        # Every count of bench(4, 6) but the timing: a change to pair
-        # installation or to the certificate walk must leave them alone.
-        # A certificate row's pairs_processed counts the pairs it reduces.
-        rows = [{k: v for k, v in r.items() if k != "elapsed_ms"}
-                for r in bench(4, 6)]
-        columns = ("pairs_processed", "discarded_coprime", "discarded_chain",
-                   "zero_reductions", "basis_size")
-        expected = {
-            (4, "gb-a"): (13, 6, 9, 9, 8),
-            (4, "gb-a-nocriteria"): (28, 0, 0, 24, 8),
-            (4, "gb-sum-links"): (56, 5, 170, 54, 18),
-            (4, "certificate-G-M"): (71, 0, 0, 0, 24),
-            (5, "gb-a"): (22, 15, 18, 16, 11),
-            (5, "gb-a-nocriteria"): (55, 0, 0, 49, 11),
-            (5, "gb-sum-links"): (130, 14, 1027, 126, 29),
-            (5, "certificate-G-M"): (158, 0, 0, 0, 51),
-            (6, "gb-a"): (33, 28, 30, 25, 14),
-            (6, "gb-a-nocriteria"): (91, 0, 0, 83, 14),
-            (6, "gb-sum-links"): (264, 26, 5447, 258, 42),
-            (6, "certificate-G-M"): (325, 0, 0, 0, 110),
-        }
-        assert rows == [{"n": n, "task": task, "status": "ok",
-                         **dict(zip(columns, counts))}
-                        for (n, task), counts in expected.items()]
-
-    def test_certificate_rows_present(self):
-        rows = bench(4, 4)
-        tasks = {r["task"] for r in rows}
-        assert {"gb-a", "gb-a-nocriteria", "gb-sum-links", "certificate-G-M"} <= tasks
-
-    def test_budget_exceeded_rows_marked(self):
-        rows = bench(4, 4, max_pairs=3)
-        assert any(r["status"] == "budget-exceeded" for r in rows)
-        # A Groebner row whose budget ran out is still timed.
-        gb_rows = [r for r in rows if r["task"] != "certificate-G-M"
-                   and r["status"] == "budget-exceeded"]
-        assert gb_rows
-        for r in gb_rows:
-            assert r["elapsed_ms"] > 0
-            assert r["basis_size"] == 0
-
-
 class TestCLI:
     def test_verify_exit_codes(self, capsys):
         assert main(["verify", "--n", "4", "--checks", "gb-a,automorphisms"]) == 0
@@ -894,51 +842,39 @@ class TestCLI:
         assert main(["show", "--family", "G", "--n", "5"]) == 0
         assert len(capsys.readouterr().out.strip().splitlines()) == 11
 
-    def test_bench_budget_flags(self, capsys):
-        assert main(["bench", "--n-min", "4", "--n-max", "4",
-                     "--budget-pairs", "3"]) == 0
-        assert "budget-exceeded" in capsys.readouterr().out
-        assert main(["bench", "--n-min", "4", "--n-max", "4",
-                     "--timeout-secs", "60"]) == 0
-        assert "budget-exceeded" not in capsys.readouterr().out
-
     def _assert_usage_error(self, argv, capsys):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         return captured
 
-    def test_bench_rejects_small_n(self, capsys):
-        captured = self._assert_usage_error(["bench", "--n-min", "3"], capsys)
-        assert captured.out == ""
-
-    def test_bench_rejects_empty_range(self, capsys):
-        captured = self._assert_usage_error(
-            ["bench", "--n-min", "5", "--n-max", "4"], capsys)
-        assert captured.out == ""
-
     def test_negative_budgets_rejected(self, capsys):
-        for command in (["verify", "--n", "4", "--checks", "gb-a"],
-                        ["bench", "--n-min", "4", "--n-max", "4"]):
-            for flag in ("--budget-pairs", "--timeout-secs"):
-                captured = self._assert_usage_error([*command, flag, "-1"], capsys)
-                assert captured.out == ""
+        for flag in ("--budget-pairs", "--timeout-secs"):
+            captured = self._assert_usage_error(
+                ["verify", "--n", "4", "--checks", "gb-a", flag, "-1"], capsys)
+            assert captured.out == ""
+
+    def test_budget_flags_documented(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "--budget-pairs BUDGET_PAIRS cap per check on units of work" in out
+        assert "--timeout-secs TIMEOUT_SECS wall-clock cap per check" in out
+
+    def test_bench_subcommand_removed(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["bench"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "invalid choice" in captured.err and "bench" in captured.err
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
 
     def test_unwritable_output_rejected(self, tmp_path, capsys):
         # The results still reach stdout; only the file is missing.
         missing = str(tmp_path / "no-such-dir" / "out")
         captured = self._assert_usage_error(
-            ["bench", "--n-min", "4", "--n-max", "4", "--csv", missing], capsys)
-        assert captured.out.startswith("n,task,status")
-        captured = self._assert_usage_error(
             ["verify", "--n", "4", "--checks", "automorphisms", "--out", missing],
             capsys)
         assert "automorphisms" in captured.out
-
-    def test_bench_csv(self, tmp_path, capsys):
-        target = tmp_path / "bench.csv"
-        assert main(["bench", "--n-min", "4", "--n-max", "4",
-                     "--csv", str(target)]) == 0
-        rows = target.read_text().strip().splitlines()
-        assert rows[0].startswith("n,task,status")
-        assert len(rows) >= 4

@@ -4,16 +4,15 @@ import pytest
 
 from detlink import groebner
 from detlink.families import (G_union_M, delta, gens_a, minors_ideal, set_G,
-                              standard_ring, sub_a)
+                              standard_ring, sub_a, sum_links_ideal)
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
-                              divide, ideal_equal, interreduce,
-                              is_groebner_basis, member, minimal_generators,
+                              divide, ideal_equal, is_groebner_basis, member, minimal_generators,
                               reduced_groebner_basis, s_polynomial)
 from detlink.rings import Ring
 
 from conftest import (elimination_input, random_monomial, random_nonzero_poly,
                       random_poly)
-from reference import div, divides, m_ij
+from reference import div, divides, groebner_basis_ideal, m_ij
 
 
 class TestDivide:
@@ -151,7 +150,8 @@ class TestBuchberger:
     def test_family_basis_matches_candidate(self):
         for n in (4, 5):
             computed = reduced_groebner_basis(gens_a(n).gens)
-            assert computed == interreduce(set_G(n))
+            assert computed == groebner_basis_ideal(
+                standard_ring(n), set_G(n)).groebner()
             assert len(computed) == 3 * n - 4
 
     def test_output_is_groebner_and_idempotent(self, rng):
@@ -273,6 +273,43 @@ class TestBuchberger:
         assert with_criteria.pairs_processed < without.pairs_processed
         assert without.discarded_coprime == without.discarded_chain == 0
 
+    def test_family_counts_pinned(self):
+        # The counts of the scalable family workloads: Buchberger on a(n)
+        # with and without the criteria and on the sum of links, and the
+        # certificate walk of G u M, whose pairs_processed is the number of
+        # pairs it reduces. A change to pair installation or to the walk
+        # must leave them alone.
+        columns = ("pairs_processed", "discarded_coprime", "discarded_chain",
+                   "zero_reductions", "basis_size")
+        expected = {
+            (4, "gb-a"): (13, 6, 9, 9, 8),
+            (4, "gb-a-nocriteria"): (28, 0, 0, 24, 8),
+            (4, "gb-sum-links"): (56, 5, 170, 54, 18),
+            (4, "certificate-G-M"): (71, 0, 0, 0, 24),
+            (5, "gb-a"): (22, 15, 18, 16, 11),
+            (5, "gb-a-nocriteria"): (55, 0, 0, 49, 11),
+            (5, "gb-sum-links"): (130, 14, 1027, 126, 29),
+            (5, "certificate-G-M"): (158, 0, 0, 0, 51),
+            (6, "gb-a"): (33, 28, 30, 25, 14),
+            (6, "gb-a-nocriteria"): (91, 0, 0, 83, 14),
+            (6, "gb-sum-links"): (264, 26, 5447, 258, 42),
+            (6, "certificate-G-M"): (325, 0, 0, 0, 110),
+        }
+        for (n, task), counts in expected.items():
+            if task == "certificate-G-M":
+                GM, budget = G_union_M(n), Budget()
+                assert is_groebner_basis(GM, budget=budget).ok
+                got = (budget.pairs, 0, 0, 0, len(GM))
+            else:
+                gens = (sum_links_ideal(n) if task == "gb-sum-links"
+                        else gens_a(n)).gens
+                stats = GBStats()
+                basis = reduced_groebner_basis(
+                    gens, criteria=task != "gb-a-nocriteria", stats=stats)
+                got = (stats.pairs_processed, stats.discarded_coprime,
+                       stats.discarded_chain, stats.zero_reductions, len(basis))
+            assert dict(zip(columns, got)) == dict(zip(columns, counts)), (n, task)
+
     def test_foreign_order_rejected(self):
         # Polynomials keep their terms in grevlex, the one order, so any
         # other order would silently pick wrong leading terms.
@@ -292,8 +329,7 @@ class TestBuchberger:
         for call in (lambda: member(f, I), lambda: member(R2.zero, I),
                      lambda: divide(f, [g]), lambda: divide(g, [f]),
                      lambda: reduced_groebner_basis([g, f]),
-                     lambda: is_groebner_basis([g, f]),
-                     lambda: interreduce([g, f])):
+                     lambda: is_groebner_basis([g, f])):
             with pytest.raises(ValueError, match="expected Ring"):
                 call()
 
