@@ -36,6 +36,7 @@ from . import families as fam
 from .graphs import verify_res_int
 from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
+                       _certificate_prims,
                        _first_prim_product_outside, _first_product_outside,
                        _interreduce, _packing, _poly_from_dict, _prim_from_poly,
                        _spoly, ideal_equal, is_groebner_basis,
@@ -224,8 +225,11 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
     has remainder 0 on division by G + core; None otherwise, and when G
     holds a zero. A remainder of 0 proves membership in (G + core)
     whatever the divisor order, so all of monos then lies in (G + core).
-    The deadline is checked once per element of monos while they are
-    split, and once per reduction of the rest."""
+    Each rest monomial is a one-term dividend, and the binomials of the
+    family's G and the core monomials keep its walk one term, so a walk
+    stops at a monomial an earlier walk took to 0 (the zero marks of
+    `_IntReducer`). The deadline is checked once per element of monos
+    while they are split, and once per reduction of the rest."""
     if not all(G):
         return None
     packing = _packing(G[0].ring.nvars)
@@ -257,19 +261,36 @@ def check_gb_sum(n: int, rng: random.Random,
     Buchberger's criterion, and every other monomial reduces to 0 by it.
     Then (G ∪ M) = (G + core) and in(G + core) ⊆ in(G ∪ M), so G ∪ M is a
     Groebner basis too (Becker & Weispfenning, Thm 5.35 and 5.48).
-    Otherwise the certificate walks G ∪ M itself, and its verdict and
-    witness, with indices into G ∪ M, are the check's. A pass charges the
-    core's certificate; a failure charges that plus the full walk. G ∪ M
-    is G = set_G(n) followed by the monomials of `_packed_monomials`, and
-    only the core, or on the full walk all of M, becomes Polynomials."""
+    G's own certificate (`_certificate`), shared with gb-a and
+    sum-equals-colon, comes first. If it passes, the criterion on G + core
+    walks only the pairs the core adds (`_certificate_prims` with
+    known = |G|), on G's prims and the core's packed monomials; its
+    verdict is that of the walk over all of G + core, and, the core being
+    monomials, G's units plus its own are that walk's units. If G fails
+    its certificate, G + core gets the full certificate.
+
+    Without a core, or when G + core fails, the certificate walks G ∪ M
+    itself, and its verdict and witness, with indices into G ∪ M, are the
+    check's. A pass charges the
+    certificate of G + core; a failure charges the certificates tried
+    before the full walk, and the full walk. G ∪ M is G = set_G(n)
+    followed by the monomials of `_packed_monomials`, and only on the
+    full walk, or when G fails its certificate, do monomials become
+    Polynomials."""
     ring = fam.standard_ring(n)
     G = fam.set_G(n)
     monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
-    if (core is not None
-            and is_groebner_basis([*G, *fam._monomials(ring, core)],
-                                  budget=budget).ok):
-        return PASS, None
+    if core is not None:
+        if _certificate(G, budget).ok:
+            packing = _packing(ring.nvars)
+            prims = [*(_prim_from_poly(g, packing) for g in G),
+                     *(((m, 1),) for m in core)]
+            if _certificate_prims(prims, packing, budget, known=len(G)) is None:
+                return PASS, None
+        elif is_groebner_basis([*G, *fam._monomials(ring, core)],
+                               budget=budget).ok:
+            return PASS, None
     cert = is_groebner_basis([*G, *fam._monomials(ring, monos)], budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "

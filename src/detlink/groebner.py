@@ -23,10 +23,14 @@ reduced basis once, on first use; one made from packed results (`idealops`)
 builds its `Polynomial`s only when asked.
 
 Each divisor list comes with a memo from a packed monomial to the index of
-its first divisor (or to how many divisors are known not to divide it).
-Divisor lists only grow at their end, so a memo entry never goes stale:
-the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
-one next to its packed basis for all its `member` calls.
+its first divisor (or to how many divisors are known not to divide it, or
+to a mark that its normal form is 0). Divisor lists only grow at their
+end, so a memo entry never goes stale: the Buchberger loop keeps one memo
+for its whole run, and an `Ideal` keeps one next to its packed basis for
+all its `member` calls. The remainder of the first-divisor rule is a
+normal form that is linear in the dividend, so an untracked reduction
+drops a marked monomial unreduced; a one-term dividend that stays one
+term and ends at 0 marks every monomial it passed (`_IntReducer`).
 The Gebauer-Moller criteria of Buchberger's loop and the chain test of
 the certificate compare pair lcms only by divisibility and equality,
 which the exponent fields decide alone. Both therefore form an lcm on the
@@ -38,9 +42,12 @@ criterion in the Gebauer-Moller form, searching the non-monomial elements
 for the middle element k, while it builds the pairs, since the test does
 not depend on the walk's order; only the pairs it keeps are keyed, sorted
 and reduced. It still reports the first failing pair in (lcm, i, j) order;
-its docstring says why that pair is never one the criterion skips. One
-unit of work is one S-polynomial reduced, by Buchberger's algorithm or by
-the certificate; a pair either of them drops unreduced is free.
+`_certificate_prims`, the one walk on packed prims behind
+`is_groebner_basis`, says why that pair is never one the criterion skips,
+and why a walk told that a prefix of its input is a Groebner basis may
+skip the pairs inside that prefix. One unit of work is one S-polynomial
+reduced, by Buchberger's algorithm or by the certificate; a pair either
+of them drops unreduced is free.
 
 Products tested for membership in an ideal (the skip test of `quotient`,
 and the containments of the verifier's checks) go through
@@ -67,7 +74,7 @@ from __future__ import annotations
 import heapq
 import struct
 import time
-from bisect import bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -382,11 +389,14 @@ class _Divisors:
     """An append-only divisor list with its first-divisor memo.
 
     Divisor i has leading monomial lms[i] and is stored as
-    divs[i] = (lc, tail). The memo maps a packed monomial to the index
-    of its first divisor, or, for a monomial no divisor divides, to ~k after
-    a scan of the first k divisors. Divisors are only ever appended, so a
-    stored index stays the first match and a stored miss rescans only the
-    divisors appended since.
+    divs[i] = (lc, tail). The memo maps a packed monomial to one of three
+    states: the index of its first divisor; ~k, for a monomial no divisor
+    divides, after a scan of the first k divisors; or None, for a
+    monomial whose normal form by the list is 0. Divisors are only ever
+    appended, so a stored index stays the first match and a stored miss
+    rescans only the divisors appended since. A mark None stays true as
+    well: the normal form of `_IntReducer.reduce` follows each monomial's
+    first divisor, and an append displaces none.
     """
 
     __slots__ = ("lms", "divs", "memo")
@@ -394,7 +404,7 @@ class _Divisors:
     def __init__(self, prims=()):
         self.lms: list[int] = [p[0][0] for p in prims]
         self.divs: list = [(p[0][1], p[1:]) for p in prims]
-        self.memo: dict[int, int] = {}
+        self.memo: dict[int, Optional[int]] = {}
 
     def append(self, prim) -> None:
         lm, lc = prim[0]
@@ -410,6 +420,18 @@ class _IntReducer:
     the scalar with p_int = scale * p_exact and the exact quotient of each
     divisor; the prim appended for divisor i is ratios[i] times divisor i.
     With a budget, its deadline is checked every 32 steps.
+
+    With that fixed rule the remainder is a normal form NF that is linear
+    in the dividend: NF(m) = m for a monomial m no divisor divides, and
+    otherwise the NF of m minus its first divisor's multiple that cancels
+    it. `reduce(p)` returns a positive multiple of NF(p). So a term whose
+    monomial has normal form 0 can be dropped from p unreduced, and an
+    untracked reduction drops every monomial the memo marks that way.
+    A one-term dividend whose every step uses a divisor of at most two
+    terms stays one term, c*m_1 -> c'*m_2 -> ...; if it ends at 0, each
+    m_k has normal form 0, and the walk marks them all. A tracked
+    reduction ignores the marks and finds the first divisor again, since
+    it must record the quotients.
 
     The divisors and their first-divisor memo live in a `_Divisors`, which
     says why the memo stays exact. The Buchberger loop keeps one reducer,
@@ -443,6 +465,8 @@ class _IntReducer:
         quotients = self.quotients
         budget = self.budget
         rem: dict[int, int] = {}
+        # The monomials a one-term walk has popped, until it grows a term.
+        walk = [] if len(p) == 1 else None
         steps = 0
         while p:
             m = max(p)
@@ -450,7 +474,13 @@ class _IntReducer:
             if m & guard:
                 raise _overflow()
             idx = memo.get(m, -1)
-            if idx < 0:
+            if idx is None:
+                if quotients is None:
+                    continue
+                idx = 0
+                while (m - lms[idx]) & guard:
+                    idx += 1
+            elif idx < 0:
                 # Scan from where the last miss stopped; the first hit is kept.
                 for idx in range(~idx, len(lms)):
                     if not (m - lms[idx]) & guard:
@@ -461,6 +491,11 @@ class _IntReducer:
                     continue
                 memo[m] = idx
             lc, tail = divs[idx]
+            if walk is not None:
+                if len(tail) > 1:
+                    walk = None
+                else:
+                    walk.append(m)
             u = m - lms[idx]
             g = _igcd(c, lc)
             mult = lc // g
@@ -488,6 +523,9 @@ class _IntReducer:
                     self.scale /= g
                 if budget is not None:
                     budget.check_deadline()
+        if walk and not rem:
+            for m in walk:
+                memo[m] = None
         return rem
 
 
@@ -801,48 +839,12 @@ def is_groebner_basis(polys: Sequence[Polynomial],
                       budget: Optional[Budget] = None) -> GBCertificate:
     """Buchberger's criterion: every S-pair must reduce to 0 against polys.
 
-    Pairs of monomials have S-polynomial 0 and pairs with coprime leading
-    monomials always reduce to 0; both are skipped, and their lcms are
-    never built. Of the other pairs, Buchberger's chain criterion (in the
-    Gebauer-Moller form, J. Symb. Comput. 6, 1988) skips a pair (i, j)
-    when some non-monomial element k has in(k) | lcm(i, j) while
-    lcm(i, k) and lcm(j, k) both differ from lcm(i, j). Both lcms then
-    properly divide lcm(i, j), and
-    S(i, j) = c * (lcm(i, j) / lcm(i, k)) * S(i, k)
-            + c' * (lcm(i, j) / lcm(j, k)) * S(j, k)
-    has a representation below lcm(i, j) once S(i, k) and S(j, k) have
-    ones below their lcms; by induction on the lcm, polys is a Groebner
-    basis if every pair that is not skipped reduces to 0. The test
-    lcm(i, k) != lcm(i, j) reads: the cofactors lcm/in(i) and lcm/in(k)
-    share a variable. The cofactors of i and j never do, so the two tests
-    also rule out k = i and k = j. Only the non-monomials are searched for
-    k: they are few in the family bases, and a search over all elements
-    skips a few more pairs but costs more than it saves.
-
-    The test depends only on the exponent fields of the lcms and on the
-    fixed list of non-monomials, not on the order pairs are walked in, so
-    it runs while the pairs are built. Only the pairs it keeps get an
-    order key, with its check against the packing limit, and are sorted
-    and reduced in ascending (lcm, i, j) order; a skipped pair is dropped.
-    The walk is the one that keys and sorts every pair and skips by the
-    criterion as it goes: on failure the result carries the first
-    offending (1-based) pair in (lcm, i, j) order and its exact nonzero
-    remainder, and the criterion never hides that pair. Until the walk
-    meets a nonzero remainder, every pair it passed, reduced or skipped,
-    has a representation below its lcm. The descent in the proof of
-    Buchberger's criterion then reduces any polynomial with a
-    representation below the current lcm to 0, by any choice of divisors;
-    so every pair the walk skipped, and every pair with a smaller lcm,
-    reduces to 0. The first nonzero remainder of the walk is therefore the
-    first in (lcm, i, j) order.
-
-    Each pair reduced counts one unit against the budget, as in
-    Buchberger's algorithm; skipped, monomial and coprime pairs are free,
-    as discarded pairs are there. A kept pair whose lcm is past the packing
-    limit raises OverflowError; a skipped one never gets an order key. The
-    deadline is checked once per element while the input is packed and
-    while the pairs are built, once after the kept pairs are sorted, and
-    once per pair reduced.
+    The walk runs on packed prims, in `_certificate_prims`, which says
+    which pairs it skips and reduces, what it charges and why the pair it
+    reports is the first failing one in (lcm, i, j) order. On failure the
+    result carries that pair, 1-based, and its exact nonzero remainder by
+    `divide`, the only place `Polynomial`s are built. The deadline is
+    also checked once per element while the input is packed.
 
     `order` is kept for callers that pass the budget positionally; any
     value but None raises ValueError, since every ring has the one order.
@@ -861,6 +863,73 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     for f in polys:
         budget.check_deadline()
         prims.append(_prim_from_poly(f, packing))
+    failing = _certificate_prims(prims, packing, budget)
+    if failing is None:
+        return GBCertificate(True, None, None)
+    i, j = failing
+    exact = divide(s_polynomial(polys[i], polys[j]), polys)
+    return GBCertificate(False, (i + 1, j + 1), exact.remainder)
+
+
+def _certificate_prims(prims, packing: _Packing, budget: Budget,
+                       known: int = 0) -> Optional[tuple[int, int]]:
+    """Buchberger's criterion on nonzero prims of one packing: None when
+    every S-pair it must reduce reduces to 0 by the prims, else the first
+    failing (0-based) pair (i, j) in (lcm, i, j) order.
+
+    Pairs of monomials have S-polynomial 0 and pairs with coprime leading
+    monomials always reduce to 0; both are skipped, and their lcms are
+    never built. Of the other pairs, Buchberger's chain criterion (in the
+    Gebauer-Moller form, J. Symb. Comput. 6, 1988) skips a pair (i, j)
+    when some non-monomial element k has in(k) | lcm(i, j) while
+    lcm(i, k) and lcm(j, k) both differ from lcm(i, j). Both lcms then
+    properly divide lcm(i, j), and
+    S(i, j) = c * (lcm(i, j) / lcm(i, k)) * S(i, k)
+            + c' * (lcm(i, j) / lcm(j, k)) * S(j, k)
+    has a representation below lcm(i, j) once S(i, k) and S(j, k) have
+    ones below their lcms; by induction on the lcm, prims is a Groebner
+    basis if every pair that is not skipped reduces to 0. The test
+    lcm(i, k) != lcm(i, j) reads: the cofactors lcm/in(i) and lcm/in(k)
+    share a variable. The cofactors of i and j never do, so the two tests
+    also rule out k = i and k = j. Only the non-monomials are searched for
+    k: they are few in the family bases, and a search over all elements
+    skips a few more pairs but costs more than it saves.
+
+    The test depends only on the exponent fields of the lcms and on the
+    fixed list of non-monomials, not on the order pairs are walked in, so
+    it runs while the pairs are built. Only the pairs it keeps get an
+    order key, with its check against the packing limit, and are sorted
+    and reduced in ascending (lcm, i, j) order; a skipped pair is dropped.
+    The walk is the one that keys and sorts every pair and skips by the
+    criterion as it goes, and the criterion never hides its first failing
+    pair. Until the walk meets a nonzero remainder, every pair it passed,
+    reduced or skipped, has a representation below its lcm. The descent
+    in the proof of Buchberger's criterion then reduces any polynomial
+    with a representation below the current lcm to 0, by any choice of
+    divisors; so every pair the walk skipped, and every pair with a
+    smaller lcm, reduces to 0. The first nonzero remainder of the walk is
+    therefore the first in (lcm, i, j) order.
+
+    `known` > 0 says that prims[:known] is a Groebner basis, for instance
+    one that passed this walk: no pair with both indices below `known` is
+    built or reduced. Each such pair has a standard representation by
+    prims[:known], so by the descent above the full walk would reduce it
+    to 0 wherever it met it before a failure. The pairs left are the full
+    walk's other pairs, kept by the same chain test (whose elements k are
+    the same) and reduced in the same order by the same divisors; so the
+    verdict and the failing pair are the full walk's. When prims[known:]
+    are monomials, as the core of `checks._core` is, the chain test keeps
+    the same pairs inside prims[:known] as prims[:known]'s own walk does;
+    a pass then charges the full walk's units minus that walk's.
+
+    Each pair reduced counts one unit against the budget, as in
+    Buchberger's algorithm; skipped, monomial and coprime pairs are free,
+    as discarded pairs are there. A kept pair whose lcm is past the
+    packing limit raises OverflowError; a skipped one never gets an order
+    key. The deadline is checked once per element while the pairs are
+    built, once after the kept pairs are sorted, and once per pair
+    reduced.
+    """
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
     ones, with_key = packing.ones, packing.with_key
     exps = [p[0][0] & exp_mask for p in prims]
@@ -875,8 +944,9 @@ def is_groebner_basis(polys: Sequence[Polynomial],
         budget.check_deadline()
         ei, support = exps[i], supports[i]
         eg = ei | exp_guard
-        partners = (range(i + 1, n) if len(prims[i]) > 1
-                    else non_monomials[bisect_right(non_monomials, i):])
+        first = max(i + 1, known)
+        partners = (range(first, n) if len(prims[i]) > 1
+                    else non_monomials[bisect_left(non_monomials, first):])
         for j in partners:
             if not support & supports[j]:
                 continue
@@ -907,9 +977,8 @@ def is_groebner_basis(polys: Sequence[Polynomial],
     for lcm, i, j in kept:
         budget.tick()
         if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
-            exact = divide(s_polynomial(polys[i], polys[j]), polys)
-            return GBCertificate(False, (i + 1, j + 1), exact.remainder)
-    return GBCertificate(True, None, None)
+            return i, j
+    return None
 
 
 class Ideal:

@@ -16,7 +16,7 @@ import detlink.families as fam
 from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
-                              _packing, _poly_from_dict, _prim_from_poly,
+                              _certificate_prims, _packing, _poly_from_dict, _prim_from_poly,
                               divide, is_groebner_basis, member, s_polynomial)
 
 import reference
@@ -383,6 +383,66 @@ class TestCoreCertificate:
             assert colon == ("pass", None)
             verdicts.add(gb_sum[0])
         assert verdicts == {"pass", "fail"}
+
+
+def _relative_walk(G, core, budget):
+    """The walk of gb-sum's fast path: G's prims and the core's packed
+    monomials, skipping the pairs inside G; its failing pair is 1-based."""
+    packing = _packing(G[0].ring.nvars)
+    prims = [*(_prim_from_poly(g, packing) for g in G), *(((m, 1),) for m in core)]
+    failing = _certificate_prims(prims, packing, budget, known=len(G))
+    return None if failing is None else (failing[0] + 1, failing[1] + 1)
+
+
+class TestRelativeCertificate:
+    """gb-sum certifies G + core from G's shared certificate and a walk over
+    only the pairs the core adds (`_certificate_prims` with known = |G|)."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_units_add_up_to_the_full_certificate(self, n):
+        G, monos = _split(n)
+        core = checks._core(G, monos, Budget())
+        ring = G[0].ring
+        own, walk, full = Budget(), Budget(), Budget()
+        assert is_groebner_basis(G, budget=own).ok
+        assert _relative_walk(G, core, walk) is None
+        assert is_groebner_basis([*G, *fam._monomials(ring, core)], budget=full).ok
+        assert own.pairs + walk.pairs == full.pairs == TestCoreCertificate.UNITS[n - 4]
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_failing_walk_names_the_full_certificates_pair(self, n):
+        # G is a Groebner basis; each core monomial dropped in turn from the
+        # core alone. Where G + core then fails its certificate, the walk
+        # over the pairs the core adds fails at the same pair.
+        G, monos = _split(n)
+        core = checks._core(G, monos, Budget())
+        ring = G[0].ring
+        failures = 0
+        for k in range(len(core)):
+            less = core[:k] + core[k + 1:]
+            cert = is_groebner_basis([*G, *fam._monomials(ring, less)])
+            assert _relative_walk(G, less, Budget()) == cert.witness
+            failures += not cert.ok
+        assert failures
+
+    def test_g_outside_its_certificate_takes_the_full_certificate(self, monkeypatch):
+        # G = (x1 - y1, x1 - z1) is no Groebner basis: S = z1 - y1. With the
+        # monomials y1 and z1, both core, G + core is one, so gb-sum passes
+        # by the certificate of G + core, charged on top of G's failing one.
+        R = fam.standard_ring(4)
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        G = [x1 - y1, x1 - z1]
+        monkeypatch.setattr(checks.fam, "set_G", lambda n: list(G))
+        monkeypatch.setattr(checks.fam, "_packed_monomial_sets",
+                            lambda n: ((_packed(y1), _packed(z1)),))
+        own, full = Budget(), Budget()
+        assert not is_groebner_basis(G, budget=own).ok
+        assert is_groebner_basis([*G, y1, z1], budget=full).ok
+        assert checks._core(*_split(4), Budget()) == [_packed(y1), _packed(z1)]
+        budget = Budget()
+        assert checks.check_gb_sum(4, random.Random(0), budget) == ("pass", None)
+        assert budget.pairs == own.pairs + full.pairs
+        assert check_gb_sum_full(4, Budget()) == ("pass", None)
 
 
 def _reduced_falls_back(n):
