@@ -38,7 +38,8 @@ from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _certificate_prims,
                        _first_prim_product_outside, _first_product_outside,
-                       _interreduce, _packing, _poly_from_dict, _prim_from_poly,
+                       _interreduce, _overflow, _packing, _poly_from_dict,
+                       _prim_from_poly,
                        _spoly, ideal_equal, is_groebner_basis,
                        minimal_generators, reduced_groebner_basis)
 from .idealops import height, quotient, sum_ideals
@@ -225,31 +226,78 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
     has remainder 0 on division by G + core; None otherwise, and when G
     holds a zero. A remainder of 0 proves membership in (G + core)
     whatever the divisor order, so all of monos then lies in (G + core).
-    Each rest monomial is a one-term dividend, and the binomials of the
-    family's G and the core monomials keep its walk one term, so a walk
-    stops at a monomial an earlier walk took to 0 (the zero marks of
-    `_IntReducer`). The deadline is checked once per element of monos
-    while they are split, and once per reduction of the rest."""
+
+    Each rest monomial is divided by G + core under the first-divisor rule
+    of `_IntReducer`, whose first step the split has already found. While
+    the divisors it meets have at most two terms, a one-term dividend
+    stays one term: a binomial lm + t takes c*m to c'*(m / lm)*t, and a
+    monomial divisor takes it to 0. So only the monomial is followed, and
+    a walk that ends at 0 proves each monomial on it a member of
+    (G + core). The divisor list is fixed once the rest is split, so every
+    walk through a proven monomial goes on as that one did, to 0: later
+    walks stop there, and each verdict is `_IntReducer.reduce`'s. A walk
+    that meets a divisor of three or more terms is left to
+    `_IntReducer.reduce` from its rest monomial. The deadline is checked
+    once per element of monos while they are split, and once per step of
+    a walk."""
     if not all(G):
         return None
     packing = _packing(G[0].ring.nvars)
     guard = packing.guard
     divisors = _Divisors([_prim_from_poly(g, packing) for g in G])
-    lms = divisors.lms[:]
-    core, rest = [], []
+    g_lms = divisors.lms[:]
+    core, rest, firsts = [], [], []
     for m in monos:
         budget.check_deadline()
-        if any(not (m - lm) & guard for lm in lms):
-            rest.append(m)
+        for idx, lm in enumerate(g_lms):
+            if not (m - lm) & guard:
+                rest.append(m)
+                firsts.append(idx)
+                break
         else:
             core.append(m)
             divisors.append(((m, 1),))
-    reducer = _IntReducer(packing, divisors, budget)
-    for m in rest:
-        budget.check_deadline()
-        if reducer.reduce({m: 1}):
-            return None
+    lms, divs = divisors.lms, divisors.divs
+    proven: set[int] = set()
+    reducer = None
+    for start, idx in zip(rest, firsts):
+        m, walk = start, []
+        while m not in proven:
+            budget.check_deadline()
+            walk.append(m)
+            tail = divs[idx][1]
+            if not tail:
+                break
+            if len(tail) > 1:
+                reducer = reducer or _IntReducer(packing, divisors, budget)
+                if reducer.reduce({start: 1}):
+                    return None
+                walk = ()
+                break
+            m += tail[0][0] - lms[idx]
+            if m & guard:
+                raise _overflow()
+            for idx, lm in enumerate(lms):
+                if not (m - lm) & guard:
+                    break
+            else:
+                return None
+        proven.update(walk)
     return core
+
+
+def _failing_core_pair(G: Sequence[Polynomial], core: Sequence[int],
+                       budget: Budget) -> Optional[tuple[int, int]]:
+    """The walk of Buchberger's criterion over G + core that skips the
+    pairs inside G (`_certificate_prims` with known = |G|), on G's prims
+    and the core's packed monomials: None, or its first failing (0-based)
+    pair. G must pass its own certificate. The verdict and the failing
+    pair are then those of `is_groebner_basis` on G + core, and, the core
+    being monomials, G's units plus the walk's are that certificate's."""
+    packing = _packing(G[0].ring.nvars)
+    prims = [*(_prim_from_poly(g, packing) for g in G),
+             *(((m, 1),) for m in core)]
+    return _certificate_prims(prims, packing, budget, known=len(G))
 
 
 def check_gb_sum(n: int, rng: random.Random,
@@ -260,37 +308,31 @@ def check_gb_sum(n: int, rng: random.Random,
     Fast path: G plus the core of the monomials (`_core`) passes
     Buchberger's criterion, and every other monomial reduces to 0 by it.
     Then (G ∪ M) = (G + core) and in(G + core) ⊆ in(G ∪ M), so G ∪ M is a
-    Groebner basis too (Becker & Weispfenning, Thm 5.35 and 5.48).
-    G's own certificate (`_certificate`), shared with gb-a and
-    sum-equals-colon, comes first. If it passes, the criterion on G + core
-    walks only the pairs the core adds (`_certificate_prims` with
-    known = |G|), on G's prims and the core's packed monomials; its
-    verdict is that of the walk over all of G + core, and, the core being
-    monomials, G's units plus its own are that walk's units. If G fails
-    its certificate, G + core gets the full certificate.
+    Groebner basis too (Becker & Weispfenning, Thm 5.35 and 5.48). The
+    criterion on G + core is G's own certificate (`_certificate`), shared
+    with gb-a and sum-equals-colon, and then the walk over only the pairs
+    the core adds (`_failing_core_pair`); a pass charges the units of the
+    certificate of G + core.
 
-    Without a core, or when G + core fails, the certificate walks G ∪ M
-    itself, and its verdict and witness, with indices into G ∪ M, are the
-    check's. A pass charges the
-    certificate of G + core; a failure charges the certificates tried
-    before the full walk, and the full walk. G ∪ M is G = set_G(n)
-    followed by the monomials of `_packed_monomials`, and only on the
-    full walk, or when G fails its certificate, do monomials become
+    Without a core, or when G or the core's pairs fail, the certificate
+    walks G ∪ M itself, and its verdict and witness, with indices into
+    G ∪ M, are the check's. Whenever G + core is a Groebner basis, so is
+    G ∪ M, so the fast path changes no verdict. A failure charges the
+    certificates tried before the full walk, and the full walk: a G
+    that fails its own certificate is charged that certificate's units,
+    and a Groebner basis G with failing core pairs all of G's certificate.
+    These units on failing paths are not the full walk's, so under a cap
+    on units such a run can report budget-exceeded where the full walk
+    alone would fail. G ∪ M is G = set_G(n) followed by the monomials of
+    `_packed_monomials`, and only on the full walk do monomials become
     Polynomials."""
     ring = fam.standard_ring(n)
     G = fam.set_G(n)
     monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
-    if core is not None:
-        if _certificate(G, budget).ok:
-            packing = _packing(ring.nvars)
-            prims = [*(_prim_from_poly(g, packing) for g in G),
-                     *(((m, 1),) for m in core)]
-            if _certificate_prims(prims, packing, budget, known=len(G)) is None:
-                return PASS, None
-        elif is_groebner_basis([*G, *fam._monomials(ring, core)],
-                               budget=budget).ok:
-            return PASS, None
+    if (core is not None and _certificate(G, budget).ok
+            and _failing_core_pair(G, core, budget) is None):
+        return PASS, None
     cert = is_groebner_basis([*G, *fam._monomials(ring, monos)], budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "

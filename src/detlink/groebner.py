@@ -23,14 +23,10 @@ reduced basis once, on first use; one made from packed results (`idealops`)
 builds its `Polynomial`s only when asked.
 
 Each divisor list comes with a memo from a packed monomial to the index of
-its first divisor (or to how many divisors are known not to divide it, or
-to a mark that its normal form is 0). Divisor lists only grow at their
-end, so a memo entry never goes stale: the Buchberger loop keeps one memo
-for its whole run, and an `Ideal` keeps one next to its packed basis for
-all its `member` calls. The remainder of the first-divisor rule is a
-normal form that is linear in the dividend, so an untracked reduction
-drops a marked monomial unreduced; a one-term dividend that stays one
-term and ends at 0 marks every monomial it passed (`_IntReducer`).
+its first divisor (or to how many divisors are known not to divide it).
+Divisor lists only grow at their end, so a memo entry never goes stale:
+the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
+one next to its packed basis for all its `member` calls.
 The Gebauer-Moller criteria of Buchberger's loop and the chain test of
 the certificate compare pair lcms only by divisibility and equality,
 which the exponent fields decide alone. Both therefore form an lcm on the
@@ -389,14 +385,11 @@ class _Divisors:
     """An append-only divisor list with its first-divisor memo.
 
     Divisor i has leading monomial lms[i] and is stored as
-    divs[i] = (lc, tail). The memo maps a packed monomial to one of three
-    states: the index of its first divisor; ~k, for a monomial no divisor
-    divides, after a scan of the first k divisors; or None, for a
-    monomial whose normal form by the list is 0. Divisors are only ever
-    appended, so a stored index stays the first match and a stored miss
-    rescans only the divisors appended since. A mark None stays true as
-    well: the normal form of `_IntReducer.reduce` follows each monomial's
-    first divisor, and an append displaces none.
+    divs[i] = (lc, tail). The memo maps a packed monomial to the index
+    of its first divisor, or, for a monomial no divisor divides, to ~k after
+    a scan of the first k divisors. Divisors are only ever appended, so a
+    stored index stays the first match and a stored miss rescans only the
+    divisors appended since.
     """
 
     __slots__ = ("lms", "divs", "memo")
@@ -404,7 +397,7 @@ class _Divisors:
     def __init__(self, prims=()):
         self.lms: list[int] = [p[0][0] for p in prims]
         self.divs: list = [(p[0][1], p[1:]) for p in prims]
-        self.memo: dict[int, Optional[int]] = {}
+        self.memo: dict[int, int] = {}
 
     def append(self, prim) -> None:
         lm, lc = prim[0]
@@ -420,18 +413,6 @@ class _IntReducer:
     the scalar with p_int = scale * p_exact and the exact quotient of each
     divisor; the prim appended for divisor i is ratios[i] times divisor i.
     With a budget, its deadline is checked every 32 steps.
-
-    With that fixed rule the remainder is a normal form NF that is linear
-    in the dividend: NF(m) = m for a monomial m no divisor divides, and
-    otherwise the NF of m minus its first divisor's multiple that cancels
-    it. `reduce(p)` returns a positive multiple of NF(p). So a term whose
-    monomial has normal form 0 can be dropped from p unreduced, and an
-    untracked reduction drops every monomial the memo marks that way.
-    A one-term dividend whose every step uses a divisor of at most two
-    terms stays one term, c*m_1 -> c'*m_2 -> ...; if it ends at 0, each
-    m_k has normal form 0, and the walk marks them all. A tracked
-    reduction ignores the marks and finds the first divisor again, since
-    it must record the quotients.
 
     The divisors and their first-divisor memo live in a `_Divisors`, which
     says why the memo stays exact. The Buchberger loop keeps one reducer,
@@ -465,8 +446,6 @@ class _IntReducer:
         quotients = self.quotients
         budget = self.budget
         rem: dict[int, int] = {}
-        # The monomials a one-term walk has popped, until it grows a term.
-        walk = [] if len(p) == 1 else None
         steps = 0
         while p:
             m = max(p)
@@ -474,13 +453,7 @@ class _IntReducer:
             if m & guard:
                 raise _overflow()
             idx = memo.get(m, -1)
-            if idx is None:
-                if quotients is None:
-                    continue
-                idx = 0
-                while (m - lms[idx]) & guard:
-                    idx += 1
-            elif idx < 0:
+            if idx < 0:
                 # Scan from where the last miss stopped; the first hit is kept.
                 for idx in range(~idx, len(lms)):
                     if not (m - lms[idx]) & guard:
@@ -491,11 +464,6 @@ class _IntReducer:
                     continue
                 memo[m] = idx
             lc, tail = divs[idx]
-            if walk is not None:
-                if len(tail) > 1:
-                    walk = None
-                else:
-                    walk.append(m)
             u = m - lms[idx]
             g = _igcd(c, lc)
             mult = lc // g
@@ -523,9 +491,6 @@ class _IntReducer:
                     self.scale /= g
                 if budget is not None:
                     budget.check_deadline()
-        if walk and not rem:
-            for m in walk:
-                memo[m] = None
         return rem
 
 

@@ -16,7 +16,7 @@ import detlink.families as fam
 from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
-                              _certificate_prims, _packing, _poly_from_dict, _prim_from_poly,
+                              _packing, _poly_from_dict, _prim_from_poly,
                               divide, is_groebner_basis, member, s_polynomial)
 
 import reference
@@ -386,11 +386,8 @@ class TestCoreCertificate:
 
 
 def _relative_walk(G, core, budget):
-    """The walk of gb-sum's fast path: G's prims and the core's packed
-    monomials, skipping the pairs inside G; its failing pair is 1-based."""
-    packing = _packing(G[0].ring.nvars)
-    prims = [*(_prim_from_poly(g, packing) for g in G), *(((m, 1),) for m in core)]
-    failing = _certificate_prims(prims, packing, budget, known=len(G))
+    """`checks._failing_core_pair`, with its failing pair 1-based."""
+    failing = checks._failing_core_pair(G, core, budget)
     return None if failing is None else (failing[0] + 1, failing[1] + 1)
 
 
@@ -425,10 +422,41 @@ class TestRelativeCertificate:
             failures += not cert.ok
         assert failures
 
-    def test_g_outside_its_certificate_takes_the_full_certificate(self, monkeypatch):
+    def test_failing_core_pairs_charge_all_of_G(self, monkeypatch):
+        # Each core monomial dropped in turn from the monomial sets at n = 4.
+        # Where gb-sum then fails with a core, it charges all of G's
+        # certificate, the core's pairs up to the failing one, and the full
+        # walk on G ∪ M; without a core, the full walk alone.
+        G, monos = _split(4)
+        ring = G[0].ring
+        own = Budget()
+        assert is_groebner_basis(G, budget=own).ok
+        failing = []
+        for m in checks._core(G, monos, Budget()):
+            with monkeypatch.context() as patch:
+                _drop_M(patch, m)
+                less = checks._core(*_split(4), Budget())
+                budget = Budget()
+                status, _ = checks.check_gb_sum(4, random.Random(0), budget)
+            if status == "pass":
+                continue
+            walk, full = Budget(), Budget()
+            assert not is_groebner_basis(
+                [*G, *fam._monomials(ring, [u for u in monos if u != m])],
+                budget=full).ok
+            if less is None:
+                assert budget.pairs == full.pairs
+            else:
+                assert _relative_walk(G, less, walk) is not None
+                assert budget.pairs == own.pairs + walk.pairs + full.pairs
+            failing.append((less is not None, budget.pairs))
+        assert failing == [(False, 1), (True, 21), (False, 2), (True, 33),
+                           (True, 52), (False, 4), (True, 64), (False, 5)]
+
+    def test_g_outside_its_certificate_takes_the_full_walk(self, monkeypatch):
         # G = (x1 - y1, x1 - z1) is no Groebner basis: S = z1 - y1. With the
-        # monomials y1 and z1, both core, G + core is one, so gb-sum passes
-        # by the certificate of G + core, charged on top of G's failing one.
+        # monomials y1 and z1, both core, G ∪ M = G + core is one, so gb-sum
+        # passes by the full walk, charged on top of G's failing certificate.
         R = fam.standard_ring(4)
         x1, y1, z1 = R.x(1), R.y(1), R.z(1)
         G = [x1 - y1, x1 - z1]

@@ -1,9 +1,9 @@
-"""The kernel's first-divisor memo, with its zero marks, and the
-certificate's pair filter and chain criterion against references that have
-none of them; the certificate's budget charges under every cap against a
-walk that keys and sorts every pair and charges one unit per pair it
-divides; and the walk that skips the pairs inside a known Groebner basis
-against the full walk.
+"""The kernel's first-divisor memo and the certificate's pair filter and
+chain criterion against references that have none of them; the
+certificate's budget charges under every cap against a walk that keys and
+sorts every pair and charges one unit per pair it divides; the walk that
+skips the pairs inside a known Groebner basis against the full walk; and
+the one-term walks of `checks._core` against full reductions.
 
 Small polynomials in the first four variables are drawn by hypothesis,
 derandomized so every run checks the same examples; so few variables make
@@ -19,14 +19,16 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from detlink import checks
 from detlink.families import G_union_M
-from detlink.groebner import (Budget, BudgetExceeded, _Divisors, _IntReducer,
-                              _certificate_prims, _packing, _poly_from_dict, _prim_from_dict,
+from detlink.groebner import (Budget, BudgetExceeded, _IntReducer,
+                              _certificate_prims, _packing, _prim_from_dict,
                               _prim_from_poly, divide,
                               is_groebner_basis, reduced_groebner_basis,
                               s_polynomial)
 from detlink.rings import Monomial, Ring
 
+import reference
 from reference import divides, is_coprime, lcm
 
 R = Ring(2)
@@ -59,6 +61,9 @@ _terms = _terms_of(3)
 _polys = _terms.map(_poly).filter(bool)
 # The same with at most two terms.
 _short_polys = _terms_of(2).map(_poly).filter(bool)
+# Monomials of degree 1 to 3.
+_monomials = st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3).map(
+    lambda positions: _poly([(positions, 1)]))
 
 
 def _prim(packing, nvars, terms):
@@ -87,62 +92,32 @@ def _interleavings(draw):
     return packing, steps
 
 
-def _prims_of(divisors):
-    """The prims of a `_Divisors`, in list order."""
-    return [((lm, lc), *tail) for lm, (lc, tail) in zip(divisors.lms, divisors.divs)]
-
-
-def _memo_free(packing, prims):
-    """A reducer by prims with a fresh memo. Within one reduce the leading
-    term strictly descends and marks are written only at the end, so it
-    never consults its memo: it is a memo-free scan."""
-    return _IntReducer(packing, _Divisors(prims))
-
-
-def _remainder_prim(rem):
-    """The prim of a remainder, () for 0: `reduce` promises a remainder
-    only up to a positive scalar."""
-    return _prim_from_dict(rem) if rem else ()
-
-
-def _assert_memo_exact(divisors, packing):
-    """Every memo entry is what a memo-free scan finds: an index is the
-    first divisor, a miss covers no divisor, a zero mark reduces to 0."""
-    guard = packing.guard
-    prims = _prims_of(divisors)
-    for m, idx in divisors.memo.items():
-        first = _first_divisor(m, divisors.lms, guard)
-        if idx is None:
-            assert first is not None
-            assert not _memo_free(packing, prims).reduce({m: 1})
-        elif idx >= 0:
-            assert idx == first
-        else:
-            assert ~idx <= len(divisors.lms)
-            assert first is None or first >= ~idx
-
-
-def _check_interleaving(packing, steps):
-    """Run the steps on one reducer; each remainder's prim must be the
-    memo-free scan's, and the memo must stay exact. Returns the number of
-    zero marks left in the memo."""
-    reducer = _IntReducer(packing)
-    divisors = reducer.divisors
-    for op, prim in steps:
-        if op == "append":
-            reducer.append(prim)
-            continue
-        fresh = _memo_free(packing, _prims_of(divisors))
-        assert (_remainder_prim(reducer.reduce(dict(prim)))
-                == _remainder_prim(fresh.reduce(dict(prim))))
-        _assert_memo_exact(divisors, packing)
-    return sum(idx is None for idx in divisors.memo.values())
-
-
 @SETTINGS
 @given(_interleavings())
 def test_memo_matches_a_memo_free_scan(drawn):
-    _check_interleaving(*drawn)
+    packing, steps = drawn
+    guard = packing.guard
+    reducer = _IntReducer(packing)
+    divisors = reducer.divisors
+    appended = []
+    for op, prim in steps:
+        if op == "append":
+            reducer.append(prim)
+            appended.append(prim)
+            continue
+        # Within one reduce the leading term strictly descends, so a reducer
+        # with a fresh memo never consults it: it is a memo-free scan.
+        fresh = _IntReducer(packing)
+        for divisor in appended:
+            fresh.append(divisor)
+        assert reducer.reduce(dict(prim)) == fresh.reduce(dict(prim))
+        for m, idx in divisors.memo.items():
+            first = _first_divisor(m, divisors.lms, guard)
+            if idx >= 0:
+                assert idx == first
+            else:
+                assert ~idx <= len(divisors.lms)
+                assert first is None or first >= ~idx
 
 
 def test_memo_pinned():
@@ -162,95 +137,6 @@ def test_memo_pinned():
     reducer.append(_prim_from_poly(x * y - z ** 2, packing))
     assert reducer.reduce(dict(xy)) == dict(_prim_from_poly(x * z, packing))
     assert reducer.divisors.memo[m] == 1
-
-
-@st.composite
-def _short_interleavings(draw):
-    """A packing and ("append" | "reduce", prim) steps whose divisors are
-    monomials and binomials and whose dividends are mostly monomials, so
-    one-term walks stay one term and often end at 0, which marks them."""
-    nvars, head = draw(st.sampled_from(LAYOUTS))
-    packing = _packing(nvars, head)
-
-    def prims(max_terms):
-        return _terms_of(max_terms).map(
-            lambda terms: _prim(packing, nvars, terms)).filter(bool)
-
-    step = st.one_of(st.tuples(st.just("append"), prims(2)),
-                     st.tuples(st.just("reduce"), prims(1)),
-                     st.tuples(st.just("reduce"), prims(3)))
-    return packing, draw(st.lists(step, min_size=1, max_size=16))
-
-
-@SETTINGS
-@given(_short_interleavings())
-def test_zero_marks_never_change_a_remainder(drawn):
-    _check_interleaving(*drawn)
-
-
-def test_zero_marks_pinned():
-    x, y, z = R.x(1), R.y(1), R.z(1)
-    packing = _packing(R.nvars)
-    pack = lambda f: _prim_from_poly(f, packing)
-    reducer = _IntReducer(packing)
-    memo = reducer.divisors.memo
-    reducer.append(pack(x ** 2 - y))
-    # x^2 -> y, which no divisor divides yet: a remainder, and no mark.
-    assert reducer.reduce(dict(pack(x ** 2))) == dict(pack(y))
-    assert memo[pack(x ** 2)[0][0]] == 0
-    reducer.append(pack(y))
-    # x^2 -> y -> 0: both monomials of the walk are marked.
-    assert not reducer.reduce(dict(pack(x ** 2)))
-    assert memo[pack(x ** 2)[0][0]] is memo[pack(y)[0][0]] is None
-    # A marked term is dropped from a longer dividend; the rest reduces.
-    assert reducer.reduce(dict(pack(x ** 2 + z))) == dict(pack(z))
-    # A walk through a divisor of three terms grows, and marks nothing,
-    # though it ends at 0: z^3 -> x^2 + y, whose marked terms are dropped.
-    reducer.append(pack(z ** 3 - x ** 2 - y))
-    assert not reducer.reduce(dict(pack(z ** 3)))
-    assert memo[pack(z ** 3)[0][0]] == 2
-    assert _check_interleaving(packing, [("append", pack(x ** 2 - y)),
-                                         ("append", pack(y)),
-                                         ("reduce", pack(x ** 2))]) == 2
-
-
-def _divide_by(divisors, polys, h):
-    """`divide(h, polys)` run on a reducer over `divisors`, the packed
-    polys with whatever memo it carries."""
-    packing = _packing(R.nvars)
-    reducer = _IntReducer(packing, divisors)
-    ratios = [p[0][1] / f.terms[0].coeff
-              for p, f in zip(_prims_of(divisors), polys)]
-    prim = _prim_from_poly(h, packing)
-    reducer.track(prim[0][1] / h.terms[0].coeff, ratios)
-    rem = reducer.reduce(dict(prim))
-    return (tuple(_poly_from_dict(q, R, packing) for q in reducer.quotients),
-            _poly_from_dict({m: c / reducer.scale for m, c in rem.items()}, R, packing))
-
-
-@SETTINGS
-@given(st.lists(_short_polys, min_size=1, max_size=4), _polys)
-def test_tracked_reduction_ignores_the_marks(polys, h):
-    # Each monomial of h, and h itself, is first reduced untracked, which
-    # marks every one-term walk that ends at 0; the tracked reduction over
-    # the same divisors must still give divide's quotients and remainder.
-    packing = _packing(R.nvars)
-    divisors = _Divisors([_prim_from_poly(f, packing) for f in polys])
-    for f in (*(R.from_monomial(m) for _, m in h.terms), h):
-        _IntReducer(packing, divisors).reduce(dict(_prim_from_poly(f, packing)))
-    assert _divide_by(divisors, polys, h) == tuple(divide(h, polys))
-
-
-def test_tracked_reduction_ignores_the_marks_pinned():
-    x, y, z = R.x(1), R.y(1), R.z(1)
-    polys = [x ** 2 - y, y]
-    packing = _packing(R.nvars)
-    divisors = _Divisors([_prim_from_poly(f, packing) for f in polys])
-    _IntReducer(packing, divisors).reduce(dict(_prim_from_poly(x ** 2, packing)))
-    assert None in divisors.memo.values()
-    h = 3 * x ** 2 + z
-    assert _divide_by(divisors, polys, h) == tuple(divide(h, polys)) == (
-        (R.const(3), R.const(3)), z)
 
 
 def _reference_certificate(polys):
@@ -377,9 +263,7 @@ def _bases_and_monomials(draw):
         basis = list(reduced_groebner_basis(gens, budget=Budget(max_pairs=200)))
     except BudgetExceeded:
         assume(False)
-    monomial = st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=3).map(
-        lambda positions: _poly([(positions, 1)]))
-    return basis, draw(st.lists(monomial, min_size=1, max_size=4))
+    return basis, draw(st.lists(_monomials, min_size=1, max_size=4))
 
 
 @SETTINGS
@@ -399,3 +283,48 @@ def test_walk_past_a_known_basis_matches_the_full_walk(drawn):
                             else (failing[0] + 1, failing[1] + 1))
     if cert.ok:
         assert own.pairs + walk.pairs == full.pairs
+
+
+def _packed_core(G, monos):
+    """`checks._core` on Polynomial monomials; its core as Polynomials."""
+    packing = _packing(R.nvars)
+    core = checks._core(G, [_prim_from_poly(f, packing)[0][0] for f in monos],
+                        Budget())
+    if core is None:
+        return None
+    return [R.from_monomial(packing.unpack(m)) for m in core]
+
+
+@SETTINGS
+@given(st.lists(st.one_of(_short_polys, _short_polys, _polys), min_size=1,
+                max_size=5),
+       st.lists(_monomials, min_size=1, max_size=12))
+def test_core_walks_match_full_reductions(G, monos):
+    # `_core` follows one-term walks by their monomial and stops at one an
+    # earlier walk took to 0; the reference reduces every rest monomial in
+    # full with `_IntReducer`. Drawn divisors are mostly monomials and
+    # binomials, now and then a trinomial, which `_core` hands to the
+    # reducer.
+    assert _packed_core(G, monos) == reference.core(G, monos, Budget())
+
+
+def test_core_walks_pinned(monkeypatch):
+    x1, x2, y1, y2, z1, z2 = R.x(1), R.x(2), R.y(1), R.y(2), R.z(1), R.z(2)
+    calls = []
+    reduce = _IntReducer.reduce
+    monkeypatch.setattr(_IntReducer, "reduce",
+                        lambda self, p: calls.append(dict(p)) or reduce(self, p))
+    G = [x1 * x2 - y1 * y2, y1 * y2 - z1 * z2, x2 ** 3 - y1 * y2 * z2 - z1 ** 2 * z2]
+    # z1 is core. x1*x2 -> y1*y2 -> z1*z2 -> 0 by z1 proves all three, so
+    # the rest monomial y1*y2 takes no step, and x1*x2*y2 stops after one
+    # at y1*y2^2 ... -> 0. Only x2^3, whose divisor has three terms, is
+    # reduced by the reducer.
+    monos = [x1 * x2, z1, y1 * y2, x1 * x2 * y2, x2 ** 3]
+    assert _packed_core(G, monos) == [z1]
+    assert calls == [{_prim_from_poly(x2 ** 3, _packing(R.nvars))[0][0]: 1}]
+    assert reference.core(G, monos, Budget()) == [z1]
+    # Without the core monomial z1, the walk of x1*x2 ends at z1*z2, which
+    # no divisor divides: no core.
+    calls.clear()
+    assert _packed_core(G, [x1 * x2, y1 * y2]) is None
+    assert not calls
