@@ -38,7 +38,7 @@ from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _certificate_prims,
                        _first_prim_product_outside, _first_product_outside,
-                       _interreduce, _overflow, _packing, _poly_from_dict,
+                       _interreduce, _one_term_walk, _packing, _poly_from_dict,
                        _prim_from_poly,
                        _spoly, ideal_equal, is_groebner_basis,
                        minimal_generators, reduced_groebner_basis)
@@ -228,18 +228,14 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
     whatever the divisor order, so all of monos then lies in (G + core).
 
     Each rest monomial is divided by G + core under the first-divisor rule
-    of `_IntReducer`, whose first step the split has already found. While
-    the divisors it meets have at most two terms, a one-term dividend
-    stays one term: a binomial lm + t takes c*m to c'*(m / lm)*t, and a
-    monomial divisor takes it to 0. So only the monomial is followed, and
-    a walk that ends at 0 proves each monomial on it a member of
-    (G + core). The divisor list is fixed once the rest is split, so every
-    walk through a proven monomial goes on as that one did, to 0: later
-    walks stop there, and each verdict is `_IntReducer.reduce`'s. A walk
-    that meets a divisor of three or more terms is left to
-    `_IntReducer.reduce` from its rest monomial. The deadline is checked
-    once per element of monos while they are split, and once per step of
-    a walk."""
+    of `_IntReducer`, whose first step the split has already found, by the
+    one-term walk `groebner._one_term_walk` shares with the certificate:
+    the divisor list is fixed once the rest is split, so a walk stops at a
+    monomial an earlier walk proved a member of (G + core), and its verdict
+    is `_IntReducer.reduce`'s. A walk that meets a divisor of three or more
+    terms is left to `_IntReducer.reduce` from its rest monomial. The
+    deadline is checked once per element of monos while they are split,
+    and once per step of a walk."""
     if not all(G):
         return None
     packing = _packing(G[0].ring.nvars)
@@ -257,32 +253,15 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
         else:
             core.append(m)
             divisors.append(((m, 1),))
-    lms, divs = divisors.lms, divisors.divs
     proven: set[int] = set()
     reducer = None
-    for start, idx in zip(rest, firsts):
-        m, walk = start, []
-        while m not in proven:
-            budget.check_deadline()
-            walk.append(m)
-            tail = divs[idx][1]
-            if not tail:
-                break
-            if len(tail) > 1:
-                reducer = reducer or _IntReducer(packing, divisors, budget)
-                if reducer.reduce({start: 1}):
-                    return None
-                walk = ()
-                break
-            m += tail[0][0] - lms[idx]
-            if m & guard:
-                raise _overflow()
-            for idx, lm in enumerate(lms):
-                if not (m - lm) & guard:
-                    break
-            else:
-                return None
-        proven.update(walk)
+    for m, idx in zip(rest, firsts):
+        zero = _one_term_walk(m, divisors, guard, proven, budget, idx)
+        if zero is None:
+            reducer = reducer or _IntReducer(packing, divisors, budget)
+            zero = not reducer.reduce({m: 1})
+        if not zero:
+            return None
     return core
 
 

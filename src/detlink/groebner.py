@@ -32,8 +32,11 @@ the certificate compare pair lcms only by divisibility and equality,
 which the exponent fields decide alone. Both therefore form an lcm on the
 exponent fields (a SWAR pick inlined from `_Packing.lcm`) and build its
 order key only where an order is needed: for a pair pushed on the heap,
-or for a pair the certificate reduces. Monomial-monomial and coprime
-pairs are free and get no lcm. The certificate applies Buchberger's chain
+or for a pair the certificate reduces. Two monomials never pair, since
+their S-polynomial is 0: Buchberger's loop pairs a new monomial only with
+the non-monomials and only tests which active monomials it retires, and
+in the certificate monomial-monomial and coprime pairs are free and get
+no lcm. The certificate applies Buchberger's chain
 criterion in the Gebauer-Moller form, searching the non-monomial elements
 for the middle element k, while it builds the pairs, since the test does
 not depend on the walk's order; only the pairs it keeps are keyed, sorted
@@ -41,9 +44,12 @@ and reduced. It still reports the first failing pair in (lcm, i, j) order;
 `_certificate_prims`, the one walk on packed prims behind
 `is_groebner_basis`, says why that pair is never one the criterion skips,
 and why a walk told that a prefix of its input is a Groebner basis may
-skip the pairs inside that prefix. One unit of work is one S-polynomial
-reduced, by Buchberger's algorithm or by the certificate; a pair either
-of them drops unreduced is free.
+skip the pairs inside that prefix. The S-polynomial of a binomial and a
+monomial is one term, which the certificate follows by a one-term walk
+(`_one_term_walk`, which `checks._core` uses too) instead of a reduction.
+One unit of work is one S-polynomial reduced or walked, by Buchberger's
+algorithm or by the certificate; a pair either of them drops unreduced
+is free.
 
 Products tested for membership in an ideal (the skip test of `quotient`,
 and the containments of the verifier's checks) go through
@@ -87,8 +93,9 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """Shared resource budget: a cap on units of work plus an optional
     deadline. A unit is an S-polynomial reduced (by Buchberger's algorithm
-    or a certificate), or a node of a combinatorial walk; `pairs` counts
-    them and `max_pairs` caps them."""
+    or a certificate) or followed by a certificate's one-term walk, or a
+    node of a combinatorial walk; `pairs` counts them and `max_pairs` caps
+    them."""
 
     DEFAULT_MAX_PAIRS = 1_000_000
 
@@ -125,9 +132,10 @@ class Budget:
 
     def check_deadline(self) -> None:
         """Raise once the deadline has passed; counts nothing. Loops whose
-        steps are not units of work call this: reduction steps, product
-        tests, the rows of the certificate's pair build, and the steps of
-        the `identities` and `automorphisms` checks."""
+        steps are not units of work call this: reduction steps, steps of
+        one-term walks, product tests, the rows of the certificate's pair
+        build, and the steps of the `identities` and `automorphisms`
+        checks."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"timeout of {self.timeout_secs}s exhausted")
 
@@ -136,13 +144,17 @@ class Budget:
 class GBStats:
     """Work counters of one `reduced_groebner_basis` call.
 
+    With the criteria on, two monomials never form a pair, since their
+    S-polynomial is 0, and no count includes such a pair.
+
     pairs_pushed: pairs installed in the pair heap.
     pairs_processed: S-polynomials reduced, one budget tick each; always
         zero_reductions + basis_added.
     discarded_coprime: new pairs dropped at installation because their
         leading monomials are coprime (product criterion).
     discarded_chain: pairs dropped by the other Gebauer-Moller criteria,
-        at installation (M, F) or later by a new element (B_k); new pairs
+        at installation (M, F; a new monomial's new pairs are those with
+        the non-monomials) or later by a new element (B_k); new pairs
         inside an input block known to be a Groebner basis; and, in an
         elimination, new pairs of a t-free element with a block element
         (`_groebner_prims` says why both have standard representations).
@@ -494,6 +506,48 @@ class _IntReducer:
         return rem
 
 
+def _one_term_walk(m: int, divisors: _Divisors, guard: int, proven: set,
+                   budget: Budget, idx: int = -1) -> Optional[bool]:
+    """Whether the packed monomial m has remainder 0 on division by
+    divisors under the first-divisor rule of `_IntReducer`: True or False,
+    or None once the walk meets a divisor of three or more terms, which
+    leaves the verdict to `_IntReducer.reduce`. idx, if given, is the index
+    of m's first divisor.
+
+    While the divisors it meets have at most two terms, a one-term dividend
+    stays one term: a binomial lm + t takes c*m to c'*(m / lm)*t, and a
+    monomial divisor takes it to 0. So only the monomial is followed, step
+    for step as `_IntReducer.reduce` would, and the verdict is its verdict:
+    False at a monomial no divisor divides, True at a monomial divisor. A
+    walk that ends at 0 proves each monomial on it a member, and they join
+    `proven`. For a fixed divisor list every walk through a proven monomial
+    goes on as that one did, to 0, so a walk stops there too. The deadline
+    is checked once per step, and a monomial past the packing limit raises
+    OverflowError, as in `_IntReducer.reduce`."""
+    lms, divs = divisors.lms, divisors.divs
+    walk = []
+    while m not in proven:
+        budget.check_deadline()
+        if m & guard:
+            raise _overflow()
+        if idx < 0:
+            for idx, lm in enumerate(lms):
+                if not (m - lm) & guard:
+                    break
+            else:
+                return False
+        walk.append(m)
+        tail = divs[idx][1]
+        if not tail:
+            break
+        if len(tail) > 1:
+            return None
+        m += tail[0][0] - lms[idx]
+        idx = -1
+    proven.update(walk)
+    return True
+
+
 def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     """Multivariate division h = remainder + sum(quotients[i] * divisors[i]).
 
@@ -564,7 +618,12 @@ def reduced_groebner_basis(polys: Iterable[Polynomial],
     pushed, so a pair the criteria drop never raises OverflowError. A
     coprime pair whose product is past the limit is dropped by the product
     criterion. An element whose leading monomial in(h) divides gets no new
-    pairs but stays a reducer. Returns THE reduced Groebner basis (monic,
+    pairs but stays a reducer. Two monomials have S-polynomial 0, so a new
+    monomial h forms pairs only with the active non-monomials, and only
+    those pairs are grouped for M and F: a pair of monomials needs no
+    reduction, and leaving it out of the groups only drops fewer pairs, each
+    for the reason the full criteria give, while the active monomials cost
+    h one divisibility test each. Returns THE reduced Groebner basis (monic,
     interreduced, sorted by descending leading monomial), which is unique
     for the order, whatever the selection. Everything between the input
     and the interreduced output runs on packed monomials, in
@@ -642,6 +701,9 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     supports: list[int] = []
     excess: list[int] = []      # sugar minus the degree of the leading monomial
     active: list[int] = []      # elements that still get new pairs
+    # The non-monomials among them while monomials are installed in a row,
+    # else None.
+    active_polys: Optional[list[int]] = None
     origin: list = []           # the input block of each element, or None
     # [sugar, lcm, i, j, the exponent fields of lcm or None once dropped]
     heap: list[list] = []
@@ -655,7 +717,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         stats.pairs_pushed += 1
 
     def install(prim, sugar: int, block=None) -> None:
-        nonlocal active
+        nonlocal active, active_polys
         j = len(G)
         lm = prim[0][0]
         e = lm & exp_mask
@@ -693,17 +755,22 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
                 continue
             entry[4] = None
             chain += 1
-        # One pass over the active elements groups them by lcm, as
+        # One pass over h's partners groups them by lcm, as
         # lcm -> [first i, size, coprime count, represented flag], and keeps
         # those whose leading monomial in(h) does not divide, i.e. whose lcm
         # with in(h) is not their own leading monomial. A pair is
         # represented when i is in h's block, or when h is t-free and i is
-        # a block element with t in its leading monomial.
+        # a block element with t in its leading monomial. The S-polynomial
+        # of two monomials is 0, so a monomial h pairs only with the active
+        # non-monomials, and no active monomial witnesses M or F for it.
+        monomial = len(prim) == 1
+        if monomial and active_polys is None:
+            active_polys = [i for i in active if len(G[i]) > 1]
         groups: dict[int, list] = {}
         kept = []
         blocked = block is not None
         t_free = eliminate and not lm & eliminate
-        for i in active:
+        for i in (active_polys if monomial else active):
             ei = exps[i]
             d = eg - ei
             g = d & exp_guard
@@ -752,6 +819,14 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         # order of the exponent fields the groups were visited in.
         for lcm, i in sorted(survivors):
             push(lcm, i, j)
+        if monomial:
+            # kept holds the partners in(h) does not divide. The active
+            # monomials were no partners: one divisibility test each keeps
+            # those in(h) does not divide.
+            active_polys = kept
+            kept = [i for i in active if (exps[i] - e) & exp_guard]
+        else:
+            active_polys = None
         kept.append(j)
         active = kept
 
@@ -887,13 +962,21 @@ def _certificate_prims(prims, packing: _Packing, budget: Budget,
     the same pairs inside prims[:known] as prims[:known]'s own walk does;
     a pass then charges the full walk's units minus that walk's.
 
-    Each pair reduced counts one unit against the budget, as in
-    Buchberger's algorithm; skipped, monomial and coprime pairs are free,
-    as discarded pairs are there. A kept pair whose lcm is past the
-    packing limit raises OverflowError; a skipped one never gets an order
-    key. The deadline is checked once per element while the pairs are
-    built, once after the kept pairs are sorted, and once per pair
-    reduced.
+    A kept pair of a binomial lm + t and a monomial, in either index
+    order, has the one-term S-polynomial c * (lcm / lm) * t. It is not
+    reduced but followed by `_one_term_walk`, whose verdict is the
+    reduction's, so the verdict and the failing pair do not change. The
+    divisors are fixed, so a monomial that one such walk proved stays
+    proven for every later pair. A walk that meets a divisor of three or
+    more terms hands its pair back to `_IntReducer.reduce`.
+
+    Each pair reduced or walked counts one unit against the budget, as a
+    reduction does in Buchberger's algorithm; skipped, monomial and
+    coprime pairs are free, as discarded pairs are there. A kept pair
+    whose lcm is past the packing limit raises OverflowError; a skipped
+    one never gets an order key. The deadline is checked once per element
+    while the pairs are built, once after the kept pairs are sorted, once
+    per pair reduced or walked, and once per step of a one-term walk.
     """
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
     ones, with_key = packing.ones, packing.with_key
@@ -938,10 +1021,21 @@ def _certificate_prims(prims, packing: _Packing, budget: Budget,
                 kept.append((lcm, i, j))
     kept.sort()
     budget.check_deadline()
-    reducer = _IntReducer(packing, _Divisors(prims), budget)
+    divisors = _Divisors(prims)
+    reducer = _IntReducer(packing, divisors, budget)
+    proven: set[int] = set()
     for lcm, i, j in kept:
         budget.tick()
-        if reducer.reduce(_spoly(prims[i], prims[j], lcm)):
+        a, b = prims[i], prims[j]
+        zero = None
+        if len(a) + len(b) == 3:
+            # A binomial and a monomial: S = c * (lcm / lm) * t.
+            lm, t = (a if len(a) == 2 else b)
+            zero = _one_term_walk(lcm - lm[0] + t[0], divisors, guard,
+                                  proven, budget)
+        if zero is None:
+            zero = not reducer.reduce(_spoly(a, b, lcm))
+        if not zero:
             return i, j
     return None
 

@@ -203,7 +203,7 @@ class TestWorkCounts:
     # Units of `heights` at n = 7: the S-polynomials of its height bases,
     # every node of the cover walks, and every subset T and backtracking
     # node of the prime walk.
-    HEIGHTS_7 = 1_165
+    HEIGHTS_7 = 1_153
     SCRIPT = ("import random; from detlink.checks import check_heights; "
               "from detlink.groebner import Budget; budget = Budget(); "
               "check_heights(7, random.Random('0/heights'), budget); "

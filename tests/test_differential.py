@@ -1,4 +1,5 @@
-"""Intersections and colons against an independent sympy computation.
+"""Intersections, colons and monomial-heavy Groebner bases against an
+independent sympy computation.
 
 Small random ideals of Q[x1, x2, y1, y2, z1, z2] (at most three generators
 of degree <= 2) are drawn by hypothesis, derandomized so every run checks
@@ -7,6 +8,12 @@ lex order and computes each principal colon I:(g) as (I ∩ (g))/g; both
 sides are then compared as reduced grevlex bases. Each comparison also
 runs with the reduced bases of I and J computed first, so that the
 eliminations start from them as blocks of known Groebner bases.
+
+Buchberger's algorithm pairs no two monomials, so on inputs that are mostly
+monomials, the link ideals and sums of links at n = 4, 5 and random
+binomial-plus-monomial ideals of Q[x1, x2, y1, y2, z1, z2], its reduced
+basis is compared with the reference path without criteria and with
+sympy's.
 """
 
 import pytest
@@ -16,7 +23,8 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from detlink.groebner import Ideal
+from detlink.families import link_ideal, sum_links_ideal
+from detlink.groebner import Ideal, reduced_groebner_basis
 from detlink.idealops import intersect, quotient
 from detlink.rings import Ring
 
@@ -71,10 +79,10 @@ def _redundant_colons(draw):
     return draw(_ideals), Ideal(R, [g1, g2, g1 * h])
 
 
-def _to_sympy(f):
+def _to_sympy(f, syms=SYMS):
     out = sympy.Integer(0)
     for c, m in f.terms:
-        mono = sympy.Mul(*(s ** e for s, e in zip(SYMS, m.exps)))
+        mono = sympy.Mul(*(s ** e for s, e in zip(syms, m.exps)))
         out += sympy.Rational(c.numerator, c.denominator) * mono
     return out
 
@@ -97,9 +105,9 @@ def _sympy_colon(F, G):
     return out
 
 
-def _canonical(exprs):
-    gb = sympy.groebner(exprs, *SYMS, order="grevlex")
-    return {sympy.expand(e / sympy.Poly(e, *SYMS).LC(order="grevlex"))
+def _canonical(exprs, syms=SYMS):
+    gb = sympy.groebner(exprs, *syms, order="grevlex")
+    return {sympy.expand(e / sympy.Poly(e, *syms).LC(order="grevlex"))
             for e in gb.exprs}
 
 
@@ -166,3 +174,34 @@ def test_quotient_of_products_from_cached_bases_matches_sympy(case):
     theirs = _sympy_colon([_to_sympy(f) for f in I.gens],
                           [_to_sympy(g) for g in J.gens])
     assert _mine(quotient(I, J)) == _canonical(theirs)
+
+
+def _assert_basis_matches(gens):
+    """The reduced basis of gens equals the reference path's and sympy's."""
+    basis = reduced_groebner_basis(gens)
+    assert basis == reduced_groebner_basis(gens, criteria=False)
+    syms = sympy.symbols(gens[0].ring.names)
+    assert ({sympy.expand(_to_sympy(g, syms)) for g in basis}
+            == _canonical([_to_sympy(f, syms) for f in gens], syms))
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_link_bases_match_sympy(n):
+    # n - 1 binomials and 2^(n-2) monomials per link; n binomials and all
+    # the links' monomials in their sum.
+    for I in [link_ideal(n, i) for i in range(1, n + 1)] + [sum_links_ideal(n)]:
+        _assert_basis_matches(I.gens)
+
+
+_binomials = st.lists(_terms, min_size=2, max_size=2).map(_poly).filter(
+    lambda f: len(f.terms) == 2)
+_monomials = st.lists(st.integers(0, R.nvars - 1), min_size=1, max_size=2).map(
+    lambda positions: _poly([(positions, 1)]))
+
+
+@settings(SETTINGS, max_examples=60)
+@given(st.tuples(st.lists(_binomials, min_size=1, max_size=3),
+                 st.lists(_monomials, min_size=2, max_size=6)).flatmap(
+                     lambda parts: st.permutations(parts[0] + parts[1])))
+def test_binomial_and_monomial_bases_match_sympy(gens):
+    _assert_basis_matches(gens)

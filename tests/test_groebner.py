@@ -261,6 +261,18 @@ class TestBuchberger:
                                   zero_reductions=45, basis_added=13)
         assert len(basis) == 20
 
+    def test_monomials_form_no_pair(self):
+        # The S-polynomial of two monomials is 0: three monomials push no
+        # pair and count no discarded one, and the third's lcm with the
+        # second, x1^20000*y1^20000, past the packing limit, is never formed.
+        R = Ring(2)
+        x1, y1 = R.x(1), R.y(1)
+        for gens, basis in (([x1 * y1, x1 ** 2, y1 ** 3], (y1 ** 3, x1 ** 2, x1 * y1)),
+                            ([x1 * y1, x1 ** 20000 * y1, x1 * y1 ** 20000], (x1 * y1,))):
+            stats = GBStats()
+            assert reduced_groebner_basis(gens, stats=stats) == basis
+            assert stats == GBStats()
+
     def test_stats_count_reduced_pairs(self):
         # Every processed pair is an S-polynomial reduced to zero or added;
         # the criteria must spare work on a family that has redundant pairs.
@@ -284,15 +296,15 @@ class TestBuchberger:
         expected = {
             (4, "gb-a"): (13, 6, 9, 9, 8),
             (4, "gb-a-nocriteria"): (28, 0, 0, 24, 8),
-            (4, "gb-sum-links"): (56, 5, 170, 54, 18),
+            (4, "gb-sum-links"): (35, 8, 68, 33, 18),
             (4, "certificate-G-M"): (71, 0, 0, 0, 24),
             (5, "gb-a"): (22, 15, 18, 16, 11),
             (5, "gb-a-nocriteria"): (55, 0, 0, 49, 11),
-            (5, "gb-sum-links"): (130, 14, 1027, 126, 29),
+            (5, "gb-sum-links"): (89, 22, 280, 85, 29),
             (5, "certificate-G-M"): (158, 0, 0, 0, 51),
             (6, "gb-a"): (33, 28, 30, 25, 14),
             (6, "gb-a-nocriteria"): (91, 0, 0, 83, 14),
-            (6, "gb-sum-links"): (264, 26, 5447, 258, 42),
+            (6, "gb-sum-links"): (193, 42, 942, 187, 42),
             (6, "certificate-G-M"): (325, 0, 0, 0, 110),
         }
         for (n, task), counts in expected.items():
@@ -412,12 +424,23 @@ class TestBuchberger:
             assert all(member(g, from_basis) for g in I.gens)
 
 
-def _count_reductions(monkeypatch) -> list:
-    """A list that grows by one per `_IntReducer.reduce` call."""
+def _count_units(monkeypatch) -> list:
+    """A list that grows by one per unit a certificate does: each
+    `_IntReducer.reduce` call, and each one-term walk that reaches a
+    verdict (a walk that meets a divisor of three or more terms hands its
+    pair to `reduce`, which counts it)."""
     calls = []
-    reduce = groebner._IntReducer.reduce
+    reduce, walk = groebner._IntReducer.reduce, groebner._one_term_walk
+
+    def walking(*args):
+        zero = walk(*args)
+        if zero is not None:
+            calls.append(1)
+        return zero
+
     monkeypatch.setattr(groebner._IntReducer, "reduce",
                         lambda self, p: calls.append(1) or reduce(self, p))
+    monkeypatch.setattr(groebner, "_one_term_walk", walking)
     return calls
 
 
@@ -472,10 +495,10 @@ class TestCertificate:
             assert is_groebner_basis(basis + extra).ok
 
     def test_chain_criterion_counts(self, monkeypatch):
-        # Reductions on G u M(n), n = 4, 5, 6, out of 134 / 440 / 1,311
-        # pairs the walk reaches; only the reduced pairs count against the
-        # budget, and a cap one below that count raises.
-        calls = _count_reductions(monkeypatch)
+        # Pairs walked or reduced on G u M(n), n = 4, 5, 6, out of
+        # 134 / 440 / 1,311 pairs the certificate reaches; only they count
+        # against the budget, and a cap one below that count raises.
+        calls = _count_units(monkeypatch)
         for n, reduced in ((4, 71), (5, 158), (6, 325)):
             G = G_union_M(n)
             calls.clear()
@@ -490,11 +513,11 @@ class TestCertificate:
         # (2, 3), the first failing pair in (lcm, i, j) order.
         polys = _skipped_before_the_witness()
         x1 = polys[0].ring.x(1)
-        calls = _count_reductions(monkeypatch)
+        calls = _count_units(monkeypatch)
         budget = Budget()
         cert = is_groebner_basis(polys, budget=budget)
         assert not cert.ok and cert.witness == (2, 3)
-        # Two walked reductions and the exact one of the witness.
+        # The certificate's two reductions and the exact one of the witness.
         assert len(calls) == 3
         # The two coprime pairs and the skipped (1, 4) are free; the
         # reduced (2, 4) and (2, 3) count.
@@ -523,9 +546,10 @@ class TestCertificate:
                 is_groebner_basis(G, budget=Budget(max_pairs=reduced - 1))
 
     def test_one_unit_per_reduction(self, monkeypatch):
-        # A certificate charges one unit per S-polynomial it reduces; a
-        # failing one also divides its witness exactly, uncharged.
-        calls = _count_reductions(monkeypatch)
+        # A certificate charges one unit per S-polynomial it reduces or
+        # follows by a one-term walk; a failing one also divides its
+        # witness exactly, uncharged.
+        calls = _count_units(monkeypatch)
         for polys in (G_union_M(4), G_union_M(5), G_union_M(6),
                       _skipped_before_the_witness()):
             calls.clear()

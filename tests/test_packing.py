@@ -274,16 +274,18 @@ class TestLimit:
                 reduced_groebner_basis([top - y1, x1 * y1 - z1], criteria=criteria)
 
     def test_dropped_pair_past_the_limit(self):
-        # When x1*y1^20000 joins x1*y1 and x1^20000*y1, its lcm with the
-        # second, x1^20000*y1^20000, is past the limit, but the criterion M
-        # drops that pair (x1*y1^20000, its lcm with the first, divides it)
-        # before its order key is built. The reference path without
-        # criteria builds every pair's key and raises.
+        # k = x1*y1 - z1^2 and its multiples by x1^19999 and by y1^19999.
+        # When the second multiple joins, its lcm with the first,
+        # x1^20000*y1^20000, is past the limit, but the criterion M drops
+        # that pair (its lcm with k, x1*y1^20000, divides it) before its
+        # order key is built. The reference path without criteria builds
+        # every pair's key and raises.
         R = Ring(2)
-        x1, y1 = R.x(1), R.y(1)
-        gens = [x1 * y1, x1 ** 20000 * y1, x1 * y1 ** 20000]
+        x1, y1, z1 = R.x(1), R.y(1), R.z(1)
+        k = x1 * y1 - z1 ** 2
+        gens = [k, x1 ** 19999 * k, y1 ** 19999 * k]
         stats = GBStats()
-        assert reduced_groebner_basis(gens, stats=stats) == (x1 * y1,)
+        assert reduced_groebner_basis(gens, stats=stats) == (k,)
         assert (stats.pairs_pushed, stats.discarded_chain) == (2, 1)
         with pytest.raises(OverflowError, match="2\\^15"):
             reduced_groebner_basis(gens, criteria=False)

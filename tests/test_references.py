@@ -1,5 +1,5 @@
-"""The kernel's first-divisor memo and the certificate's pair filter and
-chain criterion against references that have none of them; the
+"""The kernel's first-divisor memo and the certificate's pair filter, chain
+criterion and one-term walks against references that have none of them; the
 certificate's budget charges under every cap against a walk that keys and
 sorts every pair and charges one unit per pair it divides; the walk that
 skips the pairs inside a known Groebner basis against the full walk; and
@@ -19,7 +19,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from detlink import checks
+from detlink import checks, groebner
 from detlink.families import G_union_M
 from detlink.groebner import (Budget, BudgetExceeded, _IntReducer,
                               _certificate_prims, _packing, _prim_from_dict,
@@ -151,10 +151,68 @@ def _reference_certificate(polys):
     return True, None, None
 
 
-@SETTINGS
-@given(st.lists(_polys, min_size=2, max_size=5))
+# Exactly two terms.
+_binomials = _terms_of(2).map(_poly).filter(lambda f: len(f.terms) == 2)
+# Three linear terms: the leading variable divides many monomials.
+_linear_trinomials = st.lists(
+    st.tuples(st.lists(st.integers(0, NVARS - 1), min_size=1, max_size=1),
+              st.integers(-3, 3).filter(bool)),
+    min_size=3, max_size=3).map(_poly).filter(lambda f: len(f.terms) == 3)
+
+
+@st.composite
+def _binomials_and_monomials(draw):
+    """Binomials and monomials, now and then with a linear trinomial, in a
+    drawn order, so a pair of a binomial and a monomial comes in either
+    index order and its S-polynomial is followed by a one-term walk. Most
+    of these sets fail. In half the draws the set is replaced by its
+    reduced basis plus elements m*f + c*g of its ideal (m a monomial or 1,
+    f and g in the basis), most of which then pass; those of three or more
+    terms are the divisors a walk hands to the reducer."""
+    polys = (draw(st.lists(_binomials, min_size=1, max_size=3))
+             + draw(st.lists(_monomials, min_size=1, max_size=3))
+             + draw(st.lists(_linear_trinomials, max_size=1)))
+    if draw(st.booleans()):
+        try:
+            basis = list(reduced_groebner_basis(polys, budget=Budget(max_pairs=200)))
+        except BudgetExceeded:
+            assume(False)
+        element = st.sampled_from(basis)
+        combos = draw(st.lists(st.tuples(st.one_of(st.just(R.one), _monomials),
+                                         element, element, st.integers(-2, 2)),
+                               max_size=3))
+        polys = basis + [f for f in (m * f + c * g for m, f, g, c in combos) if f]
+    assume(len(polys) >= 2)
+    return draw(st.permutations(polys))
+
+
+def _walk_cases():
+    """Sets whose certificate walks a binomial-monomial pair first: x1*x2
+    before x1*y1 - x2*y2, S-polynomial -x2^2*y2. With x2^2 the walk ends at
+    0; with nothing dividing x2^2*y2 it fails there; with the trinomial
+    x2^2 - y1*y2 + 2*y1^2 it meets a divisor of three terms and hands the
+    pair to the reducer."""
+    x1, x2, y1, y2 = R.x(1), R.x(2), R.y(1), R.y(2)
+    f, m = x1 * y1 - x2 * y2, x1 * x2
+    return [[m, f, x2 ** 2], [m, f], [m, f, x2 ** 2 - y1 * y2 + 2 * y1 ** 2]]
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(st.lists(_polys, min_size=2, max_size=5),
+                 _binomials_and_monomials()))
 def test_certificate_matches_brute_force(polys):
     assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_certificate_walks_pinned(case, monkeypatch):
+    polys = _walk_cases()[case]
+    verdicts = []
+    walk = groebner._one_term_walk
+    monkeypatch.setattr(groebner, "_one_term_walk",
+                        lambda *args: verdicts.append(walk(*args)) or verdicts[-1])
+    assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
+    assert verdicts[0] is (True, False, None)[case]
 
 
 @st.composite
