@@ -37,7 +37,7 @@ from .graphs import verify_res_int
 from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _certificate_prims,
-                       _first_prim_product_outside, _first_product_outside,
+                       _first_prim_product_outside,
                        _interreduce, _one_term_walk, _packing, _poly_from_dict,
                        _prim_from_poly,
                        _spoly, ideal_equal, is_groebner_basis,
@@ -126,9 +126,9 @@ def _shared(key, budget: Budget, compute: Callable[[], T]) -> T:
 
 
 def _proven_chain(n: int, budget: Budget) -> tuple[Optional[str], list[Polynomial]]:
-    """`_chain_proof(n)`. It reads only n and the chain accessors of
-    `families`, the same for every check in one call, so n is its key."""
-    return _shared(("chain", n), budget, lambda: _chain_proof(n))
+    """`_chain_proof(n, budget)`. It reads only n and the chain accessors
+    of `families`, the same for every check in one call, so n is its key."""
+    return _shared(("chain", n), budget, lambda: _chain_proof(n, budget))
 
 
 def _certificate(G: list[Polynomial], budget: Budget) -> GBCertificate:
@@ -158,7 +158,7 @@ _UNPROVEN_G = ("extended generator set is not g_1..g_n followed by the "
                "proven chain elements")
 
 
-def _chain_proof(n: int) -> tuple[Optional[str], list[Polynomial]]:
+def _chain_proof(n: int, budget: Budget) -> tuple[Optional[str], list[Polynomial]]:
     """Proof that the 2n - 4 chain elements of G lie in (g_1..g_n): None and
     the set it proves, g_1..g_n followed by g_{1,2}..g_{1,n-1} and
     g_{2,n}..g_{n-1,n}, which set_G(n) must equal for (G) = (g_1..g_n);
@@ -170,7 +170,8 @@ def _chain_proof(n: int) -> tuple[Optional[str], list[Polynomial]]:
     The recurrences are checked on the packed terms of the g's and both
     chains, all scaled by one integer (`_packed_terms`). Each recurrence is
     linear in them, so it holds there exactly when it holds on the
-    Polynomials: a chain element off by a scalar fails it."""
+    Polynomials: a chain element off by a scalar fails it. The deadline is
+    checked once per recurrence."""
     g1, g2 = fam.chain_g(n)
     gs = [fam.g_generator(n, i) for i in range(1, n + 1)]
     if (g1[1], g2[n]) != (gs[0], gs[-1]):
@@ -191,10 +192,12 @@ def _chain_proof(n: int) -> tuple[Optional[str], list[Polynomial]]:
         return bool(d)
 
     for i in range(1, n - 1):
+        budget.check_deadline()
         if fails(mono(xs=[*range(1, i), i + 1], zs=range(1, i + 1)), tg[i + 1],
                  mono(xs=[i + 2], zs=[i + 1]), t1[i], t1[i + 1]):
             return f"first chain recurrence fails at i={i}", []
     for j in range(3, n + 1):
+        budget.check_deadline()
         if fails(mono(ys=[j - 1, *range(j + 1, n + 1)], zs=range(j, n + 1)),
                  tg[j - 1], mono(ys=[j - 2], zs=[j - 1]), t2[j], t2[j - 1]):
             return f"second chain recurrence fails at j={j}", []
@@ -305,14 +308,13 @@ def check_gb_sum(n: int, rng: random.Random,
     alone would fail. G ∪ M is G = set_G(n) followed by the monomials of
     `_packed_monomials`, and only on the full walk do monomials become
     Polynomials."""
-    ring = fam.standard_ring(n)
     G = fam.set_G(n)
     monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
     if (core is not None and _certificate(G, budget).ok
             and _failing_core_pair(G, core, budget) is None):
         return PASS, None
-    cert = is_groebner_basis([*G, *fam._monomials(ring, monos)], budget=budget)
+    cert = is_groebner_basis([*G, *fam._monomials(n, monos)], budget=budget)
     if not cert.ok:
         return FAIL, (f"S-pair {cert.witness} leaves remainder "
                       f"{_fmt(cert.remainder)}")
@@ -384,7 +386,7 @@ def check_sum_equals_colon(n: int, rng: random.Random,
             [((m, 1),) for m in monos], minors._packed_gens(), a_full, budget)
     if outside is not None:
         a, b = outside
-        mono, = fam._monomials(ring, [monos[a]])
+        mono, = fam._monomials(n, [monos[a]])
         return FAIL, (f"containment fails: ({_fmt(mono)}) * "
                       f"({_fmt(minors.gens[b])}) is not in the full family")
     if n > 5:
@@ -540,7 +542,8 @@ def _random_qualifying_binomials(ring: Ring, rng: random.Random) -> tuple:
 def check_identities(n: int, rng: random.Random,
                      budget: Budget) -> tuple[str, Optional[str]]:
     """Exact identity suite: the corrected chain recurrences, exhaustive
-    monomial-times-minor membership in the chain (n <= 6), both telescoping
+    monomial-times-minor membership in the chain (n <= 6), on the packed
+    window products of `families._window_products`, both telescoping
     identities with their leading-term bounds, on packed monomials
     (`_telescoping_witness`), and the binomial S-pair reduction property
     on random qualifying pairs."""
@@ -548,13 +551,16 @@ def check_identities(n: int, rng: random.Random,
     if witness is not None:
         return FAIL, witness
     ring = fam.standard_ring(n)
+    packing = _packing(ring.nvars)
     if n <= 6:
         chain = fam.chain_ideal(n)
         for i, j in itertools.combinations(range(1, n + 1), 2):
-            products = fam.window_products(ring, range(i + 1, j))
-            outside = _first_product_outside(
-                [ring.from_monomial(m) for _, m in products],
-                [fam.delta(i, j, n)], chain, budget)
+            # The products X_K Y_L by the size of K, then lexicographically.
+            products = sorted(fam._window_products(n, range(i + 1, j)),
+                              key=lambda p: (len(p[0]), p[0]))
+            outside = _first_prim_product_outside(
+                [((m, 1),) for _, m in products],
+                [_prim_from_poly(fam.delta(i, j, n), packing)], chain, budget)
             if outside is not None:
                 return FAIL, (f"X_K Y_L delta({i},{j}) escapes the "
                               f"chain for K={products[outside[0]][0]}")
@@ -564,7 +570,6 @@ def check_identities(n: int, rng: random.Random,
         return FAIL, witness
     # The pairs are drawn and reduced as packed primitive polynomials;
     # only a failing pair becomes Polynomials, for its witness.
-    packing = _packing(ring.nvars)
     for _ in range(500 if n == 4 else 50):
         budget.check_deadline()
         pf, pg = _random_qualifying_binomials(ring, rng)
@@ -602,7 +607,7 @@ def _certified_sum_basis(n: int, budget: Budget) -> Optional[tuple[Polynomial, .
     core = _shared_core(G, monos, budget)
     if core is None:
         return None
-    return reduced_groebner_basis([*G, *fam._monomials(ring, core)],
+    return reduced_groebner_basis([*G, *fam._monomials(n, core)],
                                   budget=budget)
 
 

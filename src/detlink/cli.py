@@ -16,8 +16,8 @@ FAMILIES: dict[str, Callable[[int], Sequence[object]]] = {
     "minors": lambda n: fam.minors_ideal(n).gens,
     "a": lambda n: fam.gens_a(n).gens,
     "G": lambda n: fam.set_G(n),
-    "M": lambda n: [f"M_{i}: {p}" for i in range(1, n + 1)
-                    for p in fam.M_polys(n, i)],
+    "M": lambda n: [f"M_{i}: {p}"
+                    for i, ms in enumerate(fam._monomial_sets(n), 1) for p in ms],
     "link": lambda n: fam.chain_link(n)[1].gens,
     "chain": lambda n: fam.chain_ideal(n).gens,
 }

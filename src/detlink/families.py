@@ -8,17 +8,23 @@ the extended generator sets whose Groebner property is certified, the index
 automorphisms that carry each subfamily onto the chain, and rational matrix
 specializations of the full minor list.
 
-Each family is built once per width, by a private cached builder, as a
-tuple of Polynomials, which are never modified in place. The monomial
-sets are the exception: `_packed_monomial_sets` builds them as the
-kernel's packed monomials, the only form of them the checks read.
-`Polynomial` monomials are built from it
-(`_monomial_sets`) only for the public views over the sets: M_polys,
-G_union_M, link_ideal and sum_links_ideal. The public constructors are
-views: each call returns a fresh list, dict or Ideal over the builders'
-tuples, so a caller may mutate what it gets. No Ideal is cached: an Ideal
-caches its reduced basis, and a shared one would let one check's basis
-decide what the next check computes.
+Every family is built one way, on packed terms of the ring's order. A
+monomial is a sum of packed variables (`_packed_variables`), since packed
+monomials multiply by adding; a polynomial is the two packed terms of a
+minor (`_minor_terms`), shifted by a monomial or accumulated with rational
+weights; and one converter (`_polynomials`) makes Polynomials of them.
+Nothing here runs the ring's arithmetic or builds a Monomial through the
+ring, except `apply_permutation`, which relabels any polynomial.
+
+Each family is built once, by a private cached builder: a minor per entry
+(`_minor`), so a caller builds only the minors it reads, and every other
+family per width, as a tuple of Polynomials, which are never modified in
+place. The checks read the monomial sets as packed monomials
+(`_packed_monomial_sets`). The public constructors are views: each call
+returns a fresh list, dict or Ideal over the builders' tuples, so a caller
+may mutate what it gets. No Ideal is cached: an Ideal caches its reduced
+basis, and a shared one would let one check's basis decide what the next
+check computes.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .groebner import Ideal, _packing
+from .groebner import Ideal, _add_scaled, _packing
 from .rings import Monomial, Polynomial, Ring, Term
 
 
@@ -37,33 +43,6 @@ from .rings import Monomial, Polynomial, Ring, Term
 def standard_ring(n: int) -> Ring:
     """Shared grevlex ring for width n."""
     return Ring(n)
-
-
-def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
-                 zs: Iterable[int] = ()) -> Monomial:
-    """Squarefree product of the named x-, y- and z-variables."""
-    exps = {}
-    for block, idxs in (("x", xs), ("y", ys), ("z", zs)):
-        for i in idxs:
-            pos = ring.pos(block, i)
-            if pos in exps:
-                raise ValueError(f"repeated index {i} in block {block}")
-            exps[pos] = 1
-    return ring.monomial(exps)
-
-
-def window_products(ring: Ring, window: Sequence[int], zs: Iterable[int] = ()
-                    ) -> list[tuple[tuple[int, ...], Monomial]]:
-    """Every X_K * Y_L * Z with (K, L) a two-set partition of the window.
-
-    Returns (K, monomial) pairs, K by size and then lexicographically; Z is
-    the squarefree product of the z-variables named in zs.
-    """
-    zs = tuple(zs)
-    return [(K, xyz_monomial(ring, xs=K, ys=[v for v in window if v not in K],
-                             zs=zs))
-            for r in range(len(window) + 1)
-            for K in itertools.combinations(window, r)]
 
 
 def _require_width(n: int) -> None:
@@ -96,49 +75,7 @@ def _link(n: int, i: int) -> tuple[tuple[int, int], tuple[int, ...],
             tuple(v for v in span if v != i))
 
 
-# -- builders: each family once per width, as tuples -------------------------
-
-
-@lru_cache(maxsize=None)
-def _minors(n: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """delta(i, j) in row i - 1, column j - 1, for 1 <= i, j <= n, built
-    from its two terms x_i*y_j and -x_j*y_i in the ring's order."""
-    ring = standard_ring(n)
-    one = Fraction(1)
-    xy = [[ring.monomial({ring.pos("x", i): 1, ring.pos("y", j): 1})
-           for j in range(1, n + 1)] for i in range(1, n + 1)]
-
-    def minor(i: int, j: int) -> Polynomial:
-        if i == j:
-            return ring.zero
-        u, v = Term(one, xy[i][j]), Term(-one, xy[j][i])
-        return Polynomial(ring, (u, v) if u.mono.key > v.mono.key else (v, u))
-
-    return tuple(tuple(minor(i, j) for j in range(n)) for i in range(n))
-
-
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[Polynomial, ...]:
-    """g_1, ..., g_n: z_i times the minor of link i's pair."""
-    z, rows = standard_ring(n).z, _minors(n)
-    pairs = [_link(n, i)[0] for i in range(1, n + 1)]
-    return tuple(z(i) * rows[a - 1][b - 1] for i, (a, b) in enumerate(pairs, 1))
-
-
-@lru_cache(maxsize=None)
-def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
-    """(g_{1,1}, ..., g_{1,n-1}) and (g_{2,n}, ..., g_{n,n})."""
-    _require_width(n)
-    ring, rows = standard_ring(n), _minors(n)
-
-    def times(xs=(), ys=(), zs=()):
-        return ring.from_monomial(xyz_monomial(ring, xs, ys, zs))
-
-    first = tuple(times(xs=range(1, j), zs=range(1, j + 1)) * rows[j][j - 1]
-                  for j in range(1, n))
-    second = tuple(times(ys=range(j + 1, n + 1), zs=range(j, n + 1))
-                   * rows[j - 1][j - 2] for j in range(2, n + 1))
-    return first, second
+# -- packed terms: monomials, minors and window products --------------------
 
 
 @lru_cache(maxsize=None)
@@ -153,55 +90,137 @@ def _packed_variables(n: int) -> tuple[int, ...]:
 
 def _packed_xyz(n: int, xs: Iterable[int] = (), ys: Iterable[int] = (),
                 zs: Iterable[int] = ()) -> int:
-    """`xyz_monomial` as a packed monomial, without its checks: indices are
-    distinct and in [1, n]. Packed monomials multiply by adding, so the
-    product of squarefree variables is their sum."""
+    """The squarefree product of the named x-, y- and z-variables as a
+    packed monomial; the indices of each block are distinct and in [1, n].
+    Packed monomials multiply by adding, so the product is the sum of its
+    variables."""
     v = _packed_variables(n)
     return (sum(v[i - 1] for i in xs) + sum(v[n + i - 1] for i in ys)
             + sum(v[2 * n + i - 1] for i in zs))
 
 
+def _minor_terms(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
+    """delta(i, j) = x_i*y_j - x_j*y_i as packed terms in descending order;
+    () on the diagonal."""
+    if i == j:
+        return ()
+    v = _packed_variables(n)
+    u, w = v[i - 1] + v[n + j - 1], v[j - 1] + v[n + i - 1]
+    return ((u, 1), (w, -1)) if u > w else ((w, -1), (u, 1))
+
+
+def _window_products(n: int, window: Sequence[int], zs: Iterable[int] = ()
+                     ) -> list[tuple[tuple[int, ...], int]]:
+    """Every X_K * Y_L * Z with (K, L) a two-set partition of the window, as
+    (K, packed monomial) pairs in descending order of the monomials; Z is
+    the squarefree product of the z-variables named in zs.
+
+    The products are split once per k of the window, largest k first, into
+    the ones with x_k and the ones with y_k. That is descending order: two
+    products of the window differ last at y_k for the largest k on which
+    they differ, and the one with x_k there is the larger."""
+    v = _packed_variables(n)
+    products = [((), _packed_xyz(n, zs=zs))]
+    for k in reversed(window):
+        x, y, head = v[k - 1], v[n + k - 1], (k,)
+        products = [p for K, m in products
+                    for p in ((head + K, m + x), (K, m + y))]
+    return products
+
+
 @lru_cache(maxsize=None)
 def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
     """M_1, ..., M_n as packed monomials of the ring's order, each in
-    descending order.
+    descending order: the window products of each link, times its z-part.
+    The products are squarefree, so no field reaches the packing limit, and
+    packed ints compare as the order does."""
+    _require_width(n)
+    links = (_link(n, i) for i in range(1, n + 1))
+    return tuple(tuple(m for _, m in _window_products(n, window, zs))
+                 for _, window, zs in links)
 
-    Each monomial is the z-part of its link plus x_k or y_k for each k of
-    the window. The products are squarefree, so no field reaches the
-    packing limit, and packed ints compare as the order does.
-    """
+
+def _minor_pairs(n: int) -> list[tuple[int, int]]:
+    """The index pair (a, b) of each entry delta(a, b) of `minor_list`."""
+    _require_width(n)
+    pairs = [_link(n, i)[0] for i in range(1, n + 1)]
+    used = {frozenset(p) for p in pairs}
+    return pairs + [(b, a) for a in range(1, n + 1) for b in range(a + 1, n + 1)
+                    if frozenset((a, b)) not in used]
+
+
+# -- builders: Polynomials from packed terms, cached -------------------------
+
+
+def _polynomials(n: int, packed: Iterable) -> tuple[Polynomial, ...]:
+    """Polynomials of the width-n ring from packed terms, in order: each
+    entry of packed is a sequence of (packed monomial, nonzero rational)
+    pairs, descending in the ring's order."""
+    ring, unpack = standard_ring(n), _packing(3 * n).unpack
+    return tuple(Polynomial(ring, tuple(Term(Fraction(c), unpack(m))
+                                        for m, c in terms))
+                 for terms in packed)
+
+
+def _monomials(n: int, packed: Iterable[int]) -> tuple[Polynomial, ...]:
+    """Packed monomials of the width-n ring as monomial Polynomials, in
+    order."""
+    return _polynomials(n, (((m, 1),) for m in packed))
+
+
+def _times_minors(n: int, factors: Iterable[tuple[int, tuple[int, int]]]
+                  ) -> tuple[Polynomial, ...]:
+    """u * delta(a, b) for each (packed monomial u, (a, b)) of factors: the
+    minor's packed terms shifted by u, which keeps their order."""
+    return _polynomials(n, (
+        tuple((m + u, c) for m, c in _minor_terms(n, a, b))
+        for u, (a, b) in factors))
+
+
+@lru_cache(maxsize=None)
+def _minor(n: int, i: int, j: int) -> Polynomial:
+    """delta(i, j) for 1 <= i, j <= n."""
+    return _polynomials(n, [_minor_terms(n, i, j)])[0]
+
+
+@lru_cache(maxsize=None)
+def _generators(n: int) -> tuple[Polynomial, ...]:
+    """g_1, ..., g_n: z_i times the minor of link i's pair."""
+    z = _packed_variables(n)[2 * n:]
+    return _times_minors(n, [(z[i - 1], _link(n, i)[0])
+                             for i in range(1, n + 1)])
+
+
+@lru_cache(maxsize=None)
+def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
+    """(g_{1,1}, ..., g_{1,n-1}) and (g_{2,n}, ..., g_{n,n}):
+    g_{1,j} = X_{[1,j-1]} Z_{[1,j]} delta(j+1, j) and
+    g_{j,n} = Y_{[j+1,n]} Z_{[j,n]} delta(j, j-1). Each monomial factor is
+    the one before it times two variables: the first chain's go up from
+    z_1 at j = 1, the second chain's down from z_n at j = n."""
+    _require_width(n)
     v = _packed_variables(n)
-    out = []
-    for i in range(1, n + 1):
-        _, window, zs = _link(n, i)
-        monos = [_packed_xyz(n, zs=zs)]
-        for k in window:
-            x, y = v[k - 1], v[n + k - 1]
-            monos = [m + u for m in monos for u in (x, y)]
-        out.append(tuple(sorted(monos, reverse=True)))
-    return tuple(out)
-
-
-def _monomials(ring: Ring, packed: Iterable[int]) -> tuple[Polynomial, ...]:
-    """Packed monomials of ring's order as monomial Polynomials, in order."""
-    unpack, one = _packing(ring.nvars).unpack, Fraction(1)
-    return tuple(Polynomial(ring, (Term(one, unpack(m)),)) for m in packed)
+    x, y, z = v[:n], v[n:2 * n], v[2 * n:]
+    ups = itertools.accumulate((x[j - 2] + z[j - 1] for j in range(2, n)),
+                               initial=z[0])
+    downs = itertools.accumulate((y[j] + z[j - 1] for j in range(n - 1, 1, -1)),
+                                 initial=z[n - 1])
+    first = _times_minors(n, zip(ups, [(j + 1, j) for j in range(1, n)]))
+    second = _times_minors(n, zip(downs, [(j, j - 1) for j in range(n, 1, -1)]))
+    return first, second[::-1]
 
 
 @lru_cache(maxsize=None)
 def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
     """M_1, ..., M_n as monomial Polynomials, each in descending order."""
-    ring = standard_ring(n)
-    return tuple(_monomials(ring, ms) for ms in _packed_monomial_sets(n))
+    return tuple(_monomials(n, ms) for ms in _packed_monomial_sets(n))
 
 
 @lru_cache(maxsize=None)
 def _chain_link_monomials(n: int) -> tuple[Polynomial, ...]:
     """X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n]."""
-    ring = standard_ring(n)
-    return tuple(ring.from_monomial(xyz_monomial(ring, xs=range(2, j),
-                                                 ys=range(j, n)))
-                 for j in range(2, n + 1))
+    return _monomials(n, [
+        _packed_xyz(n, xs=range(2, j), ys=range(j, n)) for j in range(2, n + 1)])
 
 
 # -- the public constructors: fresh views over the builders ------------------
@@ -211,14 +230,13 @@ def delta(i: int, j: int, n: int) -> Polynomial:
     """The 2x2 minor x_i*y_j - x_j*y_i; zero on the diagonal."""
     if not (1 <= i <= n and 1 <= j <= n):
         raise ValueError(f"minor indices ({i},{j}) out of range for n={n}")
-    return _minors(n)[i - 1][j - 1]
+    return _minor(n, i, j)
 
 
 def minors_ideal(n: int) -> Ideal:
     """All C(n,2) minors delta(i,j) for i < j."""
-    rows = _minors(n)
-    return Ideal(standard_ring(n), [rows[i][j] for i in range(n)
-                                    for j in range(i + 1, n)])
+    return Ideal(standard_ring(n), [_minor(n, i, j) for i in range(1, n + 1)
+                                    for j in range(i + 1, n + 1)])
 
 
 def g_generator(n: int, i: int) -> Polynomial:
@@ -285,8 +303,7 @@ def sum_links_ideal(n: int) -> Ideal:
 
 def chain_ideal(n: int) -> Ideal:
     """Consecutive-minor chain (delta(1,2), delta(2,3), ..., delta(n-1,n))."""
-    rows = _minors(n)
-    return Ideal(standard_ring(n), [rows[t - 1][t] for t in range(1, n)])
+    return Ideal(standard_ring(n), [_minor(n, t, t + 1) for t in range(1, n)])
 
 
 def chain_link(n: int) -> tuple[Ideal, Ideal]:
@@ -399,31 +416,25 @@ def minor_list(n: int) -> list[Polynomial]:
     delta(b, a) for the unused pairs a < b, sorted lexicographically by
     (a, b). Every entry is monic.
     """
-    _require_width(n)
-    pairs = [minor_pair(n, i) for i in range(1, n + 1)]
-    used = {frozenset(p) for p in pairs}
-    rest = [(a, b) for a in range(1, n + 1) for b in range(a + 1, n + 1)
-            if frozenset((a, b)) not in used]
-    pairs += [(b, a) for a, b in sorted(rest)]
-    return [delta(a, b, n) for a, b in pairs]
+    return [_minor(n, a, b) for a, b in _minor_pairs(n)]
 
 
 def generic_residual(n: int, B: Sequence[Sequence[int | Fraction]]) -> tuple[Ideal, Ideal]:
     """Specialized generator matrix product: a_j = sum_i B[i][j] * minor_i.
 
     B must be r x n with r = C(n,2) and exact rational entries. Returns
-    (the specialized ideal, the full minors ideal).
+    (the specialized ideal, the full minors ideal). Each a_j accumulates
+    the minors' packed terms.
     """
-    _require_width(n)
-    r = n * (n - 1) // 2
-    if len(B) != r or any(len(row) != n for row in B):
-        raise ValueError(f"matrix must be {r}x{n}")
-    ring = standard_ring(n)
-    gs = minor_list(n)
+    pairs = _minor_pairs(n)
+    if len(B) != len(pairs) or any(len(row) != n for row in B):
+        raise ValueError(f"matrix must be {len(pairs)}x{n}")
+    minors = [_minor_terms(n, a, b) for a, b in pairs]
     a = []
     for j in range(n):
-        acc = ring.zero
-        for i in range(r):
-            acc = acc + gs[i] * Fraction(B[i][j])
-        a.append(acc)
-    return Ideal(ring, a), Ideal(ring, gs)
+        acc: dict = {}
+        for row, terms in zip(B, minors):
+            _add_scaled(acc, terms, 0, Fraction(row[j]))
+        a.append(sorted(acc.items(), reverse=True))
+    ring = standard_ring(n)
+    return Ideal(ring, _polynomials(n, a)), Ideal(ring, minor_list(n))

@@ -1125,19 +1125,6 @@ def member(f: Polynomial, I: Ideal, budget: Optional[Budget] = None) -> bool:
     return not reducer.reduce(dict(_prim_from_poly(f, reducer.packing)))
 
 
-def _first_product_outside(gs: Sequence[Polynomial], hs: Sequence[Polynomial],
-                           I: Ideal, budget: Optional[Budget] = None
-                           ) -> Optional[tuple[int, int]]:
-    """`_first_prim_product_outside` for `Polynomial` factors of I's ring,
-    each packed once, up front."""
-    for f in (*gs, *hs):
-        f._check_ring(I.ring)
-    packing = _packing(I.ring.nvars)
-    gps, hps = ([_prim_from_poly(f, packing) if f else () for f in fs]
-                for fs in (gs, hs))
-    return _first_prim_product_outside(gps, hps, I, budget)
-
-
 def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
                                 budget: Optional[Budget] = None
                                 ) -> Optional[tuple[int, int]]:

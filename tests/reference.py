@@ -7,9 +7,11 @@ textbook division and certificate references with them.
 `substitute` and `multidegree` check the families under specializations
 and pin their degrees; `m_ij` and `m_ij_range` are the paper's
 distinguished monomials of each link, which the tests find among the
-link's monomial set. `monomial_sets` builds every link's monomial set
-from `window_products` and `Monomial.key`, with no packed monomials,
-for the families' packed builder to match. `check_gb_sum_full` and
+link's monomial set. `xyz_monomial` and `window_products` form the
+squarefree products of named variables by `Ring.monomial`, and
+`monomial_sets` builds every link's monomial set from them and
+`Monomial.key`, with no packed monomials, for the families' packed
+builder to match. `check_gb_sum_full` and
 `check_sum_equals_colon_full` are the two checks as they were before they
 certified from the core of the monomial sets: the first walks all of
 G ∪ M, the second tests every monomial times every minor.
@@ -24,7 +26,10 @@ random binomial pairs of `identities` as they were computed on
 `Polynomial`s, before the checks drew and split them as packed
 monomials. `minors` builds every
 minor by polynomial arithmetic, x_i*y_j - x_j*y_i, for the families'
-term-built minors to match. `telescoping_identities` and
+packed minors to match; `generators`, `chains`, `chain_link_monomials`
+and `generic_residual` build the other families the same way, by ring
+arithmetic on `xyz_monomial` and the minors, for the packed builders of
+`families` to match. `telescoping_identities` and
 `telescoping_witness` are the telescoping part of `identities` as it was
 before it ran on packed monomials: `Polynomial` products, their sum
 compared with the left-hand side, and `Monomial.key` comparisons.
@@ -45,14 +50,13 @@ import itertools
 import random
 from fractions import Fraction
 from operator import le as _le, sub as _sub
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import detlink.families as fam
 from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
-from detlink.families import _link, standard_ring, window_products, xyz_monomial
+from detlink.families import _link, minor_pair, standard_ring
 from detlink.groebner import (Budget, Ideal, _Divisors, _IntReducer,
-                              _first_prim_product_outside,
-                              _first_product_outside, _interreduce, _packing,
+                              _first_prim_product_outside, _interreduce, _packing,
                               _prim_from_dict, _prim_from_poly, _product,
                               ideal_equal, is_groebner_basis)
 from detlink.idealops import _exact_quotient, _intersect_prims, quotient
@@ -60,6 +64,33 @@ from detlink.rings import Monomial, Polynomial, Ring, Scalar, Term
 
 
 # -- monomial arithmetic ----------------------------------------------------
+
+
+def xyz_monomial(ring: Ring, xs: Iterable[int] = (), ys: Iterable[int] = (),
+                 zs: Iterable[int] = ()) -> Monomial:
+    """Squarefree product of the named x-, y- and z-variables."""
+    exps = {}
+    for block, idxs in (("x", xs), ("y", ys), ("z", zs)):
+        for i in idxs:
+            pos = ring.pos(block, i)
+            if pos in exps:
+                raise ValueError(f"repeated index {i} in block {block}")
+            exps[pos] = 1
+    return ring.monomial(exps)
+
+
+def window_products(ring: Ring, window: Sequence[int], zs: Iterable[int] = ()
+                    ) -> list[tuple[tuple[int, ...], Monomial]]:
+    """Every X_K * Y_L * Z with (K, L) a two-set partition of the window.
+
+    Returns (K, monomial) pairs, K by size and then lexicographically; Z is
+    the squarefree product of the z-variables named in zs.
+    """
+    zs = tuple(zs)
+    return [(K, xyz_monomial(ring, xs=K, ys=[v for v in window if v not in K],
+                             zs=zs))
+            for r in range(len(window) + 1)
+            for K in itertools.combinations(window, r)]
 
 
 def naive_grevlex(a, b) -> int:
@@ -199,6 +230,55 @@ def minors(n: int) -> list[list[Polynomial]]:
             for i in range(1, n + 1)]
 
 
+def generators(n: int) -> list[Polynomial]:
+    """g_1, ..., g_n as z_i times the minor of g_i's pair, by ring
+    arithmetic."""
+    ring, rows = standard_ring(n), minors(n)
+    out = []
+    for i in range(1, n + 1):
+        a, b = minor_pair(n, i)
+        out.append(ring.z(i) * rows[a - 1][b - 1])
+    return out
+
+
+def chains(n: int) -> tuple[list[Polynomial], list[Polynomial]]:
+    """(g_{1,1}, ..., g_{1,n-1}) and (g_{2,n}, ..., g_{n,n}), each a
+    monomial times a minor, by ring arithmetic:
+    g_{1,j} = X_{[1,j-1]} Z_{[1,j]} delta(j+1, j) and
+    g_{j,n} = Y_{[j+1,n]} Z_{[j,n]} delta(j, j-1)."""
+    ring, rows = standard_ring(n), minors(n)
+
+    def times(xs=(), ys=(), zs=()):
+        return ring.from_monomial(xyz_monomial(ring, xs, ys, zs))
+
+    first = [times(xs=range(1, j), zs=range(1, j + 1)) * rows[j][j - 1]
+             for j in range(1, n)]
+    second = [times(ys=range(j + 1, n + 1), zs=range(j, n + 1))
+              * rows[j - 1][j - 2] for j in range(2, n + 1)]
+    return first, second
+
+
+def chain_link_monomials(n: int) -> list[Polynomial]:
+    """X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n], from `xyz_monomial`."""
+    ring = standard_ring(n)
+    return [ring.from_monomial(xyz_monomial(ring, xs=range(2, j),
+                                            ys=range(j, n)))
+            for j in range(2, n + 1)]
+
+
+def generic_residual(n: int, B: Sequence[Sequence]) -> list[Polynomial]:
+    """a_j = sum_i B[i][j] * minor_i over `families.minor_list(n)`, folded
+    one minor at a time by ring arithmetic."""
+    ring, gs = standard_ring(n), fam.minor_list(n)
+    out = []
+    for j in range(n):
+        acc = ring.zero
+        for i, g in enumerate(gs):
+            acc = acc + g * Fraction(B[i][j])
+        out.append(acc)
+    return out
+
+
 def monomial_sets(n: int) -> list[list[Polynomial]]:
     """M_1, ..., M_n: every X_K * Y_L * Z of the i-th link's window, as
     monomial Polynomials sorted descending by `Monomial.key`."""
@@ -255,7 +335,7 @@ def check_reduced_full(n: int, budget: Budget) -> tuple[str, Optional[str]]:
 def check_sum_equals_colon_full(n: int,
                                 budget: Budget) -> tuple[str, Optional[str]]:
     """`sum-equals-colon` with every monomial times every minor tested."""
-    witness, proven = _chain_proof(n)
+    witness, proven = _chain_proof(n, budget)
     if witness is not None:
         return FAIL, witness
     ring = fam.standard_ring(n)
@@ -267,7 +347,10 @@ def check_sum_equals_colon_full(n: int,
     a_full = groebner_basis_ideal(ring, G)
     minors = fam.minors_ideal(n)
     monos = packed_monomials(n)
-    outside = _first_product_outside(monos, minors.gens, a_full, budget)
+    packing = _packing(ring.nvars)
+    outside = _first_prim_product_outside(
+        [_prim_from_poly(f, packing) for f in monos], minors._packed_gens(),
+        a_full, budget)
     if outside is not None:
         a, b = outside
         return FAIL, (f"containment fails: ({_fmt(monos[a])}) * "

@@ -20,7 +20,7 @@ from detlink.idealops import dimension, height, intersect, quotient, sum_ideals
 from detlink.rings import Ring
 
 from conftest import random_nonzero_poly, random_poly
-from reference import divides, groebner_basis_ideal, support
+from reference import divides, groebner_basis_ideal, support, xyz_monomial
 from test_idealops import exhaustive_monomial_dimension
 
 
@@ -147,7 +147,7 @@ def test_criterion_09_identity_suite():
                 for r in range(len(window) + 1):
                     for K in itertools.combinations(window, r):
                         L = [v for v in window if v not in K]
-                        mono = fam.xyz_monomial(ring, xs=K, ys=L)
+                        mono = xyz_monomial(ring, xs=K, ys=L)
                         f = ring.from_monomial(mono) * fam.delta(i, j, n)
                         ok = ok and member(f, chain)
     # Telescoping identities and chain recurrences, exactly, for n <= 7;

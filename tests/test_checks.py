@@ -7,6 +7,7 @@ import pathlib
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,7 @@ import pytest
 import detlink.checks as checks
 import detlink.families as fam
 from detlink.checks import report_document, report_json, run_checks
-from detlink.cli import main
+from detlink.cli import FAMILIES, main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
                               _packing, _poly_from_dict, _prim_from_poly,
                               divide, is_groebner_basis, member, s_polynomial)
@@ -97,6 +98,21 @@ class TestRunChecks:
         assert report.status == "budget-exceeded"
         assert "timeout" in report.witness
 
+    def test_expired_deadline_stops_the_chain_proof(self):
+        with pytest.raises(BudgetExceeded):
+            checks._chain_proof(6, Budget(timeout_secs=0))
+        assert checks._chain_proof(6, Budget(timeout_secs=60))[0] is None
+
+    def test_deadline_stops_wide_checks(self):
+        # At n = 300 the chain proof and the automorphism images each take
+        # longer than the deadline; both checks stop soon after it.
+        t0 = time.perf_counter()
+        reports = run_checks(300, ["gb-a", "automorphisms"], timeout_secs=0.5)
+        assert [r.status for r in reports] == ["budget-exceeded"] * 2
+        assert all("timeout" in r.witness for r in reports)
+        assert all(r.elapsed_ms < 5000 for r in reports)
+        assert time.perf_counter() - t0 < 15
+
     def test_mutated_family_detected(self, monkeypatch):
         original = fam.set_G
 
@@ -156,7 +172,7 @@ class TestRunChecks:
         first = next(
             (i, j, K) for i in range(1, 5) for j in range(i + 1, 5)
             for r in range(j - i) for K in itertools.combinations(range(i + 1, j), r)
-            if not member(R.from_monomial(fam.xyz_monomial(
+            if not member(R.from_monomial(reference.xyz_monomial(
                 R, xs=K, ys=[v for v in range(i + 1, j) if v not in K]))
                 * fam.delta(i, j, 4), chain))
         report = run_checks(4, ["identities"])[0]
@@ -399,11 +415,10 @@ class TestRelativeCertificate:
     def test_units_add_up_to_the_full_certificate(self, n):
         G, monos = _split(n)
         core = checks._core(G, monos, Budget())
-        ring = G[0].ring
         own, walk, full = Budget(), Budget(), Budget()
         assert is_groebner_basis(G, budget=own).ok
         assert _relative_walk(G, core, walk) is None
-        assert is_groebner_basis([*G, *fam._monomials(ring, core)], budget=full).ok
+        assert is_groebner_basis([*G, *fam._monomials(n, core)], budget=full).ok
         assert own.pairs + walk.pairs == full.pairs == TestCoreCertificate.UNITS[n - 4]
 
     @pytest.mark.parametrize("n", [4, 5])
@@ -413,11 +428,10 @@ class TestRelativeCertificate:
         # over the pairs the core adds fails at the same pair.
         G, monos = _split(n)
         core = checks._core(G, monos, Budget())
-        ring = G[0].ring
         failures = 0
         for k in range(len(core)):
             less = core[:k] + core[k + 1:]
-            cert = is_groebner_basis([*G, *fam._monomials(ring, less)])
+            cert = is_groebner_basis([*G, *fam._monomials(n, less)])
             assert _relative_walk(G, less, Budget()) == cert.witness
             failures += not cert.ok
         assert failures
@@ -428,7 +442,6 @@ class TestRelativeCertificate:
         # certificate, the core's pairs up to the failing one, and the full
         # walk on G ∪ M; without a core, the full walk alone.
         G, monos = _split(4)
-        ring = G[0].ring
         own = Budget()
         assert is_groebner_basis(G, budget=own).ok
         failing = []
@@ -442,7 +455,7 @@ class TestRelativeCertificate:
                 continue
             walk, full = Budget(), Budget()
             assert not is_groebner_basis(
-                [*G, *fam._monomials(ring, [u for u in monos if u != m])],
+                [*G, *fam._monomials(4, [u for u in monos if u != m])],
                 budget=full).ok
             if less is None:
                 assert budget.pairs == full.pairs
@@ -905,6 +918,12 @@ class TestCLI:
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""
+        for family in FAMILIES:
+            for n in (-1, 0, 1):
+                assert main(["show", "--family", family, "--n", str(n)]) == 2
+                captured = capsys.readouterr()
+                assert captured.err.startswith("error: ")
+                assert captured.out == ""
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

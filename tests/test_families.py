@@ -1,6 +1,10 @@
 """The explicit ideal families: minors, generator chains, monomial sets,
 index automorphisms, matrix specializations."""
 
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 import detlink.families as fam
@@ -9,12 +13,13 @@ from detlink.families import (G_union_M, IndexPermutation, M_polys,
                               g_generator, gens_a, generic_residual, link_ideal,
                               minor_list, minor_pair, minors_ideal,
                               phi_permutation, chain_link, set_G, standard_ring,
-                              sub_a, sum_links_ideal, xyz_monomial)
-from detlink.groebner import Ideal, ideal_equal, member
+                              sub_a, sum_links_ideal)
+from detlink.groebner import Ideal, _packing, ideal_equal, member
 from detlink.idealops import height, quotient
 
+import reference
 from reference import (m_ij, m_ij_range, minors, monomial_sets, multidegree,
-                       substitute)
+                       substitute, xyz_monomial)
 
 
 def leading_monomials(polys):
@@ -50,10 +55,11 @@ class TestMinors:
 
     @pytest.mark.parametrize("n", range(2, 10))
     def test_term_built_minors_match_the_arithmetic(self, n):
-        # Each minor is built from its two terms; `reference.minors` forms
-        # x_i*y_j - x_j*y_i by ring arithmetic. Terms compare in order.
+        # Each minor is built from its two packed terms; `reference.minors`
+        # forms x_i*y_j - x_j*y_i by ring arithmetic. Terms compare in order.
         expected = minors(n)
-        assert ([[f.terms for f in row] for row in fam._minors(n)]
+        assert ([[fam._minor(n, i, j).terms for j in range(1, n + 1)]
+                 for i in range(1, n + 1)]
                 == [[f.terms for f in row] for row in expected])
 
 
@@ -315,6 +321,50 @@ class TestPackedMonomialSets:
                         == gs[:i - 1] + gs[i:] + tuple(expected[i - 1]))
 
 
+class TestPackedBuilders:
+    """Every family built from packed terms matches its oracle in
+    `reference`, built by ring arithmetic, term for term."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_generators(self, n):
+        assert ([f.terms for f in fam._generators(n)]
+                == [f.terms for f in reference.generators(n)])
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_chains(self, n):
+        assert ([[f.terms for f in chain] for chain in fam._chains(n)]
+                == [[f.terms for f in chain] for chain in reference.chains(n)])
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_chain_link_monomials(self, n):
+        assert ([f.terms for f in fam._chain_link_monomials(n)]
+                == [f.terms for f in reference.chain_link_monomials(n)])
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_generic_residual(self, n):
+        rng = random.Random(f"generic-residual/{n}")
+        r = n * (n - 1) // 2
+        for _ in range(3):
+            B = [[Fraction(rng.randint(-9, 9), rng.randint(1, 6))
+                  if rng.random() < 0.7 else 0 for _ in range(n)]
+                 for _ in range(r)]
+            aB, I = generic_residual(n, B)
+            expected = [f for f in reference.generic_residual(n, B) if f]
+            assert [f.terms for f in aB.gens] == [f.terms for f in expected]
+            assert I.gens == tuple(minor_list(n))
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_window_products(self, n):
+        R = standard_ring(n)
+        unpack = _packing(R.nvars).unpack
+        for i in range(1, n + 1):
+            _, window, zs = fam._link(n, i)
+            got = fam._window_products(n, window, zs)
+            expected = reference.window_products(R, window, zs)
+            assert ([(K, unpack(m)) for K, m in got]
+                    == sorted(expected, key=lambda km: km[1].key, reverse=True))
+
+
 class TestBuiltOncePerWidth:
     """Families are built once per width; every call returns fresh values."""
 
@@ -362,9 +412,11 @@ class TestBuiltOncePerWidth:
                      "sum_links_ideal", "chain_ideal", "chain_link",
                      "minor_pair", "minor_list"):
             monkeypatch.setattr(fam, name, refuse)
-        builders = (fam._minors, fam._generators, fam._chains,
+        builders = (fam._minor, fam._generators, fam._chains,
                     fam._monomial_sets, fam._chain_link_monomials)
         for build in builders:
             build.cache_clear()
-        for build in builders:
+        for build in builders[1:]:
             assert build(6) is build(6)
+        for i, j in itertools.product(range(1, 7), repeat=2):
+            assert fam._minor(6, i, j) is fam._minor(6, i, j)

@@ -12,7 +12,7 @@ from detlink.families import (M_polys, chain_ideal, delta, gens_a,
                               standard_ring, sub_a)
 from detlink.graphs import _minimal_primes, _minimal_sets, replay_avoidance_argument
 from detlink.groebner import (Budget, BudgetExceeded, GBStats, Ideal,
-                              _first_product_outside, ideal_equal, member)
+                              _first_prim_product_outside, ideal_equal, member)
 from detlink.idealops import (dimension, height, intersect, quotient,
                               quotient_by_poly, sum_ideals)
 from detlink.rings import Ring
@@ -339,8 +339,20 @@ def _first_outside_by_member(gs, hs, I):
                  if not member(g * h, I)), None)
 
 
+def _prims(fs):
+    """The prims of Polynomials of one ring, packed once each; () for 0."""
+    return [groebner._prim_from_poly(f, groebner._packing(f.ring.nvars))
+            if f else () for f in fs]
+
+
+def _first_outside(gs, hs, I, budget=None):
+    """`_first_prim_product_outside` on the prims of gs and hs."""
+    return _first_prim_product_outside(_prims(gs), _prims(hs), I, budget)
+
+
 class TestMultiplesIn:
-    """`_first_product_outside(gs, hs, I)` against a scan of member(g*h, I)."""
+    """`_first_prim_product_outside(gs, hs, I)` against a scan of
+    member(g*h, I)."""
 
     def test_matches_member(self, rng):
         R = Ring(2)
@@ -362,7 +374,7 @@ class TestMultiplesIn:
                            ([g, extra, g], colon),
                            ([extra, ring.zero, g], colon + [ring.zero])):
                 want = _first_outside_by_member(gs, hs, I)
-                assert _first_product_outside(gs, hs, I) == want
+                assert _first_outside(gs, hs, I) == want
                 seen.add(want if want is None or want == (0, 0) else "later")
         assert seen == {None, (0, 0), "later"}
 
@@ -374,58 +386,59 @@ class TestMultiplesIn:
         a_full = _full_family(n)
         minors = minors_ideal(n).gens
         monos = [p for i in range(1, n + 1) for p in M_polys(n, i)]
-        assert _first_product_outside(monos, minors, a_full) is None
+        assert _first_outside(monos, minors, a_full) is None
         bad = monos + [ring.x(1), ring.y(2)]
         want = _first_outside_by_member(bad, minors, a_full)
         assert want is not None and want[0] == len(monos)
-        assert _first_product_outside(bad, minors, a_full) == want
+        assert _first_outside(bad, minors, a_full) == want
 
     def test_edge_ideals(self):
         R = Ring(2)
         x1, y1 = R.x(1), R.y(1)
         zero, unit = Ideal(R, []), Ideal(R, [R.one])
-        assert _first_product_outside([x1], [], zero) is None
-        assert _first_product_outside([], [x1], zero) is None
-        assert _first_product_outside([x1], [y1], zero) == (0, 0)
-        assert _first_product_outside([R.one], [R.one], zero) == (0, 0)
-        assert _first_product_outside([x1], [y1, x1 - 2 * y1], unit) is None
-        assert _first_product_outside([x1], [], Ideal(R, [y1])) is None
-        assert _first_product_outside([y1, x1], [y1, x1], Ideal(R, [x1])) == (0, 0)
-        assert _first_product_outside([x1, y1], [y1, y1], Ideal(R, [x1])) == (1, 0)
+        assert _first_outside([x1], [], zero) is None
+        assert _first_outside([], [x1], zero) is None
+        assert _first_outside([x1], [y1], zero) == (0, 0)
+        assert _first_outside([R.one], [R.one], zero) == (0, 0)
+        assert _first_outside([x1], [y1, x1 - 2 * y1], unit) is None
+        assert _first_outside([x1], [], Ideal(R, [y1])) is None
+        assert _first_outside([y1, x1], [y1, x1], Ideal(R, [x1])) == (0, 0)
+        assert _first_outside([x1, y1], [y1, y1], Ideal(R, [x1])) == (1, 0)
         # Row-major: x1*x2 comes before y1*y1.
-        assert _first_product_outside([x1, y1], [y1, R.x(2)],
-                                      Ideal(R, [x1 * y1])) == (0, 1)
+        assert _first_outside([x1, y1], [y1, R.x(2)],
+                              Ideal(R, [x1 * y1])) == (0, 1)
         # The x1*y1 terms of (x1 + y1)(x1 - y1) cancel.
-        assert _first_product_outside([x1 + y1], [x1 - y1],
-                                      Ideal(R, [x1 ** 2 - y1 ** 2])) is None
+        assert _first_outside([x1 + y1], [x1 - y1],
+                              Ideal(R, [x1 ** 2 - y1 ** 2])) is None
         # A zero factor gives the zero product, which lies in every ideal.
-        assert _first_product_outside([R.zero], [y1], Ideal(R, [x1])) is None
-        assert _first_product_outside([R.zero], [y1], zero) is None
-        assert _first_product_outside([y1], [R.zero, y1], Ideal(R, [x1])) == (0, 1)
-        with pytest.raises(ValueError):
-            _first_product_outside([Ring(3).x(1)], [y1], Ideal(R, [x1]))
+        assert _first_outside([R.zero], [y1], Ideal(R, [x1])) is None
+        assert _first_outside([R.zero], [y1], zero) is None
+        assert _first_outside([y1], [R.zero, y1], Ideal(R, [x1])) == (0, 1)
 
     def test_packs_each_factor_once(self, monkeypatch):
-        # Every factor is packed once, up front, whatever the verdict.
+        # The factors come packed, once each: the products are formed on
+        # them, and nothing is packed again, whatever the verdict.
         R = Ring(2)
         I = Ideal(R, [R.x(2)])
         I._reducer()
+        gs, hs = _prims([R.x(1), R.z(1)]), _prims([R.y(1), R.y(2), R.z(2)])
+        multiples = _prims([R.x(2), R.x(2) * R.y(1)])
         packed = []
         prim = groebner._prim_from_poly
         monkeypatch.setattr(groebner, "_prim_from_poly",
                             lambda f, packing: packed.append(f) or prim(f, packing))
-        gs, hs = [R.x(1), R.z(1)], [R.y(1), R.y(2), R.z(2)]
-        assert _first_product_outside(gs, hs, I) == (0, 0)
-        assert packed == gs + hs
+        assert _first_prim_product_outside(gs, hs, I) == (0, 0)
+        assert _first_prim_product_outside(gs, multiples, I) is None
+        assert packed == []
 
     def test_expired_deadline(self):
         R = Ring(2)
         I = Ideal(R, [R.x(1) * R.y(1)])
         I.groebner()
         with pytest.raises(BudgetExceeded):
-            _first_product_outside([R.x(1)], [R.y(1)], I, Budget(timeout_secs=0))
-        assert _first_product_outside([R.x(1)], [R.y(1)], I,
-                                      Budget(timeout_secs=60)) is None
+            _first_outside([R.x(1)], [R.y(1)], I, Budget(timeout_secs=0))
+        assert _first_outside([R.x(1)], [R.y(1)], I,
+                              Budget(timeout_secs=60)) is None
 
 
 class TestSumProduct:
