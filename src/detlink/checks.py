@@ -29,7 +29,7 @@ import json
 import random
 import time
 from dataclasses import dataclass
-from math import gcd
+from math import lcm
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 from . import families as fam
@@ -141,9 +141,10 @@ def _packed_monomials(n: int, budget: Budget) -> tuple[int, ...]:
     """The monomials of M_1, ..., M_n, in turn, as the packed monomials of
     `families._packed_monomial_sets`, the one form of the monomial sets
     the checks read. The deadline is checked first, so an expired budget
-    stops a check before the sets are built."""
+    stops a check before the sets are built, and again while they grow."""
     budget.check_deadline()
-    return tuple(itertools.chain.from_iterable(fam._packed_monomial_sets(n)))
+    return tuple(itertools.chain.from_iterable(
+        fam._packed_monomial_sets(n, budget)))
 
 
 def _shared_core(G: Sequence[Polynomial], monos: tuple[int, ...],
@@ -419,11 +420,15 @@ def check_heights(n: int, rng: random.Random,
 def check_automorphisms(n: int, rng: random.Random,
                         budget: Budget) -> tuple[str, Optional[str]]:
     """Each omitted-generator family maps onto the consecutive chain, up to
-    sign, under its index automorphism."""
+    sign, under its index automorphism; a family whose minor pairs form no
+    path has none, and fails."""
     target = {fam.delta(t, t + 1, n).monic().terms for t in range(1, n)}
     for case_i in range(1, n + 1):
         budget.check_deadline()
-        perm = fam.phi_permutation(n, case_i)
+        try:
+            perm = fam.phi_permutation(n, case_i)
+        except ValueError as exc:
+            return FAIL, f"case {case_i}: {exc}"
         images = set()
         for k in range(1, n + 1):
             if k == case_i:
@@ -435,14 +440,16 @@ def check_automorphisms(n: int, rng: random.Random,
     return PASS, None
 
 
+def _scale(polys: Sequence[Polynomial]) -> int:
+    """The lcm of the denominators of every coefficient of polys."""
+    return lcm(*(c.denominator for f in polys for c, _ in f.terms))
+
+
 def _packed_terms(polys: Sequence[Polynomial], packing: _Packing) -> list[tuple]:
     """The terms of each of polys, in order, as (packed monomial, int)
     pairs: every coefficient times the lcm of the denominators of all of
-    polys, so they are the polys times one common integer."""
-    den = 1
-    for f in polys:
-        for c, _ in f.terms:
-            den = den * c.denominator // gcd(den, c.denominator)
+    polys (`_scale`), so they are the polys times one common integer."""
+    den = _scale(polys)
     pack = packing.pack
     return [tuple((pack(m), c.numerator * (den // c.denominator))
                   for c, m in f.terms) for f in polys]
@@ -458,21 +465,26 @@ def _telescoping_identities(n: int, ring: Ring, g1: dict, g2: dict) -> Iterator[
     led by X_{[1,j]-i} y_i Z_{[1,j-1]}; the second is
     Y_{[j+1,n]-i} Z_{[j+1,n]} delta(i,j)
         = sum_{k=j+1}^{i} Y_{[j,k-2]} Z_{[j+1,k-1]} g_{k,n}, i > j,
-    led by x_i Y_{[j,n]-i} Z_{[j+1,n]}. The chains and the minors are
-    scaled by one integer (`_packed_terms`), which keeps every identity
-    and every bound."""
+    led by x_i Y_{[j,n]-i} Z_{[j+1,n]}. The chains are scaled by one
+    integer (`_packed_terms`), and each identity's minor, the packed terms
+    of `families._minor_terms` with coefficients +-1, is scaled by the
+    same integer when its identity comes up; that keeps every identity and
+    every bound."""
     packing = _packing(ring.nvars)
     mono = functools.partial(fam._packed_xyz, n)
     pairs = list(itertools.combinations(range(1, n + 1), 2))
-    packed = _packed_terms([*g1.values(), *g2.values(),
-                            *(fam.delta(j, i, n) for i, j in pairs)], packing)
+    chains = [*g1.values(), *g2.values()]
+    den, packed = _scale(chains), _packed_terms(chains, packing)
     t1 = dict(zip(g1, packed))
     t2 = dict(zip(g2, packed[len(g1):]))
-    # delta(a, b) with a > b, the minor both identities take.
-    minor = dict(zip(((j, i) for i, j in pairs), packed[len(g1) + len(g2):]))
+
+    def minor(a: int, b: int) -> tuple:
+        """delta(a, b), a > b, the minor both identities take, scaled."""
+        return tuple((m, c * den) for m, c in fam._minor_terms(n, a, b))
+
     for i, j in pairs:
         lhs = (mono(xs=[v for v in range(1, j) if v != i], zs=range(1, j)),
-               minor[j, i])
+               minor(j, i))
         summands = [(mono(xs=range(k + 2, j + 1), zs=range(k + 1, j)), t1[k])
                     for k in range(i, j)]
         lead = mono(xs=[v for v in range(1, j + 1) if v != i], ys=[i],
@@ -480,7 +492,7 @@ def _telescoping_identities(n: int, ring: Ring, g1: dict, g2: dict) -> Iterator[
         yield "first", i, j, lhs, summands, lead
     for j, i in pairs:
         lhs = (mono(ys=[v for v in range(j + 1, n + 1) if v != i],
-                    zs=range(j + 1, n + 1)), minor[i, j])
+                    zs=range(j + 1, n + 1)), minor(i, j))
         summands = [(mono(ys=range(j, k - 1), zs=range(j + 1, k)), t2[k])
                     for k in range(j + 1, i + 1)]
         lead = mono(xs=[i], ys=[v for v in range(j, n + 1) if v != i],

@@ -33,9 +33,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
-from .groebner import Ideal, _add_scaled, _packing
+from .groebner import Budget, Ideal, _add_scaled, _packing
 from .rings import Monomial, Polynomial, Ring, Term
 
 
@@ -58,20 +58,19 @@ def _index(n: int, i: int) -> int:
     return i - 1
 
 
-def _link(n: int, i: int) -> tuple[tuple[int, int], tuple[int, ...],
-                                   tuple[int, ...]]:
-    """Index data of the i-th link: the minor pair of g_i (larger index
-    first), the x/y index window (every index outside that pair) and the
-    z-set (every index but i)."""
+def _pair(n: int, i: int) -> tuple[int, int]:
+    """The minor pair of g_i, larger index first: (i + 1, i - 1), clamped
+    to [1, n], so (2, 1) for g_1 and (n, n - 1) for g_n."""
+    return min(i + 1, n), max(i - 1, 1)
+
+
+def _link(n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Index data of the i-th link: the x/y index window (every index
+    outside the minor pair of g_i) and the z-set (every index but i)."""
     _index(n, i)
-    if i == 1:
-        pair = (2, 1)
-    elif i == n:
-        pair = (n, n - 1)
-    else:
-        pair = (i + 1, i - 1)
+    pair = _pair(n, i)
     span = range(1, n + 1)
-    return (pair, tuple(v for v in span if v not in pair),
+    return (tuple(v for v in span if v not in pair),
             tuple(v for v in span if v != i))
 
 
@@ -109,7 +108,8 @@ def _minor_terms(n: int, i: int, j: int) -> tuple[tuple[int, int], ...]:
     return ((u, 1), (w, -1)) if u > w else ((w, -1), (u, 1))
 
 
-def _window_products(n: int, window: Sequence[int], zs: Iterable[int] = ()
+def _window_products(n: int, window: Sequence[int], zs: Iterable[int] = (),
+                     budget: Optional[Budget] = None
                      ) -> list[tuple[tuple[int, ...], int]]:
     """Every X_K * Y_L * Z with (K, L) a two-set partition of the window, as
     (K, packed monomial) pairs in descending order of the monomials; Z is
@@ -118,32 +118,48 @@ def _window_products(n: int, window: Sequence[int], zs: Iterable[int] = ()
     The products are split once per k of the window, largest k first, into
     the ones with x_k and the ones with y_k. That is descending order: two
     products of the window differ last at y_k for the largest k on which
-    they differ, and the one with x_k there is the larger."""
+    they differ, and the one with x_k there is the larger. The deadline of
+    budget, if given, is checked before each split, since the products
+    double at each."""
     v = _packed_variables(n)
     products = [((), _packed_xyz(n, zs=zs))]
     for k in reversed(window):
+        if budget is not None:
+            budget.check_deadline()
         x, y, head = v[k - 1], v[n + k - 1], (k,)
         products = [p for K, m in products
                     for p in ((head + K, m + x), (K, m + y))]
     return products
 
 
-@lru_cache(maxsize=None)
-def _packed_monomial_sets(n: int) -> tuple[tuple[int, ...], ...]:
+# The packed monomial sets by width: a dict, not an lru_cache, so that calls
+# with different budgets share one build.
+_packed_sets: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _packed_monomial_sets(n: int, budget: Optional[Budget] = None
+                          ) -> tuple[tuple[int, ...], ...]:
     """M_1, ..., M_n as packed monomials of the ring's order, each in
     descending order: the window products of each link, times its z-part.
     The products are squarefree, so no field reaches the packing limit, and
-    packed ints compare as the order does."""
-    _require_width(n)
-    links = (_link(n, i) for i in range(1, n + 1))
-    return tuple(tuple(m for _, m in _window_products(n, window, zs))
-                 for _, window, zs in links)
+    packed ints compare as the order does.
+
+    The sets are built once per width. The deadline of budget, if given,
+    is checked once per window index while they grow
+    (`_window_products`); a build it stops keeps nothing."""
+    if n not in _packed_sets:
+        _require_width(n)
+        links = (_link(n, i) for i in range(1, n + 1))
+        _packed_sets[n] = tuple(
+            tuple(m for _, m in _window_products(n, window, zs, budget))
+            for window, zs in links)
+    return _packed_sets[n]
 
 
 def _minor_pairs(n: int) -> list[tuple[int, int]]:
     """The index pair (a, b) of each entry delta(a, b) of `minor_list`."""
     _require_width(n)
-    pairs = [_link(n, i)[0] for i in range(1, n + 1)]
+    pairs = [_pair(n, i) for i in range(1, n + 1)]
     used = {frozenset(p) for p in pairs}
     return pairs + [(b, a) for a in range(1, n + 1) for b in range(a + 1, n + 1)
                     if frozenset((a, b)) not in used]
@@ -185,10 +201,10 @@ def _minor(n: int, i: int, j: int) -> Polynomial:
 
 @lru_cache(maxsize=None)
 def _generators(n: int) -> tuple[Polynomial, ...]:
-    """g_1, ..., g_n: z_i times the minor of link i's pair."""
+    """g_1, ..., g_n: z_i times the minor of g_i's pair."""
+    _require_width(n)
     z = _packed_variables(n)[2 * n:]
-    return _times_minors(n, [(z[i - 1], _link(n, i)[0])
-                             for i in range(1, n + 1)])
+    return _times_minors(n, [(z[i - 1], _pair(n, i)) for i in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
@@ -352,61 +368,57 @@ def apply_permutation(perm: IndexPermutation, f: Polynomial) -> Polynomial:
     return f.ring._from_dict(d)
 
 
+def minor_pair(n: int, i: int) -> tuple[int, int]:
+    """Index pair of the minor inside g_i (larger index first)."""
+    _index(n, i)
+    return _pair(n, i)
+
+
+def _path(n: int, omit: int) -> list[int]:
+    """[1, n] in the order of the path that the minor pairs of every g_k
+    but g_omit form (`minor_pair`), from the path's smaller end.
+
+    The walk starts at the smallest index that one pair holds and steps
+    along the one pair that leads on, never back; it takes n - 1 steps,
+    one per pair. Each index it reaches then lies in at most two pairs, so
+    it never returns to an index, and n - 1 pairs that join n indices in a
+    row are that path. Raises ValueError when the pairs form no path.
+    """
+    near: dict[int, list[int]] = {v: [] for v in range(1, n + 1)}
+    for k in range(1, n + 1):
+        if k != omit:
+            a, b = minor_pair(n, k)
+            near[a].append(b)
+            near[b].append(a)
+    order = [v for v, vs in near.items() if len(vs) == 1][:1]
+    while order and len(order) < n:
+        step = [v for v in near[order[-1]] if v not in order[-2:-1]]
+        if len(step) != 1:
+            break
+        order += step
+    if len(order) < n:
+        raise ValueError(f"the minor pairs of the g_k with k != {omit} are "
+                         f"not a path on [1, {n}]")
+    return order
+
+
 def phi_permutation(n: int, case_i: int) -> IndexPermutation:
     """Index automorphism carrying the family without g_{case_i} onto the chain.
 
-    Up to sign, the images of the remaining minors exhaust the consecutive
-    minors delta(t, t+1), 1 <= t <= n-1. The formula branches on case_i in
-    {1, 2, n-1, n} and, in between, on the parity of case_i.
+    The minor pairs of that family form a path on [1, n] (`_path`); the
+    automorphism numbers it 1..n, from its smaller end, or from its other
+    end when 2 < case_i < n - 1. Each pair then becomes a consecutive pair
+    (t, t + 1), so up to sign the images of the remaining minors exhaust
+    the consecutive minors delta(t, t+1), 1 <= t <= n-1.
     """
     _index(n, case_i)
-    img = [0] * (n + 1)
-    if case_i == n:
-        if n % 2:
-            m = (n + 1) // 2
-            for i in range(1, n + 1):
-                img[i] = m + (i - 1) // 2 if i % 2 else m - i // 2
-        else:
-            m = n // 2
-            for i in range(1, n + 1):
-                img[i] = m - (i - 1) // 2 if i % 2 else m + i // 2
-    elif case_i == n - 1:
-        img[n] = n
-        if n % 2:
-            m = (n - 1) // 2
-            for i in range(1, n):
-                img[i] = m - (i - 1) // 2 if i % 2 else m + i // 2
-        else:
-            m = n // 2
-            for i in range(1, n):
-                img[i] = m + (i - 1) // 2 if i % 2 else m - i // 2
-    elif case_i == 1:
-        for i in range(1, n + 1):
-            img[i] = 1 + (i - 1) // 2 if i % 2 else n + 1 - i // 2
-    elif case_i == 2:
-        img[1] = 1
-        for i in range(2, n + 1):
-            img[i] = n + 1 - (i - 1) // 2 if i % 2 else 1 + i // 2
-    elif case_i % 2 == 0:
-        k = case_i // 2
-        for j in range(1, n + 1):
-            if j % 2:
-                img[j] = n - k + (j + 1) // 2 if j <= case_i - 1 else (j + 1) // 2 - k
-            else:
-                img[j] = n - k + 1 - j // 2
-    else:
-        k = (case_i - 1) // 2
-        for j in range(1, n + 1):
-            if j % 2 == 0:
-                img[j] = n - k + j // 2 if j <= case_i - 1 else j // 2 - k
-            else:
-                img[j] = n - k - (j - 1) // 2
-    return IndexPermutation(n, tuple(img[1:]))
-
-
-def minor_pair(n: int, i: int) -> tuple[int, int]:
-    """Index pair of the minor inside g_i (larger index first)."""
-    return _link(n, i)[0]
+    order = _path(n, case_i)
+    if 2 < case_i < n - 1:
+        order.reverse()
+    image = [0] * n
+    for t, v in enumerate(order, 1):
+        image[v - 1] = t
+    return IndexPermutation(n, tuple(image))
 
 
 def minor_list(n: int) -> list[Polynomial]:

@@ -20,7 +20,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from .families import g_generator, link_ideal, minor_pair, standard_ring
+from . import families
+from .families import g_generator, link_ideal, standard_ring
 from .groebner import Budget, Ideal
 from .idealops import height, sum_ideals
 
@@ -29,22 +30,15 @@ def _path(n: int) -> tuple[list[int], dict[int, int]]:
     """G_∅ in path order from n - 1, and the gap of each of its edges.
 
     Edge i, the minor of g_i for i in [1, n-1], joins order[gap[i]] and
-    order[gap[i] + 1]. Raises ValueError unless G_∅ is a path on [n]
-    with an end at n - 1.
+    order[gap[i] + 1]. The order is the walk `families._path(n, n)`.
+    Raises ValueError unless G_∅ is a path on [n] with an end at n - 1.
     """
-    ends = {i: minor_pair(n, i) for i in range(1, n)}
-    order, gap = [n - 1], {}
-    while len(order) < n:
-        here = order[-1]
-        steps = [(i, b if a == here else a) for i, (a, b) in ends.items()
-                 if i not in gap and here in (a, b)]
-        if len(steps) != 1 or steps[0][1] in order:
-            raise ValueError(
-                f"the minors of g_1..g_{n - 1} are not a path on [1, {n}]")
-        i, v = steps[0]
-        gap[i] = len(order) - 1
-        order.append(v)
-    return order, gap
+    order = families._path(n, n)
+    if order[0] != n - 1:
+        raise ValueError(f"the path of g_1..g_{n - 1} has no end at {n - 1}")
+    at = {v: k for k, v in enumerate(order)}
+    return order, {i: min(at[v] for v in families.minor_pair(n, i))
+                   for i in range(1, n)}
 
 
 def _minimal_sets(order: list[int], cut: frozenset[int],

@@ -134,8 +134,9 @@ class Budget:
         """Raise once the deadline has passed; counts nothing. Loops whose
         steps are not units of work call this: reduction steps, steps of
         one-term walks, product tests, the rows of the certificate's pair
-        build, and the steps of the `identities` and `automorphisms`
-        checks."""
+        build, Buchberger's input installs, the splits of the monomial
+        sets' window products, and the steps of the `identities` and
+        `automorphisms` checks."""
         if self._deadline is not None and time.monotonic() > self._deadline:
             raise BudgetExceeded(f"timeout of {self.timeout_secs}s exhausted")
 
@@ -654,6 +655,9 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     mask divides none of their terms, so interreducing them alone gives
     the reduced basis of the elimination ideal.
 
+    The deadline is checked once per input installed, before the first
+    pair is reduced.
+
     `blocks`, if given, labels each input prim with a block, or with None.
     The inputs that share a label must form a Groebner basis of the ideal
     they generate, in this packing's order (the eliminations of `idealops`
@@ -833,6 +837,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     seen = set()
     for prim, block in zip(prims, blocks or [None] * len(prims)):
         if prim not in seen:
+            budget.check_deadline()
             seen.add(prim)
             install(prim, max(degree(m) for m, _ in prim), block)
 

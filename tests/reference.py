@@ -41,7 +41,10 @@ only the kept part of out: g times every element of out's basis.
 `quotient` must match its result and its number of eliminations.
 `groebner_basis_ideal` is the ideal of a Groebner basis holding the
 reduced basis interreduced from it, the way `sum-equals-colon` builds
-(g_1..g_n) from set_G(n).
+(g_1..g_n) from set_G(n). `phi_permutation` is the paper's index
+automorphism of each omitted-generator family by six hand-derived index
+cases, as `families` spelled it out before it numbered the path of the
+family's minor pairs.
 """
 
 from __future__ import annotations
@@ -213,7 +216,7 @@ def m_ij_range(n: int, i: int) -> list[int]:
 def m_ij(n: int, i: int, j: int) -> Monomial:
     """The distinguished squarefree monomial m_{i,j} of the i-th link:
     X over the window below j, Y over the window from j on, and Z."""
-    _, window, zs = _link(n, i)
+    window, zs = _link(n, i)
     js = m_ij_range(n, i)
     if j not in js:
         raise ValueError(f"m_({i},j) needs {js[0]} <= j <= {js[-1]}")
@@ -285,7 +288,7 @@ def monomial_sets(n: int) -> list[list[Polynomial]]:
     ring = standard_ring(n)
     out = []
     for i in range(1, n + 1):
-        _, window, zs = _link(n, i)
+        window, zs = _link(n, i)
         monos = sorted((m for _, m in window_products(ring, window, zs)),
                        key=lambda m: m.key, reverse=True)
         out.append([ring.from_monomial(m) for m in monos])
@@ -516,3 +519,56 @@ def telescoping_witness(identities) -> Optional[str]:
         if any(s.terms[0].mono.key > lead.key for s in summands):
             return f"summand exceeds leading monomial at ({i},{j})"
     return None
+
+
+# -- the index automorphisms by cases ----------------------------------------
+
+
+def phi_permutation(n: int, case_i: int) -> fam.IndexPermutation:
+    """The paper's index automorphism carrying the family without g_{case_i}
+    onto the chain, by its six hand-derived index cases: case_i in
+    {1, 2, n-1, n} and, in between, the parity of case_i."""
+    if n < 4 or not 1 <= case_i <= n:
+        raise ValueError(f"no case {case_i} for n={n}")
+    img = [0] * (n + 1)
+    if case_i == n:
+        if n % 2:
+            m = (n + 1) // 2
+            for i in range(1, n + 1):
+                img[i] = m + (i - 1) // 2 if i % 2 else m - i // 2
+        else:
+            m = n // 2
+            for i in range(1, n + 1):
+                img[i] = m - (i - 1) // 2 if i % 2 else m + i // 2
+    elif case_i == n - 1:
+        img[n] = n
+        if n % 2:
+            m = (n - 1) // 2
+            for i in range(1, n):
+                img[i] = m - (i - 1) // 2 if i % 2 else m + i // 2
+        else:
+            m = n // 2
+            for i in range(1, n):
+                img[i] = m + (i - 1) // 2 if i % 2 else m - i // 2
+    elif case_i == 1:
+        for i in range(1, n + 1):
+            img[i] = 1 + (i - 1) // 2 if i % 2 else n + 1 - i // 2
+    elif case_i == 2:
+        img[1] = 1
+        for i in range(2, n + 1):
+            img[i] = n + 1 - (i - 1) // 2 if i % 2 else 1 + i // 2
+    elif case_i % 2 == 0:
+        k = case_i // 2
+        for j in range(1, n + 1):
+            if j % 2:
+                img[j] = n - k + (j + 1) // 2 if j <= case_i - 1 else (j + 1) // 2 - k
+            else:
+                img[j] = n - k + 1 - j // 2
+    else:
+        k = (case_i - 1) // 2
+        for j in range(1, n + 1):
+            if j % 2 == 0:
+                img[j] = n - k + j // 2 if j <= case_i - 1 else j // 2 - k
+            else:
+                img[j] = n - k - (j - 1) // 2
+    return fam.IndexPermutation(n, tuple(img[1:]))

@@ -113,6 +113,31 @@ class TestRunChecks:
         assert all(r.elapsed_ms < 5000 for r in reports)
         assert time.perf_counter() - t0 < 15
 
+    def test_deadline_stops_the_sets_and_the_installs(self):
+        # At n = 300 the monomial sets would hold 300 * 2^298 monomials, and
+        # heights' Buchberger run installs 299 minors before its first pair.
+        reports = run_checks(300, ["gb-sum", "heights"], timeout_secs=0.5)
+        assert [r.status for r in reports] == ["budget-exceeded"] * 2
+        assert all("timeout" in r.witness for r in reports)
+        assert all(r.elapsed_ms < 1500 for r in reports)
+
+    def test_deadline_comes_before_the_telescoping_minors(self):
+        # The 44,850 minors of n = 300 are built as their identities come up.
+        report, = run_checks(300, ["identities"], timeout_secs=1)
+        assert report.status == "budget-exceeded"
+        assert report.elapsed_ms < 2000
+
+    @pytest.mark.parametrize("pairs", [
+        {1: (2, 3), 2: (1, 2), 3: (1, 3), 4: (1, 4), 5: (1, 5)},
+        {1: (1, 5), 2: (1, 2), 3: (2, 3), 4: (3, 4), 5: (4, 1)}])
+    def test_automorphisms_need_a_path(self, monkeypatch, pairs):
+        # Without g_1 the pairs form a star around 1, or a cycle with 5 left
+        # out: no numbering of [1, 5] makes them the chain.
+        monkeypatch.setattr(checks.fam, "minor_pair", lambda n, i: pairs[i])
+        assert checks.check_automorphisms(5, random.Random(0), Budget()) == (
+            "fail", "case 1: the minor pairs of the g_k with k != 1 are not "
+                    "a path on [1, 5]")
+
     def test_mutated_family_detected(self, monkeypatch):
         original = fam.set_G
 
@@ -257,14 +282,16 @@ def _extend_M(monkeypatch, m):
     """The packed monomial m joins M_2 in the packed sets, the one form of
     the monomial sets the checks read."""
     original = fam._packed_monomial_sets
-    monkeypatch.setattr(checks.fam, "_packed_monomial_sets", lambda n: tuple(
+    monkeypatch.setattr(checks.fam, "_packed_monomial_sets",
+                        lambda n, budget=None: tuple(
         ms + (m,) if i == 1 else ms for i, ms in enumerate(original(n))))
 
 
 def _drop_M(monkeypatch, m):
     """The packed monomial m leaves the packed sets."""
     original = fam._packed_monomial_sets
-    monkeypatch.setattr(checks.fam, "_packed_monomial_sets", lambda n: tuple(
+    monkeypatch.setattr(checks.fam, "_packed_monomial_sets",
+                        lambda n, budget=None: tuple(
         tuple(u for u in ms if u != m) for ms in original(n)))
 
 
@@ -475,7 +502,7 @@ class TestRelativeCertificate:
         G = [x1 - y1, x1 - z1]
         monkeypatch.setattr(checks.fam, "set_G", lambda n: list(G))
         monkeypatch.setattr(checks.fam, "_packed_monomial_sets",
-                            lambda n: ((_packed(y1), _packed(z1)),))
+                            lambda n, budget=None: ((_packed(y1), _packed(z1)),))
         own, full = Budget(), Budget()
         assert not is_groebner_basis(G, budget=own).ok
         assert is_groebner_basis([*G, y1, z1], budget=full).ok

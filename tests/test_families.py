@@ -14,7 +14,8 @@ from detlink.families import (G_union_M, IndexPermutation, M_polys,
                               minor_list, minor_pair, minors_ideal,
                               phi_permutation, chain_link, set_G, standard_ring,
                               sub_a, sum_links_ideal)
-from detlink.groebner import Ideal, _packing, ideal_equal, member
+from detlink.groebner import (Budget, BudgetExceeded, Ideal, _packing,
+                              ideal_equal, member)
 from detlink.idealops import height, quotient
 
 import reference
@@ -224,6 +225,25 @@ class TestAutomorphisms:
         with pytest.raises(ValueError):
             IndexPermutation(3, (1, 1, 2))
 
+    def test_numbered_path_is_the_case_formula(self):
+        # The paper's six index cases, for every family at n = 4..40.
+        for n in range(4, 41):
+            for case_i in range(1, n + 1):
+                assert (phi_permutation(n, case_i)
+                        == reference.phi_permutation(n, case_i)), (n, case_i)
+
+    def test_path_of_each_family(self):
+        assert fam._path(5, 5) == [4, 2, 1, 3, 5]
+        assert fam._path(5, 1) == [1, 3, 5, 4, 2]
+        for n in range(4, 10):
+            for omit in range(1, n + 1):
+                order = fam._path(n, omit)
+                assert sorted(order) == list(range(1, n + 1))
+                assert order[0] < order[-1]
+                steps = {frozenset(order[k:k + 2]) for k in range(n - 1)}
+                assert steps == {frozenset(minor_pair(n, k))
+                                 for k in range(1, n + 1) if k != omit}
+
     def test_subfamilies_are_regular_sequences_after_z_one(self):
         # Setting every z to 1 turns each omitted-index family into n-1
         # minors of height n-1 (a regular sequence of that length).
@@ -320,6 +340,16 @@ class TestPackedMonomialSets:
                 assert (link_ideal(n, i).gens
                         == gs[:i - 1] + gs[i:] + tuple(expected[i - 1]))
 
+    def test_a_stopped_build_keeps_nothing(self, monkeypatch):
+        # The deadline stops the build while the sets grow; the next build
+        # starts afresh, and every later call gets the sets it built.
+        monkeypatch.setattr(fam, "_packed_sets", {})
+        with pytest.raises(BudgetExceeded, match="timeout"):
+            fam._packed_monomial_sets(6, Budget(timeout_secs=0))
+        sets = fam._packed_monomial_sets(6, Budget())
+        assert [len(ms) for ms in sets] == [16] * 6
+        assert fam._packed_monomial_sets(6) is sets
+
 
 class TestPackedBuilders:
     """Every family built from packed terms matches its oracle in
@@ -358,7 +388,7 @@ class TestPackedBuilders:
         R = standard_ring(n)
         unpack = _packing(R.nvars).unpack
         for i in range(1, n + 1):
-            _, window, zs = fam._link(n, i)
+            window, zs = fam._link(n, i)
             got = fam._window_products(n, window, zs)
             expected = reference.window_products(R, window, zs)
             assert ([(K, unpack(m)) for K, m in got]

@@ -9,7 +9,7 @@ import random
 import pytest
 
 from detlink.families import delta, minors_ideal
-from detlink import graphs
+from detlink import families
 from detlink.graphs import (replay_avoidance_argument, verify_res_int,
                             _minimal_primes, _minimal_sets, _path)
 from detlink.groebner import ideal_equal, member
@@ -136,7 +136,7 @@ class TestResidualIntersection:
             assert sorted(order) == list(range(1, n + 1))
             assert (order[0], order[-1]) == (n - 1, n)
             assert {i: frozenset(order[k:k + 2]) for i, k in gap.items()} == {
-                i: frozenset(graphs.minor_pair(n, i)) for i in range(1, n)}
+                i: frozenset(families.minor_pair(n, i)) for i in range(1, n)}
 
     def test_path_precondition_checked(self, monkeypatch):
         # A star is a forest but no path; a cycle is no forest. The walk
@@ -144,7 +144,7 @@ class TestResidualIntersection:
         star = {1: (1, 2), 2: (1, 3), 3: (1, 4), 4: (1, 5)}
         cycle = {1: (1, 2), 2: (2, 3), 3: (3, 4), 4: (4, 1)}
         for pairs in (star, cycle):
-            monkeypatch.setattr(graphs, "minor_pair", lambda n, i: pairs[i])
+            monkeypatch.setattr(families, "minor_pair", lambda n, i: pairs[i])
             with pytest.raises(ValueError):
                 next(_minimal_primes(5))
 
