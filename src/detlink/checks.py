@@ -386,10 +386,10 @@ def check_sum_equals_colon(n: int, rng: random.Random,
         outside = _first_prim_product_outside(
             [((m, 1),) for m in monos], minors._packed_gens(), a_full, budget)
     if outside is not None:
-        a, b = outside
-        mono, = fam._monomials(n, [monos[a]])
+        mono, = fam._monomials(n, [monos[outside[0]]])
+        i, j = list(itertools.combinations(range(1, n + 1), 2))[outside[1]]
         return FAIL, (f"containment fails: ({_fmt(mono)}) * "
-                      f"({_fmt(minors.gens[b])}) is not in the full family")
+                      f"({_fmt(fam.delta(i, j, n))}) is not in the full family")
     if n > 5:
         return PASS, None
     Q = quotient(a_full, minors, budget)

@@ -16,8 +16,8 @@ FAMILIES: dict[str, Callable[[int], Sequence[object]]] = {
     "minors": lambda n: fam.minors_ideal(n).gens,
     "a": lambda n: fam.gens_a(n).gens,
     "G": lambda n: fam.set_G(n),
-    "M": lambda n: [f"M_{i}: {p}"
-                    for i, ms in enumerate(fam._monomial_sets(n), 1) for p in ms],
+    "M": lambda n: [f"M_{i}: {p}" for i, ms in enumerate(fam._packed_monomial_sets(n), 1)
+                    for p in fam._monomials(n, ms)],
     "link": lambda n: fam.chain_link(n)[1].gens,
     "chain": lambda n: fam.chain_ideal(n).gens,
 }

@@ -12,19 +12,26 @@ Every family is built one way, on packed terms of the ring's order. A
 monomial is a sum of packed variables (`_packed_variables`), since packed
 monomials multiply by adding; a polynomial is the two packed terms of a
 minor (`_minor_terms`), shifted by a monomial or accumulated with rational
-weights; and one converter (`_polynomials`) makes Polynomials of them.
-Nothing here runs the ring's arithmetic or builds a Monomial through the
-ring, except `apply_permutation`, which relabels any polynomial.
+weights; and the kernel's converter (`groebner._polynomials`) makes
+Polynomials of them. Nothing here runs the ring's arithmetic or builds a
+Monomial through the ring, except `apply_permutation`, which relabels any
+polynomial.
 
-Each family is built once, by a private cached builder: a minor per entry
-(`_minor`), so a caller builds only the minors it reads, and every other
-family per width, as a tuple of Polynomials, which are never modified in
-place. The checks read the monomial sets as packed monomials
-(`_packed_monomial_sets`). The public constructors are views: each call
-returns a fresh list, dict or Ideal over the builders' tuples, so a caller
-may mutate what it gets. No Ideal is cached: an Ideal caches its reduced
-basis, and a shared one would let one check's basis decide what the next
-check computes.
+The ideal views (`minors_ideal`, `chain_ideal`, `chain_link`, `link_ideal`,
+`sum_links_ideal`) hold their generators in that one form: they are made
+by `Ideal._from_terms` from the minors' terms, the g's terms
+(`_generator_terms`) and the packed monomial sets
+(`_packed_monomial_sets`), which the checks read too. Such an Ideal packs
+its terms into the kernel's prims without building a Polynomial, and
+builds its Polynomial generators only when `.gens` is read. `M_polys`,
+`G_union_M` and `detlink show --family M` convert the packed sets when
+called. The g's, both chains and each minor (`_minor`, per entry, so a
+caller builds only the minors it reads) are also cached as Polynomials,
+which are never modified in place, for the views that return
+Polynomials. The public constructors are views: each call returns a fresh
+list, dict or Ideal, so a caller may mutate what it gets. No Ideal is
+cached: an Ideal caches its reduced basis, and a shared one would let one
+check's basis decide what the next check computes.
 """
 
 from __future__ import annotations
@@ -35,8 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .groebner import Budget, Ideal, _add_scaled, _packing
-from .rings import Monomial, Polynomial, Ring, Term
+from .groebner import FIELD, Budget, Ideal, _add_scaled, _packing, _polynomials
+from .rings import Monomial, Polynomial, Ring
 
 
 @lru_cache(maxsize=None)
@@ -80,11 +87,10 @@ def _link(n: int, i: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 @lru_cache(maxsize=None)
 def _packed_variables(n: int) -> tuple[int, ...]:
     """The variables of the width-n ring as packed monomials of its order,
-    by exponent position: x_1..x_n, y_1..y_n, z_1..z_n."""
-    nvars = 3 * n
-    pack = _packing(nvars).pack
-    return tuple(pack(Monomial(tuple(int(p == q) for p in range(nvars))))
-                 for q in range(nvars))
+    by exponent position: x_1..x_n, y_1..y_n, z_1..z_n. The exponent of
+    variable q is field q of the packed int."""
+    with_key = _packing(3 * n).with_key
+    return tuple(with_key(1 << (FIELD * q)) for q in range(3 * n))
 
 
 def _packed_xyz(n: int, xs: Iterable[int] = (), ys: Iterable[int] = (),
@@ -165,46 +171,47 @@ def _minor_pairs(n: int) -> list[tuple[int, int]]:
                     if frozenset((a, b)) not in used]
 
 
-# -- builders: Polynomials from packed terms, cached -------------------------
-
-
-def _polynomials(n: int, packed: Iterable) -> tuple[Polynomial, ...]:
-    """Polynomials of the width-n ring from packed terms, in order: each
-    entry of packed is a sequence of (packed monomial, nonzero rational)
-    pairs, descending in the ring's order."""
-    ring, unpack = standard_ring(n), _packing(3 * n).unpack
-    return tuple(Polynomial(ring, tuple(Term(Fraction(c), unpack(m))
-                                        for m, c in terms))
-                 for terms in packed)
+# -- builders: packed terms and Polynomials, cached ---------------------------
 
 
 def _monomials(n: int, packed: Iterable[int]) -> tuple[Polynomial, ...]:
     """Packed monomials of the width-n ring as monomial Polynomials, in
     order."""
-    return _polynomials(n, (((m, 1),) for m in packed))
+    return _polynomials(standard_ring(n), _monomial_terms(packed))
+
+
+def _monomial_terms(packed: Iterable[int]) -> tuple:
+    """Packed monomials as the packed terms of monomial generators."""
+    return tuple(((m, 1),) for m in packed)
 
 
 def _times_minors(n: int, factors: Iterable[tuple[int, tuple[int, int]]]
-                  ) -> tuple[Polynomial, ...]:
-    """u * delta(a, b) for each (packed monomial u, (a, b)) of factors: the
-    minor's packed terms shifted by u, which keeps their order."""
-    return _polynomials(n, (
-        tuple((m + u, c) for m, c in _minor_terms(n, a, b))
-        for u, (a, b) in factors))
+                  ) -> tuple:
+    """The packed terms of u * delta(a, b) for each (packed monomial u,
+    (a, b)) of factors: the minor's terms shifted by u, which keeps their
+    order."""
+    return tuple(tuple((m + u, c) for m, c in _minor_terms(n, a, b))
+                 for u, (a, b) in factors)
 
 
 @lru_cache(maxsize=None)
 def _minor(n: int, i: int, j: int) -> Polynomial:
     """delta(i, j) for 1 <= i, j <= n."""
-    return _polynomials(n, [_minor_terms(n, i, j)])[0]
+    return _polynomials(standard_ring(n), [_minor_terms(n, i, j)])[0]
+
+
+@lru_cache(maxsize=None)
+def _generator_terms(n: int) -> tuple:
+    """g_1, ..., g_n as packed terms: z_i times the minor of g_i's pair."""
+    _require_width(n)
+    z = _packed_variables(n)[2 * n:]
+    return _times_minors(n, [(z[i - 1], _pair(n, i)) for i in range(1, n + 1)])
 
 
 @lru_cache(maxsize=None)
 def _generators(n: int) -> tuple[Polynomial, ...]:
-    """g_1, ..., g_n: z_i times the minor of g_i's pair."""
-    _require_width(n)
-    z = _packed_variables(n)[2 * n:]
-    return _times_minors(n, [(z[i - 1], _pair(n, i)) for i in range(1, n + 1)])
+    """g_1, ..., g_n."""
+    return _polynomials(standard_ring(n), _generator_terms(n))
 
 
 @lru_cache(maxsize=None)
@@ -223,20 +230,12 @@ def _chains(n: int) -> tuple[tuple[Polynomial, ...], tuple[Polynomial, ...]]:
                                  initial=z[n - 1])
     first = _times_minors(n, zip(ups, [(j + 1, j) for j in range(1, n)]))
     second = _times_minors(n, zip(downs, [(j, j - 1) for j in range(n, 1, -1)]))
-    return first, second[::-1]
+    return tuple(_polynomials(standard_ring(n), c) for c in (first, second[::-1]))
 
 
-@lru_cache(maxsize=None)
-def _monomial_sets(n: int) -> tuple[tuple[Polynomial, ...], ...]:
-    """M_1, ..., M_n as monomial Polynomials, each in descending order."""
-    return tuple(_monomials(n, ms) for ms in _packed_monomial_sets(n))
-
-
-@lru_cache(maxsize=None)
-def _chain_link_monomials(n: int) -> tuple[Polynomial, ...]:
-    """X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n]."""
-    return _monomials(n, [
-        _packed_xyz(n, xs=range(2, j), ys=range(j, n)) for j in range(2, n + 1)])
+def _chain_terms(n: int) -> tuple:
+    """delta(1,2), ..., delta(n-1,n) as packed terms."""
+    return tuple(_minor_terms(n, t, t + 1) for t in range(1, n))
 
 
 # -- the public constructors: fresh views over the builders ------------------
@@ -251,8 +250,8 @@ def delta(i: int, j: int, n: int) -> Polynomial:
 
 def minors_ideal(n: int) -> Ideal:
     """All C(n,2) minors delta(i,j) for i < j."""
-    return Ideal(standard_ring(n), [_minor(n, i, j) for i in range(1, n + 1)
-                                    for j in range(i + 1, n + 1)])
+    return Ideal._from_terms(standard_ring(n), [
+        _minor_terms(n, i, j) for i, j in itertools.combinations(range(1, n + 1), 2)])
 
 
 def g_generator(n: int, i: int) -> Polynomial:
@@ -278,13 +277,14 @@ def M_polys(n: int, i: int) -> list[Polynomial]:
     K and L run over the two-set partitions of the index window; the
     z-part is the full squarefree z-product with z_i omitted.
     """
-    return list(_monomial_sets(n)[_index(n, i)])
+    return list(_monomials(n, _packed_monomial_sets(n)[_index(n, i)]))
 
 
 def link_ideal(n: int, i: int) -> Ideal:
     """The i-th link presented by its proven generators: sub_a(n,i) + M_polys(n,i)."""
-    k, gs = _index(n, i), _generators(n)
-    return Ideal(standard_ring(n), gs[:k] + gs[k + 1:] + _monomial_sets(n)[k])
+    k, gs = _index(n, i), _generator_terms(n)
+    return Ideal._from_terms(standard_ring(n), gs[:k] + gs[k + 1:]
+                             + _monomial_terms(_packed_monomial_sets(n)[k]))
 
 
 def chain_g(n: int) -> tuple[dict[int, Polynomial], dict[int, Polynomial]]:
@@ -308,18 +308,20 @@ def G_union_M(n: int) -> list[Polynomial]:
 
     This order fixes the 1-based witness indices of a certificate on the set.
     """
-    return set_G(n) + list(itertools.chain.from_iterable(_monomial_sets(n)))
+    monomials = itertools.chain.from_iterable(_packed_monomial_sets(n))
+    return set_G(n) + list(_monomials(n, monomials))
 
 
 def sum_links_ideal(n: int) -> Ideal:
     """Sum of all n link ideals: (g_1..g_n) plus every M_polys monomial."""
-    monomials = itertools.chain.from_iterable(_monomial_sets(n))
-    return Ideal(standard_ring(n), [*_generators(n), *monomials])
+    monomials = itertools.chain.from_iterable(_packed_monomial_sets(n))
+    return Ideal._from_terms(standard_ring(n),
+                             _generator_terms(n) + _monomial_terms(monomials))
 
 
 def chain_ideal(n: int) -> Ideal:
     """Consecutive-minor chain (delta(1,2), delta(2,3), ..., delta(n-1,n))."""
-    return Ideal(standard_ring(n), [_minor(n, t, t + 1) for t in range(1, n)])
+    return Ideal._from_terms(standard_ring(n), _chain_terms(n))
 
 
 def chain_link(n: int) -> tuple[Ideal, Ideal]:
@@ -329,8 +331,12 @@ def chain_link(n: int) -> tuple[Ideal, Ideal]:
     prefix/suffix products X_{[2,j-1]} * Y_{[j,n-1]} for j in [2, n].
     """
     _require_width(n)
-    chain = chain_ideal(n)
-    return chain, Ideal(chain.ring, chain.gens + _chain_link_monomials(n))
+    # Each monomial is the one before it with y_j swapped for x_j.
+    v = _packed_variables(n)
+    monomials = itertools.accumulate((v[j - 1] - v[n + j - 1] for j in range(2, n)),
+                                     initial=_packed_xyz(n, ys=range(2, n)))
+    return chain_ideal(n), Ideal._from_terms(
+        standard_ring(n), _chain_terms(n) + _monomial_terms(monomials))
 
 
 @dataclass(frozen=True)
@@ -449,4 +455,4 @@ def generic_residual(n: int, B: Sequence[Sequence[int | Fraction]]) -> tuple[Ide
             _add_scaled(acc, terms, 0, Fraction(row[j]))
         a.append(sorted(acc.items(), reverse=True))
     ring = standard_ring(n)
-    return Ideal(ring, _polynomials(n, a)), Ideal(ring, minor_list(n))
+    return Ideal(ring, _polynomials(ring, a)), Ideal(ring, minor_list(n))

@@ -20,7 +20,8 @@ AND. An exponent or block degree must stay below 2^15; past it the kernel
 raises OverflowError instead of wrapping. `Monomial` objects are built only
 where polynomials enter or leave. An `Ideal` packs its generators and its
 reduced basis once, on first use; one made from packed results (`idealops`)
-builds its `Polynomial`s only when asked.
+or from packed generator terms (`families`) builds its `Polynomial`s only
+when asked.
 
 Each divisor list comes with a memo from a packed monomial to the index of
 its first divisor (or to how many divisors are known not to divide it).
@@ -323,13 +324,28 @@ def _prim_from_poly(f: Polynomial, packing: _Packing):
 
 
 def _prim_from_dict(d: dict):
+    return _prim_from_terms(sorted(d.items(), reverse=True))
+
+
+def _prim_from_terms(terms):
+    """The prim of nonzero packed terms with integer coefficients, in
+    descending order."""
     g = 0
-    for v in d.values():
+    for _, v in terms:
         g = _igcd(g, v)
-    items = sorted(d.items(), reverse=True)
-    if items[0][1] < 0:
+    if terms[0][1] < 0:
         g = -g
-    return tuple((m, v // g) for m, v in items)
+    return tuple((m, v // g) for m, v in terms)
+
+
+def _polynomials(ring: Ring, packed: Iterable) -> tuple[Polynomial, ...]:
+    """Polynomials of ring from packed terms, in order: each entry of
+    packed is a sequence of (packed monomial, nonzero rational) pairs,
+    descending in the ring's order."""
+    unpack = _packing(ring.nvars).unpack
+    return tuple(Polynomial(ring, tuple(Term(Fraction(c), unpack(m))
+                                        for m, c in terms))
+                 for terms in packed)
 
 
 def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
@@ -1053,12 +1069,15 @@ class Ideal:
     divisor list for membership; `ideal_equal` compares cached packed bases
     as tuples and relies on that. It is filled in two ways: `groebner()`
     computes it, and `_from_prims` receives a basis the kernel has already
-    reduced. Generators are stored as given (zeroes dropped), or, for an
-    ideal made by `_from_prims`, built from its packed basis when asked.
+    reduced. Generators are stored as given (zeroes dropped); an ideal made
+    by `_from_terms` keeps them as packed terms, and one made by
+    `_from_prims` has its packed basis as generators. Either builds its
+    `Polynomial` generators only when `.gens` is read, and the former packs
+    its terms into prims only when `_packed_gens` is first called.
     """
 
-    __slots__ = ("ring", "_gens", "_basis", "_gen_prims", "_basis_prims",
-                 "_divisors")
+    __slots__ = ("ring", "_gens", "_terms", "_basis", "_gen_prims",
+                 "_basis_prims", "_divisors")
 
     def __init__(self, ring: Ring, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g)
@@ -1068,7 +1087,7 @@ class Ideal:
         self.ring = ring
         self._gens: Optional[tuple[Polynomial, ...]] = gens
         self._basis: Optional[tuple[Polynomial, ...]] = None
-        self._gen_prims = self._basis_prims = None
+        self._terms = self._gen_prims = self._basis_prims = None
         self._divisors: Optional[_Divisors] = None
 
     @classmethod
@@ -1079,8 +1098,19 @@ class Ideal:
         ideal._gen_prims = ideal._basis_prims = tuple(prims)
         return ideal
 
+    @classmethod
+    def _from_terms(cls, ring: Ring, terms) -> "Ideal":
+        """The ideal generated by `terms`, each the packed terms of one
+        generator, descending, with integer coefficients; empty ones are
+        dropped."""
+        ideal = cls(ring)
+        ideal._gens, ideal._terms = None, tuple(t for t in terms if t)
+        return ideal
+
     @property
     def gens(self) -> tuple[Polynomial, ...]:
+        if self._gens is None and self._terms is not None:
+            self._gens = _polynomials(self.ring, self._terms)
         return self.groebner() if self._gens is None else self._gens
 
     def groebner(self, budget: Optional[Budget] = None) -> tuple[Polynomial, ...]:
@@ -1096,7 +1126,9 @@ class Ideal:
     def _packed_gens(self) -> tuple:
         if self._gen_prims is None:
             packing = _packing(self.ring.nvars)
-            self._gen_prims = tuple(_prim_from_poly(g, packing) for g in self.gens)
+            self._gen_prims = (
+                tuple(map(_prim_from_terms, self._terms)) if self._terms is not None
+                else tuple(_prim_from_poly(g, packing) for g in self.gens))
         return self._gen_prims
 
     def _packed_basis(self, budget: Optional[Budget] = None) -> tuple:

@@ -186,7 +186,7 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
-    if not J.gens:
+    if not J._packed_gens():
         raise ValueError("colon by the zero ideal")
     return _colon(I, J._packed_gens(), budget)
 

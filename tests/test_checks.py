@@ -18,7 +18,9 @@ from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import FAMILIES, main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
                               _packing, _poly_from_dict, _prim_from_poly,
-                              divide, is_groebner_basis, member, s_polynomial)
+                              divide, ideal_equal, is_groebner_basis, member,
+                              s_polynomial)
+from detlink.idealops import quotient
 
 import reference
 from reference import (check_gb_sum_full, check_reduced_full,
@@ -114,10 +116,13 @@ class TestRunChecks:
         assert time.perf_counter() - t0 < 15
 
     def test_deadline_stops_the_sets_and_the_installs(self):
-        # At n = 300 the monomial sets would hold 300 * 2^298 monomials, and
-        # heights' Buchberger run installs 299 minors before its first pair.
-        reports = run_checks(300, ["gb-sum", "heights"], timeout_secs=0.5)
-        assert [r.status for r in reports] == ["budget-exceeded"] * 2
+        # At n = 300 the monomial sets would hold 300 * 2^298 monomials,
+        # heights' Buchberger run installs 299 minors before its first pair,
+        # and the colons of links and section2 by the 44,850 minors start
+        # from packed terms, with no Polynomial minor built.
+        reports = run_checks(300, ["gb-sum", "heights", "links", "section2"],
+                             timeout_secs=0.5)
+        assert [r.status for r in reports] == ["budget-exceeded"] * 4
         assert all("timeout" in r.witness for r in reports)
         assert all(r.elapsed_ms < 1500 for r in reports)
 
@@ -416,16 +421,22 @@ class TestCoreCertificate:
         # Each core monomial dropped in turn from both lists. Some drops
         # leave a Groebner basis; others fail, by G + core's certificate or
         # by a rest monomial that no longer reduces to 0, and then the
-        # checks fall back to the full walks.
+        # checks fall back to the full walks. The sum of links loses the
+        # monomial too, so the colon equality holds only where the smaller
+        # sum is still the colon of the full family.
         G, monos = _split(n)
-        verdicts = set()
+        Q = quotient(fam.gens_a(n), fam.minors_ideal(n))
+        verdicts, colons = set(), set()
         for m in checks._core(G, monos, Budget()):
             with monkeypatch.context() as patch:
                 _drop_M(patch, m)
                 gb_sum, colon = _agree_with_the_full_walks(n)
-            assert colon == ("pass", None)
+                equal = ideal_equal(Q, fam.sum_links_ideal(n))
+            assert colon == (("pass", None) if equal else (
+                "fail", "colon of the full family differs from the sum of links"))
             verdicts.add(gb_sum[0])
-        assert verdicts == {"pass", "fail"}
+            colons.add(colon[0])
+        assert verdicts == colons == {"pass", "fail"}
 
 
 def _relative_walk(G, core, budget):
@@ -563,29 +574,34 @@ class TestReducedFromTheCore:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_a_dropped_monomial_falls_back(self, monkeypatch, n):
-        # Once a core monomial and once a rest one: the monomials no longer
-        # match the generators of the sum of links, so the fast path
+        # Once a core monomial and once a rest one leave the sum of links:
+        # the monomials no longer match its generators, so the fast path
         # refuses both, whatever ideal G + core then generates.
         G, monos = _split(n)
         core = checks._core(G, monos, Budget())
         rest = next(m for m in monos if m not in core)
+        original = fam.sum_links_ideal
         for m in (core[0], rest):
+            mono, = fam._monomials(n, [m])
             with monkeypatch.context() as patch:
-                _drop_M(patch, m)
+                patch.setattr(checks.fam, "sum_links_ideal", lambda n: Ideal(
+                    fam.standard_ring(n), [g for g in original(n).gens if g != mono]))
+                assert len(checks.fam.sum_links_ideal(n).gens) == n + len(monos) - 1
                 assert _reduced_falls_back(n) == ("pass", None)
 
 
 def _refuse(monkeypatch, *names):
     """Make each named builder of `families` raise when called."""
     for name in names:
-        def refuse(n, name=name):
+        def refuse(n, *args, name=name):
             raise AssertionError(f"families.{name}({n}) was called")
         monkeypatch.setattr(checks.fam, name, refuse)
 
 
 class TestPackedMonomialSets:
     """The checks read the monomial sets as packed monomials and build
-    `Polynomial` monomials only for a witness or a fallback."""
+    `Polynomial` monomials (`families._monomials`) only for a witness, a
+    fallback or the core handed to `reduced_groebner_basis`."""
 
     # The default-tier selections at n = 7 and 8, as the certify-n6-8
     # benchmark workload runs them.
@@ -595,7 +611,7 @@ class TestPackedMonomialSets:
 
     @pytest.mark.parametrize("n", [7, 8])
     def test_default_tier_builds_no_polynomial_sets(self, monkeypatch, n):
-        _refuse(monkeypatch, "_monomial_sets")
+        _refuse(monkeypatch, "_monomials")
         reports = run_checks(n, self.DEFAULT_TIER[n])
         assert [r.status for r in reports] == ["pass"] * len(reports)
 
@@ -603,7 +619,7 @@ class TestPackedMonomialSets:
         # An expired budget stops every check that reads the sets before
         # they are built, in either form; at n = 16 the packed sets alone
         # hold 262,144 monomials.
-        _refuse(monkeypatch, "_monomial_sets", "_packed_monomial_sets")
+        _refuse(monkeypatch, "_monomials", "_packed_monomial_sets")
         selection = ["gb-sum", "sum-equals-colon", "reduced"]
         reports = run_checks(16, selection, timeout_secs=0)
         assert [r.status for r in reports] == ["budget-exceeded"] * 3

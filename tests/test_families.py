@@ -8,6 +8,7 @@ from fractions import Fraction
 import pytest
 
 import detlink.families as fam
+import detlink.groebner as groebner
 from detlink.families import (G_union_M, IndexPermutation, M_polys,
                               apply_permutation, chain_g, chain_ideal, delta,
                               g_generator, gens_a, generic_residual, link_ideal,
@@ -351,6 +352,57 @@ class TestPackedMonomialSets:
         assert fam._packed_monomial_sets(6) is sets
 
 
+def _term_views(n):
+    """Each ideal view built from packed terms, by name, with the
+    Polynomials of its generators built by ring arithmetic in
+    `reference`."""
+    rows, gs, sets = minors(n), reference.generators(n), monomial_sets(n)
+    chain = [rows[t - 1][t] for t in range(1, n)]
+    views = {
+        "minors_ideal": (lambda: minors_ideal(n),
+                         [rows[i - 1][j - 1] for i, j
+                          in itertools.combinations(range(1, n + 1), 2)]),
+        "chain_ideal": (lambda: chain_ideal(n), chain),
+        "chain_link[0]": (lambda: chain_link(n)[0], chain),
+        "chain_link[1]": (lambda: chain_link(n)[1],
+                          chain + reference.chain_link_monomials(n)),
+        "sum_links_ideal": (lambda: sum_links_ideal(n),
+                            gs + [f for ms in sets for f in ms])}
+    for i in range(1, n + 1):
+        views[f"link_ideal({i})"] = (lambda i=i: link_ideal(n, i),
+                                     gs[:i - 1] + gs[i:] + sets[i - 1])
+    return views
+
+
+class TestTermViews:
+    """The ideal views of `families` hold their generators as packed terms
+    (`Ideal._from_terms`): `.gens` builds the Polynomials the ring
+    arithmetic gives, in order, and `_packed_gens` packs the terms without
+    building one."""
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_gens_and_prims(self, n):
+        R = standard_ring(n)
+        for name, (view, expected) in _term_views(n).items():
+            assert ([f.terms for f in view().gens]
+                    == [f.terms for f in expected]), name
+            assert (view()._packed_gens()
+                    == Ideal(R, expected)._packed_gens()), name
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_prims_build_no_polynomial(self, monkeypatch, n):
+        def refuse(*args):
+            raise AssertionError("a Polynomial was built")
+
+        views = _term_views(n)
+        for module in (groebner, fam):
+            monkeypatch.setattr(module, "_polynomials", refuse)
+        for name, (view, expected) in views.items():
+            assert len(view()._packed_gens()) == len(expected), name
+        with pytest.raises(AssertionError, match="Polynomial was built"):
+            minors_ideal(n).gens
+
+
 class TestPackedBuilders:
     """Every family built from packed terms matches its oracle in
     `reference`, built by ring arithmetic, term for term."""
@@ -367,7 +419,7 @@ class TestPackedBuilders:
 
     @pytest.mark.parametrize("n", range(4, 10))
     def test_chain_link_monomials(self, n):
-        assert ([f.terms for f in fam._chain_link_monomials(n)]
+        assert ([f.terms for f in chain_link(n)[1].gens[n - 1:]]
                 == [f.terms for f in reference.chain_link_monomials(n)])
 
     @pytest.mark.parametrize("n", range(4, 10))
@@ -442,8 +494,8 @@ class TestBuiltOncePerWidth:
                      "sum_links_ideal", "chain_ideal", "chain_link",
                      "minor_pair", "minor_list"):
             monkeypatch.setattr(fam, name, refuse)
-        builders = (fam._minor, fam._generators, fam._chains,
-                    fam._monomial_sets, fam._chain_link_monomials)
+        builders = (fam._minor, fam._generator_terms, fam._generators,
+                    fam._chains)
         for build in builders:
             build.cache_clear()
         for build in builders[1:]:
