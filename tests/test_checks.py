@@ -118,8 +118,8 @@ class TestRunChecks:
     def test_deadline_stops_the_sets_and_the_installs(self):
         # At n = 300 the monomial sets would hold 300 * 2^298 monomials,
         # heights' Buchberger run installs 299 minors before its first pair,
-        # and the colons of links and section2 by the 44,850 minors start
-        # from packed terms, with no Polynomial minor built.
+        # and the colons of links and section2 start by one minor each, with
+        # the 44,850 minors left unbuilt.
         reports = run_checks(300, ["gb-sum", "heights", "links", "section2"],
                              timeout_secs=0.5)
         assert [r.status for r in reports] == ["budget-exceeded"] * 4
@@ -588,6 +588,131 @@ class TestReducedFromTheCore:
                     fam.standard_ring(n), [g for g in original(n).gens if g != mono]))
                 assert len(checks.fam.sum_links_ideal(n).gens) == n + len(monos) - 1
                 assert _reduced_falls_back(n) == ("pass", None)
+
+
+def _quotient_calls(monkeypatch):
+    """The generator count of J in each `quotient(I, J)` call the checks
+    make from now on, in order."""
+    calls = []
+    real = checks.quotient
+
+    def recording(I, J, budget=None):
+        calls.append(len(J._packed_gens()))
+        return real(I, J, budget)
+
+    monkeypatch.setattr(checks, "quotient", recording)
+    return calls
+
+
+def _fold(I, n):
+    """The packed reduced basis of I : I_2 by the fold over all minors."""
+    return quotient(I, fam.minors_ideal(n))._packed_basis()
+
+
+class TestColonByOneMinor:
+    """links and section2 compute each colon by I_2 as the colon by one
+    minor and certify it (`checks._colon_by_minors`), falling back to the
+    fold over all minors; either way the basis is the fold's."""
+
+    @pytest.mark.parametrize("n", range(4, 9))
+    def test_link_bases_equal_the_fold(self, n):
+        minors = fam.minors_ideal(n)
+        for i in range(1, n + 1):
+            got = checks._colon_by_minors(fam.sub_a(n, i), fam.minor_pair(n, i),
+                                          lambda: minors, Budget())
+            assert got._packed_basis() == _fold(fam.sub_a(n, i), n)
+
+    @pytest.mark.parametrize("n", range(4, 11))
+    def test_chain_basis_equals_the_fold(self, n):
+        got = checks._colon_by_minors(fam.chain_ideal(n), (n, 1),
+                                      lambda: fam.minors_ideal(n), Budget())
+        assert got._packed_basis() == _fold(fam.chain_ideal(n), n)
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_only_the_links_own_minor_certifies(self, monkeypatch, n):
+        # Each link's colon by each minor in turn, delta(1, 3) for link 1
+        # among them. Only the minor of g_i's pair certifies, after one
+        # colon; every other one fails the certificate and falls back to
+        # the fold over all minors. Each gives the fold's basis.
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        calls = _quotient_calls(monkeypatch)
+        for i in range(1, n + 1):
+            fold = _fold(fam.sub_a(n, i), n)
+            own = tuple(sorted(fam.minor_pair(n, i)))
+            for pair in pairs:
+                calls.clear()
+                got = checks._colon_by_minors(fam.sub_a(n, i), pair,
+                                              lambda: fam.minors_ideal(n), Budget())
+                assert got._packed_basis() == fold
+                assert calls == ([1] if pair == own else [1, len(pairs)])
+
+    @pytest.mark.parametrize("star", range(6))
+    def test_one_escaping_product_falls_back(self, monkeypatch, star):
+        # I = delta* times each other minor of n = 4, and delta the next
+        # minor after delta*: I : (delta) = (delta*), and of the products
+        # of delta* with the minors only delta* * delta* escapes I. So
+        # the certificate must test every minor to refuse it.
+        R = fam.standard_ring(4)
+        pairs = list(itertools.combinations(range(1, 5), 2))
+        minors = [fam.delta(a, b, 4) for a, b in pairs]
+        I = Ideal(R, [minors[star] * m for k, m in enumerate(minors) if k != star])
+        pair = pairs[(star + 1) % 6]
+        alone = quotient(I, Ideal(R, [fam.delta(*pair, 4)]))
+        assert alone.groebner() == (minors[star].monic(),)
+        calls = _quotient_calls(monkeypatch)
+        got = checks._colon_by_minors(Ideal(R, I.gens), pair,
+                                      lambda: fam.minors_ideal(4), Budget())
+        assert calls == [1, 6]
+        assert got._packed_basis() == _fold(Ideal(R, I.gens), 4)
+
+    @pytest.mark.parametrize("n", range(4, 10))
+    def test_fast_path_pinned(self, monkeypatch, n):
+        # One colon by one minor per link and one for the chain; a fallback
+        # would add a colon by all the minors. Each check builds the minors'
+        # ideal once.
+        calls = _quotient_calls(monkeypatch)
+        built = []
+        original = fam.minors_ideal
+        monkeypatch.setattr(checks.fam, "minors_ideal",
+                            lambda n: built.append(n) or original(n))
+        reports = run_checks(n, ["links", "section2"])
+        assert [r.status for r in reports] == ["pass", "pass"]
+        assert calls == [1] * (n + 1)
+        assert built == [n, n]
+
+    def test_minors_wait_for_the_first_certificate(self, monkeypatch):
+        # At n = 300 the first colon by one minor outlasts the deadline, so
+        # neither check builds the 44,850 minors.
+        _refuse(monkeypatch, "minors_ideal")
+        reports = run_checks(300, ["links", "section2"], timeout_secs=0.5)
+        assert [r.status for r in reports] == ["budget-exceeded"] * 2
+
+    @pytest.mark.parametrize("corrupt", ["drop", "x1"])
+    def test_corrupted_link_keeps_its_witness(self, monkeypatch, corrupt):
+        # The first monomial of M_2 dropped, or x1 added to M_2: link 2 is
+        # the first whose colon by the fold differs from its description.
+        n = 5
+        if corrupt == "drop":
+            _drop_M(monkeypatch, fam._packed_monomial_sets(n)[1][0])
+        else:
+            _extend_M(monkeypatch, _packed(fam.standard_ring(n).x(1)))
+        first = next(i for i in range(1, n + 1) if _fold(fam.sub_a(n, i), n)
+                     != fam.link_ideal(n, i)._packed_basis())
+        assert first == 2
+        assert checks.check_links(n, random.Random(0), Budget()) == (
+            "fail", "link 2: colon ideal differs from the monomial description")
+
+    def test_corrupted_chain_link_keeps_its_witness(self, monkeypatch):
+        # The chain's link loses its last monomial.
+        original = fam.chain_link
+
+        def shortened(n):
+            chain, link = original(n)
+            return chain, Ideal(link.ring, link.gens[:-1])
+
+        monkeypatch.setattr(checks.fam, "chain_link", shortened)
+        assert checks.check_section2(5, random.Random(0), Budget()) == (
+            "fail", "colon of the chain differs from chain + canonical monomials")
 
 
 def _refuse(monkeypatch, *names):

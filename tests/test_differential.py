@@ -14,6 +14,10 @@ monomials, the link ideals and sums of links at n = 4, 5 and random
 binomial-plus-monomial ideals of Q[x1, x2, y1, y2, z1, z2], its reduced
 basis is compared with the reference path without criteria and with
 sympy's.
+
+The colons of `links` and `section2`, each a colon by one minor that a
+containment test certifies, are compared at n = 4 and 5 with sympy's colon
+by every minor.
 """
 
 import pytest
@@ -23,8 +27,10 @@ sympy = pytest.importorskip("sympy")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from detlink.families import link_ideal, sum_links_ideal
-from detlink.groebner import Ideal, reduced_groebner_basis
+from detlink.checks import _colon_by_minors
+from detlink.families import (chain_ideal, link_ideal, minor_pair, minors_ideal,
+                              standard_ring, sub_a, sum_links_ideal)
+from detlink.groebner import Budget, Ideal, reduced_groebner_basis
 from detlink.idealops import intersect, quotient
 from detlink.rings import Ring
 
@@ -87,21 +93,21 @@ def _to_sympy(f, syms=SYMS):
     return out
 
 
-def _sympy_intersection(F, G):
+def _sympy_intersection(F, G, syms=SYMS):
     gb = sympy.groebner([T * f for f in F] + [(1 - T) * g for g in G],
-                        T, *SYMS, order="lex")
+                        T, *syms, order="lex")
     return [e for e in gb.exprs if not e.has(T)]
 
 
-def _sympy_colon(F, G):
+def _sympy_colon(F, G, syms=SYMS):
     out = None
     for g in G:
         part = []
-        for w in _sympy_intersection(F, [g]):
-            q, r = sympy.div(w, g, *SYMS)
+        for w in _sympy_intersection(F, [g], syms):
+            q, r = sympy.div(w, g, *syms)
             assert r == 0
             part.append(q)
-        out = part if out is None else _sympy_intersection(out, part)
+        out = part if out is None else _sympy_intersection(out, part, syms)
     return out
 
 
@@ -111,8 +117,8 @@ def _canonical(exprs, syms=SYMS):
             for e in gb.exprs}
 
 
-def _mine(ideal):
-    return {sympy.expand(_to_sympy(g)) for g in ideal.groebner()}
+def _mine(ideal, syms=SYMS):
+    return {sympy.expand(_to_sympy(g, syms)) for g in ideal.groebner()}
 
 
 @settings(SETTINGS, max_examples=60)
@@ -191,6 +197,21 @@ def test_link_bases_match_sympy(n):
     # the links' monomials in their sum.
     for I in [link_ideal(n, i) for i in range(1, n + 1)] + [sum_links_ideal(n)]:
         _assert_basis_matches(I.gens)
+
+
+@pytest.mark.parametrize("n", (4, 5))
+def test_link_colons_match_sympy(n):
+    # Each link colon and the chain's, as links and section2 compute them
+    # (a colon by one minor, certified), against sympy's colon by every
+    # minor.
+    syms = sympy.symbols(standard_ring(n).names)
+    minors = minors_ideal(n)
+    colons = [(sub_a(n, i), minor_pair(n, i)) for i in range(1, n + 1)]
+    for I, pair in colons + [(chain_ideal(n), (n, 1))]:
+        theirs = _sympy_colon([_to_sympy(f, syms) for f in I.gens],
+                              [_to_sympy(g, syms) for g in minors.gens], syms)
+        mine = _colon_by_minors(I, pair, lambda: minors, Budget())
+        assert _mine(mine, syms) == _canonical(theirs, syms)
 
 
 _binomials = st.lists(_terms, min_size=2, max_size=2).map(_poly).filter(
