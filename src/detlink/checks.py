@@ -7,18 +7,17 @@ measured and therefore not part of the reproducibility contract.
 
 The budget is the one bound on a check's cost: a check runs at every n and
 either finishes or reports budget-exceeded once its units of work (see
-`Budget`) run out. The one exception is WIDTHS, the widest n of the random
-probe, whose cost is coefficient growth rather than units of work; past it
-the probe is reported as skipped. Gates on single steps inside a check,
-such as the full colon equality of sum-equals-colon, stay in the check
-itself.
+`Budget`) run out. The one exception is the random probe, whose cost is
+coefficient growth rather than units of work: past n = 4 it reports
+itself skipped. Gates on single steps inside a check, such as the full
+colon equality of sum-equals-colon, stay in the check itself.
 
 Within one `run_checks` call, facts that several checks rely on are
-derived once (`_shared`): the chain proof of each width, the certificate
-of G = set_G(n) and the core of the monomial sets. A check that finds one
-already derived is charged the units it took, so its verdict and its
-units do not depend on which other checks ran; its elapsed time does,
-since the shared work lands on the first check that needs it.
+derived once (`_shared`): the chain proof of each width, the packed prims
+and the certificate of G = set_G(n), and the core of the monomial sets. A
+check that finds one already derived is charged the units it took, so its
+verdict and its units do not depend on which other checks ran; its elapsed
+time does, since the shared work lands on the first check that needs it.
 """
 
 from __future__ import annotations
@@ -38,7 +37,7 @@ from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _certificate_prims,
                        _first_prim_product_outside,
-                       _interreduce, _one_term_walk, _packing, _poly_from_dict,
+                       _interreduce, _one_term_walk, _packing, _polynomials,
                        _prim_from_poly,
                        _spoly, ideal_equal, is_groebner_basis,
                        minimal_generators, reduced_groebner_basis)
@@ -64,29 +63,25 @@ class CheckReport:
     max_pairs: int
     timeout_secs: Optional[float]
 
-    def to_json_obj(self, include_timing: bool = True) -> dict:
-        obj = {"name": self.name, "status": self.status}
-        if include_timing:
-            obj["elapsed_ms"] = round(self.elapsed_ms, 3)
+    def to_json_obj(self) -> dict:
+        obj = {"name": self.name, "status": self.status,
+               "elapsed_ms": round(self.elapsed_ms, 3)}
         if self.witness is not None:
             obj["witness"] = self.witness
         return obj
 
 
-def report_document(reports: Sequence[CheckReport], n: int, seed: int,
-                    include_timing: bool = True) -> dict:
+def report_document(reports: Sequence[CheckReport], n: int, seed: int) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "n": n,
         "seed": seed,
-        "checks": [r.to_json_obj(include_timing) for r in reports],
+        "checks": [r.to_json_obj() for r in reports],
     }
 
 
-def report_json(reports: Sequence[CheckReport], n: int, seed: int,
-                include_timing: bool = True) -> str:
-    return json.dumps(report_document(reports, n, seed, include_timing),
-                      indent=2, sort_keys=True)
+def report_json(reports: Sequence[CheckReport], n: int, seed: int) -> str:
+    return json.dumps(report_document(reports, n, seed), indent=2, sort_keys=True)
 
 
 # -- individual checks -------------------------------------------------------
@@ -131,6 +126,13 @@ def _proven_chain(n: int, budget: Budget) -> tuple[Optional[str], list[Polynomia
     return _shared(("chain", n), budget, lambda: _chain_proof(n, budget))
 
 
+def _prims(G: Sequence[Polynomial], budget: Budget) -> tuple:
+    """The prims of G's elements, none of them zero, in order, in the
+    packing of G's ring."""
+    return _shared(("prims", tuple(G)), budget, lambda: tuple(
+        _prim_from_poly(g, _packing(g.ring.nvars)) for g in G))
+
+
 def _certificate(G: list[Polynomial], budget: Budget) -> GBCertificate:
     """`is_groebner_basis(G)`."""
     return _shared(("certificate", tuple(G)), budget,
@@ -141,7 +143,9 @@ def _packed_monomials(n: int, budget: Budget) -> tuple[int, ...]:
     """The monomials of M_1, ..., M_n, in turn, as the packed monomials of
     `families._packed_monomial_sets`, the one form of the monomial sets
     the checks read. The deadline is checked first, so an expired budget
-    stops a check before the sets are built, and again while they grow."""
+    stops a check before the sets are built; then the sets' size is held
+    against the units left, and the deadline checked again while they
+    grow."""
     budget.check_deadline()
     return tuple(itertools.chain.from_iterable(
         fam._packed_monomial_sets(n, budget)))
@@ -244,7 +248,7 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
         return None
     packing = _packing(G[0].ring.nvars)
     guard = packing.guard
-    divisors = _Divisors([_prim_from_poly(g, packing) for g in G])
+    divisors = _Divisors(_prims(G, budget))
     g_lms = divisors.lms[:]
     core, rest, firsts = [], [], []
     for m in monos:
@@ -269,20 +273,6 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
     return core
 
 
-def _failing_core_pair(G: Sequence[Polynomial], core: Sequence[int],
-                       budget: Budget) -> Optional[tuple[int, int]]:
-    """The walk of Buchberger's criterion over G + core that skips the
-    pairs inside G (`_certificate_prims` with known = |G|), on G's prims
-    and the core's packed monomials: None, or its first failing (0-based)
-    pair. G must pass its own certificate. The verdict and the failing
-    pair are then those of `is_groebner_basis` on G + core, and, the core
-    being monomials, G's units plus the walk's are that certificate's."""
-    packing = _packing(G[0].ring.nvars)
-    prims = [*(_prim_from_poly(g, packing) for g in G),
-             *(((m, 1),) for m in core)]
-    return _certificate_prims(prims, packing, budget, known=len(G))
-
-
 def check_gb_sum(n: int, rng: random.Random,
                  budget: Budget) -> tuple[str, Optional[str]]:
     """Certificate that G plus every attached monomial set is a Groebner
@@ -294,8 +284,11 @@ def check_gb_sum(n: int, rng: random.Random,
     Groebner basis too (Becker & Weispfenning, Thm 5.35 and 5.48). The
     criterion on G + core is G's own certificate (`_certificate`), shared
     with gb-a and sum-equals-colon, and then the walk over only the pairs
-    the core adds (`_failing_core_pair`); a pass charges the units of the
-    certificate of G + core.
+    the core adds (`_certificate_prims` with known = |G|, on G's prims and
+    the core's packed monomials). Its verdict and first failing pair are
+    those of the certificate of G + core, and, the core being monomials,
+    G's units plus the walk's are that certificate's: a pass charges
+    them.
 
     Without a core, or when G or the core's pairs fail, the certificate
     walks G ∪ M itself, and its verdict and witness, with indices into
@@ -312,8 +305,9 @@ def check_gb_sum(n: int, rng: random.Random,
     G = fam.set_G(n)
     monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
-    if (core is not None and _certificate(G, budget).ok
-            and _failing_core_pair(G, core, budget) is None):
+    if (core is not None and _certificate(G, budget).ok and _certificate_prims(
+            [*_prims(G, budget), *(((m, 1),) for m in core)],
+            _packing(G[0].ring.nvars), budget, known=len(G)) is None):
         return PASS, None
     cert = is_groebner_basis([*G, *fam._monomials(n, monos)], budget=budget)
     if not cert.ok:
@@ -362,10 +356,13 @@ def check_links(n: int, rng: random.Random,
     R/J_i. The check never assumes that; where the certificate fails,
     the colon is the fold over all minors. The minors' ideal is built
     once, when the first certificate needs it, and shared by every
-    link."""
+    link. The budget bounds the monomial sets before the first link's
+    description reads them (`families._packed_monomial_sets`)."""
     minors = functools.cache(lambda: fam.minors_ideal(n))
     for i in range(1, n + 1):
         Q = _colon_by_minors(fam.sub_a(n, i), fam.minor_pair(n, i), minors, budget)
+        if i == 1:
+            fam._packed_monomial_sets(n, budget)
         C = fam.link_ideal(n, i)
         if not ideal_equal(Q, C, budget):
             return FAIL, f"link {i}: colon ideal differs from the monomial description"
@@ -418,9 +415,8 @@ def check_sum_equals_colon(n: int, rng: random.Random,
         return FAIL, "extended generator set failed its own certificate"
     if G != proven:
         return FAIL, _UNPROVEN_G
-    packing = _packing(ring.nvars)
     a_full = Ideal._from_prims(ring, _interreduce(
-        [_prim_from_poly(g, packing) for g in G], packing, budget))
+        _prims(G, budget), _packing(ring.nvars), budget))
     minors = fam.minors_ideal(n)
     monos = _packed_monomials(n, budget)
     core = _shared_core(G, monos, budget)
@@ -632,7 +628,7 @@ def check_identities(n: int, rng: random.Random,
         pf, pg = _random_qualifying_binomials(ring, rng)
         lcm = packing.lcm(pf[0][0], pg[0][0])
         if _IntReducer(packing, _Divisors((pf, pg))).reduce(_spoly(pf, pg, lcm)):
-            f, g = (_poly_from_dict(dict(p), ring, packing) for p in (pf, pg))
+            f, g = _polynomials(ring, (pf, pg))
             return FAIL, (f"S({_fmt(f)}, {_fmt(g)}) does not reduce to zero "
                           f"against the pair")
     return PASS, None
@@ -651,14 +647,11 @@ def _certified_sum_basis(n: int, budget: Budget) -> Optional[tuple[Polynomial, .
     witness, proven = _proven_chain(n, budget)
     if witness is not None:
         return None
-    ring = fam.standard_ring(n)
     G = fam.set_G(n)
     if G != proven:
         return None
     monos = _packed_monomials(n, budget)
-    packing = _packing(ring.nvars)
-    expected = {*(_prim_from_poly(g, packing) for g in G[:n]),
-                *(((m, 1),) for m in monos)}
+    expected = {*_prims(G, budget)[:n], *(((m, 1),) for m in monos)}
     if set(fam.sum_links_ideal(n)._packed_gens()) != expected:
         return None
     core = _shared_core(G, monos, budget)
@@ -689,7 +682,11 @@ def check_random_specialization(n: int, rng: random.Random,
                                 budget: Budget) -> tuple[str, Optional[str]]:
     """Randomized probe: for surviving random integer matrices B, the colon
     of the specialized family equals the sum of the colons of its
-    omitted-column subfamilies."""
+    omitted-column subfamilies. Its cost is coefficient growth, not units
+    of work, so it runs for n = 4 only and reports itself skipped past
+    it."""
+    if n > 4:
+        return SKIPPED, "runs for n <= 4"
     r = n * (n - 1) // 2
     matrices_checked = 0
     while matrices_checked < 5:
@@ -729,9 +726,6 @@ CHECKS: dict[str, Callable] = {
 
 ALL_CHECKS = tuple(CHECKS)
 
-# The widest n at which a check runs; a check not listed runs at every n.
-WIDTHS: dict[str, int] = {"random-specialization": 4}
-
 
 def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
                max_pairs: Optional[int] = None,
@@ -740,10 +734,9 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
     """Run the selected checks at width n with per-check fresh budgets.
 
     Selection is "all" or an iterable of check names; reports come back in
-    the canonical registry order. A check at an n past its WIDTHS entry is
-    reported as skipped. Each check draws randomness from its own seeded
-    stream, so verdicts and witnesses are reproducible. The facts the
-    checks share are derived once per call (`_shared`).
+    the canonical registry order. Each check draws randomness from its own
+    seeded stream, so verdicts and witnesses are reproducible. The facts
+    the checks share are derived once per call (`_shared`).
 
     `stretch` is ignored. It is still accepted because callers pass it,
     among them the colon-n5 timing workload.
@@ -770,15 +763,11 @@ def run_checks(n: int, selection: Iterable[str] | str = "all", seed: int = 0,
         for name in names:
             rng = random.Random(f"{seed}/{name}")
             budget = Budget(max_pairs, timeout_secs)
-            width = WIDTHS.get(name, n)
             t0 = time.perf_counter()
-            if n > width:
-                status, witness = SKIPPED, f"runs for n <= {width}"
-            else:
-                try:
-                    status, witness = CHECKS[name](n, rng, budget)
-                except BudgetExceeded as exc:
-                    status, witness = BUDGET, str(exc)
+            try:
+                status, witness = CHECKS[name](n, rng, budget)
+            except BudgetExceeded as exc:
+                status, witness = BUDGET, str(exc)
             elapsed = (time.perf_counter() - t0) * 1000.0
             reports.append(CheckReport(
                 name=name, n=n, status=status, elapsed_ms=elapsed,

@@ -42,7 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .groebner import FIELD, Budget, Ideal, _add_scaled, _packing, _polynomials
+from .groebner import (FIELD, Budget, BudgetExceeded, Ideal, _add_scaled, _packing,
+                       _polynomials)
 from .rings import Monomial, Polynomial, Ring
 
 
@@ -150,11 +151,15 @@ def _packed_monomial_sets(n: int, budget: Optional[Budget] = None
     The products are squarefree, so no field reaches the packing limit, and
     packed ints compare as the order does.
 
-    The sets are built once per width. The deadline of budget, if given,
-    is checked once per window index while they grow
+    The sets are built once per width. A budget, if given, bounds them
+    whether or not they are built yet: their n * 2^(n-2) monomials must
+    not exceed the units it has left, though they charge none, and its
+    deadline is checked once per window index while they grow
     (`_window_products`); a build it stops keeps nothing."""
+    _require_width(n)
+    if budget is not None and n * 2 ** (n - 2) > budget.max_pairs - budget.pairs:
+        raise BudgetExceeded(f"work budget of {budget.max_pairs} units exhausted")
     if n not in _packed_sets:
-        _require_width(n)
         links = (_link(n, i) for i in range(1, n + 1))
         _packed_sets[n] = tuple(
             tuple(m for _, m in _window_products(n, window, zs, budget))

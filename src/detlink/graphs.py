@@ -137,10 +137,13 @@ def verify_res_int(n: int, budget: Optional[Budget] = None) -> bool:
     generator, taken at every n from its monomial description
     (`link_ideal(n, n)`), which the links check proves equal to the colon.
     The combinatorial avoidance argument is replayed as well; its walks
-    tick the budget, which bounds it.
+    tick the budget, which bounds it. The budget also bounds the monomial
+    sets the link reads, before they are built
+    (`families._packed_monomial_sets`).
     """
     if n < 4:
         raise ValueError(f"residual intersection check needs n >= 4, got {n}")
+    families._packed_monomial_sets(n, budget)
     J_n = link_ideal(n, n)
     g_n = Ideal(standard_ring(n), [g_generator(n, n)])
     return (height(sum_ideals(J_n, g_n), budget) >= n

@@ -348,12 +348,6 @@ def _polynomials(ring: Ring, packed: Iterable) -> tuple[Polynomial, ...]:
                  for terms in packed)
 
 
-def _poly_from_dict(d: dict, ring: Ring, packing: _Packing) -> Polynomial:
-    unpack = packing.unpack
-    return Polynomial(ring, tuple(Term(Fraction(c), unpack(m))
-                                  for m, c in sorted(d.items(), reverse=True)))
-
-
 def _monic_from_prims(prims, ring: Ring) -> tuple[Polynomial, ...]:
     """The monic polynomials of prims of ring's packing, each keeping its
     prim in `_prim` for `Ideal._packed_basis`."""
@@ -590,9 +584,10 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     reducer.track(scale, ratios)
     rem = reducer.reduce(p)
     scale = reducer.scale
-    return DivisionResult(
-        tuple(_poly_from_dict(q, ring, packing) for q in reducer.quotients),
-        _poly_from_dict({m: c / scale for m, c in rem.items()}, ring, packing))
+    *quotients, remainder = _polynomials(ring, [
+        *(sorted(q.items(), reverse=True) for q in reducer.quotients),
+        sorted(((m, c / scale) for m, c in rem.items()), reverse=True)])
+    return DivisionResult(tuple(quotients), remainder)
 
 
 def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
@@ -604,8 +599,8 @@ def s_polynomial(f: Polynomial, g: Polynomial) -> Polynomial:
     pack = packing.pack
     a = [(pack(m), c) for c, m in f.terms]
     b = [(pack(m), c) for c, m in g.terms]
-    return _poly_from_dict(_spoly(a, b, packing.lcm(a[0][0], b[0][0])),
-                           f.ring, packing)
+    d = _spoly(a, b, packing.lcm(a[0][0], b[0][0]))
+    return _polynomials(f.ring, [sorted(d.items(), reverse=True)])[0]
 
 
 def reduced_groebner_basis(polys: Iterable[Polynomial],

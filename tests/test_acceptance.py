@@ -12,7 +12,7 @@ import detlink.families as fam
 from detlink.checks import (_random_qualifying_binomials, check_identities,
                             check_random_specialization, run_checks)
 from detlink.graphs import verify_res_int
-from detlink.groebner import (Budget, Ideal, _packing, _poly_from_dict, divide,
+from detlink.groebner import (Budget, Ideal, _polynomials, divide,
                               ideal_equal, is_groebner_basis, member,
                               minimal_generators, reduced_groebner_basis,
                               s_polynomial)
@@ -159,11 +159,9 @@ def test_criterion_09_identity_suite():
     # Binomial S-pair reduction on 500 qualifying random pairs, drawn as
     # packed prims and divided as Polynomials.
     ring = fam.standard_ring(4)
-    packing = _packing(ring.nvars)
     rng = random.Random("acceptance/binomial-pairs")
     for _ in range(500):
-        f, g = (_poly_from_dict(dict(p), ring, packing)
-                for p in _random_qualifying_binomials(ring, rng))
+        f, g = _polynomials(ring, _random_qualifying_binomials(ring, rng))
         ok = ok and not divide(s_polynomial(f, g), [f, g]).remainder
     _report(9, "identity suite", ok, time.perf_counter() - t0)
 

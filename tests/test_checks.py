@@ -17,9 +17,9 @@ import detlink.families as fam
 from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import FAMILIES, main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
-                              _packing, _poly_from_dict, _prim_from_poly,
-                              divide, ideal_equal, is_groebner_basis, member,
-                              s_polynomial)
+                              _certificate_prims, _packing, _polynomials,
+                              _prim_from_poly, divide, ideal_equal,
+                              is_groebner_basis, member, s_polynomial)
 from detlink.idealops import quotient
 
 import reference
@@ -29,6 +29,14 @@ from reference import (check_gb_sum_full, check_reduced_full,
                        telescoping_identities, telescoping_witness)
 
 FAST = ["gb-a", "gb-sum", "heights", "automorphisms", "reduced"]
+
+
+def _untimed(reports, n, seed):
+    """The report document without the elapsed times, which vary."""
+    doc = report_document(reports, n, seed)
+    for entry in doc["checks"]:
+        entry.pop("elapsed_ms")
+    return doc
 
 
 class TestRunChecks:
@@ -55,7 +63,6 @@ class TestRunChecks:
 
     def test_skip_tiers(self):
         # Only the probe has a width; past it the probe is skipped.
-        assert checks.WIDTHS == {"random-specialization": 4}
         report = run_checks(5, ["random-specialization"])[0]
         assert report.status == "skipped"
         assert report.witness == "runs for n <= 4"
@@ -73,19 +80,15 @@ class TestRunChecks:
         selection = ["links", "sum-equals-colon"]
         reports = run_checks(5, selection)
         assert [r.status for r in reports] == ["pass", "pass"]
-        docs = [report_document(run_checks(5, selection, stretch=stretch), 5, 0,
-                                include_timing=False)
+        docs = [_untimed(run_checks(5, selection, stretch=stretch), 5, 0)
                 for stretch in (False, True)]
-        assert docs[0] == docs[1] == report_document(reports, 5, 0,
-                                                     include_timing=False)
+        assert docs[0] == docs[1] == _untimed(reports, 5, 0)
 
     def test_reports_reproducible(self):
         selection = ["gb-a", "identities"]
         a = run_checks(5, selection, seed=7)
         b = run_checks(5, selection, seed=7)
-        doc_a = report_document(a, 5, 7, include_timing=False)
-        doc_b = report_document(b, 5, 7, include_timing=False)
-        assert doc_a == doc_b
+        assert _untimed(a, 5, 7) == _untimed(b, 5, 7)
 
     def test_budget_exceeded_status(self):
         reports = run_checks(4, ["gb-a"], max_pairs=2)
@@ -117,14 +120,37 @@ class TestRunChecks:
 
     def test_deadline_stops_the_sets_and_the_installs(self):
         # At n = 300 the monomial sets would hold 300 * 2^298 monomials,
-        # heights' Buchberger run installs 299 minors before its first pair,
-        # and the colons of links and section2 start by one minor each, with
-        # the 44,850 minors left unbuilt.
+        # more than the units gb-sum has left, so it stops before building
+        # them; heights' Buchberger run installs 299 minors before its first
+        # pair, and the colons of links and section2 start by one minor
+        # each, with the 44,850 minors left unbuilt.
         reports = run_checks(300, ["gb-sum", "heights", "links", "section2"],
                              timeout_secs=0.5)
         assert [r.status for r in reports] == ["budget-exceeded"] * 4
-        assert all("timeout" in r.witness for r in reports)
+        assert reports[0].witness == "work budget of 1000000 units exhausted"
+        assert all("timeout" in r.witness for r in reports[1:])
         assert all(r.elapsed_ms < 1500 for r in reports)
+
+    def test_units_left_stop_the_sets_without_a_deadline(self):
+        # 22 * 2^20 monomials exceed the default cap: each check that reads
+        # the monomial sets stops before they are built.
+        names = ["gb-sum", "sum-equals-colon", "heights", "reduced"]
+        t0 = time.perf_counter()
+        reports = run_checks(22, names)
+        assert [(r.status, r.witness) for r in reports] == [
+            ("budget-exceeded", "work budget of 1000000 units exhausted")] * 4
+        assert time.perf_counter() - t0 < 10
+
+    @pytest.mark.parametrize("name", ["links", "heights"])
+    def test_budget_reads_the_sets_first(self, monkeypatch, name):
+        # links and heights read the monomial sets with their budget before
+        # any link's description reads them without one.
+        budgets = []
+        original = fam._packed_monomial_sets
+        monkeypatch.setattr(fam, "_packed_monomial_sets", lambda n, budget=None: (
+            budgets.append(budget) or original(n, budget)))
+        assert run_checks(5, [name])[0].status == "pass"
+        assert isinstance(budgets[0], Budget) and None in budgets
 
     def test_deadline_comes_before_the_telescoping_minors(self):
         # The 44,850 minors of n = 300 are built as their identities come up.
@@ -440,8 +466,11 @@ class TestCoreCertificate:
 
 
 def _relative_walk(G, core, budget):
-    """`checks._failing_core_pair`, with its failing pair 1-based."""
-    failing = checks._failing_core_pair(G, core, budget)
+    """The walk over the pairs the core adds to G (`_certificate_prims`
+    with known = |G|), as gb-sum runs it, with its failing pair 1-based."""
+    packing = _packing(G[0].ring.nvars)
+    prims = [*(_prim_from_poly(g, packing) for g in G), *(((m, 1),) for m in core)]
+    failing = _certificate_prims(prims, packing, budget, known=len(G))
     return None if failing is None else (failing[0] + 1, failing[1] + 1)
 
 
@@ -789,6 +818,19 @@ class TestSharedFacts:
                     capped = _recorded_run(monkeypatch, n, selection, units - 1)
                     assert capped[name][0] == "budget-exceeded"
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_set_G_packed_once_per_call(self, monkeypatch, n):
+        # The core, gb-sum's walk over the core's pairs, sum-equals-colon's
+        # interreduction and reduced's generator match share one packing of
+        # G; the certificate packs G in the kernel, which is not counted.
+        packed = []
+        original = checks._prim_from_poly
+        monkeypatch.setattr(checks, "_prim_from_poly",
+                            lambda f, packing: packed.append(f) or original(f, packing))
+        selection = ["gb-a", "gb-sum", "sum-equals-colon", "reduced"]
+        assert [r.status for r in run_checks(n, selection)] == ["pass"] * 4
+        assert packed == fam.set_G(n)
+
     def test_memo_lives_for_one_call(self, monkeypatch):
         selection = ["gb-a", "sum-equals-colon", "identities"]
         assert [r.status for r in run_checks(6, selection)] == ["pass"] * 3
@@ -954,9 +996,7 @@ class TestTelescoping:
 
 def _binomials(ring, rng):
     """`checks._random_qualifying_binomials` as Polynomials."""
-    packing = _packing(ring.nvars)
-    return tuple(_poly_from_dict(dict(p), ring, packing)
-                 for p in checks._random_qualifying_binomials(ring, rng))
+    return _polynomials(ring, checks._random_qualifying_binomials(ring, rng))
 
 
 class TestQualifyingBinomials:

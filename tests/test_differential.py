@@ -17,8 +17,13 @@ sympy's.
 
 The colons of `links` and `section2`, each a colon by one minor that a
 containment test certifies, are compared at n = 4 and 5 with sympy's colon
-by every minor.
+by every minor; so are, at n = 4, the full family's colon, which the paper
+says is the sum of the links, and the colon of the random probe's first
+seed-0 matrix, which the probe says is the sum of its omitted-column
+colons.
 """
+
+import random
 
 import pytest
 
@@ -28,10 +33,11 @@ sympy = pytest.importorskip("sympy")
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from detlink.checks import _colon_by_minors
-from detlink.families import (chain_ideal, link_ideal, minor_pair, minors_ideal,
-                              standard_ring, sub_a, sum_links_ideal)
+from detlink.families import (chain_ideal, gens_a, generic_residual, link_ideal,
+                              minor_pair, minors_ideal, standard_ring, sub_a,
+                              sum_links_ideal)
 from detlink.groebner import Budget, Ideal, reduced_groebner_basis
-from detlink.idealops import intersect, quotient
+from detlink.idealops import height, intersect, quotient, sum_ideals
 from detlink.rings import Ring
 
 R = Ring(2)
@@ -212,6 +218,41 @@ def test_link_colons_match_sympy(n):
                               [_to_sympy(g, syms) for g in minors.gens], syms)
         mine = _colon_by_minors(I, pair, lambda: minors, Budget())
         assert _mine(mine, syms) == _canonical(theirs, syms)
+
+
+def _sympy_colon_basis(I, J, syms):
+    """sympy's reduced basis of I : J, by its colon fold."""
+    return _canonical(_sympy_colon([_to_sympy(f, syms) for f in I.gens],
+                                   [_to_sympy(g, syms) for g in J.gens], syms),
+                      syms)
+
+
+def test_full_family_colon_matches_sympy():
+    # (g_1..g_4) : I_2, by quotient's fold, against sympy's colon by every
+    # minor and against the sum of the links.
+    syms = sympy.symbols(standard_ring(4).names)
+    theirs = _sympy_colon_basis(gens_a(4), minors_ideal(4), syms)
+    assert _mine(quotient(gens_a(4), minors_ideal(4)), syms) == theirs
+    assert _mine(sum_links_ideal(4), syms) == theirs
+
+
+def test_probe_colon_matches_sympy():
+    # The first matrix of the seed-0 probe stream that passes the height
+    # filter, drawn as the probe draws it: its colon and the sum of its
+    # omitted-column colons against sympy's colon by every minor.
+    rng = random.Random("0/random-specialization")
+    while True:
+        B = [[rng.randint(-50, 50) for _ in range(4)] for _ in range(6)]
+        aB, I = generic_residual(4, B)
+        Q = quotient(aB, I)
+        if height(Q) == 4:
+            break
+    parts = [quotient(Ideal(aB.ring, aB.gens[:i] + aB.gens[i + 1:]), I)
+             for i in range(4)]
+    syms = sympy.symbols(aB.ring.names)
+    theirs = _sympy_colon_basis(aB, I, syms)
+    assert _mine(Q, syms) == theirs
+    assert _mine(sum_ideals(*parts), syms) == theirs
 
 
 _binomials = st.lists(_terms, min_size=2, max_size=2).map(_poly).filter(

@@ -351,6 +351,25 @@ class TestPackedMonomialSets:
         assert [len(ms) for ms in sets] == [16] * 6
         assert fam._packed_monomial_sets(6) is sets
 
+    @pytest.mark.parametrize("built", [False, True])
+    def test_units_left_bound_the_sets(self, monkeypatch, built):
+        # The 6 * 2^4 = 96 monomials of n = 6 need 96 units left, built yet
+        # or not, and charge none; n = 300 stops before anything is built.
+        monkeypatch.setattr(fam, "_packed_sets", {})
+        if built:
+            fam._packed_monomial_sets(6)
+        budget = Budget(max_pairs=100)
+        budget.pairs = 4
+        assert [len(ms) for ms in fam._packed_monomial_sets(6, budget)] == [16] * 6
+        assert budget.pairs == 4
+        budget.pairs = 5
+        with pytest.raises(BudgetExceeded, match="work budget of 100 units"):
+            fam._packed_monomial_sets(6, budget)
+        assert budget.pairs == 5
+        with pytest.raises(BudgetExceeded, match="work budget of 1000000 units"):
+            fam._packed_monomial_sets(300, Budget())
+        assert list(fam._packed_sets) == [6]
+
 
 def _term_views(n):
     """Each ideal view built from packed terms, by name, with the

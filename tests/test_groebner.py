@@ -1,5 +1,7 @@
 """Division, S-polynomials, Buchberger, basis predicates."""
 
+from fractions import Fraction
+
 import pytest
 
 from detlink import groebner
@@ -12,6 +14,7 @@ from detlink.rings import Ring
 
 from conftest import (elimination_input, random_monomial, random_nonzero_poly,
                       random_poly)
+import reference
 from reference import div, divides, groebner_basis_ideal, m_ij
 
 
@@ -117,6 +120,27 @@ def _textbook_divide(h, divisors):
         else:
             rem[m] = c
     return tuple(ring.poly(q) for q in quotients), ring.poly(rem)
+
+
+def test_division_and_s_polynomials_keep_their_terms(rng):
+    # The kernel's packed dicts come back term for term as the canonical
+    # Polynomials the ring builds, with Fraction coefficients.
+    R = Ring(2)
+    for _ in range(200):
+        h = random_nonzero_poly(R, rng, terms=5)
+        divisors = [random_nonzero_poly(R, rng, terms=3)
+                    for _ in range(rng.randint(1, 3))]
+        quotients, rem = divide(h, divisors)
+        want_q, want_rem = _textbook_divide(h, divisors)
+        f, g = divisors[0], h
+        (cf, mf), (cg, mg) = f.terms[0], g.terms[0]
+        m = reference.lcm(mf, mg)
+        s = (cg * R.from_monomial(div(m, mf)) * f
+             - cf * R.from_monomial(div(m, mg)) * g)
+        for got, want in zip((*quotients, rem, s_polynomial(f, g)),
+                             (*want_q, want_rem, s)):
+            assert got.terms == want.terms
+            assert all(type(c) is Fraction for c, _ in got.terms)
 
 
 class TestSPolynomial:
