@@ -37,9 +37,9 @@ from .groebner import (Budget, BudgetExceeded, GBCertificate, Ideal,
                        _Divisors, _IntReducer, _Packing, _add_scaled,
                        _certificate_prims,
                        _first_prim_product_outside,
-                       _interreduce, _one_term_walk, _packing, _polynomials,
+                       _interreduce, _packing, _polynomials,
                        _prim_from_poly,
-                       _spoly, ideal_equal, is_groebner_basis,
+                       _spoly, _two_term_walk, ideal_equal, is_groebner_basis,
                        minimal_generators, reduced_groebner_basis)
 from .idealops import _kept_part, height, quotient, sum_ideals
 from .rings import Polynomial, Ring
@@ -237,13 +237,15 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
 
     Each rest monomial is divided by G + core under the first-divisor rule
     of `_IntReducer`, whose first step the split has already found, by the
-    one-term walk `groebner._one_term_walk` shares with the certificate:
-    the divisor list is fixed once the rest is split, so a walk stops at a
-    monomial an earlier walk proved a member of (G + core), and its verdict
-    is `_IntReducer.reduce`'s. A walk that meets a divisor of three or more
-    terms is left to `_IntReducer.reduce` from its rest monomial. The
-    deadline is checked once per element of monos while they are split,
-    and once per step of a walk."""
+    walk `groebner._two_term_walk` that the certificate and the product
+    tests share. A monomial stays one term, and the walk keeps the
+    monomials it proved members of (G + core): the divisor list is fixed
+    once the rest is split, so a later walk stops at one of them, and its
+    verdict is `_IntReducer.reduce`'s. A walk that meets a divisor it does
+    not take (not a monomial or a binomial with coefficients 1 and ±1) is
+    left to `_IntReducer.reduce` from its rest monomial. The deadline is
+    checked once per element of monos while they are split, and once per
+    step of a walk."""
     if not all(G):
         return None
     packing = _packing(G[0].ring.nvars)
@@ -264,7 +266,9 @@ def _core(G: Sequence[Polynomial], monos: Sequence[int],
     proven: set[int] = set()
     reducer = None
     for m, idx in zip(rest, firsts):
-        zero = _one_term_walk(m, divisors, guard, proven, budget, idx)
+        if m in proven:
+            continue
+        zero = _two_term_walk(m, 1, 0, 0, divisors, guard, proven, budget, idx)
         if zero is None:
             reducer = reducer or _IntReducer(packing, divisors, budget)
             zero = not reducer.reduce({m: 1})

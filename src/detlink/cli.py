@@ -4,20 +4,23 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from . import families as fam
 from .checks import ALL_CHECKS, BUDGET, FAIL, SKIPPED, report_json, run_checks
+from .groebner import Budget, BudgetExceeded
 
 
 # The families `show --family` prints, one line per entry; the keys are its
-# choices.
-FAMILIES: dict[str, Callable[[int], Sequence[object]]] = {
+# choices. The monomial sets are held to the default cap on units of work,
+# as the checks hold them, and converted one set at a time as they print.
+FAMILIES: dict[str, Callable[[int], Iterable[object]]] = {
     "minors": lambda n: fam.minors_ideal(n).gens,
     "a": lambda n: fam.gens_a(n).gens,
     "G": lambda n: fam.set_G(n),
-    "M": lambda n: [f"M_{i}: {p}" for i, ms in enumerate(fam._packed_monomial_sets(n), 1)
-                    for p in fam._monomials(n, ms)],
+    "M": lambda n: (f"M_{i}: {p}"
+                    for i, ms in enumerate(fam._packed_monomial_sets(n, Budget()), 1)
+                    for p in fam._monomials(n, ms)),
     "link": lambda n: fam.chain_link(n)[1].gens,
     "chain": lambda n: fam.chain_ideal(n).gens,
 }
@@ -60,6 +63,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             lines = FAMILIES[args.family](args.n)
         except ValueError as exc:
             return _error(exc)
+        except BudgetExceeded as exc:
+            return _error(f"{exc} by the monomial sets at n = {args.n}")
         for line in lines:
             print(line)
         return 0

@@ -45,12 +45,12 @@ and reduced. It still reports the first failing pair in (lcm, i, j) order;
 `_certificate_prims`, the one walk on packed prims behind
 `is_groebner_basis`, says why that pair is never one the criterion skips,
 and why a walk told that a prefix of its input is a Groebner basis may
-skip the pairs inside that prefix. The S-polynomial of a binomial and a
-monomial is one term, which the certificate follows by a one-term walk
-(`_one_term_walk`, which `checks._core` uses too) instead of a reduction.
-One unit of work is one S-polynomial reduced or walked, by Buchberger's
-algorithm or by the certificate; a pair either of them drops unreduced
-is free.
+skip the pairs inside that prefix. A binomial's S-polynomial with a
+monomial or a binomial has one or two terms, which the certificate
+follows by `_two_term_walk` (as `checks._core` does its monomials)
+instead of a reduction. One unit of work is one S-polynomial reduced or
+walked, by Buchberger's algorithm or by the certificate; a pair either
+of them drops unreduced is free.
 
 Products tested for membership in an ideal (the skip test of `quotient`,
 and the containments of the verifier's checks) go through
@@ -94,7 +94,7 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """Shared resource budget: a cap on units of work plus an optional
     deadline. A unit is an S-polynomial reduced (by Buchberger's algorithm
-    or a certificate) or followed by a certificate's one-term walk, or a
+    or a certificate) or followed by a certificate's two-term walk, or a
     node of a combinatorial walk; `pairs` counts them and `max_pairs` caps
     them."""
 
@@ -134,7 +134,7 @@ class Budget:
     def check_deadline(self) -> None:
         """Raise once the deadline has passed; counts nothing. Loops whose
         steps are not units of work call this: reduction steps, steps of
-        one-term walks, product tests, the rows of the certificate's pair
+        two-term walks, product tests, the rows of the certificate's pair
         build, Buchberger's input installs, the splits of the monomial
         sets' window products, and the steps of the `identities` and
         `automorphisms` checks."""
@@ -517,43 +517,59 @@ class _IntReducer:
         return rem
 
 
-def _one_term_walk(m: int, divisors: _Divisors, guard: int, proven: set,
-                   budget: Budget, idx: int = -1) -> Optional[bool]:
-    """Whether the packed monomial m has remainder 0 on division by
-    divisors under the first-divisor rule of `_IntReducer`: True or False,
-    or None once the walk meets a divisor of three or more terms, which
-    leaves the verdict to `_IntReducer.reduce`. idx, if given, is the index
-    of m's first divisor.
+def _two_term_walk(a: int, ca: int, b: int, cb: int, divisors: _Divisors,
+                   guard: int, proven: set, budget: Budget,
+                   idx: int = -1) -> Optional[bool]:
+    """Whether ca*a + cb*b (packed monomials a, b; ints ca != 0 and cb, 0
+    for one term) has remainder 0 by divisors under `_IntReducer`'s
+    first-divisor rule: True or False, or None at a divisor that is not a
+    monomial or a binomial with coefficients 1 and ±1, which leaves the
+    verdict to `_IntReducer.reduce`. idx, if given, is the larger term's
+    first divisor.
 
-    While the divisors it meets have at most two terms, a one-term dividend
-    stays one term: a binomial lm + t takes c*m to c'*(m / lm)*t, and a
-    monomial divisor takes it to 0. So only the monomial is followed, step
-    for step as `_IntReducer.reduce` would, and the verdict is its verdict:
-    False at a monomial no divisor divides, True at a monomial divisor. A
-    walk that ends at 0 proves each monomial on it a member, and they join
-    `proven`. For a fixed divisor list every walk through a proven monomial
-    goes on as that one did, to 0, so a walk stops there too. The deadline
-    is checked once per step, and a monomial past the packing limit raises
-    OverflowError, as in `_IntReducer.reduce`."""
+    Each step rewrites the larger term c*m by its first divisor: lm ± t
+    takes it to ∓c*(m/lm)*t, merged with the other term if they meet, and
+    a monomial drops it. The leading coefficient is 1, so these are
+    `reduce`'s steps, unscaled, and the verdict is its verdict: 0 once no
+    term is left, nonzero at a leading term no divisor divides, since all
+    later terms are below it. A one-term walk to 0 proves the monomials it
+    met, which join `proven`; divisors are only appended, so a later
+    one-term walk stops at a proven monomial. The deadline is checked, and
+    the packing limit enforced, once per step, as in `reduce`."""
     lms, divs = divisors.lms, divisors.divs
     walk = []
-    while m not in proven:
+    while True:
+        if cb:
+            if a < b:
+                a, ca, b, cb = b, cb, a, ca
+            elif a == b:
+                ca, cb = ca + cb, 0
+                if not ca:
+                    return True
+        if not cb:
+            if a in proven:
+                break
+            walk.append(a)
         budget.check_deadline()
-        if m & guard:
+        if a & guard:
             raise _overflow()
         if idx < 0:
             for idx, lm in enumerate(lms):
-                if not (m - lm) & guard:
+                if not (a - lm) & guard:
                     break
             else:
                 return False
-        walk.append(m)
-        tail = divs[idx][1]
+        lc, tail = divs[idx]
         if not tail:
-            break
-        if len(tail) > 1:
+            if not cb:
+                break
+            a, ca, cb = b, cb, 0
+        elif lc != 1 or len(tail) > 1 or tail[0][1] not in (1, -1):
             return None
-        m += tail[0][0] - lms[idx]
+        else:
+            t, s = tail[0]
+            a += t - lms[idx]
+            ca = -s * ca
         idx = -1
     proven.update(walk)
     return True
@@ -978,13 +994,14 @@ def _certificate_prims(prims, packing: _Packing, budget: Budget,
     the same pairs inside prims[:known] as prims[:known]'s own walk does;
     a pass then charges the full walk's units minus that walk's.
 
-    A kept pair of a binomial lm + t and a monomial, in either index
-    order, has the one-term S-polynomial c * (lcm / lm) * t. It is not
-    reduced but followed by `_one_term_walk`, whose verdict is the
-    reduction's, so the verdict and the failing pair do not change. The
-    divisors are fixed, so a monomial that one such walk proved stays
-    proven for every later pair. A walk that meets a divisor of three or
-    more terms hands its pair back to `_IntReducer.reduce`.
+    A kept pair of a binomial and a monomial or of two binomials, in
+    either index order, has an S-polynomial of the leading terms' cofactors
+    times the tails: one term or two. It is not reduced but followed by
+    `_two_term_walk`, whose verdict is the reduction's, so the verdict and
+    the failing pair do not change. The divisors are fixed, so a monomial
+    that one such walk proved stays proven for every later pair. A walk
+    that meets a divisor it does not take hands its pair back to
+    `_IntReducer.reduce`.
 
     Each pair reduced or walked counts one unit against the budget, as a
     reduction does in Buchberger's algorithm; skipped, monomial and
@@ -992,7 +1009,7 @@ def _certificate_prims(prims, packing: _Packing, budget: Budget,
     whose lcm is past the packing limit raises OverflowError; a skipped
     one never gets an order key. The deadline is checked once per element
     while the pairs are built, once after the kept pairs are sorted, once
-    per pair reduced or walked, and once per step of a one-term walk.
+    per pair reduced or walked, and once per step of a walk.
     """
     guard, exp_mask, exp_guard = packing.guard, packing.exp_mask, packing.exp_guard
     ones, with_key = packing.ones, packing.with_key
@@ -1047,8 +1064,15 @@ def _certificate_prims(prims, packing: _Packing, budget: Budget,
         if len(a) + len(b) == 3:
             # A binomial and a monomial: S = c * (lcm / lm) * t.
             lm, t = (a if len(a) == 2 else b)
-            zero = _one_term_walk(lcm - lm[0] + t[0], divisors, guard,
-                                  proven, budget)
+            zero = _two_term_walk(lcm - lm[0] + t[0], 1, 0, 0, divisors,
+                                  guard, proven, budget)
+        elif len(a) == len(b) == 2:
+            # Two binomials: the leading terms cancel, and
+            # S = lc(b) * (lcm / in(a)) * t_a - lc(a) * (lcm / in(b)) * t_b.
+            (la, ca), (ta, da) = a
+            (lb, cb), (tb, db) = b
+            zero = _two_term_walk(lcm - la + ta, cb * da, lcm - lb + tb, -ca * db,
+                                  divisors, guard, proven, budget)
         if zero is None:
             zero = not reducer.reduce(_spoly(a, b, lcm))
         if not zero:
@@ -1072,7 +1096,7 @@ class Ideal:
     """
 
     __slots__ = ("ring", "_gens", "_terms", "_basis", "_gen_prims",
-                 "_basis_prims", "_divisors")
+                 "_basis_prims", "_divisors", "_binomial_basis")
 
     def __init__(self, ring: Ring, gens: Iterable[Polynomial] = ()):
         gens = tuple(g for g in gens if g)
@@ -1084,6 +1108,7 @@ class Ideal:
         self._basis: Optional[tuple[Polynomial, ...]] = None
         self._terms = self._gen_prims = self._basis_prims = None
         self._divisors: Optional[_Divisors] = None
+        self._binomial_basis = False
 
     @classmethod
     def _from_prims(cls, ring: Ring, prims) -> "Ideal":
@@ -1135,10 +1160,15 @@ class Ideal:
     def _reducer(self, budget: Optional[Budget] = None) -> _IntReducer:
         """A reducer by the reduced basis. The packed divisor list is built
         once, on first use, and shared by every later reducer together with
-        its first-divisor memo."""
+        its first-divisor memo, and so is `_binomial_basis`: whether
+        `_two_term_walk` takes every divisor."""
         packing = _packing(self.ring.nvars)
         if self._divisors is None:
-            self._divisors = _Divisors(self._packed_basis(budget))
+            basis = self._packed_basis(budget)
+            self._divisors = _Divisors(basis)
+            self._binomial_basis = all(
+                len(p) == 1 or (len(p) == 2 and p[0][1] == 1 and p[1][1] in (1, -1))
+                for p in basis)
         return _IntReducer(packing, self._divisors, budget)
 
     def __repr__(self) -> str:
@@ -1162,15 +1192,31 @@ def _first_prim_product_outside(gs: Sequence, hs: Sequence, I: Ideal,
                                 ) -> Optional[tuple[int, int]]:
     """The first (a, b), in row-major order, whose product gs[a]*hs[b] is
     not in I, or None when every product lies in I. The factors are prims
-    of I's ring. A product is formed by adding packed monomials and reduced
-    by I's basis, and the deadline is checked once per product. A zero
-    factor, the empty prim, gives the zero product, which lies in I."""
+    of I's ring. A product is formed by adding packed monomials; one of at
+    most two terms is walked (`_two_term_walk`, with the reduction's
+    verdict) when the walk takes all of I's basis, and any other reduced
+    by it. The deadline is checked once per product. A zero factor, the
+    empty prim, gives the zero product, which lies in I."""
+    budget = budget or Budget()
     reducer = I._reducer(budget)
+    divisors, guard = reducer.divisors, reducer.packing.guard
+    walk = I._binomial_basis
+    proven: set[int] = set()
     for a, g in enumerate(gs):
         for b, h in enumerate(hs):
-            if budget is not None:
-                budget.check_deadline()
-            if reducer.reduce(_product(g, h)):
+            budget.check_deadline()
+            if not (g and h):
+                continue
+            zero = None
+            if walk and len(g) * len(h) <= 2:
+                # One factor is a monomial c*m; the other has one or two terms.
+                (m, c), f = (g[0], h) if len(g) == 1 else (h[0], g)
+                (u, d), (v, e) = f if len(f) == 2 else (f[0], (0, 0))
+                zero = _two_term_walk(m + u, c * d, m + v, c * e, divisors, guard,
+                                      proven, budget)
+            if zero is None:
+                zero = not reducer.reduce(_product(g, h))
+            if not zero:
                 return a, b
     return None
 

@@ -14,7 +14,8 @@ squarefree products of named variables by `Ring.monomial`, and
 builder to match. `check_gb_sum_full` and
 `check_sum_equals_colon_full` are the two checks as they were before they
 certified from the core of the monomial sets: the first walks all of
-G ∪ M, the second tests every monomial times every minor.
+G ∪ M, the second tests every monomial times every minor, each product
+reduced by `_IntReducer.reduce` (`first_product_outside`), never walked.
 `check_reduced_full` is `reduced` as it was before it took its basis from
 G + core: Buchberger's algorithm on the sum of links' generators. The
 checks must agree with them on status and witness. The full walks read
@@ -38,7 +39,8 @@ order given, as it ran before `quotient` sorted them by leading monomial;
 `quotient` must match it under any order. `quotient_all_products` is the
 fold in `quotient`'s order with the skip test as it ran before it used
 only the kept part of out: g times every element of out's basis.
-`quotient` must match its result and its number of eliminations.
+`quotient` must match its result and its number of eliminations; its
+skip test reduces every product too.
 `groebner_basis_ideal` is the ideal of a Groebner basis holding the
 reduced basis interreduced from it, the way `sum-equals-colon` builds
 (g_1..g_n) from set_G(n). `phi_permutation` is the paper's index
@@ -59,7 +61,7 @@ import detlink.families as fam
 from detlink.checks import FAIL, PASS, _UNPROVEN_G, _chain_proof, _fmt
 from detlink.families import _link, minor_pair, standard_ring
 from detlink.groebner import (Budget, Ideal, _Divisors, _IntReducer,
-                              _first_prim_product_outside, _interreduce, _packing,
+                              _interreduce, _packing,
                               _prim_from_dict, _prim_from_poly, _product,
                               ideal_equal, is_groebner_basis)
 from detlink.idealops import _exact_quotient, _intersect_prims, quotient
@@ -351,7 +353,7 @@ def check_sum_equals_colon_full(n: int,
     minors = fam.minors_ideal(n)
     monos = packed_monomials(n)
     packing = _packing(ring.nvars)
-    outside = _first_prim_product_outside(
+    outside = first_product_outside(
         [_prim_from_poly(f, packing) for f in monos], minors._packed_gens(),
         a_full, budget)
     if outside is not None:
@@ -433,6 +435,18 @@ def random_qualifying_binomials(ring: Ring, rng: random.Random
 # -- the colon fold in a given order ----------------------------------------
 
 
+def first_product_outside(gs, hs, I: Ideal, budget: Optional[Budget] = None
+                          ) -> Optional[tuple[int, int]]:
+    """The first (a, b), row-major, whose product of the prims gs[a] and
+    hs[b] has a nonzero remainder by `_IntReducer.reduce` on I's reduced
+    basis, or None: `groebner._first_prim_product_outside` with every
+    product reduced."""
+    reducer = _IntReducer(_packing(I.ring.nvars), _Divisors(I._packed_basis(budget)),
+                          budget)
+    return next(((a, b) for a, g in enumerate(gs) for b, h in enumerate(hs)
+                 if reducer.reduce(_product(g, h))), None)
+
+
 def _all_products_fold(I: Ideal, prims) -> tuple[Ideal, int]:
     """I : (prims) by the colon fold over the prims in the order given,
     testing g times every element of out's basis; with the number of
@@ -441,7 +455,7 @@ def _all_products_fold(I: Ideal, prims) -> tuple[Ideal, int]:
     packing = _packing(ring.nvars)
     out, eliminations = [((0, 1),)], 0
     for g in prims:
-        if _first_prim_product_outside([g], out, I) is None:
+        if first_product_outside([g], out, I) is None:
             continue
         g_out = [_prim_from_dict(_product(g, h)) for h in out]
         meet = _intersect_prims(ring, (I._packed_basis(), g_out), (True, True))

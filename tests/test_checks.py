@@ -14,6 +14,7 @@ import pytest
 
 import detlink.checks as checks
 import detlink.families as fam
+import detlink.groebner as groebner
 from detlink.checks import report_document, report_json, run_checks
 from detlink.cli import FAMILIES, main
 from detlink.groebner import (Budget, BudgetExceeded, Ideal, _add_scaled,
@@ -413,6 +414,27 @@ class TestCoreCertificate:
         gb_sum, colon = _agree_with_the_full_walks(4)
         assert gb_sum == ("pass", None) and colon[0] == "fail"
         assert colon[1].startswith("containment fails: (x1) * ")
+
+    @pytest.mark.parametrize("n", [6, 7])
+    @pytest.mark.parametrize("corrupt", ["x1", "z1*z2"])
+    def test_walked_containment_witness(self, n, corrupt, monkeypatch):
+        # The monomial joins M_2 and is core; x1 escapes with the first
+        # minor and z1*z2 with the third. At n = 6 and 7 the interreduced
+        # set_G(n) is made of binomials with coefficients 1 and ±1, so the
+        # two-term walk decides every product, and the witness is that of
+        # the full walk, which reduces every product.
+        R = fam.standard_ring(n)
+        m = {"x1": R.x(1), "z1*z2": R.z(1) * R.z(2)}[corrupt]
+        _extend_M(monkeypatch, _packed(m))
+        walked = []
+        walk = groebner._two_term_walk
+        monkeypatch.setattr(groebner, "_two_term_walk",
+                            lambda *args: walked.append(1) or walk(*args))
+        got = checks.check_sum_equals_colon(n, random.Random(0), Budget())
+        assert walked
+        assert got == check_sum_equals_colon_full(n, Budget())
+        assert got[0] == "fail"
+        assert got[1].startswith(f"containment fails: ({corrupt}) * ")
 
     def test_escaping_rest_monomial(self, monkeypatch):
         # x1 * in(g_1) joins M_2: in(g_1) divides it, and its remainder by
@@ -1132,6 +1154,16 @@ class TestCLI:
                 captured = capsys.readouterr()
                 assert captured.err.startswith("error: ")
                 assert captured.out == ""
+
+    def test_show_holds_the_monomial_sets_to_the_default_cap(self, capsys):
+        # n * 2^(n-2) monomials: 557,056 at n = 17 fit the cap of 1,000,000
+        # units, 1,179,648 at n = 18 do not, and nothing is built or printed.
+        assert main(["show", "--family", "M", "--n", "18"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("error: work budget of 1000000 units exhausted "
+                                "by the monomial sets at n = 18\n")
+        assert captured.out == ""
+        assert 18 not in fam._packed_sets
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

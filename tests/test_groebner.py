@@ -450,11 +450,11 @@ class TestBuchberger:
 
 def _count_units(monkeypatch) -> list:
     """A list that grows by one per unit a certificate does: each
-    `_IntReducer.reduce` call, and each one-term walk that reaches a
-    verdict (a walk that meets a divisor of three or more terms hands its
-    pair to `reduce`, which counts it)."""
+    `_IntReducer.reduce` call, and each two-term walk that reaches a
+    verdict (a walk that meets a divisor it does not take hands its pair
+    to `reduce`, which counts it)."""
     calls = []
-    reduce, walk = groebner._IntReducer.reduce, groebner._one_term_walk
+    reduce, walk = groebner._IntReducer.reduce, groebner._two_term_walk
 
     def walking(*args):
         zero = walk(*args)
@@ -464,7 +464,7 @@ def _count_units(monkeypatch) -> list:
 
     monkeypatch.setattr(groebner._IntReducer, "reduce",
                         lambda self, p: calls.append(1) or reduce(self, p))
-    monkeypatch.setattr(groebner, "_one_term_walk", walking)
+    monkeypatch.setattr(groebner, "_two_term_walk", walking)
     return calls
 
 
@@ -571,7 +571,7 @@ class TestCertificate:
 
     def test_one_unit_per_reduction(self, monkeypatch):
         # A certificate charges one unit per S-polynomial it reduces or
-        # follows by a one-term walk; a failing one also divides its
+        # follows by a two-term walk; a failing one also divides its
         # witness exactly, uncharged.
         calls = _count_units(monkeypatch)
         for polys in (G_union_M(4), G_union_M(5), G_union_M(6),

@@ -18,7 +18,8 @@ from detlink.idealops import (dimension, height, intersect, quotient,
 from detlink.rings import Ring
 
 from conftest import (assert_fold_order_free, assert_matches_all_products,
-                      count_gb_stats, random_nonzero_poly, random_poly)
+                      count_gb_stats, random_monomial, random_nonzero_poly,
+                      random_poly)
 from reference import groebner_basis_ideal, support
 
 
@@ -417,6 +418,67 @@ class TestMultiplesIn:
         assert _first_outside([R.zero], [y1], Ideal(R, [x1])) is None
         assert _first_outside([R.zero], [y1], zero) is None
         assert _first_outside([y1], [R.zero, y1], Ideal(R, [x1])) == (0, 1)
+
+    def test_unit_binomial_ideals_match_member(self, rng):
+        # Ideals of monomials and binomials with coefficients 1 and ±1,
+        # whose reduced bases keep that shape, so every product of at most
+        # two terms is walked, and the walk's first escaping product is the
+        # member scan's.
+        R = Ring(2)
+
+        def unit():
+            """A binomial u ± v with coefficients 1 and ±1, or a monomial u."""
+            u, v = (random_monomial(R, rng, max_exp=1) for _ in range(2))
+            return (R.poly({u: 1, v: rng.choice((1, -1))}) if rng.random() < 0.6
+                    else R.from_monomial(u))
+
+        walked = []
+        walk = groebner._two_term_walk
+        seen = set()
+        for _ in range(40):
+            I = Ideal(R, [unit() for _ in range(3)])
+            gs = [unit() for _ in range(3)]
+            hs = [unit() for _ in range(3)] + [R.zero]
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(groebner, "_two_term_walk",
+                              lambda *args: walked.append(1) or walk(*args))
+                got = _first_outside(gs, hs, I)
+            assert I._binomial_basis
+            want = _first_outside_by_member(gs, hs, I)
+            assert got == want
+            seen.add(want if want is None or want == (0, 0) else "later")
+        assert seen == {None, (0, 0), "later"}
+        assert walked
+
+    @pytest.mark.parametrize("case", ["coefficient 2", "trinomial", "three terms"])
+    def test_takes_the_reducer(self, case, monkeypatch):
+        # A basis element with a coefficient 2 or three terms fails the
+        # shape test once for the ideal, so every product is reduced; by a
+        # basis that passes it, a product of more than two terms is still
+        # reduced. Either way the verdict is the member scan's.
+        R = Ring(2)
+        x1, x2, y1, y2, z1 = R.x(1), R.x(2), R.y(1), R.y(2), R.z(1)
+        basis = {"coefficient 2": [x1 - 2 * y1, z1],
+                 "trinomial": [x1 - y1 - y2, z1],
+                 "three terms": [x1 - y1, z1]}[case]
+        I = Ideal(R, basis)
+        I._reducer()
+        gs = [x1 - y1 + z1 if case == "three terms" else x2, z1]
+        hs = [x1, x1 * y2 - z1]
+        walked, reduced = [], []
+        walk, reduce = groebner._two_term_walk, groebner._IntReducer.reduce
+        monkeypatch.setattr(groebner, "_two_term_walk",
+                            lambda *args: walked.append(1) or walk(*args))
+        monkeypatch.setattr(groebner._IntReducer, "reduce",
+                            lambda self, p: reduced.append(1) or reduce(self, p))
+        got = _first_outside(gs, hs, I)
+        counts = len(reduced), len(walked)
+        assert I._binomial_basis == (case == "three terms")
+        assert got == _first_outside_by_member(gs, hs, I)
+        # With the shape: (x1 - y1 + z1) times each h is reduced, z1 times
+        # each walked. Without it, x2 * x1 is reduced and escapes.
+        assert (got, counts) == ((None, (2, 2)) if case == "three terms"
+                                 else ((0, 0), (1, 0)))
 
     def test_packs_each_factor_once(self, monkeypatch):
         # The factors come packed, once each: the products are formed on

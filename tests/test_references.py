@@ -1,9 +1,11 @@
 """The kernel's first-divisor memo and the certificate's pair filter, chain
-criterion and one-term walks against references that have none of them; the
+criterion and two-term walks against references that have none of them; the
 certificate's budget charges under every cap against a walk that keys and
 sorts every pair and charges one unit per pair it divides; the walk that
-skips the pairs inside a known Groebner basis against the full walk; and
-the one-term walks of `checks._core` against full reductions.
+skips the pairs inside a known Groebner basis against the full walk; the
+walks of `checks._core` against full reductions; and `_two_term_walk`
+itself against `_IntReducer.reduce` on lists of monomials and binomials
+with coefficients 1 and ±1, Groebner bases or not.
 
 Small polynomials in the first four variables are drawn by hypothesis,
 derandomized so every run checks the same examples; so few variables make
@@ -208,8 +210,8 @@ def test_certificate_matches_brute_force(polys):
 def test_certificate_walks_pinned(case, monkeypatch):
     polys = _walk_cases()[case]
     verdicts = []
-    walk = groebner._one_term_walk
-    monkeypatch.setattr(groebner, "_one_term_walk",
+    walk = groebner._two_term_walk
+    monkeypatch.setattr(groebner, "_two_term_walk",
                         lambda *args: verdicts.append(walk(*args)) or verdicts[-1])
     assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
     assert verdicts[0] is (True, False, None)[case]
@@ -386,3 +388,108 @@ def test_core_walks_pinned(monkeypatch):
     calls.clear()
     assert _packed_core(G, [x1 * x2, y1 * y2]) is None
     assert not calls
+
+
+# Binomials with coefficients 1 and ±1: with the monomials, the divisors
+# `_two_term_walk` takes.
+_unit_binomials = st.tuples(_monomials, _monomials, st.sampled_from((1, -1))).map(
+    lambda drawn: drawn[0] + drawn[2] * drawn[1]).filter(lambda f: len(f.terms) == 2)
+
+
+@st.composite
+def _unit_divisors(draw):
+    """Monomials and binomials with coefficients 1 and ±1 in a drawn order,
+    where the first divisor of a monomial is often not its only one; in
+    half the draws the reduced basis of their ideal, in a drawn order. In
+    a third of the draws one divisor the walk does not take, a binomial
+    with other coefficients or a trinomial, joins at a drawn place."""
+    polys = draw(st.lists(st.one_of(_unit_binomials, _unit_binomials, _monomials),
+                          min_size=1, max_size=6))
+    if draw(st.booleans()):
+        try:
+            basis = reduced_groebner_basis(polys, budget=Budget(max_pairs=200))
+        except BudgetExceeded:
+            assume(False)
+        polys = draw(st.permutations(basis))
+    if draw(st.integers(0, 2)) == 0:
+        odd = draw(st.one_of(_binomials.filter(lambda f: abs(f.terms[1].coeff)
+                                               != abs(f.terms[0].coeff)),
+                             _linear_trinomials))
+        polys.insert(draw(st.integers(0, len(polys))), odd)
+    return polys
+
+
+def _takes(prim) -> bool:
+    """Whether prim is a divisor `_two_term_walk` takes."""
+    return len(prim) == 1 or (len(prim) == 2 and prim[0][1] == 1
+                              and prim[1][1] in (1, -1))
+
+
+@SETTINGS
+@given(_unit_divisors(), st.lists(st.tuples(_short_polys, st.booleans()),
+                                  min_size=1, max_size=6))
+def test_two_term_walks_match_the_reducer(divisors, dividends):
+    # One divisor list and one proven set for every dividend, as the
+    # certificate and the product tests keep them; the terms come in either
+    # order. Each verdict is that of a reducer of its own. The walk hands a
+    # dividend back only where it meets a divisor it does not take.
+    packing = _packing(R.nvars)
+    prims = [_prim_from_poly(f, packing) for f in divisors]
+    shared, proven = groebner._Divisors(prims), set()
+    for f, swap in dividends:
+        prim = _prim_from_poly(f, packing)
+        (a, ca), (b, cb) = prim if len(prim) == 2 else (prim[0], (0, 0))
+        if swap and cb:
+            a, ca, b, cb = b, cb, a, ca
+        zero = groebner._two_term_walk(a, ca, b, cb, shared, packing.guard,
+                                       proven, Budget())
+        want = not _IntReducer(packing, groebner._Divisors(prims)).reduce(dict(prim))
+        if zero is None:
+            assert not all(map(_takes, prims))
+        else:
+            assert zero == want
+
+
+def test_two_term_walks_pinned(monkeypatch):
+    x1, x2, y1, y2, z1, z2 = R.x(1), R.x(2), R.y(1), R.y(2), R.z(1), R.z(2)
+    packing = _packing(R.nvars)
+
+    def walk(divisors, *terms, proven=None):
+        """The walk of the one-term polynomials terms, added, by divisors."""
+        prims = [_prim_from_poly(d, packing) for d in divisors]
+        packed = [(packing.pack(f.terms[0].mono), int(f.terms[0].coeff)) for f in terms]
+        (a, ca), (b, cb) = packed if len(packed) == 2 else (packed[0], (0, 0))
+        return groebner._two_term_walk(a, ca, b, cb, groebner._Divisors(prims),
+                                       packing.guard,
+                                       set() if proven is None else proven, Budget())
+
+    # x1*x2 -> y1*y2 meets -y1*y2 and they cancel.
+    assert walk([x1 * x2 - y1 * y2], x1 * x2, -y1 * y2) is True
+    # x1*x2 + y1*y2 -> 2*y1*y2, which no divisor divides.
+    assert walk([x1 * x2 - y1 * y2], x1 * x2, y1 * y2) is False
+    # ... unless y1 divides it: the monomial divisor drops the merged term.
+    assert walk([x1 * x2 - y1 * y2, y1], x1 * x2, y1 * y2) is True
+    # The larger term x1*x2 is dropped by x1, then z1*z2 escapes.
+    assert walk([x1, y1 * y2 - z1 * z2], z1 * z2, x1 * x2) is False
+    # The first divisor decides: x1 - y1 before x1 - z1 takes x1*z2 to
+    # y1*z2, which nothing divides, though x1 - z1 would take it to z1*z2.
+    assert walk([x1 - y1, x1 - z1, z1], x1 * z2) is False
+    assert walk([x1 - z1, x1 - y1, z1], x1 * z2) is True
+    # A one-term walk to 0 proves the monomials it met; a walk through
+    # one of them stops there.
+    proven = set()
+    assert walk([x1 - y1, y1 - z1, z1], x1 * x2, proven=proven) is True
+    assert {packing.unpack(m) for m in proven} == {
+        (x1 * x2).terms[0].mono, (y1 * x2).terms[0].mono, (z1 * x2).terms[0].mono}
+    # Divisors the walk does not take: a coefficient 2, a trinomial.
+    assert walk([x1 - 2 * y1], x1 * z2) is None
+    assert walk([x1 - y1 - z1], x1 * z2) is None
+    assert walk([x2, x1 - y1 - z1], x1 * z2, x2) is None
+
+
+@SETTINGS
+@given(_unit_divisors().filter(lambda polys: len(polys) >= 2))
+def test_certificate_of_unit_binomials_matches_brute_force(polys):
+    # Pairs of two binomials and of a binomial and a monomial are walked,
+    # with two terms or one.
+    assert tuple(is_groebner_basis(polys)) == _reference_certificate(polys)
