@@ -8,19 +8,29 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from . import families as fam
 from .checks import ALL_CHECKS, BUDGET, FAIL, SKIPPED, report_json, run_checks
-from .groebner import Budget, BudgetExceeded
+from .groebner import Budget, BudgetExceeded, _packing
+
+
+def _monomial_set_lines(n: int) -> Iterable[str]:
+    """The lines of `show --family M`: each packed monomial of M_i formed
+    from its exponent fields, as `Ring.format` writes the monomial. The
+    sets are built, or refused, before the first line is asked for."""
+    sets = fam._packed_monomial_sets(n, Budget())
+    ring = fam.standard_ring(n)
+    exponents = _packing(ring.nvars).exponents
+    return (f"M_{i}: {ring.format_monomial(exponents(m)) or 1}"
+            for i, ms in enumerate(sets, 1) for m in ms)
 
 
 # The families `show --family` prints, one line per entry; the keys are its
 # choices. The monomial sets are held to the default cap on units of work,
-# as the checks hold them, and converted one set at a time as they print.
+# as the checks hold them, and formatted one monomial at a time as they
+# print.
 FAMILIES: dict[str, Callable[[int], Iterable[object]]] = {
     "minors": lambda n: fam.minors_ideal(n).gens,
     "a": lambda n: fam.gens_a(n).gens,
     "G": lambda n: fam.set_G(n),
-    "M": lambda n: (f"M_{i}: {p}"
-                    for i, ms in enumerate(fam._packed_monomial_sets(n, Budget()), 1)
-                    for p in fam._monomials(n, ms)),
+    "M": _monomial_set_lines,
     "link": lambda n: fam.chain_link(n)[1].gens,
     "chain": lambda n: fam.chain_ideal(n).gens,
 }

@@ -6,8 +6,9 @@ All reductions are exact over Q and run in one fraction-free kernel on
 primitive integer representatives (a divisor or basis element may be
 rescaled freely). Division is deterministic: the first divisor (by list
 position) whose leading monomial divides the current leading monomial is
-always used. `divide` rebuilds its exact rational quotients and remainder
-from the scalar the kernel accumulates along the way. Every function works
+always used. `divide` runs the same fraction-free steps in a loop of its
+own, which also accumulates the scalar it rebuilds its exact rational
+quotients and remainder from. Every function works
 in grevlex, the one order of every ring, in which each polynomial keeps
 its terms sorted; `is_groebner_basis` still takes an `order` argument and
 rejects anything but None.
@@ -27,7 +28,11 @@ Each divisor list comes with a memo from a packed monomial to the index of
 its first divisor (or to how many divisors are known not to divide it).
 Divisor lists only grow at their end, so a memo entry never goes stale:
 the Buchberger loop keeps one memo for its whole run, and an `Ideal` keeps
-one next to its packed basis for all its `member` calls.
+one next to its packed basis for all its `member` calls. An elimination's
+divisor list also keeps the indices of its divisors whose leading monomial
+is free of t, and a t-free monomial met for the first time is scanned
+against those alone: no leading monomial with t divides it, so the first
+hit, the memo entry and every remainder are what the full scan gives.
 The Gebauer-Moller criteria of Buchberger's loop and the chain test of
 the certificate compare pair lcms only by divisibility and equality,
 which the exponent fields decide alone. Both therefore form an lcm on the
@@ -68,8 +73,9 @@ eliminations of `idealops` pass each side's Groebner basis, times t or
 standard representation already. Nor is a pair of a new t-free element
 with a block element: the t-free element lies in both sides' ideals, so
 that pair too has a standard representation by the block (`_groebner_prims`
-says why the criteria stay sound). An elimination interreduces only the
-elements whose leading monomial is free of t.
+says why the criteria stay sound). An elimination returns only the minimal
+elements whose leading monomial is free of t, not tail-reduced; its caller
+interreduces them once, in the ring's packing.
 """
 
 from __future__ import annotations
@@ -260,8 +266,11 @@ class _Packing:
     def unpack(self, m: int) -> Monomial:
         if m & self.guard:
             raise _overflow()
-        return Monomial(struct.unpack(
-            self._fmt, (m & self.exp_mask).to_bytes(self._nbytes, "little")))
+        return Monomial(self.exponents(m))
+
+    def exponents(self, m: int) -> tuple[int, ...]:
+        """The exponent vector of a valid packed monomial."""
+        return struct.unpack(self._fmt, (m & self.exp_mask).to_bytes(self._nbytes, "little"))
 
     def lcm(self, a: int, b: int) -> int:
         """lcm of valid packed monomials by a SWAR pick on the exponent
@@ -413,17 +422,31 @@ class _Divisors:
     a scan of the first k divisors. Divisors are only ever appended, so a
     stored index stays the first match and a stored miss rescans only the
     divisors appended since.
+
+    With a nonzero `eliminate` mask (the exponent fields of the variables
+    an elimination order eliminates), `free` holds the ascending indices of
+    the divisors whose leading monomial is free of them, and `append`
+    keeps it up to date; else it is None. A divisor whose leading monomial
+    meets the mask divides no monomial free of it, so `_IntReducer.reduce`
+    scans only `free` for such a monomial: the first hit is the first
+    divisor, and a miss still covers every divisor.
     """
 
-    __slots__ = ("lms", "divs", "memo")
+    __slots__ = ("lms", "divs", "memo", "eliminate", "free")
 
-    def __init__(self, prims=()):
+    def __init__(self, prims=(), eliminate: int = 0):
         self.lms: list[int] = [p[0][0] for p in prims]
         self.divs: list = [(p[0][1], p[1:]) for p in prims]
         self.memo: dict[int, int] = {}
+        self.eliminate = eliminate
+        self.free: Optional[list[int]] = (
+            [i for i, lm in enumerate(self.lms) if not lm & eliminate]
+            if eliminate else None)
 
     def append(self, prim) -> None:
         lm, lc = prim[0]
+        if self.free is not None and not lm & self.eliminate:
+            self.free.append(len(self.lms))
         self.lms.append(lm)
         self.divs.append((lc, prim[1:]))
 
@@ -432,10 +455,8 @@ class _IntReducer:
     """Fraction-free division: remainders are correct up to a scalar.
 
     The divisor used for a term is always the first one (by list position)
-    whose leading monomial divides it. After `track`, the reducer also keeps
-    the scalar with p_int = scale * p_exact and the exact quotient of each
-    divisor; the prim appended for divisor i is ratios[i] times divisor i.
-    With a budget, its deadline is checked every 32 steps.
+    whose leading monomial divides it. With a budget, its deadline is
+    checked every 32 steps.
 
     The divisors and their first-divisor memo live in a `_Divisors`, which
     says why the memo stays exact. The Buchberger loop keeps one reducer,
@@ -443,30 +464,28 @@ class _IntReducer:
     shares the `_Divisors` it built from its reduced basis.
     """
 
-    __slots__ = ("packing", "divisors", "budget", "quotients", "scale", "ratios")
+    __slots__ = ("packing", "divisors", "budget")
 
     def __init__(self, packing: _Packing, divisors: Optional[_Divisors] = None,
                  budget: Optional[Budget] = None):
         self.packing = packing
         self.divisors = _Divisors() if divisors is None else divisors
         self.budget = budget
-        self.quotients = None
 
     def append(self, prim) -> None:
         self.divisors.append(prim)
 
-    def track(self, scale: Fraction, ratios: Sequence[Fraction]) -> None:
-        """Record exact quotients from the next reduce, whose argument is
-        scale times the exact dividend."""
-        self.scale = scale
-        self.ratios = ratios
-        self.quotients = [{} for _ in ratios]
-
     def reduce(self, p: dict) -> dict:
-        """Remainder of some positive rational multiple of p; mutates p."""
+        """Remainder of some positive rational multiple of p; mutates p.
+
+        A monomial met for the first time is scanned from where the memo's
+        last miss stopped: among the divisors free of the eliminated
+        variables when it is free of them too and the divisors keep that
+        list (`_Divisors.free`), else among all divisors."""
         guard = self.packing.guard
-        lms, divs, memo = self.divisors.lms, self.divisors.divs, self.divisors.memo
-        quotients = self.quotients
+        divisors = self.divisors
+        lms, divs, memo = divisors.lms, divisors.divs, divisors.memo
+        free, eliminate = divisors.free, divisors.eliminate
         budget = self.budget
         rem: dict[int, int] = {}
         steps = 0
@@ -478,7 +497,11 @@ class _IntReducer:
             idx = memo.get(m, -1)
             if idx < 0:
                 # Scan from where the last miss stopped; the first hit is kept.
-                for idx in range(~idx, len(lms)):
+                if free is None or m & eliminate:
+                    candidates = range(~idx, len(lms))
+                else:
+                    candidates = free[bisect_left(free, ~idx):]
+                for idx in candidates:
                     if not (m - lms[idx]) & guard:
                         break
                 else:
@@ -496,10 +519,6 @@ class _IntReducer:
                     p[k] *= mult
                 for k in rem:
                     rem[k] *= mult
-            if quotients is not None:
-                self.scale *= mult
-                qd = quotients[idx]
-                qd[u] = qd.get(u, 0) + q * self.ratios[idx] / self.scale
             for tm, tc in tail:
                 mm = u + tm
                 nc = p.get(mm, 0) - q * tc
@@ -509,9 +528,7 @@ class _IntReducer:
                     del p[mm]
             steps += 1
             if not steps & 31:
-                g = _content_reduce(p, rem)
-                if quotients is not None and g > 1:
-                    self.scale /= g
+                _content_reduce(p, rem)
                 if budget is not None:
                     budget.check_deadline()
         return rem
@@ -581,27 +598,64 @@ def divide(h: Polynomial, divisors: Sequence[Polynomial]) -> DivisionResult:
     The remainder contains no monomial divisible by any divisor's leading
     monomial, and in(h) >= in(quotients[i] * divisors[i]) whenever the
     quotient is nonzero.
+
+    The loop takes `_IntReducer.reduce`'s steps on prims and also builds
+    the exact quotients: it keeps the scalar with p_int = scale * p_exact,
+    and the prim of divisor i is ratios[i] times divisor i. It reads no
+    first-divisor memo: within one division the leading term only
+    descends, so no monomial is looked up twice.
     """
     ring = h.ring
     packing = _packing(ring.nvars)
-    reducer = _IntReducer(packing)
-    ratios = []
+    guard = packing.guard
+    table, ratios = _Divisors(), []
     for f in divisors:
         if not f:
             raise ValueError("zero divisor")
         f._check_ring(ring)
         prim = _prim_from_poly(f, packing)
-        reducer.append(prim)
+        table.append(prim)
         ratios.append(prim[0][1] / f.terms[0].coeff)
+    lms, divs = table.lms, table.divs
     p, scale = {}, Fraction(1)
     if h:
         prim = _prim_from_poly(h, packing)
         p, scale = dict(prim), prim[0][1] / h.terms[0].coeff
-    reducer.track(scale, ratios)
-    rem = reducer.reduce(p)
-    scale = reducer.scale
+    quotients: list[dict] = [{} for _ in lms]
+    rem: dict[int, int] = {}
+    steps = 0
+    while p:
+        m = max(p)
+        c = p.pop(m)
+        if m & guard:
+            raise _overflow()
+        for idx, lm in enumerate(lms):
+            if not (m - lm) & guard:
+                break
+        else:
+            rem[m] = c
+            continue
+        lc, tail = divs[idx]
+        u = m - lm
+        g = _igcd(c, lc)
+        mult = lc // g
+        q = c // g
+        if mult != 1:
+            for k in p:
+                p[k] *= mult
+            for k in rem:
+                rem[k] *= mult
+            scale *= mult
+        qd = quotients[idx]
+        qd[u] = qd.get(u, 0) + q * ratios[idx] / scale
+        _add_scaled(p, tail, u, -q)
+        steps += 1
+        if not steps & 31:
+            g = _content_reduce(p, rem)
+            if g > 1:
+                scale /= g
     *quotients, remainder = _polynomials(ring, [
-        *(sorted(q.items(), reverse=True) for q in reducer.quotients),
+        *(sorted(q.items(), reverse=True) for q in quotients),
         sorted(((m, c / scale) for m, c in rem.items()), reverse=True)])
     return DivisionResult(tuple(quotients), remainder)
 
@@ -676,11 +730,14 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
 
     `eliminate`, if nonzero, masks the exponent fields of variables that
     the order eliminates. Only the basis elements whose leading monomial
-    is free of them are then interreduced and returned: under such an
-    order they are free of those variables throughout and form a Groebner
-    basis of the elimination ideal, and a leading monomial that meets the
-    mask divides none of their terms, so interreducing them alone gives
-    the reduced basis of the elimination ideal.
+    is free of them are then returned, and only the minimal ones
+    (`_minimal`), ascending by leading monomial and not tail-reduced:
+    under such an order they are free of those variables throughout and
+    form a Groebner basis of the elimination ideal, which `_interreduce`
+    turns into its reduced basis. The caller interreduces once, after it
+    has mapped them back to its ring (`idealops`). The loop's reducer
+    keeps the indices of the divisors whose leading monomial is free of
+    the mask (`_Divisors.free`), the only ones a term free of it can meet.
 
     The deadline is checked once per input installed, before the first
     pair is reduced.
@@ -738,7 +795,7 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
     origin: list = []           # the input block of each element, or None
     # [sugar, lcm, i, j, the exponent fields of lcm or None once dropped]
     heap: list[list] = []
-    reducer = _IntReducer(packing, budget=budget)
+    reducer = _IntReducer(packing, _Divisors(eliminate=eliminate), budget)
 
     def push(lcm: int, i: int, j: int) -> None:
         if lcm & guard:
@@ -882,19 +939,27 @@ def _groebner_prims(prims, packing: _Packing, budget: Optional[Budget] = None,
         stats.basis_added += 1
 
     if eliminate:
-        G = [f for f in G if not f[0][0] & eliminate]
+        return _minimal([f for f in G if not f[0][0] & eliminate], packing)
     return _interreduce(G, packing, budget)
 
 
-def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> list:
-    """Minimal tail-reduced prims of a Groebner basis, descending by leading
-    monomial."""
+def _minimal(prims, packing: _Packing) -> list:
+    """The prims of a Groebner basis whose leading monomial no other one's
+    divides (the first of equal ones), ascending by leading monomial: a
+    minimal Groebner basis of the same ideal."""
     guard = packing.guard
     kept = []
     for prim in sorted(prims, key=lambda p: p[0][0]):
         lm = prim[0][0]
         if all((lm - other[0][0]) & guard for other in kept):
             kept.append(prim)
+    return kept
+
+
+def _interreduce(prims, packing: _Packing, budget: Optional[Budget] = None) -> list:
+    """THE reduced basis, as prims, of the ideal of a Groebner basis,
+    descending by leading monomial."""
+    kept = _minimal(prims, packing)
     # Only a smaller leading monomial can divide a term of an element, so
     # each element, in ascending order, is reduced by the ones before it and
     # then joins them; the reduced basis is unique, so this is the result.

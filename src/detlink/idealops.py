@@ -4,13 +4,15 @@ dimension and height through initial ideals.
 Intersections use the one-variable trick: eliminate t from t*I + (1-t)*J
 with t added above the ring's variables, under the block order that ranks
 t above the ring's grevlex order. The variable t exists only in the
-packing of `_intersect_prims`, never as a ring. The t-free part of the
-elimination basis, interreduced, is the reduced grevlex basis of the
-intersection, so results carry their Groebner basis for free. A side that
-is a known Groebner basis (a cached reduced basis) enters as a block, and
-the elimination reduces no pair inside it. A colon I : J is a fold over
-the generators g of J, by ascending leading monomial, with one elimination
-per step: the colon so far, out, becomes (I ∩ g*out) / g, and a g with
+packing of `_intersect_prims`, never as a ring. The minimal t-free
+elements of the elimination basis form a Groebner basis of the
+intersection; interreduced once, in the ring's packing, they are its
+reduced grevlex basis, so results carry their Groebner basis for free. A
+side that is a known Groebner basis (a cached reduced basis) enters as a
+block, and the elimination reduces no pair inside it. A colon I : J is a
+fold over the generators g of J, by ascending leading monomial, with one
+elimination per step: the colon so far, out, becomes (I ∩ g*out) / g,
+whose minimal basis is divided by g and interreduced once, and a g with
 g*out ⊆ I is skipped. The skip test multiplies g only into the kept part
 of out, the elements outside I plus the kept ones before them. Both run
 on packed prims (see `groebner`) throughout, so embedding, multiplying by
@@ -45,41 +47,67 @@ def intersect(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
     elimination block, and below it the ring's grevlex order runs
     unchanged. Each cached basis therefore enters `_groebner_prims` as a
     block, whose inner pairs are not reduced; a single generator is a
-    block of its own. The elimination itself runs in `_intersect_prims`.
+    block of its own. The elimination itself runs in `_intersect_prims`,
+    whose minimal basis of the intersection is interreduced here, once,
+    into the reduced basis the result holds.
     """
     if I.ring != J.ring:
         raise ValueError("ideals from different rings")
     based = [K.has_cached_basis() for K in (I, J)]
     sides = [K._packed_basis(budget) if cached else K._packed_gens()
              for K, cached in zip((I, J), based)]
-    return Ideal._from_prims(I.ring, _intersect_prims(I.ring, sides, based, budget))
+    packing = _packing(I.ring.nvars)
+    return Ideal._from_prims(I.ring, _interreduce(
+        _intersect_prims(I.ring, sides, based, budget), packing, budget))
 
 
 def _intersect_prims(ring: Ring, sides, based, budget: Optional[Budget] = None) -> list:
-    """The reduced basis, as prims, of the intersection of the ideals that
-    the prim lists sides[0] and sides[1] of `ring` generate; based[k] says
-    that sides[k] is a Groebner basis, which then enters as a block. The
-    elimination runs in the packing of the ring's variables plus t, with t
-    the whole elimination block on top. So `_groebner_prims` keeps and
-    interreduces only the t-free part of the elimination basis, which is
-    the reduced basis of the intersection."""
+    """A minimal Groebner basis, as prims of `ring`'s packing, of the
+    intersection of the ideals that the prim lists sides[0] and sides[1]
+    of `ring` generate; based[k] says that sides[k] is a Groebner basis,
+    which then enters as a block. The elimination runs in the packing of
+    the ring's variables plus t, with t the whole elimination block on
+    top, so `_groebner_prims` returns the minimal t-free elements of the
+    elimination basis, not tail-reduced; `_interreduce` makes them the
+    reduced basis. Terms move between the layouts by `_embed` and
+    `_strip`."""
     if not sides[0] or not sides[1]:
         return []
     nvars = ring.nvars
-    packing, epacking = _packing(nvars), _packing(nvars + 1, 1)
-    t, mask, emask = epacking.with_key(1), packing.exp_mask, epacking.exp_mask
-
-    def embed(f) -> list:
-        # t is variable 0, the lowest field: every exponent moves up one field.
-        return [(epacking.with_key((m & mask) << FIELD), c) for m, c in f]
-
-    gens = [tuple((m + t, c) for m, c in embed(f)) for f in sides[0]]
+    epacking = _packing(nvars + 1, 1)
+    t = epacking.with_key(1)
+    gens = [tuple((m + t, c) for m, c in _embed(f, nvars)) for f in sides[0]]
     gens += [_prim_from_dict(dict(g + [(m + t, -c) for m, c in g]))
-             for g in map(embed, sides[1])]
+             for g in (_embed(f, nvars) for f in sides[1])]
     blocks = [k if based[k] else None for k in (0, 1) for _ in sides[k]]
-    return [tuple((packing.with_key((m & emask) >> FIELD), c) for m, c in f)
+    return [_strip(f, nvars)
             for f in _groebner_prims(gens, epacking, budget, blocks=blocks,
                                      eliminate=0xFFFF)]
+
+
+# The elimination layout of `_intersect_prims` over nvars variables puts t
+# in field 0 and keeps the ring's grevlex run unchanged below t's one-field
+# run of the order key. So a monomial moves between the layouts by shifts:
+# its exponent fields move up one field, past t's, and its order key up one
+# field, to sit below t's key field, which is 0 for a t-free monomial.
+
+
+def _embed(f, nvars: int) -> list:
+    """The terms of f, packed terms of the nvars-variable ring, in the
+    elimination layout."""
+    key = FIELD * nvars
+    mask = (1 << key) - 1
+    return [(((m >> key) << (key + FIELD)) | ((m & mask) << FIELD), c) for m, c in f]
+
+
+def _strip(f, nvars: int) -> tuple:
+    """The terms of f, packed terms of the elimination layout over nvars
+    variables that are free of t, in the ring's layout: `_embed`'s
+    inverse."""
+    key = FIELD * nvars
+    emask = (1 << (key + FIELD)) - 1
+    return tuple((((m >> (key + FIELD)) << key) | ((m & emask) >> FIELD), c)
+                 for m, c in f)
 
 
 def _exact_quotient(g, f, guard: int) -> tuple:
@@ -123,7 +151,8 @@ def _colon(I: Ideal, gens, budget: Optional[Budget] = None) -> Ideal:
     compare as grevlex; ties keep the order given. The skip test runs on
     the kept part of out (`_kept_part`), formed after an elimination and
     only once a later generator is tested; the starting out = (1) is
-    tested whole."""
+    tested whole. Each step interreduces once: the quotients by g of the
+    minimal basis that `_intersect_prims` returns."""
     ring = I.ring
     packing = _packing(ring.nvars)
     out = kept = [((0, 1),)]   # the packed constant 1: the unit ideal's reduced basis
@@ -156,12 +185,14 @@ def quotient(I: Ideal, J: Ideal, budget: Optional[Budget] = None) -> Ideal:
 
     The colon so far, out, starts as the unit ideal. Since
     I : (J' + (g)) = (I : J') ∩ (I : g) and I ∩ g*out = g*(out ∩ (I : g)),
-    each step sets out to (I ∩ g*out) / g: the reduced basis of I ∩ g*out,
-    each element divided by g exactly and the quotients interreduced; as
-    in(g*h) = in(g)*in(h), the quotients are a Groebner basis of
-    out ∩ (I : g). The elimination starts from two blocks of known
-    Groebner basis (see `intersect`): I's reduced basis, and g times out's
-    reduced basis, whose S-pairs are g times those of out's basis. A
+    each step sets out to (I ∩ g*out) / g: every element of the minimal
+    Groebner basis of I ∩ g*out that `_intersect_prims` returns is
+    divisible by g, and as in(g*h) = in(g)*in(h), their exact quotients
+    by g are a minimal Groebner basis of out ∩ (I : g), which one
+    interreduction turns into its reduced basis. The elimination starts
+    from two blocks of known Groebner basis (see `intersect`): I's reduced
+    basis, and g times out's reduced basis, whose S-pairs are g times
+    those of out's basis. A
     generator g with g*out ⊆ I changes nothing, since out ⊆ I : (g), and
     is skipped. The test needs no product g*h for an h of out's basis that
     lies in I + (k_1, ..., k_s) for other elements k_j of it: then

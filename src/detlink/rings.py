@@ -13,7 +13,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from operator import add as _add
-from typing import Iterable, Mapping, NamedTuple, Optional, Union
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 Scalar = Union[int, Fraction]
 
@@ -160,22 +160,25 @@ class Ring:
     # when +-1 (unless constant), exponent omitted when 1. Variables print
     # in x, y, z order with ascending index.
 
+    def format_monomial(self, exps: Sequence[int]) -> str:
+        """The monomial with exponent vector exps as `format` writes its
+        factors, e.g. "x1^2*y3"; "" for 1."""
+        return "*".join(name if exp == 1 else f"{name}^{exp}"
+                        for name, exp in zip(self.names, exps) if exp)
+
     def format(self, f: Polynomial) -> str:
         if not f.terms:
             return "0"
         parts = []
         for coeff, mono in f.terms:
-            factors = []
-            for name, exp in zip(self.names, mono.exps):
-                if exp:
-                    factors.append(name if exp == 1 else f"{name}^{exp}")
+            factors = self.format_monomial(mono.exps)
             mag = abs(coeff)
             if not factors:
                 body = str(mag)
             elif mag == 1:
-                body = "*".join(factors)
+                body = factors
             else:
-                body = "*".join([str(mag)] + factors)
+                body = str(mag) + "*" + factors
             parts.append(("-" if coeff < 0 else "+", body))
         sign, body = parts[0]
         out = ("-" if sign == "-" else "") + body

@@ -4,8 +4,10 @@
 label form a Groebner basis, and no pair inside such a block is pushed.
 The reduced basis is unique, so with blocks the result must equal the
 result without them and that of the reference path without criteria, and
-its t-free part must equal what `_groebner_prims` returns when it
-interreduces only the elements whose leading monomial is free of t.
+its t-free part must be what `_groebner_prims` returns, interreduced: with
+`eliminate` it returns the minimal elements whose leading monomial is free
+of t, not tail-reduced, which must have the reduced t-free part's leading
+monomials.
 Inputs: the eliminations t*G + (1-t)*G' that `intersect` runs on the
 paper's families, with G and G' reduced bases; those that the colon fold
 runs for the link colons, with G the reduced basis of I and G' = g times
@@ -27,8 +29,9 @@ from detlink import idealops
 from detlink.families import (chain_ideal, delta, gens_a, generic_residual,
                               minors_ideal, sub_a)
 from detlink.groebner import (GBStats, Ideal, _groebner_prims,
-                              _monic_from_prims, _packing, _prim_from_dict,
-                              is_groebner_basis, reduced_groebner_basis)
+                              _interreduce, _monic_from_prims, _packing,
+                              _prim_from_dict, is_groebner_basis,
+                              reduced_groebner_basis)
 from detlink.idealops import quotient, quotient_by_poly
 from detlink.rings import Monomial, Ring
 
@@ -37,6 +40,18 @@ from conftest import (assert_fold_order_free, assert_matches_all_products,
 
 
 T = 0xFFFF     # the exponent field of t, variable 0 of the elimination layout
+
+
+def assert_minimal_basis_of(raw, reduced, packing):
+    """raw, an output of `_groebner_prims(..., eliminate=T)`, is a minimal
+    basis: no leading monomial of it divides another's. Its leading
+    monomials are those of the reduced basis `reduced`, and interreduced
+    it is `reduced`."""
+    lms = [f[0][0] for f in raw]
+    assert all((a - b) & packing.guard
+               for i, a in enumerate(lms) for j, b in enumerate(lms) if i != j)
+    assert sorted(lms, reverse=True) == [f[0][0] for f in reduced]
+    assert _interreduce(raw, packing) == reduced
 
 
 def _all_agree(basis_f, basis_g, labels=(0, 1)):
@@ -50,8 +65,8 @@ def _all_agree(basis_f, basis_g, labels=(0, 1)):
     want = _groebner_prims(prims, packing, stats=plain)
     assert _groebner_prims(prims, packing, stats=blocked, blocks=blocks) == want
     assert _groebner_prims(prims, packing, criteria=False, blocks=blocks) == want
-    assert (_groebner_prims(prims, packing, blocks=blocks, eliminate=T)
-            == [f for f in want if not f[0][0] & T])
+    assert_minimal_basis_of(_groebner_prims(prims, packing, blocks=blocks, eliminate=T),
+                            [f for f in want if not f[0][0] & T], packing)
     return plain, blocked
 
 
@@ -173,10 +188,12 @@ def test_t_free_rule_spares_unblocked_elements():
     x1, y1 = ring.x(1), ring.y(1)
     prims = [_prim_from_dict(dict(lift(x1, 1) + lift(-y1, 0))),
              _prim_from_dict(dict(lift(x1, 0)))]
-    want = _groebner_prims(prims, packing, criteria=False, eliminate=T)
-    assert want == [_prim_from_dict(dict(lift(f, 0))) for f in (x1, y1)]
+    want = [_prim_from_dict(dict(lift(f, 0))) for f in (x1, y1)]
+    assert_minimal_basis_of(_groebner_prims(prims, packing, criteria=False, eliminate=T),
+                            want, packing)
     for blocks in (None, [None, None]):
-        assert _groebner_prims(prims, packing, blocks=blocks, eliminate=T) == want
+        assert_minimal_basis_of(
+            _groebner_prims(prims, packing, blocks=blocks, eliminate=T), want, packing)
 
 
 R = Ring(2)

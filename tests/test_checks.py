@@ -1165,6 +1165,16 @@ class TestCLI:
         assert captured.out == ""
         assert 18 not in fam._packed_sets
 
+    def test_show_formats_the_monomial_sets_as_polynomials_print(self, capsys):
+        # Each line comes from the packed monomial's exponent fields, and
+        # reads as the monomial Polynomial of M_i prints.
+        for n in (4, 5, 7):
+            assert main(["show", "--family", "M", "--n", str(n)]) == 0
+            want = [f"M_{i}: {p}"
+                    for i, ms in enumerate(fam._packed_monomial_sets(n), 1)
+                    for p in fam._monomials(n, ms)]
+            assert capsys.readouterr().out.splitlines() == want
+
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"
         assert main(["verify", "--n", "4", "--checks", "automorphisms",

@@ -468,6 +468,14 @@ def _count_units(monkeypatch) -> list:
     return calls
 
 
+def _count_divisions(monkeypatch) -> list:
+    """A list that grows by one per `divide` call, which runs its own loop,
+    not `_IntReducer.reduce`."""
+    calls, divide = [], groebner.divide
+    monkeypatch.setattr(groebner, "divide", lambda *args: calls.append(1) or divide(*args))
+    return calls
+
+
 def _skipped_before_the_witness() -> list:
     """A set whose certificate skips (1, 4) by k = 2 between the passing
     (2, 4) and the failing (2, 3)."""
@@ -537,12 +545,14 @@ class TestCertificate:
         # (2, 3), the first failing pair in (lcm, i, j) order.
         polys = _skipped_before_the_witness()
         x1 = polys[0].ring.x(1)
-        calls = _count_units(monkeypatch)
+        calls, divisions = _count_units(monkeypatch), _count_divisions(monkeypatch)
         budget = Budget()
         cert = is_groebner_basis(polys, budget=budget)
         assert not cert.ok and cert.witness == (2, 3)
-        # The certificate's two reductions and the exact one of the witness.
-        assert len(calls) == 3
+        # The certificate's two reductions, and the exact division of the
+        # witness in `divide`'s own loop.
+        assert len(calls) == 2
+        assert len(divisions) == 1
         # The two coprime pairs and the skipped (1, 4) are free; the
         # reduced (2, 4) and (2, 3) count.
         assert budget.pairs == 2
@@ -573,13 +583,15 @@ class TestCertificate:
         # A certificate charges one unit per S-polynomial it reduces or
         # follows by a two-term walk; a failing one also divides its
         # witness exactly, uncharged.
-        calls = _count_units(monkeypatch)
+        calls, divisions = _count_units(monkeypatch), _count_divisions(monkeypatch)
         for polys in (G_union_M(4), G_union_M(5), G_union_M(6),
                       _skipped_before_the_witness()):
             calls.clear()
+            divisions.clear()
             budget = Budget()
             cert = is_groebner_basis(polys, budget=budget)
-            assert budget.pairs == len(calls) - (not cert.ok)
+            assert budget.pairs == len(calls)
+            assert len(divisions) == (not cert.ok)
 
     def test_cap_of_the_walked_pairs_passes_n10(self):
         # G u M(10) has 2,586 elements and 3,342,405 pairs, past the default

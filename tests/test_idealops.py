@@ -63,12 +63,11 @@ class TestIntersect:
         # intersect embeds them.
         for ring in (Ring(2), Ring(3)):
             nvars = ring.nvars
-            packing, epacking = groebner._packing(nvars), groebner._packing(nvars + 1, 1)
+            packing = groebner._packing(nvars)
             for _ in range(100):
                 f = random_nonzero_poly(ring, rng, terms=6)
                 prim = groebner._prim_from_poly(f, packing)
-                lifted = [epacking.with_key((m & packing.exp_mask) << groebner.FIELD)
-                          for m, _ in prim]
+                lifted = [m for m, _ in idealops._embed(prim, nvars)]
                 assert lifted == sorted(lifted, reverse=True)
 
     def test_membership_cross_check(self, rng):

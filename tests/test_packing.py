@@ -8,8 +8,9 @@ and elimination comparators of `tests/reference.py`, on the grevlex layout
 of Ring(2) and on elimination layouts, where a block of variables on top
 is compared first. No ring has an elimination order: `_intersect_prims`
 builds its layout (one variable t above the ring's 3n) from the variable
-count alone, and these are the tests of that layout. Past 2^15 the kernel
-must raise, never wrap, in each block separately.
+count alone, and these are the tests of that layout; it moves ring
+monomials in and out of it by shifts, checked here against `pack`. Past
+2^15 the kernel must raise, never wrap, in each block separately.
 """
 
 import heapq
@@ -22,7 +23,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from detlink import groebner
+from detlink import groebner, idealops
 from detlink.groebner import (LIMIT, Budget, BudgetExceeded, GBStats,
                               _groebner_prims, _IntReducer, _packing,
                               _prim_from_dict, _prim_from_poly, divide,
@@ -124,6 +125,33 @@ def _near_limit_monomials(draw):
 def test_degree_is_total_degree(drawn):
     packing, a = drawn
     assert packing.degree(packing.pack(a)) == a.deg
+
+
+@st.composite
+def _ring_monomials(draw):
+    """A variable count and an exponent vector whose entries and total
+    degree reach up to 2^15 - 1: the degree is drawn first and cut into
+    the entries."""
+    nvars = draw(st.sampled_from((1, 6, 9, 12)))
+    deg = draw(st.one_of(st.integers(0, 8), st.integers(0, LIMIT - 1),
+                         st.just(LIMIT - 1)))
+    cuts = sorted(draw(st.lists(st.integers(0, deg), min_size=nvars - 1,
+                                max_size=nvars - 1)))
+    bounds = [0] + cuts + [deg]
+    return nvars, tuple(b - a for a, b in zip(bounds, bounds[1:]))
+
+
+@SETTINGS
+@given(_ring_monomials())
+def test_shifts_move_monomials_between_the_layouts(drawn):
+    # `_intersect_prims` embeds a ring monomial into the elimination layout
+    # (t as variable 0 above the ring's variables) by shifts alone, and
+    # strips t from a t-free one by the inverse shifts.
+    nvars, exps = drawn
+    m = _packing(nvars).pack(Monomial(exps))
+    embedded = _packing(nvars + 1, 1).pack(Monomial((0,) + exps))
+    assert idealops._embed(((m, 3),), nvars) == [(embedded, 3)]
+    assert idealops._strip(((embedded, -2),), nvars) == ((m, -2),)
 
 
 @pytest.mark.parametrize("coeff", [1, -3, Fraction(5, 7)])

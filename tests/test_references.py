@@ -12,7 +12,9 @@ derandomized so every run checks the same examples; so few variables make
 repeated monomials, shared divisors and non-Groebner inputs common. The
 certificate runs on the grevlex ring Q[x1, x2, y1, y2, z1, z2]; the memo
 also runs on prims of the elimination layout of `_intersect_prims`, which
-the eliminations' reducers use.
+the eliminations' reducers use, and there the reducer that scans only the
+t-free divisors for a t-free monomial is checked against the full scan on
+the inputs `intersect` eliminates t from.
 """
 
 import pytest
@@ -31,6 +33,7 @@ from detlink.groebner import (Budget, BudgetExceeded, _IntReducer,
 from detlink.rings import Monomial, Ring
 
 import reference
+from conftest import elimination_input
 from reference import divides, is_coprime, lcm
 
 R = Ring(2)
@@ -119,6 +122,70 @@ def test_memo_matches_a_memo_free_scan(drawn):
                 assert idx == first
             else:
                 assert ~idx <= len(divisors.lms)
+                assert first is None or first >= ~idx
+
+
+T = 0xFFFF     # the exponent field of t, variable 0 of the elimination layout
+
+
+@st.composite
+def _elimination_runs(draw):
+    """The input `intersect` eliminates t from, for small drawn sides, and
+    a list of steps over it: ("pair", i, j), the S-polynomial of two
+    divisors so far, as Buchberger's loop reduces them; ("reduce", prim)
+    and ("append", prim) for prims of the elimination layout, with t or
+    without."""
+    fs = draw(st.lists(_polys, min_size=1, max_size=3))
+    gs = draw(st.lists(_polys, min_size=1, max_size=3))
+    prims, packing = elimination_input(fs, gs)
+    drawn = _terms.map(lambda terms: _prim(packing, R.nvars + 1, terms)).filter(bool)
+    steps = draw(st.lists(st.one_of(
+        st.tuples(st.just("pair"), st.integers(0, 30), st.integers(0, 30)),
+        st.tuples(st.sampled_from(("reduce", "append")), drawn)),
+        min_size=1, max_size=12))
+    return packing, prims, steps
+
+
+@SETTINGS
+@given(_elimination_runs())
+def test_t_free_scan_matches_the_full_scan(drawn):
+    # An elimination's reducer scans only the divisors free of t for a
+    # t-free monomial. Against a reducer that scans every divisor, on the
+    # same divisors appended in the same order, every remainder and every
+    # memo entry must agree, hits with the first divisor of a linear scan
+    # and misses with the divisors scanned, after appends as well.
+    packing, prims, steps = drawn
+    guard = packing.guard
+    masked = _IntReducer(packing, groebner._Divisors(prims, eliminate=T))
+    full = _IntReducer(packing, groebner._Divisors(prims))
+    divisors = list(prims)
+
+    def append(prim):
+        masked.append(prim)
+        full.append(prim)
+        divisors.append(prim)
+
+    for step in steps:
+        if step[0] == "append":
+            append(step[1])
+            continue
+        if step[0] == "pair":
+            a, b = divisors[step[1] % len(divisors)], divisors[step[2] % len(divisors)]
+            p = groebner._spoly(a, b, packing.lcm(a[0][0], b[0][0]))
+        else:
+            p = dict(step[1])
+        rem = masked.reduce(dict(p))
+        assert rem == full.reduce(dict(p))
+        if rem:
+            append(_prim_from_dict(rem))
+        lms = masked.divisors.lms
+        assert masked.divisors.free == [i for i, lm in enumerate(lms) if not lm & T]
+        assert masked.divisors.memo == full.divisors.memo
+        for m, idx in masked.divisors.memo.items():
+            first = _first_divisor(m, lms, guard)
+            if idx >= 0:
+                assert idx == first
+            else:
                 assert first is None or first >= ~idx
 
 
